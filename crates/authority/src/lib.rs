@@ -79,8 +79,8 @@ pub use messages::{Advice, Message, Party};
 pub use private_session::{run_p2_session, P2Prover, P2SessionOutcome};
 pub use reputation::{
     DecayingPnCounterMap, GossipPlane, GossipReputation, LocalReputation, MajorityOutcome,
-    PnCounter, ReputationBackend, ReputationDecay, ReputationSnapshot, ReputationStore,
-    VersionVector, VoteRule, EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
+    PnCounter, ReputationBackend, ReputationDecay, ReputationSnapshot, VersionVector, VoteRule,
+    EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
 };
 pub use session::{
     BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, RationalityAuthority,

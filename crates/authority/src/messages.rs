@@ -196,14 +196,17 @@ pub enum Message {
         /// on a pull (the puller's new watermark), empty on a push.
         versions: VersionVector,
     },
-    /// A resilient-session envelope around any other protocol message.
+    /// A retry envelope around another protocol message.
     ///
-    /// The loss-tolerant consultation path wraps its sends in this frame
-    /// so receivers can dedup retries idempotently: `session` identifies
-    /// the consultation (the game id, unique per driver) and `attempt` is
-    /// the 0-based retransmission sequence number for this hop. Replies
-    /// echo the request's `attempt`, so the ledger can classify both
-    /// directions of a retry (`attempt > 0`) as retransmit bytes. The
+    /// A consult's first attempt at each hop travels bare: every Fig. 1
+    /// message already carries its `game_id`, which identifies the
+    /// session, and receivers read a bare frame as attempt 0. Retries
+    /// (`attempt ≥ 1`) and the replies they provoke ship inside this
+    /// frame, so receivers can dedup them idempotently: `session` is the
+    /// consultation (the game id, unique per driver) and `attempt` the
+    /// 0-based retransmission sequence number for this hop. Replies echo
+    /// the request's `attempt`, so the ledger classifies both directions
+    /// of a retry as retransmit bytes ([`Message::is_retransmit`]). The
     /// envelope never nests: `inner` holding another `Resilient` frame is
     /// a decode error, rejected before recursing.
     Resilient {

@@ -11,8 +11,7 @@
 //! trait so the *scope* of a reputation score is pluggable:
 //!
 //! * [`LocalReputation`] — one mutex-guarded score table, the classic
-//!   single-bus store (re-exported as [`ReputationStore`] for
-//!   compatibility);
+//!   single-bus store;
 //! * [`GossipReputation`] — per-shard PN-counter deltas
 //!   ([`DecayingPnCounterMap`], a state-based CRDT whose merge is
 //!   commutative, associative and idempotent) published to a shared
@@ -337,9 +336,6 @@ pub struct LocalReputation {
     /// at the end of every [`LocalReputation::pool_verdicts`].
     snapshot: Mutex<Arc<ReputationSnapshot>>,
 }
-
-/// Compatibility alias: the pre-refactor name of [`LocalReputation`].
-pub type ReputationStore = LocalReputation;
 
 impl LocalReputation {
     /// Starting reputation score.

@@ -21,6 +21,15 @@
 //! or gossiped engine-wide all live behind the [`ReputationBackend`]
 //! trait, so the Fig. 1 flow never changes when the plane does.
 //!
+//! There is one protocol body. With a [`ResilienceConfig`] attached it
+//! retries on a backoff schedule, closes the panel degraded at quorum and
+//! fails with a typed [`ConsultError`]; without one, each stage makes a
+//! single attempt. Either way first attempts travel bare — every Fig. 1
+//! frame carries its `game_id`, which is the session id — and only
+//! retries and the replies they provoke ride a [`Message::Resilient`]
+//! envelope. Receivers read a bare frame as attempt 0 and answer each
+//! attempt once, so a duplicated frame never buys a second vote.
+//!
 //! The flow is also the engine's *hot path*, and it is written to stay
 //! off the allocator and off contended locks in the steady state: endpoint
 //! drains reuse one receive buffer ([`Endpoint::drain_into`]), the
@@ -47,8 +56,8 @@ use crate::wire::Wire;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PanelOutcome {
     /// Every trusted verifier's verdict arrived (always the case when
-    /// resilience is off: whatever arrived *is* the panel the legacy
-    /// protocol pools).
+    /// resilience is off: whatever arrived *is* the panel a
+    /// single-attempt consult pools).
     #[default]
     Full,
     /// The vote closed at quorum after the deadline budget ran out; the
@@ -181,8 +190,11 @@ impl BackoffConfig {
 /// Per-consultation resilience budget: deadlines, retransmission and
 /// quorum degradation for the Fig. 1 flow. Attach with
 /// [`SessionDriver::set_resilience`] /
-/// [`RationalityAuthority::set_resilience`]; the default (no config) is
-/// the legacy fire-and-forget protocol, bit-for-bit.
+/// [`RationalityAuthority::set_resilience`]. Without one (the default)
+/// each stage makes a single attempt: a starved advice stage yields an
+/// outcome with no advice, and a short panel pools whatever arrived.
+/// Only retries are enveloped in [`Message::Resilient`], so a config
+/// adds no bytes to a consult that needs none.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Total virtual-tick budget per consultation; when the transport's
@@ -282,12 +294,14 @@ pub struct SessionDriver {
     /// Optional content-addressed certificate cache, shared across drivers
     /// (`None` — the default — leaves the protocol bit-for-bit unchanged).
     cert_cache: Option<Arc<CertCache>>,
-    /// Optional resilience budget (`None` — the default — leaves the
-    /// protocol bit-for-bit unchanged: no envelopes, no retries).
+    /// Optional resilience budget (`None` — the default — makes one
+    /// attempt per stage: no retries, so no envelopes).
     resilience: Option<ResilienceConfig>,
     /// Driver-local jitter stream for retry backoff, seeded from
     /// [`ResilienceConfig::seed`] so resilient runs are replayable.
     jitter_rng: u64,
+    /// Per-consult scratch of the staged protocol body.
+    scratch: SessionScratch,
 }
 
 impl SessionDriver {
@@ -350,14 +364,15 @@ impl SessionDriver {
             cert_cache: None,
             resilience: None,
             jitter_rng: 0,
+            scratch: SessionScratch::default(),
         }
     }
 
     /// Attaches (or with `None` removes) a resilience budget: subsequent
-    /// sessions run the loss-tolerant protocol — enveloped frames with
-    /// deadlines, retransmit/backoff and quorum degradation — via
-    /// [`SessionDriver::try_run`]. Without one, the legacy
-    /// fire-and-forget flow runs unchanged.
+    /// sessions retry on a backoff schedule within a deadline, close the
+    /// panel degraded at quorum, and fail with a typed error via
+    /// [`SessionDriver::try_run`]. Without one, each stage makes a single
+    /// attempt.
     ///
     /// # Panics
     ///
@@ -428,11 +443,12 @@ impl SessionDriver {
     /// [`SessionDriver::run`] with typed failure: the resilient protocol
     /// (when a [`ResilienceConfig`] is attached) returns
     /// [`ConsultError::Deadline`] when a stage's budget runs out instead
-    /// of a half-empty outcome. Without a config this never errors — it
-    /// runs exactly the legacy flow.
+    /// of a half-empty outcome. Without a config this never errors: each
+    /// stage makes one attempt, and a starved advice stage is an outcome
+    /// with `advice: None`.
     pub fn try_run(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
         let Some(cache) = self.cert_cache.clone() else {
-            return self.dispatch(agent, game_id, spec);
+            return self.run_session(agent, game_id, spec);
         };
         let digest = spec_digest(spec);
         // Replay hits are panel-guarded: an entry minted under a
@@ -455,7 +471,7 @@ impl SessionDriver {
                 }
             }
         }
-        let outcome = self.dispatch(agent, game_id, spec)?;
+        let outcome = self.run_session(agent, game_id, spec)?;
         // Degraded closes are never memoized: their majority was pooled
         // over a partial panel, so serving them warm would replay a
         // quorum vote as if the full panel had vouched for it.
@@ -473,7 +489,7 @@ impl SessionDriver {
                     adopted: outcome.adopted,
                     advice_bytes: outcome.advice_bytes,
                     verdict_details: outcome.verdict_details.clone(),
-                    // Stamped *after* run_protocol, so an exclusion caused
+                    // Stamped *after* the session, so an exclusion caused
                     // by this very consult is already reflected.
                     panel_version: self.reputation.snapshot().panel_version(),
                 },
@@ -498,365 +514,248 @@ impl SessionDriver {
         }
     }
 
-    /// Routes a consultation to the legacy fire-and-forget flow (no
-    /// resilience attached — infallible, bit-for-bit the pre-resilience
-    /// protocol) or to the loss-tolerant enveloped flow.
-    fn dispatch(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
-        match self.resilience {
-            None => Ok(self.run_protocol(agent, game_id, spec)),
-            Some(cfg) => self.run_resilient(agent, game_id, spec, cfg),
-        }
-    }
-
-    /// The full Fig. 1 message flow (always what runs on a cache miss or
-    /// with no cache attached).
-    fn run_protocol(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> SessionOutcome {
+    /// The Fig. 1 message flow in stages — advice, then the panel, then
+    /// the pooled vote — run by every consult the certificate cache does
+    /// not answer, with resilience on or off.
+    ///
+    /// First attempts travel bare: every Fig. 1 frame already carries its
+    /// `game_id`, which is the session id. Only retries (attempt ≥ 1) and
+    /// the replies they provoke ship inside a [`Message::Resilient`]
+    /// envelope, so the Lemma 1 ledger classifies all retry traffic (both
+    /// directions) as retransmit bytes. Receivers read a bare frame as
+    /// attempt 0. Responders answer each distinct attempt exactly once —
+    /// duplicates from at-least-once links are dropped — and compute their
+    /// advice/verdict a single time per session; the agent keeps the first
+    /// reply per party and pools the verdicts in panel order.
+    ///
+    /// With no [`ResilienceConfig`] attached, each stage makes one attempt
+    /// with one service pass, and a stage that closes short keeps the
+    /// fire-and-forget contract: starved advice is an outcome with
+    /// `advice: None`, and a short panel pools whatever arrived as
+    /// [`PanelOutcome::Full`].
+    ///
+    /// With one attached, the agent retransmits on the configured
+    /// exponential backoff (driven through the transport's virtual clock)
+    /// until the stage completes, `max_attempts` sends are spent, or the
+    /// deadline budget runs out. The panel stage closes *full* when every
+    /// trusted verifier answers, or *degraded* at `quorum` responses once
+    /// the budget is spent — in which case the silent verifiers are
+    /// reported to the reputation plane as unresponsive. Sub-quorum
+    /// exhaustion (and a starved advice stage) returns
+    /// [`ConsultError::Deadline`] without punishing anyone: with no
+    /// responding majority there is no evidence the silence was the
+    /// verifiers' fault rather than the network's.
+    fn run_session(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
         self.ensure_agent(agent);
         let bytes_before = self.bus.total_bytes();
+        let started = self.bus.now();
+        let deadline_at = self
+            .resilience
+            .map_or(u64::MAX, |cfg| started.saturating_add(cfg.deadline));
+        self.scratch.clear();
 
-        // 1. Agent → inventor: request.
-        self.bus
-            .send(agent, self.inventor.id, Message::AdviceRequest { game_id })
-            .expect("inventor registered");
-        // Inventor processes its queue. Drains reuse `recv_buf` so the
-        // steady state allocates no inbox Vec per hop. Every drain is
-        // preceded by a settle so latency-delayed frames land first (a
-        // no-op on the perfect bus).
-        self.bus.settle();
-        self.recv_buf.clear();
-        self.endpoints[&self.inventor.id].drain_into(&mut self.recv_buf);
-        let mut advice: Option<Advice> = None;
-        for (from, msg) in self.recv_buf.drain(..) {
-            if let (Message::AdviceRequest { game_id: gid }, true) = (&msg, from == agent) {
-                if *gid == game_id {
-                    advice = self.inventor.advise(spec);
-                }
+        // Stage 1: advice.
+        if !self.run_stage(ConsultStage::Advice, agent, game_id, spec, deadline_at) {
+            if self.resilience.is_none() {
+                return Ok(SessionOutcome {
+                    advice: None,
+                    majority: None,
+                    adopted: false,
+                    advice_bytes: 0,
+                    session_bytes: self.bus.total_bytes() - bytes_before,
+                    verdict_details: Vec::new(),
+                    cached: false,
+                    panel: PanelOutcome::Full,
+                    attempts: 0,
+                });
             }
+            return Err(ConsultError::Deadline {
+                stage: ConsultStage::Advice,
+                attempts: self.scratch.retransmits,
+                elapsed: self.bus.now().saturating_sub(started),
+                received: 0,
+                quorum: 1,
+                missing: vec![self.inventor.id],
+            });
         }
-        let mut advice_bytes = 0;
-        if let Some(a) = advice {
-            // Single recipient: the advice moves into the frame (the agent
-            // hands it back through its endpoint below), so the inventor→
-            // agent hop costs no payload clone.
-            let msg = Message::AdviceWithProof {
-                game_id,
-                advice: Box::new(a),
-            };
-            advice_bytes = msg.encoded_len();
-            self.bus
-                .send(self.inventor.id, agent, msg)
-                .expect("agent registered");
-        }
-        // Agent receives.
-        self.bus.settle();
-        self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
-        let received = self.recv_buf.drain(..).find_map(|(_, m)| match m {
-            Message::AdviceWithProof { advice, .. } => Some(*advice),
-            _ => None,
-        });
-        let Some(received_advice) = received else {
-            return SessionOutcome {
-                advice: None,
-                majority: None,
-                adopted: false,
-                advice_bytes: 0,
-                session_bytes: self.bus.total_bytes() - bytes_before,
-                verdict_details: Vec::new(),
-                cached: false,
-                panel: PanelOutcome::Full,
-                attempts: 0,
-            };
-        };
 
-        // 2. Agent → trusted verifiers: verdict requests (and replies).
-        // The same advice fans out to the whole panel, so it is shared:
-        // every frame is a reference-count bump, not a proof-tree clone.
-        // Trust checks read one immutable snapshot taken here — the
-        // backend's data lock is untouched until the verdicts pool, so a
-        // gossip merge on another shard never contends with this fan-out
-        // (and the panel seen by one consult is always a whole epoch).
+        // Stage 2: panel fan-out. Trust checks read one immutable
+        // snapshot taken here — the backend's data lock is untouched
+        // until the verdicts pool, so a gossip merge on another shard
+        // never contends with this fan-out (and the panel seen by one
+        // consult is always a whole epoch).
         let reputation_view = self.reputation.snapshot();
-        let advice_payload = Arc::new(received_advice);
-        self.send_buf.clear();
-        for verifier in &self.verifiers {
-            if !reputation_view.is_trusted(verifier.id) {
-                continue;
+        self.scratch.panel.extend(
+            self.verifiers
+                .iter()
+                .map(|v| v.id)
+                .filter(|&v| reputation_view.is_trusted(v)),
+        );
+        let mut panel_outcome = PanelOutcome::Full;
+        let panel_closed_short = !self.scratch.panel.is_empty()
+            && !self.run_stage(ConsultStage::Panel, agent, game_id, spec, deadline_at);
+        // Resilience off pools whatever arrived as the full panel.
+        if let Some(cfg) = self.resilience.filter(|_| panel_closed_short) {
+            let st = &self.scratch;
+            let missing: Vec<Party> = st
+                .panel
+                .iter()
+                .copied()
+                .filter(|v| !st.agent_verdicts.contains_key(v))
+                .collect();
+            let quorum = cfg.quorum.min(st.panel.len());
+            if st.agent_verdicts.len() < quorum {
+                return Err(ConsultError::Deadline {
+                    stage: ConsultStage::Panel,
+                    attempts: st.retransmits,
+                    elapsed: self.bus.now().saturating_sub(started),
+                    received: st.agent_verdicts.len(),
+                    quorum,
+                    missing,
+                });
             }
-            self.send_buf.push((
-                agent,
-                verifier.id,
-                Message::VerdictRequest {
-                    game_id,
-                    advice: Arc::clone(&advice_payload),
-                },
-            ));
-        }
-        // One accounting critical section for the whole request fan-out;
-        // send_batch drains the buffer so its allocation is reused.
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("verifier registered");
-        // Each verifier processes its queue; the replies batch the same
-        // way back to the agent.
-        self.bus.settle();
-        let mut verdict_details = Vec::new();
-        for verifier in &self.verifiers {
-            if !reputation_view.is_trusted(verifier.id) {
-                continue;
-            }
-            self.recv_buf.clear();
-            self.endpoints[&verifier.id].drain_into(&mut self.recv_buf);
-            for (from, msg) in self.recv_buf.drain(..) {
-                if let Message::VerdictRequest { advice, .. } = msg {
-                    let (accepted, detail) = verifier.verify(spec, &advice);
-                    self.send_buf.push((
-                        verifier.id,
-                        from,
-                        Message::Verdict {
-                            game_id,
-                            accepted,
-                            detail: detail.clone(),
-                        },
-                    ));
-                    verdict_details.push((verifier.id, accepted, detail));
-                }
-            }
-        }
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("agent registered");
-        // Agent collects verdicts.
-        self.bus.settle();
-        let mut verdicts: Vec<(Party, bool)> = Vec::new();
-        self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
-        for (from, msg) in self.recv_buf.drain(..) {
-            if let Message::Verdict { accepted, .. } = msg {
-                verdicts.push((from, accepted));
-            }
+            // A responding quorum evidences a live network, so the silent
+            // rest pays: close degraded and report them to the reputation
+            // plane.
+            self.reputation.report_unresponsive(&missing);
+            panel_outcome = PanelOutcome::Degraded { missing };
         }
 
-        // 3. Majority + reputation update.
+        // Stage 3: majority + reputation update, pooled in panel order so
+        // runs are deterministic regardless of arrival order.
+        let mut verdicts: Vec<(Party, bool)> = Vec::new();
+        let mut verdict_details = Vec::new();
+        for &verifier in &self.scratch.panel {
+            if let Some((accepted, detail)) = self.scratch.agent_verdicts.remove(&verifier) {
+                verdicts.push((verifier, accepted));
+                verdict_details.push((verifier, accepted, detail));
+            }
+        }
         let majority = if verdicts.is_empty() {
             None
         } else {
             Some(self.reputation.pool_verdicts(&verdicts))
         };
         let adopted = majority.as_ref().is_some_and(|m| m.accepted);
-        // Every verifier has processed its queue, so the shared payload is
-        // normally unique again and unwraps without copying.
-        let received_advice = Arc::try_unwrap(advice_payload).unwrap_or_else(|a| (*a).clone());
-        SessionOutcome {
-            advice: Some(received_advice),
+        // Every verifier has normally processed its queue, so the shared
+        // payload is unique again and unwraps without copying.
+        let advice = self
+            .scratch
+            .agent_advice
+            .take()
+            .expect("advice stage completed");
+        Ok(SessionOutcome {
+            advice: Some(Arc::try_unwrap(advice).unwrap_or_else(|a| (*a).clone())),
             majority,
             adopted,
-            advice_bytes,
+            advice_bytes: self.scratch.advice_bytes,
             session_bytes: self.bus.total_bytes() - bytes_before,
             verdict_details,
             cached: false,
-            panel: PanelOutcome::Full,
-            attempts: 0,
-        }
+            panel: panel_outcome,
+            attempts: self.scratch.retransmits,
+        })
     }
 
-    /// The loss-tolerant Fig. 1 flow. Every frame ships inside a
-    /// [`Message::Resilient`] envelope carrying the session id and an
-    /// attempt sequence number; the agent retransmits on the configured
-    /// exponential backoff (driven through the transport's virtual clock)
-    /// until the stage completes, `max_attempts` sends are spent, or the
-    /// deadline budget runs out. Responders answer each distinct attempt
-    /// exactly once — duplicates from at-least-once links are dropped —
-    /// and compute their advice/verdict a single time per session; replies
-    /// echo the request's attempt number, so the Lemma 1 ledger classifies
-    /// all retry traffic (both directions) as retransmit bytes.
-    ///
-    /// The panel stage closes *full* when every trusted verifier answers,
-    /// or *degraded* at `quorum` responses once the budget is spent — in
-    /// which case the silent verifiers are reported to the reputation
-    /// plane as unresponsive. Sub-quorum exhaustion (and a starved advice
-    /// stage) returns [`ConsultError::Deadline`] without punishing anyone:
-    /// with no responding majority there is no evidence the silence was
-    /// the verifiers' fault rather than the network's.
-    ///
-    /// On a clockless transport (the perfect [`Bus`], whose `now()` never
-    /// moves) each attempt gets exactly one service pass and only
-    /// `max_attempts` bounds the loop.
-    fn run_resilient(
+    /// Runs one stage to completion: sends an attempt (the stage's
+    /// request, or the panel fan-out to every verifier not yet heard
+    /// from), serves it, and repeats while the resilience budget allows.
+    /// Returns whether the stage completed; with resilience off it gets
+    /// exactly one attempt.
+    fn run_stage(
         &mut self,
+        stage: ConsultStage,
         agent: Party,
         game_id: u64,
         spec: &GameSpec,
-        cfg: ResilienceConfig,
-    ) -> ConsultResult {
-        self.ensure_agent(agent);
-        let bytes_before = self.bus.total_bytes();
-        let started = self.bus.now();
-        let deadline_at = started.saturating_add(cfg.deadline);
-        let mut st = ResilientState::default();
-
-        // Stage 1: advice, at-least-once.
+        deadline_at: u64,
+    ) -> bool {
+        let resilience = self.resilience;
         let mut attempt: u32 = 0;
         loop {
-            if attempt > 0 {
-                st.retransmits += 1;
+            match stage {
+                ConsultStage::Advice => {
+                    if attempt > 0 {
+                        self.scratch.retransmits += 1;
+                    }
+                    let request = framed(game_id, attempt, Message::AdviceRequest { game_id });
+                    self.bus
+                        .send(agent, self.inventor.id, request)
+                        .expect("inventor registered");
+                }
+                ConsultStage::Panel => {
+                    // The same advice fans out to the whole panel, so it
+                    // is shared: every frame is a reference-count bump,
+                    // not a proof-tree clone.
+                    let st = &mut self.scratch;
+                    let advice = st.agent_advice.as_ref().expect("advice stage completed");
+                    self.send_buf.clear();
+                    for &verifier in &st.panel {
+                        if st.agent_verdicts.contains_key(&verifier) {
+                            continue;
+                        }
+                        if attempt > 0 {
+                            st.retransmits += 1;
+                        }
+                        let request = Message::VerdictRequest {
+                            game_id,
+                            advice: Arc::clone(advice),
+                        };
+                        self.send_buf
+                            .push((agent, verifier, framed(game_id, attempt, request)));
+                    }
+                    // One accounting critical section for the whole
+                    // fan-out; send_batch drains the buffer so its
+                    // allocation is reused.
+                    self.bus
+                        .send_batch(&mut self.send_buf)
+                        .expect("verifier registered");
+                }
             }
-            self.bus
-                .send(
-                    agent,
-                    self.inventor.id,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(Message::AdviceRequest { game_id }),
-                    },
-                )
-                .expect("inventor registered");
-            let wait_until = self.wait_until(attempt, &cfg, deadline_at);
+            // The attempt's service window: settle, let the responders
+            // answer, settle, let the agent collect (every drain follows
+            // a settle, so latency-delayed frames land first). With
+            // resilience on it repeats tick by tick until the stage
+            // completes or the backoff interval runs out. With resilience
+            // off, or on a clockless transport (the perfect `Bus`, whose
+            // `now()` never moves), it is exactly one pass.
+            let wait_until = resilience.map(|cfg| self.wait_until(attempt, &cfg, deadline_at));
             loop {
                 self.bus.settle();
-                self.serve_inventor(&mut st, spec, agent, game_id);
+                match stage {
+                    ConsultStage::Advice => self.serve_inventor(spec, agent, game_id),
+                    ConsultStage::Panel => self.serve_verifiers(spec, game_id),
+                }
                 self.bus.settle();
-                self.collect_agent(&mut st, agent, game_id);
-                if st.agent_advice.is_some() || self.bus.now() >= wait_until {
+                self.collect_agent(agent, game_id);
+                let window_open = wait_until.is_some_and(|t| self.bus.now() < t);
+                if self.stage_done(stage) || !window_open {
                     break;
                 }
                 let before = self.bus.now();
                 self.bus.advance(1);
                 if self.bus.now() == before {
-                    // Clockless transport: one service pass per attempt.
                     break;
                 }
             }
-            if st.agent_advice.is_some() {
-                break;
+            if self.stage_done(stage) {
+                return true;
             }
             attempt += 1;
-            if attempt >= cfg.max_attempts || self.bus.now() >= deadline_at {
-                return Err(ConsultError::Deadline {
-                    stage: ConsultStage::Advice,
-                    attempts: st.retransmits,
-                    elapsed: self.bus.now().saturating_sub(started),
-                    received: 0,
-                    quorum: 1,
-                    missing: vec![self.inventor.id],
-                });
+            let may_retry = resilience
+                .is_some_and(|cfg| attempt < cfg.max_attempts && self.bus.now() < deadline_at);
+            if !may_retry {
+                return false;
             }
         }
-        let received_advice = st.agent_advice.take().expect("advice stage completed");
+    }
 
-        // Stage 2: panel fan-out, closing full or at quorum. Trust checks
-        // read one immutable snapshot, exactly like the legacy flow.
-        let reputation_view = self.reputation.snapshot();
-        let panel: Vec<Party> = self
-            .verifiers
-            .iter()
-            .map(|v| v.id)
-            .filter(|&v| reputation_view.is_trusted(v))
-            .collect();
-        let advice_payload = Arc::new(received_advice);
-        let quorum = cfg.quorum.min(panel.len());
-        let mut panel_outcome = PanelOutcome::Full;
-        if !panel.is_empty() {
-            let mut attempt: u32 = 0;
-            loop {
-                self.send_buf.clear();
-                for &verifier in &panel {
-                    if st.agent_verdicts.contains_key(&verifier) {
-                        continue;
-                    }
-                    if attempt > 0 {
-                        st.retransmits += 1;
-                    }
-                    self.send_buf.push((
-                        agent,
-                        verifier,
-                        Message::Resilient {
-                            session: game_id,
-                            attempt,
-                            inner: Box::new(Message::VerdictRequest {
-                                game_id,
-                                advice: Arc::clone(&advice_payload),
-                            }),
-                        },
-                    ));
-                }
-                self.bus
-                    .send_batch(&mut self.send_buf)
-                    .expect("verifier registered");
-                let wait_until = self.wait_until(attempt, &cfg, deadline_at);
-                loop {
-                    self.bus.settle();
-                    self.serve_verifiers(&mut st, spec, game_id);
-                    self.bus.settle();
-                    self.collect_agent(&mut st, agent, game_id);
-                    if st.agent_verdicts.len() == panel.len() || self.bus.now() >= wait_until {
-                        break;
-                    }
-                    let before = self.bus.now();
-                    self.bus.advance(1);
-                    if self.bus.now() == before {
-                        break;
-                    }
-                }
-                if st.agent_verdicts.len() == panel.len() {
-                    break;
-                }
-                attempt += 1;
-                if attempt >= cfg.max_attempts || self.bus.now() >= deadline_at {
-                    let missing: Vec<Party> = panel
-                        .iter()
-                        .copied()
-                        .filter(|v| !st.agent_verdicts.contains_key(v))
-                        .collect();
-                    if st.agent_verdicts.len() >= quorum {
-                        // A responding quorum evidences a live network, so
-                        // the silent rest pays: close degraded and report
-                        // them to the reputation plane.
-                        self.reputation.report_unresponsive(&missing);
-                        panel_outcome = PanelOutcome::Degraded { missing };
-                        break;
-                    }
-                    return Err(ConsultError::Deadline {
-                        stage: ConsultStage::Panel,
-                        attempts: st.retransmits,
-                        elapsed: self.bus.now().saturating_sub(started),
-                        received: st.agent_verdicts.len(),
-                        quorum,
-                        missing,
-                    });
-                }
-            }
+    /// Whether the agent holds everything `stage` asked for.
+    fn stage_done(&self, stage: ConsultStage) -> bool {
+        match stage {
+            ConsultStage::Advice => self.scratch.agent_advice.is_some(),
+            ConsultStage::Panel => self.scratch.agent_verdicts.len() == self.scratch.panel.len(),
         }
-
-        // Stage 3: majority + reputation update, pooled in panel order so
-        // resilient runs are deterministic regardless of arrival order.
-        let mut verdicts: Vec<(Party, bool)> = Vec::new();
-        let mut verdict_details = Vec::new();
-        for &verifier in &panel {
-            if let Some((accepted, detail)) = st.agent_verdicts.get(&verifier) {
-                verdicts.push((verifier, *accepted));
-                verdict_details.push((verifier, *accepted, detail.clone()));
-            }
-        }
-        let majority = if verdicts.is_empty() {
-            None
-        } else {
-            Some(self.reputation.pool_verdicts(&verdicts))
-        };
-        let adopted = majority.as_ref().is_some_and(|m| m.accepted);
-        let received_advice = Arc::try_unwrap(advice_payload).unwrap_or_else(|a| (*a).clone());
-        Ok(SessionOutcome {
-            advice: Some(received_advice),
-            majority,
-            adopted,
-            advice_bytes: st.advice_bytes,
-            session_bytes: self.bus.total_bytes() - bytes_before,
-            verdict_details,
-            cached: false,
-            panel: panel_outcome,
-            attempts: st.retransmits,
-        })
     }
 
     /// The virtual-clock instant at which attempt `attempt`'s wait window
@@ -874,118 +773,73 @@ impl SessionDriver {
         }
     }
 
-    /// Inventor-side service pass: answers each distinct `(session,
-    /// attempt)` advice request exactly once — duplicated frames are
+    /// Inventor-side service pass: answers each distinct attempt of the
+    /// agent's advice request exactly once — duplicated frames are
     /// dropped — computing the advice a single time per session. Replies
-    /// echo the request's attempt, so retries classify as retransmit
-    /// bytes in the ledger.
-    fn serve_inventor(
-        &mut self,
-        st: &mut ResilientState,
-        spec: &GameSpec,
-        agent: Party,
-        game_id: u64,
-    ) {
+    /// are framed with the request's attempt, so retries classify as
+    /// retransmit bytes in the ledger.
+    fn serve_inventor(&mut self, spec: &GameSpec, agent: Party, game_id: u64) {
         self.recv_buf.clear();
         self.endpoints[&self.inventor.id].drain_into(&mut self.recv_buf);
+        let st = &mut self.scratch;
         for (from, msg) in self.recv_buf.drain(..) {
-            let Message::Resilient {
-                session,
-                attempt,
-                inner,
-            } = msg
-            else {
+            let Some((attempt, Message::AdviceRequest { .. })) = open_frame(msg, game_id) else {
                 continue;
             };
-            if session != game_id || from != agent {
-                continue;
-            }
-            let Message::AdviceRequest { .. } = *inner else {
-                continue;
-            };
-            if !st.served_advice.insert(attempt) {
+            if from != agent || !st.served_advice.insert(attempt) {
                 continue;
             }
             if !st.advice_computed {
                 st.advice_computed = true;
                 st.inventor_advice = self.inventor.advise(spec);
             }
-            // A Silent inventor never answers; the agent's budget starves
-            // and the session fails loudly with a Deadline error.
+            // A Silent inventor never answers; the advice stage starves.
             let Some(advice) = st.inventor_advice.clone() else {
                 continue;
             };
-            let payload = Message::AdviceWithProof {
+            let reply = Message::AdviceWithProof {
                 game_id,
                 advice: Box::new(advice),
             };
             if st.advice_bytes == 0 {
-                st.advice_bytes = payload.encoded_len();
+                st.advice_bytes = reply.encoded_len();
             }
             self.bus
-                .send(
-                    self.inventor.id,
-                    from,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(payload),
-                    },
-                )
+                .send(self.inventor.id, from, framed(game_id, attempt, reply))
                 .expect("agent registered");
         }
     }
 
     /// Verifier-side service pass: each panel member answers each distinct
-    /// `(session, attempt)` verdict request once, memoizing its verdict so
-    /// retries never re-verify. Replies batch back to the agent in one
-    /// accounting critical section.
-    fn serve_verifiers(&mut self, st: &mut ResilientState, spec: &GameSpec, game_id: u64) {
-        for i in 0..self.verifiers.len() {
-            let vid = self.verifiers[i].id;
+    /// attempt of a verdict request once, memoizing its verdict so retries
+    /// never re-verify. Replies batch back to the agent in one accounting
+    /// critical section.
+    fn serve_verifiers(&mut self, spec: &GameSpec, game_id: u64) {
+        let st = &mut self.scratch;
+        for verifier in &self.verifiers {
             self.recv_buf.clear();
-            self.endpoints[&vid].drain_into(&mut self.recv_buf);
+            self.endpoints[&verifier.id].drain_into(&mut self.recv_buf);
             for (from, msg) in self.recv_buf.drain(..) {
-                let Message::Resilient {
-                    session,
-                    attempt,
-                    inner,
-                } = msg
+                let Some((attempt, Message::VerdictRequest { advice, .. })) =
+                    open_frame(msg, game_id)
                 else {
                     continue;
                 };
-                if session != game_id {
+                if !st.served_verdicts.insert((verifier.id, attempt)) {
                     continue;
                 }
-                let Message::VerdictRequest { advice, .. } = *inner else {
-                    continue;
+                let (accepted, detail) = st
+                    .verifier_verdicts
+                    .entry(verifier.id)
+                    .or_insert_with(|| verifier.verify(spec, &advice))
+                    .clone();
+                let reply = Message::Verdict {
+                    game_id,
+                    accepted,
+                    detail,
                 };
-                if !st.served_verdicts.insert((vid, attempt)) {
-                    continue;
-                }
-                let (accepted, detail) = match st.verifier_verdicts.get(&vid) {
-                    Some(memoized) => memoized.clone(),
-                    // Not `entry().or_insert_with(..)`: the closure would
-                    // capture `self` alongside the live `recv_buf` drain.
-                    None => {
-                        let computed = self.verifiers[i].verify(spec, &advice);
-                        st.verifier_verdicts.insert(vid, computed.clone());
-                        computed
-                    }
-                };
-                self.send_buf.push((
-                    vid,
-                    from,
-                    Message::Resilient {
-                        session: game_id,
-                        attempt,
-                        inner: Box::new(Message::Verdict {
-                            game_id,
-                            accepted,
-                            detail,
-                        }),
-                    },
-                ));
+                self.send_buf
+                    .push((verifier.id, from, framed(game_id, attempt, reply)));
             }
         }
         self.bus
@@ -996,23 +850,21 @@ impl SessionDriver {
     /// Agent-side collection pass: takes the first advice-with-proof and
     /// the first verdict per verifier for this session, dropping
     /// duplicates (idempotent receive) and frames from other sessions.
-    fn collect_agent(&mut self, st: &mut ResilientState, agent: Party, game_id: u64) {
+    fn collect_agent(&mut self, agent: Party, game_id: u64) {
         self.recv_buf.clear();
         self.endpoints[&agent].drain_into(&mut self.recv_buf);
+        let st = &mut self.scratch;
         for (from, msg) in self.recv_buf.drain(..) {
-            let Message::Resilient { session, inner, .. } = msg else {
-                continue;
-            };
-            if session != game_id {
-                continue;
-            }
-            match *inner {
-                Message::AdviceWithProof { advice, .. } if st.agent_advice.is_none() => {
-                    st.agent_advice = Some(*advice);
+            match open_frame(msg, game_id) {
+                Some((_, Message::AdviceWithProof { advice, .. })) if st.agent_advice.is_none() => {
+                    st.agent_advice = Some(Arc::new(*advice));
                 }
-                Message::Verdict {
-                    accepted, detail, ..
-                } => {
+                Some((
+                    _,
+                    Message::Verdict {
+                        accepted, detail, ..
+                    },
+                )) => {
                     st.agent_verdicts.entry(from).or_insert((accepted, detail));
                 }
                 _ => {}
@@ -1021,10 +873,50 @@ impl SessionDriver {
     }
 }
 
-/// Scratch state for one resilient session: the responders' dedup sets
-/// and memoized answers, plus what the agent has collected so far.
+/// Frames `msg` as attempt `attempt` of session `session`: a first
+/// attempt travels bare, a retry (or the reply it provokes) inside a
+/// [`Message::Resilient`] envelope.
+fn framed(session: u64, attempt: u32, msg: Message) -> Message {
+    if attempt == 0 {
+        msg
+    } else {
+        Message::Resilient {
+            session,
+            attempt,
+            inner: Box::new(msg),
+        }
+    }
+}
+
+/// Opens a Fig. 1 frame of session `game_id`: its attempt number and the
+/// bare message. A bare frame is attempt 0; frames of other sessions, and
+/// frames that are not Fig. 1 messages, open to `None`.
+fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
+    let (attempt, inner) = match msg {
+        Message::Resilient {
+            session,
+            attempt,
+            inner,
+        } if session == game_id => (attempt, *inner),
+        Message::Resilient { .. } => return None,
+        bare => (0, bare),
+    };
+    let session = match &inner {
+        Message::AdviceRequest { game_id }
+        | Message::AdviceWithProof { game_id, .. }
+        | Message::VerdictRequest { game_id, .. }
+        | Message::Verdict { game_id, .. } => *game_id,
+        _ => return None,
+    };
+    (session == game_id).then_some((attempt, inner))
+}
+
+/// Per-consult scratch, kept in the driver and cleared at the start of
+/// every consult so steady-state consults allocate no new hash tables:
+/// the responders' dedup sets and memoized answers, plus what the agent
+/// has collected so far.
 #[derive(Default)]
-struct ResilientState {
+struct SessionScratch {
     /// Advice-request attempts the inventor has already answered.
     served_advice: HashSet<u32>,
     /// Whether the inventor has computed (or declined) its advice.
@@ -1035,14 +927,33 @@ struct ResilientState {
     served_verdicts: HashSet<(Party, u32)>,
     /// Verifier-side memoized verdicts.
     verifier_verdicts: HashMap<Party, (bool, String)>,
-    /// The first advice-with-proof the agent received.
-    agent_advice: Option<Advice>,
+    /// The first advice-with-proof the agent received, shared with the
+    /// panel fan-out.
+    agent_advice: Option<Arc<Advice>>,
+    /// The trusted verifiers this consult asks, in panel order.
+    panel: Vec<Party>,
     /// First verdict per verifier collected by the agent.
     agent_verdicts: HashMap<Party, (bool, String)>,
     /// Driver-side retransmitted request frames.
     retransmits: u64,
     /// Encoded length of the advice-with-proof payload (Lemma 1).
     advice_bytes: usize,
+}
+
+impl SessionScratch {
+    /// Resets every field, keeping the collections' allocations.
+    fn clear(&mut self) {
+        self.served_advice.clear();
+        self.advice_computed = false;
+        self.inventor_advice = None;
+        self.served_verdicts.clear();
+        self.verifier_verdicts.clear();
+        self.agent_advice = None;
+        self.panel.clear();
+        self.agent_verdicts.clear();
+        self.retransmits = 0;
+        self.advice_bytes = 0;
+    }
 }
 
 /// The assembled single-bus infrastructure: one [`SessionDriver`] plus
@@ -1568,8 +1479,9 @@ mod tests {
             assert_eq!(got.panel, PanelOutcome::Full);
             assert_eq!(got.attempts, 0, "perfect bus needs no retries");
             assert_eq!(resilient.bus().retransmit_bytes(), 0);
-            // The envelope costs bytes; goodput still accounts them all.
-            assert!(got.session_bytes > want.session_bytes);
+            // First attempts travel bare, so a retry-free session costs
+            // exactly the legacy bytes, all of them goodput.
+            assert_eq!(got.session_bytes, want.session_bytes);
             assert_eq!(
                 resilient.bus().goodput_bytes(),
                 resilient.bus().total_bytes()
@@ -1654,6 +1566,199 @@ mod tests {
         assert!(outcome.adopted, "one verdict is quietly pooled as if full");
         assert_eq!(outcome.majority.unwrap().accept_votes, 1);
         assert_eq!(outcome.panel, PanelOutcome::Full);
+    }
+
+    /// A resilience-off consult reduced to literals: every
+    /// [`SessionOutcome`] field, then what the transport saw.
+    #[derive(Debug, PartialEq)]
+    struct Pinned {
+        advice: Option<Advice>,
+        majority: Option<MajorityOutcome>,
+        adopted: bool,
+        advice_bytes: usize,
+        session_bytes: usize,
+        verdict_details: Vec<(Party, bool, String)>,
+        cached: bool,
+        panel: PanelOutcome,
+        attempts: u64,
+        total_bytes: usize,
+        message_count: usize,
+        now: u64,
+    }
+
+    /// Runs one resilience-off prisoner's-dilemma consult for `Agent(0)`
+    /// over `transport` with the given directed links dropped.
+    fn pin_consult(
+        inventor: InventorBehavior,
+        transport: Arc<dyn Transport>,
+        dropped: &[(Party, Party)],
+    ) -> Pinned {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::with_transport(
+            Inventor::new(0, inventor),
+            &[VerifierBehavior::Honest; 3],
+            Arc::new(LocalReputation::new()),
+            transport,
+        );
+        for &(from, to) in dropped {
+            authority.bus().drop_link(from, to);
+        }
+        let o = authority.consult(0, &spec);
+        let bus = authority.bus();
+        Pinned {
+            advice: o.advice,
+            majority: o.majority,
+            adopted: o.adopted,
+            advice_bytes: o.advice_bytes,
+            session_bytes: o.session_bytes,
+            verdict_details: o.verdict_details,
+            cached: o.cached,
+            panel: o.panel,
+            attempts: o.attempts,
+            total_bytes: bus.total_bytes(),
+            message_count: bus.message_count(),
+            now: bus.now(),
+        }
+    }
+
+    #[test]
+    fn resilience_off_consults_are_pinned() {
+        // The resilience-off contract, literal by literal, over a perfect
+        // bus, a jittered network, a starved panel, a silent inventor and
+        // a lost advice frame.
+        const VERIFIED: &str = "kernel verified isNash((1, 1)) (4 lookups)";
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let advice = Inventor::new(0, InventorBehavior::Honest).advise(&spec);
+        let verified = |v: u64| (Party::Verifier(v), true, VERIFIED.to_owned());
+        let unanimous = |n: usize| MajorityOutcome {
+            accepted: true,
+            accept_votes: n,
+            reject_votes: 0,
+            accept_stake: n as i64,
+            reject_stake: 0,
+            dissenters: Vec::new(),
+        };
+        let bus = || Arc::new(Bus::new()) as Arc<dyn Transport>;
+        let agent = Party::Agent(0);
+        let full = Pinned {
+            advice: advice.clone(),
+            majority: Some(unanimous(3)),
+            adopted: true,
+            advice_bytes: 10,
+            session_bytes: 180,
+            verdict_details: vec![verified(0), verified(1), verified(2)],
+            cached: false,
+            panel: PanelOutcome::Full,
+            attempts: 0,
+            total_bytes: 180,
+            message_count: 8,
+            now: 0,
+        };
+        assert_eq!(pin_consult(InventorBehavior::Honest, bus(), &[]), full);
+        let jittered = SimNet::new(SimNetConfig {
+            seed: 5,
+            default_link: LinkProfile::with_latency(2, 6),
+            ..SimNetConfig::default()
+        });
+        assert_eq!(
+            pin_consult(InventorBehavior::Honest, Arc::new(jittered), &[]),
+            Pinned { now: 23, ..full }
+        );
+        assert_eq!(
+            pin_consult(
+                InventorBehavior::Honest,
+                bus(),
+                &[(agent, Party::Verifier(1)), (agent, Party::Verifier(2))]
+            ),
+            Pinned {
+                advice: advice.clone(),
+                majority: Some(unanimous(1)),
+                adopted: true,
+                advice_bytes: 10,
+                session_bytes: 88,
+                verdict_details: vec![verified(0)],
+                cached: false,
+                panel: PanelOutcome::Full,
+                attempts: 0,
+                total_bytes: 88,
+                message_count: 6,
+                now: 0,
+            }
+        );
+        let starved = Pinned {
+            advice: None,
+            majority: None,
+            adopted: false,
+            advice_bytes: 0,
+            session_bytes: 2,
+            verdict_details: Vec::new(),
+            cached: false,
+            panel: PanelOutcome::Full,
+            attempts: 0,
+            total_bytes: 2,
+            message_count: 1,
+            now: 0,
+        };
+        assert_eq!(pin_consult(InventorBehavior::Silent, bus(), &[]), starved);
+        assert_eq!(
+            pin_consult(
+                InventorBehavior::Honest,
+                bus(),
+                &[(Party::Inventor(0), agent)]
+            ),
+            Pinned {
+                session_bytes: 12,
+                total_bytes: 12,
+                message_count: 2,
+                ..starved
+            }
+        );
+    }
+
+    #[test]
+    fn resilience_off_dedups_duplicated_frames() {
+        // A link that delivers every frame twice must not hand one
+        // rubber-stamping verifier extra votes: with resilience off the
+        // responders and the agent dedup bare frames too, so the panel of
+        // three casts exactly three votes and the corrupt advice loses.
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let agent = Party::Agent(0);
+        let stamper = Party::Verifier(2);
+        let doubled = LinkProfile::duplicating(1.0);
+        let net = Arc::new(SimNet::new(SimNetConfig {
+            seed: 13,
+            links: vec![
+                (agent, Party::Inventor(0), doubled),
+                (agent, stamper, doubled),
+                (stamper, agent, doubled),
+            ],
+            ..SimNetConfig::default()
+        }));
+        let mut authority = RationalityAuthority::with_transport(
+            Inventor::new(0, InventorBehavior::Corrupt),
+            &[
+                VerifierBehavior::Honest,
+                VerifierBehavior::Honest,
+                VerifierBehavior::AlwaysAccept,
+            ],
+            Arc::new(LocalReputation::new()),
+            net,
+        );
+        let outcome = authority.consult(0, &spec);
+        let advice = outcome.advice.clone().expect("the inventor answered");
+        assert!(!kernel_check(&spec, &advice).0, "the advice is corrupt");
+        assert!(!outcome.adopted, "a duplicated rubber stamp still loses");
+        let majority = outcome.majority.expect("the panel voted");
+        assert_eq!(majority.accept_votes + majority.reject_votes, 3);
+        let reply = Message::AdviceWithProof {
+            game_id: 1,
+            advice: Box::new(advice),
+        };
+        assert_eq!(
+            authority.bus().bytes_between(Party::Inventor(0), agent),
+            reply.encoded_len(),
+            "the duplicated request is answered once"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@ use ra_authority::WireBytes;
 use ra_authority::{
     frame_pool_misses, sha256, sha256_wire, spec_digest, with_frame_scratch, Advice, Bus,
     CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, Inventor,
-    InventorBehavior, LinkProfile, Message, Party, RationalityAuthority, ReputationDecay,
-    ReputationStore, ResilienceConfig, SigningKey, SimNet, SimNetConfig, StatisticsLedger,
+    InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
+    ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig, StatisticsLedger,
     Transport, VerifierBehavior, VersionVector, Wire,
 };
 use ra_exact::{rat, Matrix, Rational};
@@ -283,7 +283,7 @@ proptest! {
     /// disagreeing never raises it; scores move by exactly one per pool.
     #[test]
     fn reputation_update_rule(votes in prop::collection::vec(any::<bool>(), 1..9)) {
-        let store = ReputationStore::new();
+        let store = LocalReputation::new();
         let verdicts: Vec<(Party, bool)> = votes
             .iter()
             .enumerate()
@@ -960,7 +960,7 @@ fn resilient_over_simnet(seed: u64, link: LinkProfile) -> RationalityAuthority {
     let mut authority = RationalityAuthority::with_transport(
         Inventor::new(0, InventorBehavior::Honest),
         &[VerifierBehavior::Honest; 3],
-        Arc::new(ReputationStore::new()),
+        Arc::new(LocalReputation::new()),
         Arc::new(net),
     );
     authority.set_resilience(Some(ResilienceConfig::default()));

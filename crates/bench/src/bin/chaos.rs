@@ -35,24 +35,8 @@ use ra_authority::{
     GameSpec, Inventor, InventorBehavior, LinkProfile, LocalReputation, PanelOutcome,
     RationalityAuthority, ResilienceConfig, SimNet, SimNetConfig, Transport, VerifierBehavior,
 };
-use ra_bench::{write_csv, write_json};
+use ra_bench::{percentile, scenario_seed, write_csv, write_json};
 use ra_games::named::prisoners_dilemma;
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-fn seed() -> u64 {
-    std::env::var("RA_SCENARIO_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xDEC0DE)
-}
 
 /// One measured soak cell.
 struct ChaosCell {
@@ -158,7 +142,7 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("soak budget must be an integer"))
         .unwrap_or(64);
-    let seed = seed();
+    let seed = scenario_seed();
     println!("Chaos soak over SimNet — seed {seed}, {consults} consults per cell.\n");
 
     let latencies = [("lan", (1, 3)), ("wan", (8, 24))];

@@ -36,24 +36,8 @@ use ra_authority::{
     ShardedAuthority, SimNet, SimNetConfig, Transport, TransportSite, VerifierBehavior,
     VersionVector, GOSSIP_HUB,
 };
-use ra_bench::{write_csv, write_json};
+use ra_bench::{percentile, scenario_seed, write_csv, write_json};
 use ra_games::named::prisoners_dilemma;
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-fn seed() -> u64 {
-    std::env::var("RA_SCENARIO_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xDEC0DE)
-}
 
 /// One measured RTT cell.
 struct RttCell {
@@ -244,7 +228,7 @@ fn main() {
         .nth(1)
         .map(|s| s.parse().expect("exchange budget must be an integer"))
         .unwrap_or(400);
-    let seed = seed();
+    let seed = scenario_seed();
     println!(
         "Fault-injection benchmark over SimNet — seed {seed}, {exchanges} exchanges per RTT cell.\n"
     );

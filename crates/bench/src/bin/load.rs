@@ -34,7 +34,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ra_authority::{GameSpec, InventorBehavior, ShardedAuthority, VerifierBehavior};
-use ra_bench::{timed, write_csv, write_json};
+use ra_bench::{percentile, timed, write_csv, write_json};
 use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,15 +53,6 @@ const BURST: u64 = 16;
 fn exp_gap(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.random_range(0.0..=1.0);
     -(1.0 - u).max(1e-12).ln() / rate
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 fn specs() -> Vec<Arc<GameSpec>> {

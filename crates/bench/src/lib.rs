@@ -27,6 +27,28 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// Nearest-rank percentile `q` (in `[0, 1]`) of an ascending-sorted
+/// slice; the type's default (zero) for an empty slice.
+pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[idx]
+}
+
+/// The campaign seed shared with the scenario suite: `RA_SCENARIO_SEED`
+/// (decimal) when set, else the fixed default campaign seed.
+pub fn scenario_seed() -> u64 {
+    parse_seed(std::env::var("RA_SCENARIO_SEED").ok().as_deref())
+}
+
+/// Parses a decimal seed, falling back to the default campaign seed when
+/// it is absent or malformed.
+fn parse_seed(var: Option<&str>) -> u64 {
+    var.and_then(|s| s.parse().ok()).unwrap_or(0xDEC0DE)
+}
+
 /// The workspace root: the nearest ancestor of this crate's manifest dir
 /// whose `Cargo.toml` declares `[workspace]`. Falls back to the manifest
 /// dir itself if no workspace manifest is found (e.g. the crate is vendored
@@ -192,6 +214,26 @@ mod tests {
         let contents = std::fs::read_to_string(&path).unwrap();
         assert_eq!(contents, "{\"ok\":true}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sorted, 0.0), 1);
+        assert_eq!(percentile(&sorted, 0.5), 51);
+        assert_eq!(percentile(&sorted, 0.99), 99);
+        assert_eq!(percentile(&sorted, 1.0), 100);
+        assert_eq!(percentile(&[2.5, 7.5], 0.5), 7.5);
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        assert_eq!(percentile::<f64>(&[], 0.99), 0.0);
+    }
+
+    #[test]
+    fn seed_parses_decimal_or_falls_back() {
+        assert_eq!(parse_seed(Some("14598366")), 14598366);
+        assert_eq!(parse_seed(None), 0xDEC0DE);
+        assert_eq!(parse_seed(Some("0x1F")), 0xDEC0DE);
+        assert_eq!(parse_seed(Some("")), 0xDEC0DE);
     }
 
     #[test]
