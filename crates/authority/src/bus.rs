@@ -9,35 +9,36 @@
 //! so [`Transport::settle`] is a no-op here; the simulated lossy
 //! alternative lives in [`crate::SimNet`].
 //!
-//! The steady-state send path takes no global lock. Routing state
-//! (endpoints + drop rules) lives in a read-mostly [`Arc`] snapshot —
-//! rebuilt on `register`/`disconnect`/`drop_link`/`heal`, cloned with one
-//! short leaf lock per send, then consulted lock-free. Byte accounting
-//! lives in the striped [`Ledger`](crate::transport) shared with every
-//! other transport backend: running totals are atomics, and the
-//! append-only delivery log plus the per-pair byte map are partitioned
-//! across sender-keyed stripes so concurrent senders on different stripes
-//! never contend. The accessors (`total_bytes`, `delivered_bytes`,
-//! `bytes_between`, `delivery_log`, `message_count`) merge the stripes in
-//! a deterministic order (a global sequence number stamped at accounting
-//! time), so their results are observably identical to the old
-//! single-lock ledger: on a quiescent bus every accessor is exact, and
-//! under concurrency each accessor is individually consistent with some
-//! linearization of the accounted sends.
+//! Routing state (endpoints + drop rules) sits behind one [`RwLock`]:
+//! sends share the read guard, while `register`/`disconnect`/`drop_link`/
+//! `heal` take the write guard and edit the maps in place, so first
+//! contact costs O(1) however many endpoints the bus already routes.
+//! Writers never touch a ledger stripe and unbounded channel pushes never
+//! block, so the lock order is acyclic and no send holds a writer off for
+//! long. Byte accounting lives in the striped [`Ledger`](crate::transport)
+//! shared with every other transport backend: running totals are atomics,
+//! and the append-only delivery log plus the per-pair byte map are
+//! partitioned across sender-keyed stripes so concurrent senders on
+//! different stripes never contend. The accessors (`total_bytes`,
+//! `delivered_bytes`, `bytes_between`, `delivery_log`, `message_count`)
+//! merge the stripes in a deterministic order (a global sequence number
+//! stamped at accounting time), so their results are observably identical
+//! to the old single-lock ledger: on a quiescent bus every accessor is
+//! exact, and under concurrency each accessor is individually consistent
+//! with some linearization of the accounted sends.
 
 use std::collections::{HashMap, HashSet};
 
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::messages::{Message, Party};
 use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, Transport};
 use crate::wire::Wire;
 
-/// The read-mostly routing snapshot: everything a send needs to decide
-/// where a message goes. Rebuilt (clone + mutate + `Arc` swap) on the
-/// rare topology operations; cloned out of its slot with one short leaf
-/// lock per send, then read lock-free.
+/// Everything a send needs to decide where a message goes. Read under
+/// the bus's shared guard by every send; mutated in place, one entry at a
+/// time, by the topology operations.
 #[derive(Debug, Default)]
 struct Routing {
     endpoints: HashMap<Party, Sender<(Party, Message)>>,
@@ -65,11 +66,10 @@ struct Routing {
 /// ```
 #[derive(Debug, Default)]
 pub struct Bus {
-    /// Slot holding the current routing snapshot. The lock is held only
-    /// long enough to clone the `Arc` (sends) or swap in a rebuilt
-    /// snapshot (topology changes) — never across channel operations or
-    /// accounting.
-    routing: Mutex<Arc<Routing>>,
+    /// The routing table. Sends (and whole batches) hold the read guard
+    /// across lookup, channel push and accounting; topology changes hold
+    /// the write guard for a single map insert or remove.
+    routing: RwLock<Routing>,
     /// The striped Lemma 1 ledger shared with every transport backend.
     ledger: Ledger,
 }
@@ -80,33 +80,21 @@ impl Bus {
         Bus::default()
     }
 
-    /// Clones the current routing snapshot out of its slot: the only
-    /// lock a steady-state send takes besides its sender's ledger stripe.
-    fn routing_snapshot(&self) -> Arc<Routing> {
-        Arc::clone(&self.routing.lock().expect("bus lock poisoned"))
+    /// Shared access for sends: many senders hold it at once.
+    fn routing(&self) -> RwLockReadGuard<'_, Routing> {
+        self.routing.read().expect("bus lock poisoned")
     }
 
-    /// Rebuilds the routing snapshot: clone the current one, apply
-    /// `mutate`, swap the new `Arc` in. In-flight sends keep whatever
-    /// snapshot they already cloned — stale but never torn, exactly the
-    /// reputation-snapshot publication pattern.
-    fn update_routing(&self, mutate: impl FnOnce(&mut Routing)) {
-        let mut slot = self.routing.lock().expect("bus lock poisoned");
-        let mut next = Routing {
-            endpoints: slot.endpoints.clone(),
-            drop_rules: slot.drop_rules.clone(),
-        };
-        mutate(&mut next);
-        *slot = Arc::new(next);
+    /// Exclusive access for the O(1) topology operations.
+    fn routing_mut(&self) -> RwLockWriteGuard<'_, Routing> {
+        self.routing.write().expect("bus lock poisoned")
     }
 
     /// Registers a party; returns its receiving endpoint. Re-registering
     /// replaces the old endpoint: the previous one stops receiving.
     pub fn register(&self, party: Party) -> Endpoint {
         let (tx, rx) = channel();
-        self.update_routing(|r| {
-            r.endpoints.insert(party, tx);
-        });
+        self.routing_mut().endpoints.insert(party, tx);
         Endpoint {
             party,
             receiver: rx,
@@ -118,16 +106,14 @@ impl Bus {
     /// destination) until it registers again; its existing [`Endpoint`]
     /// keeps any messages already queued. A no-op for unknown parties.
     pub fn disconnect(&self, party: Party) {
-        self.update_routing(|r| {
-            r.endpoints.remove(&party);
-        });
+        self.routing_mut().endpoints.remove(&party);
     }
 
     /// Sends `message` from `from` to `to`, accounting its serialized size.
     ///
-    /// Lock-free on the steady-state path: routing decisions read the
-    /// current snapshot, and accounting touches only the sender's ledger
-    /// stripe plus atomic counters.
+    /// Takes the routing read guard, which never waits on another send;
+    /// accounting touches only the sender's ledger stripe plus atomic
+    /// counters.
     ///
     /// # Errors
     ///
@@ -136,7 +122,7 @@ impl Bus {
     pub fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
         let bytes = message.encoded_len();
         let retransmit = message.is_retransmit();
-        let routing = self.routing_snapshot();
+        let routing = self.routing();
         let dropped = routing.drop_rules.contains(&(from, to));
         let result = if dropped {
             Ok(())
@@ -154,8 +140,8 @@ impl Bus {
     }
 
     /// Sends every `(from, to, message)` in `batch` — draining it, so
-    /// callers can reuse the buffer's allocation — resolving routing from
-    /// one snapshot and holding each ledger stripe across runs of
+    /// callers can reuse the buffer's allocation — resolving routing under
+    /// one read guard and holding each ledger stripe across runs of
     /// same-stripe senders (a verdict-request fan-out has one sender, so
     /// it locks its stripe exactly once).
     ///
@@ -175,7 +161,7 @@ impl Bus {
             return Ok(());
         }
         let mut first_error = Ok(());
-        let routing = self.routing_snapshot();
+        let routing = self.routing();
         // The stripe guard is cached across consecutive same-stripe
         // senders; ledger stripes are leaf locks taken one at a time, so
         // this cannot deadlock against concurrent senders.
@@ -216,14 +202,12 @@ impl Bus {
 
     /// Injects a drop rule: all messages `from → to` are silently dropped.
     pub fn drop_link(&self, from: Party, to: Party) {
-        self.update_routing(|r| {
-            r.drop_rules.insert((from, to));
-        });
+        self.routing_mut().drop_rules.insert((from, to));
     }
 
     /// Removes all drop rules.
     pub fn heal(&self) {
-        self.update_routing(|r| r.drop_rules.clear());
+        self.routing_mut().drop_rules.clear();
     }
 
     /// Total bytes put on the wire (delivered or not). O(1), lock-free.
@@ -801,6 +785,121 @@ mod tests {
                     .map(|r| r.bytes)
                     .sum::<usize>()
             );
+        }
+    }
+
+    #[test]
+    fn registration_churn_racing_sends_delivers_everything() {
+        // One registrar admits 2000 fresh parties while four senders mix
+        // `send` and `send_batch` to the hub and to agents the registrar
+        // has already published through a high-water mark. The registrar's
+        // Release store after each `register` pairs with the senders'
+        // Acquire load, so a published registration happens-before every
+        // send to it: each such send returns Ok, lands on its endpoint, and
+        // is accounted exactly once.
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::{Arc, Barrier};
+
+        const FRESH: u64 = 2000;
+        const SENDERS: u64 = 4;
+        const MIN_ROUNDS: u64 = 200;
+        const MAX_ROUNDS: u64 = 5000;
+        let fresh = |k: u64| Party::Agent(10_000 + k);
+        let bus = Arc::new(Bus::new());
+        let hub = Party::Verifier(0);
+        let hub_ep = bus.register(hub);
+        let published = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        // Every thread starts at once, so registration overlaps the sends.
+        let start = Arc::new(Barrier::new(SENDERS as usize + 1));
+
+        let registrar = {
+            let bus = Arc::clone(&bus);
+            let published = Arc::clone(&published);
+            let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut endpoints = Vec::new();
+                for k in 0..FRESH {
+                    endpoints.push(bus.register(fresh(k)));
+                    published.store(k + 1, Ordering::Release);
+                }
+                done.store(true, Ordering::Release);
+                endpoints
+            })
+        };
+
+        struct Tally {
+            msgs: usize,
+            bytes: usize,
+            sent_to: HashMap<Party, usize>,
+        }
+        let mut senders = Vec::new();
+        for i in 0..SENDERS {
+            let bus = Arc::clone(&bus);
+            let published = Arc::clone(&published);
+            let done = Arc::clone(&done);
+            let start = Arc::clone(&start);
+            senders.push(std::thread::spawn(move || {
+                start.wait();
+                let me = Party::Agent(i);
+                let mut tally = Tally {
+                    msgs: 0,
+                    bytes: 0,
+                    sent_to: HashMap::new(),
+                };
+                let mut batch = Vec::new();
+                for round in 0..MAX_ROUNDS {
+                    if round >= MIN_ROUNDS && done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let n = published.load(Ordering::Acquire);
+                    // The hub until anything is published, then a spread
+                    // of published agents, including the newest one.
+                    let pick = |salt: u64| if n == 0 { hub } else { fresh(salt % n) };
+                    let msg = Message::AdviceRequest { game_id: round };
+                    let bytes = msg.encoded_len();
+                    let dests = if round % 2 == 0 {
+                        let to = pick(round * 7919 + i);
+                        bus.send(me, to, msg).unwrap();
+                        vec![to]
+                    } else {
+                        let dests = vec![hub, pick(n.wrapping_sub(1)), pick(round * 31 + i)];
+                        batch.extend(dests.iter().map(|&to| (me, to, msg.clone())));
+                        bus.send_batch(&mut batch).unwrap();
+                        dests
+                    };
+                    for to in dests {
+                        tally.msgs += 1;
+                        tally.bytes += bytes;
+                        *tally.sent_to.entry(to).or_insert(0) += 1;
+                    }
+                }
+                tally
+            }));
+        }
+        let tallies: Vec<Tally> = senders.into_iter().map(|h| h.join().unwrap()).collect();
+        let endpoints = registrar.join().unwrap();
+
+        let msgs: usize = tallies.iter().map(|t| t.msgs).sum();
+        let bytes: usize = tallies.iter().map(|t| t.bytes).sum();
+        let sent_to = |party: Party| -> usize {
+            tallies
+                .iter()
+                .map(|t| t.sent_to.get(&party).copied().unwrap_or(0))
+                .sum()
+        };
+        assert_eq!(bus.message_count(), msgs);
+        assert_eq!(bus.total_bytes(), bytes);
+        assert_eq!(bus.delivered_bytes(), bytes, "every send was delivered");
+        let log = bus.delivery_log();
+        assert_eq!(log.len(), msgs);
+        assert!(log.iter().all(|r| r.delivered));
+        assert_eq!(hub_ep.drain().len(), sent_to(hub));
+        assert_eq!(endpoints.len() as u64, FRESH);
+        for ep in &endpoints {
+            assert_eq!(ep.drain().len(), sent_to(ep.party), "{}", ep.party);
         }
     }
 

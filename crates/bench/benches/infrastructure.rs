@@ -1,6 +1,6 @@
 //! Criterion bench: the authority-infrastructure substrate — P2 interactive
-//! verification, wire codec throughput, exact arithmetic, and full
-//! end-to-end consultation sessions.
+//! verification, wire codec throughput, transport topology and send cost,
+//! exact arithmetic, and full end-to-end consultation sessions.
 //!
 //! Includes the ablation: exact-rational vs f64 linear solving on
 //! the P1 indifference system (the price of soundness).
@@ -14,7 +14,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ra_authority::{
-    GameSpec, Inventor, InventorBehavior, Message, RationalityAuthority, VerifierBehavior, Wire,
+    Bus, GameSpec, Inventor, InventorBehavior, Message, Party, RationalityAuthority, SimNet,
+    Transport, VerifierBehavior, Wire,
 };
 use ra_bench::game_with_support_size;
 use ra_exact::{rat, solve_linear_system, Matrix, Rational};
@@ -75,6 +76,46 @@ fn bench_wire(c: &mut Criterion) {
         b.iter(|| {
             let mut buf = bytes.clone();
             Message::decode(&mut buf).unwrap()
+        })
+    });
+    group.finish();
+}
+
+/// `transport` already routing `n` agents.
+fn routing<T: Transport>(transport: T, n: u64) -> T {
+    for k in 0..n {
+        transport.register(Party::Agent(k));
+    }
+    transport
+}
+
+/// First contact: one `register` on a transport that already routes N
+/// endpoints (re-registering the same fresh party keeps N fixed), and one
+/// `send` on a large bus for contrast.
+fn bench_transport(c: &mut Criterion) {
+    let mut group = c.benchmark_group("transport");
+    for n in [0u64, 1024, 4096] {
+        let bus = routing(Bus::new(), n);
+        group.bench_with_input(BenchmarkId::new("bus_register", n), &n, |b, &n| {
+            b.iter(|| bus.register(black_box(Party::Agent(n))))
+        });
+        let net = routing(SimNet::lossless(0), n);
+        group.bench_with_input(BenchmarkId::new("simnet_register", n), &n, |b, &n| {
+            b.iter(|| net.register(black_box(Party::Agent(n))))
+        });
+    }
+    let n = 4096;
+    let bus = routing(Bus::new(), n);
+    let hub = Party::Verifier(0);
+    let _hub_ep = bus.register(hub);
+    group.bench_with_input(BenchmarkId::new("bus_send", n), &n, |b, _| {
+        b.iter(|| {
+            bus.send(
+                Party::Agent(0),
+                hub,
+                black_box(Message::AdviceRequest { game_id: 1 }),
+            )
+            .unwrap()
         })
     });
     group.finish();
@@ -194,6 +235,7 @@ fn bench_exact_arith(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_p2, bench_wire, bench_exact_vs_f64, bench_session, bench_exact_arith
+    targets = bench_p2, bench_wire, bench_transport, bench_exact_vs_f64, bench_session,
+        bench_exact_arith
 }
 criterion_main!(benches);

@@ -5,16 +5,22 @@
 //! For each shard count in {1, 2, 4, 8} the same batch of consultations
 //! (agents 0..N, cycling over cheap §3 and §4 game specs) is fanned out
 //! with `ShardedAuthority::consult_batch`, and the wall-clock rate is
-//! reported. Results go to `results/shard_throughput.csv` and, in the
-//! machine-readable perf-trajectory format, `results/BENCH_shard_throughput.json`.
+//! reported. A fixed 512-consult batch is also run over `Bus` and over a
+//! lossless `SimNet` at 1 and 2 shards, so the two in-process backends
+//! are measured against each other. Results go to
+//! `results/shard_throughput.csv` and, in the machine-readable
+//! perf-trajectory format, `BENCH_shard_throughput.json`.
 //!
 //! Usage: `cargo run -p ra-bench --release --bin shard_throughput [-- N]`
 //! where `N` is the batch size (default 512; CI uses a small value).
 
 use std::sync::Arc;
 
-use ra_authority::{GameSpec, InventorBehavior, ShardedAuthority, VerifierBehavior};
-use ra_bench::{fmt_secs, timed, write_csv, write_json};
+use ra_authority::{
+    Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ShardedAuthority, SimNet,
+    Transport, TransportSite, VerifierBehavior,
+};
+use ra_bench::{fmt_secs, percentile, scenario_seed, timed, write_csv, write_json};
 use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -34,6 +40,80 @@ fn build_batch(n: u64) -> Vec<(u64, Arc<GameSpec>)> {
             )
         })
         .collect()
+}
+
+/// Alternating repeats per backend in the Bus-vs-SimNet comparison.
+const TRANSPORT_REPEATS: usize = 5;
+
+/// Runs `requests` at 1 and 2 shards over `with_transports`, once with a
+/// `Bus` per shard and once with a lossless `SimNet` per shard, in
+/// `TRANSPORT_REPEATS` alternating pairs. Both backends register in O(1)
+/// and share the ledger, so the ratio of their median rates compares
+/// their send and settle paths. Returns one JSON cell per shard count.
+///
+/// # Panics
+///
+/// If any advice goes unadopted, or the two backends put different byte
+/// totals on the wire (they are pinned byte-identical).
+fn lossless_simnet_over_bus(requests: &[(u64, Arc<GameSpec>)]) -> Vec<String> {
+    let seed = scenario_seed();
+    let mut cells = Vec::new();
+    for shards in [1usize, 2] {
+        let mut rates = [Vec::new(), Vec::new()];
+        let mut wire_bytes = [0usize; 2];
+        for _ in 0..TRANSPORT_REPEATS {
+            for (slot, lossless) in [(0, false), (1, true)] {
+                let engine = ShardedAuthority::with_transports(
+                    shards,
+                    InventorBehavior::Honest,
+                    &[VerifierBehavior::Honest; 3],
+                    ReputationConfig::default(),
+                    CertCacheConfig::default(),
+                    &|site| -> Arc<dyn Transport> {
+                        if !lossless {
+                            return Arc::new(Bus::new());
+                        }
+                        let salt = match site {
+                            TransportSite::Shard(s) => s as u64,
+                            TransportSite::GossipHub => u64::MAX,
+                        };
+                        Arc::new(SimNet::lossless(seed ^ salt))
+                    },
+                );
+                let (outcomes, secs) = timed(|| engine.consult_batch(requests));
+                assert!(outcomes.iter().all(|o| o.adopted));
+                rates[slot].push(requests.len() as f64 / secs.max(1e-12));
+                wire_bytes[slot] = engine.total_bytes();
+            }
+        }
+        assert_eq!(
+            wire_bytes[0], wire_bytes[1],
+            "a lossless SimNet is byte-identical to Bus"
+        );
+        let [bus, simnet] = rates.map(|mut r| {
+            r.sort_by(f64::total_cmp);
+            [r[0], percentile(&r, 0.5), r[r.len() - 1]]
+        });
+        let ratio = simnet[1] / bus[1].max(1e-12);
+        println!(
+            "lossless SimNet over Bus — {shards} shard(s), {} consultations: \
+             {:.0} vs {:.0} consults/sec (median of {TRANSPORT_REPEATS}), {ratio:.2}x",
+            requests.len(),
+            simnet[1],
+            bus[1]
+        );
+        let span = |[min, median, max]: [f64; 3]| {
+            format!("{{\"min\":{min:.3},\"median\":{median:.3},\"max\":{max:.3}}}")
+        };
+        cells.push(format!(
+            "{{\"shards\":{shards},\"bus_consults_per_sec\":{},\
+             \"simnet_consults_per_sec\":{},\"ratio\":{ratio:.3},\"wire_bytes\":{}}}",
+            span(bus),
+            span(simnet),
+            wire_bytes[0]
+        ));
+    }
+    cells
 }
 
 fn main() {
@@ -120,6 +200,7 @@ fn main() {
         ));
     }
     let scaling = big_rates[1] / big_rates[0].max(1e-12);
+    let transport_cells = lossless_simnet_over_bus(&big_requests);
     // On a single-core machine the 8-over-1 ratio is meaningless (the
     // worker pool just time-slices), so the JSON records the core count
     // and the CI scaling gate skips when it reads 1.
@@ -142,9 +223,12 @@ fn main() {
              \"secs\":{big_secs:.9},\"consults_per_sec\":{:.3},\
              \"one_shard_consults_per_sec\":{:.3},\
              \"scaling_8x_over_1x\":{scaling:.3},\"cores\":{cores}}},\
+             \"lossless_simnet_over_bus\":{{\"consultations\":{BIG_BATCH},\
+             \"repeats\":{TRANSPORT_REPEATS},\"cells\":[{}]}},\
              \"results\":[{}]}}",
             big_rates[1],
             big_rates[0],
+            transport_cells.join(","),
             json_entries.join(",")
         ),
     );
