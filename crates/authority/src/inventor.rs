@@ -13,8 +13,7 @@ use ra_proofs::{
     SupportCertificate,
 };
 use ra_solvers::{
-    analyze_pure_nash, find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot,
-    ParticipationParams,
+    find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
 };
 
 use crate::messages::{Advice, Party};
@@ -89,8 +88,8 @@ impl Inventor {
     fn advise_honestly(&self, spec: &GameSpec) -> Option<Advice> {
         match spec {
             GameSpec::Strategic(game) => {
-                let analysis = analyze_pure_nash(game);
-                let profile = analysis.equilibria.into_iter().next()?;
+                // Only one equilibrium is shipped, so stop at the first.
+                let profile = game.profiles().find(|p| game.is_pure_nash(p))?;
                 Some(Advice::PureNash(PureNashCertificate {
                     proof: prove_is_nash(profile.clone()),
                     profile,
@@ -210,6 +209,32 @@ mod tests {
             }
             other => panic!("unexpected advice {other:?}"),
         }
+    }
+
+    #[test]
+    fn honest_strategic_advice_is_the_first_enumerated_equilibrium() {
+        let inventor = Inventor::new(0, InventorBehavior::Honest);
+        let shapes = [vec![3, 3], vec![4, 2], vec![2, 2, 3]];
+        let mut without_equilibrium = 0;
+        for seed in 0..60u64 {
+            let counts = shapes[seed as usize % shapes.len()].clone();
+            let game = ra_games::GameGenerator::seeded(seed).strategic(counts, -9..=9);
+            let expected = ra_solvers::analyze_pure_nash(&game)
+                .equilibria
+                .first()
+                .cloned();
+            without_equilibrium += usize::from(expected.is_none());
+            let advised = match inventor.advise(&GameSpec::Strategic(game)) {
+                Some(Advice::PureNash(cert)) => Some(cert.profile),
+                None => None,
+                other => panic!("unexpected advice {other:?}"),
+            };
+            assert_eq!(advised, expected, "seed {seed}");
+        }
+        assert!(
+            without_equilibrium > 0,
+            "no game without a pure equilibrium"
+        );
     }
 
     #[test]

@@ -229,6 +229,15 @@ fn bench_exact_arith(c: &mut Criterion) {
     group.bench_function("rational_mul", |bench| {
         bench.iter(|| black_box(&x) * black_box(&y))
     });
+    // The payoff comparison of every deviation scan: integer payoffs share
+    // the denominator 1 and compare by numerator; other pairs cross-multiply.
+    let (u, v) = (rat(-734, 1), rat(512, 1));
+    group.bench_function("rational_cmp/same_den", |bench| {
+        bench.iter(|| black_box(&u).cmp(black_box(&v)))
+    });
+    group.bench_function("rational_cmp/cross_den", |bench| {
+        bench.iter(|| black_box(&x).cmp(black_box(&y)))
+    });
     group.finish();
 }
 

@@ -11,7 +11,7 @@
 
 use ra_bench::{fmt_secs, timed, write_csv};
 use ra_games::GameGenerator;
-use ra_proofs::kernel::{check_prehashed, game_fingerprint};
+use ra_proofs::kernel::{check, game_fingerprint};
 use ra_proofs::{prove_is_nash, prove_max_nash};
 use ra_solvers::analyze_pure_nash;
 
@@ -34,17 +34,17 @@ fn main() {
             })
             .expect("a seed with a pure equilibrium exists");
         let eq = analysis.equilibria[0].clone();
-        // The verifier hashes the game once when it receives it; each
+        // The game's fingerprint is hashed once and memoized; each
         // certificate check afterwards is pure kernel work.
-        let fp = game_fingerprint(&game);
+        game_fingerprint(&game);
         let nash_proof = prove_is_nash(eq.clone());
-        let (nash_checked, t_nash) = timed(|| check_prehashed(&game, fp, &nash_proof).unwrap());
+        let (nash_checked, t_nash) = timed(|| check(&game, &nash_proof).unwrap());
         let max_candidate = analysis.maximal.first().cloned();
         let (max_cost, t_max, proof_size) = match max_candidate {
             Some(c) => {
                 let (proof, _) = timed(|| prove_max_nash(&game, &c).unwrap());
                 let size = proof.size();
-                let (checked, t) = timed(|| check_prehashed(&game, fp, &proof).unwrap());
+                let (checked, t) = timed(|| check(&game, &proof).unwrap());
                 (checked.cost().utility_lookups, t, size)
             }
             None => (0, 0.0, 0),

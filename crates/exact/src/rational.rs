@@ -392,6 +392,11 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Rational) -> Ordering {
+        // Equal positive denominators (every pair of integers among them)
+        // order like their numerators, with no products to allocate.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // Denominators are positive, so cross-multiplication preserves order.
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
@@ -503,6 +508,49 @@ mod tests {
         assert!(rat(7, 7) == Rational::one());
         assert_eq!(rat(1, 3).max(rat(1, 2)), rat(1, 2));
         assert_eq!(rat(1, 3).min(rat(-1, 2)), rat(-1, 2));
+    }
+
+    /// The order `Rational::cmp` replaced its equal-denominator shortcut
+    /// into: cross-multiplication over the (positive) denominators.
+    fn cross_multiplied_cmp(a: &Rational, b: &Rational) -> Ordering {
+        (a.numer() * b.denom()).cmp(&(b.numer() * a.denom()))
+    }
+
+    /// `2^bits` — a power of two spanning several limbs for `bits >= 64`.
+    fn pow2(bits: u32) -> crate::BigInt {
+        crate::BigInt::one().shl(bits)
+    }
+
+    proptest::proptest! {
+        /// Equal multi-limb denominators take the shortcut: odd numerators
+        /// over `2^bits` are already reduced, so both sides keep `2^bits`.
+        #[test]
+        fn cmp_matches_cross_multiplication_on_equal_wide_denominators(
+            a in proptest::prelude::any::<i64>(),
+            b in proptest::prelude::any::<i64>(),
+            bits in 0u32..200,
+        ) {
+            let odd = |v: i64| crate::BigInt::from(v) * crate::BigInt::from(2) + crate::BigInt::one();
+            let x = Rational::from_bigints(odd(a), pow2(bits));
+            let y = Rational::from_bigints(odd(b), pow2(bits));
+            proptest::prop_assert_eq!(x.denom(), y.denom());
+            proptest::prop_assert_eq!(x.cmp(&y), cross_multiplied_cmp(&x, &y));
+            proptest::prop_assert_eq!(y.cmp(&x), cross_multiplied_cmp(&y, &x));
+            proptest::prop_assert_eq!(x.cmp(&x), Ordering::Equal);
+        }
+
+        /// Mixed denominators, negatives and zero: integers (denominator 1)
+        /// against each other, against fractions, and against zero.
+        #[test]
+        fn cmp_matches_cross_multiplication(
+            (n1, d1) in (-50i64..=50, 1i64..=6),
+            (n2, d2) in (-50i64..=50, 1i64..=6),
+        ) {
+            let (x, y) = (rat(n1, d1), rat(n2, d2));
+            for (p, q) in [(&x, &y), (&y, &x), (&x, &Rational::zero()), (&Rational::zero(), &y)] {
+                proptest::prop_assert_eq!(p.cmp(q), cross_multiplied_cmp(p, q));
+            }
+        }
     }
 
     #[test]

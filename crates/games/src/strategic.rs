@@ -7,6 +7,8 @@
 //! profile incomparability (`noComp`).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use ra_exact::Rational;
 
@@ -34,12 +36,25 @@ use crate::profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 /// assert!(g.is_pure_nash(&dd));
 /// assert_eq!(g.pure_nash_equilibria(), vec![dd]);
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct StrategicGame {
     strategy_counts: Vec<usize>,
     /// `payoffs[flat_profile_index][agent]`.
     payoffs: Vec<Vec<Rational>>,
+    /// [`StrategicGame::fingerprint`], filled on first use. The game has
+    /// no `&mut` API, so it can never go stale; clones carry it along.
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equality is over the game itself; whether the fingerprint memo is warm
+/// does not matter.
+impl PartialEq for StrategicGame {
+    fn eq(&self, other: &StrategicGame) -> bool {
+        self.strategy_counts == other.strategy_counts && self.payoffs == other.payoffs
+    }
+}
+
+impl Eq for StrategicGame {}
 
 impl StrategicGame {
     /// Builds a game by evaluating `payoff` on every pure profile.
@@ -68,6 +83,7 @@ impl StrategicGame {
         StrategicGame {
             strategy_counts,
             payoffs,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -118,6 +134,25 @@ impl StrategicGame {
     /// materializing or re-validating any profile.
     pub fn payoff_rows(&self) -> impl Iterator<Item = &[Rational]> {
         self.payoffs.iter().map(Vec::as_slice)
+    }
+
+    /// A 64-bit SipHash of the whole game: the agent count, the strategy
+    /// counts, then every payoff in [`payoff_rows`](StrategicGame::payoff_rows)
+    /// order. Equal games have equal fingerprints.
+    ///
+    /// The first call costs one pass over the payoff tensor; the value is
+    /// memoized, so every later call (on this game or a clone made after
+    /// it) is a load. Collision resistance is not a goal.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            self.num_agents().hash(&mut hasher);
+            self.strategy_counts.hash(&mut hasher);
+            for u in self.payoffs.iter().flatten() {
+                u.hash(&mut hasher);
+            }
+            hasher.finish()
+        })
     }
 
     fn flat_index(&self, profile: &StrategyProfile) -> usize {
@@ -171,20 +206,34 @@ impl StrategicGame {
 
     /// Finds a unilateral improving deviation `(agent, strategy)` if one
     /// exists — the *counterexample witness* used by §3 certificates for
-    /// non-equilibrium profiles.
+    /// non-equilibrium profiles. Agents are scanned in order, and each
+    /// agent's strategies in increasing order, so the first improving pair
+    /// is reported.
+    ///
+    /// Costs `Σ_i |A_i|` payoff reads and no allocation: agent `i`'s
+    /// deviations lie at a fixed stride from `profile` in the dense table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile is invalid for this game.
     pub fn improving_deviation(&self, profile: &StrategyProfile) -> Option<(Agent, Strategy)> {
-        let base_idx = self.flat_index(profile);
-        for agent in 0..self.num_agents() {
-            let current = &self.payoffs[base_idx][agent];
-            for s in 0..self.strategy_counts[agent] {
-                if s == profile.strategy_of(agent) {
-                    continue;
-                }
-                let deviated = profile.with_strategy(agent, s);
-                if self.payoff(agent, &deviated) > current {
-                    return Some((agent, s));
-                }
+        assert!(
+            profile.is_valid_for(&self.strategy_counts),
+            "profile invalid for game"
+        );
+        let base = self.flat_index(profile);
+        let mut stride = 1usize;
+        for (agent, &count) in self.strategy_counts.iter().enumerate() {
+            let own = profile.strategy_of(agent);
+            let current = &self.payoffs[base][agent];
+            let origin = base - own * stride;
+            let improving = (0..count)
+                .filter(|&s| s != own)
+                .find(|&s| self.payoffs[origin + s * stride][agent] > *current);
+            if let Some(s) = improving {
+                return Some((agent, s));
             }
+            stride *= count;
         }
         None
     }
@@ -333,6 +382,48 @@ mod tests {
         let p: StrategyProfile = vec![0, 0].into();
         let (agent, s) = g.improving_deviation(&p).expect("not an equilibrium");
         assert!(g.payoff(agent, &p.with_strategy(agent, s)) > g.payoff(agent, &p));
+    }
+
+    /// The scan `improving_deviation` replaced: one cloned profile and one
+    /// checked payoff lookup per deviation.
+    fn cloning_deviation_scan(
+        g: &StrategicGame,
+        profile: &StrategyProfile,
+    ) -> Option<(Agent, Strategy)> {
+        for agent in 0..g.num_agents() {
+            let current = g.payoff(agent, profile);
+            for s in 0..g.strategy_counts()[agent] {
+                if s != profile.strategy_of(agent)
+                    && g.payoff(agent, &profile.with_strategy(agent, s)) > current
+                {
+                    return Some((agent, s));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn strided_deviation_scan_matches_cloning_scan() {
+        let shapes = [vec![3, 4], vec![5, 2], vec![2, 3, 4], vec![3, 3, 3]];
+        for seed in 0..60u64 {
+            let counts = shapes[seed as usize % shapes.len()].clone();
+            let g = crate::GameGenerator::seeded(seed).strategic(counts, -4..=4);
+            for p in g.profiles() {
+                assert_eq!(
+                    g.improving_deviation(&p),
+                    cloning_deviation_scan(&g, &p),
+                    "seed {seed}, profile {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "profile invalid")]
+    fn invalid_profile_panics_on_improving_deviation() {
+        // (2, 0) would alias the row of (0, 1) without the range check.
+        let _ = prisoners_dilemma().improving_deviation(&vec![2, 0].into());
     }
 
     #[test]

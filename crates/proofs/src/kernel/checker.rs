@@ -22,25 +22,17 @@ use super::term::{Term, TermError};
 /// A fingerprint binding checked statements to one specific game, so a
 /// certificate for game `G` cannot be replayed against `G'`.
 ///
-/// Costs one pass over the payoff tensor. A verifier serving many
-/// certificates for the same game should compute this once and use
-/// [`check_prehashed`] afterwards — certificate checking itself is then
-/// `O(Σ_i |A_i|)`, preserving the paper's verify-vs-compute asymmetry.
+/// This is [`StrategicGame::fingerprint`]: one pass over the payoff tensor
+/// the first time a game is fingerprinted, a memoized load afterwards. So
+/// after a game's first [`check`], certificate checking costs only the
+/// kernel work (`Σ_i |A_i|` lookups for `IsNash`), preserving the paper's
+/// verify-vs-compute asymmetry.
 ///
 /// (SipHash via [`std::hash`]; collision resistance is not a security goal
 /// here — end-to-end sessions in `ra-authority` additionally commit to
 /// games with SHA-256.)
 pub fn game_fingerprint(game: &StrategicGame) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    game.num_agents().hash(&mut hasher);
-    game.strategy_counts().hash(&mut hasher);
-    for profile in game.profiles() {
-        for u in game.payoffs(&profile) {
-            u.hash(&mut hasher);
-        }
-    }
-    hasher.finish()
+    game.fingerprint()
 }
 
 /// Cost accounting for a verification run — the basis of the §3
@@ -190,6 +182,11 @@ impl From<TermError> for ProofError {
 
 /// Checks `proof` against `game`.
 ///
+/// A successful check binds the theorem to [`game_fingerprint`]`(game)`.
+/// That hash is memoized on the game, so only the first check of a game
+/// pays the pass over its payoff tensor; every later one costs just the
+/// kernel work.
+///
 /// # Errors
 ///
 /// Returns a [`ProofError`] describing the first invalid step found.
@@ -210,31 +207,11 @@ impl From<TermError> for ProofError {
 /// assert!(check(&game, &bogus).is_err());
 /// ```
 pub fn check(game: &StrategicGame, proof: &Proof) -> Result<CheckedProp, ProofError> {
-    check_prehashed(game, game_fingerprint(game), proof)
-}
-
-/// Checks `proof` against `game`, reusing a fingerprint previously computed
-/// by [`game_fingerprint`] for the *same* game.
-///
-/// This is the hot path for a verifier serving many certificates about one
-/// game: the `O(|A|)` game hash is paid once, and each check costs only the
-/// kernel work (e.g. `Σ_i (|A_i| − 1)` lookups for `IsNash`). Passing a
-/// fingerprint of a different game produces theorems bound to that other
-/// game — callers own that invariant.
-///
-/// # Errors
-///
-/// Same as [`check`].
-pub fn check_prehashed(
-    game: &StrategicGame,
-    fingerprint: u64,
-    proof: &Proof,
-) -> Result<CheckedProp, ProofError> {
     let mut cost = CheckCost::default();
     let prop = check_inner(game, proof, &mut cost)?;
     Ok(CheckedProp {
         prop,
-        fingerprint,
+        fingerprint: game_fingerprint(game),
         cost,
     })
 }
@@ -361,23 +338,15 @@ fn check_is_nash(
     cost: &mut CheckCost,
 ) -> Result<(), ProofError> {
     require_valid(game, profile)?;
-    for agent in 0..game.num_agents() {
-        let current = game.payoff(agent, profile);
-        cost.utility_lookups += 1;
-        for s in 0..game.strategy_counts()[agent] {
-            if s == profile.strategy_of(agent) {
-                continue;
-            }
-            cost.utility_lookups += 1;
-            if game.payoff(agent, &profile.with_strategy(agent, s)) > current {
-                return Err(ProofError::DeviationFound {
-                    profile: profile.clone(),
-                    agent,
-                    strategy: s,
-                });
-            }
-        }
+    if let Some((agent, strategy)) = game.improving_deviation(profile) {
+        return Err(ProofError::DeviationFound {
+            profile: profile.clone(),
+            agent,
+            strategy,
+        });
     }
+    // Each agent's own payoff plus its |A_i| − 1 deviations.
+    cost.utility_lookups += game.strategy_counts().iter().sum::<usize>() as u64;
     Ok(())
 }
 
@@ -790,6 +759,57 @@ mod tests {
         .unwrap();
         assert!(theorem.applies_to(&g1));
         assert!(!theorem.applies_to(&g2));
+    }
+
+    /// The `NashIntro` rule as it was before it delegated to
+    /// `StrategicGame::improving_deviation`: one cloned profile per
+    /// deviation, one lookup counted per payoff read.
+    fn cloning_nash_check(
+        game: &StrategicGame,
+        profile: &StrategyProfile,
+    ) -> Result<u64, ProofError> {
+        require_valid(game, profile)?;
+        let mut lookups = 0;
+        for agent in 0..game.num_agents() {
+            let current = game.payoff(agent, profile);
+            lookups += 1;
+            for s in 0..game.strategy_counts()[agent] {
+                if s == profile.strategy_of(agent) {
+                    continue;
+                }
+                lookups += 1;
+                if game.payoff(agent, &profile.with_strategy(agent, s)) > current {
+                    return Err(ProofError::DeviationFound {
+                        profile: profile.clone(),
+                        agent,
+                        strategy: s,
+                    });
+                }
+            }
+        }
+        Ok(lookups)
+    }
+
+    #[test]
+    fn nash_intro_matches_cloning_reference() {
+        let shapes = [vec![4, 4], vec![2, 5], vec![3, 2, 3], vec![2, 2, 2]];
+        for seed in 0..60u64 {
+            let counts = shapes[seed as usize % shapes.len()].clone();
+            let game = ra_games::GameGenerator::seeded(seed).strategic(counts.clone(), -3..=3);
+            // Every strategy one past its agent's last: rejected as invalid.
+            let invalid = StrategyProfile::from(counts);
+            for profile in game.profiles().chain([invalid]) {
+                let proof = Proof::NashIntro {
+                    profile: profile.clone(),
+                };
+                let kernel = check(&game, &proof).map(|t| t.cost().utility_lookups);
+                assert_eq!(
+                    kernel,
+                    cloning_nash_check(&game, &profile),
+                    "seed {seed}, {profile}"
+                );
+            }
+        }
     }
 
     #[test]

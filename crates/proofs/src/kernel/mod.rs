@@ -11,7 +11,7 @@ mod proof;
 mod prop;
 mod term;
 
-pub use checker::{check, check_prehashed, game_fingerprint, CheckCost, CheckedProp, ProofError};
+pub use checker::{check, game_fingerprint, CheckCost, CheckedProp, ProofError};
 pub use proof::{NotAboveWitness, ProfileVerdict, Proof};
 pub use prop::Prop;
 pub use term::{Term, TermError};
