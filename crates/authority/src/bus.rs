@@ -51,7 +51,7 @@ struct Routing {
 /// # Examples
 ///
 /// ```
-/// use ra_authority::{Bus, Message, Party};
+/// use ra_authority::{Bus, Message, Party, Transport};
 ///
 /// let bus = Bus::new();
 /// let inventor = Party::Inventor(0);
@@ -89,10 +89,12 @@ impl Bus {
     fn routing_mut(&self) -> RwLockWriteGuard<'_, Routing> {
         self.routing.write().expect("bus lock poisoned")
     }
+}
 
-    /// Registers a party; returns its receiving endpoint. Re-registering
-    /// replaces the old endpoint: the previous one stops receiving.
-    pub fn register(&self, party: Party) -> Endpoint {
+/// The canonical backend. [`Transport::settle`] is free because delivery
+/// is synchronous, and the clock never moves.
+impl Transport for Bus {
+    fn register(&self, party: Party) -> Endpoint {
         let (tx, rx) = channel();
         self.routing_mut().endpoints.insert(party, tx);
         Endpoint {
@@ -101,25 +103,15 @@ impl Bus {
         }
     }
 
-    /// Removes `party`'s registration. Later sends to it fail with
-    /// [`BusError::UnknownParty`] (unaccounted, like any unknown
-    /// destination) until it registers again; its existing [`Endpoint`]
-    /// keeps any messages already queued. A no-op for unknown parties.
-    pub fn disconnect(&self, party: Party) {
+    fn disconnect(&self, party: Party) {
         self.routing_mut().endpoints.remove(&party);
     }
 
-    /// Sends `message` from `from` to `to`, accounting its serialized size.
-    ///
     /// Takes the routing read guard, which never waits on another send;
     /// accounting touches only the sender's ledger stripe plus atomic
-    /// counters.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownParty`] if `to` is not registered;
-    /// [`BusError::Disconnected`] if `to`'s endpoint was dropped.
-    pub fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+    /// counters. A `to` whose endpoint was dropped fails with
+    /// [`BusError::Disconnected`].
+    fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
         let bytes = message.encoded_len();
         let retransmit = message.is_retransmit();
         let routing = self.routing();
@@ -139,24 +131,12 @@ impl Bus {
         result
     }
 
-    /// Sends every `(from, to, message)` in `batch` — draining it, so
-    /// callers can reuse the buffer's allocation — resolving routing under
-    /// one read guard and holding each ledger stripe across runs of
-    /// same-stripe senders (a verdict-request fan-out has one sender, so
-    /// it locks its stripe exactly once).
-    ///
-    /// Accounting is byte-identical to the equivalent sequence of
-    /// [`Bus::send`] calls: the same [`DeliveryRecord`]s in the same
-    /// order, the same running total/delivered counters, and the same
-    /// per-pair byte map. Every send is attempted (and accounted) even
-    /// after an earlier one fails, which is also what a loop of individual
-    /// `send` calls does; the first error is returned.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownParty`] / [`BusError::Disconnected`] for the
-    /// first message in the batch that failed.
-    pub fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
+    /// Resolves routing under one read guard and holds each ledger stripe
+    /// across runs of same-stripe senders (a verdict-request fan-out has
+    /// one sender, so it locks its stripe exactly once). The records,
+    /// counters and per-pair map come out exactly as from the equivalent
+    /// sequence of [`Transport::send`] calls.
+    fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
         if batch.is_empty() {
             return Ok(());
         }
@@ -200,116 +180,43 @@ impl Bus {
         first_error
     }
 
-    /// Injects a drop rule: all messages `from → to` are silently dropped.
-    pub fn drop_link(&self, from: Party, to: Party) {
+    fn drop_link(&self, from: Party, to: Party) {
         self.routing_mut().drop_rules.insert((from, to));
     }
 
-    /// Removes all drop rules.
-    pub fn heal(&self) {
-        self.routing_mut().drop_rules.clear();
-    }
-
-    /// Total bytes put on the wire (delivered or not). O(1), lock-free.
-    pub fn total_bytes(&self) -> usize {
-        self.ledger.total_bytes()
-    }
-
-    /// Bytes of messages that actually reached their endpoint — attempts
-    /// dropped by fault injection or failed sends (undelivered per
-    /// [`DeliveryRecord::delivered`]) are excluded. This is the figure
-    /// Lemma 1 tables should cite for *communicated* bits; `total_bytes`
-    /// additionally counts wasted attempts. O(1), lock-free.
-    pub fn delivered_bytes(&self) -> usize {
-        self.ledger.delivered_bytes()
-    }
-
-    /// Bytes sent from `from` to `to`. O(1): per-pair sums live on the
-    /// sender's stripe, so this locks exactly one stripe.
-    pub fn bytes_between(&self, from: Party, to: Party) -> usize {
-        self.ledger.bytes_between(from, to)
-    }
-
-    /// A copy of the full delivery log, merged across stripes back into
-    /// global send order (each record carries the sequence number stamped
-    /// when it was accounted, so the merge is deterministic).
-    pub fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        self.ledger.delivery_log()
-    }
-
-    /// Number of messages sent (delivered or dropped). O(1), lock-free.
-    pub fn message_count(&self) -> usize {
-        self.ledger.message_count()
-    }
-
-    /// Bytes attributable to protocol retransmissions (resilient
-    /// envelopes with `attempt > 0`). O(1), lock-free.
-    pub fn retransmit_bytes(&self) -> usize {
-        self.ledger.retransmit_bytes()
-    }
-
-    /// First-attempt protocol bytes: `total_bytes - retransmit_bytes`.
-    /// O(1), lock-free.
-    pub fn goodput_bytes(&self) -> usize {
-        self.ledger.total_bytes() - self.ledger.retransmit_bytes()
-    }
-}
-
-/// The canonical backend: every trait method delegates to the inherent
-/// one, and [`Transport::settle`] is free because delivery is synchronous.
-impl Transport for Bus {
-    fn register(&self, party: Party) -> Endpoint {
-        Bus::register(self, party)
-    }
-
-    fn disconnect(&self, party: Party) {
-        Bus::disconnect(self, party);
-    }
-
-    fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        Bus::send(self, from, to, message)
-    }
-
-    fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
-        Bus::send_batch(self, batch)
-    }
-
-    fn drop_link(&self, from: Party, to: Party) {
-        Bus::drop_link(self, from, to);
-    }
-
     fn heal(&self) {
-        Bus::heal(self);
+        self.routing_mut().drop_rules.clear();
     }
 
     fn settle(&self) {}
 
     fn total_bytes(&self) -> usize {
-        Bus::total_bytes(self)
+        self.ledger.total_bytes()
     }
 
     fn delivered_bytes(&self) -> usize {
-        Bus::delivered_bytes(self)
+        self.ledger.delivered_bytes()
     }
 
+    /// O(1): per-pair sums live on the sender's stripe, so this locks
+    /// exactly one stripe.
     fn bytes_between(&self, from: Party, to: Party) -> usize {
-        Bus::bytes_between(self, from, to)
+        self.ledger.bytes_between(from, to)
     }
 
+    /// Merged across stripes back into global send order (each record
+    /// carries the sequence number stamped when it was accounted, so the
+    /// merge is deterministic).
     fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        Bus::delivery_log(self)
+        self.ledger.delivery_log()
     }
 
     fn message_count(&self) -> usize {
-        Bus::message_count(self)
+        self.ledger.message_count()
     }
 
     fn retransmit_bytes(&self) -> usize {
-        Bus::retransmit_bytes(self)
-    }
-
-    fn goodput_bytes(&self) -> usize {
-        Bus::goodput_bytes(self)
+        self.ledger.retransmit_bytes()
     }
 }
 

@@ -254,7 +254,7 @@ impl LruShard {
 /// The sharded content-addressed certificate cache.
 ///
 /// One instance is shared (via `Arc`) by every engine shard's
-/// [`crate::session::SessionDriver`], so a game solved on one shard is a
+/// [`crate::RationalityAuthority`], so a game solved on one shard is a
 /// hit on all of them.
 pub struct CertCache {
     mode: CacheMode,

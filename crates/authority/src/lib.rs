@@ -22,12 +22,13 @@
 //!   backend that merges CRDT PN-counter deltas
 //!   ([`DecayingPnCounterMap`], generation-indexed so scores can decay —
 //!   [`ReputationDecay`]) through a [`GossipPlane`] at epoch boundaries —
-//!   over a dedicated, byte-accounted inter-shard bus
-//!   ([`GossipPlane::over_bus`]) when driven by the sharded engine;
+//!   over a dedicated, byte-accounted inter-shard transport
+//!   ([`GossipPlane::over_transport_with`]) when driven by the sharded
+//!   engine;
 //! * [`StatisticsLedger`] — the signed, hash-chained statistics stream of
 //!   §6 footnote 3;
-//! * [`SessionDriver`] / [`RationalityAuthority`] — the per-consultation
-//!   protocol and the single-bus end-to-end sessions built on it;
+//! * [`RationalityAuthority`] — the per-consultation Fig. 1 protocol over
+//!   one transport, with game-id assignment;
 //! * [`CertCache`] — the content-addressed certificate cache: a
 //!   consultation is memoized under the SHA-256 digest of its game spec's
 //!   canonical wire encoding ([`spec_digest`]) in a sharded LRU, and a
@@ -35,8 +36,10 @@
 //!   re-running the trusted checker ([`kernel_check`]) under
 //!   [`CacheMode::Replay`], or directly under [`CacheMode::Trust`].
 //!   Off by default ([`CertCacheConfig`]); enable it per engine with
-//!   [`ShardedAuthority::with_cert_cache`];
-//! * [`ShardedAuthority`] — the sharded multi-bus session engine: routed
+//!   [`ShardedAuthority::with_transports`];
+//! * [`ShardedAuthority`] — the sharded multi-bus session engine, built
+//!   with [`ShardedAuthority::new`] (isolated shards over perfect buses) or
+//!   [`ShardedAuthority::with_transports`] (everything explicit): routed
 //!   single consultations and batched fan-out across shards over a
 //!   persistent, shard-pinned worker pool (gated by the default-on
 //!   `parallel` cargo feature; `--no-default-features` builds run batches
@@ -84,7 +87,7 @@ pub use reputation::{
 };
 pub use session::{
     BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, RationalityAuthority,
-    ResilienceConfig, SessionDriver, SessionOutcome,
+    ResilienceConfig, SessionOutcome,
 };
 pub use shard::{ReputationConfig, ReputationPolicy, ShardStats, ShardedAuthority, TransportSite};
 pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig};

@@ -203,7 +203,7 @@ pub enum Message {
     /// session, and receivers read a bare frame as attempt 0. Retries
     /// (`attempt ≥ 1`) and the replies they provoke ship inside this
     /// frame, so receivers can dedup them idempotently: `session` is the
-    /// consultation (the game id, unique per driver) and `attempt` the
+    /// consultation (the game id, unique per authority) and `attempt` the
     /// 0-based retransmission sequence number for this hop. Replies echo
     /// the request's `attempt`, so the ledger classifies both directions
     /// of a retry as retransmit bytes ([`Message::is_retransmit`]). The

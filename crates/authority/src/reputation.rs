@@ -1,5 +1,6 @@
 //! The verifier reputation plane: majority voting, pluggable backends,
-//! and epoch-based cross-shard gossip carried over the simulated [`Bus`].
+//! and epoch-based cross-shard gossip carried over a byte-accounted
+//! [`Transport`].
 //!
 //! The paper: "We note the possibility of having several verifiers, such
 //! that their majority is trusted. The reputation of the verifiers can be
@@ -22,8 +23,8 @@
 //! Three refinements layer on top of the basic plane:
 //!
 //! * **Bus-carried gossip** — a [`GossipPlane`] built with
-//!   [`GossipPlane::over_bus`] routes every epoch merge through a
-//!   dedicated inter-shard [`Bus`] as real framed
+//!   [`GossipPlane::over_transport_with`] routes every epoch merge through
+//!   a dedicated inter-shard [`Transport`] as real framed
 //!   [`Message::Gossip`](crate::Message::Gossip) sends, so the Lemma 1
 //!   byte accounting covers the control plane, not just consultations.
 //! * **Weighted votes** — [`VoteRule::Weighted`] pools verdicts by the
@@ -55,7 +56,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-use crate::bus::Bus;
 use crate::messages::{Message, Party};
 use crate::transport::{Endpoint, Transport};
 
@@ -164,7 +164,7 @@ fn pooled_outcome(verdicts: &[(Party, bool)], stake_of: impl Fn(Party) -> i64) -
 /// Backends publish a fresh snapshot (behind `Arc`) whenever scores
 /// change — at the end of [`ReputationBackend::pool_verdicts`] and, for
 /// [`GossipReputation`], after an epoch pull or a generation advance.
-/// Readers on the consult hot path ([`crate::SessionDriver`]) grab the
+/// Readers on the consult hot path ([`crate::RationalityAuthority`]) grab the
 /// current `Arc` with one short lock and then read trust checks off it
 /// with no further synchronization, so a gossip merge running on another
 /// thread can never contend with — or leak a half-merged epoch into — a
@@ -252,7 +252,7 @@ fn trusted_set_changed(old: &HashMap<Party, i64>, new: &HashMap<Party, i64>) -> 
 /// A reputation backend: where verifier trust scores live and how one
 /// round of verdicts updates them.
 ///
-/// The session layer ([`crate::SessionDriver`]) is written against this
+/// The session layer ([`crate::RationalityAuthority`]) is written against this
 /// trait, so the same Fig. 1 protocol runs over a process-local score
 /// table ([`LocalReputation`]) or a cross-shard gossiped one
 /// ([`GossipReputation`]) without change. Implementations must be
@@ -928,9 +928,10 @@ impl HubState {
 ///
 /// Built with [`GossipPlane::new`] the plane is a plain in-memory join —
 /// merges cost no simulated network traffic. Built with
-/// [`GossipPlane::over_bus`] the plane owns a dedicated inter-shard
-/// [`Bus`]: every publish is a real framed [`Message::Gossip`] send from
-/// `Party::Shard(s)` to [`GOSSIP_HUB`], every pull a framed send back, so
+/// [`GossipPlane::over_transport_with`] the plane owns a dedicated
+/// inter-shard transport (a [`Bus`](crate::Bus), say): every publish is a
+/// real framed [`Message::Gossip`] send from `Party::Shard(s)` to
+/// [`GOSSIP_HUB`], every pull a framed send back, so
 /// control-plane bytes land in the same Lemma 1 accounting as
 /// consultation traffic (and are subject to the same fault injection —
 /// a dropped frame is simply never merged).
@@ -948,8 +949,7 @@ pub struct GossipPlane {
     transport: Option<GossipTransport>,
 }
 
-/// The transport wiring of a [`GossipPlane::over_bus`] /
-/// [`GossipPlane::over_transport_with`] plane.
+/// The transport wiring of a [`GossipPlane::over_transport_with`] plane.
 #[derive(Debug)]
 struct GossipTransport {
     bus: Arc<dyn Transport>,
@@ -976,27 +976,19 @@ impl GossipPlane {
         GossipPlane::default()
     }
 
-    /// Creates an empty plane whose merges travel over a dedicated
-    /// inter-shard [`Bus`] as framed [`Message::Gossip`] sends.
-    pub fn over_bus() -> GossipPlane {
-        GossipPlane::over_bus_with(ReputationDecay::None)
-    }
-
-    /// Like [`GossipPlane::over_bus`], but the plane knows the engine's
-    /// decay policy and prunes aged-out generations from its merged state
-    /// after every publish. Without this the hub — which only ever joins
-    /// — would accumulate one generation per epoch forever, and the pull
-    /// snapshots it frames onto the bus would grow without bound.
-    /// Pruning only drops generations [`DecayingPnCounterMap::decayed_value`]
-    /// already ignores, so no observable score changes.
-    pub fn over_bus_with(decay: ReputationDecay) -> GossipPlane {
-        GossipPlane::over_transport_with(decay, Arc::new(Bus::new()))
-    }
-
-    /// Like [`GossipPlane::over_bus_with`], but over an explicit
-    /// [`Transport`] — this is how a [`crate::SimNet`] gets under the
-    /// control plane, so gossip frames can be delayed, dropped, or cut off
-    /// by a partition schedule like any other traffic.
+    /// Creates an empty plane whose merges travel over `transport`, a
+    /// dedicated inter-shard network, as framed [`Message::Gossip`]
+    /// sends: a [`Bus`](crate::Bus) for perfect delivery, or a
+    /// [`crate::SimNet`] so gossip frames can be delayed, dropped, or cut
+    /// off by a partition schedule like any other traffic.
+    ///
+    /// The plane knows the engine's decay policy and prunes aged-out
+    /// generations from its merged state after every publish. Without
+    /// this the hub — which only ever joins — would accumulate one
+    /// generation per epoch forever, and the pull snapshots it frames onto
+    /// the transport would grow without bound. Pruning only drops
+    /// generations [`DecayingPnCounterMap::decayed_value`] already
+    /// ignores, so no observable score changes.
     pub fn over_transport_with(
         decay: ReputationDecay,
         transport: Arc<dyn Transport>,
@@ -1014,7 +1006,7 @@ impl GossipPlane {
     }
 
     /// The inter-shard gossip bus, if this plane was built with
-    /// [`GossipPlane::over_bus`] — byte accounting and fault injection for
+    /// [`GossipPlane::over_transport_with`] — byte accounting and fault injection for
     /// the control plane.
     pub fn gossip_bus(&self) -> Option<&dyn Transport> {
         self.transport.as_ref().map(|t| &*t.bus)
@@ -1336,6 +1328,7 @@ impl ReputationBackend for GossipReputation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::Bus;
 
     fn v(i: u64) -> Party {
         Party::Verifier(i)
@@ -1617,7 +1610,10 @@ mod tests {
         // bus-carried plane converge on identical scores; only the
         // bus-carried one generates accounted traffic.
         let free = Arc::new(GossipPlane::new());
-        let framed = Arc::new(GossipPlane::over_bus());
+        let framed = Arc::new(GossipPlane::over_transport_with(
+            ReputationDecay::None,
+            Arc::new(Bus::new()),
+        ));
         let run = |plane: &Arc<GossipPlane>| {
             let a = GossipReputation::new(0, plane.clone());
             let b = GossipReputation::new(1, plane.clone());
@@ -1648,7 +1644,10 @@ mod tests {
 
     #[test]
     fn dropped_gossip_frame_is_never_merged() {
-        let plane = Arc::new(GossipPlane::over_bus());
+        let plane = Arc::new(GossipPlane::over_transport_with(
+            ReputationDecay::None,
+            Arc::new(Bus::new()),
+        ));
         let a = GossipReputation::new(0, plane.clone());
         let b = GossipReputation::new(1, plane.clone());
         for _ in 0..INITIAL_SCORE {
@@ -1684,7 +1683,10 @@ mod tests {
         // decayed reads depend on the local cursor), matching what an
         // in-memory plane's merge would have produced.
         let decay = ReputationDecay::HalfLife { retention: 4 };
-        let plane = Arc::new(GossipPlane::over_bus_with(decay));
+        let plane = Arc::new(GossipPlane::over_transport_with(
+            decay,
+            Arc::new(Bus::new()),
+        ));
         let a = GossipReputation::with_config(0, plane.clone(), VoteRule::Simple, decay);
         let b = GossipReputation::with_config(1, plane.clone(), VoteRule::Simple, decay);
         for _ in 0..4 {

@@ -6,15 +6,13 @@
 //! advice only on acceptance. Every hop crosses the [`Bus`], so the outcome
 //! carries exact byte counts.
 //!
-//! Two layers live here. [`SessionDriver`] is the *protocol*: it runs one
-//! Fig. 1 message flow against whatever bus, inventor, verifier panel and
-//! reputation backend it was assembled with. [`RationalityAuthority`] is
-//! the single-bus *orchestration* on top: it owns one driver, assigns
-//! game ids and exposes the classic `consult` API. The sharded, multi-bus
-//! orchestration lives in [`crate::ShardedAuthority`], which reuses the
-//! same driver per shard.
+//! [`RationalityAuthority`] runs one Fig. 1 message flow per consult
+//! against the transport, inventor, verifier panel and reputation backend
+//! it was assembled with, and assigns each consult its game id. The
+//! sharded, multi-bus orchestration lives in [`crate::ShardedAuthority`],
+//! which runs one authority per shard.
 //!
-//! The driver is deliberately ignorant of reputation *policy*: whether
+//! The authority is deliberately ignorant of reputation *policy*: whether
 //! verdicts are pooled one-verifier-one-vote or stake-weighted
 //! ([`crate::VoteRule`]), whether scores decay
 //! ([`crate::ReputationDecay`]), and whether the scores are shard-local
@@ -33,11 +31,11 @@
 //! The flow is also the engine's *hot path*, and it is written to stay
 //! off the allocator and off contended locks in the steady state: endpoint
 //! drains reuse one receive buffer ([`Endpoint::drain_into`]), the
-//! verdict fan-out and the replies each ship as one [`Bus::send_batch`]
-//! accounting critical section from a reused staging buffer, and trust
-//! checks read a single immutable
-//! [`crate::ReputationSnapshot`] taken at the top of the
-//! fan-out instead of locking the backend per verifier.
+//! verdict fan-out and the replies each ship as one
+//! [`Transport::send_batch`] accounting critical section from a reused
+//! staging buffer, and trust checks read a single immutable
+//! [`crate::ReputationSnapshot`] taken at the top of the fan-out instead
+//! of locking the backend per verifier.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -137,7 +135,7 @@ pub type ConsultResult = Result<SessionOutcome, ConsultError>;
 
 /// Exponential-backoff shape for resilient retransmissions: the k-th
 /// retry waits `min(cap, base * factor^k) + U[0, jitter]` virtual ticks
-/// (drawn from the driver's seeded stream, so runs are replayable).
+/// (drawn from the authority's seeded stream, so runs are replayable).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BackoffConfig {
     /// First retry interval in virtual ticks (≥ 1).
@@ -174,7 +172,11 @@ impl BackoffConfig {
         }
         interval = interval.min(self.cap);
         if self.jitter > 0 {
-            interval += rand::splitmix64(rng) % (self.jitter + 1);
+            // Saturating, so extreme configs wait "forever" rather than
+            // wrap; `jitter + 1` overflows only when every draw is in range.
+            let draw = rand::splitmix64(rng);
+            let draw = self.jitter.checked_add(1).map_or(draw, |span| draw % span);
+            interval = interval.saturating_add(draw);
         }
         interval
     }
@@ -189,7 +191,6 @@ impl BackoffConfig {
 
 /// Per-consultation resilience budget: deadlines, retransmission and
 /// quorum degradation for the Fig. 1 flow. Attach with
-/// [`SessionDriver::set_resilience`] /
 /// [`RationalityAuthority::set_resilience`]. Without one (the default)
 /// each stage makes a single attempt: a starved advice stage yields an
 /// outcome with no advice, and a short panel pools whatever arrived.
@@ -209,7 +210,7 @@ pub struct ResilienceConfig {
     pub max_attempts: u32,
     /// Retry backoff shape.
     pub backoff: BackoffConfig,
-    /// Seed of the driver-local jitter stream (kept separate from any
+    /// Seed of the authority-local jitter stream (kept separate from any
     /// transport seed so retry timing is reproducible on its own).
     pub seed: u64,
 }
@@ -264,20 +265,37 @@ pub struct SessionOutcome {
     pub attempts: u64,
 }
 
-/// The reusable per-consultation protocol: one bus, one inventor, one
-/// verifier panel, one reputation backend, and the endpoints of every
-/// registered party.
+/// The assembled single-bus infrastructure: one transport, one inventor,
+/// one verifier panel, one reputation backend, the endpoints of every
+/// registered party, and game-id assignment.
 ///
-/// [`SessionDriver::run`] executes exactly one Fig. 1 flow for an explicit
-/// `game_id`; id assignment and routing are the caller's concern, which is
-/// what lets a single driver serve both the monolithic
-/// [`RationalityAuthority`] and each shard of a
-/// [`crate::ShardedAuthority`]. The reputation plane is pluggable: by
-/// default a driver owns a private [`LocalReputation`], but
-/// [`SessionDriver::with_reputation`] accepts any shared
-/// [`ReputationBackend`] — a gossiping one, say — without the protocol
-/// changing at all.
-pub struct SessionDriver {
+/// Each [`RationalityAuthority::consult`] runs exactly one Fig. 1 flow
+/// under the next game id. The reputation plane is pluggable: [`new`]
+/// gives the authority a private [`LocalReputation`], while
+/// [`with_transport`] accepts any shared [`ReputationBackend`] — a
+/// gossiping one, say — without the protocol changing at all. That is how
+/// [`crate::ShardedAuthority`] wires every shard to one plane.
+///
+/// [`new`]: RationalityAuthority::new
+/// [`with_transport`]: RationalityAuthority::with_transport
+///
+/// # Examples
+///
+/// ```
+/// use ra_authority::{
+///     GameSpec, Inventor, InventorBehavior, RationalityAuthority, VerifierBehavior,
+/// };
+/// use ra_games::named::prisoners_dilemma;
+///
+/// let mut authority = RationalityAuthority::new(
+///     Inventor::new(0, InventorBehavior::Honest),
+///     &[VerifierBehavior::Honest; 3],
+/// );
+/// let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+/// let outcome = authority.consult(0, &spec);
+/// assert!(outcome.adopted);
+/// ```
+pub struct RationalityAuthority {
     bus: Arc<dyn Transport>,
     reputation: Arc<dyn ReputationBackend>,
     inventor: Inventor,
@@ -287,62 +305,52 @@ pub struct SessionDriver {
     /// here via [`Endpoint::drain_into`], so steady-state consults never
     /// allocate a fresh inbox `Vec`.
     recv_buf: Vec<(Party, Message)>,
-    /// Reusable fan-out buffer for [`Bus::send_batch`]: verdict requests
-    /// and verdict replies are staged here and shipped in one accounting
-    /// critical section each.
+    /// Reusable fan-out buffer for [`Transport::send_batch`]: verdict
+    /// requests and verdict replies are staged here and shipped in one
+    /// accounting critical section each.
     send_buf: Vec<(Party, Party, Message)>,
-    /// Optional content-addressed certificate cache, shared across drivers
+    /// Optional content-addressed certificate cache, shared across shards
     /// (`None` — the default — leaves the protocol bit-for-bit unchanged).
     cert_cache: Option<Arc<CertCache>>,
     /// Optional resilience budget (`None` — the default — makes one
     /// attempt per stage: no retries, so no envelopes).
     resilience: Option<ResilienceConfig>,
-    /// Driver-local jitter stream for retry backoff, seeded from
+    /// Authority-local jitter stream for retry backoff, seeded from
     /// [`ResilienceConfig::seed`] so resilient runs are replayable.
     jitter_rng: u64,
     /// Per-consult scratch of the staged protocol body.
     scratch: SessionScratch,
+    next_game_id: u64,
 }
 
-impl SessionDriver {
-    /// Assembles a driver with a private [`LocalReputation`] backend:
-    /// registers the inventor and every verifier on a fresh bus.
+impl RationalityAuthority {
+    /// Builds the infrastructure with one inventor, the given verifier
+    /// panel, a private [`LocalReputation`] backend and a fresh [`Bus`].
     pub fn new(
         inventor: Inventor,
         verifier_behaviors: &[crate::verifier::VerifierBehavior],
-    ) -> SessionDriver {
-        SessionDriver::with_reputation(
+    ) -> RationalityAuthority {
+        RationalityAuthority::with_transport(
             inventor,
             verifier_behaviors,
             Arc::new(LocalReputation::new()),
-        )
-    }
-
-    /// Assembles a driver around an explicit reputation backend (shared
-    /// with other drivers when `reputation` is a cross-shard plane).
-    pub fn with_reputation(
-        inventor: Inventor,
-        verifier_behaviors: &[crate::verifier::VerifierBehavior],
-        reputation: Arc<dyn ReputationBackend>,
-    ) -> SessionDriver {
-        SessionDriver::with_transport(
-            inventor,
-            verifier_behaviors,
-            reputation,
             Arc::new(Bus::new()),
         )
     }
 
-    /// Assembles a driver over an explicit [`Transport`] — the perfect
-    /// [`Bus`], a lossy [`crate::SimNet`], or anything else implementing
-    /// the trait. The protocol itself is transport-agnostic; only the
-    /// fate of its frames changes.
+    /// Builds the infrastructure around an explicit reputation backend
+    /// (shared with other authorities when `reputation` is a cross-shard
+    /// plane) over an explicit [`Transport`] — the perfect [`Bus`], a
+    /// lossy [`crate::SimNet`], or anything else implementing the trait.
+    /// Registers the inventor and every verifier on the transport. The
+    /// protocol itself is transport-agnostic; only the fate of its frames
+    /// changes.
     pub fn with_transport(
         inventor: Inventor,
         verifier_behaviors: &[crate::verifier::VerifierBehavior],
         reputation: Arc<dyn ReputationBackend>,
         bus: Arc<dyn Transport>,
-    ) -> SessionDriver {
+    ) -> RationalityAuthority {
         let mut endpoints = HashMap::new();
         endpoints.insert(inventor.id, bus.register(inventor.id));
         let verifiers: Vec<VerifierService> = verifier_behaviors
@@ -353,7 +361,7 @@ impl SessionDriver {
         for v in &verifiers {
             endpoints.insert(v.id, bus.register(v.id));
         }
-        SessionDriver {
+        RationalityAuthority {
             bus,
             reputation,
             inventor,
@@ -365,14 +373,15 @@ impl SessionDriver {
             resilience: None,
             jitter_rng: 0,
             scratch: SessionScratch::default(),
+            next_game_id: 1,
         }
     }
 
     /// Attaches (or with `None` removes) a resilience budget: subsequent
     /// sessions retry on a backoff schedule within a deadline, close the
     /// panel degraded at quorum, and fail with a typed error via
-    /// [`SessionDriver::try_run`]. Without one, each stage makes a single
-    /// attempt.
+    /// [`RationalityAuthority::try_consult`]. Without one, each stage
+    /// makes a single attempt.
     ///
     /// # Panics
     ///
@@ -391,9 +400,9 @@ impl SessionDriver {
         self.resilience.as_ref()
     }
 
-    /// Attaches a shared certificate cache: subsequent [`SessionDriver::run`]
-    /// calls consult it before running the Fig. 1 protocol and memoize
-    /// their results into it.
+    /// Attaches a shared certificate cache: subsequent consults look it
+    /// up before running the Fig. 1 protocol and memoize their results
+    /// into it.
     pub fn set_cert_cache(&mut self, cache: Arc<CertCache>) {
         self.cert_cache = Some(cache);
     }
@@ -403,7 +412,7 @@ impl SessionDriver {
         self.cert_cache.as_ref()
     }
 
-    /// The reputation backend consulted by this driver's sessions.
+    /// The reputation backend consulted by this authority's sessions.
     pub fn reputation(&self) -> &dyn ReputationBackend {
         &*self.reputation
     }
@@ -413,17 +422,28 @@ impl SessionDriver {
         &*self.bus
     }
 
-    /// Registers the agent's endpoint on first contact; later calls reuse
-    /// the existing endpoint rather than re-registering.
-    pub fn ensure_agent(&mut self, agent: Party) {
-        if !self.endpoints.contains_key(&agent) {
-            let endpoint = self.bus.register(agent);
-            self.endpoints.insert(agent, endpoint);
+    /// Runs one full consultation for agent `agent_id` about `spec`.
+    ///
+    /// # Panics
+    ///
+    /// With a resilience budget attached, panics if the consultation's
+    /// budget runs out — use [`RationalityAuthority::try_consult`] to
+    /// handle [`ConsultError`] instead. Without one this never panics.
+    pub fn consult(&mut self, agent_id: u64, spec: &GameSpec) -> SessionOutcome {
+        match self.try_consult(agent_id, spec) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                panic!("resilient consultation failed ({e}); use try_consult to handle errors")
+            }
         }
     }
 
-    /// Runs one consultation for `agent` about `spec`, under the
-    /// caller-assigned `game_id`.
+    /// [`RationalityAuthority::consult`] with typed failure: the resilient
+    /// protocol (when a [`ResilienceConfig`] is attached) returns
+    /// [`ConsultError::Deadline`] when a stage's budget runs out instead
+    /// of a half-empty outcome. Without a config this never errors: each
+    /// stage makes one attempt, and a starved advice stage is an outcome
+    /// with `advice: None`. The game id is consumed either way.
     ///
     /// With no certificate cache attached (the default) this *is* the full
     /// Fig. 1 protocol. With one attached, the spec's digest is looked up
@@ -433,20 +453,10 @@ impl SessionDriver {
     /// [`CacheMode::Replay`] (a verdict mismatch discards the hit and
     /// falls back to the full protocol). Misses run the protocol and
     /// memoize the result.
-    pub fn run(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> SessionOutcome {
-        match self.try_run(agent, game_id, spec) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("resilient consultation failed ({e}); use try_run to handle errors"),
-        }
-    }
-
-    /// [`SessionDriver::run`] with typed failure: the resilient protocol
-    /// (when a [`ResilienceConfig`] is attached) returns
-    /// [`ConsultError::Deadline`] when a stage's budget runs out instead
-    /// of a half-empty outcome. Without a config this never errors: each
-    /// stage makes one attempt, and a starved advice stage is an outcome
-    /// with `advice: None`.
-    pub fn try_run(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
+    pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
+        let game_id = self.next_game_id;
+        self.next_game_id += 1;
+        let agent = Party::Agent(agent_id);
         let Some(cache) = self.cert_cache.clone() else {
             return self.run_session(agent, game_id, spec);
         };
@@ -546,7 +556,12 @@ impl SessionDriver {
     /// responding majority there is no evidence the silence was the
     /// verifiers' fault rather than the network's.
     fn run_session(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
-        self.ensure_agent(agent);
+        // First contact registers the agent; later consults reuse its
+        // endpoint.
+        let bus = &self.bus;
+        self.endpoints
+            .entry(agent)
+            .or_insert_with(|| bus.register(agent));
         let bytes_before = self.bus.total_bytes();
         let started = self.bus.now();
         let deadline_at = self
@@ -911,7 +926,7 @@ fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
     (session == game_id).then_some((attempt, inner))
 }
 
-/// Per-consult scratch, kept in the driver and cleared at the start of
+/// Per-consult scratch, kept in the authority and cleared at the start of
 /// every consult so steady-state consults allocate no new hash tables:
 /// the responders' dedup sets and memoized answers, plus what the agent
 /// has collected so far.
@@ -953,135 +968,6 @@ impl SessionScratch {
         self.agent_verdicts.clear();
         self.retransmits = 0;
         self.advice_bytes = 0;
-    }
-}
-
-/// The assembled single-bus infrastructure: one [`SessionDriver`] plus
-/// game-id assignment.
-///
-/// # Examples
-///
-/// ```
-/// use ra_authority::{
-///     GameSpec, Inventor, InventorBehavior, RationalityAuthority, VerifierBehavior,
-/// };
-/// use ra_games::named::prisoners_dilemma;
-///
-/// let mut authority = RationalityAuthority::new(
-///     Inventor::new(0, InventorBehavior::Honest),
-///     &[VerifierBehavior::Honest; 3],
-/// );
-/// let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-/// let outcome = authority.consult(0, &spec);
-/// assert!(outcome.adopted);
-/// ```
-pub struct RationalityAuthority {
-    driver: SessionDriver,
-    next_game_id: u64,
-}
-
-impl RationalityAuthority {
-    /// Builds the infrastructure with one inventor, the given verifier
-    /// panel, and a private [`LocalReputation`] backend.
-    pub fn new(
-        inventor: Inventor,
-        verifier_behaviors: &[crate::verifier::VerifierBehavior],
-    ) -> RationalityAuthority {
-        RationalityAuthority {
-            driver: SessionDriver::new(inventor, verifier_behaviors),
-            next_game_id: 1,
-        }
-    }
-
-    /// Builds the infrastructure around an explicit reputation backend
-    /// (how [`crate::ShardedAuthority`] wires every shard to one gossip
-    /// plane).
-    pub fn with_reputation(
-        inventor: Inventor,
-        verifier_behaviors: &[crate::verifier::VerifierBehavior],
-        reputation: Arc<dyn ReputationBackend>,
-    ) -> RationalityAuthority {
-        RationalityAuthority {
-            driver: SessionDriver::with_reputation(inventor, verifier_behaviors, reputation),
-            next_game_id: 1,
-        }
-    }
-
-    /// Attaches a shared certificate cache (see
-    /// [`SessionDriver::set_cert_cache`]).
-    pub fn set_cert_cache(&mut self, cache: Arc<CertCache>) {
-        self.driver.set_cert_cache(cache);
-    }
-
-    /// The attached certificate cache, if any.
-    pub fn cert_cache(&self) -> Option<&Arc<CertCache>> {
-        self.driver.cert_cache()
-    }
-
-    /// The reputation backend consulted by this authority's sessions.
-    pub fn reputation(&self) -> &dyn ReputationBackend {
-        self.driver.reputation()
-    }
-
-    /// Builds the infrastructure over an explicit [`Transport`] (see
-    /// [`SessionDriver::with_transport`]).
-    pub fn with_transport(
-        inventor: Inventor,
-        verifier_behaviors: &[crate::verifier::VerifierBehavior],
-        reputation: Arc<dyn ReputationBackend>,
-        transport: Arc<dyn Transport>,
-    ) -> RationalityAuthority {
-        RationalityAuthority {
-            driver: SessionDriver::with_transport(
-                inventor,
-                verifier_behaviors,
-                reputation,
-                transport,
-            ),
-            next_game_id: 1,
-        }
-    }
-
-    /// The underlying transport (byte accounting, fault injection).
-    pub fn bus(&self) -> &dyn Transport {
-        self.driver.bus()
-    }
-
-    /// Attaches (or with `None` removes) a resilience budget (see
-    /// [`SessionDriver::set_resilience`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config violates its invariants.
-    pub fn set_resilience(&mut self, config: Option<ResilienceConfig>) {
-        self.driver.set_resilience(config);
-    }
-
-    /// The attached resilience budget, if any.
-    pub fn resilience(&self) -> Option<&ResilienceConfig> {
-        self.driver.resilience()
-    }
-
-    /// Runs one full consultation for agent `agent_id` about `spec`.
-    ///
-    /// # Panics
-    ///
-    /// With a resilience budget attached, panics if the consultation's
-    /// budget runs out — use [`RationalityAuthority::try_consult`] to
-    /// handle [`ConsultError`] instead. Without one this never panics.
-    pub fn consult(&mut self, agent_id: u64, spec: &GameSpec) -> SessionOutcome {
-        let game_id = self.next_game_id;
-        self.next_game_id += 1;
-        self.driver.run(Party::Agent(agent_id), game_id, spec)
-    }
-
-    /// [`RationalityAuthority::consult`] with typed failure: resilient
-    /// sessions whose deadline budget starves return
-    /// [`ConsultError::Deadline`]. The game id is consumed either way.
-    pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
-        let game_id = self.next_game_id;
-        self.next_game_id += 1;
-        self.driver.try_run(Party::Agent(agent_id), game_id, spec)
     }
 }
 
@@ -1418,23 +1304,24 @@ mod tests {
 
     #[test]
     fn driver_runs_with_explicit_game_ids() {
-        // The protocol layer on its own: caller-assigned ids, reused
-        // endpoint across consultations.
+        // Consults of one agent reuse its endpoint, each under its own
+        // game id.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        let mut driver = SessionDriver::new(
+        let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
             &[VerifierBehavior::Honest; 3],
         );
         let agent = Party::Agent(7);
-        let first = driver.run(agent, 100, &spec);
-        let second = driver.run(agent, 101, &spec);
+        let first = authority.consult(7, &spec);
+        let second = authority.consult(7, &spec);
         assert!(first.adopted && second.adopted);
         assert_eq!(first.session_bytes, second.session_bytes);
         // Both consultations flowed over the same agent endpoint: the
         // request byte count doubles rather than resetting.
         assert_eq!(
-            driver.bus().bytes_between(agent, Party::Inventor(0)),
-            2 * Message::AdviceRequest { game_id: 100 }.encoded_len()
+            authority.bus().bytes_between(agent, Party::Inventor(0)),
+            Message::AdviceRequest { game_id: 1 }.encoded_len()
+                + Message::AdviceRequest { game_id: 2 }.encoded_len()
         );
     }
 
@@ -1492,7 +1379,7 @@ mod tests {
     #[test]
     fn resilience_off_is_byte_identical_to_legacy() {
         // The legacy protocol must not pay for the feature it didn't ask
-        // for: a driver with no config attached moves exactly the same
+        // for: an authority with no config attached moves exactly the same
         // bytes as before the resilience layer existed.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut a = RationalityAuthority::new(
@@ -1953,7 +1840,10 @@ mod tests {
         assert!(outcome.adopted);
         assert_eq!(outcome.panel, PanelOutcome::Full);
         assert_eq!(outcome.attempts, 0, "RTO above RTT never fires spuriously");
-        assert!(net.now() > 0, "the driver drove the virtual clock forward");
+        assert!(
+            net.now() > 0,
+            "the authority drove the virtual clock forward"
+        );
         assert_eq!(authority.bus().retransmit_bytes(), 0);
     }
 
@@ -2014,5 +1904,58 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(1), "same seeds, same retry trace");
+    }
+
+    #[test]
+    fn extreme_backoff_configs_saturate_instead_of_overflowing() {
+        // A jitter of u64::MAX made the draw's modulus wrap to zero, and a
+        // base next to u64::MAX wrapped when the draw was added.
+        let wide_jitter = BackoffConfig {
+            jitter: u64::MAX,
+            ..BackoffConfig::default()
+        };
+        let huge_base = BackoffConfig {
+            base: u64::MAX - 1,
+            factor: 2,
+            cap: u64::MAX,
+            jitter: 3,
+        };
+        let mut rng = 7;
+        for attempt in 0..8 {
+            assert!(wide_jitter.rto(attempt, &mut rng) >= 4);
+            assert!(huge_base.rto(attempt, &mut rng) >= u64::MAX - 1);
+        }
+        // A config that cannot overflow keeps its exact jitter stream.
+        let (mut ours, mut reference) = (11, 11);
+        for attempt in 0..8 {
+            let expected = (4u64 << attempt).min(256) + rand::splitmix64(&mut reference) % 4;
+            assert_eq!(BackoffConfig::default().rto(attempt, &mut ours), expected);
+        }
+        // End to end, a lossy consult retries under either config.
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        for backoff in [wide_jitter, huge_base] {
+            let net = Arc::new(SimNet::new(SimNetConfig {
+                seed: 5,
+                default_link: LinkProfile {
+                    latency_min: 1,
+                    latency_max: 2,
+                    drop_prob: 0.5,
+                    duplicate_probability: 0.0,
+                },
+                ..SimNetConfig::default()
+            }));
+            let mut authority = resilient_authority(
+                InventorBehavior::Honest,
+                &[VerifierBehavior::Honest; 3],
+                net,
+                ResilienceConfig {
+                    backoff,
+                    ..ResilienceConfig::default()
+                },
+            );
+            for round in 0..4 {
+                let _ = authority.try_consult(round, &spec);
+            }
+        }
     }
 }

@@ -25,9 +25,9 @@
 //! The reputation plane is selected by [`ReputationPolicy`]:
 //! [`ReputationPolicy::Isolated`] keeps the pre-refactor behaviour (one
 //! private [`LocalReputation`] per shard), while
-//! [`ReputationPolicy::Gossip`] and [`ReputationPolicy::Adaptive`] wire
-//! every shard to a [`GossipReputation`] backend over a shared, *bus
-//! carried* [`GossipPlane`]: every epoch merge travels the dedicated
+//! [`ReputationPolicy::Adaptive`] wires every shard to a
+//! [`GossipReputation`] backend over a shared, *bus carried*
+//! [`GossipPlane`]: every epoch merge travels the dedicated
 //! inter-shard bus as framed [`Gossip`](crate::Message::Gossip) sends, so
 //! [`ShardedAuthority::shard_stats`] reports control-plane bytes next to
 //! consultation bytes and Lemma 1 accounting covers its own coordination
@@ -42,8 +42,8 @@
 //! Inside a shard, each consult runs the lock-free hot path documented in
 //! `docs/ARCHITECTURE.md` ("Consult hot path"): frame lengths are
 //! measured in a recycled thread-local scratch, verdict fan-out ships
-//! over [`Bus::send_batch`] in one accounting critical section each way,
-//! and trust checks read one immutable
+//! over [`Transport::send_batch`] in one accounting critical section each
+//! way, and trust checks read one immutable
 //! [`ReputationSnapshot`](crate::ReputationSnapshot) per consult, so a
 //! gossip merge on another shard never contends with a consult in
 //! flight.
@@ -77,8 +77,9 @@ use crate::wire;
 ///
 /// // Fully independent score tables per shard:
 /// let isolated = ReputationPolicy::Isolated;
-/// // Merge every 32 consultations, engine-wide:
-/// let gossip = ReputationPolicy::Gossip { every: 32 };
+/// // Merge every 32 consultations, engine-wide (checking only at the
+/// // epoch boundary, so the burst never decides anything):
+/// let gossip = ReputationPolicy::Adaptive { every: 32, check_every: 32, burst: 1 };
 /// // Same cadence, but check every 8 consultations whether 4+ dissenting
 /// // votes have piled up since the last merge, and if so sync early:
 /// let adaptive = ReputationPolicy::Adaptive { every: 32, check_every: 8, burst: 4 };
@@ -95,18 +96,17 @@ pub enum ReputationPolicy {
     /// [`GossipPlane`]: all shards publish and then pull the merged state
     /// every `every` consultations (engine-wide), so exclusion anywhere
     /// becomes exclusion everywhere within one epoch.
-    Gossip {
-        /// Epoch length in consultations; must be positive.
-        every: usize,
-    },
-    /// Like [`ReputationPolicy::Gossip`], but reactive to misbehaviour:
-    /// at every `check_every` consultations the engine looks at how many
-    /// dissenting votes accumulated since the last merge, and syncs early
-    /// if they reach `burst`. A flood of dissent (a verifier going rogue)
-    /// propagates in roughly `check_every` consultations instead of
-    /// waiting out the full epoch, while quiet traffic pays only the
-    /// `every`-cadence merges. Trigger points are fixed engine-wide
-    /// stream positions, so batch/sequential determinism is preserved.
+    ///
+    /// Between epochs the engine reacts to misbehaviour: at every
+    /// `check_every` consultations it looks at how many dissenting votes
+    /// accumulated since the last merge, and syncs early if they reach
+    /// `burst`. A flood of dissent (a verifier going rogue) propagates in
+    /// roughly `check_every` consultations instead of waiting out the full
+    /// epoch, while quiet traffic pays only the `every`-cadence merges.
+    /// With `check_every == every` every check falls on an epoch boundary,
+    /// so `burst` never decides a sync: plain fixed-cadence gossip.
+    /// Trigger points are fixed engine-wide stream positions, so
+    /// batch/sequential determinism is preserved.
     Adaptive {
         /// Maximum epoch length in consultations; must be positive and a
         /// multiple of `check_every`.
@@ -122,15 +122,10 @@ pub enum ReputationPolicy {
 
 impl ReputationPolicy {
     /// The gossip cadence `(every, check_every, burst)` of this policy,
-    /// or `None` under [`ReputationPolicy::Isolated`]. Plain gossip is
-    /// adaptive gossip that never checks between epochs.
-    fn cadence(self) -> Option<(u64, u64, Option<u64>)> {
+    /// or `None` under [`ReputationPolicy::Isolated`].
+    fn cadence(self) -> Option<(u64, u64, u64)> {
         match self {
             ReputationPolicy::Isolated => None,
-            ReputationPolicy::Gossip { every } => {
-                assert!(every > 0, "gossip epoch must be positive");
-                Some((every as u64, every as u64, None))
-            }
             ReputationPolicy::Adaptive {
                 every,
                 check_every,
@@ -143,7 +138,7 @@ impl ReputationPolicy {
                     "adaptive epoch must be a multiple of the check interval"
                 );
                 assert!(burst > 0, "adaptive dissent burst must be positive");
-                Some((every as u64, check_every as u64, Some(burst)))
+                Some((every as u64, check_every as u64, burst))
             }
         }
     }
@@ -199,8 +194,7 @@ pub struct ShardStats {
     /// Messages attempted on the inter-shard gossip bus.
     pub gossip_messages: usize,
     /// Certificate-cache counters (all zero when the engine was built
-    /// without a cache — see
-    /// [`ShardedAuthority::with_cert_cache`]).
+    /// without a cache — see [`ShardedAuthority::with_transports`]).
     pub cache: CacheStats,
     /// Frame-pool misses observed engine-wide: the calling thread's
     /// thread-local count plus every pool worker's (see
@@ -219,7 +213,7 @@ pub struct ShardStats {
 struct GossipController {
     every: u64,
     check_every: u64,
-    burst: Option<u64>,
+    burst: u64,
     consultations: AtomicU64,
     dissents: AtomicU64,
     plane: Arc<GossipPlane>,
@@ -252,9 +246,7 @@ impl GossipController {
         }
         let crossed_epoch = after / self.every > before / self.every;
         let crossed_check = after / self.check_every > before / self.check_every;
-        let burst_hit = self
-            .burst
-            .is_some_and(|b| self.dissents.load(Ordering::SeqCst) >= b);
+        let burst_hit = self.dissents.load(Ordering::SeqCst) >= self.burst;
         if crossed_epoch || (crossed_check && burst_hit) {
             sync();
             self.dissents.store(0, Ordering::SeqCst);
@@ -292,46 +284,34 @@ impl GossipController {
 /// ```
 ///
 /// With gossip, exclusion propagates engine-wide and the merge traffic is
-/// byte-accounted on a dedicated inter-shard bus:
+/// byte-accounted on a dedicated inter-shard bus. Weighted votes, decay
+/// and the certificate cache are configured at the same call:
 ///
 /// ```
 /// use std::sync::Arc;
 /// use ra_authority::{
-///     GameSpec, InventorBehavior, ReputationPolicy, ShardedAuthority, VerifierBehavior,
+///     Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ReputationDecay,
+///     ReputationPolicy, ShardedAuthority, VerifierBehavior, VoteRule,
 /// };
 /// use ra_games::named::prisoners_dilemma;
 ///
-/// let engine = ShardedAuthority::with_policy(
+/// let engine = ShardedAuthority::with_transports(
 ///     4,
 ///     InventorBehavior::Honest,
 ///     &[VerifierBehavior::Honest; 3],
-///     ReputationPolicy::Gossip { every: 8 },
+///     ReputationConfig {
+///         policy: ReputationPolicy::Adaptive { every: 8, check_every: 8, burst: 1 },
+///         vote_rule: VoteRule::Weighted,
+///         decay: ReputationDecay::HalfLife { retention: 6 },
+///     },
+///     CertCacheConfig::default(),
+///     &|_| Arc::new(Bus::new()),
 /// );
 /// let spec = Arc::new(GameSpec::Strategic(prisoners_dilemma().to_strategic()));
 /// let requests: Vec<(u64, Arc<GameSpec>)> = (0..16).map(|a| (a, Arc::clone(&spec))).collect();
 /// engine.consult_batch(&requests);
 /// let stats = engine.shard_stats();
 /// assert!(stats.gossip_bytes > 0, "epoch merges are real framed sends");
-/// ```
-///
-/// Weighted votes and decay are configured through [`ReputationConfig`]:
-///
-/// ```
-/// use ra_authority::{
-///     InventorBehavior, ReputationConfig, ReputationDecay, ReputationPolicy,
-///     ShardedAuthority, VerifierBehavior, VoteRule,
-/// };
-///
-/// let engine = ShardedAuthority::with_config(
-///     2,
-///     InventorBehavior::Honest,
-///     &[VerifierBehavior::Honest; 3],
-///     ReputationConfig {
-///         policy: ReputationPolicy::Adaptive { every: 32, check_every: 8, burst: 4 },
-///         vote_rule: VoteRule::Weighted,
-///         decay: ReputationDecay::HalfLife { retention: 6 },
-///     },
-/// );
 /// assert_eq!(engine.reputation_config().vote_rule, VoteRule::Weighted);
 /// ```
 pub struct ShardedAuthority {
@@ -339,7 +319,7 @@ pub struct ShardedAuthority {
     config: ReputationConfig,
     gossip: Option<GossipController>,
     /// The shared content-addressed certificate cache, when enabled: one
-    /// instance attached to every shard's driver, so a game solved on one
+    /// instance attached to every shard, so a game solved on one
     /// shard is a hit on all of them.
     cert_cache: Option<Arc<CertCache>>,
     /// The persistent shard-pinned worker pool (see `pool.rs`): threads
@@ -374,78 +354,47 @@ impl ShardedAuthority {
         inventor_behavior: InventorBehavior,
         verifier_behaviors: &[VerifierBehavior],
     ) -> ShardedAuthority {
-        ShardedAuthority::with_config(
+        ShardedAuthority::with_transports(
             shards,
             inventor_behavior,
             verifier_behaviors,
             ReputationConfig::default(),
-        )
-    }
-
-    /// Builds an engine with an explicit [`ReputationPolicy`] (default
-    /// vote rule and no decay).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or the policy parameters are invalid
-    /// (see [`ShardedAuthority::with_config`]).
-    pub fn with_policy(
-        shards: usize,
-        inventor_behavior: InventorBehavior,
-        verifier_behaviors: &[VerifierBehavior],
-        policy: ReputationPolicy,
-    ) -> ShardedAuthority {
-        ShardedAuthority::with_config(shards, inventor_behavior, verifier_behaviors, policy.into())
-    }
-
-    /// Builds an engine with a full [`ReputationConfig`] and no
-    /// certificate cache — consultations always run the full Fig. 1
-    /// protocol, exactly the pre-cache behavior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero; if a gossip epoch, check interval or
-    /// burst is zero; if an adaptive epoch is not a multiple of its check
-    /// interval; or if decay is requested under
-    /// [`ReputationPolicy::Isolated`] (decay generations advance at
-    /// gossip epoch boundaries, which isolated engines do not have).
-    pub fn with_config(
-        shards: usize,
-        inventor_behavior: InventorBehavior,
-        verifier_behaviors: &[VerifierBehavior],
-        config: ReputationConfig,
-    ) -> ShardedAuthority {
-        ShardedAuthority::with_cert_cache(
-            shards,
-            inventor_behavior,
-            verifier_behaviors,
-            config,
             CertCacheConfig::default(),
+            &|_| Arc::new(Bus::new()),
         )
     }
 
-    /// Builds an engine with a full [`ReputationConfig`] *and* a
-    /// certificate-cache configuration. With `cache.enabled` one shared
-    /// [`CertCache`] is attached to every shard, so a game memoized by any
-    /// shard is a digest hit on all of them; disabled (the
-    /// [`CertCacheConfig::default`]) this is exactly
-    /// [`ShardedAuthority::with_config`].
+    /// Builds an engine with a full [`ReputationConfig`] and a
+    /// certificate-cache configuration, where every internal network —
+    /// each shard's session bus and the inter-shard gossip hub — is
+    /// produced by `transport_for`, keyed by [`TransportSite`]. Passing
+    /// `&|_| Arc::new(Bus::new())` gives the perfect in-process network
+    /// of [`ShardedAuthority::new`]; passing [`crate::SimNet`]s puts the
+    /// whole engine, control plane included, under simulated loss,
+    /// latency and partitions.
+    ///
+    /// With `cache.enabled` one shared [`CertCache`] is attached to every
+    /// shard, so a game memoized by any shard is a digest hit on all of
+    /// them; disabled (the [`CertCacheConfig::default`]) consultations
+    /// always run the full Fig. 1 protocol.
     ///
     /// # Examples
     ///
     /// ```
+    /// use std::sync::Arc;
     /// use ra_authority::{
-    ///     CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig,
+    ///     Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig,
     ///     ShardedAuthority, VerifierBehavior,
     /// };
     /// use ra_games::named::prisoners_dilemma;
     ///
-    /// let engine = ShardedAuthority::with_cert_cache(
+    /// let engine = ShardedAuthority::with_transports(
     ///     4,
     ///     InventorBehavior::Honest,
     ///     &[VerifierBehavior::Honest; 3],
     ///     ReputationConfig::default(),
     ///     CertCacheConfig::trust(1024),
+    ///     &|_| Arc::new(Bus::new()),
     /// );
     /// let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
     /// for agent in 0..16u64 {
@@ -458,37 +407,12 @@ impl ShardedAuthority {
     ///
     /// # Panics
     ///
-    /// As [`ShardedAuthority::with_config`], plus if `cache.enabled` with
-    /// zero capacity.
-    pub fn with_cert_cache(
-        shards: usize,
-        inventor_behavior: InventorBehavior,
-        verifier_behaviors: &[VerifierBehavior],
-        config: ReputationConfig,
-        cache: CertCacheConfig,
-    ) -> ShardedAuthority {
-        ShardedAuthority::with_transports(
-            shards,
-            inventor_behavior,
-            verifier_behaviors,
-            config,
-            cache,
-            &|_| Arc::new(Bus::new()),
-        )
-    }
-
-    /// The most general constructor: like
-    /// [`ShardedAuthority::with_cert_cache`], but every internal network —
-    /// each shard's session bus and the inter-shard gossip hub — is
-    /// produced by `transport_for`, keyed by [`TransportSite`]. Passing
-    /// `&|_| Arc::new(Bus::new())` reproduces the default engine exactly;
-    /// passing [`crate::SimNet`]s puts the whole engine, control plane
-    /// included, under simulated loss, latency and partitions.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedAuthority::with_config`], plus if `cache.enabled` with
-    /// zero capacity.
+    /// Panics if `shards` is zero; if a gossip epoch, check interval or
+    /// burst is zero; if an adaptive epoch is not a multiple of its check
+    /// interval; if decay is requested under
+    /// [`ReputationPolicy::Isolated`] (decay generations advance at
+    /// gossip epoch boundaries, which isolated engines do not have); or if
+    /// `cache.enabled` with zero capacity.
     pub fn with_transports(
         shards: usize,
         inventor_behavior: InventorBehavior,
@@ -581,8 +505,7 @@ impl ShardedAuthority {
     }
 
     /// The shared certificate cache, or `None` when the engine was built
-    /// without one (every constructor except
-    /// [`ShardedAuthority::with_cert_cache`] with an enabled config).
+    /// without one (see [`ShardedAuthority::with_transports`]).
     pub fn cert_cache(&self) -> Option<&Arc<CertCache>> {
         self.cert_cache.as_ref()
     }
@@ -919,6 +842,33 @@ mod tests {
     use crate::messages::Party;
     use ra_games::named::{battle_of_the_sexes, prisoners_dilemma};
 
+    /// An engine over perfect buses with no certificate cache.
+    fn bus_engine(
+        shards: usize,
+        inventor: InventorBehavior,
+        panel: &[VerifierBehavior],
+        config: ReputationConfig,
+    ) -> ShardedAuthority {
+        ShardedAuthority::with_transports(
+            shards,
+            inventor,
+            panel,
+            config,
+            CertCacheConfig::default(),
+            &|_| Arc::new(Bus::new()),
+        )
+    }
+
+    /// Fixed-cadence gossip: every check falls on an epoch boundary, so
+    /// the dissent burst never decides a sync.
+    fn gossip(every: usize) -> ReputationPolicy {
+        ReputationPolicy::Adaptive {
+            every,
+            check_every: every,
+            burst: 1,
+        }
+    }
+
     fn mixed_specs() -> Vec<GameSpec> {
         vec![
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
@@ -972,7 +922,7 @@ mod tests {
                 ..SimNetConfig::default()
             }))
         };
-        let config = ReputationConfig::from(ReputationPolicy::Gossip { every: 8 });
+        let config = ReputationConfig::from(gossip(8));
         let build = || {
             let engine = ShardedAuthority::with_transports(
                 4,
@@ -1029,10 +979,8 @@ mod tests {
 
     fn assert_batch_matches_sequential(config: ReputationConfig, n: u64) {
         let requests = batch(n);
-        let batched =
-            ShardedAuthority::with_config(4, InventorBehavior::Honest, &saboteur_panel(), config);
-        let sequential =
-            ShardedAuthority::with_config(4, InventorBehavior::Honest, &saboteur_panel(), config);
+        let batched = bus_engine(4, InventorBehavior::Honest, &saboteur_panel(), config);
+        let sequential = bus_engine(4, InventorBehavior::Honest, &saboteur_panel(), config);
         let batch_outcomes = batched.consult_batch(&requests);
         let seq_outcomes: Vec<SessionOutcome> = requests
             .iter()
@@ -1113,14 +1061,14 @@ mod tests {
     fn gossip_batch_matches_sequential_routed_calls() {
         // Epoch shorter than the batch, so merges happen mid-stream in
         // both executions.
-        assert_batch_matches_sequential(ReputationPolicy::Gossip { every: 16 }.into(), 64);
+        assert_batch_matches_sequential(gossip(16).into(), 64);
     }
 
     #[test]
     fn weighted_gossip_batch_matches_sequential() {
         assert_batch_matches_sequential(
             ReputationConfig {
-                policy: ReputationPolicy::Gossip { every: 16 },
+                policy: gossip(16),
                 vote_rule: VoteRule::Weighted,
                 decay: ReputationDecay::None,
             },
@@ -1134,7 +1082,7 @@ mod tests {
         // prune) mid-stream in both executions.
         assert_batch_matches_sequential(
             ReputationConfig {
-                policy: ReputationPolicy::Gossip { every: 8 },
+                policy: gossip(8),
                 vote_rule: VoteRule::Simple,
                 decay: ReputationDecay::HalfLife { retention: 3 },
             },
@@ -1167,12 +1115,10 @@ mod tests {
     fn assert_split_batches_match_one_sequential_stream(config: ReputationConfig) {
         let requests = batch(64);
         let (first, second) = requests.split_at(24);
-        let batched =
-            ShardedAuthority::with_config(4, InventorBehavior::Honest, &saboteur_panel(), config);
+        let batched = bus_engine(4, InventorBehavior::Honest, &saboteur_panel(), config);
         let mut batch_outcomes = batched.consult_batch(first);
         batch_outcomes.extend(batched.consult_batch(second));
-        let sequential =
-            ShardedAuthority::with_config(4, InventorBehavior::Honest, &saboteur_panel(), config);
+        let sequential = bus_engine(4, InventorBehavior::Honest, &saboteur_panel(), config);
         let seq_outcomes: Vec<SessionOutcome> = requests
             .iter()
             .map(|(agent, spec)| sequential.consult(*agent, spec.as_ref()))
@@ -1194,9 +1140,7 @@ mod tests {
     fn pool_reuse_matches_sequential_under_gossip() {
         // The 24-consultation split lands mid-epoch, so the second batch
         // resumes both the pool workers and the epoch chunking state.
-        assert_split_batches_match_one_sequential_stream(
-            ReputationPolicy::Gossip { every: 16 }.into(),
-        );
+        assert_split_batches_match_one_sequential_stream(gossip(16).into());
     }
 
     #[test]
@@ -1218,11 +1162,11 @@ mod tests {
         // re-syncing ships the (unchanged) push slices but not one byte of
         // pull payload — the hub answers watermarked pulls with nothing,
         // instead of re-framing a snapshot that scales with retained state.
-        let engine = ShardedAuthority::with_policy(
+        let engine = bus_engine(
             4,
             InventorBehavior::Honest,
             &saboteur_panel(),
-            ReputationPolicy::Gossip { every: 16 },
+            ReputationConfig::from(gossip(16)),
         );
         engine.consult_batch(&batch(48));
         // One sync to flush observations recorded after the last epoch
@@ -1253,11 +1197,11 @@ mod tests {
         // A shard that just pulled re-pulls after ONE new observation
         // lands on a peer: the second delta must be far smaller than the
         // first full catch-up, instead of scaling with the total state.
-        let engine = ShardedAuthority::with_policy(
+        let engine = bus_engine(
             4,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest; 3],
-            ReputationPolicy::Gossip { every: 8 },
+            ReputationConfig::from(gossip(8)),
         );
         engine.consult_batch(&batch(64));
         engine.sync_reputation();
@@ -1296,11 +1240,11 @@ mod tests {
         assert_eq!(stats.gossip_messages, 0);
         assert!(isolated.gossip_bus().is_none());
 
-        let gossip = ShardedAuthority::with_policy(
+        let gossip = bus_engine(
             4,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest; 3],
-            ReputationPolicy::Gossip { every: 16 },
+            ReputationConfig::from(gossip(16)),
         );
         gossip.consult_batch(&requests);
         let stats = gossip.shard_stats();
@@ -1321,11 +1265,11 @@ mod tests {
         // Regression for the PR 2 failed-send accounting change: frames
         // dropped on the gossip bus are counted as attempts but excluded
         // from the Lemma 1 `gossip_bytes` figure.
-        let engine = ShardedAuthority::with_policy(
+        let engine = bus_engine(
             2,
             InventorBehavior::Honest,
             &saboteur_panel(),
-            ReputationPolicy::Gossip { every: 4 },
+            ReputationConfig::from(gossip(4)),
         );
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         // One epoch of clean traffic registers every shard endpoint.
@@ -1360,12 +1304,12 @@ mod tests {
         // adaptive engine with the same epoch but a tight burst trigger:
         // the adaptive engine must propagate the exclusion engine-wide in
         // far fewer consultations.
-        let consultations_to_global_exclusion = |policy| {
-            let engine = ShardedAuthority::with_policy(
+        let consultations_to_global_exclusion = |policy: ReputationPolicy| {
+            let engine = bus_engine(
                 4,
                 InventorBehavior::Honest,
                 &saboteur_panel(),
-                policy,
+                ReputationConfig::from(policy),
             );
             let saboteur = Party::Verifier(2);
             let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
@@ -1379,7 +1323,7 @@ mod tests {
             }
             panic!("saboteur never excluded engine-wide");
         };
-        let fixed = consultations_to_global_exclusion(ReputationPolicy::Gossip { every: 128 });
+        let fixed = consultations_to_global_exclusion(gossip(128));
         let adaptive = consultations_to_global_exclusion(ReputationPolicy::Adaptive {
             every: 128,
             check_every: 4,
@@ -1397,12 +1341,12 @@ mod tests {
         // The saboteur is excluded, then behaves like everyone else (it is
         // no longer consulted, so it stops dissenting); after `retention`
         // epochs its old dissents decay away and it is trusted again.
-        let engine = ShardedAuthority::with_config(
+        let engine = bus_engine(
             1,
             InventorBehavior::Honest,
             &saboteur_panel(),
             ReputationConfig {
-                policy: ReputationPolicy::Gossip { every: 8 },
+                policy: gossip(8),
                 vote_rule: VoteRule::Simple,
                 decay: ReputationDecay::HalfLife { retention: 3 },
             },
@@ -1426,11 +1370,11 @@ mod tests {
         }
         // Without decay the exclusion would have been permanent (the
         // saboteur is not consulted, so nothing can raise its score).
-        let permanent = ShardedAuthority::with_policy(
+        let permanent = bus_engine(
             1,
             InventorBehavior::Honest,
             &saboteur_panel(),
-            ReputationPolicy::Gossip { every: 8 },
+            ReputationConfig::from(gossip(8)),
         );
         for a in 0..agent {
             permanent.consult(a, &spec);
@@ -1500,11 +1444,11 @@ mod tests {
         // Saboteur dissents on every shard; under gossip its global score
         // drains by the *sum* of per-shard dissents, and a sync makes the
         // exclusion visible even on shards that saw few dissents.
-        let engine = ShardedAuthority::with_policy(
+        let engine = bus_engine(
             4,
             InventorBehavior::Honest,
             &saboteur_panel(),
-            ReputationPolicy::Gossip { every: 4 },
+            ReputationConfig::from(gossip(4)),
         );
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let saboteur = Party::Verifier(2);
@@ -1536,33 +1480,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "gossip epoch must be positive")]
     fn zero_gossip_epoch_rejected() {
-        ShardedAuthority::with_policy(
+        bus_engine(
             2,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest],
-            ReputationPolicy::Gossip { every: 0 },
+            ReputationConfig::from(gossip(0)),
         );
     }
 
     #[test]
     #[should_panic(expected = "multiple of the check interval")]
     fn misaligned_adaptive_policy_rejected() {
-        ShardedAuthority::with_policy(
+        bus_engine(
             2,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest],
-            ReputationPolicy::Adaptive {
+            ReputationConfig::from(ReputationPolicy::Adaptive {
                 every: 10,
                 check_every: 4,
                 burst: 1,
-            },
+            }),
         );
     }
 
     #[test]
     #[should_panic(expected = "decay requires a gossip policy")]
     fn decay_under_isolated_rejected() {
-        ShardedAuthority::with_config(
+        bus_engine(
             2,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest],
@@ -1583,12 +1527,13 @@ mod tests {
     }
 
     fn cached_engine(cache: CertCacheConfig) -> ShardedAuthority {
-        ShardedAuthority::with_cert_cache(
+        ShardedAuthority::with_transports(
             4,
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest; 3],
             ReputationConfig::default(),
             cache,
+            &|_| Arc::new(Bus::new()),
         )
     }
 
@@ -1651,15 +1596,15 @@ mod tests {
         // outcomes, Lemma 1 byte accounting and batch==sequential
         // determinism exactly as the cacheless constructors produce them.
         let requests = batch(64);
-        let config: ReputationConfig = ReputationPolicy::Gossip { every: 16 }.into();
-        let plain =
-            ShardedAuthority::with_config(4, InventorBehavior::Honest, &saboteur_panel(), config);
-        let disabled = ShardedAuthority::with_cert_cache(
+        let config: ReputationConfig = gossip(16).into();
+        let plain = bus_engine(4, InventorBehavior::Honest, &saboteur_panel(), config);
+        let disabled = ShardedAuthority::with_transports(
             4,
             InventorBehavior::Honest,
             &saboteur_panel(),
             config,
             CertCacheConfig::default(),
+            &|_| Arc::new(Bus::new()),
         );
         assert!(disabled.cert_cache().is_none(), "disabled means no cache");
         let plain_outcomes = plain.consult_batch(&requests);
@@ -1684,12 +1629,13 @@ mod tests {
         // A hit replays the cold session's majority — dissenters included
         // — but no verifier actually voted, so the adaptive gossip dissent
         // counter must not move.
-        let engine = ShardedAuthority::with_cert_cache(
+        let engine = ShardedAuthority::with_transports(
             2,
             InventorBehavior::Honest,
             &saboteur_panel(),
             ReputationConfig::default(),
             CertCacheConfig::trust(64),
+            &|_| Arc::new(Bus::new()),
         );
         let spec = spec_for_tests();
         let cold = engine.consult(0, &spec);

@@ -381,11 +381,6 @@ impl SimNet {
         })
     }
 
-    /// The current virtual time in ticks.
-    pub fn now(&self) -> u64 {
-        self.state.lock().expect("simnet lock poisoned").now
-    }
-
     /// Number of frames sent but not yet delivered.
     pub fn in_flight(&self) -> usize {
         self.state
@@ -442,61 +437,6 @@ impl SimNet {
             .insert((from, to), profile);
     }
 
-    /// Registers a party; returns its receiving endpoint. Re-registering
-    /// replaces the old endpoint (frames already in flight keep the
-    /// channel they captured at send time).
-    pub fn register(&self, party: Party) -> Endpoint {
-        let (tx, rx) = channel();
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .endpoints
-            .insert(party, tx);
-        Endpoint {
-            party,
-            receiver: rx,
-        }
-    }
-
-    /// Removes `party`'s registration (see [`Transport::disconnect`]).
-    pub fn disconnect(&self, party: Party) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .endpoints
-            .remove(&party);
-    }
-
-    /// Sends one message (see [`Transport::send`]): loss, partition and
-    /// latency are decided here, at send time, from the seeded stream.
-    pub fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let mut held = None;
-        let result = self.transmit(&mut state, &mut held, from, to, message);
-        drop(held);
-        result
-    }
-
-    /// Sends a batch (see [`Transport::send_batch`]): one state lock, one
-    /// cached ledger stripe across same-stripe senders — byte-identical
-    /// to N sequential sends, exactly like the bus.
-    pub fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let mut held = None;
-        let mut first_error = Ok(());
-        for (from, to, message) in batch.drain(..) {
-            let result = self.transmit(&mut state, &mut held, from, to, message);
-            if first_error.is_ok() {
-                first_error = result;
-            }
-        }
-        drop(held);
-        first_error
-    }
-
     /// The one send path: decides fate (unknown / blocked / lost /
     /// immediate / in-flight, possibly duplicated), accounts it, and
     /// samples the RNG only when the link actually has loss, jitter or
@@ -512,7 +452,7 @@ impl SimNet {
         let bytes = message.encoded_len();
         let retransmit = message.is_retransmit();
         // Unknown destination short-circuits before any accounting,
-        // mirroring `Bus::send`.
+        // mirroring the bus.
         if state.drop_rules.contains(&(from, to)) || state.partitioned(from, to) {
             self.ledger
                 .account_cached(held, from, to, bytes, false, retransmit);
@@ -579,38 +519,60 @@ impl SimNet {
         }
         Ok(())
     }
-
-    /// Delivers everything in flight (see [`Transport::settle`]): the
-    /// clock jumps to the latest pending delivery time, so per-phase
-    /// virtual elapsed time is the *max* of the fan-out's latencies.
-    pub fn settle(&self) {
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let target = state
-            .pending
-            .iter()
-            .map(|frame| frame.deliver_at)
-            .max()
-            .unwrap_or(state.now)
-            .max(state.now);
-        state.run_until(target);
-    }
 }
 
 impl Transport for SimNet {
+    /// Frames already in flight keep the channel they captured at send
+    /// time, so re-registering does not redirect them.
     fn register(&self, party: Party) -> Endpoint {
-        SimNet::register(self, party)
+        let (tx, rx) = channel();
+        self.state
+            .lock()
+            .expect("simnet lock poisoned")
+            .endpoints
+            .insert(party, tx);
+        Endpoint {
+            party,
+            receiver: rx,
+        }
     }
 
     fn disconnect(&self, party: Party) {
-        SimNet::disconnect(self, party);
+        self.state
+            .lock()
+            .expect("simnet lock poisoned")
+            .endpoints
+            .remove(&party);
     }
 
+    /// Loss, partition and latency are decided here, at send time, from
+    /// the seeded stream.
     fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        SimNet::send(self, from, to, message)
+        let mut state = self.state.lock().expect("simnet lock poisoned");
+        let mut held = None;
+        let result = self.transmit(&mut state, &mut held, from, to, message);
+        drop(held);
+        result
     }
 
+    /// One state lock, one cached ledger stripe across same-stripe
+    /// senders — byte-identical to N sequential sends, exactly like the
+    /// bus.
     fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
-        SimNet::send_batch(self, batch)
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let mut state = self.state.lock().expect("simnet lock poisoned");
+        let mut held = None;
+        let mut first_error = Ok(());
+        for (from, to, message) in batch.drain(..) {
+            let result = self.transmit(&mut state, &mut held, from, to, message);
+            if first_error.is_ok() {
+                first_error = result;
+            }
+        }
+        drop(held);
+        first_error
     }
 
     fn drop_link(&self, from: Party, to: Party) {
@@ -627,8 +589,18 @@ impl Transport for SimNet {
         state.partitions.clear();
     }
 
+    /// The clock jumps to the latest pending delivery time, so per-phase
+    /// virtual elapsed time is the *max* of the fan-out's latencies.
     fn settle(&self) {
-        SimNet::settle(self);
+        let mut state = self.state.lock().expect("simnet lock poisoned");
+        let target = state
+            .pending
+            .iter()
+            .map(|frame| frame.deliver_at)
+            .max()
+            .unwrap_or(state.now)
+            .max(state.now);
+        state.run_until(target);
     }
 
     fn total_bytes(&self) -> usize {
@@ -655,17 +627,13 @@ impl Transport for SimNet {
         self.ledger.retransmit_bytes()
     }
 
-    fn goodput_bytes(&self) -> usize {
-        self.ledger.total_bytes() - self.ledger.retransmit_bytes()
-    }
-
     fn now(&self) -> u64 {
-        SimNet::now(self)
+        self.state.lock().expect("simnet lock poisoned").now
     }
 
     fn advance(&self, ticks: u64) {
-        let target = SimNet::now(self).saturating_add(ticks);
-        SimNet::advance_to(self, target);
+        let target = self.now().saturating_add(ticks);
+        self.advance_to(target);
     }
 }
 

@@ -22,8 +22,8 @@
 //!
 //! The receive side stays concrete: an [`Endpoint`] is a plain mpsc
 //! receiver handed out by `register`, identical across backends, which is
-//! what lets [`crate::SessionDriver`] and the gossip plane drain inboxes
-//! without caring which transport queued the frames. Protocol loops call
+//! what lets [`crate::RationalityAuthority`] and the gossip plane drain
+//! inboxes without caring which transport queued the frames. Protocol loops call
 //! [`Transport::settle`] before every drain; on a `Bus` that costs
 //! nothing, on a `SimNet` it flushes the frames whose delivery time has
 //! come.
@@ -37,7 +37,7 @@ use crate::messages::{Message, Party};
 
 /// Number of ledger stripes. A power of two so the sender-hash maps to a
 /// stripe with a mask; 8 covers the worker parallelism the shard pool
-/// actually runs (one session driver per shard) without oversizing the
+/// actually runs (one authority per shard) without oversizing the
 /// merge that read accessors pay.
 pub(crate) const LEDGER_STRIPES: usize = 8;
 
@@ -102,7 +102,8 @@ impl Endpoint {
     /// Drains all queued messages, appending them to `out`; returns how
     /// many were appended. Receive loops that run per consultation reuse
     /// one buffer across calls instead of allocating a fresh `Vec` per
-    /// drain — the [`crate::SessionDriver`] hot path does exactly that.
+    /// drain — the [`crate::RationalityAuthority`] hot path does exactly
+    /// that.
     pub fn drain_into(&self, out: &mut Vec<(Party, Message)>) -> usize {
         let before = out.len();
         while let Some(m) = self.try_recv() {
@@ -286,11 +287,12 @@ impl Ledger {
 /// The network boundary under the Fig. 1 protocol: registration, byte
 /// accounted sends, fault injection and the Lemma 1 ledger view.
 ///
-/// The engine layers ([`crate::SessionDriver`], [`crate::GossipPlane`],
-/// [`crate::ShardedAuthority`]) are parameterized by `Arc<dyn Transport>`,
-/// so the same protocol, tests and accounting run unchanged over the
-/// synchronous [`Bus`](crate::Bus) or the simulated lossy
-/// [`SimNet`](crate::SimNet).
+/// The engine layers ([`crate::RationalityAuthority`],
+/// [`crate::GossipPlane`], [`crate::ShardedAuthority`]) are parameterized
+/// by `Arc<dyn Transport>`, so the same protocol, tests and accounting run
+/// unchanged over the synchronous [`Bus`](crate::Bus) or the simulated
+/// lossy [`SimNet`](crate::SimNet). Each backend has this one method set:
+/// callers bring the trait into scope (`use ra_authority::Transport`).
 ///
 /// # Contract
 ///
@@ -410,7 +412,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// The backend's virtual clock, in ticks. A synchronous backend has
     /// no clock and reports 0 forever; a [`SimNet`](crate::SimNet)
     /// reports the tick its last `settle`/`advance` reached. Resilient
-    /// session drivers read this to deplete deadline budgets.
+    /// consults read this to deplete deadline budgets.
     fn now(&self) -> u64 {
         0
     }

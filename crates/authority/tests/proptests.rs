@@ -451,7 +451,7 @@ proptest! {
         ),
     ) {
         const REPLICAS: usize = 3;
-        let plane = GossipPlane::over_bus();
+        let plane = GossipPlane::over_transport_with(ReputationDecay::None, Arc::new(Bus::new()));
         let mut locals = vec![DecayingPnCounterMap::new(); REPLICAS];
         let mut seens = vec![VersionVector::new(); REPLICAS];
         // Reference: the plain join of everything ever published, merged

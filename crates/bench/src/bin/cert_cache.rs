@@ -20,12 +20,14 @@
 //! where `DRAWS` is the consultations per pass (default 4096; CI uses a
 //! small value).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ra_authority::{
-    CacheMode, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ShardedAuthority,
-    VerifierBehavior,
+    Bus, CacheMode, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig,
+    ShardedAuthority, VerifierBehavior,
 };
 use ra_bench::{fmt_secs, timed, write_csv, write_json};
 use ra_exact::rat;
@@ -120,18 +122,18 @@ fn main() {
                     capacity: CACHE_CAPACITY,
                     mode,
                 };
-                let baseline = ShardedAuthority::with_config(
+                let baseline = ShardedAuthority::new(
                     SHARDS,
                     InventorBehavior::Honest,
                     &[VerifierBehavior::Honest; 3],
-                    ReputationConfig::default(),
                 );
-                let engine = ShardedAuthority::with_cert_cache(
+                let engine = ShardedAuthority::with_transports(
                     SHARDS,
                     InventorBehavior::Honest,
                     &[VerifierBehavior::Honest; 3],
                     ReputationConfig::default(),
                     cache,
+                    &|_| Arc::new(Bus::new()),
                 );
                 let pass = |engine: &ShardedAuthority, baseline_hits: u64| {
                     let (_, secs) = timed(|| {

@@ -139,7 +139,11 @@ fn run_campaign_cell(loss: f64, consults: u64, cell_seed: u64) -> CampaignCell {
         InventorBehavior::Honest,
         &panel,
         ReputationConfig {
-            policy: ReputationPolicy::Gossip { every: 2 },
+            policy: ReputationPolicy::Adaptive {
+                every: 2,
+                check_every: 2,
+                burst: 1,
+            },
             ..ReputationConfig::default()
         },
         CertCacheConfig::default(),

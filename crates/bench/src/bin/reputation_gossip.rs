@@ -1,7 +1,7 @@
 //! Measures the cost and the payoff of the cross-shard reputation plane:
-//! consultation throughput under `ReputationPolicy::Isolated` vs
-//! `ReputationPolicy::Gossip` vs `ReputationPolicy::Adaptive` at 1/2/4/8
-//! shards, the *control-plane* bytes the gossip merges put on the
+//! consultation throughput under isolated shards vs fixed-cadence gossip
+//! (`ReputationPolicy::Adaptive` with `check_every == every`) vs adaptive
+//! gossip that checks four times per epoch, at 1/2/4/8 shards, the *control-plane* bytes the gossip merges put on the
 //! dedicated inter-shard bus (per consultation — the Lemma 1 accounting
 //! now covers its own coordination traffic), and how many consultations /
 //! how many total wire bytes it takes to exclude a persistently deviant
@@ -9,7 +9,7 @@
 //!
 //! The acceptance bars: gossip throughput ≥ 0.9× isolated at 8 shards
 //! (ISSUE 3 — the epoch merge is amortized off the consult hot path), and
-//! gossip bytes per consultation non-zero under `Gossip`/`Adaptive` but
+//! gossip bytes per consultation non-zero under either gossip policy but
 //! exactly zero under `Isolated` (ISSUE 4 — merges are real framed
 //! sends). Results go to `results/reputation_gossip.csv` and, in the
 //! machine-readable perf-trajectory format,
@@ -22,7 +22,8 @@
 use std::sync::Arc;
 
 use ra_authority::{
-    GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority, VerifierBehavior,
+    Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority,
+    VerifierBehavior,
 };
 use ra_bench::{fmt_secs, timed, write_csv, write_json};
 use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
@@ -49,26 +50,49 @@ fn build_batch(n: u64) -> Vec<(u64, Arc<GameSpec>)> {
         .collect()
 }
 
-fn policy_name(policy: ReputationPolicy) -> &'static str {
-    match policy {
-        ReputationPolicy::Isolated => "isolated",
-        ReputationPolicy::Gossip { .. } => "gossip",
-        ReputationPolicy::Adaptive { .. } => "adaptive",
+/// An engine with an honest inventor over perfect buses and no
+/// certificate cache.
+fn bus_engine(
+    shards: usize,
+    panel: &[VerifierBehavior],
+    policy: ReputationPolicy,
+) -> ShardedAuthority {
+    ShardedAuthority::with_transports(
+        shards,
+        InventorBehavior::Honest,
+        panel,
+        policy.into(),
+        CertCacheConfig::default(),
+        &|_| Arc::new(Bus::new()),
+    )
+}
+
+/// Fixed-cadence gossip: every check falls on an epoch boundary, so the
+/// dissent burst never decides a sync.
+fn gossip(every: usize) -> ReputationPolicy {
+    ReputationPolicy::Adaptive {
+        every,
+        check_every: every,
+        burst: 1,
     }
 }
 
-/// The three policies compared, at epoch `every`: the adaptive variant
-/// checks four times per epoch and syncs early on 4+ dissenting votes.
-fn policies(every: usize) -> [ReputationPolicy; 3] {
+/// The three policies compared, by name, at epoch `every`: the adaptive
+/// variant checks four times per epoch and syncs early on 4+ dissenting
+/// votes.
+fn policies(every: usize) -> [(&'static str, ReputationPolicy); 3] {
     let check_every = if every % 4 == 0 { every / 4 } else { 1 };
     [
-        ReputationPolicy::Isolated,
-        ReputationPolicy::Gossip { every },
-        ReputationPolicy::Adaptive {
-            every,
-            check_every,
-            burst: 4,
-        },
+        ("isolated", ReputationPolicy::Isolated),
+        ("gossip", gossip(every)),
+        (
+            "adaptive",
+            ReputationPolicy::Adaptive {
+                every,
+                check_every,
+                burst: 4,
+            },
+        ),
     ]
 }
 
@@ -84,7 +108,7 @@ fn cost_to_global_exclusion(shards: usize, policy: ReputationPolicy) -> Option<(
         VerifierBehavior::Honest,
         VerifierBehavior::AlwaysReject,
     ];
-    let engine = ShardedAuthority::with_policy(shards, InventorBehavior::Honest, &panel, policy);
+    let engine = bus_engine(shards, &panel, policy);
     let saboteur = Party::Verifier(2);
     let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
     for consultations in 1..=EXCLUSION_CAP {
@@ -133,13 +157,8 @@ fn main() {
     let mut json_entries = Vec::new();
     let mut rates = std::collections::HashMap::new();
     for shards in SHARD_COUNTS {
-        for policy in policies(every) {
-            let engine = ShardedAuthority::with_policy(
-                shards,
-                InventorBehavior::Honest,
-                &[VerifierBehavior::Honest; 3],
-                policy,
-            );
+        for (name, policy) in policies(every) {
+            let engine = bus_engine(shards, &[VerifierBehavior::Honest; 3], policy);
             let (outcomes, secs) = timed(|| engine.consult_batch(&requests));
             assert!(
                 outcomes.iter().all(|o| o.adopted),
@@ -155,7 +174,7 @@ fn main() {
             );
             let gossip_per_consult = stats.gossip_bytes as f64 / batch_size as f64;
             let rate = batch_size as f64 / secs.max(1e-12);
-            rates.insert((shards, policy_name(policy)), rate);
+            rates.insert((shards, name), rate);
             let exclusion = cost_to_global_exclusion(shards, policy);
             let (excl_csv, excl_bytes_csv) =
                 exclusion.map_or((-1, -1), |(n, b)| (n as i64, b as i64));
@@ -165,7 +184,7 @@ fn main() {
             println!(
                 "{:>7} {:>9} {:>12} {:>14.0} {:>13} {:>11.1} {:>16} {:>16}",
                 shards,
-                policy_name(policy),
+                name,
                 fmt_secs(secs),
                 rate,
                 stats.gossip_bytes,
@@ -176,8 +195,7 @@ fn main() {
             rows.push(format!(
                 "{shards},{},{batch_size},{every},{secs:.9},{rate:.3},{},{gossip_per_consult:.3},\
                  {excl_csv},{excl_bytes_csv}",
-                policy_name(policy),
-                stats.gossip_bytes,
+                name, stats.gossip_bytes,
             ));
             json_entries.push(format!(
                 "{{\"shards\":{shards},\"policy\":\"{}\",\"consultations\":{batch_size},\
@@ -185,8 +203,7 @@ fn main() {
                  \"gossip_bytes\":{},\"gossip_bytes_per_consult\":{gossip_per_consult:.3},\
                  \"global_exclusion_after\":{excl_json},\
                  \"bytes_to_global_exclusion\":{excl_bytes_json}}}",
-                policy_name(policy),
-                stats.gossip_bytes,
+                name, stats.gossip_bytes,
             ));
         }
     }
@@ -208,12 +225,7 @@ fn main() {
     let rate_512 = |policy| {
         let mut best: Option<(ShardedAuthority, f64)> = None;
         for _ in 0..BIG_REPEATS {
-            let engine = ShardedAuthority::with_policy(
-                8,
-                InventorBehavior::Honest,
-                &[VerifierBehavior::Honest; 3],
-                policy,
-            );
+            let engine = bus_engine(8, &[VerifierBehavior::Honest; 3], policy);
             let (outcomes, secs) = timed(|| engine.consult_batch(&big_requests));
             assert!(outcomes.iter().all(|o| o.adopted));
             let improved = match &best {
@@ -228,8 +240,7 @@ fn main() {
         (engine, BIG_BATCH as f64 / secs.max(1e-12), secs)
     };
     let (_, isolated_512, iso_secs) = rate_512(ReputationPolicy::Isolated);
-    let (gossip_engine, gossip_512, gos_secs) =
-        rate_512(ReputationPolicy::Gossip { every: BIG_EVERY });
+    let (gossip_engine, gossip_512, gos_secs) = rate_512(gossip(BIG_EVERY));
     let ratio_512 = gossip_512 / isolated_512;
     // Snapshot the batch's own control-plane bytes before the idle-sync
     // experiment below adds its (post-measurement) push frames, so the

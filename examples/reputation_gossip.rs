@@ -6,22 +6,37 @@
 //! come from agents pinned to one shard, so only that shard *observes*
 //! the deviance. Under `ReputationPolicy::Isolated` the saboteur keeps
 //! serving the other three shards indefinitely; under
-//! `ReputationPolicy::Gossip` the shards merge PN-counter deltas at epoch
-//! boundaries — as real framed `Message::Gossip` sends on a dedicated
+//! `ReputationPolicy::Adaptive` with `check_every == every` (fixed-cadence
+//! gossip) the shards merge PN-counter deltas at epoch boundaries — as real framed `Message::Gossip` sends on a dedicated
 //! inter-shard bus, so `shard_stats()` reports the control-plane bytes
 //! next to the consultation bytes — and the saboteur is voted out
 //! engine-wide within one epoch, with no cross-shard lock ever taken on
-//! the consult hot path. `ReputationPolicy::Adaptive` reacts to the
-//! dissent burst and syncs before the epoch is up.
+//! the consult hot path. Checking more often than once per epoch makes the
+//! engine react to the dissent burst and sync before the epoch is up.
 //!
 //! Run with: `cargo run --example reputation_gossip`
 
+use std::sync::Arc;
+
 use rationality_authority::authority::{
-    GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority, VerifierBehavior,
+    Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority,
+    VerifierBehavior,
 };
 use rationality_authority::games::named::prisoners_dilemma;
 
 const EPOCH: usize = 8;
+
+/// A four-shard engine over perfect buses under `policy`.
+fn engine_with(panel: &[VerifierBehavior], policy: ReputationPolicy) -> ShardedAuthority {
+    ShardedAuthority::with_transports(
+        4,
+        InventorBehavior::Honest,
+        panel,
+        policy.into(),
+        CertCacheConfig::default(),
+        &|_| Arc::new(Bus::new()),
+    )
+}
 
 fn trust_row(engine: &ShardedAuthority, saboteur: Party) -> String {
     (0..engine.shard_count())
@@ -45,15 +60,17 @@ fn main() {
     let saboteur = Party::Verifier(2);
     let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
 
-    let engine = ShardedAuthority::with_policy(
-        4,
-        InventorBehavior::Honest,
+    let engine = engine_with(
         &panel,
-        ReputationPolicy::Gossip { every: EPOCH },
+        ReputationPolicy::Adaptive {
+            every: EPOCH,
+            check_every: EPOCH,
+            burst: 1,
+        },
     );
     println!(
         "4 shards, panel = [Honest, Honest, AlwaysReject], \
-         policy = Gossip {{ every: {EPOCH} }}\n"
+         gossip every {EPOCH} consultations\n"
     );
 
     // Agents that all hash to the same home shard: only it sees dissent.
@@ -139,9 +156,7 @@ fn main() {
 
     // An adaptive engine reacts to the dissent burst instead of waiting
     // out the epoch: same cadence ceiling, earlier engine-wide exclusion.
-    let adaptive = ShardedAuthority::with_policy(
-        4,
-        InventorBehavior::Honest,
+    let adaptive = engine_with(
         &panel,
         ReputationPolicy::Adaptive {
             every: 64,

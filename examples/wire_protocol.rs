@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rationality_authority::authority::{run_p2_session, Bus, P2Prover};
+use rationality_authority::authority::{run_p2_session, Bus, P2Prover, Transport};
 use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
 use rationality_authority::solvers::find_one_equilibrium;
 

@@ -76,7 +76,11 @@ fn comparable(mut stats: ShardStats) -> ShardStats {
 
 fn gossip_config(every: usize) -> ReputationConfig {
     ReputationConfig {
-        policy: ReputationPolicy::Gossip { every },
+        policy: ReputationPolicy::Adaptive {
+            every,
+            check_every: every,
+            burst: 1,
+        },
         ..ReputationConfig::default()
     }
 }

@@ -5,12 +5,39 @@
 use std::sync::Arc;
 
 use rationality_authority::authority::{
-    GameSpec, InventorBehavior, Party, ReputationConfig, ReputationDecay, ReputationPolicy,
-    SessionOutcome, ShardStats, ShardedAuthority, VerifierBehavior, VoteRule,
+    Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationConfig, ReputationDecay,
+    ReputationPolicy, SessionOutcome, ShardStats, ShardedAuthority, VerifierBehavior, VoteRule,
 };
 use rationality_authority::exact::rat;
 use rationality_authority::games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
 use rationality_authority::solvers::ParticipationParams;
+
+/// An engine with an honest inventor over perfect buses and no
+/// certificate cache.
+fn bus_engine(
+    shards: usize,
+    panel: &[VerifierBehavior],
+    config: ReputationConfig,
+) -> ShardedAuthority {
+    ShardedAuthority::with_transports(
+        shards,
+        InventorBehavior::Honest,
+        panel,
+        config,
+        CertCacheConfig::default(),
+        &|_| Arc::new(Bus::new()),
+    )
+}
+
+/// Fixed-cadence gossip: every check falls on an epoch boundary, so the
+/// dissent burst never decides a sync.
+fn gossip(every: usize) -> ReputationPolicy {
+    ReputationPolicy::Adaptive {
+        every,
+        check_every: every,
+        burst: 1,
+    }
+}
 
 /// 64 consultations over every case-study family, agents 0..64.
 fn batch_requests() -> Vec<(u64, Arc<GameSpec>)> {
@@ -113,8 +140,8 @@ fn corrupt_inventor_rejected_across_shards() {
 }
 
 /// The acceptance-criteria determinism property under gossip: the same
-/// 64-consultation batch on the same 4 shards, now with
-/// `ReputationPolicy::Gossip` and an epoch shorter than the batch (so
+/// 64-consultation batch on the same 4 shards, now with fixed-cadence
+/// gossip and an epoch shorter than the batch (so
 /// merges land mid-stream), still matches routed sequential consultations
 /// outcome for outcome.
 #[test]
@@ -124,13 +151,13 @@ fn gossip_batch_matches_sequential_on_four_shards() {
         VerifierBehavior::Honest,
         VerifierBehavior::AlwaysReject,
     ];
-    let policy = ReputationPolicy::Gossip { every: 16 };
+    let config = ReputationConfig::from(gossip(16));
     let requests = batch_requests();
 
-    let batched = ShardedAuthority::with_policy(4, InventorBehavior::Honest, &panel, policy);
+    let batched = bus_engine(4, &panel, config);
     let batch_outcomes = batched.consult_batch(&requests);
 
-    let sequential = ShardedAuthority::with_policy(4, InventorBehavior::Honest, &panel, policy);
+    let sequential = bus_engine(4, &panel, config);
     let sequential_outcomes: Vec<SessionOutcome> = requests
         .iter()
         .map(|(agent, spec)| sequential.consult(*agent, spec.as_ref()))
@@ -159,12 +186,7 @@ fn exclusion_propagates_to_all_shards_within_one_epoch() {
         VerifierBehavior::AlwaysReject,
     ];
     let every = 8;
-    let engine = ShardedAuthority::with_policy(
-        4,
-        InventorBehavior::Honest,
-        &panel,
-        ReputationPolicy::Gossip { every },
-    );
+    let engine = bus_engine(4, &panel, gossip(every).into());
     let saboteur = Party::Verifier(2);
     let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
     // Agents all pinned to one home shard, so every dissent lands there.
@@ -258,12 +280,12 @@ fn weighted_decaying_adaptive_batches_match_sequential() {
     ];
     let configs = [
         ReputationConfig {
-            policy: ReputationPolicy::Gossip { every: 16 },
+            policy: gossip(16),
             vote_rule: VoteRule::Weighted,
             decay: ReputationDecay::None,
         },
         ReputationConfig {
-            policy: ReputationPolicy::Gossip { every: 8 },
+            policy: gossip(8),
             vote_rule: VoteRule::Simple,
             decay: ReputationDecay::HalfLife { retention: 3 },
         },
@@ -276,12 +298,30 @@ fn weighted_decaying_adaptive_batches_match_sequential() {
             vote_rule: VoteRule::Weighted,
             decay: ReputationDecay::HalfLife { retention: 4 },
         },
+        // Fixed cadence at both burst extremes: with check_every == every
+        // every check is an epoch boundary, so the burst never decides a
+        // sync and the two runs must agree (asserted after the loop).
+        ReputationConfig {
+            policy: gossip(16),
+            vote_rule: VoteRule::Simple,
+            decay: ReputationDecay::None,
+        },
+        ReputationConfig {
+            policy: ReputationPolicy::Adaptive {
+                every: 16,
+                check_every: 16,
+                burst: u64::MAX,
+            },
+            vote_rule: VoteRule::Simple,
+            decay: ReputationDecay::None,
+        },
     ];
     let requests = batch_requests();
+    let mut runs = Vec::new();
     for config in configs {
-        let batched = ShardedAuthority::with_config(4, InventorBehavior::Honest, &panel, config);
+        let batched = bus_engine(4, &panel, config);
         let batch_outcomes = batched.consult_batch(&requests);
-        let sequential = ShardedAuthority::with_config(4, InventorBehavior::Honest, &panel, config);
+        let sequential = bus_engine(4, &panel, config);
         let sequential_outcomes: Vec<SessionOutcome> = requests
             .iter()
             .map(|(agent, spec)| sequential.consult(*agent, spec.as_ref()))
@@ -300,7 +340,20 @@ fn weighted_decaying_adaptive_batches_match_sequential() {
             comparable(sequential.shard_stats()),
             "{config:?}: execution shape leaked into byte accounting"
         );
+        let trace: Vec<_> = batch_outcomes
+            .iter()
+            .map(|o| (o.adopted, o.majority.clone(), o.session_bytes))
+            .collect();
+        runs.push((trace, comparable(batched.shard_stats())));
     }
+    assert!(
+        runs[4].1.gossip_bytes > 0,
+        "64 consultations cross 4 epochs"
+    );
+    assert_eq!(
+        runs[3], runs[4],
+        "burst decided a sync although every check is an epoch boundary"
+    );
 }
 
 /// The acceptance-criteria accounting property: under a gossip policy the
@@ -311,19 +364,14 @@ fn weighted_decaying_adaptive_batches_match_sequential() {
 fn gossip_merge_traffic_is_byte_accounted() {
     let requests = batch_requests();
     for policy in [
-        ReputationPolicy::Gossip { every: 16 },
+        gossip(16),
         ReputationPolicy::Adaptive {
             every: 16,
             check_every: 4,
             burst: 2,
         },
     ] {
-        let engine = ShardedAuthority::with_policy(
-            4,
-            InventorBehavior::Honest,
-            &[VerifierBehavior::Honest; 3],
-            policy,
-        );
+        let engine = bus_engine(4, &[VerifierBehavior::Honest; 3], policy.into());
         engine.consult_batch(&requests);
         let stats = engine.shard_stats();
         assert!(

@@ -5,7 +5,7 @@
 //! Everything here goes through `rationality_authority::*` paths on
 //! purpose — do not shortcut to the `ra_*` crates.
 
-use rationality_authority::authority::{Bus, Message, Party, Wire};
+use rationality_authority::authority::{Bus, Message, Party, Transport, Wire};
 use rationality_authority::exact::rat;
 use rationality_authority::games::named::prisoners_dilemma;
 use rationality_authority::proofs::{prove_is_nash, PureNashCertificate};
