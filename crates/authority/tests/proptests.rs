@@ -278,7 +278,66 @@ proptest! {
         let mut buf = bytes;
         prop_assert_eq!(Rational::decode(&mut buf).unwrap(), r);
     }
+}
 
+/// A fixed frame for `decoder_is_total`: a numerator whose 20 bytes open
+/// with the two-byte UTF-8 character `é`. Reading decimal text 19 digits
+/// at a time would cut that character at byte 1; the decoder must reject
+/// the frame as malformed instead.
+#[test]
+fn decoder_rejects_a_multibyte_numerator() {
+    let mut frame = vec![0, 20, 0xC3, 0xA9];
+    frame.extend_from_slice(&[b'1'; 18]);
+    frame.extend_from_slice(&[1, b'1']);
+    assert_eq!(frame.len(), 24);
+    let mut buf = WireBytes::from(frame);
+    assert!(matches!(
+        Rational::decode(&mut buf),
+        Err(ra_authority::WireError::Malformed(_))
+    ));
+}
+
+/// The encoder's single-limb shortcut writes exactly the bytes of the
+/// decimal-string path, and the frame decodes back to the value, at the
+/// edges of the machine-word representation.
+#[test]
+fn rational_encoding_matches_the_string_path_at_word_edges() {
+    use ra_exact::BigInt;
+    let edges: Vec<BigInt> = [
+        0i128,
+        1,
+        -1,
+        i64::MAX.into(),
+        i64::MIN.into(),
+        i64::MIN as i128 + 1,
+        i64::MAX as i128 + 1,
+        u64::MAX.into(),
+        -i128::from(u64::MAX),
+        1 << 64,
+        3_037_000_500,
+        i128::MAX,
+        i128::MIN,
+    ]
+    .into_iter()
+    .map(BigInt::from)
+    .chain(["-123456789012345678901234567890123456789".parse().unwrap()])
+    .collect();
+    for num in &edges {
+        for den in edges.iter().filter(|d| !d.is_zero()) {
+            let r = Rational::from_bigints(num.clone(), den.clone());
+            let mut string_path = vec![u8::from(r.is_negative())];
+            r.numer().abs().to_string().encode(&mut string_path);
+            r.denom().to_string().encode(&mut string_path);
+            let bytes = r.to_bytes();
+            assert_eq!(bytes.as_slice(), &string_path[..], "{r}");
+            let mut buf = bytes;
+            assert_eq!(Rational::decode(&mut buf).unwrap(), r);
+            assert!(!buf.has_remaining());
+        }
+    }
+}
+
+proptest! {
     /// Reputation: agreeing with the majority never lowers a score;
     /// disagreeing never raises it; scores move by exactly one per pool.
     #[test]

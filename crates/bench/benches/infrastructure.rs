@@ -229,6 +229,18 @@ fn bench_exact_arith(c: &mut Criterion) {
     group.bench_function("rational_mul", |bench| {
         bench.iter(|| black_box(&x) * black_box(&y))
     });
+    // Single-digit operands, as in the paper-size §4–§6 certificates: the
+    // machine-word path with no allocation.
+    group.bench_function("rational_new/small", |bench| {
+        bench.iter(|| rat(black_box(7), black_box(3)))
+    });
+    let (s, t) = (rat(7, 3), rat(-2, 5));
+    group.bench_function("rational_add/small", |bench| {
+        bench.iter(|| black_box(&s) + black_box(&t))
+    });
+    group.bench_function("rational_mul/small", |bench| {
+        bench.iter(|| black_box(&s) * black_box(&t))
+    });
     // The payoff comparison of every deviation scan: integer payoffs share
     // the denominator 1 and compare by numerator; other pairs cross-multiply.
     let (u, v) = (rat(-734, 1), rat(512, 1));

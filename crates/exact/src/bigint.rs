@@ -4,10 +4,22 @@
 //! may not accept a false claim because of floating-point round-off. All
 //! verifier-side linear algebra therefore runs over exact rationals, which in
 //! turn need unbounded integers. No big-integer crate is available in the
-//! approved dependency set, so this module implements one from scratch:
-//! sign-magnitude representation with little-endian `u64` limbs, schoolbook
-//! multiplication and Knuth Algorithm D division (sufficient for the limb
-//! counts produced by Gaussian elimination on game-sized systems).
+//! approved dependency set, so this module implements one from scratch.
+//!
+//! A value has one of two representations, chosen by its size alone:
+//!
+//! - every value in `i64` range is held inline as one machine word, and
+//!   its arithmetic runs on checked `i64`/`i128` operations with no heap
+//!   allocation;
+//! - every other value is sign-magnitude with little-endian `u64` limbs,
+//!   using schoolbook multiplication and Knuth Algorithm D division
+//!   (sufficient for the limb counts produced by Gaussian elimination on
+//!   game-sized systems).
+//!
+//! The form is canonical: a word operation that overflows promotes its
+//! result to limbs, and a limb result that fits in `i64` is demoted to the
+//! inline form. Both paths are exact integer arithmetic; no floating point
+//! is involved.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -37,8 +49,10 @@ impl Sign {
 
 /// An arbitrary-precision signed integer.
 ///
-/// Invariants: `mag` has no trailing zero limbs, and `sign == Sign::Zero`
-/// if and only if `mag` is empty.
+/// Invariants: a value is stored inline exactly when it fits in `i64`
+/// (zero included). Otherwise it is stored as limbs with a non-zero sign
+/// and no trailing zero limbs. Each value therefore has exactly one
+/// representation, so the derived equality and hash are structural.
 ///
 /// # Examples
 ///
@@ -51,58 +65,89 @@ impl Sign {
 /// assert_eq!(&b % &a, BigInt::from(0));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BigInt {
-    sign: Sign,
-    /// Little-endian base-2^64 limbs; empty iff the value is zero.
-    mag: Vec<u64>,
+pub struct BigInt(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64` range.
+    Inline(i64),
+    /// Every value outside `i64` range: `sign` is `Plus` or `Minus`, and
+    /// `mag` holds little-endian base-2^64 limbs with a non-zero top limb.
+    Limbs { sign: Sign, mag: Vec<u64> },
+}
+
+/// The magnitude `2^63` of `i64::MIN`, which `i64` cannot hold positive.
+const I64_MIN_MAG: u64 = 1 << 63;
+
+/// The value `sign · m` as an `i64`, if it fits.
+fn fit_i64(negative: bool, m: u64) -> Option<i64> {
+    if negative {
+        (m <= I64_MIN_MAG).then_some((m as i64).wrapping_neg())
+    } else {
+        i64::try_from(m).ok()
+    }
 }
 
 impl BigInt {
     /// The integer `0`.
     pub fn zero() -> BigInt {
-        BigInt {
-            sign: Sign::Zero,
-            mag: Vec::new(),
-        }
+        BigInt(Repr::Inline(0))
     }
 
     /// The integer `1`.
     pub fn one() -> BigInt {
-        BigInt {
-            sign: Sign::Plus,
-            mag: vec![1],
-        }
+        BigInt(Repr::Inline(1))
     }
 
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.sign == Sign::Zero
+        matches!(self.0, Repr::Inline(0))
     }
 
     /// Returns `true` if the value is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.sign == Sign::Minus
+        self.sign() == Sign::Minus
     }
 
     /// Returns `true` if the value is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Plus
+        self.sign() == Sign::Plus
     }
 
     /// Returns the sign of the value.
     pub fn sign(&self) -> Sign {
-        self.sign
+        match self.0 {
+            Repr::Inline(v) => match v.cmp(&0) {
+                Ordering::Less => Sign::Minus,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Plus,
+            },
+            Repr::Limbs { sign, .. } => sign,
+        }
     }
 
     /// Returns the absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt {
-            sign: if self.sign == Sign::Zero {
-                Sign::Zero
-            } else {
-                Sign::Plus
-            },
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Inline(v) => BigInt::from(v.unsigned_abs()),
+            Repr::Limbs { mag, .. } => BigInt(Repr::Limbs {
+                sign: Sign::Plus,
+                mag: mag.clone(),
+            }),
+        }
+    }
+
+    /// The sign and the little-endian magnitude limbs (empty for zero).
+    /// An inline value lends its one limb from `buf`, so the limb helpers
+    /// can read either representation without allocating.
+    fn parts<'a>(&'a self, buf: &'a mut [u64; 1]) -> (Sign, &'a [u64]) {
+        match &self.0 {
+            Repr::Inline(0) => (Sign::Zero, &[]),
+            Repr::Inline(v) => {
+                buf[0] = v.unsigned_abs();
+                (self.sign(), &buf[..])
+            }
+            Repr::Limbs { sign, mag } => (*sign, mag),
         }
     }
 
@@ -111,40 +156,71 @@ impl BigInt {
     /// hot paths (e.g. wire encoders) take a machine-word shortcut
     /// without giving up arbitrary precision in the general case.
     pub fn magnitude_u64(&self) -> Option<u64> {
-        match *self.mag.as_slice() {
-            [] => Some(0),
-            [limb] => Some(limb),
-            _ => None,
+        match &self.0 {
+            Repr::Inline(v) => Some(v.unsigned_abs()),
+            Repr::Limbs { mag, .. } => match **mag {
+                [limb] => Some(limb),
+                _ => None,
+            },
         }
     }
 
     /// Number of bits in the magnitude (`0` for zero).
     pub fn bits(&self) -> u64 {
-        match self.mag.last() {
-            None => 0,
-            Some(&hi) => (self.mag.len() as u64 - 1) * 64 + (64 - hi.leading_zeros() as u64),
+        let mut buf = [0];
+        match self.parts(&mut buf).1 {
+            [] => 0,
+            mag @ [.., hi] => (mag.len() as u64 - 1) * 64 + (64 - hi.leading_zeros() as u64),
         }
     }
 
+    /// The canonical value with this sign and magnitude: trailing zero
+    /// limbs are dropped, and a magnitude that fits in `i64` is demoted to
+    /// the inline form.
     fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
         while mag.last() == Some(&0) {
             mag.pop();
+        }
+        if let [m] = *mag {
+            if let Some(v) = fit_i64(sign == Sign::Minus, m) {
+                return BigInt(Repr::Inline(v));
+            }
         }
         if mag.is_empty() {
             BigInt::zero()
         } else {
             debug_assert_ne!(sign, Sign::Zero);
-            BigInt { sign, mag }
+            BigInt(Repr::Limbs { sign, mag })
+        }
+    }
+
+    /// The value `-m` if `negative`, else `m`.
+    pub(crate) fn from_sign_u128(negative: bool, m: u128) -> BigInt {
+        match u64::try_from(m).ok().and_then(|m| fit_i64(negative, m)) {
+            Some(v) => BigInt(Repr::Inline(v)),
+            None => BigInt::from_mag(
+                if negative { Sign::Minus } else { Sign::Plus },
+                vec![m as u64, (m >> 64) as u64],
+            ),
+        }
+    }
+
+    fn from_i128(v: i128) -> BigInt {
+        match i64::try_from(v) {
+            Ok(v) => BigInt(Repr::Inline(v)),
+            Err(_) => BigInt::from_sign_u128(v < 0, v.unsigned_abs()),
         }
     }
 
     /// Converts to `f64`, losing precision for large magnitudes.
     pub fn to_f64(&self) -> f64 {
+        let mut buf = [0];
+        let (sign, mag) = self.parts(&mut buf);
         let mut acc = 0.0_f64;
-        for &limb in self.mag.iter().rev() {
+        for &limb in mag.iter().rev() {
             acc = acc * 1.8446744073709552e19 + limb as f64;
         }
-        if self.sign == Sign::Minus {
+        if sign == Sign::Minus {
             -acc
         } else {
             acc
@@ -152,27 +228,20 @@ impl BigInt {
     }
 
     /// Converts to `i64` if it fits.
+    #[inline]
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => {
-                let v = self.mag[0];
-                match self.sign {
-                    Sign::Plus if v <= i64::MAX as u64 => Some(v as i64),
-                    Sign::Minus if v <= 1 << 63 => Some((v as i128).wrapping_neg() as i64),
-                    _ => None,
-                }
-            }
-            _ => None,
+        match self.0 {
+            Repr::Inline(v) => Some(v),
+            Repr::Limbs { .. } => None,
         }
     }
 
     /// Converts to `u64` if it fits and is non-negative.
     pub fn to_u64(&self) -> Option<u64> {
-        match (self.sign, self.mag.len()) {
-            (Sign::Zero, _) => Some(0),
-            (Sign::Plus, 1) => Some(self.mag[0]),
-            _ => None,
+        if self.is_negative() {
+            None
+        } else {
+            self.magnitude_u64()
         }
     }
 
@@ -182,12 +251,18 @@ impl BigInt {
     pub fn gcd(&self, other: &BigInt) -> BigInt {
         let mut a = self.abs();
         let mut b = other.abs();
-        while !b.is_zero() {
+        loop {
+            // Euclid's remainders shrink, so a wide pair ends on words too.
+            if let (Repr::Inline(x), Repr::Inline(y)) = (&a.0, &b.0) {
+                return BigInt::from(gcd_u64(x.unsigned_abs(), y.unsigned_abs()));
+            }
+            if b.is_zero() {
+                return a;
+            }
             let r = &a % &b;
             a = b;
             b = r.abs();
         }
-        a
     }
 
     /// Raises the value to a non-negative integer power.
@@ -209,19 +284,18 @@ impl BigInt {
     /// Shifts the magnitude left by `bits` (multiplies by 2^bits, keeping sign).
     pub fn shl(&self, bits: u32) -> BigInt {
         if self.is_zero() || bits == 0 {
-            if bits == 0 {
-                return self.clone();
-            }
             return self.clone();
         }
+        let mut buf = [0];
+        let (sign, src) = self.parts(&mut buf);
         let limb_shift = (bits / 64) as usize;
         let bit_shift = bits % 64;
         let mut mag = vec![0u64; limb_shift];
         if bit_shift == 0 {
-            mag.extend_from_slice(&self.mag);
+            mag.extend_from_slice(src);
         } else {
             let mut carry = 0u64;
-            for &limb in &self.mag {
+            for &limb in src {
                 mag.push((limb << bit_shift) | carry);
                 carry = limb >> (64 - bit_shift);
             }
@@ -229,7 +303,7 @@ impl BigInt {
                 mag.push(carry);
             }
         }
-        BigInt::from_mag(self.sign, mag)
+        BigInt::from_mag(sign, mag)
     }
 
     /// Divides by `other`, returning `(quotient, remainder)` with the
@@ -240,21 +314,28 @@ impl BigInt {
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero BigInt");
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.0, &other.0) {
+            // Only `i64::MIN / -1` overflows a word; its quotient is 2^63.
+            return match (a.checked_div(*b), a.checked_rem(*b)) {
+                (Some(q), Some(r)) => (BigInt(Repr::Inline(q)), BigInt(Repr::Inline(r))),
+                _ => (BigInt::from(I64_MIN_MAG), BigInt::zero()),
+            };
+        }
         if self.is_zero() {
             return (BigInt::zero(), BigInt::zero());
         }
-        let (q_mag, r_mag) = mag_div_rem(&self.mag, &other.mag);
-        let q_sign = if q_mag.iter().all(|&l| l == 0) {
-            Sign::Zero
-        } else if self.sign == other.sign {
+        let (mut ab, mut bb) = ([0], [0]);
+        let (a_sign, a_mag) = self.parts(&mut ab);
+        let (b_sign, b_mag) = other.parts(&mut bb);
+        let (q_mag, r_mag) = mag_div_rem(a_mag, b_mag);
+        let q_sign = if a_sign == b_sign {
             Sign::Plus
         } else {
             Sign::Minus
         };
-        let r_sign = self.sign;
         (
             BigInt::from_mag(q_sign, q_mag),
-            BigInt::from_mag(r_sign, r_mag),
+            BigInt::from_mag(a_sign, r_mag),
         )
     }
 }
@@ -265,49 +346,68 @@ impl Default for BigInt {
     }
 }
 
-macro_rules! impl_from_signed {
+macro_rules! impl_from_word {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
             fn from(v: $t) -> BigInt {
-                let vv = v as i128;
-                match vv.cmp(&0) {
-                    Ordering::Equal => BigInt::zero(),
-                    Ordering::Greater => BigInt::from_mag(Sign::Plus, u128_limbs(vv as u128)),
-                    Ordering::Less => {
-                        BigInt::from_mag(Sign::Minus, u128_limbs(vv.unsigned_abs()))
-                    }
-                }
+                BigInt(Repr::Inline(v as i64))
             }
         }
     )*};
 }
 
-macro_rules! impl_from_unsigned {
-    ($($t:ty),*) => {$(
-        impl From<$t> for BigInt {
-            fn from(v: $t) -> BigInt {
-                if v == 0 {
-                    BigInt::zero()
-                } else {
-                    BigInt::from_mag(Sign::Plus, u128_limbs(v as u128))
-                }
-            }
-        }
-    )*};
-}
+impl_from_word!(i8, i16, i32, i64, isize, u8, u16, u32);
 
-impl_from_signed!(i8, i16, i32, i64, i128, isize);
-impl_from_unsigned!(u8, u16, u32, u64, u128, usize);
-
-fn u128_limbs(v: u128) -> Vec<u64> {
-    let lo = v as u64;
-    let hi = (v >> 64) as u64;
-    if hi == 0 {
-        vec![lo]
-    } else {
-        vec![lo, hi]
+impl From<u64> for BigInt {
+    fn from(v: u64) -> BigInt {
+        BigInt::from_sign_u128(false, v.into())
     }
 }
+
+impl From<usize> for BigInt {
+    fn from(v: usize) -> BigInt {
+        BigInt::from(v as u64)
+    }
+}
+
+impl From<i128> for BigInt {
+    fn from(v: i128) -> BigInt {
+        BigInt::from_i128(v)
+    }
+}
+
+impl From<u128> for BigInt {
+    fn from(v: u128) -> BigInt {
+        BigInt::from_sign_u128(false, v)
+    }
+}
+
+// ---- word arithmetic ------------------------------------------------------
+
+macro_rules! binary_gcd {
+    ($($name:ident: $t:ty),*) => {$(
+        /// Stein's binary gcd; `gcd(0, 0)` is `0`.
+        pub(crate) fn $name(mut a: $t, mut b: $t) -> $t {
+            if a == 0 || b == 0 {
+                return a | b;
+            }
+            let shift = (a | b).trailing_zeros();
+            a >>= a.trailing_zeros();
+            loop {
+                b >>= b.trailing_zeros();
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                b -= a;
+                if b == 0 {
+                    return a << shift;
+                }
+            }
+        }
+    )*};
+}
+
+binary_gcd!(gcd_u64: u64, gcd_u128: u128);
 
 // ---- magnitude arithmetic -------------------------------------------------
 
@@ -417,7 +517,6 @@ fn mag_div_rem_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
     }
     (q, rem as u64)
 }
-
 /// Knuth TAOCP vol. 2, Algorithm 4.3.1 D, base 2^64.
 fn knuth_d(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
     let n = b.len();
@@ -523,16 +622,22 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &BigInt) -> Ordering {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.0, &other.0) {
+            return a.cmp(b);
+        }
         let rank = |s: Sign| match s {
             Sign::Minus => 0u8,
             Sign::Zero => 1,
             Sign::Plus => 2,
         };
-        match rank(self.sign).cmp(&rank(other.sign)) {
-            Ordering::Equal => match self.sign {
+        let (mut ab, mut bb) = ([0], [0]);
+        let (a_sign, a_mag) = self.parts(&mut ab);
+        let (b_sign, b_mag) = other.parts(&mut bb);
+        match rank(a_sign).cmp(&rank(b_sign)) {
+            Ordering::Equal => match a_sign {
                 Sign::Zero => Ordering::Equal,
-                Sign::Plus => mag_cmp(&self.mag, &other.mag),
-                Sign::Minus => mag_cmp(&other.mag, &self.mag),
+                Sign::Plus => mag_cmp(a_mag, b_mag),
+                Sign::Minus => mag_cmp(b_mag, a_mag),
             },
             ord => ord,
         }
@@ -542,33 +647,48 @@ impl Ord for BigInt {
 impl Neg for &BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        BigInt {
-            sign: self.sign.flip(),
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Inline(v) => BigInt::from_i128(-(*v as i128)),
+            Repr::Limbs { sign, mag } => BigInt::from_mag(sign.flip(), mag.clone()),
         }
     }
 }
 
 impl Neg for BigInt {
     type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        self.sign = self.sign.flip();
-        self
+    fn neg(self) -> BigInt {
+        match self.0 {
+            Repr::Inline(v) => BigInt::from_i128(-(v as i128)),
+            // `from_mag` demotes `-(2^63)` to the inline `i64::MIN`.
+            Repr::Limbs { sign, mag } => BigInt::from_mag(sign.flip(), mag),
+        }
+    }
+}
+
+/// `x + y`, or `x - y` when `negate_y`, on the limb representation.
+fn add_limbs(x: &BigInt, y: &BigInt, negate_y: bool) -> BigInt {
+    let (mut xb, mut yb) = ([0], [0]);
+    let (x_sign, x_mag) = x.parts(&mut xb);
+    let (y_sign, y_mag) = y.parts(&mut yb);
+    let y_sign = if negate_y { y_sign.flip() } else { y_sign };
+    match (x_sign, y_sign) {
+        (Sign::Zero, _) => BigInt::from_mag(y_sign, y_mag.to_vec()),
+        (_, Sign::Zero) => BigInt::from_mag(x_sign, x_mag.to_vec()),
+        (a, b) if a == b => BigInt::from_mag(a, mag_add(x_mag, y_mag)),
+        _ => match mag_cmp(x_mag, y_mag) {
+            Ordering::Equal => BigInt::zero(),
+            Ordering::Greater => BigInt::from_mag(x_sign, mag_sub(x_mag, y_mag)),
+            Ordering::Less => BigInt::from_mag(y_sign, mag_sub(y_mag, x_mag)),
+        },
     }
 }
 
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        match (self.sign, rhs.sign) {
-            (Sign::Zero, _) => rhs.clone(),
-            (_, Sign::Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_mag(a, mag_add(&self.mag, &rhs.mag)),
-            _ => match mag_cmp(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => BigInt::from_mag(self.sign, mag_sub(&self.mag, &rhs.mag)),
-                Ordering::Less => BigInt::from_mag(rhs.sign, mag_sub(&rhs.mag, &self.mag)),
-            },
+        match (&self.0, &rhs.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => BigInt::from_i128(*a as i128 + *b as i128),
+            _ => add_limbs(self, rhs, false),
         }
     }
 }
@@ -576,19 +696,29 @@ impl Add for &BigInt {
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs)
+        match (&self.0, &rhs.0) {
+            (Repr::Inline(a), Repr::Inline(b)) => BigInt::from_i128(*a as i128 - *b as i128),
+            _ => add_limbs(self, rhs, true),
+        }
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
     fn mul(self, rhs: &BigInt) -> BigInt {
-        let sign = match (self.sign, rhs.sign) {
+        if let (Repr::Inline(a), Repr::Inline(b)) = (&self.0, &rhs.0) {
+            // |a·b| <= 2^126, so the wide product cannot overflow.
+            return BigInt::from_i128(*a as i128 * *b as i128);
+        }
+        let (mut ab, mut bb) = ([0], [0]);
+        let (a_sign, a_mag) = self.parts(&mut ab);
+        let (b_sign, b_mag) = rhs.parts(&mut bb);
+        let sign = match (a_sign, b_sign) {
             (Sign::Zero, _) | (_, Sign::Zero) => return BigInt::zero(),
             (a, b) if a == b => Sign::Plus,
             _ => Sign::Minus,
         };
-        BigInt::from_mag(sign, mag_mul(&self.mag, &rhs.mag))
+        BigInt::from_mag(sign, mag_mul(a_mag, b_mag))
     }
 }
 
@@ -651,27 +781,66 @@ impl MulAssign<&BigInt> for BigInt {
 
 // ---- formatting and parsing -------------------------------------------------
 
+/// `10^19`, the largest power of ten in a `u64`: decimal text is
+/// converted to and from limbs 19 digits at a time.
+const TEN_POW_19: u64 = 10_000_000_000_000_000_000;
+
+/// Decimal digits of a magnitude (`"0"` when empty).
+fn mag_to_decimal(mag: &[u64]) -> String {
+    if mag.is_empty() {
+        return "0".to_owned();
+    }
+    let mut digits = Vec::new();
+    let mut mag = mag.to_vec();
+    while !mag.is_empty() {
+        let (q, r) = mag_div_rem_limb(&mag, TEN_POW_19);
+        if q.is_empty() {
+            digits.push(format!("{r}"));
+        } else {
+            digits.push(format!("{r:019}"));
+        }
+        mag = q;
+    }
+    digits.into_iter().rev().collect()
+}
+
+/// The magnitude spelled by ASCII decimal `digits` (validated by the
+/// caller), read in chunks of at most 19 digits, first chunk shortest.
+fn decimal_to_mag(digits: &[u8]) -> Vec<u64> {
+    let head = digits.len() % 19;
+    let chunks = std::iter::once(&digits[..head])
+        .filter(|c| !c.is_empty())
+        .chain(digits[head..].chunks(19));
+    let mut mag = Vec::new();
+    for chunk in chunks {
+        let scale = 10u64.pow(chunk.len() as u32);
+        mag = mag_add(&mag_mul(&mag, &[scale]), &[decimal_u64(chunk)]);
+    }
+    while mag.last() == Some(&0) {
+        mag.pop();
+    }
+    mag
+}
+
+/// The value of at most 19 validated ASCII decimal digits.
+fn decimal_u64(digits: &[u8]) -> u64 {
+    digits
+        .iter()
+        .fold(0, |acc, &d| acc * 10 + u64::from(d - b'0'))
+}
+
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
-        let mut digits = Vec::new();
-        let mut mag = self.mag.clone();
-        while !mag.is_empty() {
-            let (q, r) = mag_div_rem_limb(&mag, 10_000_000_000_000_000_000);
-            if q.is_empty() {
-                digits.push(format!("{r}"));
-            } else {
-                digits.push(format!("{r:019}"));
+        match &self.0 {
+            Repr::Inline(v) => write!(f, "{v}"),
+            Repr::Limbs { sign, mag } => {
+                let body = mag_to_decimal(mag);
+                if *sign == Sign::Minus {
+                    write!(f, "-{body}")
+                } else {
+                    f.write_str(&body)
+                }
             }
-            mag = q;
-        }
-        let body: String = digits.into_iter().rev().collect();
-        if self.sign == Sign::Minus {
-            write!(f, "-{body}")
-        } else {
-            f.write_str(&body)
         }
     }
 }
@@ -710,42 +879,25 @@ impl FromStr for BigInt {
                 message: "empty integer literal",
             });
         }
-        let mut acc = BigInt::zero();
-        let ten_pow = BigInt::from(10_000_000_000_000_000_000_u64);
-        for chunk in chunks_of_19(body) {
-            if !chunk.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(ParseExactError {
-                    message: "invalid digit in integer literal",
-                });
-            }
-            let v: u64 = chunk.parse().map_err(|_| ParseExactError {
+        // Every byte is checked before any slicing: untrusted wire text may
+        // hold multi-byte characters, and a cut inside one would panic.
+        let digits = body.as_bytes();
+        if !digits.iter().all(u8::is_ascii_digit) {
+            return Err(ParseExactError {
                 message: "invalid digit in integer literal",
-            })?;
-            let scale = BigInt::from(10u64).pow(chunk.len() as u32);
-            acc = if chunk.len() == 19 {
-                &acc * &ten_pow
-            } else {
-                &acc * &scale
-            };
-            acc = &acc + &BigInt::from(v);
+            });
         }
-        Ok(if neg { -acc } else { acc })
+        Ok(if digits.len() <= 19 {
+            BigInt::from_sign_u128(neg, decimal_u64(digits).into())
+        } else {
+            let sign = if neg { Sign::Minus } else { Sign::Plus };
+            BigInt::from_mag(sign, decimal_to_mag(digits))
+        })
     }
 }
 
-/// Splits decimal text into chunks of at most 19 digits, first chunk shortest.
-fn chunks_of_19(s: &str) -> impl Iterator<Item = &str> {
-    let first = s.len() % 19;
-    let head = if first == 0 { None } else { Some(&s[..first]) };
-    head.into_iter()
-        .chain(s.as_bytes()[first..].chunks(19).map(|c| {
-            // SAFETY-free: input was validated as ASCII digits by the caller loop.
-            std::str::from_utf8(c).unwrap_or("")
-        }))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn bi(v: i128) -> BigInt {
@@ -900,5 +1052,291 @@ mod tests {
         // is the Display string.
         let v: BigInt = "-123456789012345678901234567890".parse().unwrap();
         assert_eq!(v.to_string().parse::<BigInt>().unwrap(), v);
+    }
+
+    #[test]
+    fn fits_in_the_old_limb_vector_footprint() {
+        assert!(std::mem::size_of::<BigInt>() <= 32);
+    }
+
+    #[test]
+    fn parse_rejects_multibyte_text_without_panicking() {
+        // 20 bytes: a 2-byte character then 18 digits. Chunking by byte
+        // before validation would cut the character at index 1.
+        let text = format!("\u{e9}{}", "1".repeat(18));
+        assert_eq!(text.len(), 20);
+        assert!(text.parse::<BigInt>().is_err());
+        assert!(format!("-{text}").parse::<BigInt>().is_err());
+        assert!(format!("{}\u{e9}", "1".repeat(30))
+            .parse::<BigInt>()
+            .is_err());
+    }
+
+    #[test]
+    fn word_edges_promote_and_demote() {
+        let min = bi(i64::MIN as i128);
+        assert!(matches!(min.0, Repr::Inline(i64::MIN)));
+        // 2^63 does not fit in `i64`: negating or taking |i64::MIN| promotes.
+        for wide in [-&min, -min.clone(), min.abs(), &min / &bi(-1)] {
+            assert!(matches!(&wide.0, Repr::Limbs { sign: Sign::Plus, mag } if **mag == [1 << 63]));
+            assert_eq!(wide.to_string(), "9223372036854775808");
+            // ...and negating it back demotes to the inline `i64::MIN`.
+            assert_eq!(-wide, min);
+        }
+        assert_eq!(min.div_rem(&bi(-1)).1, BigInt::zero());
+        // Single-limb magnitudes above `i64::MAX` stay limbs, and the wire
+        // encoder's one-limb shortcut still sees them.
+        for v in [i64::MAX as i128 + 1, u64::MAX as i128, -(u64::MAX as i128)] {
+            assert!(matches!(bi(v).0, Repr::Limbs { .. }), "{v}");
+            assert_eq!(bi(v).magnitude_u64(), Some(v.unsigned_abs() as u64));
+        }
+        assert_eq!(bi(-(1 << 63) - 1).to_i64(), None);
+        // Products across 2^63 promote; dividing back demotes.
+        let root = bi(3_037_000_500); // ceil(sqrt(2^63))
+        let square = &root * &root;
+        assert!(matches!(square.0, Repr::Limbs { .. }));
+        assert!(matches!((&square / &root).0, Repr::Inline(3_037_000_500)));
+        assert!(matches!(
+            (&bi(3_037_000_499) * &bi(3_037_000_499)).0,
+            Repr::Inline(_)
+        ));
+        assert!(matches!(
+            (&bi(i64::MAX as i128) - &bi(-1)).0,
+            Repr::Limbs { .. }
+        ));
+        assert!(matches!(
+            (&bi(i64::MAX as i128 + 1) - &BigInt::one()).0,
+            Repr::Inline(i64::MAX)
+        ));
+        assert_eq!("-9223372036854775808".parse::<BigInt>(), Ok(min));
+        assert_eq!(bi(u64::MAX as i128).to_u64(), Some(u64::MAX));
+    }
+
+    /// A reference integer computed by the limb helpers alone, so it never
+    /// touches the inline path it is compared against.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub(crate) struct LimbRef {
+        pub(crate) sign: Sign,
+        mag: Vec<u64>,
+    }
+
+    impl LimbRef {
+        pub(crate) fn new(sign: Sign, mut mag: Vec<u64>) -> LimbRef {
+            while mag.last() == Some(&0) {
+                mag.pop();
+            }
+            let sign = if mag.is_empty() { Sign::Zero } else { sign };
+            LimbRef { sign, mag }
+        }
+
+        pub(crate) fn from_i128(v: i128) -> LimbRef {
+            let m = v.unsigned_abs();
+            let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
+            LimbRef::new(sign, vec![m as u64, (m >> 64) as u64])
+        }
+
+        /// Reads the sign and limbs of `v`, whichever form holds it.
+        pub(crate) fn of(v: &BigInt) -> LimbRef {
+            let mut buf = [0];
+            let (sign, mag) = v.parts(&mut buf);
+            LimbRef::new(sign, mag.to_vec())
+        }
+
+        pub(crate) fn to_bigint(&self) -> BigInt {
+            BigInt::from_mag(self.sign, self.mag.clone())
+        }
+
+        pub(crate) fn is_zero(&self) -> bool {
+            self.sign == Sign::Zero
+        }
+
+        pub(crate) fn neg(&self) -> LimbRef {
+            LimbRef::new(self.sign.flip(), self.mag.clone())
+        }
+
+        pub(crate) fn abs(&self) -> LimbRef {
+            LimbRef::new(Sign::Plus, self.mag.clone())
+        }
+
+        pub(crate) fn add(&self, o: &LimbRef) -> LimbRef {
+            match (self.sign, o.sign) {
+                (Sign::Zero, _) => o.clone(),
+                (_, Sign::Zero) => self.clone(),
+                (a, b) if a == b => LimbRef::new(a, mag_add(&self.mag, &o.mag)),
+                _ => match mag_cmp(&self.mag, &o.mag) {
+                    Ordering::Less => LimbRef::new(o.sign, mag_sub(&o.mag, &self.mag)),
+                    _ => LimbRef::new(self.sign, mag_sub(&self.mag, &o.mag)),
+                },
+            }
+        }
+
+        pub(crate) fn sub(&self, o: &LimbRef) -> LimbRef {
+            self.add(&o.neg())
+        }
+
+        pub(crate) fn mul(&self, o: &LimbRef) -> LimbRef {
+            let sign = if self.sign == o.sign {
+                Sign::Plus
+            } else {
+                Sign::Minus
+            };
+            LimbRef::new(sign, mag_mul(&self.mag, &o.mag))
+        }
+
+        /// Truncated division, like `i64`.
+        pub(crate) fn div_rem(&self, o: &LimbRef) -> (LimbRef, LimbRef) {
+            let (q, r) = mag_div_rem(&self.mag, &o.mag);
+            let q_sign = if self.sign == o.sign {
+                Sign::Plus
+            } else {
+                Sign::Minus
+            };
+            (LimbRef::new(q_sign, q), LimbRef::new(self.sign, r))
+        }
+
+        pub(crate) fn cmp(&self, o: &LimbRef) -> Ordering {
+            match self.sub(o).sign {
+                Sign::Minus => Ordering::Less,
+                Sign::Zero => Ordering::Equal,
+                Sign::Plus => Ordering::Greater,
+            }
+        }
+
+        pub(crate) fn gcd(&self, o: &LimbRef) -> LimbRef {
+            let (mut a, mut b) = (self.abs(), o.abs());
+            while !b.is_zero() {
+                let r = a.div_rem(&b).1.abs();
+                a = b;
+                b = r;
+            }
+            a
+        }
+
+        pub(crate) fn pow(&self, exp: u32) -> LimbRef {
+            (0..exp).fold(LimbRef::from_i128(1), |acc, _| acc.mul(self))
+        }
+
+        pub(crate) fn to_decimal(&self) -> String {
+            let minus = if self.sign == Sign::Minus { "-" } else { "" };
+            format!("{minus}{}", mag_to_decimal(&self.mag))
+        }
+    }
+
+    /// `true` when `v` is in canonical form: inline exactly when it fits
+    /// in `i64`.
+    pub(crate) fn is_canonical(v: &BigInt) -> bool {
+        match &v.0 {
+            Repr::Inline(_) => true,
+            Repr::Limbs { sign, mag } => {
+                *sign != Sign::Zero
+                    && mag.last().is_some_and(|&top| top != 0)
+                    && !matches!(**mag, [m] if fit_i64(*sign == Sign::Minus, m).is_some())
+            }
+        }
+    }
+
+    /// Values at the edges of the inline form: zero, units, the `i64` and
+    /// `u64` bounds and their neighbours, and square roots of 2^63 and
+    /// 2^64, whose products and sums cross a word.
+    pub(crate) const EDGES: [i128; 24] = [
+        0,
+        1,
+        -1,
+        2,
+        -2,
+        i64::MAX as i128,
+        i64::MAX as i128 - 1,
+        i64::MIN as i128,
+        i64::MIN as i128 + 1,
+        i64::MAX as i128 + 1,
+        i64::MIN as i128 - 1,
+        u64::MAX as i128,
+        -(u64::MAX as i128),
+        1 << 64,
+        -(1 << 64),
+        3_037_000_499,
+        3_037_000_500,
+        -3_037_000_500,
+        1 << 32,
+        -(1 << 32),
+        (1 << 62) + 1,
+        -(1 << 62),
+        i128::MAX,
+        i128::MIN,
+    ];
+
+    pub(crate) fn operand() -> impl proptest::strategy::Strategy<Value = LimbRef> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (0..EDGES.len(), -2i128..=2)
+                .prop_map(|(i, d)| LimbRef::from_i128(EDGES[i].saturating_add(d))),
+            (-64i128..=64).prop_map(LimbRef::from_i128),
+            any::<i64>().prop_map(|v| LimbRef::from_i128(v.into())),
+            any::<i128>().prop_map(LimbRef::from_i128),
+            (any::<bool>(), any::<u64>(), any::<u64>(), 1..=u64::MAX).prop_map(|(neg, a, b, c)| {
+                let sign = if neg { Sign::Minus } else { Sign::Plus };
+                LimbRef::new(sign, vec![a, b, c])
+            }),
+        ]
+    }
+
+    /// Every integer operation on `x` and `y` agrees with the limb path,
+    /// and every result is canonical.
+    fn assert_ops_agree(x: &LimbRef, y: &LimbRef) {
+        let (a, b) = (x.to_bigint(), y.to_bigint());
+        assert!(is_canonical(&a) && is_canonical(&b), "{x:?} {y:?}");
+        let agree = |got: BigInt, want: LimbRef, op: &str| {
+            assert!(is_canonical(&got), "{op} {x:?} {y:?}: {got:?}");
+            assert_eq!(LimbRef::of(&got), want, "{op} {x:?} {y:?}");
+        };
+        agree(&a + &b, x.add(y), "add");
+        agree(&a - &b, x.sub(y), "sub");
+        agree(&a * &b, x.mul(y), "mul");
+        agree(-&a, x.neg(), "neg");
+        agree(-a.clone(), x.neg(), "neg by value");
+        agree(a.abs(), x.abs(), "abs");
+        agree(a.gcd(&b), x.gcd(y), "gcd");
+        assert_eq!(a.cmp(&b), x.cmp(y), "cmp {x:?} {y:?}");
+        if !y.is_zero() {
+            let (q, r) = a.div_rem(&b);
+            let (want_q, want_r) = x.div_rem(y);
+            agree(q, want_q, "quotient");
+            agree(r, want_r, "remainder");
+        }
+    }
+
+    #[test]
+    fn every_pair_of_word_edges_matches_the_limb_path() {
+        for &x in &EDGES {
+            for &y in &EDGES {
+                assert_ops_agree(&LimbRef::from_i128(x), &LimbRef::from_i128(y));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arithmetic_matches_the_limb_path(x in operand(), y in operand()) {
+            assert_ops_agree(&x, &y);
+        }
+
+        #[test]
+        fn text_and_powers_match_the_limb_path(x in operand(), exp in 0u32..4) {
+            let a = x.to_bigint();
+            let text = x.to_decimal();
+            proptest::prop_assert_eq!(a.to_string(), text.clone());
+            let minus = if x.sign == Sign::Minus { "-" } else { "" };
+            let digits = mag_to_decimal(&x.mag);
+            let want = LimbRef::new(x.sign, decimal_to_mag(digits.as_bytes()));
+            // Leading zeros push a short literal through the chunked reader.
+            for literal in [text, format!("{minus}{digits:0>40}")] {
+                let parsed: BigInt = literal.parse().unwrap();
+                proptest::prop_assert!(is_canonical(&parsed));
+                proptest::prop_assert_eq!(LimbRef::of(&parsed), want.clone());
+            }
+            let power = a.pow(exp);
+            proptest::prop_assert!(is_canonical(&power));
+            proptest::prop_assert_eq!(LimbRef::of(&power), x.pow(exp));
+        }
     }
 }

@@ -5,13 +5,19 @@
 //! represented exactly, so a certificate check never accepts a false claim
 //! due to rounding. Values are kept normalized (reduced, positive
 //! denominator), making equality structural.
+//!
+//! When both parts of every operand fit in a machine word (the usual case
+//! for payoffs and paper-size certificates), arithmetic and comparison run
+//! on `i128` cross products reduced by a binary gcd, with no allocation.
+//! Wider operands take the arbitrary-precision [`BigInt`] path. Both paths
+//! are exact; no floating point is involved.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::str::FromStr;
 
-use crate::bigint::{BigInt, ParseExactError, Sign};
+use crate::bigint::{gcd_u128, gcd_u64, BigInt, ParseExactError, Sign};
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(num, den) = 1`.
 ///
@@ -48,6 +54,9 @@ impl Rational {
     /// Panics if `den` is zero.
     pub fn from_bigints(num: BigInt, den: BigInt) -> Rational {
         assert!(!den.is_zero(), "rational with zero denominator");
+        if let (Some(n), Some(d)) = (num.to_i64(), den.to_i64()) {
+            return Rational::reduce_wide(n.into(), d.into());
+        }
         if num.is_zero() {
             return Rational {
                 num: BigInt::zero(),
@@ -62,6 +71,34 @@ impl Rational {
             den = -den;
         }
         Rational { num, den }
+    }
+
+    /// `n / d` in lowest terms, for `d != 0` and operands widened from
+    /// machine words: the gcd runs on `u64` when both magnitudes fit.
+    fn reduce_wide(n: i128, d: i128) -> Rational {
+        let negative = (n < 0) != (d < 0);
+        let (n, d) = (n.unsigned_abs(), d.unsigned_abs());
+        let (n, d) = match (u64::try_from(n), u64::try_from(d)) {
+            (_, Ok(1)) => (n, 1),
+            (Ok(n), Ok(d)) => {
+                let g = gcd_u64(n, d);
+                (u128::from(n / g), u128::from(d / g))
+            }
+            _ => {
+                let g = gcd_u128(n, d);
+                (n / g, d / g)
+            }
+        };
+        Rational {
+            num: BigInt::from_sign_u128(negative, n),
+            den: BigInt::from_sign_u128(false, d),
+        }
+    }
+
+    /// Numerator and denominator as machine words, when both are inline.
+    #[inline]
+    fn words(&self) -> Option<(i128, i128)> {
+        Some((self.num.to_i64()?.into(), self.den.to_i64()?.into()))
     }
 
     /// The rational `0`.
@@ -150,13 +187,12 @@ impl Rational {
     ///
     /// Panics if the value is zero and `exp < 0`.
     pub fn pow(&self, exp: i32) -> Rational {
-        if exp >= 0 {
-            Rational {
-                num: self.num.pow(exp as u32),
-                den: self.den.pow(exp as u32),
-            }
-        } else {
-            self.recip().pow(-exp)
+        // `unsigned_abs` keeps `i32::MIN` (whose negation overflows) exact.
+        let base = if exp < 0 { self.recip() } else { self.clone() };
+        let exp = exp.unsigned_abs();
+        Rational {
+            num: base.num.pow(exp),
+            den: base.den.pow(exp),
         }
     }
 
@@ -283,6 +319,9 @@ impl From<BigInt> for Rational {
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Rational::reduce_wide(a * d + c * b, b * d);
+        }
         Rational::from_bigints(
             &(&self.num * &rhs.den) + &(&rhs.num * &self.den),
             &self.den * &rhs.den,
@@ -293,6 +332,9 @@ impl Add for &Rational {
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Rational::reduce_wide(a * d - c * b, b * d);
+        }
         Rational::from_bigints(
             &(&self.num * &rhs.den) - &(&rhs.num * &self.den),
             &self.den * &rhs.den,
@@ -303,6 +345,9 @@ impl Sub for &Rational {
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, rhs: &Rational) -> Rational {
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Rational::reduce_wide(a * c, b * d);
+        }
         Rational::from_bigints(&self.num * &rhs.num, &self.den * &rhs.den)
     }
 }
@@ -311,6 +356,9 @@ impl Div for &Rational {
     type Output = Rational;
     fn div(self, rhs: &Rational) -> Rational {
         assert!(!rhs.is_zero(), "division by zero Rational");
+        if let (Some((a, b)), Some((c, d))) = (self.words(), rhs.words()) {
+            return Rational::reduce_wide(a * d, b * c);
+        }
         Rational::from_bigints(&self.num * &rhs.den, &self.den * &rhs.num)
     }
 }
@@ -398,6 +446,9 @@ impl Ord for Rational {
             return self.num.cmp(&other.num);
         }
         // Denominators are positive, so cross-multiplication preserves order.
+        if let (Some((a, b)), Some((c, d))) = (self.words(), other.words()) {
+            return (a * d).cmp(&(c * b));
+        }
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
 }
@@ -474,6 +525,7 @@ pub fn rat(num: i64, den: i64) -> Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::tests::{is_canonical, operand, LimbRef, EDGES};
 
     #[test]
     fn normalization() {
@@ -550,6 +602,150 @@ mod tests {
             for (p, q) in [(&x, &y), (&y, &x), (&x, &Rational::zero()), (&Rational::zero(), &y)] {
                 proptest::prop_assert_eq!(p.cmp(q), cross_multiplied_cmp(p, q));
             }
+        }
+    }
+
+    #[test]
+    fn pow_of_i32_min_inverts_once() {
+        assert_eq!(rat(1, 1).pow(i32::MIN), Rational::one());
+        assert_eq!(rat(-1, 1).pow(i32::MIN), Rational::one());
+        assert_eq!(rat(-1, 1).pow(i32::MAX), rat(-1, 1));
+    }
+
+    /// A reference rational `(numerator, denominator)` in lowest terms
+    /// with a positive denominator, reduced by the limb path alone.
+    type RatRef = (LimbRef, LimbRef);
+
+    fn reduce_ref(n: &LimbRef, d: &LimbRef) -> RatRef {
+        let g = n.gcd(d);
+        let (n, d) = (n.div_rem(&g).0, d.div_rem(&g).0);
+        if d.sign == Sign::Minus {
+            (n.neg(), d.neg())
+        } else {
+            (n, d)
+        }
+    }
+
+    fn to_rational((n, d): &RatRef) -> Rational {
+        Rational {
+            num: n.to_bigint(),
+            den: d.to_bigint(),
+        }
+    }
+
+    fn rat_operand() -> impl proptest::strategy::Strategy<Value = RatRef> {
+        use proptest::strategy::Strategy;
+        (operand(), operand()).prop_map(|(n, d)| {
+            let d = if d.is_zero() {
+                LimbRef::from_i128(1)
+            } else {
+                d
+            };
+            reduce_ref(&n, &d)
+        })
+    }
+
+    /// Every rational operation on `x` and `y` agrees with the limb path,
+    /// and every result is canonical.
+    fn assert_rational_ops_agree(x: &RatRef, y: &RatRef) {
+        let (p, q) = (to_rational(x), to_rational(y));
+        let ((xn, xd), (yn, yd)) = (x, y);
+        let agree = |got: Rational, want: RatRef, op: &str| {
+            assert!(
+                is_canonical(&got.num) && is_canonical(&got.den),
+                "{op} {p} {q}"
+            );
+            assert_eq!(
+                (LimbRef::of(&got.num), LimbRef::of(&got.den)),
+                want,
+                "{op} {p} {q}"
+            );
+        };
+        let sum = (xn.mul(yd).add(&yn.mul(xd)), xd.mul(yd));
+        agree(&p + &q, reduce_ref(&sum.0, &sum.1), "add");
+        agree(
+            &p - &q,
+            reduce_ref(&xn.mul(yd).sub(&yn.mul(xd)), &sum.1),
+            "sub",
+        );
+        agree(&p * &q, reduce_ref(&xn.mul(yn), &xd.mul(yd)), "mul");
+        agree(-&p, (xn.neg(), xd.clone()), "neg");
+        agree(-p.clone(), (xn.neg(), xd.clone()), "neg by value");
+        agree(p.abs(), (xn.abs(), xd.clone()), "abs");
+        assert_eq!(p.cmp(&q), xn.mul(yd).cmp(&yn.mul(xd)), "cmp {p} {q}");
+        if !yn.is_zero() {
+            agree(&p / &q, reduce_ref(&xn.mul(yd), &xd.mul(yn)), "div");
+        }
+        if !xn.is_zero() {
+            agree(p.recip(), reduce_ref(xd, xn), "recip");
+        }
+        let (quot, rem) = xn.div_rem(xd);
+        let floor = if rem.sign == Sign::Minus {
+            quot.sub(&LimbRef::from_i128(1))
+        } else {
+            quot
+        };
+        assert_eq!(LimbRef::of(&p.floor()), floor, "floor {p}");
+        // Text: the limb path's digits, and parsing an unreduced quotient.
+        let text = if xd == &LimbRef::from_i128(1) {
+            xn.to_decimal()
+        } else {
+            format!("{}/{}", xn.to_decimal(), xd.to_decimal())
+        };
+        assert_eq!(p.to_string(), text);
+        agree(text.parse().unwrap(), x.clone(), "parse");
+        let unreduced = format!("{}/{}", sum.0.to_decimal(), sum.1.to_decimal());
+        agree(
+            unreduced.parse().unwrap(),
+            reduce_ref(&sum.0, &sum.1),
+            "parse sum",
+        );
+    }
+
+    #[test]
+    fn every_pair_of_word_edges_matches_the_limb_path() {
+        let one = LimbRef::from_i128(1);
+        let edges: Vec<RatRef> = EDGES
+            .iter()
+            .flat_map(|&n| {
+                [
+                    (n, 1),
+                    (n, 3),
+                    (1, n),
+                    (n, i64::MAX as i128),
+                    (n, n.saturating_sub(1)),
+                ]
+            })
+            .filter(|&(_, d)| d != 0)
+            .map(|(n, d)| reduce_ref(&LimbRef::from_i128(n), &LimbRef::from_i128(d)))
+            .chain([(one.clone(), one)])
+            .collect();
+        for x in &edges {
+            for y in &edges {
+                assert_rational_ops_agree(x, y);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arithmetic_matches_the_limb_path(x in rat_operand(), y in rat_operand()) {
+            assert_rational_ops_agree(&x, &y);
+        }
+
+        #[test]
+        fn powers_match_the_limb_path(x in rat_operand(), exp in -3i32..=3) {
+            let (n, d) = &x;
+            proptest::prop_assume!(exp >= 0 || !n.is_zero());
+            let e = exp.unsigned_abs();
+            let want = if exp < 0 {
+                reduce_ref(&d.pow(e), &n.pow(e))
+            } else {
+                (n.pow(e), d.pow(e))
+            };
+            let got = to_rational(&x).pow(exp);
+            proptest::prop_assert!(is_canonical(&got.num) && is_canonical(&got.den));
+            proptest::prop_assert_eq!((LimbRef::of(&got.num), LimbRef::of(&got.den)), want);
         }
     }
 
