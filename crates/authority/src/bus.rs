@@ -1,31 +1,40 @@
-//! The synchronous in-memory bus — the canonical [`Transport`] backend.
+//! The in-memory network — the one [`Transport`] implementation.
 //!
 //! An in-process stand-in for the distributed deployment of Fig. 1:
 //! parties register endpoints, messages are serialized to real bytes
 //! (so Lemma 1's communication claims are measured), delivered through
 //! unbounded channels, and logged. Fault injection (drop rules)
-//! supports the dishonest-party experiments. Delivery is synchronous —
-//! a sent frame is immediately visible to its destination endpoint —
-//! so [`Transport::settle`] is a no-op here; the simulated lossy
-//! alternative lives in [`crate::SimNet`].
+//! supports the dishonest-party experiments.
+//!
+//! [`Network`] is generic over a sealed [`LinkModel`] that decides each
+//! routed frame's fate; routing, accounting and the `Transport` surface
+//! are shared. There are two models:
+//!
+//! * [`Perfect`] — zero-sized: every frame is delivered inside `send`,
+//!   nothing is sampled and the clock never moves. [`Bus`] is the network
+//!   over perfect links, the canonical backend.
+//! * [`Simulated`](crate::Simulated) — per-link latency, loss and
+//!   duplication sampled from a seeded stream, partitions and a virtual
+//!   clock (see [`crate::SimNet`]).
 //!
 //! Routing state (endpoints + drop rules) sits behind one [`RwLock`]:
 //! sends share the read guard, while `register`/`disconnect`/`drop_link`/
 //! `heal` take the write guard and edit the maps in place, so first
-//! contact costs O(1) however many endpoints the bus already routes.
-//! Writers never touch a ledger stripe and unbounded channel pushes never
-//! block, so the lock order is acyclic and no send holds a writer off for
-//! long. Byte accounting lives in the striped [`Ledger`](crate::transport)
-//! shared with every other transport backend: running totals are atomics,
-//! and the append-only delivery log plus the per-pair byte map are
-//! partitioned across sender-keyed stripes so concurrent senders on
-//! different stripes never contend. The accessors (`total_bytes`,
-//! `delivered_bytes`, `bytes_between`, `delivery_log`, `message_count`)
-//! merge the stripes in a deterministic order (a global sequence number
-//! stamped at accounting time), so their results are observably identical
-//! to the old single-lock ledger: on a quiescent bus every accessor is
-//! exact, and under concurrency each accessor is individually consistent
-//! with some linearization of the accounted sends.
+//! contact costs O(1) however many endpoints the network already routes.
+//! Lock order is fixed: the link model's state (the simulated model's
+//! mutex; the perfect model has none), then routing, then one ledger
+//! stripe. Writers never touch a ledger stripe and unbounded channel
+//! pushes never block, so no send holds a writer off for long. Byte
+//! accounting lives in the striped [`Ledger`](crate::transport): running
+//! totals are atomics, and the append-only delivery log plus the per-pair
+//! byte map are partitioned across sender-keyed stripes so concurrent
+//! senders on different stripes never contend. The accessors
+//! (`total_bytes`, `delivered_bytes`, `bytes_between`, `delivery_log`,
+//! `message_count`) merge the stripes in a deterministic order (a global
+//! sequence number stamped at accounting time), so on a quiescent network
+//! every accessor is exact, and under concurrency each accessor is
+//! individually consistent with some linearization of the accounted
+//! sends.
 
 use std::collections::{HashMap, HashSet};
 
@@ -33,20 +42,135 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::messages::{Message, Party};
-use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, Transport};
+use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, StripeGuard, Transport};
 use crate::wire::Wire;
 
+/// The sending half of a registered endpoint.
+pub type Inbox = Sender<(Party, Message)>;
+
 /// Everything a send needs to decide where a message goes. Read under
-/// the bus's shared guard by every send; mutated in place, one entry at a
-/// time, by the topology operations.
+/// the network's shared guard by every send; mutated in place, one entry
+/// at a time, by the topology operations.
 #[derive(Debug, Default)]
-struct Routing {
-    endpoints: HashMap<Party, Sender<(Party, Message)>>,
+pub struct Routing {
+    endpoints: HashMap<Party, Inbox>,
     /// Fault injection: `(from, to)` pairs whose messages are dropped.
-    drop_rules: HashSet<(Party, Party)>,
+    pub(crate) drop_rules: HashSet<(Party, Party)>,
 }
 
-/// The synchronous in-memory network.
+/// What a link model decided for a frame whose destination is routed.
+#[derive(Debug)]
+pub enum Fate {
+    /// Lost on the link: accounted undelivered.
+    Lost,
+    /// Delivered after `delay` ticks (inside `send` when zero), twice when
+    /// `duplicate`.
+    Deliver {
+        /// Ticks until delivery.
+        delay: u64,
+        /// Whether a byte-identical copy follows the frame.
+        duplicate: bool,
+    },
+}
+
+pub(crate) mod sealed {
+    use super::{Fate, Inbox, Message, Party, Routing, RwLock};
+
+    /// The hooks the network's one send path calls on its link model.
+    /// Public in a crate-private module, so only this crate's two models
+    /// implement it; every provided method is the perfect link's
+    /// behaviour.
+    pub trait Hooks: Sized {
+        /// What a send (or a whole batch) holds across routing and
+        /// accounting: nothing for the perfect model, the state lock for
+        /// the simulated one, which keeps sampling in send order.
+        type Held<'a>
+        where
+            Self: 'a;
+
+        /// Takes the model's state for one send or batch.
+        fn hold(&self) -> Self::Held<'_>;
+
+        /// Whether a partition separates `from` and `to`. Checked with
+        /// the drop rules, before the destination is looked up.
+        fn partitioned(_held: &Self::Held<'_>, _from: Party, _to: Party) -> bool {
+            false
+        }
+
+        /// The fate of one frame on the `from → to` link.
+        fn fate(&self, _held: &mut Self::Held<'_>, _from: Party, _to: Party) -> Fate {
+            Fate::Deliver {
+                delay: 0,
+                duplicate: false,
+            }
+        }
+
+        /// Puts a frame in flight for `delay > 0` ticks.
+        fn queue(
+            held: &mut Self::Held<'_>,
+            delay: u64,
+            from: Party,
+            inbox: Inbox,
+            message: Message,
+        );
+
+        /// Removes the model's own faults (partitions).
+        fn heal(_held: &mut Self::Held<'_>) {}
+
+        /// Delivers every in-flight frame (see `Transport::settle`).
+        fn settle(&self, _routing: &RwLock<Routing>) {}
+
+        /// The virtual clock.
+        fn now(&self) -> u64 {
+            0
+        }
+
+        /// Advances the virtual clock by `ticks` (see
+        /// `Transport::advance`).
+        fn advance(&self, _ticks: u64, _routing: &RwLock<Routing>) {}
+    }
+}
+
+/// How a [`Network`]'s links treat routed frames. Sealed: the models are
+/// [`Perfect`] and [`Simulated`](crate::Simulated).
+pub trait LinkModel: sealed::Hooks + std::fmt::Debug + Send + Sync {}
+
+/// The perfect link: zero latency, zero loss, no clock and no RNG. A
+/// zero-sized model, so a [`Bus`] takes no lock beyond its routing read
+/// guard and a ledger stripe.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Perfect;
+
+impl LinkModel for Perfect {}
+
+impl sealed::Hooks for Perfect {
+    type Held<'a> = ();
+
+    fn hold(&self) {}
+
+    fn queue(_: &mut (), _: u64, _: Party, _: Inbox, _: Message) {
+        unreachable!("a perfect link delivers inside send")
+    }
+}
+
+/// The in-memory network over links of model `M`: one routing table, one
+/// ledger and one send path. Use it through [`Bus`] or
+/// [`SimNet`](crate::SimNet).
+#[derive(Debug, Default)]
+pub struct Network<M: LinkModel> {
+    /// The routing table. Sends (and whole batches) hold the read guard
+    /// across lookup, channel push and accounting; topology changes hold
+    /// the write guard for a single map insert or remove.
+    pub(crate) routing: RwLock<Routing>,
+    /// The striped Lemma 1 ledger.
+    ledger: Ledger,
+    /// The link model, which decides each routed frame's fate.
+    pub(crate) model: M,
+}
+
+/// The synchronous in-memory network: a [`Network`] over [`Perfect`]
+/// links. Delivery is synchronous — a sent frame is immediately visible
+/// to its destination endpoint — so [`Transport::settle`] is a no-op here.
 ///
 /// # Examples
 ///
@@ -64,36 +188,100 @@ struct Routing {
 /// assert_eq!(msg, Message::AdviceRequest { game_id: 1 });
 /// assert!(bus.total_bytes() > 0);
 /// ```
-#[derive(Debug, Default)]
-pub struct Bus {
-    /// The routing table. Sends (and whole batches) hold the read guard
-    /// across lookup, channel push and accounting; topology changes hold
-    /// the write guard for a single map insert or remove.
-    routing: RwLock<Routing>,
-    /// The striped Lemma 1 ledger shared with every transport backend.
-    ledger: Ledger,
-}
+pub type Bus = Network<Perfect>;
 
 impl Bus {
     /// Creates an empty bus.
     pub fn new() -> Bus {
         Bus::default()
     }
+}
+
+impl<M: LinkModel> Network<M> {
+    /// An empty network over `model`'s links.
+    pub(crate) fn with_model(model: M) -> Network<M> {
+        Network {
+            routing: RwLock::default(),
+            ledger: Ledger::default(),
+            model,
+        }
+    }
 
     /// Shared access for sends: many senders hold it at once.
     fn routing(&self) -> RwLockReadGuard<'_, Routing> {
-        self.routing.read().expect("bus lock poisoned")
+        self.routing.read().expect("network lock poisoned")
     }
 
     /// Exclusive access for the O(1) topology operations.
     fn routing_mut(&self) -> RwLockWriteGuard<'_, Routing> {
-        self.routing.write().expect("bus lock poisoned")
+        self.routing.write().expect("network lock poisoned")
+    }
+
+    /// The one send step: drop rule or partition, then the destination
+    /// lookup (an unknown party errors before any accounting), then the
+    /// link model's fate, then delivery — inside this call when the delay
+    /// is zero, which is the only case a dropped `Endpoint` is detected —
+    /// and accounting of each frame put on the wire.
+    fn transmit<'a>(
+        &'a self,
+        link: &mut M::Held<'_>,
+        routing: &Routing,
+        held: &mut StripeGuard<'a>,
+        from: Party,
+        to: Party,
+        message: Message,
+    ) -> Result<(), BusError> {
+        let bytes = message.encoded_len();
+        let retransmit = message.is_retransmit();
+        if routing.drop_rules.contains(&(from, to)) || M::partitioned(link, from, to) {
+            self.ledger
+                .account_cached(held, from, to, bytes, false, retransmit);
+            return Ok(());
+        }
+        let inbox = routing
+            .endpoints
+            .get(&to)
+            .ok_or(BusError::UnknownParty(to))?;
+        let (delay, duplicate) = match self.model.fate(link, from, to) {
+            Fate::Lost => {
+                self.ledger
+                    .account_cached(held, from, to, bytes, false, retransmit);
+                return Ok(());
+            }
+            Fate::Deliver { delay, duplicate } => (delay, duplicate),
+        };
+        // A delayed frame is accounted delivered when it is queued: its
+        // fate is already decided and it lands at settle.
+        let mut deliver = |message: Message| {
+            if delay == 0 {
+                inbox.send((from, message)).is_ok()
+            } else {
+                M::queue(link, delay, from, inbox.clone(), message);
+                true
+            }
+        };
+        // At-least-once duplication: the copy shares the sampled delay and
+        // is accounted as its own record.
+        let copy = duplicate.then(|| message.clone());
+        let delivered = deliver(message);
+        self.ledger
+            .account_cached(held, from, to, bytes, delivered, retransmit);
+        if let Some(copy) = copy {
+            let copy_delivered = deliver(copy);
+            self.ledger
+                .account_cached(held, from, to, bytes, copy_delivered, retransmit);
+        }
+        if delivered {
+            Ok(())
+        } else {
+            Err(BusError::Disconnected(to))
+        }
     }
 }
 
-/// The canonical backend. [`Transport::settle`] is free because delivery
-/// is synchronous, and the clock never moves.
-impl Transport for Bus {
+impl<M: LinkModel> Transport for Network<M> {
+    /// Frames already in flight keep the channel they captured at send
+    /// time, so re-registering does not redirect them.
     fn register(&self, party: Party) -> Endpoint {
         let (tx, rx) = channel();
         self.routing_mut().endpoints.insert(party, tx);
@@ -107,75 +295,35 @@ impl Transport for Bus {
         self.routing_mut().endpoints.remove(&party);
     }
 
-    /// Takes the routing read guard, which never waits on another send;
-    /// accounting touches only the sender's ledger stripe plus atomic
-    /// counters. A `to` whose endpoint was dropped fails with
-    /// [`BusError::Disconnected`].
+    /// Takes the link model's state, then the routing read guard, which
+    /// never waits on another send; accounting touches only the sender's
+    /// ledger stripe plus atomic counters.
     fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        let bytes = message.encoded_len();
-        let retransmit = message.is_retransmit();
+        let mut link = self.model.hold();
         let routing = self.routing();
-        let dropped = routing.drop_rules.contains(&(from, to));
-        let result = if dropped {
-            Ok(())
-        } else {
-            let tx = routing
-                .endpoints
-                .get(&to)
-                .ok_or(BusError::UnknownParty(to))?;
-            tx.send((from, message))
-                .map_err(|_| BusError::Disconnected(to))
-        };
-        let delivered = !dropped && result.is_ok();
-        self.ledger.account(from, to, bytes, delivered, retransmit);
-        result
+        let mut held = None;
+        self.transmit(&mut link, &routing, &mut held, from, to, message)
     }
 
-    /// Resolves routing under one read guard and holds each ledger stripe
-    /// across runs of same-stripe senders (a verdict-request fan-out has
-    /// one sender, so it locks its stripe exactly once). The records,
-    /// counters and per-pair map come out exactly as from the equivalent
-    /// sequence of [`Transport::send`] calls.
+    /// Holds the link model's state and the routing read guard across the
+    /// whole batch, and each ledger stripe across runs of same-stripe
+    /// senders (a verdict-request fan-out has one sender, so it locks its
+    /// stripe exactly once). The records, counters, per-pair map and
+    /// sampled fates come out exactly as from the equivalent sequence of
+    /// [`Transport::send`] calls.
     fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut first_error = Ok(());
+        let mut link = self.model.hold();
         let routing = self.routing();
-        // The stripe guard is cached across consecutive same-stripe
-        // senders; ledger stripes are leaf locks taken one at a time, so
-        // this cannot deadlock against concurrent senders.
         let mut held = None;
+        let mut first_error = Ok(());
         for (from, to, message) in batch.drain(..) {
-            let bytes = message.encoded_len();
-            let retransmit = message.is_retransmit();
-            let dropped = routing.drop_rules.contains(&(from, to));
-            let result = if dropped {
-                Ok(())
-            } else {
-                match routing.endpoints.get(&to) {
-                    None => {
-                        // `send` short-circuits before any accounting on an
-                        // unknown party; mirror that so the ledger stays
-                        // byte-identical to N sequential sends.
-                        if first_error.is_ok() {
-                            first_error = Err(BusError::UnknownParty(to));
-                        }
-                        continue;
-                    }
-                    Some(tx) => tx
-                        .send((from, message))
-                        .map_err(|_| BusError::Disconnected(to)),
-                }
-            };
-            let delivered = !dropped && result.is_ok();
+            let result = self.transmit(&mut link, &routing, &mut held, from, to, message);
             if first_error.is_ok() {
-                if let Err(e) = result {
-                    first_error = Err(e);
-                }
+                first_error = result;
             }
-            self.ledger
-                .account_cached(&mut held, from, to, bytes, delivered, retransmit);
         }
         first_error
     }
@@ -185,10 +333,14 @@ impl Transport for Bus {
     }
 
     fn heal(&self) {
+        let mut link = self.model.hold();
+        M::heal(&mut link);
         self.routing_mut().drop_rules.clear();
     }
 
-    fn settle(&self) {}
+    fn settle(&self) {
+        self.model.settle(&self.routing);
+    }
 
     fn total_bytes(&self) -> usize {
         self.ledger.total_bytes()
@@ -218,11 +370,28 @@ impl Transport for Bus {
     fn retransmit_bytes(&self) -> usize {
         self.ledger.retransmit_bytes()
     }
+
+    fn now(&self) -> u64 {
+        self.model.now()
+    }
+
+    fn advance(&self, ticks: u64) {
+        self.model.advance(ticks, &self.routing);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimNet;
+    use std::sync::Arc;
+
+    /// The same empty network under each link model: the concurrency
+    /// tests run against both, since both register through the one
+    /// routing lock.
+    fn both_models() -> [Arc<dyn Transport>; 2] {
+        [Arc::new(Bus::new()), Arc::new(SimNet::lossless(0))]
+    }
 
     #[test]
     fn delivery_and_accounting() {
@@ -560,12 +729,16 @@ mod tests {
         // returned result — Ok and Disconnected are accounted (the latter
         // undelivered), UnknownParty is not — and the merged striped
         // ledger must equal the per-thread sums exactly.
+        for bus in both_models() {
+            stress_merged_ledger(bus);
+        }
+    }
+
+    fn stress_merged_ledger(bus: Arc<dyn Transport>) {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
 
         const THREADS: u64 = 8;
         const ROUNDS: u64 = 60;
-        let bus = Arc::new(Bus::new());
         let hub = Party::Verifier(0);
         let flaky = Party::Verifier(1);
         let hub_ep = bus.register(hub);
@@ -704,15 +877,20 @@ mod tests {
         // Acquire load, so a published registration happens-before every
         // send to it: each such send returns Ok, lands on its endpoint, and
         // is accounted exactly once.
+        for bus in both_models() {
+            registration_churn_racing_sends(bus);
+        }
+    }
+
+    fn registration_churn_racing_sends(bus: Arc<dyn Transport>) {
         use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        use std::sync::{Arc, Barrier};
+        use std::sync::Barrier;
 
         const FRESH: u64 = 2000;
         const SENDERS: u64 = 4;
         const MIN_ROUNDS: u64 = 200;
         const MAX_ROUNDS: u64 = 5000;
         let fresh = |k: u64| Party::Agent(10_000 + k);
-        let bus = Arc::new(Bus::new());
         let hub = Party::Verifier(0);
         let hub_ep = bus.register(hub);
         let published = Arc::new(AtomicU64::new(0));
@@ -812,7 +990,6 @@ mod tests {
 
     #[test]
     fn concurrent_senders() {
-        use std::sync::Arc;
         let bus = Arc::new(Bus::new());
         let hub = Party::Verifier(0);
         let ep = bus.register(hub);

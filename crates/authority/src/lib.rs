@@ -5,13 +5,14 @@
 //! consumers) and **verifiers** (trusted-by-reputation procedure
 //! providers), wired together over a byte-accounted message bus.
 //!
-//! * [`Transport`] / [`Bus`] / [`SimNet`] / [`Message`] / [`Wire`] — the
+//! * [`Transport`] / [`Network`] / [`Message`] / [`Wire`] — the
 //!   pluggable network boundary with exact wire encodings (Lemma 1's bits
-//!   are measured, not asserted): [`Bus`] is the canonical perfect
-//!   backend, [`SimNet`] a deterministic seeded lossy network (per-link
-//!   latency windows, drop probabilities, scripted partition/heal
-//!   schedules on a virtual clock) that is byte-identical to the bus when
-//!   configured lossless;
+//!   are measured, not asserted). One [`Network`] implements it over two
+//!   link models: [`Bus`] is the canonical network over [`Perfect`]
+//!   links, [`SimNet`] the network over [`Simulated`] links, a
+//!   deterministic seeded lossy model (per-link latency windows, drop
+//!   probabilities, scripted partition/heal schedules on a virtual clock)
+//!   that is byte-identical to the bus when configured lossless;
 //! * [`Inventor`] / [`VerifierService`] — honest and faulty behaviours for
 //!   every case study of the paper;
 //! * [`ReputationBackend`] — the pluggable reputation plane: majority
@@ -72,7 +73,7 @@ mod verifier;
 mod wire;
 
 pub use audit::{AuditError, StatisticsLedger, StatisticsRecord};
-pub use bus::Bus;
+pub use bus::{Bus, LinkModel, Network, Perfect};
 pub use cache::{spec_digest, CacheMode, CacheStats, CertCache, CertCacheConfig};
 pub use crypto::{
     hmac_sha256, sha256, sha256_wire, to_hex, Commitment, Digest, Signature, SigningKey,
@@ -90,7 +91,7 @@ pub use session::{
     ResilienceConfig, SessionOutcome,
 };
 pub use shard::{ReputationConfig, ReputationPolicy, ShardStats, ShardedAuthority, TransportSite};
-pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig};
+pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig, Simulated};
 pub use transport::{BusError, DeliveryRecord, Endpoint, Transport};
 pub use verifier::{kernel_check, VerifierBehavior, VerifierService};
 pub use wire::{

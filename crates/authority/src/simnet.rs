@@ -1,30 +1,33 @@
-//! The simulated lossy network — a deterministic [`Transport`] backend.
+//! The simulated link model — a deterministic lossy [`Network`].
 //!
 //! [`SimNet`] puts a fault-injectable, latency-shaped network under the
 //! unchanged Fig. 1 protocol: per-link latency windows and drop
 //! probabilities ([`LinkProfile`]), scripted partition/heal schedules
 //! ([`NetEvent`]), and a **virtual clock** in abstract ticks. Sends do
 //! not advance the clock; a frame with sampled latency `d` is queued to
-//! land at `now + d`, and [`Transport::settle`] (or
+//! land at `now + d` (saturating at `u64::MAX`), and
+//! [`Transport::settle`](crate::Transport::settle) (or
 //! [`SimNet::advance_to`]) flushes due frames in `(deliver_at, send
 //! order)` order, advancing `now`. Two frames on links with overlapping
 //! latency windows can therefore arrive in either order — the reordering
 //! window is the jitter interval itself.
 //!
+//! Routing, fault injection by drop rule, the send path and the ledger
+//! are the shared [`Network`]'s; this module is only the [`Simulated`]
+//! link model that decides each routed frame's fate.
+//!
 //! Everything is **seeded and deterministic**: loss and latency are
 //! sampled from one SplitMix64 stream (the shared [`rand::splitmix64`]
-//! step) in send order under the state lock, so the same seed and the
-//! same traffic always produce the same deliveries, the same ledger and
-//! the same virtual timestamps.
+//! step) in send order under the model's state lock, so the same seed and
+//! the same traffic always produce the same deliveries, the same ledger
+//! and the same virtual timestamps.
 //!
 //! **Byte identity with [`Bus`](crate::Bus):** under the default
 //! [`LinkProfile`] (zero latency, zero loss) a send samples *nothing* —
-//! the RNG is untouched — and delivers synchronously through exactly the
-//! accounting path the bus uses (the shared striped
-//! [`Ledger`](crate::transport) — same records, same totals, same
-//! per-pair sums, and even the same `Disconnected` detection). The
+//! the RNG is untouched — and delivers synchronously, so the frame takes
+//! the bus's own path through the shared routing and accounting code. The
 //! equivalence proptest in `tests/proptests.rs` replays arbitrary
-//! adversarial traffic over both backends and asserts field equality.
+//! adversarial traffic over both link models and asserts field equality.
 //!
 //! Accounting happens at **send time**: a frame lost to sampling or a
 //! partition is accounted undelivered immediately (the sender paid for
@@ -37,12 +40,10 @@
 //! and only reachable with non-zero latency).
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, RwLock};
 
+use crate::bus::{sealed, Fate, Inbox, LinkModel, Network, Routing};
 use crate::messages::{Message, Party};
-use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, StripeGuard, Transport};
-use crate::wire::Wire;
 
 /// The latency/loss shape of one directed link (or of every link, as
 /// [`SimNetConfig::default_link`]).
@@ -135,7 +136,8 @@ impl LinkProfile {
 }
 
 /// One entry of a scripted fault schedule, applied when the virtual clock
-/// first reaches `at` (during a [`Transport::settle`] or
+/// first reaches `at` (during a
+/// [`Transport::settle`](crate::Transport::settle) or
 /// [`SimNet::advance_to`] — sends themselves never advance the clock).
 #[derive(Clone, Debug)]
 pub enum NetEvent {
@@ -187,7 +189,7 @@ struct PendingFrame {
     deliver_at: u64,
     seq: u64,
     from: Party,
-    tx: Sender<(Party, Message)>,
+    tx: Inbox,
     message: Message,
 }
 
@@ -213,13 +215,12 @@ impl Ord for PendingFrame {
     }
 }
 
-/// Everything mutable behind the one state lock: routing, fault state,
-/// the in-flight queue, the clock and the RNG. One lock keeps the sampled
-/// stream strictly in send order, which is what makes runs replayable.
+/// Everything mutable behind the simulated model's one state lock: link
+/// overrides, partitions, the in-flight queue, the clock, the RNG and the
+/// schedule. One lock keeps the sampled stream strictly in send order,
+/// which is what makes runs replayable.
 #[derive(Debug)]
-struct SimState {
-    endpoints: HashMap<Party, Sender<(Party, Message)>>,
-    drop_rules: HashSet<(Party, Party)>,
+pub struct SimState {
     partitions: Vec<(HashSet<Party>, HashSet<Party>)>,
     links: HashMap<(Party, Party), LinkProfile>,
     pending: BinaryHeap<PendingFrame>,
@@ -233,14 +234,6 @@ struct SimState {
 }
 
 impl SimState {
-    /// Whether an active partition separates `from` and `to`.
-    fn partitioned(&self, from: Party, to: Party) -> bool {
-        self.partitions.iter().any(|(left, right)| {
-            (left.contains(&from) && right.contains(&to))
-                || (right.contains(&from) && left.contains(&to))
-        })
-    }
-
     /// The effective profile of the `from → to` link.
     fn link(&self, from: Party, to: Party, default: LinkProfile) -> LinkProfile {
         self.links.get(&(from, to)).copied().unwrap_or(default)
@@ -252,16 +245,26 @@ impl SimState {
         (rand::splitmix64(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// A uniform draw from `[0, n)` for `n > 0`.
-    fn random_below(&mut self, n: u64) -> u64 {
-        rand::splitmix64(&mut self.rng) % n
+    /// A uniform draw from `[min, max]`: no draw for a fixed latency, one
+    /// otherwise. The window `[0, u64::MAX]` is the raw draw, since its
+    /// width does not fit in a `u64`.
+    fn random_latency(&mut self, min: u64, max: u64) -> u64 {
+        if max == min {
+            return min;
+        }
+        let draw = rand::splitmix64(&mut self.rng);
+        match (max - min).checked_add(1) {
+            Some(width) => min + draw % width,
+            None => draw,
+        }
     }
 
     /// Delivers every pending frame due at or before `target`, advances
     /// the clock to `target`, and applies schedule events the clock
-    /// crossed. Delivery failures (receiver dropped mid-flight) are
-    /// swallowed: the frame was accounted at send time.
-    fn run_until(&mut self, target: u64) {
+    /// crossed (a heal also clears the drop rules in `routing`). Delivery
+    /// failures (receiver dropped mid-flight) are swallowed: the frame
+    /// was accounted at send time.
+    fn run_until(&mut self, target: u64, routing: &RwLock<Routing>) {
         while self
             .pending
             .peek()
@@ -281,7 +284,11 @@ impl SimState {
                 }
                 NetEvent::Heal { .. } => {
                     self.partitions.clear();
-                    self.drop_rules.clear();
+                    routing
+                        .write()
+                        .expect("network lock poisoned")
+                        .drop_rules
+                        .clear();
                 }
             }
             self.next_event += 1;
@@ -289,7 +296,100 @@ impl SimState {
     }
 }
 
-/// The deterministic simulated network.
+/// The simulated link model: per-link loss, latency and duplication
+/// sampled from a seeded stream, partitions, a scripted schedule and a
+/// virtual clock, all under one state lock.
+#[derive(Debug)]
+pub struct Simulated {
+    default_link: LinkProfile,
+    state: Mutex<SimState>,
+}
+
+impl Simulated {
+    fn state(&self) -> MutexGuard<'_, SimState> {
+        self.state.lock().expect("simnet lock poisoned")
+    }
+}
+
+impl LinkModel for Simulated {}
+
+impl sealed::Hooks for Simulated {
+    type Held<'a> = MutexGuard<'a, SimState>;
+
+    fn hold(&self) -> MutexGuard<'_, SimState> {
+        self.state()
+    }
+
+    fn partitioned(state: &MutexGuard<'_, SimState>, from: Party, to: Party) -> bool {
+        state.partitions.iter().any(|(left, right)| {
+            (left.contains(&from) && right.contains(&to))
+                || (right.contains(&from) && left.contains(&to))
+        })
+    }
+
+    /// Samples the RNG only when the link actually has loss, jitter or
+    /// duplication — a perfect link leaves the stream untouched.
+    fn fate(&self, state: &mut MutexGuard<'_, SimState>, from: Party, to: Party) -> Fate {
+        let profile = state.link(from, to, self.default_link);
+        if profile.drop_prob > 0.0 && state.random_unit() < profile.drop_prob {
+            return Fate::Lost;
+        }
+        let delay = state.random_latency(profile.latency_min, profile.latency_max);
+        // Decided after loss, so only surviving frames can double up.
+        let duplicate = profile.duplicate_probability > 0.0
+            && state.random_unit() < profile.duplicate_probability;
+        Fate::Deliver { delay, duplicate }
+    }
+
+    fn queue(
+        state: &mut MutexGuard<'_, SimState>,
+        delay: u64,
+        from: Party,
+        tx: Inbox,
+        message: Message,
+    ) {
+        state.frame_seq += 1;
+        let frame = PendingFrame {
+            deliver_at: state.now.saturating_add(delay),
+            seq: state.frame_seq,
+            from,
+            tx,
+            message,
+        };
+        state.pending.push(frame);
+    }
+
+    fn heal(state: &mut MutexGuard<'_, SimState>) {
+        state.partitions.clear();
+    }
+
+    /// The clock jumps to the latest pending delivery time, so per-phase
+    /// virtual elapsed time is the *max* of the fan-out's latencies.
+    fn settle(&self, routing: &RwLock<Routing>) {
+        let mut state = self.state();
+        let target = state
+            .pending
+            .iter()
+            .map(|frame| frame.deliver_at)
+            .max()
+            .unwrap_or(state.now)
+            .max(state.now);
+        state.run_until(target, routing);
+    }
+
+    fn now(&self) -> u64 {
+        self.state().now
+    }
+
+    fn advance(&self, ticks: u64, routing: &RwLock<Routing>) {
+        let mut state = self.state();
+        let target = state.now.saturating_add(ticks);
+        state.run_until(target, routing);
+    }
+}
+
+/// The deterministic simulated network: a [`Network`] over
+/// [`Simulated`] links.
 ///
 /// # Examples
 ///
@@ -329,12 +429,7 @@ impl SimState {
 /// assert!(ep.try_recv().is_some());
 /// assert!((100..=250).contains(&net.now()), "clock advanced by one RTT leg");
 /// ```
-#[derive(Debug)]
-pub struct SimNet {
-    default_link: LinkProfile,
-    state: Mutex<SimState>,
-    ledger: Ledger,
-}
+pub type SimNet = Network<Simulated>;
 
 impl SimNet {
     /// Builds a network from `config`.
@@ -352,11 +447,9 @@ impl SimNet {
         }
         let mut schedule = config.schedule;
         schedule.sort_by_key(NetEvent::at);
-        SimNet {
+        Network::with_model(Simulated {
             default_link: config.default_link,
             state: Mutex::new(SimState {
-                endpoints: HashMap::new(),
-                drop_rules: HashSet::new(),
                 partitions: Vec::new(),
                 links,
                 pending: BinaryHeap::new(),
@@ -366,8 +459,7 @@ impl SimNet {
                 schedule,
                 next_event: 0,
             }),
-            ledger: Ledger::default(),
-        }
+        })
     }
 
     /// A perfect network: zero latency, zero loss, no schedule — sends
@@ -383,44 +475,29 @@ impl SimNet {
 
     /// Number of frames sent but not yet delivered.
     pub fn in_flight(&self) -> usize {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .pending
-            .len()
+        self.model.state().pending.len()
     }
 
     /// Advances the virtual clock to `tick` (if ahead of it), delivering
     /// every frame due on the way and applying schedule events the clock
     /// crosses.
     pub fn advance_to(&self, tick: u64) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .run_until(tick);
+        self.model.state().run_until(tick, &self.routing);
     }
 
     /// Manually partitions the network: frames between `left` and `right`
     /// (either direction) drop until [`SimNet::heal_partitions`] or a
-    /// trait-level [`Transport::heal`].
+    /// trait-level [`Transport::heal`](crate::Transport::heal).
     pub fn split(&self, left: &[Party], right: &[Party]) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .partitions
-            .push((
-                left.iter().copied().collect(),
-                right.iter().copied().collect(),
-            ));
+        self.model.state().partitions.push((
+            left.iter().copied().collect(),
+            right.iter().copied().collect(),
+        ));
     }
 
     /// Removes every active partition (drop rules stay).
     pub fn heal_partitions(&self) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .partitions
-            .clear();
+        self.model.state().partitions.clear();
     }
 
     /// Overrides the profile of the directed `from → to` link.
@@ -430,216 +507,14 @@ impl SimNet {
     /// Panics if the profile is invalid (see [`SimNet::new`]).
     pub fn set_link(&self, from: Party, to: Party, profile: LinkProfile) {
         profile.check();
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .links
-            .insert((from, to), profile);
-    }
-
-    /// The one send path: decides fate (unknown / blocked / lost /
-    /// immediate / in-flight, possibly duplicated), accounts it, and
-    /// samples the RNG only when the link actually has loss, jitter or
-    /// duplication — a perfect link leaves the stream untouched.
-    fn transmit<'a>(
-        &'a self,
-        state: &mut SimState,
-        held: &mut StripeGuard<'a>,
-        from: Party,
-        to: Party,
-        message: Message,
-    ) -> Result<(), BusError> {
-        let bytes = message.encoded_len();
-        let retransmit = message.is_retransmit();
-        // Unknown destination short-circuits before any accounting,
-        // mirroring the bus.
-        if state.drop_rules.contains(&(from, to)) || state.partitioned(from, to) {
-            self.ledger
-                .account_cached(held, from, to, bytes, false, retransmit);
-            return Ok(());
-        }
-        let Some(tx) = state.endpoints.get(&to).cloned() else {
-            return Err(BusError::UnknownParty(to));
-        };
-        let profile = state.link(from, to, self.default_link);
-        if profile.drop_prob > 0.0 && state.random_unit() < profile.drop_prob {
-            self.ledger
-                .account_cached(held, from, to, bytes, false, retransmit);
-            return Ok(());
-        }
-        let delay = if profile.latency_max > profile.latency_min {
-            profile.latency_min + state.random_below(profile.latency_max - profile.latency_min + 1)
-        } else {
-            profile.latency_min
-        };
-        // At-least-once duplication, decided after loss so only surviving
-        // frames can double up; the copy shares the sampled delay.
-        let duplicate = profile.duplicate_probability > 0.0
-            && state.random_unit() < profile.duplicate_probability;
-        let dup_payload = duplicate.then(|| (message.clone(), tx.clone()));
-        if delay == 0 {
-            // Immediate delivery: the exact Bus path, including the
-            // Disconnected probe through the live channel.
-            let result = tx
-                .send((from, message))
-                .map_err(|_| BusError::Disconnected(to));
-            self.ledger
-                .account_cached(held, from, to, bytes, result.is_ok(), retransmit);
-            if let Some((copy, dup_tx)) = dup_payload {
-                let dup_ok = dup_tx.send((from, copy)).is_ok();
-                self.ledger
-                    .account_cached(held, from, to, bytes, dup_ok, retransmit);
-            }
-            return result;
-        }
-        state.frame_seq += 1;
-        let frame = PendingFrame {
-            deliver_at: state.now + delay,
-            seq: state.frame_seq,
-            from,
-            tx,
-            message,
-        };
-        state.pending.push(frame);
-        // Accounted delivered at send time (see the module docs): loss was
-        // already decided above, so the frame will land at settle.
-        self.ledger
-            .account_cached(held, from, to, bytes, true, retransmit);
-        if let Some((copy, dup_tx)) = dup_payload {
-            state.frame_seq += 1;
-            state.pending.push(PendingFrame {
-                deliver_at: state.now + delay,
-                seq: state.frame_seq,
-                from,
-                tx: dup_tx,
-                message: copy,
-            });
-            self.ledger
-                .account_cached(held, from, to, bytes, true, retransmit);
-        }
-        Ok(())
-    }
-}
-
-impl Transport for SimNet {
-    /// Frames already in flight keep the channel they captured at send
-    /// time, so re-registering does not redirect them.
-    fn register(&self, party: Party) -> Endpoint {
-        let (tx, rx) = channel();
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .endpoints
-            .insert(party, tx);
-        Endpoint {
-            party,
-            receiver: rx,
-        }
-    }
-
-    fn disconnect(&self, party: Party) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .endpoints
-            .remove(&party);
-    }
-
-    /// Loss, partition and latency are decided here, at send time, from
-    /// the seeded stream.
-    fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let mut held = None;
-        let result = self.transmit(&mut state, &mut held, from, to, message);
-        drop(held);
-        result
-    }
-
-    /// One state lock, one cached ledger stripe across same-stripe
-    /// senders — byte-identical to N sequential sends, exactly like the
-    /// bus.
-    fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let mut held = None;
-        let mut first_error = Ok(());
-        for (from, to, message) in batch.drain(..) {
-            let result = self.transmit(&mut state, &mut held, from, to, message);
-            if first_error.is_ok() {
-                first_error = result;
-            }
-        }
-        drop(held);
-        first_error
-    }
-
-    fn drop_link(&self, from: Party, to: Party) {
-        self.state
-            .lock()
-            .expect("simnet lock poisoned")
-            .drop_rules
-            .insert((from, to));
-    }
-
-    fn heal(&self) {
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        state.drop_rules.clear();
-        state.partitions.clear();
-    }
-
-    /// The clock jumps to the latest pending delivery time, so per-phase
-    /// virtual elapsed time is the *max* of the fan-out's latencies.
-    fn settle(&self) {
-        let mut state = self.state.lock().expect("simnet lock poisoned");
-        let target = state
-            .pending
-            .iter()
-            .map(|frame| frame.deliver_at)
-            .max()
-            .unwrap_or(state.now)
-            .max(state.now);
-        state.run_until(target);
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.ledger.total_bytes()
-    }
-
-    fn delivered_bytes(&self) -> usize {
-        self.ledger.delivered_bytes()
-    }
-
-    fn bytes_between(&self, from: Party, to: Party) -> usize {
-        self.ledger.bytes_between(from, to)
-    }
-
-    fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        self.ledger.delivery_log()
-    }
-
-    fn message_count(&self) -> usize {
-        self.ledger.message_count()
-    }
-
-    fn retransmit_bytes(&self) -> usize {
-        self.ledger.retransmit_bytes()
-    }
-
-    fn now(&self) -> u64 {
-        self.state.lock().expect("simnet lock poisoned").now
-    }
-
-    fn advance(&self, ticks: u64) {
-        let target = self.now().saturating_add(ticks);
-        self.advance_to(target);
+        self.model.state().links.insert((from, to), profile);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{BusError, Transport};
 
     fn msg(game_id: u64) -> Message {
         Message::AdviceRequest { game_id }
@@ -661,7 +536,7 @@ mod tests {
         assert_eq!(net.now(), 0, "zero-latency sends never move the clock");
         // The RNG stream was never touched.
         assert_eq!(
-            net.state.lock().unwrap().rng,
+            net.model.state.lock().unwrap().rng,
             123,
             "perfect links sample nothing"
         );
@@ -843,6 +718,46 @@ mod tests {
         let got = ep.drain();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0], got[1], "the copy is byte-identical");
+    }
+
+    #[test]
+    fn latency_windows_at_the_u64_edge_land_at_their_sampled_tick() {
+        // Every windowed case samples the first draw of this stream.
+        const SEED: u64 = 11;
+        let draw = rand::splitmix64(&mut SEED.clone());
+        let cases = [
+            // The whole u64 window: its width does not fit in a u64, so
+            // the raw draw is the delay.
+            (LinkProfile::with_latency(0, u64::MAX), 0, draw),
+            // A maximal fixed latency from tick 10 saturates at the end of
+            // time instead of wrapping round to tick 9.
+            (LinkProfile::with_latency(u64::MAX, u64::MAX), 10, u64::MAX),
+            // One tick inside both edges: the plain modular draw, which
+            // saturating arithmetic must leave alone.
+            (
+                LinkProfile::with_latency(1, u64::MAX - 1),
+                5,
+                5 + 1 + draw % (u64::MAX - 1),
+            ),
+        ];
+        for (profile, start, deliver_at) in cases {
+            let net = SimNet::new(SimNetConfig {
+                seed: SEED,
+                default_link: profile,
+                ..SimNetConfig::default()
+            });
+            let a = Party::Agent(1);
+            let b = Party::Agent(2);
+            net.register(a);
+            let ep = net.register(b);
+            net.advance_to(start);
+            net.send(a, b, msg(1)).unwrap();
+            assert_eq!(net.in_flight(), 1, "{profile:?}: in flight");
+            assert!(ep.try_recv().is_none(), "{profile:?}: not yet delivered");
+            net.settle();
+            assert_eq!(net.now(), deliver_at, "{profile:?}: delivery tick");
+            assert_eq!(ep.drain().len(), 1, "{profile:?}: delivered once");
+        }
     }
 
     #[test]

@@ -3,30 +3,34 @@
 //! Everything the Fig. 1 protocol needs from a network is behind the
 //! [`Transport`] trait: endpoint registration, byte-accounted sends
 //! (single and batched), fault injection, and the Lemma 1 ledger view
-//! (totals, per-pair sums, the merged delivery log). Two backends
-//! implement it:
+//! (totals, per-pair sums, the merged delivery log). The crate implements
+//! it once, for [`Network`](crate::Network): one routing table, one send
+//! path and one striped [`Ledger`], generic over a link model that decides
+//! each routed frame's fate. The two instances are:
 //!
-//! * [`Bus`](crate::Bus) — the canonical synchronous in-memory network:
-//!   every send delivers (or faults) immediately, `settle` is a no-op.
-//! * [`SimNet`](crate::SimNet) — a deterministic seeded simulation with
-//!   per-link latency, drop probability, reordering, and scripted
-//!   partition/heal schedules on a virtual clock; in-flight frames land
-//!   when the clock advances ([`Transport::settle`]).
+//! * [`Bus`](crate::Bus) — the network over perfect links, the canonical
+//!   synchronous backend: every send delivers (or faults) immediately,
+//!   `settle` is a no-op.
+//! * [`SimNet`](crate::SimNet) — the network over simulated links: a
+//!   deterministic seeded simulation with per-link latency, drop
+//!   probability, reordering, and scripted partition/heal schedules on a
+//!   virtual clock; in-flight frames land when the clock advances
+//!   ([`Transport::settle`]).
 //!
 //! Configured lossless and zero-latency, a `SimNet` is **byte-identical**
-//! to a `Bus`: both account through the same striped [`Ledger`] (moved
-//! here from `bus.rs`), so the delivery log, the running totals and the
-//! per-pair sums of any traffic mix are field-equal — the equivalence
-//! proptest in `tests/proptests.rs` pins exactly that at this trait
-//! boundary.
+//! to a `Bus`: its link model samples nothing and every frame takes the
+//! same routing and accounting code, so the delivery log, the running
+//! totals and the per-pair sums of any traffic mix are field-equal — the
+//! equivalence proptest in `tests/proptests.rs` pins exactly that at this
+//! trait boundary.
 //!
 //! The receive side stays concrete: an [`Endpoint`] is a plain mpsc
-//! receiver handed out by `register`, identical across backends, which is
-//! what lets [`crate::RationalityAuthority`] and the gossip plane drain
-//! inboxes without caring which transport queued the frames. Protocol loops call
-//! [`Transport::settle`] before every drain; on a `Bus` that costs
-//! nothing, on a `SimNet` it flushes the frames whose delivery time has
-//! come.
+//! receiver handed out by `register`, identical across link models, which
+//! is what lets [`crate::RationalityAuthority`] and the gossip plane drain
+//! inboxes without caring which transport queued the frames. Protocol
+//! loops call [`Transport::settle`] before every drain; on a `Bus` that
+//! costs nothing, on a `SimNet` it flushes the frames whose delivery time
+//! has come.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -76,8 +80,8 @@ impl std::fmt::Display for BusError {
 impl std::error::Error for BusError {}
 
 /// A receiving endpoint handed to a registered party. Identical across
-/// transport backends: frames a [`Bus`](crate::Bus) delivers synchronously
-/// and frames a [`SimNet`](crate::SimNet) delivers at `settle` time drain
+/// link models: frames a [`Bus`](crate::Bus) delivers synchronously and
+/// frames a [`SimNet`](crate::SimNet) delivers at `settle` time drain
 /// through the same channel.
 #[derive(Debug)]
 pub struct Endpoint {
@@ -137,7 +141,7 @@ pub(crate) struct LedgerStripe {
     pair_bytes: HashMap<(Party, Party), usize>,
 }
 
-/// The striped Lemma 1 ledger, shared by every transport backend.
+/// The striped Lemma 1 ledger of a [`Network`](crate::Network).
 ///
 /// Running totals are atomics, and the append-only delivery log plus the
 /// per-pair byte map are partitioned across sender-keyed stripes so
@@ -148,10 +152,10 @@ pub(crate) struct LedgerStripe {
 /// accessor is exact, and under concurrency each accessor is individually
 /// consistent with some linearization of the accounted sends.
 ///
-/// Both [`Bus`](crate::Bus) and [`SimNet`](crate::SimNet) account through
-/// this one type, which is what makes the lossless-SimNet ≡ Bus byte
-/// identity a structural property rather than a re-implementation that
-/// could drift.
+/// [`Bus`](crate::Bus) and [`SimNet`](crate::SimNet) are one network over
+/// two link models, so they account through this one type on one send
+/// path, which is what makes the lossless-SimNet ≡ Bus byte identity a
+/// structural property rather than a re-implementation that could drift.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
     /// Sender-striped audit log + per-pair sums; see [`LedgerStripe`].
@@ -177,9 +181,11 @@ pub(crate) struct Ledger {
 pub(crate) type StripeGuard<'a> = Option<(usize, MutexGuard<'a, LedgerStripe>)>;
 
 impl Ledger {
-    /// Accounts one attempted send. The caller already decided
-    /// `delivered` and `retransmit`; this stamps the global sequence
-    /// number, bumps the atomic totals and appends to the sender's stripe.
+    /// Accounts one attempted send without a cached stripe guard. The
+    /// caller already decided `delivered` and `retransmit`; this stamps
+    /// the global sequence number, bumps the atomic totals and appends to
+    /// the sender's stripe.
+    #[cfg(test)]
     pub(crate) fn account(
         &self,
         from: Party,
@@ -291,8 +297,10 @@ impl Ledger {
 /// [`crate::GossipPlane`], [`crate::ShardedAuthority`]) are parameterized
 /// by `Arc<dyn Transport>`, so the same protocol, tests and accounting run
 /// unchanged over the synchronous [`Bus`](crate::Bus) or the simulated
-/// lossy [`SimNet`](crate::SimNet). Each backend has this one method set:
-/// callers bring the trait into scope (`use ra_authority::Transport`).
+/// lossy [`SimNet`](crate::SimNet) — the one [`Network`](crate::Network)
+/// over its two link models — or over a caller's own implementation (a
+/// tracing wrapper, say). The network has this one method set: callers
+/// bring the trait into scope (`use ra_authority::Transport`).
 ///
 /// # Contract
 ///
@@ -316,7 +324,7 @@ impl Ledger {
 /// use std::sync::Arc;
 /// use ra_authority::{Bus, Message, Party, SimNet, Transport};
 ///
-/// // The same traffic over either backend, through the trait:
+/// // The same traffic over either link model, through the trait:
 /// for transport in [
 ///     Arc::new(Bus::new()) as Arc<dyn Transport>,
 ///     Arc::new(SimNet::lossless(1)) as Arc<dyn Transport>,
