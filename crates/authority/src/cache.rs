@@ -10,6 +10,13 @@
 //! replays only the cheap kernel check against the stored advice, or — under
 //! [`CacheMode::Trust`] — returns the exact digest hit directly.
 //!
+//! The key is content, not object identity: two separately built but
+//! equal specs share one entry. A strategic spec is hashed once per game
+//! object — the game memoizes its own digest ([`spec_digest`]) — so the
+//! first touch costs one encode plus one hash, with no copy, and a
+//! repeated consult of the same game pays only the lookup. The small spec
+//! families are hashed on every call.
+//!
 //! The cache is a sharded LRU: the digest's first byte picks a shard, each
 //! shard is an independent mutex around a bounded slab-backed LRU list, so
 //! concurrent consultations from different engine shards rarely contend on
@@ -31,12 +38,23 @@ use crate::reputation::MajorityOutcome;
 
 /// SHA-256 of the spec's canonical wire encoding — the cache key.
 ///
-/// Runs over the recycled thread-local frame scratch
-/// ([`crate::wire::with_frame_scratch`]), so the steady-state digest
-/// allocates no buffer. Equal specs digest equally because the
-/// [`crate::wire::Wire`] encoding of [`GameSpec`] is canonical.
+/// A strategic spec reads [`StrategicGame::spec_digest`], which
+/// `ra-games` computes from the game's own bytes once per game object and
+/// clones carry: the first touch costs one encode plus one hash, with no
+/// copy, and every later consult of that game is a load. The three small
+/// families encode into the recycled thread-local frame scratch
+/// ([`crate::wire::with_frame_scratch`]) and hash it in place on every
+/// call, which allocates no buffer once the thread is warm. Equal specs
+/// digest equally, whichever object holds them, because the
+/// [`crate::wire::Wire`] encoding of [`GameSpec`] is canonical and the
+/// game's memo hashes exactly those bytes.
+///
+/// [`StrategicGame::spec_digest`]: ra_games::StrategicGame::spec_digest
 pub fn spec_digest(spec: &GameSpec) -> Digest {
-    sha256_wire(spec)
+    match spec {
+        GameSpec::Strategic(game) => game.spec_digest(),
+        _ => sha256_wire(spec),
+    }
 }
 
 /// What to do with a cache hit.

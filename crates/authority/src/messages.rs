@@ -814,19 +814,10 @@ impl Advice {
 
 impl Wire for StrategicGame {
     /// Strategy counts, then every profile's per-agent payoff vector in
-    /// [`ProfileIter`](ra_games::ProfileIter) (odometer) order — exactly the
-    /// order [`StrategicGame::from_payoff_fn`] evaluates, so the encoding is
-    /// canonical: equal games encode to equal bytes.
+    /// odometer order; see [`StrategicGame::encode_canonical`]. Equal games
+    /// encode to equal bytes.
     fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.strategy_counts().len() as u64);
-        for &count in self.strategy_counts() {
-            put_varint(buf, count as u64);
-        }
-        for row in self.payoff_rows() {
-            for utility in row {
-                utility.encode(buf);
-            }
-        }
+        self.encode_canonical(buf);
     }
     fn decode(buf: &mut WireBytes) -> Result<StrategicGame, WireError> {
         let agents = crate::wire::get_len_prefix(buf)?;
@@ -911,11 +902,13 @@ impl Wire for GameSpec {
     /// Tagged by family (`0` strategic, `1` bimatrix, `2` participation,
     /// `3` parallel links). This canonical encoding is the preimage of
     /// [`crate::cache::spec_digest`], so it must stay deterministic:
-    /// identical specs must produce identical bytes on every encode.
+    /// identical specs must produce identical bytes on every encode. The
+    /// strategic tag is [`StrategicGame::SPEC_TAG`], the same byte that
+    /// starts the preimage of [`StrategicGame::spec_digest`].
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             GameSpec::Strategic(game) => {
-                buf.push(0);
+                buf.push(StrategicGame::SPEC_TAG);
                 game.encode(buf);
             }
             GameSpec::Bimatrix(game) => {
@@ -945,7 +938,7 @@ impl Wire for GameSpec {
             return Err(WireError::UnexpectedEnd);
         }
         Ok(match buf.get_u8() {
-            0 => GameSpec::Strategic(StrategicGame::decode(buf)?),
+            StrategicGame::SPEC_TAG => GameSpec::Strategic(StrategicGame::decode(buf)?),
             1 => GameSpec::Bimatrix(BimatrixGame::decode(buf)?),
             2 => GameSpec::Participation(ParticipationParams::decode(buf)?),
             3 => GameSpec::ParallelLinks {
@@ -1503,6 +1496,26 @@ mod tests {
         fingerprints.sort_unstable();
         fingerprints.dedup();
         assert_eq!(fingerprints.len(), 3, "distinct games share a fingerprint");
+    }
+
+    #[test]
+    fn memoized_spec_digest_survives_clones_and_the_wire() {
+        for spec in sample_specs() {
+            let expected = crate::crypto::sha256(spec.to_bytes().as_slice());
+            let GameSpec::Strategic(fresh) = &spec else {
+                continue;
+            };
+            let cold_clone = fresh.clone();
+            let mut bytes = fresh.to_bytes();
+            let decoded = StrategicGame::decode(&mut bytes).expect("decodes");
+            assert_eq!(fresh.spec_digest(), expected, "fresh game");
+            assert_eq!(fresh.clone().spec_digest(), expected, "warm clone");
+            assert_eq!(decoded.spec_digest(), expected, "wire copy");
+            assert_eq!(crate::cache::spec_digest(&spec), expected, "spec_digest");
+            // `fresh` is warm now, `cold_clone` has never been hashed.
+            assert_eq!(*fresh, cold_clone);
+            assert_eq!(cold_clone.spec_digest(), expected, "cold clone");
+        }
     }
 
     #[test]

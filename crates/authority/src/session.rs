@@ -1162,6 +1162,46 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_on_content_not_object_identity() {
+        use crate::cache::CertCacheConfig;
+        use ra_exact::rat;
+        // A 16×16 coordination game, built afresh on every call; `bumped`
+        // changes one off-diagonal payoff.
+        let build = |bumped: bool| {
+            GameSpec::Strategic(ra_games::StrategicGame::from_payoff_fn(vec![16, 16], |p| {
+                let (a, b) = (p.strategy_of(0), p.strategy_of(1));
+                let payoff = match (a == b, bumped && (a, b) == (3, 5)) {
+                    (true, _) => rat(100 + a as i64, 1),
+                    (false, true) => rat(1, 1),
+                    (false, false) => rat(0, 1),
+                };
+                vec![payoff.clone(), payoff]
+            }))
+        };
+        for config in [CertCacheConfig::replay(64), CertCacheConfig::trust(64)] {
+            let mut authority = RationalityAuthority::new(
+                Inventor::new(0, InventorBehavior::Honest),
+                &[VerifierBehavior::Honest; 3],
+            );
+            authority.set_cert_cache(Arc::new(CertCache::new(config)));
+            assert!(!authority.consult(0, &build(false)).cached);
+            assert!(
+                authority.consult(1, &build(false)).cached,
+                "{:?}: a separately built equal game shares the entry",
+                config.mode
+            );
+            assert!(
+                !authority.consult(2, &build(true)).cached,
+                "{:?}: one changed payoff misses",
+                config.mode
+            );
+            let cache = authority.cert_cache().unwrap();
+            assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+            assert_eq!(cache.len(), 2);
+        }
+    }
+
+    #[test]
     fn exclusion_between_prime_and_probe_invalidates_replay_hits() {
         // The PR 7 follow-up: a Replay-mode hit must not serve advice
         // vouched for under an older verifier panel. Prime the cache on

@@ -281,18 +281,10 @@ pub trait Wire: Sized {
     }
 }
 
-/// LEB128-style unsigned varint.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
+/// LEB128-style unsigned varint. The writer lives in `ra-exact` beside
+/// the canonical rational writer, so game digests and wire frames share
+/// one varint format.
+pub use ra_exact::put_varint;
 
 /// Reads a varint.
 ///
@@ -420,43 +412,11 @@ impl<T: Wire> Wire for Option<T> {
     }
 }
 
-/// Length-prefixed ASCII decimal of `value`: the exact bytes of
-/// `value.to_string().encode(buf)` with no intermediate `String`.
-fn put_decimal_u64(buf: &mut Vec<u8>, value: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    let mut v = value;
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    put_varint(buf, (digits.len() - at) as u64);
-    buf.extend_from_slice(&digits[at..]);
-}
-
 impl Wire for Rational {
+    /// Sign byte + decimal magnitudes (arbitrary precision survives); see
+    /// [`Rational::encode_canonical`].
     fn encode(&self, buf: &mut Vec<u8>) {
-        // Sign byte + decimal magnitudes (arbitrary precision survives).
-        buf.push(u8::from(self.is_negative()));
-        match (self.numer().magnitude_u64(), self.denom().magnitude_u64()) {
-            // Single-limb fast path: write the decimal digits straight
-            // into the frame. Byte-identical to the string path below,
-            // without its magnitude clone and per-chunk `format!`
-            // allocations — payoff tables are almost always word-sized,
-            // and spec digests re-encode them on every cache probe.
-            (Some(num), Some(den)) => {
-                put_decimal_u64(buf, num);
-                put_decimal_u64(buf, den);
-            }
-            _ => {
-                self.numer().abs().to_string().encode(buf);
-                self.denom().to_string().encode(buf);
-            }
-        }
+        self.encode_canonical(buf);
     }
     fn decode(buf: &mut WireBytes) -> Result<Rational, WireError> {
         if !buf.has_remaining() {

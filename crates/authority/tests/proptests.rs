@@ -34,6 +34,32 @@ fn hashed_rational(h: u64) -> Rational {
     rat((h % 21) as i64 - 10, ((h >> 8) % 6 + 1) as i64)
 }
 
+/// Arbitrary strategic games of up to three agents with up to three
+/// strategies each. About one payoff in eleven is scaled past `u64`, so
+/// the encoder's multi-limb path is hashed too.
+fn arb_strategic_game() -> impl Strategy<Value = StrategicGame> {
+    (prop::collection::vec(1usize..4, 1..4), any::<u64>()).prop_map(|(counts, seed)| {
+        let agents = counts.len();
+        let wide = rat(i64::MAX, 1) * rat(i64::MAX, 3);
+        StrategicGame::from_payoff_fn(counts, move |profile| {
+            (0..agents)
+                .map(|agent| {
+                    let mut h = seed ^ mix(agent as u64 + 7);
+                    for a in 0..agents {
+                        h = mix(h ^ (((a as u64) << 32) | profile.strategy_of(a) as u64));
+                    }
+                    let payoff = hashed_rational(h);
+                    if h % 11 == 0 {
+                        payoff * wide.clone()
+                    } else {
+                        payoff
+                    }
+                })
+                .collect()
+        })
+    })
+}
+
 /// Arbitrary specs over all four case-study families, with payoffs and
 /// parameters derived deterministically from generated seeds.
 fn arb_game_spec() -> impl Strategy<Value = GameSpec> {
@@ -617,6 +643,22 @@ proptest! {
         prop_assert_eq!(buf.len(), 0, "trailing bytes after decode");
         prop_assert_eq!(spec_digest(&decoded), spec_digest(&spec));
         prop_assert_eq!(decoded, spec);
+    }
+
+    /// A strategic game's memoized digest is the SHA-256 of a fresh
+    /// encoding of its spec, whether read cold (the first touch computes
+    /// it) or warm (a load), and `spec_digest` serves the same value.
+    #[test]
+    fn strategic_digest_memo_matches_a_fresh_encoding(game in arb_strategic_game()) {
+        let spec = GameSpec::Strategic(game.clone());
+        let mut fresh = Vec::new();
+        spec.encode(&mut fresh);
+        let expected = sha256(&fresh);
+        let cold = game.spec_digest();
+        let warm = game.spec_digest();
+        prop_assert_eq!(cold, expected, "cold read");
+        prop_assert_eq!(warm, expected, "warm read");
+        prop_assert_eq!(spec_digest(&spec), expected);
     }
 
     /// A Replay-mode cache hit is observably identical to a cold

@@ -1,6 +1,7 @@
 //! Criterion bench: the authority-infrastructure substrate — P2 interactive
 //! verification, wire codec throughput, transport topology and send cost,
-//! exact arithmetic, and full end-to-end consultation sessions.
+//! the certificate-cache key, exact arithmetic, and full end-to-end
+//! consultation sessions.
 //!
 //! Includes the ablation: exact-rational vs f64 linear solving on
 //! the P1 indifference system (the price of soundness).
@@ -14,13 +15,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ra_authority::{
-    Bus, GameSpec, Inventor, InventorBehavior, Message, Party, RationalityAuthority, SimNet,
-    Transport, VerifierBehavior, Wire,
+    sha256_wire, spec_digest, Bus, GameSpec, Inventor, InventorBehavior, Message, Party,
+    RationalityAuthority, SimNet, Transport, VerifierBehavior, Wire,
 };
 use ra_bench::game_with_support_size;
 use ra_exact::{rat, solve_linear_system, Matrix, Rational};
 use ra_games::named::prisoners_dilemma;
-use ra_games::{GameGenerator, MixedProfile, MixedStrategy};
+use ra_games::{GameGenerator, MixedProfile, MixedStrategy, StrategicGame};
 use ra_proofs::{honest_row_advice, verify_private_advice, HonestOracle, P2Config};
 
 fn bench_p2(c: &mut Criterion) {
@@ -117,6 +118,32 @@ fn bench_transport(c: &mut Criterion) {
             )
             .unwrap()
         })
+    });
+    group.finish();
+}
+
+/// The certificate-cache key of a 16×16 coordination game whose 2,724-byte
+/// spec matches the benchmark catalog's: `cold` encodes the spec and
+/// hashes it (what a game's first touch pays, once), `warm` is
+/// `spec_digest` on a game whose memo is filled (every later consult).
+fn bench_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache");
+    let spec = GameSpec::Strategic(StrategicGame::from_payoff_fn(vec![16, 16], |p| {
+        let (a, b) = (p.strategy_of(0), p.strategy_of(1));
+        let payoff = if a == b {
+            rat(123_457 + a as i64, 1)
+        } else {
+            rat(0, 1)
+        };
+        vec![payoff.clone(), payoff]
+    }));
+    assert_eq!(spec.encoded_len(), 2724);
+    group.bench_function("spec_digest_16x16/cold", |b| {
+        b.iter(|| sha256_wire(black_box(&spec)))
+    });
+    spec_digest(&spec);
+    group.bench_function("spec_digest_16x16/warm", |b| {
+        b.iter(|| spec_digest(black_box(&spec)))
     });
     group.finish();
 }
@@ -256,7 +283,7 @@ fn bench_exact_arith(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_p2, bench_wire, bench_transport, bench_exact_vs_f64, bench_session,
-        bench_exact_arith
+    targets = bench_p2, bench_wire, bench_transport, bench_cache, bench_exact_vs_f64,
+        bench_session, bench_exact_arith
 }
 criterion_main!(benches);

@@ -42,8 +42,9 @@ const SHARDS: usize = 4;
 /// payoffs encode the rank, so every rank has a distinct canonical
 /// encoding (and therefore a distinct spec digest). The size is the
 /// point: *solving* scans every profile's deviations (O(k³) utility
-/// lookups) while a cache hit only re-encodes and hashes the spec
-/// (O(k²) bytes) — the same verify-is-cheaper-than-compute asymmetry the
+/// lookups) while a cache hit reads the game's memoized spec digest and
+/// probes the LRU — the game's first touch encodes and hashes its O(k²)
+/// bytes once — the same verify-is-cheaper-than-compute asymmetry the
 /// paper builds on, so the cache's win grows with the game.
 fn catalog_game(rank: usize) -> GameSpec {
     GameSpec::Strategic(StrategicGame::from_payoff_fn(vec![16, 16], |profile| {

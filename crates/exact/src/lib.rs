@@ -1,7 +1,9 @@
 //! # ra-exact — exact arithmetic substrate
 //!
 //! Arbitrary-precision integers, exact rationals, dense linear algebra,
-//! polynomials and binomial combinatorics over ℚ.
+//! polynomials and binomial combinatorics over ℚ — plus the byte-level
+//! leaves every crate above needs: the canonical varint and rational
+//! writers, and SHA-256.
 //!
 //! This crate exists because the rationality-authority verifiers (the
 //! `ra-proofs` consumers) must be *sound*: accepting a certificate is a
@@ -31,16 +33,20 @@
 
 mod bigint;
 mod binomial;
+mod encoding;
 mod linalg;
 mod lp;
 mod polynomial;
 mod rational;
+mod sha256;
 
 pub use bigint::{BigInt, ParseExactError, Sign};
 pub use binomial::{
     binomial, binomial_pmf, binomial_tail_at_least, binomial_tail_at_most, factorial,
 };
+pub use encoding::put_varint;
 pub use linalg::{solve_linear_system, LinearSolution, Matrix};
 pub use lp::{maximize, LpError, LpResult};
 pub use polynomial::{bisect, BisectError, BisectionResult, Polynomial};
 pub use rational::{rat, Rational};
+pub use sha256::sha256;

@@ -10,7 +10,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
-use ra_exact::Rational;
+use ra_exact::{put_varint, sha256, Rational};
 
 use crate::profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 
@@ -44,10 +44,14 @@ pub struct StrategicGame {
     /// [`StrategicGame::fingerprint`], filled on first use. The game has
     /// no `&mut` API, so it can never go stale; clones carry it along.
     fingerprint: OnceLock<u64>,
+    /// [`StrategicGame::spec_digest`], memoized the same way. Only this
+    /// crate fills it, always from the game's own bytes, so no caller can
+    /// plant a digest that names another game.
+    spec_digest: OnceLock<[u8; 32]>,
 }
 
-/// Equality is over the game itself; whether the fingerprint memo is warm
-/// does not matter.
+/// Equality is over the game itself; whether the fingerprint or digest
+/// memo is warm does not matter.
 impl PartialEq for StrategicGame {
     fn eq(&self, other: &StrategicGame) -> bool {
         self.strategy_counts == other.strategy_counts && self.payoffs == other.payoffs
@@ -84,6 +88,7 @@ impl StrategicGame {
             strategy_counts,
             payoffs,
             fingerprint: OnceLock::new(),
+            spec_digest: OnceLock::new(),
         }
     }
 
@@ -126,19 +131,9 @@ impl StrategicGame {
         ProfileIter::new(self.strategy_counts.clone())
     }
 
-    /// Every profile's per-agent payoff vector, in
-    /// [`profiles`](StrategicGame::profiles) (odometer) order — the dense
-    /// storage order. Equivalent to calling
-    /// [`payoffs`](StrategicGame::payoffs) on each profile of
-    /// [`profiles`](StrategicGame::profiles) in turn, without
-    /// materializing or re-validating any profile.
-    pub fn payoff_rows(&self) -> impl Iterator<Item = &[Rational]> {
-        self.payoffs.iter().map(Vec::as_slice)
-    }
-
     /// A 64-bit SipHash of the whole game: the agent count, the strategy
-    /// counts, then every payoff in [`payoff_rows`](StrategicGame::payoff_rows)
-    /// order. Equal games have equal fingerprints.
+    /// counts, then every payoff in [`profiles`](StrategicGame::profiles)
+    /// (odometer) order. Equal games have equal fingerprints.
     ///
     /// The first call costs one pass over the payoff tensor; the value is
     /// memoized, so every later call (on this game or a clone made after
@@ -152,6 +147,48 @@ impl StrategicGame {
                 u.hash(&mut hasher);
             }
             hasher.finish()
+        })
+    }
+
+    /// The tag byte that precedes a strategic game in a game spec's
+    /// canonical encoding (the other spec families take `1`, `2`, …). The
+    /// [`spec_digest`](StrategicGame::spec_digest) preimage starts with it,
+    /// so the digest equals the SHA-256 of the whole spec's bytes.
+    pub const SPEC_TAG: u8 = 0;
+
+    /// Appends the game's canonical bytes: the agent count and each
+    /// agent's strategy count as varints, then each profile's per-agent
+    /// payoffs in [`profiles`](StrategicGame::profiles) (odometer) order as
+    /// [`Rational::encode_canonical`] bytes — exactly the order
+    /// [`StrategicGame::from_payoff_fn`] evaluates, so equal games write
+    /// equal bytes.
+    pub fn encode_canonical(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.strategy_counts.len() as u64);
+        for &count in &self.strategy_counts {
+            put_varint(buf, count as u64);
+        }
+        for utility in self.payoffs.iter().flatten() {
+            utility.encode_canonical(buf);
+        }
+    }
+
+    /// The SHA-256 of [`SPEC_TAG`](StrategicGame::SPEC_TAG) followed by
+    /// the game's [canonical bytes](StrategicGame::encode_canonical): the
+    /// content digest of the game as a spec. Equal games have equal
+    /// digests, whichever object they live in.
+    ///
+    /// The first call encodes the game once and hashes the bytes in place;
+    /// the value is memoized, so every later call (on this game or a clone
+    /// made after it) is a load.
+    pub fn spec_digest(&self) -> [u8; 32] {
+        *self.spec_digest.get_or_init(|| {
+            // Sized for small payoffs (a one-digit integer takes 5 bytes),
+            // so the usual game encodes without regrowing.
+            let values = self.payoffs.len() * self.num_agents();
+            let mut buf = Vec::with_capacity(16 + 6 * values);
+            buf.push(Self::SPEC_TAG);
+            self.encode_canonical(&mut buf);
+            sha256(&buf)
         })
     }
 
