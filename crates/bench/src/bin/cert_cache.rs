@@ -29,7 +29,7 @@ use ra_authority::{
     Bus, CacheMode, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig,
     ShardedAuthority, VerifierBehavior,
 };
-use ra_bench::{fmt_secs, timed, write_csv, write_json};
+use ra_bench::{count_arg, timed, write_bench, write_csv_rows, Row};
 use ra_exact::rat;
 use ra_games::StrategicGame;
 
@@ -93,20 +93,12 @@ struct PassResult {
 }
 
 fn main() {
-    let draws: usize = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("draw count must be an integer"))
-        .unwrap_or(4096);
+    let draws = count_arg(1, "DRAWS, consultations per pass", 4096) as usize;
     println!(
         "Certificate cache under Zipf popularity — {draws} draws per pass, \
          {SHARDS} shards, shared capacity-{CACHE_CAPACITY} cache:\n"
     );
-    println!(
-        "{:>7} {:>5} {:>8} {:>11} {:>15} {:>11} {:>15} {:>10}",
-        "mode", "s", "catalog", "cold", "cold cons/s", "warm", "warm cons/s", "warm hit"
-    );
-    let mut rows = Vec::new();
-    let mut json_entries = Vec::new();
+    let mut results = Vec::new();
     let mut headline = None;
     for mode in [CacheMode::Replay, CacheMode::Trust] {
         for s in ZIPF_EXPONENTS {
@@ -157,53 +149,24 @@ fn main() {
                 let _prime = pass(&engine, 0);
                 let warm = pass(&engine, engine.cache_stats().hits);
                 let stats = engine.shard_stats();
-                let mode_name = format!("{mode:?}");
-                println!(
-                    "{:>7} {:>5} {:>8} {:>11} {:>15.0} {:>11} {:>15.0} {:>10.3}",
-                    mode_name,
-                    s,
-                    catalog_size,
-                    fmt_secs(cold.secs),
-                    cold.rate,
-                    fmt_secs(warm.secs),
-                    warm.rate,
-                    warm.hit_rate
-                );
-                rows.push(format!(
-                    "{mode_name},{s},{catalog_size},{draws},{:.9},{:.3},{:.6},{:.9},{:.3},{:.6},{},{},{},{},{}",
-                    cold.secs,
-                    cold.rate,
-                    cold.hit_rate,
-                    warm.secs,
-                    warm.rate,
-                    warm.hit_rate,
-                    stats.cache.hits,
-                    stats.cache.misses,
-                    stats.cache.evictions,
-                    stats.cache.replay_failures,
-                    stats.frame_pool_misses
-                ));
-                json_entries.push(format!(
-                    "{{\"mode\":\"{mode_name}\",\"zipf_s\":{s},\"catalog\":{catalog_size},\
-                     \"draws\":{draws},\
-                     \"cold_secs\":{:.9},\"cold_consults_per_sec\":{:.3},\
-                     \"cold_hit_rate\":{:.6},\
-                     \"warm_secs\":{:.9},\"warm_consults_per_sec\":{:.3},\
-                     \"warm_hit_rate\":{:.6},\
-                     \"hits\":{},\"misses\":{},\"evictions\":{},\
-                     \"replay_failures\":{},\"frame_pool_misses\":{}}}",
-                    cold.secs,
-                    cold.rate,
-                    cold.hit_rate,
-                    warm.secs,
-                    warm.rate,
-                    warm.hit_rate,
-                    stats.cache.hits,
-                    stats.cache.misses,
-                    stats.cache.evictions,
-                    stats.cache.replay_failures,
-                    stats.frame_pool_misses
-                ));
+                let row = Row::new()
+                    .label("mode", &format!("{mode:?}"))
+                    .fixed("zipf_s", s, 1)
+                    .int("catalog", catalog_size as u64)
+                    .int("draws", draws as u64)
+                    .fixed("cold_secs", cold.secs, 9)
+                    .fixed("cold_consults_per_sec", cold.rate, 3)
+                    .fixed("cold_hit_rate", cold.hit_rate, 6)
+                    .fixed("warm_secs", warm.secs, 9)
+                    .fixed("warm_consults_per_sec", warm.rate, 3)
+                    .fixed("warm_hit_rate", warm.hit_rate, 6)
+                    .int("hits", stats.cache.hits)
+                    .int("misses", stats.cache.misses)
+                    .int("evictions", stats.cache.evictions)
+                    .int("replay_failures", stats.cache.replay_failures)
+                    .int("frame_pool_misses", stats.frame_pool_misses);
+                row.print(results.is_empty());
+                results.push(row);
                 if mode == CacheMode::Trust && s == 1.1 && catalog_size == 1024 {
                     headline = Some((cold, warm));
                 }
@@ -218,27 +181,26 @@ fn main() {
         warm.rate, cold.rate, warm.hit_rate
     );
 
-    let csv_path = write_csv(
+    let csv_path = write_csv_rows("cert_cache", &results);
+    let json_path = write_bench(
         "cert_cache",
-        "mode,zipf_s,catalog,draws,cold_secs,cold_consults_per_sec,cold_hit_rate,\
-         warm_secs,warm_consults_per_sec,warm_hit_rate,hits,misses,evictions,\
-         replay_failures,frame_pool_misses",
-        &rows,
-    );
-    let json_path = write_json(
-        "BENCH_cert_cache",
-        &format!(
-            "{{\"bench\":\"cert_cache\",\"unit\":\"consults_per_sec\",\
-             \"draws\":{draws},\"capacity\":{CACHE_CAPACITY},\"shards\":{SHARDS},\
-             \"headline\":{{\"mode\":\"Trust\",\"zipf_s\":1.1,\"catalog\":1024,\
-             \"cold_consults_per_sec\":{:.3},\"warm_consults_per_sec\":{:.3},\
-             \"warm_hit_rate\":{:.6},\"warm_trust_over_cold\":{speedup:.3}}},\
-             \"results\":[{}]}}",
-            cold.rate,
-            warm.rate,
-            warm.hit_rate,
-            json_entries.join(",")
-        ),
+        Row::new()
+            .label("unit", "consults_per_sec")
+            .int("draws", draws as u64)
+            .int("capacity", CACHE_CAPACITY as u64)
+            .int("shards", SHARDS as u64)
+            .object(
+                "headline",
+                Row::new()
+                    .label("mode", "Trust")
+                    .fixed("zipf_s", 1.1, 1)
+                    .int("catalog", 1024)
+                    .fixed("cold_consults_per_sec", cold.rate, 3)
+                    .fixed("warm_consults_per_sec", warm.rate, 3)
+                    .fixed("warm_hit_rate", warm.hit_rate, 6)
+                    .fixed("warm_trust_over_cold", speedup, 3),
+            )
+            .rows("results", results),
     );
     println!("\nwrote {}", csv_path.display());
     println!("wrote {}", json_path.display());

@@ -34,8 +34,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ra_authority::{GameSpec, InventorBehavior, ShardedAuthority, VerifierBehavior};
-use ra_bench::{percentile, timed, write_csv, write_json};
-use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
+use ra_bench::{build_batch, count_arg, percentile, timed, write_bench, write_csv_rows, Row};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,47 +54,19 @@ fn exp_gap(rng: &mut StdRng, rate: f64) -> f64 {
     -(1.0 - u).max(1e-12).ln() / rate
 }
 
-fn specs() -> Vec<Arc<GameSpec>> {
-    vec![
-        Arc::new(GameSpec::Strategic(prisoners_dilemma().to_strategic())),
-        Arc::new(GameSpec::Bimatrix(battle_of_the_sexes())),
-        Arc::new(GameSpec::Strategic(stag_hunt(3))),
-    ]
-}
-
-/// Closed-loop capacity of the engine on this machine, in consults/sec:
-/// the yardstick the open-loop arrival rates are set against.
-fn calibrate(specs: &[Arc<GameSpec>], n: u64) -> f64 {
+/// Closed-loop capacity of the engine on this machine, in consults/sec,
+/// over a batch of `n ≤ AGENTS` consultations: the yardstick the
+/// open-loop arrival rates are set against.
+fn calibrate(n: u64) -> f64 {
     let engine = ShardedAuthority::new(
         SHARDS,
         InventorBehavior::Honest,
         &[VerifierBehavior::Honest; 3],
     );
-    let requests: Vec<(u64, Arc<GameSpec>)> = (0..n)
-        .map(|i| {
-            (
-                i % AGENTS,
-                Arc::clone(&specs[(i % specs.len() as u64) as usize]),
-            )
-        })
-        .collect();
+    let requests = build_batch(n);
     let (outcomes, secs) = timed(|| engine.consult_batch(&requests));
     assert!(outcomes.iter().all(|o| o.adopted));
     n as f64 / secs.max(1e-12)
-}
-
-/// One measured cell of the harness.
-struct Cell {
-    process: &'static str,
-    target_rate: f64,
-    offered: u64,
-    completed: u64,
-    shed: u64,
-    secs: f64,
-    throughput: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
 }
 
 /// Runs one open-loop cell: `total` arrivals from `process` at long-run
@@ -103,11 +74,12 @@ struct Cell {
 /// never leak between cells).
 fn run_cell(
     process: &'static str,
+    regime: &'static str,
     rate: f64,
     total: u64,
     specs: &[Arc<GameSpec>],
     seed: u64,
-) -> Cell {
+) -> Row {
     let engine = Arc::new(ShardedAuthority::new(
         SHARDS,
         InventorBehavior::Honest,
@@ -179,27 +151,28 @@ fn run_cell(
     let completed = sojourns_us.len() as u64;
     let shed = shed_count.load(Ordering::Relaxed);
     assert_eq!(completed + shed, total, "every arrival completes or sheds");
-    Cell {
-        process,
-        target_rate: rate,
-        offered: total,
-        completed,
-        shed,
-        secs,
-        throughput: completed as f64 / secs.max(1e-12),
-        p50_us: percentile(&sojourns_us, 0.50),
-        p95_us: percentile(&sojourns_us, 0.95),
-        p99_us: percentile(&sojourns_us, 0.99),
-    }
+    let throughput = completed as f64 / secs.max(1e-12);
+    Row::new()
+        .label("process", process)
+        .label("regime", regime)
+        .fixed("target_rate", rate, 3)
+        .int("offered", total)
+        .int("completed", completed)
+        .int("shed", shed)
+        .fixed("secs", secs, 6)
+        .fixed("throughput", throughput, 3)
+        .csv_only()
+        .fixed("throughput_per_sec", throughput, 3)
+        .json_only()
+        .fixed("p50_us", percentile(&sojourns_us, 0.50), 1)
+        .fixed("p95_us", percentile(&sojourns_us, 0.95), 1)
+        .fixed("p99_us", percentile(&sojourns_us, 0.99), 1)
 }
 
 fn main() {
-    let total: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("arrival budget must be an integer"))
-        .unwrap_or(4000);
-    let specs = specs();
-    let capacity = calibrate(&specs, total.clamp(200, 2000));
+    let total = count_arg(1, "N, arrivals per cell", 4000);
+    let specs: Vec<Arc<GameSpec>> = build_batch(3).into_iter().map(|(_, spec)| spec).collect();
+    let capacity = calibrate(total.clamp(200, 2000));
     println!(
         "Open-loop load — {SHARDS} shards, {AGENTS} simulated agents, queue depth \
          {QUEUE_CAP}, {total} arrivals per cell.\n\
@@ -208,91 +181,27 @@ fn main() {
     // One cell below capacity (queueing should be mild) and one above it
     // (the bounded queues must shed), for each arrival process.
     let rates = [("moderate", capacity * 0.6), ("overload", capacity * 1.5)];
-    println!(
-        "{:>8} {:>9} {:>12} {:>9} {:>9} {:>7} {:>12} {:>9} {:>9} {:>9}",
-        "process",
-        "regime",
-        "rate/s",
-        "offered",
-        "completed",
-        "shed",
-        "thruput/s",
-        "p50 µs",
-        "p95 µs",
-        "p99 µs"
-    );
-    let mut rows = Vec::new();
-    let mut json_cells = Vec::new();
+    let mut cells = Vec::new();
     for (ci, process) in ["poisson", "bursty"].into_iter().enumerate() {
-        for (ri, (regime, rate)) in rates.iter().enumerate() {
-            let cell = run_cell(
-                process,
-                *rate,
-                total,
-                &specs,
-                0xC0FFEE + (ci * 2 + ri) as u64,
-            );
-            println!(
-                "{:>8} {:>9} {:>12.0} {:>9} {:>9} {:>7} {:>12.0} {:>9.0} {:>9.0} {:>9.0}",
-                cell.process,
-                regime,
-                cell.target_rate,
-                cell.offered,
-                cell.completed,
-                cell.shed,
-                cell.throughput,
-                cell.p50_us,
-                cell.p95_us,
-                cell.p99_us
-            );
-            rows.push(format!(
-                "{},{},{:.3},{},{},{},{:.6},{:.3},{:.1},{:.1},{:.1}",
-                cell.process,
-                regime,
-                cell.target_rate,
-                cell.offered,
-                cell.completed,
-                cell.shed,
-                cell.secs,
-                cell.throughput,
-                cell.p50_us,
-                cell.p95_us,
-                cell.p99_us
-            ));
-            json_cells.push(format!(
-                "{{\"process\":\"{}\",\"regime\":\"{}\",\"target_rate\":{:.3},\
-                 \"offered\":{},\"completed\":{},\"shed\":{},\"secs\":{:.6},\
-                 \"throughput_per_sec\":{:.3},\"p50_us\":{:.1},\"p95_us\":{:.1},\
-                 \"p99_us\":{:.1}}}",
-                cell.process,
-                regime,
-                cell.target_rate,
-                cell.offered,
-                cell.completed,
-                cell.shed,
-                cell.secs,
-                cell.throughput,
-                cell.p50_us,
-                cell.p95_us,
-                cell.p99_us
-            ));
+        for (ri, &(regime, rate)) in rates.iter().enumerate() {
+            let seed = 0xC0FFEE + (ci * 2 + ri) as u64;
+            let cell = run_cell(process, regime, rate, total, &specs, seed);
+            cell.print(cells.is_empty());
+            cells.push(cell);
         }
     }
-    let csv_path = write_csv(
+    let csv_path = write_csv_rows("load", &cells);
+    let json_path = write_bench(
         "load",
-        "process,regime,target_rate,offered,completed,shed,secs,throughput,p50_us,p95_us,p99_us",
-        &rows,
-    );
-    let json_path = write_json(
-        "BENCH_load",
-        &format!(
-            "{{\"bench\":\"load\",\"unit\":\"microseconds\",\"shards\":{SHARDS},\
-             \"agents\":{AGENTS},\"queue_capacity\":{QUEUE_CAP},\"burst\":{BURST},\
-             \"arrivals_per_cell\":{total},\
-             \"calibrated_capacity_per_sec\":{capacity:.3},\
-             \"cells\":[{}]}}",
-            json_cells.join(",")
-        ),
+        Row::new()
+            .label("unit", "microseconds")
+            .int("shards", SHARDS as u64)
+            .int("agents", AGENTS)
+            .int("queue_capacity", QUEUE_CAP as u64)
+            .int("burst", BURST)
+            .int("arrivals_per_cell", total)
+            .fixed("calibrated_capacity_per_sec", capacity, 3)
+            .rows("cells", cells),
     );
     println!("\nwrote {}", csv_path.display());
     println!("wrote {}", json_path.display());

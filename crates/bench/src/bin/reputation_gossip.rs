@@ -12,8 +12,8 @@
 //! gossip bytes per consultation non-zero under either gossip policy but
 //! exactly zero under `Isolated` (ISSUE 4 — merges are real framed
 //! sends). Results go to `results/reputation_gossip.csv` and, in the
-//! machine-readable perf-trajectory format,
-//! `results/BENCH_reputation_gossip.json` (schema: docs/BENCHMARKS.md).
+//! machine-readable perf-trajectory format, `BENCH_reputation_gossip.json`
+//! at the workspace root (schema: docs/BENCHMARKS.md).
 //!
 //! Usage: `cargo run -p ra-bench --release --bin reputation_gossip [-- N [EVERY]]`
 //! where `N` is the batch size (default 512; CI uses a small value) and
@@ -25,30 +25,13 @@ use ra_authority::{
     Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority,
     VerifierBehavior,
 };
-use ra_bench::{fmt_secs, timed, write_csv, write_json};
-use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
+use ra_bench::{build_batch, count_arg, timed, write_bench, write_csv_rows, Row, Spread};
+use ra_games::named::prisoners_dilemma;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Hard cap on the exclusion experiment (the isolated engine may need a
 /// dissent on every shard; this bounds pathological routing).
 const EXCLUSION_CAP: u64 = 10_000;
-
-fn build_batch(n: u64) -> Vec<(u64, Arc<GameSpec>)> {
-    let specs = [
-        GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-        GameSpec::Bimatrix(battle_of_the_sexes()),
-        GameSpec::Strategic(stag_hunt(3)),
-    ]
-    .map(Arc::new);
-    (0..n)
-        .map(|agent| {
-            (
-                agent,
-                Arc::clone(&specs[(agent % specs.len() as u64) as usize]),
-            )
-        })
-        .collect()
-}
 
 /// An engine with an honest inventor over perfect buses and no
 /// certificate cache.
@@ -100,8 +83,9 @@ fn policies(every: usize) -> [(&'static str, ReputationPolicy); 3] {
 /// plane + delivered gossip frames) until `Party::Verifier(2)` — an
 /// `AlwaysReject` saboteur against an honest inventor — is distrusted on
 /// every shard, or `None` if that never happens within `EXCLUSION_CAP`
-/// (reported as -1 in the CSV and `null` in the JSON, so a propagation
-/// regression shows up as a visibly broken data point, not a big number).
+/// (reported as `null` in the JSON and an empty CSV field, so a
+/// propagation regression shows up as a visibly broken data point, not a
+/// big number).
 fn cost_to_global_exclusion(shards: usize, policy: ReputationPolicy) -> Option<(u64, usize)> {
     let panel = [
         VerifierBehavior::Honest,
@@ -123,38 +107,53 @@ fn cost_to_global_exclusion(shards: usize, policy: ReputationPolicy) -> Option<(
     None
 }
 
+/// One measured `(shards, policy)` configuration.
+fn result_row(
+    shards: usize,
+    policy: &str,
+    consultations: u64,
+    every: usize,
+    secs: f64,
+    gossip_bytes: usize,
+    exclusion: Option<(u64, usize)>,
+) -> Row {
+    Row::new()
+        .int("shards", shards as u64)
+        .label("policy", policy)
+        .int("consultations", consultations)
+        .int("gossip_every", every as u64)
+        .fixed("secs", secs, 9)
+        .fixed(
+            "consults_per_sec",
+            consultations as f64 / secs.max(1e-12),
+            3,
+        )
+        .int("gossip_bytes", gossip_bytes as u64)
+        .fixed(
+            "gossip_bytes_per_consult",
+            gossip_bytes as f64 / consultations as f64,
+            3,
+        )
+        .int_or_null("global_exclusion_after", exclusion.map(|(n, _)| n))
+        .int_or_null(
+            "bytes_to_global_exclusion",
+            exclusion.map(|(_, bytes)| bytes as u64),
+        )
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let batch_size: u64 = args
-        .next()
-        .map(|s| s.parse().expect("batch size must be an integer"))
-        .unwrap_or(512);
-    let every: usize = args
-        .next()
-        .map(|s| s.parse().expect("gossip epoch must be an integer"))
-        .unwrap_or(32);
+    let batch_size = count_arg(1, "N, batch size", 512);
+    let every = count_arg(2, "EVERY, gossip epoch in consultations", 32);
     // A batch smaller than the epoch would never cross a merge boundary,
     // making every gossip column vacuously zero; clamp so the smallest
     // documented invocations still measure the control plane.
-    let every = every.clamp(1, batch_size.max(1) as usize);
+    let every = every.min(batch_size) as usize;
     let requests = build_batch(batch_size);
     println!(
         "Reputation plane — {batch_size} consultations per configuration, gossip \
          epoch {every}, honest inventor, 3 honest verifiers per shard:\n"
     );
-    println!(
-        "{:>7} {:>9} {:>12} {:>14} {:>13} {:>11} {:>16} {:>16}",
-        "shards",
-        "policy",
-        "wall time",
-        "consults/sec",
-        "gossip bytes",
-        "b/consult",
-        "excluded after",
-        "bytes to excl."
-    );
-    let mut rows = Vec::new();
-    let mut json_entries = Vec::new();
+    let mut results = Vec::new();
     let mut rates = std::collections::HashMap::new();
     for shards in SHARD_COUNTS {
         for (name, policy) in policies(every) {
@@ -172,39 +171,18 @@ fn main() {
                 policy != ReputationPolicy::Isolated,
                 "gossip byte accounting does not match the policy"
             );
-            let gossip_per_consult = stats.gossip_bytes as f64 / batch_size as f64;
-            let rate = batch_size as f64 / secs.max(1e-12);
-            rates.insert((shards, name), rate);
-            let exclusion = cost_to_global_exclusion(shards, policy);
-            let (excl_csv, excl_bytes_csv) =
-                exclusion.map_or((-1, -1), |(n, b)| (n as i64, b as i64));
-            let excl_json = exclusion.map_or_else(|| String::from("null"), |(n, _)| n.to_string());
-            let excl_bytes_json =
-                exclusion.map_or_else(|| String::from("null"), |(_, b)| b.to_string());
-            println!(
-                "{:>7} {:>9} {:>12} {:>14.0} {:>13} {:>11.1} {:>16} {:>16}",
+            rates.insert((shards, name), batch_size as f64 / secs.max(1e-12));
+            let row = result_row(
                 shards,
                 name,
-                fmt_secs(secs),
-                rate,
+                batch_size,
+                every,
+                secs,
                 stats.gossip_bytes,
-                gossip_per_consult,
-                exclusion.map_or_else(|| String::from("never"), |(n, _)| n.to_string()),
-                exclusion.map_or_else(|| String::from("-"), |(_, b)| b.to_string()),
+                cost_to_global_exclusion(shards, policy),
             );
-            rows.push(format!(
-                "{shards},{},{batch_size},{every},{secs:.9},{rate:.3},{},{gossip_per_consult:.3},\
-                 {excl_csv},{excl_bytes_csv}",
-                name, stats.gossip_bytes,
-            ));
-            json_entries.push(format!(
-                "{{\"shards\":{shards},\"policy\":\"{}\",\"consultations\":{batch_size},\
-                 \"gossip_every\":{every},\"secs\":{secs:.9},\"consults_per_sec\":{rate:.3},\
-                 \"gossip_bytes\":{},\"gossip_bytes_per_consult\":{gossip_per_consult:.3},\
-                 \"global_exclusion_after\":{excl_json},\
-                 \"bytes_to_global_exclusion\":{excl_bytes_json}}}",
-                name, stats.gossip_bytes,
-            ));
+            row.print(results.is_empty());
+            results.push(row);
         }
     }
     let ratio_at_8 = rates[&(8usize, "gossip")] / rates[&(8usize, "isolated")];
@@ -222,25 +200,24 @@ fn main() {
     /// masquerade as a fan-out regression in the trajectory.
     const BIG_REPEATS: usize = 3;
     let big_requests = build_batch(BIG_BATCH);
-    let rate_512 = |policy| {
-        let mut best: Option<(ShardedAuthority, f64)> = None;
-        for _ in 0..BIG_REPEATS {
-            let engine = bus_engine(8, &[VerifierBehavior::Honest; 3], policy);
-            let (outcomes, secs) = timed(|| engine.consult_batch(&big_requests));
+    // Returns the last repeat's engine: the batch's bytes are the same in
+    // every repeat (batch == sequential), only its wall time varies.
+    let best_of = |policy| {
+        let mut engine = None;
+        let best = Spread::of((0..BIG_REPEATS).map(|_| {
+            let fresh = bus_engine(8, &[VerifierBehavior::Honest; 3], policy);
+            let (outcomes, secs) = timed(|| fresh.consult_batch(&big_requests));
             assert!(outcomes.iter().all(|o| o.adopted));
-            let improved = match &best {
-                None => true,
-                Some((_, best_secs)) => secs < *best_secs,
-            };
-            if improved {
-                best = Some((engine, secs));
-            }
-        }
-        let (engine, secs) = best.expect("at least one repeat ran");
-        (engine, BIG_BATCH as f64 / secs.max(1e-12), secs)
+            engine = Some(fresh);
+            secs
+        }))
+        .min;
+        (engine.expect("at least one repeat ran"), best)
     };
-    let (_, isolated_512, iso_secs) = rate_512(ReputationPolicy::Isolated);
-    let (gossip_engine, gossip_512, gos_secs) = rate_512(gossip(BIG_EVERY));
+    let (_, iso_secs) = best_of(ReputationPolicy::Isolated);
+    let (gossip_engine, gos_secs) = best_of(gossip(BIG_EVERY));
+    let isolated_512 = BIG_BATCH as f64 / iso_secs.max(1e-12);
+    let gossip_512 = BIG_BATCH as f64 / gos_secs.max(1e-12);
     let ratio_512 = gossip_512 / isolated_512;
     // Snapshot the batch's own control-plane bytes before the idle-sync
     // experiment below adds its (post-measurement) push frames, so the
@@ -264,36 +241,40 @@ fn main() {
          isolated {isolated_512:.0}/s, gossip {gossip_512:.0}/s \
          (ratio {ratio_512:.2}x), idle-sync pull bytes {idle_sync_pull_bytes}"
     );
-    rows.push(format!(
-        "8,isolated,{BIG_BATCH},{BIG_EVERY},{iso_secs:.9},{isolated_512:.3},0,0.000,-1,-1"
-    ));
-    rows.push(format!(
-        "8,gossip,{BIG_BATCH},{BIG_EVERY},{gos_secs:.9},{gossip_512:.3},\
-         {gossip_bytes_512},{:.3},-1,-1",
-        gossip_bytes_512 as f64 / BIG_BATCH as f64,
-    ));
 
-    let csv_path = write_csv(
+    let mut csv_rows = results.clone();
+    csv_rows.push(result_row(
+        8, "isolated", BIG_BATCH, BIG_EVERY, iso_secs, 0, None,
+    ));
+    csv_rows.push(result_row(
+        8,
+        "gossip",
+        BIG_BATCH,
+        BIG_EVERY,
+        gos_secs,
+        gossip_bytes_512,
+        None,
+    ));
+    let csv_path = write_csv_rows("reputation_gossip", &csv_rows);
+    let json_path = write_bench(
         "reputation_gossip",
-        "shards,policy,consultations,gossip_every,secs,consults_per_sec,gossip_bytes,\
-         gossip_bytes_per_consult,global_exclusion_after,bytes_to_global_exclusion",
-        &rows,
-    );
-    let json_path = write_json(
-        "BENCH_reputation_gossip",
-        &format!(
-            "{{\"bench\":\"reputation_gossip\",\"unit\":\"consults_per_sec\",\
-             \"batch_size\":{batch_size},\"gossip_every\":{every},\
-             \"gossip_over_isolated_at_8_shards\":{ratio_at_8:.4},\
-             \"batch_512\":{{\"shards\":8,\"consultations\":{BIG_BATCH},\
-             \"gossip_every\":{BIG_EVERY},\
-             \"isolated_consults_per_sec\":{isolated_512:.3},\
-             \"gossip_consults_per_sec\":{gossip_512:.3},\
-             \"gossip_over_isolated_at_8_shards\":{ratio_512:.4},\
-             \"idle_sync_pull_bytes\":{idle_sync_pull_bytes}}},\
-             \"results\":[{}]}}",
-            json_entries.join(",")
-        ),
+        Row::new()
+            .label("unit", "consults_per_sec")
+            .int("batch_size", batch_size)
+            .int("gossip_every", every as u64)
+            .fixed("gossip_over_isolated_at_8_shards", ratio_at_8, 4)
+            .object(
+                "batch_512",
+                Row::new()
+                    .int("shards", 8)
+                    .int("consultations", BIG_BATCH)
+                    .int("gossip_every", BIG_EVERY as u64)
+                    .fixed("isolated_consults_per_sec", isolated_512, 3)
+                    .fixed("gossip_consults_per_sec", gossip_512, 3)
+                    .fixed("gossip_over_isolated_at_8_shards", ratio_512, 4)
+                    .int("idle_sync_pull_bytes", idle_sync_pull_bytes as u64),
+            )
+            .rows("results", results),
     );
     println!("\nwrote {}", csv_path.display());
     println!("wrote {}", json_path.display());

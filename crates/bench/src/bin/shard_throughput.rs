@@ -20,30 +20,41 @@ use ra_authority::{
     Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ShardedAuthority, SimNet,
     Transport, TransportSite, VerifierBehavior,
 };
-use ra_bench::{fmt_secs, percentile, scenario_seed, timed, write_csv, write_json};
-use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
+use ra_bench::{
+    build_batch, cores, count_arg, scenario_seed, timed, write_bench, write_csv_rows, Row, Spread,
+};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn build_batch(n: u64) -> Vec<(u64, Arc<GameSpec>)> {
-    let specs = [
-        GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-        GameSpec::Bimatrix(battle_of_the_sexes()),
-        GameSpec::Strategic(stag_hunt(3)),
-    ]
-    .map(Arc::new);
-    (0..n)
-        .map(|agent| {
-            (
-                agent,
-                Arc::clone(&specs[(agent % specs.len() as u64) as usize]),
-            )
-        })
-        .collect()
-}
-
 /// Alternating repeats per backend in the Bus-vs-SimNet comparison.
 const TRANSPORT_REPEATS: usize = 5;
+
+/// Runs `requests` through a fresh honest engine of `shards` shards,
+/// asserting every advice is adopted. Returns the result row and the
+/// wall-clock seconds.
+fn run_batch(shards: usize, requests: &[(u64, Arc<GameSpec>)]) -> (Row, f64) {
+    let engine = ShardedAuthority::new(
+        shards,
+        InventorBehavior::Honest,
+        &[VerifierBehavior::Honest; 3],
+    );
+    let (outcomes, secs) = timed(|| engine.consult_batch(requests));
+    let adopted = outcomes.iter().filter(|o| o.adopted).count();
+    assert_eq!(
+        adopted,
+        outcomes.len(),
+        "honest infrastructure adopts everything"
+    );
+    let rate = requests.len() as f64 / secs.max(1e-12);
+    let row = Row::new()
+        .int("shards", shards as u64)
+        .int("consultations", requests.len() as u64)
+        .fixed("secs", secs, 9)
+        .fixed("consults_per_sec", rate, 3)
+        .int("adopted", adopted as u64)
+        .int("wire_bytes", engine.total_bytes() as u64);
+    (row, secs)
+}
 
 /// Runs `requests` at 1 and 2 shards over `with_transports`, once with a
 /// `Bus` per shard and once with a lossless `SimNet` per shard, in
@@ -55,7 +66,7 @@ const TRANSPORT_REPEATS: usize = 5;
 ///
 /// If any advice goes unadopted, or the two backends put different byte
 /// totals on the wire (they are pinned byte-identical).
-fn lossless_simnet_over_bus(requests: &[(u64, Arc<GameSpec>)]) -> Vec<String> {
+fn lossless_simnet_over_bus(requests: &[(u64, Arc<GameSpec>)]) -> Vec<Row> {
     let seed = scenario_seed();
     let mut cells = Vec::new();
     for shards in [1usize, 2] {
@@ -90,79 +101,39 @@ fn lossless_simnet_over_bus(requests: &[(u64, Arc<GameSpec>)]) -> Vec<String> {
             wire_bytes[0], wire_bytes[1],
             "a lossless SimNet is byte-identical to Bus"
         );
-        let [bus, simnet] = rates.map(|mut r| {
-            r.sort_by(f64::total_cmp);
-            [r[0], percentile(&r, 0.5), r[r.len() - 1]]
-        });
-        let ratio = simnet[1] / bus[1].max(1e-12);
+        let [bus, simnet] = rates.map(Spread::of);
+        let ratio = simnet.median / bus.median.max(1e-12);
         println!(
             "lossless SimNet over Bus — {shards} shard(s), {} consultations: \
              {:.0} vs {:.0} consults/sec (median of {TRANSPORT_REPEATS}), {ratio:.2}x",
             requests.len(),
-            simnet[1],
-            bus[1]
+            simnet.median,
+            bus.median
         );
-        let span = |[min, median, max]: [f64; 3]| {
-            format!("{{\"min\":{min:.3},\"median\":{median:.3},\"max\":{max:.3}}}")
-        };
-        cells.push(format!(
-            "{{\"shards\":{shards},\"bus_consults_per_sec\":{},\
-             \"simnet_consults_per_sec\":{},\"ratio\":{ratio:.3},\"wire_bytes\":{}}}",
-            span(bus),
-            span(simnet),
-            wire_bytes[0]
-        ));
+        cells.push(
+            Row::new()
+                .int("shards", shards as u64)
+                .object("bus_consults_per_sec", bus.row(3))
+                .object("simnet_consults_per_sec", simnet.row(3))
+                .fixed("ratio", ratio, 3)
+                .int("wire_bytes", wire_bytes[0] as u64),
+        );
     }
     cells
 }
 
 fn main() {
-    let batch_size: u64 = std::env::args()
-        .nth(1)
-        .map(|s| s.parse().expect("batch size must be an integer"))
-        .unwrap_or(512);
+    let batch_size = count_arg(1, "N, batch size", 512);
     let requests = build_batch(batch_size);
     println!(
         "Sharded session engine — {batch_size} consultations per shard count, \
          honest inventor, 3 honest verifiers per shard:\n"
     );
-    println!(
-        "{:>7} {:>14} {:>16} {:>12} {:>12}",
-        "shards", "wall time", "consults/sec", "adopted", "wire bytes"
-    );
-    let mut rows = Vec::new();
-    let mut json_entries = Vec::new();
+    let mut results = Vec::new();
     for shards in SHARD_COUNTS {
-        let engine = ShardedAuthority::new(
-            shards,
-            InventorBehavior::Honest,
-            &[VerifierBehavior::Honest; 3],
-        );
-        let (outcomes, secs) = timed(|| engine.consult_batch(&requests));
-        let adopted = outcomes.iter().filter(|o| o.adopted).count();
-        assert_eq!(
-            adopted,
-            outcomes.len(),
-            "honest infrastructure adopts everything"
-        );
-        let rate = batch_size as f64 / secs.max(1e-12);
-        println!(
-            "{:>7} {:>14} {:>16.0} {:>12} {:>12}",
-            shards,
-            fmt_secs(secs),
-            rate,
-            adopted,
-            engine.total_bytes()
-        );
-        rows.push(format!(
-            "{shards},{batch_size},{secs:.9},{rate:.3},{adopted},{}",
-            engine.total_bytes()
-        ));
-        json_entries.push(format!(
-            "{{\"shards\":{shards},\"consultations\":{batch_size},\"secs\":{secs:.9},\
-             \"consults_per_sec\":{rate:.3},\"adopted\":{adopted},\"wire_bytes\":{}}}",
-            engine.total_bytes()
-        ));
+        let (row, _) = run_batch(shards, &requests);
+        row.print(results.is_empty());
+        results.push(row);
     }
     // Fixed 512-consultation column, independent of the CLI batch size:
     // large batches are where the persistent worker pool pays off, so the
@@ -172,65 +143,48 @@ fn main() {
     // scaling gate) watches.
     const BIG_BATCH: u64 = 512;
     let big_requests = build_batch(BIG_BATCH);
-    let mut big_rates = [0.0f64; 2];
-    let mut big_secs = 0.0f64;
-    for (slot, shards) in [(0, 1usize), (1, 8)] {
-        let engine = ShardedAuthority::new(
-            shards,
-            InventorBehavior::Honest,
-            &[VerifierBehavior::Honest; 3],
-        );
-        let (outcomes, secs) = timed(|| engine.consult_batch(&big_requests));
-        assert!(outcomes.iter().all(|o| o.adopted));
-        big_rates[slot] = BIG_BATCH as f64 / secs.max(1e-12);
-        if shards == 8 {
-            big_secs = secs;
-        }
-        println!(
-            "\nbatch_512 column — {shards} shard(s), {BIG_BATCH} consultations: {} at \
-             {:.0} consults/sec",
-            fmt_secs(secs),
-            big_rates[slot]
-        );
-        rows.push(format!(
-            "{shards},{BIG_BATCH},{secs:.9},{:.3},{},{}",
-            big_rates[slot],
-            outcomes.len(),
-            engine.total_bytes()
-        ));
-    }
-    let scaling = big_rates[1] / big_rates[0].max(1e-12);
+    println!("\nbatch_512 column — 1 and 8 shards, {BIG_BATCH} consultations:");
+    let (one_shard_row, one_shard_secs) = run_batch(1, &big_requests);
+    one_shard_row.print(true);
+    let (eight_shard_row, big_secs) = run_batch(8, &big_requests);
+    eight_shard_row.print(false);
+    let [one_shard_rate, eight_shard_rate] =
+        [one_shard_secs, big_secs].map(|secs| BIG_BATCH as f64 / secs.max(1e-12));
+    let scaling = eight_shard_rate / one_shard_rate.max(1e-12);
     let transport_cells = lossless_simnet_over_bus(&big_requests);
     // On a single-core machine the 8-over-1 ratio is meaningless (the
     // worker pool just time-slices), so the JSON records the core count
     // and the CI scaling gate skips when it reads 1.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = cores();
     println!("batch_512 scaling, 8 shards over 1: {scaling:.2}x ({cores} core(s))");
 
-    let csv_path = write_csv(
+    let mut csv_rows = results.clone();
+    csv_rows.extend([one_shard_row, eight_shard_row]);
+    let csv_path = write_csv_rows("shard_throughput", &csv_rows);
+    let json_path = write_bench(
         "shard_throughput",
-        "shards,consultations,secs,consults_per_sec,adopted,wire_bytes",
-        &rows,
-    );
-    let json_path = write_json(
-        "BENCH_shard_throughput",
-        &format!(
-            "{{\"bench\":\"shard_throughput\",\"unit\":\"consults_per_sec\",\
-             \"batch_size\":{batch_size},\
-             \"batch_512\":{{\"shards\":8,\"consultations\":{BIG_BATCH},\
-             \"secs\":{big_secs:.9},\"consults_per_sec\":{:.3},\
-             \"one_shard_consults_per_sec\":{:.3},\
-             \"scaling_8x_over_1x\":{scaling:.3},\"cores\":{cores}}},\
-             \"lossless_simnet_over_bus\":{{\"consultations\":{BIG_BATCH},\
-             \"repeats\":{TRANSPORT_REPEATS},\"cells\":[{}]}},\
-             \"results\":[{}]}}",
-            big_rates[1],
-            big_rates[0],
-            transport_cells.join(","),
-            json_entries.join(",")
-        ),
+        Row::new()
+            .label("unit", "consults_per_sec")
+            .int("batch_size", batch_size)
+            .object(
+                "batch_512",
+                Row::new()
+                    .int("shards", 8)
+                    .int("consultations", BIG_BATCH)
+                    .fixed("secs", big_secs, 9)
+                    .fixed("consults_per_sec", eight_shard_rate, 3)
+                    .fixed("one_shard_consults_per_sec", one_shard_rate, 3)
+                    .fixed("scaling_8x_over_1x", scaling, 3)
+                    .int("cores", cores),
+            )
+            .object(
+                "lossless_simnet_over_bus",
+                Row::new()
+                    .int("consultations", BIG_BATCH)
+                    .int("repeats", TRANSPORT_REPEATS as u64)
+                    .rows("cells", transport_cells),
+            )
+            .rows("results", results),
     );
     println!("\nwrote {}", csv_path.display());
     println!("wrote {}", json_path.display());

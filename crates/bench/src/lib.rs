@@ -7,7 +7,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
+
+use ra_authority::GameSpec;
 
 /// Times a closure, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -27,8 +31,11 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Nearest-rank percentile `q` (in `[0, 1]`) of an ascending-sorted
-/// slice; the type's default (zero) for an empty slice.
+/// The element at index `round(q · (n − 1))` of an ascending-sorted
+/// slice of length `n`, for `q` in `[0, 1]`; the type's default (zero)
+/// for an empty slice. This rounds to the nearest *index*, which is not
+/// the nearest-rank definition (`⌈q · n⌉`-th element): p50 of `1..=100`
+/// is 51 here, where nearest-rank gives 50.
 pub fn percentile<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
         return T::default();
@@ -47,6 +54,88 @@ pub fn scenario_seed() -> u64 {
 /// it is absent or malformed.
 fn parse_seed(var: Option<&str>) -> u64 {
     var.and_then(|s| s.parse().ok()).unwrap_or(0xDEC0DE)
+}
+
+/// The binary's `position`-th command-line argument as a positive count,
+/// or `default` when it is absent. `what` names the argument in the usage
+/// message.
+///
+/// Exits with status 2 and a usage message when the argument is zero or
+/// not a decimal integer: every scale binary divides by its budget, and a
+/// zero budget would write `NaN` rates.
+pub fn count_arg(position: usize, what: &str, default: u64) -> u64 {
+    let raw = std::env::args().nth(position);
+    parse_count(raw.as_deref(), default).unwrap_or_else(|| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!(
+            "usage: {bin}: argument {position} ({what}) must be a positive integer \
+             (default {default}), got {:?}",
+            raw.unwrap_or_default()
+        );
+        std::process::exit(2)
+    })
+}
+
+/// Parses a positive decimal count; `default` when absent, `None` when
+/// zero or malformed.
+fn parse_count(raw: Option<&str>, default: u64) -> Option<u64> {
+    match raw {
+        None => Some(default),
+        Some(s) => s.parse().ok().filter(|&n| n > 0),
+    }
+}
+
+/// Minimum, median and maximum of repeated wall-clock samples.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The smallest sample (best of n, for times).
+    pub min: f64,
+    /// The [`percentile`] at `0.5` of the sorted samples.
+    pub median: f64,
+    /// The largest sample.
+    pub max: f64,
+}
+
+impl Spread {
+    /// Sorts `samples` and summarizes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `samples` is empty.
+    pub fn of(samples: impl IntoIterator<Item = f64>) -> Spread {
+        let mut sorted: Vec<f64> = samples.into_iter().collect();
+        sorted.sort_by(f64::total_cmp);
+        Spread {
+            min: *sorted.first().expect("at least one sample"),
+            median: percentile(&sorted, 0.5),
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    /// The spread as a JSON object `{"min","median","max"}` at `digits`
+    /// decimals.
+    pub fn row(&self, digits: usize) -> Row {
+        Row::new()
+            .fixed("min", self.min, digits)
+            .fixed("median", self.median, digits)
+            .fixed("max", self.max, digits)
+    }
+}
+
+/// `n` consultation requests, agent `i` asking about the `i mod 3`-th of
+/// three cheap specs (§3 prisoner's dilemma, §4 battle of the sexes, §3
+/// stag hunt), shared by `Arc` across the batch.
+pub fn build_batch(n: u64) -> Vec<(u64, Arc<GameSpec>)> {
+    use ra_games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
+    let specs = [
+        GameSpec::Strategic(prisoners_dilemma().to_strategic()),
+        GameSpec::Bimatrix(battle_of_the_sexes()),
+        GameSpec::Strategic(stag_hunt(3)),
+    ]
+    .map(Arc::new);
+    (0..n)
+        .map(|agent| (agent, Arc::clone(&specs[(agent % 3) as usize])))
+        .collect()
 }
 
 /// The workspace root: the nearest ancestor of this crate's manifest dir
@@ -87,8 +176,8 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBu
 }
 
 /// Writes `contents` to `<name>.json`, creating directories as needed and
-/// returning the path written. Callers are responsible for producing
-/// valid JSON.
+/// returning the path written. Scale binaries reach it only through
+/// [`write_bench`], so every `BENCH_*.json` carries the one envelope.
 ///
 /// Names prefixed `BENCH_` form the machine-readable perf trajectory and
 /// land at the **workspace root**, where they are versioned in git (and
@@ -98,7 +187,7 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::path::PathBu
 /// # Panics
 ///
 /// Panics on I/O errors — acceptable in experiment binaries.
-pub fn write_json(name: &str, contents: &str) -> std::path::PathBuf {
+fn write_json(name: &str, contents: &str) -> PathBuf {
     let dir = if name.starts_with("BENCH_") {
         workspace_root()
     } else {
@@ -109,6 +198,243 @@ pub fn write_json(name: &str, contents: &str) -> std::path::PathBuf {
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, contents).expect("write json");
     path
+}
+
+/// The cores this machine offers to the shard worker pool, as
+/// `std::thread::available_parallelism` reports them (1 if unknown).
+pub fn cores() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// One field value of a [`Row`].
+#[derive(Clone, Debug, PartialEq)]
+enum Value {
+    Label(String),
+    Int(u64),
+    /// A finite float and its printed decimals.
+    Fixed(f64, usize),
+    Null,
+    Object(Row),
+    List(Vec<Row>),
+}
+
+/// Which renderings of a [`Row`] show a field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shown {
+    Everywhere,
+    JsonOnly,
+    CsvOnly,
+}
+
+/// One output record of a scale binary, declared once as named fields
+/// (each float with its own printed precision) and rendered three ways: a
+/// table line on stdout, a CSV line and a JSON object. The table and the
+/// JSON object show every field not marked [`Row::csv_only`]; the CSV
+/// line shows the scalar fields not marked [`Row::json_only`]. All three
+/// keep declaration order.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Row {
+    fields: Vec<(&'static str, Value, Shown)>,
+}
+
+impl Row {
+    /// An empty row.
+    pub fn new() -> Row {
+        Row::default()
+    }
+
+    fn push(mut self, name: &'static str, value: Value) -> Row {
+        self.fields.push((name, value, Shown::Everywhere));
+        self
+    }
+
+    /// A text field, JSON-escaped in the JSON rendering.
+    pub fn label(self, name: &'static str, value: &str) -> Row {
+        self.push(name, Value::Label(value.to_owned()))
+    }
+
+    /// An integer field.
+    pub fn int(self, name: &'static str, value: u64) -> Row {
+        self.push(name, Value::Int(value))
+    }
+
+    /// An integer field that may be absent: `null` in JSON, empty in CSV.
+    pub fn int_or_null(self, name: &'static str, value: Option<u64>) -> Row {
+        self.push(name, value.map_or(Value::Null, Value::Int))
+    }
+
+    /// A float field printed with `digits` decimals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is `NaN` or infinite: JSON has no spelling for
+    /// either, and a gate comparing against one passes vacuously.
+    pub fn fixed(self, name: &'static str, value: f64, digits: usize) -> Row {
+        assert!(
+            value.is_finite(),
+            "non-finite float {value} in field `{name}`"
+        );
+        self.push(name, Value::Fixed(value, digits))
+    }
+
+    /// A nested JSON object (JSON only).
+    pub fn object(self, name: &'static str, value: Row) -> Row {
+        self.push(name, Value::Object(value))
+    }
+
+    /// A JSON array of objects (JSON only).
+    pub fn rows(self, name: &'static str, value: Vec<Row>) -> Row {
+        self.push(name, Value::List(value))
+    }
+
+    fn mark_last(mut self, shown: Shown) -> Row {
+        self.fields.last_mut().expect("a field to mark").2 = shown;
+        self
+    }
+
+    /// Shows the last field in the table and JSON but not the CSV.
+    pub fn json_only(self) -> Row {
+        self.mark_last(Shown::JsonOnly)
+    }
+
+    /// Shows the last field in the CSV only.
+    pub fn csv_only(self) -> Row {
+        self.mark_last(Shown::CsvOnly)
+    }
+
+    /// The scalar fields as `(name, text)`, skipping those `hidden`
+    /// marks: the CSV hides `JsonOnly`, the table hides `CsvOnly`.
+    fn scalars(&self, hidden: Shown) -> impl Iterator<Item = (&'static str, String)> + '_ {
+        self.fields.iter().filter_map(move |(name, value, shown)| {
+            let text = match value {
+                Value::Label(text) => text.clone(),
+                Value::Int(n) => n.to_string(),
+                Value::Fixed(x, digits) => format!("{x:.digits$}"),
+                Value::Null => String::new(),
+                Value::Object(_) | Value::List(_) => return None,
+            };
+            (*shown != hidden).then_some((*name, text))
+        })
+    }
+
+    fn csv_header(&self) -> String {
+        let names: Vec<&str> = self
+            .scalars(Shown::JsonOnly)
+            .map(|(name, _)| name)
+            .collect();
+        names.join(",")
+    }
+
+    fn csv(&self) -> String {
+        let values: Vec<String> = self
+            .scalars(Shown::JsonOnly)
+            .map(|(_, text)| text)
+            .collect();
+        values.join(",")
+    }
+
+    fn json(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .filter(|(_, _, shown)| *shown != Shown::CsvOnly)
+            .map(|(name, value, _)| {
+                let value = match value {
+                    Value::Label(text) => json_string(text),
+                    Value::Int(n) => n.to_string(),
+                    Value::Fixed(x, digits) => format!("{x:.digits$}"),
+                    Value::Null => String::from("null"),
+                    Value::Object(row) => row.json(),
+                    Value::List(rows) => {
+                        let items: Vec<String> = rows.iter().map(Row::json).collect();
+                        format!("[{}]", items.join(","))
+                    }
+                };
+                format!("{}:{value}", json_string(name))
+            })
+            .collect();
+        format!("{{{}}}", fields.join(","))
+    }
+
+    /// The table line (or, with `header`, the line of column names).
+    fn table_line(&self, header: bool) -> String {
+        let cells: Vec<String> = self
+            .scalars(Shown::CsvOnly)
+            .map(|(name, text)| {
+                let width = name.len().max(TABLE_MIN_WIDTH);
+                format!("{:>width$}", if header { name } else { &text })
+            })
+            .collect();
+        cells.join(" ")
+    }
+
+    /// Prints the table line to stdout, preceded by the column names when
+    /// `header` is set.
+    pub fn print(&self, header: bool) {
+        if header {
+            println!("{}", self.table_line(true));
+        }
+        println!("{}", self.table_line(false));
+    }
+}
+
+/// Narrowest table column, so short names still align typical values.
+const TABLE_MIN_WIDTH: usize = 11;
+
+/// `text` as a quoted JSON string.
+fn json_string(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push('"');
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The shared envelope of every `BENCH_*.json`: `bench` and `cores`,
+/// then the fields of `body`.
+fn envelope(bench: &str, body: Row) -> Row {
+    let mut row = Row::new().label("bench", bench).int("cores", cores());
+    row.fields.extend(body.fields);
+    row
+}
+
+/// Writes `BENCH_<bench>.json` at the workspace root: `body` inside the
+/// shared envelope (`bench`, `cores`). Returns the path written.
+///
+/// # Panics
+///
+/// Panics on I/O errors — acceptable in experiment binaries.
+pub fn write_bench(bench: &str, body: Row) -> PathBuf {
+    write_json(&format!("BENCH_{bench}"), &envelope(bench, body).json())
+}
+
+/// Writes `rows` to `results/<name>.csv` under their shared CSV header.
+///
+/// # Panics
+///
+/// Panics if `rows` is empty or the rows disagree on their CSV header,
+/// and on I/O errors.
+pub fn write_csv_rows(name: &str, rows: &[Row]) -> PathBuf {
+    let header = rows.first().expect("at least one CSV row").csv_header();
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            assert_eq!(
+                row.csv_header(),
+                header,
+                "every CSV row has the same columns"
+            );
+            row.csv()
+        })
+        .collect();
+    write_csv(name, &header, &lines)
 }
 
 /// Constructs an `m × m` bimatrix game whose unique equilibrium mixes
@@ -217,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank() {
+    fn percentile_rounds_to_the_nearest_index() {
         let sorted: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile(&sorted, 0.0), 1);
         assert_eq!(percentile(&sorted, 0.5), 51);
@@ -226,6 +552,135 @@ mod tests {
         assert_eq!(percentile(&[2.5, 7.5], 0.5), 7.5);
         assert_eq!(percentile::<u64>(&[], 0.5), 0);
         assert_eq!(percentile::<f64>(&[], 0.99), 0.0);
+    }
+
+    #[test]
+    fn spread_sorts_its_samples() {
+        let spread = Spread::of([3.0, 1.0, 5.0, 2.0, 4.0]);
+        assert_eq!((spread.min, spread.median, spread.max), (1.0, 3.0, 5.0));
+        assert_eq!(
+            spread.row(1).json(),
+            "{\"min\":1.0,\"median\":3.0,\"max\":5.0}"
+        );
+    }
+
+    #[test]
+    fn count_args_are_positive_integers() {
+        assert_eq!(parse_count(None, 64), Some(64));
+        assert_eq!(parse_count(Some("400"), 64), Some(400));
+        assert_eq!(parse_count(Some("0"), 64), None);
+        assert_eq!(parse_count(Some("-3"), 64), None);
+        assert_eq!(parse_count(Some("ten"), 64), None);
+    }
+
+    #[test]
+    fn batch_cycles_three_shared_specs() {
+        let batch = build_batch(7);
+        assert_eq!(batch.len(), 7);
+        assert!(batch
+            .iter()
+            .enumerate()
+            .all(|(i, (agent, _))| *agent == i as u64));
+        assert!(Arc::ptr_eq(&batch[0].1, &batch[3].1));
+        assert!(!Arc::ptr_eq(&batch[0].1, &batch[1].1));
+        assert!(!Arc::ptr_eq(&batch[1].1, &batch[2].1));
+    }
+
+    #[test]
+    fn a_row_renders_csv_and_json_with_the_same_fields_in_order() {
+        let row = Row::new()
+            .label("mode", "Trust")
+            .fixed("zipf_s", 1.1, 1)
+            .int("hits", 8128)
+            .fixed("rate", 0.984375, 4);
+        assert_eq!(row.csv_header(), "mode,zipf_s,hits,rate");
+        assert_eq!(row.csv(), "Trust,1.1,8128,0.9844");
+        assert_eq!(
+            row.json(),
+            "{\"mode\":\"Trust\",\"zipf_s\":1.1,\"hits\":8128,\"rate\":0.9844}"
+        );
+        assert_eq!(
+            row.table_line(true).split_whitespace().collect::<Vec<_>>(),
+            ["mode", "zipf_s", "hits", "rate"]
+        );
+        assert_eq!(
+            row.table_line(false).split_whitespace().collect::<Vec<_>>(),
+            ["Trust", "1.1", "8128", "0.9844"]
+        );
+    }
+
+    #[test]
+    fn precision_is_kept_per_field() {
+        let row = Row::new()
+            .fixed("a", 0.984375, 4)
+            .fixed("b", 0.984375, 2)
+            .fixed("c", 1.0, 6)
+            .fixed("d", 2.5, 0);
+        assert_eq!(row.csv(), "0.9844,0.98,1.000000,2");
+        assert_eq!(
+            row.json(),
+            "{\"a\":0.9844,\"b\":0.98,\"c\":1.000000,\"d\":2}"
+        );
+    }
+
+    #[test]
+    fn none_renders_as_null_in_json_and_empty_in_csv() {
+        let row = Row::new()
+            .int_or_null("after", None)
+            .int_or_null("bytes", Some(7));
+        assert_eq!(row.json(), "{\"after\":null,\"bytes\":7}");
+        assert_eq!(row.csv(), ",7");
+    }
+
+    #[test]
+    fn labels_are_json_escaped() {
+        let row = Row::new().label("name", "a \"quoted\" \\ path\n");
+        assert_eq!(row.json(), r#"{"name":"a \"quoted\" \\ path\u000a"}"#);
+    }
+
+    #[test]
+    fn json_only_and_csv_only_fields_split_the_renderings() {
+        let row = Row::new()
+            .int("shared", 1)
+            .fixed("rate", 0.5, 2)
+            .json_only()
+            .int("legacy", 2)
+            .csv_only()
+            .object("nested", Row::new().int("x", 3))
+            .rows("cells", vec![Row::new().int("y", 4)]);
+        assert_eq!(row.csv_header(), "shared,legacy");
+        assert_eq!(row.csv(), "1,2");
+        assert_eq!(
+            row.json(),
+            "{\"shared\":1,\"rate\":0.50,\"nested\":{\"x\":3},\"cells\":[{\"y\":4}]}"
+        );
+        assert_eq!(
+            row.table_line(true).split_whitespace().collect::<Vec<_>>(),
+            ["shared", "rate"]
+        );
+    }
+
+    #[test]
+    fn the_envelope_carries_bench_and_cores() {
+        let json = envelope("chaos", Row::new().label("unit", "virtual_ticks")).json();
+        assert_eq!(
+            json,
+            format!(
+                "{{\"bench\":\"chaos\",\"cores\":{},\"unit\":\"virtual_ticks\"}}",
+                cores()
+            )
+        );
+        assert!(cores() >= 1);
+    }
+
+    #[test]
+    fn non_finite_floats_are_refused() {
+        // A zero-draw hit rate (0/0) once wrote `NaN`, and `NaN < 0.5` let
+        // the CI floor pass.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let refused = std::panic::catch_unwind(|| Row::new().fixed("warm_hit_rate", bad, 6));
+            assert!(refused.is_err(), "{bad} must not reach a BENCH file");
+        }
     }
 
     #[test]
