@@ -17,46 +17,34 @@
 //!   duplication sampled from a seeded stream, partitions and a virtual
 //!   clock (see [`crate::SimNet`]).
 //!
-//! Routing state (endpoints + drop rules) sits behind one [`RwLock`]:
-//! sends share the read guard, while `register`/`disconnect`/`drop_link`/
-//! `heal` take the write guard and edit the maps in place, so first
-//! contact costs O(1) however many endpoints the network already routes.
-//! Lock order is fixed: the link model's state (the simulated model's
-//! mutex; the perfect model has none), then routing, then one ledger
-//! stripe. Writers never touch a ledger stripe and unbounded channel
-//! pushes never block, so no send holds a writer off for long. Byte
-//! accounting lives in the striped [`Ledger`](crate::transport): running
-//! totals are atomics, and the append-only delivery log plus the per-pair
-//! byte map are partitioned across sender-keyed stripes so concurrent
-//! senders on different stripes never contend. The accessors
+//! Each network holds one `Mutex` over everything it mutates: the
+//! endpoints, the drop rules, the [`Ledger`](crate::transport) and the
+//! link model's state. Every network in the engine is driven by one
+//! thread at a time (a shard's under its shard lock, the gossip hub from
+//! `sync_reputation`), so finer locking bought no throughput. Every
+//! method takes the lock once and nothing inside it blocks (channel
+//! pushes are unbounded), so there is no lock order to keep. A send or a
+//! whole batch routes, samples and accounts under one acquisition, which
+//! keeps a simulated link's random stream in send order; the accessors
 //! (`total_bytes`, `delivered_bytes`, `bytes_between`, `delivery_log`,
-//! `message_count`) merge the stripes in a deterministic order (a global
-//! sequence number stamped at accounting time), so on a quiescent network
-//! every accessor is exact, and under concurrency each accessor is
-//! individually consistent with some linearization of the accounted
-//! sends.
+//! `message_count`) each read one consistent snapshot, so under
+//! concurrency they are individually consistent with some linearization
+//! of the accounted sends.
 
 use std::collections::{HashMap, HashSet};
 
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::messages::{Message, Party};
-use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, StripeGuard, Transport};
+use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, Transport};
 use crate::wire::Wire;
 
 /// The sending half of a registered endpoint.
 pub type Inbox = Sender<(Party, Message)>;
 
-/// Everything a send needs to decide where a message goes. Read under
-/// the network's shared guard by every send; mutated in place, one entry
-/// at a time, by the topology operations.
-#[derive(Debug, Default)]
-pub struct Routing {
-    endpoints: HashMap<Party, Inbox>,
-    /// Fault injection: `(from, to)` pairs whose messages are dropped.
-    pub(crate) drop_rules: HashSet<(Party, Party)>,
-}
+/// Fault injection: `(from, to)` pairs whose messages are dropped.
+pub type DropRules = HashSet<(Party, Party)>;
 
 /// What a link model decided for a frame whose destination is routed.
 #[derive(Debug)]
@@ -74,31 +62,21 @@ pub enum Fate {
 }
 
 pub(crate) mod sealed {
-    use super::{Fate, Inbox, Message, Party, Routing, RwLock};
+    use super::{DropRules, Fate, Inbox, Message, Party};
 
-    /// The hooks the network's one send path calls on its link model.
-    /// Public in a crate-private module, so only this crate's two models
-    /// implement it; every provided method is the perfect link's
-    /// behaviour.
-    pub trait Hooks: Sized {
-        /// What a send (or a whole batch) holds across routing and
-        /// accounting: nothing for the perfect model, the state lock for
-        /// the simulated one, which keeps sampling in send order.
-        type Held<'a>
-        where
-            Self: 'a;
-
-        /// Takes the model's state for one send or batch.
-        fn hold(&self) -> Self::Held<'_>;
-
+    /// The hooks the network's one send path calls on its link model,
+    /// always under the network's lock. Public in a crate-private module,
+    /// so only this crate's two models implement it; every provided
+    /// method is the perfect link's behaviour.
+    pub trait Hooks {
         /// Whether a partition separates `from` and `to`. Checked with
         /// the drop rules, before the destination is looked up.
-        fn partitioned(_held: &Self::Held<'_>, _from: Party, _to: Party) -> bool {
+        fn partitioned(&self, _from: Party, _to: Party) -> bool {
             false
         }
 
         /// The fate of one frame on the `from → to` link.
-        fn fate(&self, _held: &mut Self::Held<'_>, _from: Party, _to: Party) -> Fate {
+        fn fate(&mut self, _from: Party, _to: Party) -> Fate {
             Fate::Deliver {
                 delay: 0,
                 duplicate: false,
@@ -106,19 +84,14 @@ pub(crate) mod sealed {
         }
 
         /// Puts a frame in flight for `delay > 0` ticks.
-        fn queue(
-            held: &mut Self::Held<'_>,
-            delay: u64,
-            from: Party,
-            inbox: Inbox,
-            message: Message,
-        );
+        fn queue(&mut self, delay: u64, from: Party, inbox: Inbox, message: Message);
 
         /// Removes the model's own faults (partitions).
-        fn heal(_held: &mut Self::Held<'_>) {}
+        fn heal(&mut self) {}
 
-        /// Delivers every in-flight frame (see `Transport::settle`).
-        fn settle(&self, _routing: &RwLock<Routing>) {}
+        /// Delivers every in-flight frame (see `Transport::settle`); a
+        /// scheduled heal clears `drop_rules`.
+        fn settle(&mut self, _drop_rules: &mut DropRules) {}
 
         /// The virtual clock.
         fn now(&self) -> u64 {
@@ -126,8 +99,8 @@ pub(crate) mod sealed {
         }
 
         /// Advances the virtual clock by `ticks` (see
-        /// `Transport::advance`).
-        fn advance(&self, _ticks: u64, _routing: &RwLock<Routing>) {}
+        /// `Transport::advance`); a scheduled heal clears `drop_rules`.
+        fn advance(&mut self, _ticks: u64, _drop_rules: &mut DropRules) {}
     }
 }
 
@@ -136,36 +109,85 @@ pub(crate) mod sealed {
 pub trait LinkModel: sealed::Hooks + std::fmt::Debug + Send + Sync {}
 
 /// The perfect link: zero latency, zero loss, no clock and no RNG. A
-/// zero-sized model, so a [`Bus`] takes no lock beyond its routing read
-/// guard and a ledger stripe.
+/// zero-sized model, so a [`Bus`]'s lock holds only routing and the
+/// ledger.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Perfect;
 
 impl LinkModel for Perfect {}
 
 impl sealed::Hooks for Perfect {
-    type Held<'a> = ();
-
-    fn hold(&self) {}
-
-    fn queue(_: &mut (), _: u64, _: Party, _: Inbox, _: Message) {
+    fn queue(&mut self, _: u64, _: Party, _: Inbox, _: Message) {
         unreachable!("a perfect link delivers inside send")
     }
 }
 
-/// The in-memory network over links of model `M`: one routing table, one
-/// ledger and one send path. Use it through [`Bus`] or
-/// [`SimNet`](crate::SimNet).
+/// Everything a [`Network`] mutates, behind its one lock.
 #[derive(Debug, Default)]
-pub struct Network<M: LinkModel> {
-    /// The routing table. Sends (and whole batches) hold the read guard
-    /// across lookup, channel push and accounting; topology changes hold
-    /// the write guard for a single map insert or remove.
-    pub(crate) routing: RwLock<Routing>,
-    /// The striped Lemma 1 ledger.
+pub(crate) struct NetState<M> {
+    endpoints: HashMap<Party, Inbox>,
+    pub(crate) drop_rules: DropRules,
     ledger: Ledger,
     /// The link model, which decides each routed frame's fate.
-    pub(crate) model: M,
+    pub(crate) link: M,
+}
+
+impl<M: LinkModel> NetState<M> {
+    /// The one send step: drop rule or partition, then the destination
+    /// lookup (an unknown party errors before any accounting), then the
+    /// link model's fate, then delivery — inside this call when the delay
+    /// is zero, which is the only case a dropped `Endpoint` is detected —
+    /// and accounting of each frame put on the wire.
+    fn transmit(&mut self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+        let bytes = message.encoded_len();
+        let retransmit = message.is_retransmit();
+        if self.drop_rules.contains(&(from, to)) || self.link.partitioned(from, to) {
+            self.ledger.account(from, to, bytes, false, retransmit);
+            return Ok(());
+        }
+        let inbox = self.endpoints.get(&to).ok_or(BusError::UnknownParty(to))?;
+        let (delay, duplicate) = match self.link.fate(from, to) {
+            Fate::Lost => {
+                self.ledger.account(from, to, bytes, false, retransmit);
+                return Ok(());
+            }
+            Fate::Deliver { delay, duplicate } => (delay, duplicate),
+        };
+        // A delayed frame is accounted delivered when it is queued: its
+        // fate is already decided and it lands at settle.
+        let link = &mut self.link;
+        let mut deliver = |message: Message| {
+            if delay == 0 {
+                inbox.send((from, message)).is_ok()
+            } else {
+                link.queue(delay, from, inbox.clone(), message);
+                true
+            }
+        };
+        // At-least-once duplication: the copy shares the sampled delay and
+        // is accounted as its own record.
+        let copy = duplicate.then(|| message.clone());
+        let delivered = deliver(message);
+        self.ledger.account(from, to, bytes, delivered, retransmit);
+        if let Some(copy) = copy {
+            let copy_delivered = deliver(copy);
+            self.ledger
+                .account(from, to, bytes, copy_delivered, retransmit);
+        }
+        if delivered {
+            Ok(())
+        } else {
+            Err(BusError::Disconnected(to))
+        }
+    }
+}
+
+/// The in-memory network over links of model `M`: one lock over the
+/// routing table, the ledger and the link model, and one send path. Use
+/// it through [`Bus`] or [`SimNet`](crate::SimNet).
+#[derive(Debug, Default)]
+pub struct Network<M: LinkModel> {
+    state: Mutex<NetState<M>>,
 }
 
 /// The synchronous in-memory network: a [`Network`] over [`Perfect`]
@@ -201,81 +223,18 @@ impl<M: LinkModel> Network<M> {
     /// An empty network over `model`'s links.
     pub(crate) fn with_model(model: M) -> Network<M> {
         Network {
-            routing: RwLock::default(),
-            ledger: Ledger::default(),
-            model,
+            state: Mutex::new(NetState {
+                endpoints: HashMap::new(),
+                drop_rules: DropRules::new(),
+                ledger: Ledger::default(),
+                link: model,
+            }),
         }
     }
 
-    /// Shared access for sends: many senders hold it at once.
-    fn routing(&self) -> RwLockReadGuard<'_, Routing> {
-        self.routing.read().expect("network lock poisoned")
-    }
-
-    /// Exclusive access for the O(1) topology operations.
-    fn routing_mut(&self) -> RwLockWriteGuard<'_, Routing> {
-        self.routing.write().expect("network lock poisoned")
-    }
-
-    /// The one send step: drop rule or partition, then the destination
-    /// lookup (an unknown party errors before any accounting), then the
-    /// link model's fate, then delivery — inside this call when the delay
-    /// is zero, which is the only case a dropped `Endpoint` is detected —
-    /// and accounting of each frame put on the wire.
-    fn transmit<'a>(
-        &'a self,
-        link: &mut M::Held<'_>,
-        routing: &Routing,
-        held: &mut StripeGuard<'a>,
-        from: Party,
-        to: Party,
-        message: Message,
-    ) -> Result<(), BusError> {
-        let bytes = message.encoded_len();
-        let retransmit = message.is_retransmit();
-        if routing.drop_rules.contains(&(from, to)) || M::partitioned(link, from, to) {
-            self.ledger
-                .account_cached(held, from, to, bytes, false, retransmit);
-            return Ok(());
-        }
-        let inbox = routing
-            .endpoints
-            .get(&to)
-            .ok_or(BusError::UnknownParty(to))?;
-        let (delay, duplicate) = match self.model.fate(link, from, to) {
-            Fate::Lost => {
-                self.ledger
-                    .account_cached(held, from, to, bytes, false, retransmit);
-                return Ok(());
-            }
-            Fate::Deliver { delay, duplicate } => (delay, duplicate),
-        };
-        // A delayed frame is accounted delivered when it is queued: its
-        // fate is already decided and it lands at settle.
-        let mut deliver = |message: Message| {
-            if delay == 0 {
-                inbox.send((from, message)).is_ok()
-            } else {
-                M::queue(link, delay, from, inbox.clone(), message);
-                true
-            }
-        };
-        // At-least-once duplication: the copy shares the sampled delay and
-        // is accounted as its own record.
-        let copy = duplicate.then(|| message.clone());
-        let delivered = deliver(message);
-        self.ledger
-            .account_cached(held, from, to, bytes, delivered, retransmit);
-        if let Some(copy) = copy {
-            let copy_delivered = deliver(copy);
-            self.ledger
-                .account_cached(held, from, to, bytes, copy_delivered, retransmit);
-        }
-        if delivered {
-            Ok(())
-        } else {
-            Err(BusError::Disconnected(to))
-        }
+    /// The network's one lock.
+    pub(crate) fn state(&self) -> MutexGuard<'_, NetState<M>> {
+        self.state.lock().expect("network lock poisoned")
     }
 }
 
@@ -284,7 +243,7 @@ impl<M: LinkModel> Transport for Network<M> {
     /// time, so re-registering does not redirect them.
     fn register(&self, party: Party) -> Endpoint {
         let (tx, rx) = channel();
-        self.routing_mut().endpoints.insert(party, tx);
+        self.state().endpoints.insert(party, tx);
         Endpoint {
             party,
             receiver: rx,
@@ -292,35 +251,24 @@ impl<M: LinkModel> Transport for Network<M> {
     }
 
     fn disconnect(&self, party: Party) {
-        self.routing_mut().endpoints.remove(&party);
+        self.state().endpoints.remove(&party);
     }
 
-    /// Takes the link model's state, then the routing read guard, which
-    /// never waits on another send; accounting touches only the sender's
-    /// ledger stripe plus atomic counters.
     fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-        let mut link = self.model.hold();
-        let routing = self.routing();
-        let mut held = None;
-        self.transmit(&mut link, &routing, &mut held, from, to, message)
+        self.state().transmit(from, to, message)
     }
 
-    /// Holds the link model's state and the routing read guard across the
-    /// whole batch, and each ledger stripe across runs of same-stripe
-    /// senders (a verdict-request fan-out has one sender, so it locks its
-    /// stripe exactly once). The records, counters, per-pair map and
-    /// sampled fates come out exactly as from the equivalent sequence of
-    /// [`Transport::send`] calls.
+    /// Holds the network's lock across the whole batch. The records,
+    /// counters, per-pair map and sampled fates come out exactly as from
+    /// the equivalent sequence of [`Transport::send`] calls.
     fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut link = self.model.hold();
-        let routing = self.routing();
-        let mut held = None;
+        let mut state = self.state();
         let mut first_error = Ok(());
         for (from, to, message) in batch.drain(..) {
-            let result = self.transmit(&mut link, &routing, &mut held, from, to, message);
+            let result = state.transmit(from, to, message);
             if first_error.is_ok() {
                 first_error = result;
             }
@@ -329,54 +277,51 @@ impl<M: LinkModel> Transport for Network<M> {
     }
 
     fn drop_link(&self, from: Party, to: Party) {
-        self.routing_mut().drop_rules.insert((from, to));
+        self.state().drop_rules.insert((from, to));
     }
 
     fn heal(&self) {
-        let mut link = self.model.hold();
-        M::heal(&mut link);
-        self.routing_mut().drop_rules.clear();
+        let mut state = self.state();
+        state.link.heal();
+        state.drop_rules.clear();
     }
 
     fn settle(&self) {
-        self.model.settle(&self.routing);
+        let state = &mut *self.state();
+        state.link.settle(&mut state.drop_rules);
     }
 
     fn total_bytes(&self) -> usize {
-        self.ledger.total_bytes()
+        self.state().ledger.total_bytes()
     }
 
     fn delivered_bytes(&self) -> usize {
-        self.ledger.delivered_bytes()
+        self.state().ledger.delivered_bytes()
     }
 
-    /// O(1): per-pair sums live on the sender's stripe, so this locks
-    /// exactly one stripe.
     fn bytes_between(&self, from: Party, to: Party) -> usize {
-        self.ledger.bytes_between(from, to)
+        self.state().ledger.bytes_between(from, to)
     }
 
-    /// Merged across stripes back into global send order (each record
-    /// carries the sequence number stamped when it was accounted, so the
-    /// merge is deterministic).
     fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        self.ledger.delivery_log()
+        self.state().ledger.delivery_log()
     }
 
     fn message_count(&self) -> usize {
-        self.ledger.message_count()
+        self.state().ledger.message_count()
     }
 
     fn retransmit_bytes(&self) -> usize {
-        self.ledger.retransmit_bytes()
+        self.state().ledger.retransmit_bytes()
     }
 
     fn now(&self) -> u64 {
-        self.model.now()
+        self.state().link.now()
     }
 
     fn advance(&self, ticks: u64) {
-        self.model.advance(ticks, &self.routing);
+        let state = &mut *self.state();
+        state.link.advance(ticks, &mut state.drop_rules);
     }
 }
 
@@ -387,8 +332,8 @@ mod tests {
     use std::sync::Arc;
 
     /// The same empty network under each link model: the concurrency
-    /// tests run against both, since both register through the one
-    /// routing lock.
+    /// tests run against both, since both route and account under the
+    /// network's one lock.
     fn both_models() -> [Arc<dyn Transport>; 2] {
         [Arc::new(Bus::new()), Arc::new(SimNet::lossless(0))]
     }
@@ -727,8 +672,8 @@ mod tests {
         // hub while a flaky party is concurrently disconnected and
         // re-registered. Each thread classifies its own attempts by the
         // returned result — Ok and Disconnected are accounted (the latter
-        // undelivered), UnknownParty is not — and the merged striped
-        // ledger must equal the per-thread sums exactly.
+        // undelivered), UnknownParty is not — and the shared ledger must
+        // equal the per-thread sums exactly.
         for bus in both_models() {
             stress_merged_ledger(bus);
         }
@@ -796,7 +741,7 @@ mod tests {
                             tally.delivered_bytes += bytes;
                             tally.hub_msgs += 1;
                         }
-                        // Batched fan-out to the hub: 3 frames, 1 stripe.
+                        // Batched fan-out to the hub: 3 frames, 1 lock.
                         1 => {
                             batch.clear();
                             for _ in 0..3 {
@@ -855,7 +800,7 @@ mod tests {
             "merged log bytes equal the sum of per-thread sent bytes"
         );
         assert_eq!(hub_ep.drain().len(), hub_msgs);
-        // Per-pair sums survive the merge too.
+        // Per-pair sums match the log too.
         for i in 0..THREADS {
             let me = Party::Agent(i);
             assert_eq!(

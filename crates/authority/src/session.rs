@@ -727,34 +727,27 @@ impl RationalityAuthority {
                         .expect("verifier registered");
                 }
             }
-            // The attempt's service window: settle, let the responders
+            // The attempt's service pass: settle, let the responders
             // answer, settle, let the agent collect (every drain follows
-            // a settle, so latency-delayed frames land first). With
-            // resilience on it repeats tick by tick until the stage
-            // completes or the backoff interval runs out. With resilience
-            // off, or on a clockless transport (the perfect `Bus`, whose
-            // `now()` never moves), it is exactly one pass.
+            // a settle, so latency-delayed frames land first). Nothing is
+            // in flight after a settle, so an incomplete stage can only
+            // wait out its backoff window: one `advance` to its end.
             let wait_until = resilience.map(|cfg| self.wait_until(attempt, &cfg, deadline_at));
-            loop {
-                self.bus.settle();
-                match stage {
-                    ConsultStage::Advice => self.serve_inventor(spec, agent, game_id),
-                    ConsultStage::Panel => self.serve_verifiers(spec, game_id),
-                }
-                self.bus.settle();
-                self.collect_agent(agent, game_id);
-                let window_open = wait_until.is_some_and(|t| self.bus.now() < t);
-                if self.stage_done(stage) || !window_open {
-                    break;
-                }
-                let before = self.bus.now();
-                self.bus.advance(1);
-                if self.bus.now() == before {
-                    break;
-                }
+            self.bus.settle();
+            match stage {
+                ConsultStage::Advice => self.serve_inventor(spec, agent, game_id),
+                ConsultStage::Panel => self.serve_verifiers(spec, game_id),
             }
+            self.bus.settle();
+            self.collect_agent(agent, game_id);
             if self.stage_done(stage) {
                 return true;
+            }
+            if let Some(wait_until) = wait_until {
+                let now = self.bus.now();
+                if now < wait_until {
+                    self.bus.advance(wait_until - now);
+                }
             }
             attempt += 1;
             let may_retry = resilience

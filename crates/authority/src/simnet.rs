@@ -18,7 +18,7 @@
 //!
 //! Everything is **seeded and deterministic**: loss and latency are
 //! sampled from one SplitMix64 stream (the shared [`rand::splitmix64`]
-//! step) in send order under the model's state lock, so the same seed and
+//! step) in send order under the network's one lock, so the same seed and
 //! the same traffic always produce the same deliveries, the same ledger
 //! and the same virtual timestamps.
 //!
@@ -40,9 +40,8 @@
 //! and only reachable with non-zero latency).
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::{Mutex, MutexGuard, RwLock};
 
-use crate::bus::{sealed, Fate, Inbox, LinkModel, Network, Routing};
+use crate::bus::{sealed, DropRules, Fate, Inbox, LinkModel, Network};
 use crate::messages::{Message, Party};
 
 /// The latency/loss shape of one directed link (or of every link, as
@@ -215,12 +214,14 @@ impl Ord for PendingFrame {
     }
 }
 
-/// Everything mutable behind the simulated model's one state lock: link
-/// overrides, partitions, the in-flight queue, the clock, the RNG and the
-/// schedule. One lock keeps the sampled stream strictly in send order,
-/// which is what makes runs replayable.
+/// The simulated link model: per-link loss, latency and duplication
+/// sampled from a seeded stream, partitions, a scripted schedule, the
+/// in-flight queue and a virtual clock. It lives inside its network's one
+/// lock, which keeps the sampled stream strictly in send order — what
+/// makes runs replayable.
 #[derive(Debug)]
-pub struct SimState {
+pub struct Simulated {
+    default_link: LinkProfile,
     partitions: Vec<(HashSet<Party>, HashSet<Party>)>,
     links: HashMap<(Party, Party), LinkProfile>,
     pending: BinaryHeap<PendingFrame>,
@@ -233,12 +234,7 @@ pub struct SimState {
     next_event: usize,
 }
 
-impl SimState {
-    /// The effective profile of the `from → to` link.
-    fn link(&self, from: Party, to: Party, default: LinkProfile) -> LinkProfile {
-        self.links.get(&(from, to)).copied().unwrap_or(default)
-    }
-
+impl Simulated {
     /// A uniform draw from `[0, 1)`, same mapping as the rand shim's
     /// `random_bool`.
     fn random_unit(&mut self) -> f64 {
@@ -261,10 +257,10 @@ impl SimState {
 
     /// Delivers every pending frame due at or before `target`, advances
     /// the clock to `target`, and applies schedule events the clock
-    /// crossed (a heal also clears the drop rules in `routing`). Delivery
-    /// failures (receiver dropped mid-flight) are swallowed: the frame
-    /// was accounted at send time.
-    fn run_until(&mut self, target: u64, routing: &RwLock<Routing>) {
+    /// crossed (a heal also clears `drop_rules`). Delivery failures
+    /// (receiver dropped mid-flight) are swallowed: the frame was
+    /// accounted at send time.
+    fn run_until(&mut self, target: u64, drop_rules: &mut DropRules) {
         while self
             .pending
             .peek()
@@ -284,11 +280,7 @@ impl SimState {
                 }
                 NetEvent::Heal { .. } => {
                     self.partitions.clear();
-                    routing
-                        .write()
-                        .expect("network lock poisoned")
-                        .drop_rules
-                        .clear();
+                    drop_rules.clear();
                 }
             }
             self.next_event += 1;
@@ -296,32 +288,11 @@ impl SimState {
     }
 }
 
-/// The simulated link model: per-link loss, latency and duplication
-/// sampled from a seeded stream, partitions, a scripted schedule and a
-/// virtual clock, all under one state lock.
-#[derive(Debug)]
-pub struct Simulated {
-    default_link: LinkProfile,
-    state: Mutex<SimState>,
-}
-
-impl Simulated {
-    fn state(&self) -> MutexGuard<'_, SimState> {
-        self.state.lock().expect("simnet lock poisoned")
-    }
-}
-
 impl LinkModel for Simulated {}
 
 impl sealed::Hooks for Simulated {
-    type Held<'a> = MutexGuard<'a, SimState>;
-
-    fn hold(&self) -> MutexGuard<'_, SimState> {
-        self.state()
-    }
-
-    fn partitioned(state: &MutexGuard<'_, SimState>, from: Party, to: Party) -> bool {
-        state.partitions.iter().any(|(left, right)| {
+    fn partitioned(&self, from: Party, to: Party) -> bool {
+        self.partitions.iter().any(|(left, right)| {
             (left.contains(&from) && right.contains(&to))
                 || (right.contains(&from) && left.contains(&to))
         })
@@ -329,62 +300,57 @@ impl sealed::Hooks for Simulated {
 
     /// Samples the RNG only when the link actually has loss, jitter or
     /// duplication — a perfect link leaves the stream untouched.
-    fn fate(&self, state: &mut MutexGuard<'_, SimState>, from: Party, to: Party) -> Fate {
-        let profile = state.link(from, to, self.default_link);
-        if profile.drop_prob > 0.0 && state.random_unit() < profile.drop_prob {
+    fn fate(&mut self, from: Party, to: Party) -> Fate {
+        let profile = self
+            .links
+            .get(&(from, to))
+            .copied()
+            .unwrap_or(self.default_link);
+        if profile.drop_prob > 0.0 && self.random_unit() < profile.drop_prob {
             return Fate::Lost;
         }
-        let delay = state.random_latency(profile.latency_min, profile.latency_max);
+        let delay = self.random_latency(profile.latency_min, profile.latency_max);
         // Decided after loss, so only surviving frames can double up.
         let duplicate = profile.duplicate_probability > 0.0
-            && state.random_unit() < profile.duplicate_probability;
+            && self.random_unit() < profile.duplicate_probability;
         Fate::Deliver { delay, duplicate }
     }
 
-    fn queue(
-        state: &mut MutexGuard<'_, SimState>,
-        delay: u64,
-        from: Party,
-        tx: Inbox,
-        message: Message,
-    ) {
-        state.frame_seq += 1;
-        let frame = PendingFrame {
-            deliver_at: state.now.saturating_add(delay),
-            seq: state.frame_seq,
+    fn queue(&mut self, delay: u64, from: Party, tx: Inbox, message: Message) {
+        self.frame_seq += 1;
+        self.pending.push(PendingFrame {
+            deliver_at: self.now.saturating_add(delay),
+            seq: self.frame_seq,
             from,
             tx,
             message,
-        };
-        state.pending.push(frame);
+        });
     }
 
-    fn heal(state: &mut MutexGuard<'_, SimState>) {
-        state.partitions.clear();
+    fn heal(&mut self) {
+        self.partitions.clear();
     }
 
     /// The clock jumps to the latest pending delivery time, so per-phase
-    /// virtual elapsed time is the *max* of the fan-out's latencies.
-    fn settle(&self, routing: &RwLock<Routing>) {
-        let mut state = self.state();
-        let target = state
+    /// virtual elapsed time is the *max* of the fan-out's latencies and
+    /// nothing stays in flight.
+    fn settle(&mut self, drop_rules: &mut DropRules) {
+        let target = self
             .pending
             .iter()
             .map(|frame| frame.deliver_at)
             .max()
-            .unwrap_or(state.now)
-            .max(state.now);
-        state.run_until(target, routing);
+            .unwrap_or(self.now)
+            .max(self.now);
+        self.run_until(target, drop_rules);
     }
 
     fn now(&self) -> u64 {
-        self.state().now
+        self.now
     }
 
-    fn advance(&self, ticks: u64, routing: &RwLock<Routing>) {
-        let mut state = self.state();
-        let target = state.now.saturating_add(ticks);
-        state.run_until(target, routing);
+    fn advance(&mut self, ticks: u64, drop_rules: &mut DropRules) {
+        self.run_until(self.now.saturating_add(ticks), drop_rules);
     }
 }
 
@@ -449,16 +415,14 @@ impl SimNet {
         schedule.sort_by_key(NetEvent::at);
         Network::with_model(Simulated {
             default_link: config.default_link,
-            state: Mutex::new(SimState {
-                partitions: Vec::new(),
-                links,
-                pending: BinaryHeap::new(),
-                now: 0,
-                rng: config.seed,
-                frame_seq: 0,
-                schedule,
-                next_event: 0,
-            }),
+            partitions: Vec::new(),
+            links,
+            pending: BinaryHeap::new(),
+            now: 0,
+            rng: config.seed,
+            frame_seq: 0,
+            schedule,
+            next_event: 0,
         })
     }
 
@@ -475,21 +439,22 @@ impl SimNet {
 
     /// Number of frames sent but not yet delivered.
     pub fn in_flight(&self) -> usize {
-        self.model.state().pending.len()
+        self.state().link.pending.len()
     }
 
     /// Advances the virtual clock to `tick` (if ahead of it), delivering
     /// every frame due on the way and applying schedule events the clock
     /// crosses.
     pub fn advance_to(&self, tick: u64) {
-        self.model.state().run_until(tick, &self.routing);
+        let state = &mut *self.state();
+        state.link.run_until(tick, &mut state.drop_rules);
     }
 
     /// Manually partitions the network: frames between `left` and `right`
     /// (either direction) drop until [`SimNet::heal_partitions`] or a
     /// trait-level [`Transport::heal`](crate::Transport::heal).
     pub fn split(&self, left: &[Party], right: &[Party]) {
-        self.model.state().partitions.push((
+        self.state().link.partitions.push((
             left.iter().copied().collect(),
             right.iter().copied().collect(),
         ));
@@ -497,7 +462,7 @@ impl SimNet {
 
     /// Removes every active partition (drop rules stay).
     pub fn heal_partitions(&self) {
-        self.model.state().partitions.clear();
+        self.state().link.partitions.clear();
     }
 
     /// Overrides the profile of the directed `from → to` link.
@@ -507,7 +472,7 @@ impl SimNet {
     /// Panics if the profile is invalid (see [`SimNet::new`]).
     pub fn set_link(&self, from: Party, to: Party, profile: LinkProfile) {
         profile.check();
-        self.model.state().links.insert((from, to), profile);
+        self.state().link.links.insert((from, to), profile);
     }
 }
 
@@ -535,11 +500,7 @@ mod tests {
         assert_eq!(net.in_flight(), 0);
         assert_eq!(net.now(), 0, "zero-latency sends never move the clock");
         // The RNG stream was never touched.
-        assert_eq!(
-            net.model.state.lock().unwrap().rng,
-            123,
-            "perfect links sample nothing"
-        );
+        assert_eq!(net.state().link.rng, 123, "perfect links sample nothing");
         assert_eq!(net.total_bytes(), net.delivered_bytes());
     }
 
@@ -784,6 +745,8 @@ mod tests {
         net.send(a, b, msg(2)).unwrap();
         net.send(b, a, msg(3)).unwrap();
         assert!(ep.try_recv().is_none(), "partitioned: both directions cut");
+        // The scheduled heal clears drop rules as well as partitions.
+        net.drop_link(a, b);
         net.advance_to(200);
         net.send(a, b, msg(4)).unwrap();
         assert_eq!(ep.drain().len(), 1, "healed: delivery resumes");
@@ -844,5 +807,23 @@ mod tests {
         net.advance_to(3);
         assert_eq!(net.now(), 5, "the clock never runs backwards");
         assert_eq!(ep.drain().len(), 1);
+        // Nothing stays in flight after a settle, even on a jittered,
+        // duplicating link.
+        net.set_link(
+            a,
+            b,
+            LinkProfile {
+                latency_min: 1,
+                latency_max: 40,
+                drop_prob: 0.0,
+                duplicate_probability: 0.5,
+            },
+        );
+        for g in 0..32 {
+            net.send(a, b, msg(g)).unwrap();
+        }
+        assert!(net.in_flight() >= 32);
+        net.settle();
+        assert_eq!(net.in_flight(), 0, "settle drains the whole queue");
     }
 }

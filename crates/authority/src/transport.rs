@@ -3,10 +3,11 @@
 //! Everything the Fig. 1 protocol needs from a network is behind the
 //! [`Transport`] trait: endpoint registration, byte-accounted sends
 //! (single and batched), fault injection, and the Lemma 1 ledger view
-//! (totals, per-pair sums, the merged delivery log). The crate implements
-//! it once, for [`Network`](crate::Network): one routing table, one send
-//! path and one striped [`Ledger`], generic over a link model that decides
-//! each routed frame's fate. The two instances are:
+//! (totals, per-pair sums, the delivery log). The crate implements it
+//! once, for [`Network`](crate::Network): one lock over the routing table,
+//! the [`Ledger`] and the link model's state, and one send path, generic
+//! over a link model that decides each routed frame's fate. The two
+//! instances are:
 //!
 //! * [`Bus`](crate::Bus) — the network over perfect links, the canonical
 //!   synchronous backend: every send delivers (or faults) immediately,
@@ -33,17 +34,9 @@
 //! has come.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Mutex, MutexGuard};
 
 use crate::messages::{Message, Party};
-
-/// Number of ledger stripes. A power of two so the sender-hash maps to a
-/// stripe with a mask; 8 covers the worker parallelism the shard pool
-/// actually runs (one authority per shard) without oversizing the
-/// merge that read accessors pay.
-pub(crate) const LEDGER_STRIPES: usize = 8;
 
 /// A delivery record for the audit log and byte accounting.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,40 +110,10 @@ impl Endpoint {
     }
 }
 
-/// Deterministic sender-to-stripe hash: the shared avalanche finalizer
-/// ([`rand::mix64`]) over the party's variant tag and id. Independent of
-/// process randomness so a given traffic mix always lands in the same
-/// stripes.
-pub(crate) fn stripe_of(party: Party) -> usize {
-    let (tag, id) = match party {
-        Party::Inventor(i) => (0u64, i),
-        Party::Agent(i) => (1, i),
-        Party::Verifier(i) => (2, i),
-        Party::Shard(i) => (3, i),
-    };
-    (rand::mix64((tag << 56) ^ id ^ 0x9E37_79B9_7F4A_7C15) as usize) & (LEDGER_STRIPES - 1)
-}
-
-/// One stripe of the decomposed ledger: a slice of the append-only audit
-/// log (records stamped with their global sequence number so reads can
-/// merge deterministically) plus the per-pair byte sums for the senders
-/// that hash to this stripe.
-#[derive(Debug, Default)]
-pub(crate) struct LedgerStripe {
-    records: Vec<(u64, DeliveryRecord)>,
-    pair_bytes: HashMap<(Party, Party), usize>,
-}
-
-/// The striped Lemma 1 ledger of a [`Network`](crate::Network).
-///
-/// Running totals are atomics, and the append-only delivery log plus the
-/// per-pair byte map are partitioned across sender-keyed stripes so
-/// concurrent senders on different stripes never contend. The accessors
-/// merge the stripes in a deterministic order (a global sequence number
-/// stamped at accounting time), so their results are observably identical
-/// to a single-lock serial ledger: on a quiescent transport every
-/// accessor is exact, and under concurrency each accessor is individually
-/// consistent with some linearization of the accounted sends.
+/// The Lemma 1 ledger of a [`Network`](crate::Network): the append-only
+/// delivery log in send order, the per-pair byte sums and the running
+/// totals. It lives in the network's one state lock, so every accessor
+/// reads a single consistent snapshot.
 ///
 /// [`Bus`](crate::Bus) and [`SimNet`](crate::SimNet) are one network over
 /// two link models, so they account through this one type on one send
@@ -158,135 +121,72 @@ pub(crate) struct LedgerStripe {
 /// structural property rather than a re-implementation that could drift.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    /// Sender-striped audit log + per-pair sums; see [`LedgerStripe`].
-    stripes: [Mutex<LedgerStripe>; LEDGER_STRIPES],
-    /// Global order of accounted records; stamped into each stripe entry
-    /// so `delivery_log` can merge stripes back into send order.
-    seq: AtomicU64,
-    /// Running totals mirrored out of the stripes so the O(1) accessors
-    /// stay lock-free.
-    total_bytes: AtomicUsize,
-    delivered_bytes: AtomicUsize,
-    record_count: AtomicUsize,
+    records: Vec<DeliveryRecord>,
+    pair_bytes: HashMap<(Party, Party), usize>,
+    total_bytes: usize,
+    delivered_bytes: usize,
     /// Bytes attributable to protocol retransmissions (resilient envelopes
     /// with a non-zero attempt number, and the replies they provoke).
     /// Subtracting this from `total_bytes` yields the goodput figure a
     /// Lemma 1 table should cite for first-attempt protocol traffic.
-    retransmit_bytes: AtomicUsize,
+    retransmit_bytes: usize,
 }
 
-/// A cached stripe guard for batched accounting: consecutive same-stripe
-/// senders reuse one lock acquisition (a verdict-request fan-out has one
-/// sender, so it locks its stripe exactly once per batch).
-pub(crate) type StripeGuard<'a> = Option<(usize, MutexGuard<'a, LedgerStripe>)>;
-
 impl Ledger {
-    /// Accounts one attempted send without a cached stripe guard. The
-    /// caller already decided `delivered` and `retransmit`; this stamps
-    /// the global sequence number, bumps the atomic totals and appends to
-    /// the sender's stripe.
-    #[cfg(test)]
+    /// Accounts one attempted send. The caller already decided
+    /// `delivered` and `retransmit`.
     pub(crate) fn account(
-        &self,
+        &mut self,
         from: Party,
         to: Party,
         bytes: usize,
         delivered: bool,
         retransmit: bool,
     ) {
-        let mut held = None;
-        self.account_cached(&mut held, from, to, bytes, delivered, retransmit);
-    }
-
-    /// [`Ledger::account`] with a caller-held stripe guard cached across
-    /// consecutive same-stripe senders. Ledger stripes are leaf locks
-    /// taken one at a time, so holding one across a batch cannot deadlock
-    /// against concurrent senders.
-    pub(crate) fn account_cached<'a>(
-        &'a self,
-        held: &mut StripeGuard<'a>,
-        from: Party,
-        to: Party,
-        bytes: usize,
-        delivered: bool,
-        retransmit: bool,
-    ) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.total_bytes += bytes;
         if delivered {
-            self.delivered_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.delivered_bytes += bytes;
         }
         if retransmit {
-            self.retransmit_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.retransmit_bytes += bytes;
         }
-        self.record_count.fetch_add(1, Ordering::Relaxed);
-        let idx = stripe_of(from);
-        let stripe = match held {
-            Some((held_idx, ref mut guard)) if *held_idx == idx => &mut **guard,
-            _ => {
-                *held = Some((idx, self.stripes[idx].lock().expect("ledger lock poisoned")));
-                let (_, ref mut guard) = held.as_mut().expect("just set");
-                &mut **guard
-            }
-        };
-        *stripe.pair_bytes.entry((from, to)).or_insert(0) += bytes;
-        stripe.records.push((
-            seq,
-            DeliveryRecord {
-                from,
-                to,
-                bytes,
-                delivered,
-            },
-        ));
+        *self.pair_bytes.entry((from, to)).or_insert(0) += bytes;
+        self.records.push(DeliveryRecord {
+            from,
+            to,
+            bytes,
+            delivered,
+        });
     }
 
-    /// Total bytes put on the wire (delivered or not). O(1), lock-free.
+    /// Total bytes put on the wire (delivered or not).
     pub(crate) fn total_bytes(&self) -> usize {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.total_bytes
     }
 
-    /// Bytes of messages that actually reached their endpoint. O(1),
-    /// lock-free.
+    /// Bytes of messages that actually reached their endpoint.
     pub(crate) fn delivered_bytes(&self) -> usize {
-        self.delivered_bytes.load(Ordering::Relaxed)
+        self.delivered_bytes
     }
 
-    /// Bytes attributable to retransmissions. O(1), lock-free.
+    /// Bytes attributable to retransmissions.
     pub(crate) fn retransmit_bytes(&self) -> usize {
-        self.retransmit_bytes.load(Ordering::Relaxed)
+        self.retransmit_bytes
     }
 
-    /// Bytes sent from `from` to `to`. O(1): per-pair sums live on the
-    /// sender's stripe, so this locks exactly one stripe.
+    /// Bytes sent from `from` to `to`. O(1).
     pub(crate) fn bytes_between(&self, from: Party, to: Party) -> usize {
-        self.stripes[stripe_of(from)]
-            .lock()
-            .expect("ledger lock poisoned")
-            .pair_bytes
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(0)
+        self.pair_bytes.get(&(from, to)).copied().unwrap_or(0)
     }
 
-    /// A copy of the full delivery log, merged across stripes back into
-    /// global send order.
+    /// A copy of the full delivery log, in send order.
     pub(crate) fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        let mut tagged: Vec<(u64, DeliveryRecord)> = Vec::with_capacity(self.message_count());
-        for stripe in &self.stripes {
-            let stripe = stripe.lock().expect("ledger lock poisoned");
-            tagged.extend(stripe.records.iter().cloned());
-        }
-        // Within a stripe records are already seq-ascending (appends hold
-        // the stripe lock), so an unstable sort cannot reorder equals —
-        // and seqs are unique anyway.
-        tagged.sort_unstable_by_key(|(seq, _)| *seq);
-        tagged.into_iter().map(|(_, record)| record).collect()
+        self.records.clone()
     }
 
-    /// Number of messages sent (delivered or dropped). O(1), lock-free.
+    /// Number of messages sent (delivered or dropped).
     pub(crate) fn message_count(&self) -> usize {
-        self.record_count.load(Ordering::Relaxed)
+        self.records.len()
     }
 }
 
@@ -316,7 +216,8 @@ impl Ledger {
 ///   visible to its destination endpoint. A synchronous backend delivers
 ///   inside `send` and settles for free; a simulated network flushes its
 ///   in-flight queue in timestamp order, advancing its virtual clock.
-///   Receive loops must settle before draining.
+///   Nothing stays in flight after `settle` returns. Receive loops must
+///   settle before draining.
 ///
 /// # Examples
 ///
@@ -397,8 +298,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// Bytes sent from `from` to `to`.
     fn bytes_between(&self, from: Party, to: Party) -> usize;
 
-    /// A copy of the full delivery log, merged back into global send
-    /// order.
+    /// A copy of the full delivery log, in send order.
     fn delivery_log(&self) -> Vec<DeliveryRecord>;
 
     /// Number of messages sent (delivered or dropped).
@@ -437,31 +337,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stripe_hash_is_pinned() {
-        // The sender→stripe assignment after the mix64 dedup must equal
-        // the pre-refactor inline finalizer bit-for-bit: these constants
-        // were computed from the original `bus.rs` implementation.
-        let cases = [
-            (Party::Inventor(0), 6),
-            (Party::Inventor(1), 7),
-            (Party::Agent(0), 3),
-            (Party::Agent(1), 2),
-            (Party::Agent(2), 1),
-            (Party::Verifier(0), 4),
-            (Party::Verifier(1), 5),
-            (Party::Verifier(2), 6),
-            (Party::Shard(0), 1),
-            (Party::Shard(5), 4),
-            (Party::Shard(u64::MAX), 1),
-        ];
-        for (party, stripe) in cases {
-            assert_eq!(stripe_of(party), stripe, "{party:?}");
-        }
-    }
-
-    #[test]
     fn ledger_merges_like_a_serial_log() {
-        let ledger = Ledger::default();
+        let mut ledger = Ledger::default();
         let a = Party::Agent(1);
         let b = Party::Verifier(2);
         ledger.account(a, b, 10, true, false);
@@ -478,33 +355,7 @@ mod tests {
         assert_eq!(
             log.iter().map(|r| r.bytes).collect::<Vec<_>>(),
             vec![10, 7, 5],
-            "merged log preserves send order across stripes"
+            "the log preserves send order"
         );
-    }
-
-    #[test]
-    fn cached_guard_accounts_identically() {
-        let serial = Ledger::default();
-        let cached = Ledger::default();
-        let a = Party::Agent(1);
-        let b = Party::Agent(2);
-        let traffic = [
-            (a, b, 4, true, false),
-            (a, b, 9, false, true),
-            (b, a, 2, true, false),
-        ];
-        for (from, to, bytes, delivered, retransmit) in traffic {
-            serial.account(from, to, bytes, delivered, retransmit);
-        }
-        let mut held = None;
-        for (from, to, bytes, delivered, retransmit) in traffic {
-            cached.account_cached(&mut held, from, to, bytes, delivered, retransmit);
-        }
-        drop(held);
-        assert_eq!(serial.delivery_log(), cached.delivery_log());
-        assert_eq!(serial.total_bytes(), cached.total_bytes());
-        assert_eq!(serial.delivered_bytes(), cached.delivered_bytes());
-        assert_eq!(serial.retransmit_bytes(), cached.retransmit_bytes());
-        assert_eq!(serial.bytes_between(a, b), cached.bytes_between(a, b));
     }
 }

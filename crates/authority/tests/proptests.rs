@@ -753,7 +753,7 @@ impl LedgerProbe {
 }
 
 // ---------------------------------------------------------------------------
-// Striped-vs-serial ledger equivalence (the PR 8 bus decomposition).
+// Network-vs-serial ledger equivalence (the bus against a reference model).
 // ---------------------------------------------------------------------------
 
 /// One bus operation in the model-based equivalence test. Party indices
@@ -780,7 +780,7 @@ enum BusOp {
 }
 
 /// Maps a universe index to a concrete party, mixing variants so the
-/// stripe hash sees different tags.
+/// ledger keys see different tags.
 fn universe_party(idx: u64) -> Party {
     match idx % 6 {
         0 => Party::Agent(0),
@@ -805,11 +805,10 @@ fn arb_bus_op() -> impl Strategy<Value = BusOp> {
     ]
 }
 
-/// The pre-stripe serial ledger, replayed as a reference model: one
-/// record vector, running totals and a pair map updated exactly as the
-/// old single-`Mutex<Ledger>` bus did — unknown parties short-circuit
-/// before accounting, fault-dropped and dead-endpoint sends are
-/// accounted as undelivered.
+/// A serial ledger, replayed as a reference model: one record vector,
+/// running totals and a pair map updated one send at a time — unknown
+/// parties short-circuit before accounting, fault-dropped and
+/// dead-endpoint sends are accounted as undelivered.
 #[derive(Default)]
 struct SerialLedgerModel {
     records: Vec<ra_authority::DeliveryRecord>,
@@ -854,10 +853,10 @@ impl SerialLedgerModel {
 proptest! {
     /// The tentpole equivalence: for arbitrary operation sequences —
     /// registration churn, disconnects, dead endpoints, drop rules and
-    /// mixed `send`/`send_batch` traffic — the striped ledger's accessors
-    /// are field-equal to the serial single-lock ledger replayed as a
-    /// model: same delivery log, same totals, same per-pair bytes, same
-    /// errors.
+    /// mixed `send`/`send_batch` traffic — the bus ledger's accessors
+    /// are field-equal to the serial ledger replayed as a model: same
+    /// delivery log, same totals, same per-pair bytes, same errors. (The
+    /// id keeps the name it had when the bus ledger was sender-striped.)
     #[test]
     fn striped_ledger_matches_serial_model(
         ops in prop::collection::vec(arb_bus_op(), 1..40),

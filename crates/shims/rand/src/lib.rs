@@ -32,9 +32,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// The stateless 64-bit avalanche finalizer (MurmurHash3 / SplitMix64
 /// `mix`): a bijective scramble with no stream state.
 ///
-/// The bus ledger's sender→stripe hash is this finalizer over the party's
-/// tag and id; the regression tests below pin exact output words so the
-/// stripe assignment can never silently move.
+/// The regression tests below pin exact output words, so any hash built
+/// on it can never silently move.
 pub fn mix64(mut h: u64) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
@@ -319,8 +318,7 @@ mod tests {
 
     #[test]
     fn mix64_outputs_are_pinned() {
-        // Exact finalizer outputs: the bus ledger's stripe hash depends on
-        // these words bit-for-bit.
+        // Exact finalizer outputs, pinned bit-for-bit.
         assert_eq!(mix64(0), 0);
         assert_eq!(mix64(1), 0xFF51_AFD7_92FD_5B26);
         assert_eq!(mix64(0x9E37_79B9_7F4A_7C15), 0x9341_CA26_3702_A9E6);
