@@ -23,9 +23,9 @@
 //!   backend that merges CRDT PN-counter deltas
 //!   ([`DecayingPnCounterMap`], generation-indexed so scores can decay —
 //!   [`ReputationDecay`]) through a [`GossipPlane`] at epoch boundaries —
-//!   over a dedicated, byte-accounted inter-shard transport
-//!   ([`GossipPlane::over_transport_with`]) when driven by the sharded
-//!   engine;
+//!   always over the plane's own byte-accounted inter-shard transport
+//!   ([`GossipPlane::over_transport_with`]; a [`Bus`] by default). Every
+//!   read comes off the published [`ReputationSnapshot`];
 //! * [`StatisticsLedger`] — the signed, hash-chained statistics stream of
 //!   §6 footnote 3;
 //! * [`RationalityAuthority`] — the per-consultation Fig. 1 protocol over

@@ -3,20 +3,21 @@
 //!
 //! The in-crate [`crate::messages::Message::SupportQuery`] /
 //! [`crate::messages::Message::SupportAnswer`] pair realizes Fig. 4's
-//! oracle; the inventor end answers from its (secret) equilibrium, the
-//! agent end runs the same verification logic as
-//! `ra_proofs::verify_private_advice` but with the oracle remoted. Byte
+//! oracle; the inventor end answers from its (secret) equilibrium, and the
+//! agent end *is* `ra_proofs::verify_private_advice`, run against a
+//! membership oracle whose every query is a wire round trip. Byte
 //! accounting on the bus then *measures* the privacy claim: the only
 //! opponent information on the wire is the advice-free answer bits.
 
-use rand::Rng;
-
 use ra_games::{BimatrixGame, MixedProfile};
-use ra_proofs::{P2Advice, P2Rejection};
+use ra_proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome, P2Rejection, SupportOracle};
 
 use crate::messages::{Advice, Message, Party};
-use crate::transport::Transport;
+use crate::transport::{Endpoint, Transport};
 use crate::wire::Wire;
+
+/// The game id every P2 session frame carries.
+const GAME_ID: u64 = 1;
 
 /// The inventor's secret state for a P2 session: the full equilibrium.
 #[derive(Clone, Debug)]
@@ -74,13 +75,70 @@ pub struct P2SessionOutcome {
     pub opponent_answer_bytes: usize,
 }
 
+/// Fig. 4's membership oracle with the prover remoted: each query is a
+/// framed [`Message::SupportQuery`] from the agent, answered by the
+/// prover with a framed [`Message::SupportAnswer`]. An answer that never
+/// arrives reads as "out of support".
+struct WireOracle<'a> {
+    bus: &'a dyn Transport,
+    prover: &'a P2Prover,
+    agent: Party,
+    agent_ep: Endpoint,
+    prover_ep: Endpoint,
+    /// Bytes of the answer frames the prover put on the wire.
+    opponent_answer_bytes: usize,
+}
+
+impl SupportOracle for WireOracle<'_> {
+    fn is_in_opponent_support(&mut self, index: usize) -> bool {
+        let query = Message::SupportQuery {
+            game_id: GAME_ID,
+            index,
+        };
+        self.bus
+            .send(self.agent, self.prover.id, query)
+            .expect("prover registered");
+        // Prover end: answer the queued queries (settle first so a latency
+        // transport has landed the frame).
+        self.bus.settle();
+        for (from, msg) in self.prover_ep.drain() {
+            if let Message::SupportQuery { index, .. } = msg {
+                let reply = Message::SupportAnswer {
+                    game_id: GAME_ID,
+                    index,
+                    in_support: self.prover.answer(index),
+                };
+                self.opponent_answer_bytes += reply.encoded_len();
+                self.bus
+                    .send(self.prover.id, from, reply)
+                    .expect("agent registered");
+            }
+        }
+        // Agent end: the last answer about this index counts.
+        self.bus.settle();
+        self.agent_ep
+            .drain()
+            .into_iter()
+            .filter_map(|(_, msg)| match msg {
+                Message::SupportAnswer {
+                    index: answered,
+                    in_support,
+                    ..
+                } if answered == index => Some(in_support),
+                _ => None,
+            })
+            .last()
+            .unwrap_or(false)
+    }
+}
+
 /// Runs a full P2 consultation for the **row agent** over `bus`:
-/// advice delivery, then query/answer rounds until `required_conclusive`
-/// conclusive pair tests or `max_queries` queries.
+/// advice delivery, then [`verify_private_advice`] with every oracle
+/// query a wire round trip, until `required_conclusive` conclusive pair
+/// tests or `max_queries` queries.
 ///
-/// # Panics
-///
-/// Panics if bus endpoints cannot be registered (never, in-process).
+/// If the advice frame is lost, the session is undecided: not accepted,
+/// no rejection reason, no queries (its bytes still count).
 pub fn run_p2_session(
     bus: &dyn Transport,
     game: &BimatrixGame,
@@ -93,107 +151,59 @@ pub fn run_p2_session(
     let agent = Party::Agent(agent_id);
     let agent_ep = bus.register(agent);
     let prover_ep = bus.register(prover.id);
-    let game_id = 1u64;
     let bytes_before = bus.total_bytes();
-    let mut opponent_answer_bytes = 0usize;
 
     // 1. Advice delivery (own data + λs — no opponent information).
-    let advice = prover.row_advice(game);
     bus.send(
         prover.id,
         agent,
         Message::AdviceWithProof {
-            game_id,
-            advice: Box::new(Advice::Private(advice)),
+            game_id: GAME_ID,
+            advice: Box::new(Advice::Private(prover.row_advice(game))),
         },
     )
     .expect("agent registered");
     bus.settle();
-    let Some((_, Message::AdviceWithProof { advice, .. })) = agent_ep.try_recv() else {
-        panic!("advice delivery is synchronous in-process");
-    };
-    let Advice::Private(advice) = *advice else {
-        panic!("P2 advice expected")
-    };
-
-    // Local well-formedness.
-    let m = game.cols();
-    if advice.own_strategy.len() != game.rows() {
+    let advice = agent_ep.drain().into_iter().find_map(|(_, msg)| match msg {
+        Message::AdviceWithProof { advice, .. } => match *advice {
+            Advice::Private(advice) => Some(advice),
+            _ => None,
+        },
+        _ => None,
+    });
+    let Some(advice) = advice else {
         return P2SessionOutcome {
             accepted: false,
-            rejection: Some(P2Rejection::MalformedOwnStrategy {
-                reason: "dimension mismatch".to_owned(),
-            }),
+            rejection: None,
             queries: 0,
             session_bytes: bus.total_bytes() - bytes_before,
-            opponent_answer_bytes,
+            opponent_answer_bytes: 0,
         };
-    }
+    };
 
-    // 2. Interactive rounds.
-    let mut conclusive = 0u64;
-    let mut queries = 0u64;
-    let mut rejection: Option<P2Rejection> = None;
-    'outer: while conclusive < required_conclusive && queries + 2 <= max_queries {
-        let pair = [rng.random_range(0..m), rng.random_range(0..m)];
-        let mut answers = [false; 2];
-        for (slot, &j) in pair.iter().enumerate() {
-            bus.send(
-                agent,
-                prover.id,
-                Message::SupportQuery { game_id, index: j },
-            )
-            .expect("prover registered");
-            // Prover end: answer the queued query (settle first so a
-            // latency transport has landed the frame).
-            bus.settle();
-            for (from, msg) in prover_ep.drain() {
-                if let Message::SupportQuery { index, .. } = msg {
-                    let reply = Message::SupportAnswer {
-                        game_id,
-                        index,
-                        in_support: prover.answer(index),
-                    };
-                    opponent_answer_bytes += reply.encoded_len();
-                    bus.send(prover.id, from, reply).expect("agent registered");
-                }
-            }
-            // Agent end: receive the answer.
-            bus.settle();
-            for (_, msg) in agent_ep.drain() {
-                if let Message::SupportAnswer {
-                    index, in_support, ..
-                } = msg
-                {
-                    if index == j {
-                        answers[slot] = in_support;
-                    }
-                }
-            }
-            queries += 1;
-        }
-        // Fig. 4 case analysis, exactly as the local verifier.
-        for (&j, &inside) in pair.iter().zip(answers.iter()) {
-            let actual = game.col_payoff_against(&advice.own_strategy, j);
-            if inside && actual != advice.lambda_opp {
-                rejection = Some(P2Rejection::InSupportPayoffMismatch { index: j, actual });
-                break 'outer;
-            }
-            if !inside && actual > advice.lambda_opp {
-                rejection = Some(P2Rejection::OutsideSupportExceeds { index: j, actual });
-                break 'outer;
-            }
-        }
-        if answers[0] || answers[1] {
-            conclusive += 1;
-        }
-    }
+    // 2. Fig. 4's verifier, with the oracle remoted.
+    let mut oracle = WireOracle {
+        bus,
+        prover,
+        agent,
+        agent_ep,
+        prover_ep,
+        opponent_answer_bytes: 0,
+    };
+    let config = P2Config {
+        required_conclusive,
+        max_queries,
+    };
+    let outcome = verify_private_advice(game, &advice, &mut oracle, rng, &config);
     P2SessionOutcome {
-        accepted: rejection.is_none() && conclusive >= required_conclusive,
-        rejection,
-        queries,
+        accepted: outcome.is_accepted(),
+        queries: outcome.transcript().num_queries(),
+        rejection: match outcome {
+            P2Outcome::Rejected { reason, .. } => Some(reason),
+            _ => None,
+        },
         session_bytes: bus.total_bytes() - bytes_before,
-        opponent_answer_bytes,
+        opponent_answer_bytes: oracle.opponent_answer_bytes,
     }
 }
 
@@ -207,6 +217,34 @@ mod tests {
     use ra_exact::rat;
     use ra_games::named::battle_of_the_sexes;
     use ra_games::MixedStrategy;
+    use ra_proofs::{HonestOracle, LyingOracle};
+
+    /// Runs the local Fig. 4 verifier on `prover`'s advice with an
+    /// in-process oracle under `seed`, and asserts the wire session
+    /// reached the same verdict after the same number of queries.
+    fn assert_matches_local(
+        outcome: &P2SessionOutcome,
+        game: &BimatrixGame,
+        prover: &P2Prover,
+        oracle: &mut dyn SupportOracle,
+        seed: u64,
+        config: P2Config,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let local =
+            verify_private_advice(game, &prover.row_advice(game), oracle, &mut rng, &config);
+        assert_eq!(outcome.accepted, local.is_accepted(), "seed {seed}");
+        let local_rejection = match &local {
+            P2Outcome::Rejected { reason, .. } => Some(reason),
+            _ => None,
+        };
+        assert_eq!(outcome.rejection.as_ref(), local_rejection, "seed {seed}");
+        assert_eq!(
+            outcome.queries,
+            local.transcript().num_queries(),
+            "seed {seed}"
+        );
+    }
 
     fn bos_equilibrium() -> (BimatrixGame, MixedProfile) {
         let game = battle_of_the_sexes();
@@ -247,7 +285,11 @@ mod tests {
         };
         assert!(game.is_nash(&eq));
         let bus = Bus::new();
-        let prover = P2Prover::lying(0, eq);
+        let prover = P2Prover::lying(0, eq.clone());
+        let config = P2Config {
+            required_conclusive: 3,
+            max_queries: 200,
+        };
         let mut rejections = 0;
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -255,6 +297,10 @@ mod tests {
             if !outcome.accepted {
                 rejections += 1;
             }
+            // The prover inverts every answer: the local lying oracle
+            // over all columns, under the same seed, must agree.
+            let mut oracle = LyingOracle::new(eq.col.support(), 0..game.cols());
+            assert_matches_local(&outcome, &game, &prover, &mut oracle, seed, config);
         }
         assert!(
             rejections >= 15,
@@ -265,14 +311,42 @@ mod tests {
     #[test]
     fn session_is_deterministic_per_seed() {
         let (game, eq) = bos_equilibrium();
+        let prover = P2Prover::honest(0, eq.clone());
         let run = |seed: u64| {
             let bus = Bus::new();
-            let prover = P2Prover::honest(0, eq.clone());
             let mut rng = StdRng::seed_from_u64(seed);
-            let o = run_p2_session(&bus, &game, &prover, 0, 3, 100, &mut rng);
-            (o.accepted, o.queries, o.session_bytes)
+            run_p2_session(&bus, &game, &prover, 0, 3, 100, &mut rng)
         };
-        assert_eq!(run(9), run(9));
+        let o = run(9);
+        let again = run(9);
+        assert_eq!(
+            (o.accepted, o.queries, o.session_bytes),
+            (again.accepted, again.queries, again.session_bytes)
+        );
+        let config = P2Config {
+            required_conclusive: 3,
+            max_queries: 100,
+        };
+        let mut oracle = HonestOracle::new(eq.col.support());
+        assert_matches_local(&o, &game, &prover, &mut oracle, 9, config);
+    }
+
+    #[test]
+    fn lost_advice_frame_is_undecided_not_a_panic() {
+        let (game, eq) = bos_equilibrium();
+        let bus = Bus::new();
+        let prover = P2Prover::honest(0, eq);
+        bus.drop_link(prover.id, Party::Agent(0));
+        let mut rng = StdRng::seed_from_u64(1);
+        let outcome = run_p2_session(&bus, &game, &prover, 0, 3, 100, &mut rng);
+        assert!(!outcome.accepted);
+        assert_eq!(outcome.rejection, None);
+        assert_eq!(outcome.queries, 0);
+        assert_eq!(outcome.opponent_answer_bytes, 0);
+        assert!(
+            outcome.session_bytes > 0,
+            "the lost frame is still accounted"
+        );
     }
 
     #[test]

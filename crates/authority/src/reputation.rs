@@ -20,13 +20,20 @@
 //!   ever touches shard-local state and exclusion still propagates
 //!   engine-wide.
 //!
+//! A backend implements only the writes ([`ReputationBackend::pool_verdicts`],
+//! [`ReputationBackend::report_unresponsive`]) and publication
+//! ([`ReputationBackend::snapshot`]). Every read — `score`, `is_trusted`,
+//! `trusted_verifiers` — comes off the published [`ReputationSnapshot`],
+//! the same view a consult trusts, so reading a score never changes any
+//! state (or any gossip byte).
+//!
 //! Three refinements layer on top of the basic plane:
 //!
-//! * **Bus-carried gossip** — a [`GossipPlane`] built with
-//!   [`GossipPlane::over_transport_with`] routes every epoch merge through
-//!   a dedicated inter-shard [`Transport`] as real framed
-//!   [`Message::Gossip`](crate::Message::Gossip) sends, so the Lemma 1
-//!   byte accounting covers the control plane, not just consultations.
+//! * **Bus-carried gossip** — a [`GossipPlane`] owns a dedicated
+//!   inter-shard [`Transport`] and routes every epoch merge through it as
+//!   real framed [`Message::Gossip`](crate::Message::Gossip) sends, so the
+//!   Lemma 1 byte accounting covers the control plane, not just
+//!   consultations.
 //! * **Weighted votes** — [`VoteRule::Weighted`] pools verdicts by the
 //!   verifiers' reputation stakes instead of one-verifier-one-vote.
 //! * **Decay** — [`ReputationDecay::HalfLife`] halves the contribution of
@@ -117,11 +124,15 @@ pub struct MajorityOutcome {
     pub dissenters: Vec<Party>,
 }
 
-/// Computes the pooled verdict of one round under a stake function (ties
-/// reject — the safe side), shared by every backend so the vote rule
-/// cannot drift between them. [`VoteRule::Simple`] is the constant stake
-/// function 1.
-fn pooled_outcome(verdicts: &[(Party, bool)], stake_of: impl Fn(Party) -> i64) -> MajorityOutcome {
+/// Computes the pooled verdict of one round under `rule` (ties reject —
+/// the safe side), shared by every backend so the vote rule cannot drift
+/// between them. `score_of` is the backend's current score, read only
+/// under [`VoteRule::Weighted`]; [`VoteRule::Simple`] stakes 1 per vote.
+fn pooled_outcome(
+    rule: VoteRule,
+    verdicts: &[(Party, bool)],
+    score_of: impl Fn(Party) -> i64,
+) -> MajorityOutcome {
     assert!(
         !verdicts.is_empty(),
         "pooling requires at least one verdict"
@@ -134,7 +145,10 @@ fn pooled_outcome(verdicts: &[(Party, bool)], stake_of: impl Fn(Party) -> i64) -
         // A consulted verifier is trusted, hence has positive score; the
         // clamp keeps hostile direct calls (pooling an already-excluded
         // verifier) from producing non-positive stakes.
-        let stake = stake_of(party).max(1);
+        let stake = match rule {
+            VoteRule::Simple => 1,
+            VoteRule::Weighted => score_of(party).max(1),
+        };
         if vote {
             accept_votes += 1;
             accept_stake += stake;
@@ -164,11 +178,12 @@ fn pooled_outcome(verdicts: &[(Party, bool)], stake_of: impl Fn(Party) -> i64) -
 /// Backends publish a fresh snapshot (behind `Arc`) whenever scores
 /// change — at the end of [`ReputationBackend::pool_verdicts`] and, for
 /// [`GossipReputation`], after an epoch pull or a generation advance.
-/// Readers on the consult hot path ([`crate::RationalityAuthority`]) grab the
-/// current `Arc` with one short lock and then read trust checks off it
-/// with no further synchronization, so a gossip merge running on another
-/// thread can never contend with — or leak a half-merged epoch into — a
-/// consult's trust decisions.
+/// Every read goes through it: readers on the consult hot path
+/// ([`crate::RationalityAuthority`]) and the [`ReputationBackend`] read
+/// methods grab the current `Arc` with one short lock and then read
+/// trust checks off it with no further synchronization, so a gossip merge
+/// running on another thread can never contend with — or leak a
+/// half-merged epoch into — a consult's trust decisions.
 ///
 /// Because snapshots are published *under the backend's data lock*, a
 /// snapshot always reflects a complete mutation: either all of a pooled
@@ -177,15 +192,15 @@ fn pooled_outcome(verdicts: &[(Party, bool)], stake_of: impl Fn(Party) -> i64) -
 /// # Examples
 ///
 /// ```
-/// use ra_authority::{LocalReputation, Party, ReputationBackend};
+/// use ra_authority::{LocalReputation, Party, ReputationBackend, INITIAL_SCORE};
 ///
 /// let store = LocalReputation::new();
 /// let before = store.snapshot();
 /// store.pool_verdicts(&[(Party::Verifier(0), true), (Party::Verifier(1), true)]);
 /// let after = store.snapshot();
 /// // The stale snapshot is immutable: it still scores everyone as unseen.
-/// assert_eq!(before.score(Party::Verifier(0)), LocalReputation::INITIAL);
-/// assert_eq!(after.score(Party::Verifier(0)), LocalReputation::INITIAL + 1);
+/// assert_eq!(before.score(Party::Verifier(0)), INITIAL_SCORE);
+/// assert_eq!(after.score(Party::Verifier(0)), INITIAL_SCORE + 1);
 /// assert!(after.version() > before.version());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -225,6 +240,19 @@ impl ReputationSnapshot {
         self.score(verifier) > EXCLUSION_THRESHOLD
     }
 
+    /// Every verifier registered in this view that is trusted, sorted for
+    /// determinism.
+    pub fn trusted_verifiers(&self) -> Vec<Party> {
+        let mut out: Vec<Party> = self
+            .scores
+            .iter()
+            .filter(|&(_, &s)| s > EXCLUSION_THRESHOLD)
+            .map(|(&p, _)| p)
+            .collect();
+        out.sort();
+        out
+    }
+
     /// Number of verifiers registered in this view.
     pub fn len(&self) -> usize {
         self.scores.len()
@@ -249,6 +277,20 @@ fn trusted_set_changed(old: &HashMap<Party, i64>, new: &HashMap<Party, i64>) -> 
         .any(|&p| trusted(old, p) != trusted(new, p))
 }
 
+/// Swaps a snapshot of `scores` into a backend's snapshot `slot`, bumping
+/// the version and — when the trusted set moved — the panel version.
+/// Callers hold their data lock, which serializes publications with
+/// mutations; the slot itself is a leaf lock held only for the swap.
+fn publish(slot: &Mutex<Arc<ReputationSnapshot>>, scores: HashMap<Party, i64>) {
+    let mut slot = slot.lock().expect("reputation snapshot lock poisoned");
+    let panel_version = slot.panel_version + u64::from(trusted_set_changed(&slot.scores, &scores));
+    *slot = Arc::new(ReputationSnapshot {
+        version: slot.version + 1,
+        panel_version,
+        scores,
+    });
+}
+
 /// A reputation backend: where verifier trust scores live and how one
 /// round of verdicts updates them.
 ///
@@ -271,18 +313,15 @@ fn trusted_set_changed(old: &HashMap<Party, i64>, new: &HashMap<Party, i64>) -> 
 /// let local = LocalReputation::new();
 /// let gossip = GossipReputation::new(0, Arc::new(GossipPlane::new()));
 /// let round = [(Party::Verifier(0), true), (Party::Verifier(1), false)];
-/// let a = ReputationBackend::pool_verdicts(&local, &round);
-/// let b = gossip.pool_verdicts(&round);
-/// assert_eq!(a, b);
-/// assert_eq!(
-///     ReputationBackend::score(&local, Party::Verifier(1)),
-///     gossip.score(Party::Verifier(1)),
-/// );
+/// assert_eq!(local.pool_verdicts(&round), gossip.pool_verdicts(&round));
+/// assert_eq!(local.score(Party::Verifier(1)), gossip.score(Party::Verifier(1)));
 /// ```
 pub trait ReputationBackend: Send + Sync {
-    /// Current score of a verifier (unseen verifiers score
-    /// [`INITIAL_SCORE`]).
-    fn score(&self, verifier: Party) -> i64;
+    /// Current score of a verifier in the published snapshot (unseen
+    /// verifiers score [`INITIAL_SCORE`]). A read: no state changes.
+    fn score(&self, verifier: Party) -> i64 {
+        self.snapshot().score(verifier)
+    }
 
     /// Returns `true` if the verifier is still trusted (above
     /// [`EXCLUSION_THRESHOLD`]).
@@ -298,9 +337,11 @@ pub trait ReputationBackend: Send + Sync {
     /// Panics if `verdicts` is empty.
     fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome;
 
-    /// All verifiers this backend has seen that are currently trusted,
-    /// sorted for determinism.
-    fn trusted_verifiers(&self) -> Vec<Party>;
+    /// All verifiers in the published snapshot that are currently
+    /// trusted, sorted for determinism.
+    fn trusted_verifiers(&self) -> Vec<Party> {
+        self.snapshot().trusted_verifiers()
+    }
 
     /// Records an *unresponsive* observation — distinct from dissent —
     /// against each listed verifier: a resilient session closed its panel
@@ -321,28 +362,24 @@ pub trait ReputationBackend: Send + Sync {
 
 /// Process-local reputation bookkeeping — one mutex-guarded score table.
 ///
-/// Scores start at [`LocalReputation::INITIAL`] and move by ±1 per pooled
-/// query depending on agreement with the majority; verifiers at or below
-/// [`LocalReputation::EXCLUSION_THRESHOLD`] are excluded. This is the
-/// classic store the single-bus [`crate::RationalityAuthority`] always
-/// used; it is also each isolated shard's backend under
+/// Scores start at [`INITIAL_SCORE`] and move by ±1 per pooled query
+/// depending on agreement with the majority; verifiers at or below
+/// [`EXCLUSION_THRESHOLD`] are excluded. This is the classic store the
+/// single-bus [`crate::RationalityAuthority`] always used; it is also
+/// each isolated shard's backend under
 /// [`crate::ReputationPolicy::Isolated`]. The vote rule is configurable
-/// via [`LocalReputation::with_rule`].
+/// via [`LocalReputation::with_rule`]; reads go through
+/// [`ReputationBackend`].
 #[derive(Debug, Default)]
 pub struct LocalReputation {
     rule: VoteRule,
     scores: Mutex<HashMap<Party, i64>>,
-    /// Latest immutable score view, republished under the `scores` lock
-    /// at the end of every [`LocalReputation::pool_verdicts`].
+    /// Latest immutable score view, published under the `scores` lock
+    /// at the end of every write.
     snapshot: Mutex<Arc<ReputationSnapshot>>,
 }
 
 impl LocalReputation {
-    /// Starting reputation score.
-    pub const INITIAL: i64 = INITIAL_SCORE;
-    /// At or below this score a verifier is no longer consulted.
-    pub const EXCLUSION_THRESHOLD: i64 = EXCLUSION_THRESHOLD;
-
     /// Creates an empty store with the [`VoteRule::Simple`] rule.
     pub fn new() -> LocalReputation {
         LocalReputation::default()
@@ -352,8 +389,7 @@ impl LocalReputation {
     pub fn with_rule(rule: VoteRule) -> LocalReputation {
         LocalReputation {
             rule,
-            scores: Mutex::new(HashMap::new()),
-            snapshot: Mutex::new(Arc::new(ReputationSnapshot::default())),
+            ..LocalReputation::default()
         }
     }
 
@@ -361,115 +397,42 @@ impl LocalReputation {
     pub fn rule(&self) -> VoteRule {
         self.rule
     }
+}
 
-    /// Current score of a verifier (registering it on first touch).
-    pub fn score(&self, verifier: Party) -> i64 {
-        *self
-            .scores
-            .lock()
-            .expect("reputation lock poisoned")
-            .entry(verifier)
-            .or_insert(Self::INITIAL)
-    }
-
-    /// Returns `true` if the verifier is still trusted (above the exclusion
-    /// threshold).
-    pub fn is_trusted(&self, verifier: Party) -> bool {
-        self.score(verifier) > Self::EXCLUSION_THRESHOLD
-    }
-
-    /// Pools one round of verdicts `(verifier, accepted)`, updates
-    /// reputations toward the majority, and returns the outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `verdicts` is empty.
-    pub fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
+impl ReputationBackend for LocalReputation {
+    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
         let mut scores = self.scores.lock().expect("reputation lock poisoned");
-        let outcome = match self.rule {
-            VoteRule::Simple => pooled_outcome(verdicts, |_| 1),
-            VoteRule::Weighted => pooled_outcome(verdicts, |verifier| {
-                scores.get(&verifier).copied().unwrap_or(Self::INITIAL)
-            }),
-        };
+        let outcome = pooled_outcome(self.rule, verdicts, |verifier| {
+            scores.get(&verifier).copied().unwrap_or(INITIAL_SCORE)
+        });
         for &(verifier, vote) in verdicts {
-            let entry = scores.entry(verifier).or_insert(Self::INITIAL);
+            let entry = scores.entry(verifier).or_insert(INITIAL_SCORE);
             if vote == outcome.accepted {
                 *entry += 1;
             } else {
                 *entry -= 1;
             }
         }
-        // Republish while still holding the scores lock: no other round
+        // Publish while still holding the scores lock: no other round
         // can interleave between the mutation and its snapshot, so every
         // published view reflects whole rounds only.
-        self.republish(&scores);
+        publish(&self.snapshot, scores.clone());
         outcome
     }
 
-    /// Swaps in a fresh snapshot of `scores`. Callers hold the scores
-    /// lock, which serializes republishes with mutations; the snapshot
-    /// slot itself is a leaf lock held only for the pointer swap.
-    fn republish(&self, scores: &HashMap<Party, i64>) {
-        let mut slot = self
-            .snapshot
-            .lock()
-            .expect("reputation snapshot lock poisoned");
-        let panel_version = if trusted_set_changed(&slot.scores, scores) {
-            slot.panel_version + 1
-        } else {
-            slot.panel_version
-        };
-        *slot = Arc::new(ReputationSnapshot {
-            version: slot.version + 1,
-            panel_version,
-            scores: scores.clone(),
-        });
-    }
-
     /// Records an unresponsive observation (−1, like a dissent) against
-    /// each listed verifier, republishing the snapshot under the same
-    /// lock so the panel version moves as soon as a silent verifier
-    /// crosses the exclusion threshold.
-    pub fn report_unresponsive(&self, silent: &[Party]) {
+    /// each listed verifier, publishing the snapshot under the same lock
+    /// so the panel version moves as soon as a silent verifier crosses
+    /// the exclusion threshold.
+    fn report_unresponsive(&self, silent: &[Party]) {
         if silent.is_empty() {
             return;
         }
         let mut scores = self.scores.lock().expect("reputation lock poisoned");
         for &verifier in silent {
-            *scores.entry(verifier).or_insert(Self::INITIAL) -= 1;
+            *scores.entry(verifier).or_insert(INITIAL_SCORE) -= 1;
         }
-        self.republish(&scores);
-    }
-
-    /// All verifiers currently trusted, sorted for determinism.
-    pub fn trusted_verifiers(&self) -> Vec<Party> {
-        let scores = self.scores.lock().expect("reputation lock poisoned");
-        let mut out: Vec<Party> = scores
-            .iter()
-            .filter(|&(_, &s)| s > Self::EXCLUSION_THRESHOLD)
-            .map(|(&p, _)| p)
-            .collect();
-        out.sort();
-        out
-    }
-}
-
-impl ReputationBackend for LocalReputation {
-    fn score(&self, verifier: Party) -> i64 {
-        LocalReputation::score(self, verifier)
-    }
-
-    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
-        LocalReputation::pool_verdicts(self, verdicts)
-    }
-
-    fn trusted_verifiers(&self) -> Vec<Party> {
-        LocalReputation::trusted_verifiers(self)
-    }
-
-    fn report_unresponsive(&self, silent: &[Party]) {
-        LocalReputation::report_unresponsive(self, silent);
+        publish(&self.snapshot, scores.clone());
     }
 
     fn snapshot(&self) -> Arc<ReputationSnapshot> {
@@ -567,19 +530,6 @@ impl DecayingPnCounterMap {
         }
     }
 
-    /// Ensures `(replica, verifier)` has a slot in the current generation
-    /// without changing any tally (registration on first touch, the
-    /// identity of the join).
-    pub fn touch(&mut self, replica: u64, verifier: Party) {
-        self.slots
-            .entry(verifier)
-            .or_default()
-            .entry(replica)
-            .or_default()
-            .entry(self.current_gen)
-            .or_default();
-    }
-
     /// The counter at one `(verifier, replica, generation)` coordinate,
     /// or `None` if no slot exists there yet.
     pub fn get_counter(&self, replica: u64, verifier: Party, generation: u64) -> Option<PnCounter> {
@@ -660,11 +610,11 @@ impl DecayingPnCounterMap {
     /// single observations fade to exactly zero) and dropped entirely at
     /// `retention` generations of age.
     ///
-    /// This runs on the consult hot path ([`ReputationBackend::score`]),
-    /// so the undecayed read is a plain allocation-free sum; only the
-    /// half-life read pays for a per-generation aggregation (truncating
-    /// division does not distribute over addition, so generations must be
-    /// summed before weighting).
+    /// This runs for every registered verifier on each snapshot
+    /// publication, so the undecayed read is a plain allocation-free sum;
+    /// only the half-life read pays for a per-generation aggregation
+    /// (truncating division does not distribute over addition, so
+    /// generations must be summed before weighting).
     pub fn decayed_value(&self, verifier: Party, decay: ReputationDecay) -> i64 {
         let Some(replicas) = self.slots.get(&verifier) else {
             return 0;
@@ -926,15 +876,13 @@ impl HubState {
 /// published so far. Shards touch it only at epoch boundaries (publish /
 /// pull), never on the consult hot path.
 ///
-/// Built with [`GossipPlane::new`] the plane is a plain in-memory join —
-/// merges cost no simulated network traffic. Built with
-/// [`GossipPlane::over_transport_with`] the plane owns a dedicated
-/// inter-shard transport (a [`Bus`](crate::Bus), say): every publish is a
-/// real framed [`Message::Gossip`] send from `Party::Shard(s)` to
-/// [`GOSSIP_HUB`], every pull a framed send back, so
-/// control-plane bytes land in the same Lemma 1 accounting as
-/// consultation traffic (and are subject to the same fault injection —
-/// a dropped frame is simply never merged).
+/// The plane owns a dedicated inter-shard transport (a
+/// [`Bus`](crate::Bus) unless built with
+/// [`GossipPlane::over_transport_with`]): every publish is a real framed
+/// [`Message::Gossip`] send from `Party::Shard(s)` to [`GOSSIP_HUB`],
+/// every pull a framed send back, so control-plane bytes land in the same
+/// Lemma 1 accounting as consultation traffic (and are subject to the
+/// same fault injection — a dropped frame is simply never merged).
 ///
 /// Pulls are *versioned*: the hub indexes every merged slot by the
 /// [`VersionVector`] version at which it last changed, and
@@ -942,38 +890,26 @@ impl HubState {
 /// watermark — nothing at all when the caller is up to date. A pull reply
 /// dropped by fault injection leaves the caller's watermark untouched, so
 /// the missed delta is simply re-shipped by the next successful pull.
-#[derive(Debug, Default)]
-pub struct GossipPlane {
-    hub: Mutex<HubState>,
-    decay: ReputationDecay,
-    transport: Option<GossipTransport>,
-}
-
-/// The transport wiring of a [`GossipPlane::over_transport_with`] plane.
 #[derive(Debug)]
-struct GossipTransport {
+pub struct GossipPlane {
+    hub_state: Mutex<HubState>,
+    decay: ReputationDecay,
     bus: Arc<dyn Transport>,
     hub: Mutex<Endpoint>,
     shard_endpoints: Mutex<HashMap<u64, Endpoint>>,
 }
 
-impl GossipTransport {
-    /// Registers `shard`'s endpoint on first use.
-    fn ensure_shard(&self, shard: u64) {
-        let mut endpoints = self
-            .shard_endpoints
-            .lock()
-            .expect("gossip endpoints lock poisoned");
-        endpoints
-            .entry(shard)
-            .or_insert_with(|| self.bus.register(Party::Shard(shard)));
+impl Default for GossipPlane {
+    fn default() -> GossipPlane {
+        GossipPlane::new()
     }
 }
 
 impl GossipPlane {
-    /// Creates an empty in-memory plane (no bus, merges are free).
+    /// Creates an empty plane over a fresh perfect [`Bus`](crate::Bus),
+    /// with no decay.
     pub fn new() -> GossipPlane {
-        GossipPlane::default()
+        GossipPlane::over_transport_with(ReputationDecay::None, Arc::new(crate::bus::Bus::new()))
     }
 
     /// Creates an empty plane whose merges travel over `transport`, a
@@ -995,71 +931,68 @@ impl GossipPlane {
     ) -> GossipPlane {
         let hub = transport.register(GOSSIP_HUB);
         GossipPlane {
-            hub: Mutex::new(HubState::default()),
+            hub_state: Mutex::new(HubState::default()),
             decay,
-            transport: Some(GossipTransport {
-                bus: transport,
-                hub: Mutex::new(hub),
-                shard_endpoints: Mutex::new(HashMap::new()),
-            }),
+            bus: transport,
+            hub: Mutex::new(hub),
+            shard_endpoints: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The inter-shard gossip bus, if this plane was built with
-    /// [`GossipPlane::over_transport_with`] — byte accounting and fault injection for
-    /// the control plane.
-    pub fn gossip_bus(&self) -> Option<&dyn Transport> {
-        self.transport.as_ref().map(|t| &*t.bus)
+    /// The inter-shard gossip bus — byte accounting and fault injection
+    /// for the control plane.
+    pub fn gossip_bus(&self) -> &dyn Transport {
+        &*self.bus
+    }
+
+    /// Registers `shard`'s endpoint on first use.
+    fn ensure_shard(&self, shard: u64) {
+        let mut endpoints = self
+            .shard_endpoints
+            .lock()
+            .expect("gossip endpoints lock poisoned");
+        endpoints
+            .entry(shard)
+            .or_insert_with(|| self.bus.register(Party::Shard(shard)));
     }
 
     /// Joins `delta` (normally a shard's
     /// [`DecayingPnCounterMap::replica_slice`], taken by value so the
     /// frame is delivered by move — no payload clone on the publish path)
-    /// into the plane. Over a bus, the delta travels as a framed
-    /// [`Message::Gossip`] from `Party::Shard(from_shard)` to
-    /// [`GOSSIP_HUB`]; a frame dropped by fault injection is accounted but
-    /// never merged.
+    /// into the plane. The delta travels as a framed [`Message::Gossip`]
+    /// from `Party::Shard(from_shard)` to [`GOSSIP_HUB`]; a frame dropped
+    /// by fault injection is accounted but never merged.
     pub fn publish_from(&self, from_shard: u64, delta: DecayingPnCounterMap) {
-        match &self.transport {
-            None => {
-                let mut hub = self.hub.lock().expect("gossip plane lock poisoned");
-                hub.ingest(&delta);
-                hub.prune(self.decay);
-            }
-            Some(transport) => {
-                transport.ensure_shard(from_shard);
-                transport
-                    .bus
-                    .send(
-                        Party::Shard(from_shard),
-                        GOSSIP_HUB,
-                        Message::Gossip {
-                            delta,
-                            versions: VersionVector::new(),
-                        },
-                    )
-                    .expect("gossip hub endpoint registered");
-                // Land any latency-delayed frames before the hub drains
-                // (no-op on the perfect bus).
-                transport.bus.settle();
-                let endpoint = transport.hub.lock().expect("gossip hub lock poisoned");
-                let mut hub = self.hub.lock().expect("gossip plane lock poisoned");
-                for (_, message) in endpoint.drain() {
-                    if let Message::Gossip { delta, .. } = message {
-                        hub.ingest(&delta);
-                    }
-                }
-                // Keep the hub state — and with it every future pull
-                // delta — bounded under decay.
-                hub.prune(self.decay);
+        self.ensure_shard(from_shard);
+        self.bus
+            .send(
+                Party::Shard(from_shard),
+                GOSSIP_HUB,
+                Message::Gossip {
+                    delta,
+                    versions: VersionVector::new(),
+                },
+            )
+            .expect("gossip hub endpoint registered");
+        // Land any latency-delayed frames before the hub drains (no-op on
+        // the perfect bus).
+        self.bus.settle();
+        let endpoint = self.hub.lock().expect("gossip hub lock poisoned");
+        let mut hub_state = self.hub_state.lock().expect("gossip plane lock poisoned");
+        for (_, message) in endpoint.drain() {
+            if let Message::Gossip { delta, .. } = message {
+                hub_state.ingest(&delta);
             }
         }
+        // Keep the hub state — and with it every future pull delta —
+        // bounded under decay.
+        hub_state.prune(self.decay);
     }
 
     /// Joins everything `seen` has not witnessed yet into `state`, and
-    /// advances `seen` to the hub's current versions. Over a bus, the
-    /// delta travels as a framed [`Message::Gossip`] from [`GOSSIP_HUB`]
-    /// to `Party::Shard(to_shard)` — unless the caller is already up to
+    /// advances `seen` to the hub's current versions. The delta travels
+    /// as a framed [`Message::Gossip`] from [`GOSSIP_HUB`] to
+    /// `Party::Shard(to_shard)` — unless the caller is already up to
     /// date, in which case *no frame is sent at all*: an idle pull costs
     /// zero wire bytes instead of re-framing the full merged snapshot.
     pub fn pull_into(
@@ -1069,55 +1002,44 @@ impl GossipPlane {
         seen: &mut VersionVector,
     ) {
         let (delta, versions) = {
-            let hub = self.hub.lock().expect("gossip plane lock poisoned");
+            let hub = self.hub_state.lock().expect("gossip plane lock poisoned");
             (hub.delta_since(to_shard, seen), hub.versions.clone())
         };
-        match &self.transport {
-            None => {
+        self.ensure_shard(to_shard);
+        if delta.is_empty() && delta.current_generation() <= state.current_generation() {
+            // Nothing unseen — no slots, and the hub's generation cursor
+            // is not ahead of the caller's — so no frame at all. An empty
+            // delta proves every hub version is already covered (its
+            // changes were merged earlier, pruned, or are the puller's own
+            // rows), so the watermark still advances. (A cursor-only
+            // advance still ships a slotless frame: decayed reads depend
+            // on the local cursor, so it must propagate even when no
+            // counter changed.)
+            seen.merge(&versions);
+            return;
+        }
+        self.bus
+            .send(
+                GOSSIP_HUB,
+                Party::Shard(to_shard),
+                Message::Gossip { delta, versions },
+            )
+            .expect("gossip shard endpoint registered");
+        self.bus.settle();
+        let endpoints = self
+            .shard_endpoints
+            .lock()
+            .expect("gossip endpoints lock poisoned");
+        let endpoint = endpoints
+            .get(&to_shard)
+            .expect("shard endpoint ensured above");
+        // A frame dropped by fault injection never reaches the drain: the
+        // state and the watermark both stay put, and the missed delta is
+        // re-shipped on the next clean pull.
+        for (_, message) in endpoint.drain() {
+            if let Message::Gossip { delta, versions } = message {
                 state.merge(&delta);
                 seen.merge(&versions);
-            }
-            Some(transport) => {
-                transport.ensure_shard(to_shard);
-                if delta.is_empty() && delta.current_generation() <= state.current_generation() {
-                    // Nothing unseen — no slots, and the hub's generation
-                    // cursor is not ahead of the caller's — so no frame
-                    // at all. An empty delta proves every hub version is
-                    // already covered (its changes were merged earlier,
-                    // pruned, or are the puller's own rows), so the
-                    // watermark still advances, exactly as the in-memory
-                    // path's would. (A cursor-only advance still ships a
-                    // slotless frame: decayed reads depend on the local
-                    // cursor, so it must propagate even when no counter
-                    // changed.)
-                    seen.merge(&versions);
-                    return;
-                }
-                transport
-                    .bus
-                    .send(
-                        GOSSIP_HUB,
-                        Party::Shard(to_shard),
-                        Message::Gossip { delta, versions },
-                    )
-                    .expect("gossip shard endpoint registered");
-                transport.bus.settle();
-                let endpoints = transport
-                    .shard_endpoints
-                    .lock()
-                    .expect("gossip endpoints lock poisoned");
-                let endpoint = endpoints
-                    .get(&to_shard)
-                    .expect("shard endpoint ensured above");
-                // A frame dropped by fault injection never reaches the
-                // drain: the state and the watermark both stay put, and
-                // the missed delta is re-shipped on the next clean pull.
-                for (_, message) in endpoint.drain() {
-                    if let Message::Gossip { delta, versions } = message {
-                        state.merge(&delta);
-                        seen.merge(&versions);
-                    }
-                }
             }
         }
     }
@@ -1126,9 +1048,8 @@ impl GossipPlane {
 /// A gossiping reputation backend: one per shard, all sharing a
 /// [`GossipPlane`].
 ///
-/// On the consult hot path ([`ReputationBackend::pool_verdicts`],
-/// [`ReputationBackend::score`]) only this shard's own mutex is taken;
-/// observations land in the shard's replica slots of a local
+/// On the consult hot path ([`ReputationBackend::pool_verdicts`]) only
+/// this shard's own mutex is taken; observations land in the shard's replica slots of a local
 /// [`DecayingPnCounterMap`]. At epoch boundaries — every `every`
 /// consultations when driven by [`crate::ShardedAuthority`], or on an
 /// explicit [`GossipReputation::sync`] — the shard's own slice is
@@ -1185,7 +1106,7 @@ impl GossipReputation {
         }
     }
 
-    /// Swaps in a fresh snapshot of `local`. Callers hold the local lock,
+    /// Publishes a fresh snapshot of `local`. Callers hold the local lock,
     /// so a snapshot can only ever capture a fully applied round, fully
     /// merged epoch, or fully advanced generation — never the middle of
     /// one.
@@ -1195,17 +1116,7 @@ impl GossipReputation {
             .into_iter()
             .map(|p| (p, INITIAL_SCORE + local.decayed_value(p, self.decay)))
             .collect();
-        let mut slot = self.snapshot.lock().expect("gossip snapshot lock poisoned");
-        let panel_version = if trusted_set_changed(&slot.scores, &scores) {
-            slot.panel_version + 1
-        } else {
-            slot.panel_version
-        };
-        *slot = Arc::new(ReputationSnapshot {
-            version: slot.version + 1,
-            panel_version,
-            scores,
-        });
+        publish(&self.snapshot, scores);
     }
 
     /// The shard (replica id) this backend writes observations under.
@@ -1276,34 +1187,16 @@ impl GossipReputation {
 }
 
 impl ReputationBackend for GossipReputation {
-    fn score(&self, verifier: Party) -> i64 {
-        let mut local = self.local.lock().expect("gossip local lock poisoned");
-        local.touch(self.shard, verifier);
-        INITIAL_SCORE + local.decayed_value(verifier, self.decay)
-    }
-
     fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
         let mut local = self.local.lock().expect("gossip local lock poisoned");
-        let outcome = match self.rule {
-            VoteRule::Simple => pooled_outcome(verdicts, |_| 1),
-            VoteRule::Weighted => pooled_outcome(verdicts, |verifier| {
-                INITIAL_SCORE + local.decayed_value(verifier, self.decay)
-            }),
-        };
+        let outcome = pooled_outcome(self.rule, verdicts, |verifier| {
+            INITIAL_SCORE + local.decayed_value(verifier, self.decay)
+        });
         for &(verifier, vote) in verdicts {
             local.record(self.shard, verifier, vote == outcome.accepted);
         }
         self.republish(&local);
         outcome
-    }
-
-    fn trusted_verifiers(&self) -> Vec<Party> {
-        let local = self.local.lock().expect("gossip local lock poisoned");
-        local
-            .verifiers()
-            .into_iter()
-            .filter(|&p| INITIAL_SCORE + local.decayed_value(p, self.decay) > EXCLUSION_THRESHOLD)
-            .collect()
     }
 
     fn report_unresponsive(&self, silent: &[Party]) {
@@ -1342,8 +1235,8 @@ mod tests {
         assert_eq!(outcome.accept_votes, 2);
         assert_eq!(outcome.accept_stake, 2, "simple rule: stake == votes");
         assert_eq!(outcome.dissenters, vec![v(2)]);
-        assert_eq!(store.score(v(0)), LocalReputation::INITIAL + 1);
-        assert_eq!(store.score(v(2)), LocalReputation::INITIAL - 1);
+        assert_eq!(store.score(v(0)), INITIAL_SCORE + 1);
+        assert_eq!(store.score(v(2)), INITIAL_SCORE - 1);
     }
 
     #[test]
@@ -1362,17 +1255,17 @@ mod tests {
             store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false), (v(3), false)]);
         assert!(!outcome.accepted);
         assert_eq!(outcome.dissenters, vec![v(0), v(1)]);
-        assert_eq!(store.score(v(0)), LocalReputation::INITIAL - 1);
-        assert_eq!(store.score(v(1)), LocalReputation::INITIAL - 1);
-        assert_eq!(store.score(v(2)), LocalReputation::INITIAL + 1);
-        assert_eq!(store.score(v(3)), LocalReputation::INITIAL + 1);
+        assert_eq!(store.score(v(0)), INITIAL_SCORE - 1);
+        assert_eq!(store.score(v(1)), INITIAL_SCORE - 1);
+        assert_eq!(store.score(v(2)), INITIAL_SCORE + 1);
+        assert_eq!(store.score(v(3)), INITIAL_SCORE + 1);
     }
 
     #[test]
     fn persistent_deviants_get_excluded() {
         let store = LocalReputation::new();
         // Verifier 2 always disagrees with the honest majority.
-        for _ in 0..LocalReputation::INITIAL {
+        for _ in 0..INITIAL_SCORE {
             store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false)]);
         }
         assert!(!store.is_trusted(v(2)));
@@ -1397,7 +1290,7 @@ mod tests {
     fn recovered_verifier_reappears_in_trusted_set() {
         let store = LocalReputation::new();
         // Drive verifier 2 to the exclusion threshold…
-        for _ in 0..LocalReputation::INITIAL {
+        for _ in 0..INITIAL_SCORE {
             store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false)]);
         }
         assert_eq!(store.trusted_verifiers(), vec![v(0), v(1)]);
@@ -1422,7 +1315,7 @@ mod tests {
         for _ in 0..25 {
             store.pool_verdicts(&[(v(0), false), (v(9), false)]);
         }
-        assert_eq!(store.score(v(0)), LocalReputation::INITIAL + 25);
+        assert_eq!(store.score(v(0)), INITIAL_SCORE + 25);
         let outcome = store.pool_verdicts(&[(v(0), false), (v(1), true), (v(2), true)]);
         assert!(
             !outcome.accepted,
@@ -1483,6 +1376,58 @@ mod tests {
             ReputationBackend::trusted_verifiers(&local),
             gossip.trusted_verifiers()
         );
+    }
+
+    #[test]
+    fn reads_have_no_side_effects() {
+        // Reads of a verifier nobody has seen.
+        fn read_unseen(backend: &dyn ReputationBackend) {
+            assert_eq!(backend.score(v(7)), INITIAL_SCORE);
+            assert!(backend.is_trusted(v(7)));
+            assert!(!backend.trusted_verifiers().contains(&v(7)));
+        }
+        fn assert_reads_match_snapshot(backend: &dyn ReputationBackend) {
+            let snapshot = backend.snapshot();
+            assert_eq!(backend.trusted_verifiers(), snapshot.trusted_verifiers());
+            for i in 0..8 {
+                assert_eq!(backend.score(v(i)), snapshot.score(v(i)));
+            }
+        }
+        let round = [(v(0), true), (v(1), true), (v(2), false)];
+
+        let local = |reads: bool| {
+            let store = LocalReputation::new();
+            store.pool_verdicts(&round);
+            if reads {
+                read_unseen(&store);
+            }
+            assert_reads_match_snapshot(&store);
+            store.snapshot()
+        };
+        assert_eq!(local(false), local(true));
+
+        let gossip = |reads: bool| {
+            let plane = Arc::new(GossipPlane::new());
+            let a = GossipReputation::new(0, Arc::clone(&plane));
+            let b = GossipReputation::new(1, Arc::clone(&plane));
+            a.pool_verdicts(&round);
+            if reads {
+                read_unseen(&b);
+            }
+            a.sync();
+            b.sync();
+            a.sync();
+            assert_reads_match_snapshot(&a);
+            assert_reads_match_snapshot(&b);
+            let bus = plane.gossip_bus();
+            (
+                bus.total_bytes(),
+                bus.message_count(),
+                a.snapshot(),
+                b.snapshot(),
+            )
+        };
+        assert_eq!(gossip(false), gossip(true));
     }
 
     #[test]
@@ -1606,9 +1551,9 @@ mod tests {
 
     #[test]
     fn bus_carried_plane_reaches_the_same_state_and_accounts_bytes() {
-        // The same observations through an in-memory plane and a
-        // bus-carried plane converge on identical scores; only the
-        // bus-carried one generates accounted traffic.
+        // The same observations through the default plane (a fresh
+        // `Bus`) and one built over an explicit transport converge on
+        // identical scores, and the gossip traffic is byte-accounted.
         let free = Arc::new(GossipPlane::new());
         let framed = Arc::new(GossipPlane::over_transport_with(
             ReputationDecay::None,
@@ -1628,8 +1573,7 @@ mod tests {
             (a.score(v(0)), a.score(v(1)), b.score(v(0)), b.score(v(1)))
         };
         assert_eq!(run(&free), run(&framed));
-        assert!(free.gossip_bus().is_none());
-        let bus = framed.gossip_bus().expect("bus-carried plane");
+        let bus = framed.gossip_bus();
         assert_eq!(bus.message_count(), 4, "2 pushes + 2 pulls");
         assert!(bus.total_bytes() > 0, "gossip frames are byte-accounted");
         assert_eq!(
@@ -1657,7 +1601,7 @@ mod tests {
         // uplink to the hub: the push frame is accounted but dropped.
         a.push();
         let before_total = {
-            let bus = plane.gossip_bus().unwrap();
+            let bus = plane.gossip_bus();
             bus.drop_link(Party::Shard(0), GOSSIP_HUB);
             bus.total_bytes()
         };
@@ -1665,7 +1609,7 @@ mod tests {
         a.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false)]);
         a.push();
         b.pull();
-        let bus = plane.gossip_bus().unwrap();
+        let bus = plane.gossip_bus();
         assert!(bus.total_bytes() > before_total, "dropped frame accounted");
         assert!(
             bus.delivered_bytes() < bus.total_bytes(),
@@ -1680,8 +1624,7 @@ mod tests {
         // Shard A advances its decay generation with no new observations
         // and pushes; shard B is fully caught up on slots. B's pull must
         // still receive the new generation cursor (a slotless frame —
-        // decayed reads depend on the local cursor), matching what an
-        // in-memory plane's merge would have produced.
+        // decayed reads depend on the local cursor).
         let decay = ReputationDecay::HalfLife { retention: 4 };
         let plane = Arc::new(GossipPlane::over_transport_with(
             decay,
@@ -1710,7 +1653,7 @@ mod tests {
             "b now decays the old dissents like a itself does"
         );
         // And once cursors agree, an idle pull is frameless again.
-        let bus = plane.gossip_bus().unwrap();
+        let bus = plane.gossip_bus();
         let before = bus.bytes_between(GOSSIP_HUB, Party::Shard(1));
         b.pull();
         assert_eq!(

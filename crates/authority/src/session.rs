@@ -1717,7 +1717,7 @@ mod tests {
         // majority to evidence the network was fine.
         assert_eq!(
             authority.reputation().score(Party::Verifier(1)),
-            LocalReputation::INITIAL
+            crate::reputation::INITIAL_SCORE
         );
     }
 

@@ -501,7 +501,7 @@ impl ShardedAuthority {
     /// for the control plane), or `None` under
     /// [`ReputationPolicy::Isolated`].
     pub fn gossip_bus(&self) -> Option<&dyn Transport> {
-        self.gossip.as_ref().and_then(|g| g.plane.gossip_bus())
+        self.gossip.as_ref().map(|g| g.plane.gossip_bus())
     }
 
     /// The shared certificate cache, or `None` when the engine was built

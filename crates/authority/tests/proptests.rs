@@ -10,8 +10,8 @@ use ra_authority::{
     frame_pool_misses, sha256, sha256_wire, spec_digest, with_frame_scratch, Advice, Bus,
     CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, Inventor,
     InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
-    ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig, StatisticsLedger,
-    Transport, VerifierBehavior, VersionVector, Wire,
+    ReputationBackend, ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig,
+    StatisticsLedger, Transport, VerifierBehavior, VersionVector, Wire,
 };
 use ra_exact::{rat, Matrix, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
