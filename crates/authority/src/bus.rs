@@ -2,9 +2,9 @@
 //!
 //! An in-process stand-in for the distributed deployment of Fig. 1:
 //! parties register endpoints, messages are serialized to real bytes
-//! (so Lemma 1's communication claims are measured), delivered through
-//! unbounded channels, and logged. Fault injection (drop rules)
-//! supports the dishonest-party experiments.
+//! (so Lemma 1's communication claims are measured), delivered into
+//! each recipient's [`Endpoint`] queue, and counted. Fault injection
+//! (drop rules) supports the dishonest-party experiments.
 //!
 //! [`Network`] is generic over a sealed [`LinkModel`] that decides each
 //! routed frame's fate; routing, accounting and the `Transport` surface
@@ -18,30 +18,41 @@
 //!   clock (see [`crate::SimNet`]).
 //!
 //! Each network holds one `Mutex` over everything it mutates: the
-//! endpoints, the drop rules, the [`Ledger`](crate::transport) and the
-//! link model's state. Every network in the engine is driven by one
+//! routing table, the drop rules, the [`Ledger`](crate::transport) and
+//! the link model's state. Every network in the engine is driven by one
 //! thread at a time (a shard's under its shard lock, the gossip hub from
 //! `sync_reputation`), so finer locking bought no throughput. Every
-//! method takes the lock once and nothing inside it blocks (channel
-//! pushes are unbounded), so there is no lock order to keep. A send or a
-//! whole batch routes, samples and accounts under one acquisition, which
-//! keeps a simulated link's random stream in send order; the accessors
-//! (`total_bytes`, `delivered_bytes`, `bytes_between`, `delivery_log`,
-//! `message_count`) each read one consistent snapshot, so under
-//! concurrency they are individually consistent with some linearization
-//! of the accounted sends.
+//! method takes the lock once. The only lock taken under it is a
+//! recipient's queue lock, a leaf held just for the push, so there is no
+//! lock order to keep. A send or a whole batch routes, samples and
+//! accounts under one acquisition, which keeps a simulated link's random
+//! stream in send order; the accessors (`total_bytes`, `delivered_bytes`,
+//! `bytes_between`, `delivery_log`, `message_count`) each read one
+//! consistent snapshot, so under concurrency they are individually
+//! consistent with some linearization of the accounted sends.
 
-use std::collections::{HashMap, HashSet};
-
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Mutex, MutexGuard};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use crate::messages::{Message, Party};
 use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, Transport};
 use crate::wire::Wire;
 
-/// The sending half of a registered endpoint.
-pub type Inbox = Sender<(Party, Message)>;
+/// The network's handle on a registered [`Endpoint`]'s queue. Weak, so
+/// dropping the endpoint frees the queue and later deliveries fail.
+pub type Inbox = Weak<Mutex<VecDeque<(Party, Message)>>>;
+
+/// Appends a frame to `inbox`; false if its endpoint was dropped.
+pub(crate) fn push(inbox: &Inbox, from: Party, message: Message) -> bool {
+    let Some(queue) = inbox.upgrade() else {
+        return false;
+    };
+    queue
+        .lock()
+        .expect("inbox lock poisoned")
+        .push_back((from, message));
+    true
+}
 
 /// Fault injection: `(from, to)` pairs whose messages are dropped.
 pub type DropRules = HashSet<(Party, Party)>;
@@ -158,7 +169,7 @@ impl<M: LinkModel> NetState<M> {
         let link = &mut self.link;
         let mut deliver = |message: Message| {
             if delay == 0 {
-                inbox.send((from, message)).is_ok()
+                push(inbox, from, message)
             } else {
                 link.queue(delay, from, inbox.clone(), message);
                 true
@@ -220,6 +231,30 @@ impl Bus {
 }
 
 impl<M: LinkModel> Network<M> {
+    /// Keeps the per-frame delivery log ([`Transport::delivery_log`])
+    /// from now on. Off by default: the ledger then holds only the
+    /// running totals, the frame count and the per-pair sums, so its
+    /// memory does not grow with traffic.
+    ///
+    /// ```
+    /// use ra_authority::{Bus, Message, Party, Transport};
+    ///
+    /// let bus = Bus::new().with_delivery_log();
+    /// bus.register(Party::Agent(1));
+    /// let _ep = bus.register(Party::Agent(2));
+    /// bus.send(Party::Agent(1), Party::Agent(2), Message::AdviceRequest { game_id: 1 })
+    ///     .unwrap();
+    /// assert_eq!(bus.delivery_log().len(), bus.message_count());
+    /// ```
+    pub fn with_delivery_log(mut self) -> Self {
+        self.state
+            .get_mut()
+            .expect("network lock poisoned")
+            .ledger
+            .keep_log();
+        self
+    }
+
     /// An empty network over `model`'s links.
     pub(crate) fn with_model(model: M) -> Network<M> {
         Network {
@@ -239,15 +274,12 @@ impl<M: LinkModel> Network<M> {
 }
 
 impl<M: LinkModel> Transport for Network<M> {
-    /// Frames already in flight keep the channel they captured at send
+    /// Frames already in flight keep the queue they captured at send
     /// time, so re-registering does not redirect them.
     fn register(&self, party: Party) -> Endpoint {
-        let (tx, rx) = channel();
-        self.state().endpoints.insert(party, tx);
-        Endpoint {
-            party,
-            receiver: rx,
-        }
+        let queue = Arc::default();
+        self.state().endpoints.insert(party, Arc::downgrade(&queue));
+        Endpoint { party, queue }
     }
 
     fn disconnect(&self, party: Party) {
@@ -328,14 +360,18 @@ impl<M: LinkModel> Transport for Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::checked_log;
     use crate::SimNet;
     use std::sync::Arc;
 
-    /// The same empty network under each link model: the concurrency
-    /// tests run against both, since both route and account under the
-    /// network's one lock.
+    /// The same empty network under each link model, keeping its delivery
+    /// log: the concurrency tests run against both, since both route and
+    /// account under the network's one lock.
     fn both_models() -> [Arc<dyn Transport>; 2] {
-        [Arc::new(Bus::new()), Arc::new(SimNet::lossless(0))]
+        [
+            Arc::new(Bus::new().with_delivery_log()),
+            Arc::new(SimNet::lossless(0).with_delivery_log()),
+        ]
     }
 
     #[test]
@@ -361,7 +397,7 @@ mod tests {
         // The running aggregates must stay consistent with what a full
         // scan of the delivery log would compute (the pre-refactor
         // semantics), including dropped messages and unknown parties.
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         let c = Party::Verifier(3);
@@ -376,7 +412,7 @@ mod tests {
         bus.send(b, a, Message::AdviceRequest { game_id: 3 })
             .unwrap();
         let _ = bus.send(a, Party::Agent(99), Message::AdviceRequest { game_id: 4 });
-        let log = bus.delivery_log();
+        let log = checked_log(&bus);
         assert_eq!(bus.message_count(), log.len());
         assert_eq!(
             bus.total_bytes(),
@@ -398,7 +434,7 @@ mod tests {
         // PR 2 made failed sends record as undelivered; delivered_bytes
         // must exclude those and fault-injected drops, while total_bytes
         // keeps counting every attempt.
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         let c = Party::Verifier(3);
@@ -416,7 +452,7 @@ mod tests {
         bus.heal();
         bus.send(a, b, Message::AdviceRequest { game_id: 4 })
             .unwrap();
-        let log = bus.delivery_log();
+        let log = checked_log(&bus);
         assert_eq!(
             bus.delivered_bytes(),
             log.iter()
@@ -447,8 +483,9 @@ mod tests {
 
     /// Builds a bus with the fixture topology for `adversarial_traffic`:
     /// a↔b live, a→c fault-dropped, c's endpoint dropped (disconnected).
+    /// The bus keeps its delivery log.
     fn adversarial_bus() -> (Bus, Endpoint, Endpoint) {
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let ep_a = bus.register(Party::Agent(1));
         let ep_b = bus.register(Party::Agent(2));
         let ep_c = bus.register(Party::Verifier(3));
@@ -476,7 +513,7 @@ mod tests {
             }
         }
         assert_eq!(first_batch_error, first_seq_error);
-        assert_eq!(batched.delivery_log(), sequential.delivery_log());
+        assert_eq!(checked_log(&batched), checked_log(&sequential));
         assert_eq!(batched.total_bytes(), sequential.total_bytes());
         assert_eq!(batched.delivered_bytes(), sequential.delivered_bytes());
         assert_eq!(batched.message_count(), sequential.message_count());
@@ -574,7 +611,7 @@ mod tests {
 
     #[test]
     fn disconnected_endpoint_reported() {
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         bus.register(a);
@@ -588,7 +625,7 @@ mod tests {
         // recorded as undelivered.
         assert_eq!(bus.message_count(), 1);
         assert!(bus.bytes_between(a, b) > 0);
-        assert!(!bus.delivery_log()[0].delivered);
+        assert!(!checked_log(&bus)[0].delivered);
     }
 
     #[test]
@@ -645,7 +682,7 @@ mod tests {
 
     #[test]
     fn fault_injection_drops_silently() {
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         bus.register(a);
@@ -657,7 +694,7 @@ mod tests {
         bus.send(a, b, Message::AdviceRequest { game_id: 1 })
             .unwrap();
         assert!(ep_b.try_recv().is_none());
-        let log = bus.delivery_log();
+        let log = checked_log(&bus);
         assert_eq!(log.len(), 1);
         assert!(!log[0].delivered);
         bus.heal();
@@ -787,7 +824,7 @@ mod tests {
         assert_eq!(bus.message_count(), accounted_msgs);
         assert_eq!(bus.total_bytes(), accounted_bytes);
         assert_eq!(bus.delivered_bytes(), delivered_bytes);
-        let log = bus.delivery_log();
+        let log = checked_log(&*bus);
         assert_eq!(log.len(), accounted_msgs);
         assert_eq!(
             log.iter().filter(|r| r.delivered).count(),
@@ -923,13 +960,54 @@ mod tests {
         assert_eq!(bus.message_count(), msgs);
         assert_eq!(bus.total_bytes(), bytes);
         assert_eq!(bus.delivered_bytes(), bytes, "every send was delivered");
-        let log = bus.delivery_log();
+        let log = checked_log(&*bus);
         assert_eq!(log.len(), msgs);
         assert!(log.iter().all(|r| r.delivered));
         assert_eq!(hub_ep.drain().len(), sent_to(hub));
         assert_eq!(endpoints.len() as u64, FRESH);
         for ep in &endpoints {
             assert_eq!(ep.drain().len(), sent_to(ep.party), "{}", ep.party);
+        }
+    }
+
+    #[test]
+    fn without_a_log_the_network_keeps_counters_and_empty_queues() {
+        // The default network keeps no per-frame history: the frame count
+        // stays exact, and a drained inbox gives its buffer back.
+        let [bus, sim] = [
+            Arc::new(Bus::new()) as Arc<dyn Transport>,
+            Arc::new(SimNet::new(crate::SimNetConfig {
+                seed: 5,
+                default_link: crate::LinkProfile::with_latency(1, 3),
+                ..crate::SimNetConfig::default()
+            })),
+        ];
+        for net in [bus, sim] {
+            let a = Party::Agent(1);
+            let b = Party::Agent(2);
+            net.register(a);
+            let ep = net.register(b);
+            let mut batch = Vec::new();
+            for g in 0..40 {
+                batch.push((a, b, Message::AdviceRequest { game_id: g }));
+            }
+            net.send_batch(&mut batch).unwrap();
+            net.send(a, b, Message::AdviceRequest { game_id: 40 })
+                .unwrap();
+            net.settle();
+            assert_eq!(net.message_count(), 41, "{net:?}");
+            assert!(net.delivery_log().is_empty(), "{net:?}");
+            assert!(ep.queue().capacity() > 0);
+            let mut out = Vec::new();
+            assert_eq!(ep.drain_into(&mut out), 41);
+            assert_eq!(ep.queue().capacity(), 0, "drain_into frees the queue");
+            for g in 0..3 {
+                net.send(a, b, Message::AdviceRequest { game_id: g })
+                    .unwrap();
+            }
+            net.settle();
+            while ep.try_recv().is_some() {}
+            assert_eq!(ep.queue().capacity(), 0, "try_recv frees the queue");
         }
     }
 

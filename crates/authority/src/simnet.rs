@@ -33,7 +33,7 @@
 //! partition is accounted undelivered immediately (the sender paid for
 //! the bytes; Lemma 1's `delivered_bytes` excludes them), and a
 //! latency-delayed frame is accounted delivered when it is queued — its
-//! destination channel is captured at send time, so a party that
+//! destination queue is captured at send time, so a party that
 //! re-registers or disconnects mid-flight still receives nothing on its
 //! *new* endpoint while the ledger keeps the optimistic delivered mark
 //! (the simulation's one divergence from an infinitely observant wire,
@@ -41,7 +41,7 @@
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use crate::bus::{sealed, DropRules, Fate, Inbox, LinkModel, Network};
+use crate::bus::{push, sealed, DropRules, Fate, Inbox, LinkModel, Network};
 use crate::messages::{Message, Party};
 
 /// The latency/loss shape of one directed link (or of every link, as
@@ -180,7 +180,7 @@ pub struct SimNetConfig {
     pub schedule: Vec<NetEvent>,
 }
 
-/// A frame in flight: delivery channel captured at send time, ordered by
+/// A frame in flight: destination queue captured at send time, ordered by
 /// `(deliver_at, seq)` so the pending queue pops in virtual-time order
 /// with send order breaking ties.
 #[derive(Debug)]
@@ -188,7 +188,7 @@ struct PendingFrame {
     deliver_at: u64,
     seq: u64,
     from: Party,
-    tx: Inbox,
+    inbox: Inbox,
     message: Message,
 }
 
@@ -267,7 +267,7 @@ impl Simulated {
             .is_some_and(|frame| frame.deliver_at <= target)
         {
             let frame = self.pending.pop().expect("peeked");
-            let _ = frame.tx.send((frame.from, frame.message));
+            push(&frame.inbox, frame.from, frame.message);
         }
         self.now = self.now.max(target);
         while self.next_event < self.schedule.len()
@@ -316,13 +316,13 @@ impl sealed::Hooks for Simulated {
         Fate::Deliver { delay, duplicate }
     }
 
-    fn queue(&mut self, delay: u64, from: Party, tx: Inbox, message: Message) {
+    fn queue(&mut self, delay: u64, from: Party, inbox: Inbox, message: Message) {
         self.frame_seq += 1;
         self.pending.push(PendingFrame {
             deliver_at: self.now.saturating_add(delay),
             seq: self.frame_seq,
             from,
-            tx,
+            inbox,
             message,
         });
     }
@@ -479,7 +479,7 @@ impl SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{BusError, Transport};
+    use crate::transport::{checked_log, BusError, Transport};
 
     fn msg(game_id: u64) -> Message {
         Message::AdviceRequest { game_id }
@@ -563,7 +563,8 @@ mod tests {
             seed: 99,
             default_link: LinkProfile::lossy(0.5),
             ..SimNetConfig::default()
-        });
+        })
+        .with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         net.register(a);
@@ -579,7 +580,7 @@ mod tests {
             "~half of {sends} frames should land, got {arrived}"
         );
         assert!(net.delivered_bytes() < net.total_bytes());
-        let log = net.delivery_log();
+        let log = checked_log(&net);
         assert_eq!(log.len(), sends as usize);
         assert_eq!(log.iter().filter(|r| r.delivered).count(), arrived);
     }
@@ -596,7 +597,8 @@ mod tests {
                     duplicate_probability: 0.1,
                 },
                 ..SimNetConfig::default()
-            });
+            })
+            .with_delivery_log();
             let a = Party::Agent(1);
             let b = Party::Agent(2);
             net.register(a);
@@ -605,7 +607,7 @@ mod tests {
                 net.send(a, b, msg(g)).unwrap();
             }
             net.settle();
-            (net.delivery_log(), ep.drain(), net.now())
+            (checked_log(&net), ep.drain(), net.now())
         };
         assert_eq!(run(7), run(7), "identical seeds replay identically");
         let (log_a, ..) = run(7);
@@ -736,7 +738,8 @@ mod tests {
                 NetEvent::Heal { at: 200 },
             ],
             ..SimNetConfig::default()
-        });
+        })
+        .with_delivery_log();
         net.register(a);
         let ep = net.register(b);
         net.send(a, b, msg(1)).unwrap();
@@ -751,7 +754,7 @@ mod tests {
         net.send(a, b, msg(4)).unwrap();
         assert_eq!(ep.drain().len(), 1, "healed: delivery resumes");
         // The partitioned attempts are accounted, undelivered.
-        let log = net.delivery_log();
+        let log = checked_log(&net);
         assert_eq!(log.len(), 4);
         assert_eq!(log.iter().filter(|r| !r.delivered).count(), 2);
     }

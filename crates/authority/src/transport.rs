@@ -3,11 +3,11 @@
 //! Everything the Fig. 1 protocol needs from a network is behind the
 //! [`Transport`] trait: endpoint registration, byte-accounted sends
 //! (single and batched), fault injection, and the Lemma 1 ledger view
-//! (totals, per-pair sums, the delivery log). The crate implements it
-//! once, for [`Network`](crate::Network): one lock over the routing table,
-//! the [`Ledger`] and the link model's state, and one send path, generic
-//! over a link model that decides each routed frame's fate. The two
-//! instances are:
+//! (totals, per-pair sums, and the delivery log when a network keeps
+//! one). The crate implements it once, for [`Network`](crate::Network):
+//! one lock over the routing table, the [`Ledger`] and the link model's
+//! state, and one send path, generic over a link model that decides each
+//! routed frame's fate. The two instances are:
 //!
 //! * [`Bus`](crate::Bus) — the network over perfect links, the canonical
 //!   synchronous backend: every send delivers (or faults) immediately,
@@ -25,16 +25,24 @@
 //! equivalence proptest in `tests/proptests.rs` pins exactly that at this
 //! trait boundary.
 //!
-//! The receive side stays concrete: an [`Endpoint`] is a plain mpsc
-//! receiver handed out by `register`, identical across link models, which
+//! The ledger keeps counters, not history: running totals, a frame count
+//! and per-pair sums are all Lemma 1 needs. The per-frame delivery log is
+//! kept only by a network built with
+//! [`Network::with_delivery_log`](crate::Network::with_delivery_log).
+//!
+//! The receive side stays concrete: an [`Endpoint`] owns its party's
+//! queue, handed out by `register` and identical across link models, which
 //! is what lets [`crate::RationalityAuthority`] and the gossip plane drain
-//! inboxes without caring which transport queued the frames. Protocol
+//! inboxes without caring which transport queued the frames. The network
+//! holds only a weak reference to it, so a dropped endpoint is detected at
+//! send time, and a drained queue holds no allocation. Protocol
 //! loops call [`Transport::settle`] before every drain; on a `Bus` that
 //! costs nothing, on a `SimNet` it flushes the frames whose delivery time
 //! has come.
 
-use std::collections::HashMap;
-use std::sync::mpsc::Receiver;
+use std::collections::{HashMap, VecDeque};
+use std::mem;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::messages::{Message, Party};
 
@@ -75,18 +83,31 @@ impl std::error::Error for BusError {}
 /// A receiving endpoint handed to a registered party. Identical across
 /// link models: frames a [`Bus`](crate::Bus) delivers synchronously and
 /// frames a [`SimNet`](crate::SimNet) delivers at `settle` time drain
-/// through the same channel.
+/// through the same queue.
+///
+/// The queue's lock is a leaf: the network takes it under its own lock to
+/// deliver, and a drain takes it alone.
 #[derive(Debug)]
 pub struct Endpoint {
     /// The party this endpoint belongs to.
     pub party: Party,
-    pub(crate) receiver: Receiver<(Party, Message)>,
+    pub(crate) queue: Arc<Mutex<VecDeque<(Party, Message)>>>,
 }
 
 impl Endpoint {
+    pub(crate) fn queue(&self) -> MutexGuard<'_, VecDeque<(Party, Message)>> {
+        self.queue.lock().expect("inbox lock poisoned")
+    }
+
     /// Receives the next message if one is queued: `(sender, message)`.
+    /// Taking the last one frees the queue's buffer.
     pub fn try_recv(&self) -> Option<(Party, Message)> {
-        self.receiver.try_recv().ok()
+        let mut queue = self.queue();
+        let next = queue.pop_front();
+        if queue.is_empty() {
+            *queue = VecDeque::new();
+        }
+        next
     }
 
     /// Drains all queued messages.
@@ -102,18 +123,19 @@ impl Endpoint {
     /// drain — the [`crate::RationalityAuthority`] hot path does exactly
     /// that.
     pub fn drain_into(&self, out: &mut Vec<(Party, Message)>) -> usize {
-        let before = out.len();
-        while let Some(m) = self.try_recv() {
-            out.push(m);
-        }
-        out.len() - before
+        let queued = mem::take(&mut *self.queue());
+        let count = queued.len();
+        out.extend(queued);
+        count
     }
 }
 
-/// The Lemma 1 ledger of a [`Network`](crate::Network): the append-only
-/// delivery log in send order, the per-pair byte sums and the running
-/// totals. It lives in the network's one state lock, so every accessor
-/// reads a single consistent snapshot.
+/// The Lemma 1 ledger of a [`Network`](crate::Network): the running
+/// totals, the frame count, the per-pair byte sums and, only when the
+/// network was built with
+/// [`with_delivery_log`](crate::Network::with_delivery_log), the
+/// append-only delivery log in send order. It lives in the network's one
+/// state lock, so every accessor reads a single consistent snapshot.
 ///
 /// [`Bus`](crate::Bus) and [`SimNet`](crate::SimNet) are one network over
 /// two link models, so they account through this one type on one send
@@ -121,7 +143,9 @@ impl Endpoint {
 /// structural property rather than a re-implementation that could drift.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    records: Vec<DeliveryRecord>,
+    /// The per-frame log; `None` unless the network opted in.
+    records: Option<Vec<DeliveryRecord>>,
+    frames: usize,
     pair_bytes: HashMap<(Party, Party), usize>,
     total_bytes: usize,
     delivered_bytes: usize,
@@ -133,6 +157,12 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
+    /// Starts keeping the per-frame log: every frame accounted from now on
+    /// is recorded.
+    pub(crate) fn keep_log(&mut self) {
+        self.records.get_or_insert_with(Vec::new);
+    }
+
     /// Accounts one attempted send. The caller already decided
     /// `delivered` and `retransmit`.
     pub(crate) fn account(
@@ -143,6 +173,7 @@ impl Ledger {
         delivered: bool,
         retransmit: bool,
     ) {
+        self.frames += 1;
         self.total_bytes += bytes;
         if delivered {
             self.delivered_bytes += bytes;
@@ -151,12 +182,14 @@ impl Ledger {
             self.retransmit_bytes += bytes;
         }
         *self.pair_bytes.entry((from, to)).or_insert(0) += bytes;
-        self.records.push(DeliveryRecord {
-            from,
-            to,
-            bytes,
-            delivered,
-        });
+        if let Some(records) = &mut self.records {
+            records.push(DeliveryRecord {
+                from,
+                to,
+                bytes,
+                delivered,
+            });
+        }
     }
 
     /// Total bytes put on the wire (delivered or not).
@@ -179,14 +212,14 @@ impl Ledger {
         self.pair_bytes.get(&(from, to)).copied().unwrap_or(0)
     }
 
-    /// A copy of the full delivery log, in send order.
+    /// A copy of the delivery log, in send order; empty unless kept.
     pub(crate) fn delivery_log(&self) -> Vec<DeliveryRecord> {
-        self.records.clone()
+        self.records.clone().unwrap_or_default()
     }
 
     /// Number of messages sent (delivered or dropped).
     pub(crate) fn message_count(&self) -> usize {
-        self.records.len()
+        self.frames
     }
 }
 
@@ -298,7 +331,9 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// Bytes sent from `from` to `to`.
     fn bytes_between(&self, from: Party, to: Party) -> usize;
 
-    /// A copy of the full delivery log, in send order.
+    /// A copy of the full delivery log, in send order. Empty unless the
+    /// network keeps one: a [`Network`](crate::Network) keeps it only when
+    /// built with [`with_delivery_log`](crate::Network::with_delivery_log).
     fn delivery_log(&self) -> Vec<DeliveryRecord>;
 
     /// Number of messages sent (delivered or dropped).
@@ -332,6 +367,21 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     fn advance(&self, _ticks: u64) {}
 }
 
+/// `net`'s delivery log, checked to be kept and complete: one record per
+/// accounted frame, and at least one, so a comparison against it cannot
+/// pass by comparing two empty logs.
+#[cfg(test)]
+pub(crate) fn checked_log(net: &dyn Transport) -> Vec<DeliveryRecord> {
+    let log = net.delivery_log();
+    assert_eq!(
+        log.len(),
+        net.message_count(),
+        "the log records every frame"
+    );
+    assert!(!log.is_empty(), "the network keeps a delivery log");
+    log
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,6 +389,7 @@ mod tests {
     #[test]
     fn ledger_merges_like_a_serial_log() {
         let mut ledger = Ledger::default();
+        ledger.keep_log();
         let a = Party::Agent(1);
         let b = Party::Verifier(2);
         ledger.account(a, b, 10, true, false);

@@ -14,13 +14,13 @@
 //! # The pooled frame buffer
 //!
 //! The bus serializes every message *only to measure it* — delivery moves
-//! the message value through a channel — so the per-send wire cost is one
-//! [`Wire::encoded_len`] call. [`with_frame_scratch`] backs that call with
-//! a per-thread reusable buffer: after the first consult warms a thread's
-//! scratch, steady-state consults encode into recycled capacity and
-//! allocate zero fresh frame buffers. [`frame_pool_misses`] counts the
-//! times the pool could *not* serve a request from recycled capacity
-//! (first use, growth, or re-entrant nesting), which is what the
+//! the message value into the recipient's queue — so the per-send wire
+//! cost is one [`Wire::encoded_len`] call. [`with_frame_scratch`] backs
+//! that call with a per-thread reusable buffer: after the first consult
+//! warms a thread's scratch, steady-state consults encode into recycled
+//! capacity and allocate zero fresh frame buffers. [`frame_pool_misses`]
+//! counts the times the pool could *not* serve a request from recycled
+//! capacity (first use, growth, or re-entrant nesting), which is what the
 //! zero-allocation tests and the wire microbench assert against.
 
 use std::cell::{Cell, RefCell};

@@ -255,8 +255,8 @@ proptest! {
     ) {
         let a = Party::Agent(0);
         let build = || {
-            let bus = Bus::new();
-            // Endpoints must stay alive or the channels disconnect.
+            let bus = Bus::new().with_delivery_log();
+            // Endpoints must stay alive or the queues disconnect.
             let mut endpoints = vec![bus.register(a)];
             for id in 0..3u64 {
                 endpoints.push(bus.register(Party::Verifier(id)));
@@ -277,7 +277,9 @@ proptest! {
         for (from, to, msg) in replay {
             sequential.send(from, to, msg).unwrap();
         }
-        prop_assert_eq!(batched.delivery_log(), sequential.delivery_log());
+        let batched_log = checked_log(&batched);
+        prop_assert!(!batched_log.is_empty(), "every frame is accounted");
+        prop_assert_eq!(batched_log, checked_log(&sequential));
         prop_assert_eq!(batched.total_bytes(), sequential.total_bytes());
         prop_assert_eq!(batched.delivered_bytes(), sequential.delivered_bytes());
         for t in 0..3u64 {
@@ -805,6 +807,19 @@ fn arb_bus_op() -> impl Strategy<Value = BusOp> {
     ]
 }
 
+/// `transport`'s delivery log, checked complete: one record per frame the
+/// ledger counted, so while any frame was sent a comparison against it
+/// cannot pass by comparing two empty logs.
+fn checked_log(transport: &dyn Transport) -> Vec<ra_authority::DeliveryRecord> {
+    let log = transport.delivery_log();
+    assert_eq!(
+        log.len(),
+        transport.message_count(),
+        "the log records every frame"
+    );
+    log
+}
+
 /// A serial ledger, replayed as a reference model: one record vector,
 /// running totals and a pair map updated one send at a time — unknown
 /// parties short-circuit before accounting, fault-dropped and
@@ -861,10 +876,10 @@ proptest! {
     fn striped_ledger_matches_serial_model(
         ops in prop::collection::vec(arb_bus_op(), 1..40),
     ) {
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let mut model = SerialLedgerModel::default();
-        // Endpoints held here stay connected; removing one kills its
-        // channel while the registration stays (the Disconnected case).
+        // Endpoints held here stay connected; removing one frees its
+        // queue while the registration stays (the Disconnected case).
         let mut live_endpoints: std::collections::HashMap<u64, ra_authority::Endpoint> =
             std::collections::HashMap::new();
         for op in ops {
@@ -927,7 +942,7 @@ proptest! {
             }
         }
         // Field equality of every accounting view.
-        prop_assert_eq!(bus.delivery_log(), model.records);
+        prop_assert_eq!(checked_log(&bus), model.records);
         prop_assert_eq!(bus.total_bytes(), model.total_bytes);
         prop_assert_eq!(bus.delivered_bytes(), model.delivered_bytes);
         prop_assert_eq!(bus.message_count(), bus.delivery_log().len());
@@ -1016,7 +1031,7 @@ fn replay_ops(
     inboxes.sort_by_key(|(idx, _)| *idx);
     (
         results,
-        transport.delivery_log(),
+        checked_log(transport),
         transport.total_bytes(),
         transport.delivered_bytes(),
         pair_matrix,
@@ -1036,8 +1051,8 @@ proptest! {
         ops in prop::collection::vec(arb_bus_op(), 1..40),
         seed in any::<u64>(),
     ) {
-        let bus = Bus::new();
-        let sim = SimNet::lossless(seed);
+        let bus = Bus::new().with_delivery_log();
+        let sim = SimNet::lossless(seed).with_delivery_log();
         let over_bus = replay_ops(&bus, &ops);
         let over_sim = replay_ops(&sim, &ops);
         prop_assert_eq!(&over_bus.0, &over_sim.0, "per-op results diverged");

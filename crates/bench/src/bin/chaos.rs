@@ -197,7 +197,7 @@ fn run_campaign_cell(loss: f64, cell_seed: u64) -> Row {
 /// Partition/heal reconciliation economics at the gossip-plane level.
 /// Returns `(reconciliation_bytes, full_snapshot_bytes)`.
 fn run_reconciliation(cell_seed: u64) -> (usize, usize) {
-    let net = Arc::new(SimNet::lossless(cell_seed));
+    let net = Arc::new(SimNet::lossless(cell_seed).with_delivery_log());
     let plane = GossipPlane::over_transport_with(
         ReputationDecay::None,
         Arc::clone(&net) as Arc<dyn Transport>,

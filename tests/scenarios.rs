@@ -11,9 +11,10 @@
 use std::sync::Arc;
 
 use rationality_authority::authority::{
-    Bus, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, InventorBehavior, Party,
-    ReputationConfig, ReputationDecay, ReputationPolicy, ShardStats, ShardedAuthority, SimNet,
-    Transport, TransportSite, VerifierBehavior, VersionVector, GOSSIP_HUB,
+    Bus, CertCacheConfig, DecayingPnCounterMap, DeliveryRecord, GameSpec, GossipPlane,
+    InventorBehavior, Party, ReputationConfig, ReputationDecay, ReputationPolicy, ShardStats,
+    ShardedAuthority, SimNet, Transport, TransportSite, VerifierBehavior, VersionVector,
+    GOSSIP_HUB,
 };
 use rationality_authority::exact::rat;
 use rationality_authority::games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
@@ -85,12 +86,25 @@ fn gossip_config(every: usize) -> ReputationConfig {
     }
 }
 
+/// `transport`'s delivery log, checked to be kept and complete: one
+/// record per accounted frame, and at least one, so a comparison against
+/// it cannot pass by comparing two empty logs.
+fn checked_log(transport: &dyn Transport) -> Vec<DeliveryRecord> {
+    let log = transport.delivery_log();
+    assert_eq!(
+        log.len(),
+        transport.message_count(),
+        "the log records every frame"
+    );
+    assert!(!log.is_empty(), "the network keeps a delivery log");
+    log
+}
+
 /// Bytes the hub actually delivered to `shard` as pull frames — the
 /// partition scenarios need delivered-only sums, which `bytes_between`
 /// (accounted bytes, delivered or not) deliberately does not give.
 fn delivered_pull_bytes(transport: &dyn Transport, shard: u64) -> usize {
-    transport
-        .delivery_log()
+    checked_log(transport)
         .iter()
         .filter(|r| r.delivered && r.from == GOSSIP_HUB && r.to == Party::Shard(shard))
         .map(|r| r.bytes)
@@ -111,7 +125,7 @@ fn saboteur_scores(engine: &ShardedAuthority) -> Vec<i64> {
 /// four session buses and the gossip hub — is a lossless [`SimNet`] is
 /// byte-identical to the default [`Bus`] engine across a full mixed
 /// batch: same adoption decisions, same per-shard delivery logs, same
-/// gossip-plane delivery log, same stats.
+/// gossip-plane delivery log, same stats. Every network keeps its log.
 #[test]
 fn lossless_simnet_engine_is_byte_identical_to_bus_engine() {
     let seed = scenario_seed();
@@ -122,7 +136,7 @@ fn lossless_simnet_engine_is_byte_identical_to_bus_engine() {
         &saboteur_panel(),
         gossip_config(8),
         CertCacheConfig::default(),
-        &|_| Arc::new(Bus::new()),
+        &|_| Arc::new(Bus::new().with_delivery_log()),
     );
     let over_sim = ShardedAuthority::with_transports(
         4,
@@ -135,7 +149,7 @@ fn lossless_simnet_engine_is_byte_identical_to_bus_engine() {
                 TransportSite::Shard(s) => s as u64,
                 TransportSite::GossipHub => u64::MAX,
             };
-            Arc::new(SimNet::lossless(seed ^ salt)) as Arc<dyn Transport>
+            Arc::new(SimNet::lossless(seed ^ salt).with_delivery_log()) as Arc<dyn Transport>
         },
     );
 
@@ -155,15 +169,15 @@ fn lossless_simnet_engine_is_byte_identical_to_bus_engine() {
         "engine stats diverged (seed {seed})"
     );
     for s in 0..4 {
-        let bus_log = over_bus.with_shard(s, |a| a.bus().delivery_log());
-        let sim_log = over_sim.with_shard(s, |a| a.bus().delivery_log());
+        let bus_log = over_bus.with_shard(s, |a| checked_log(a.bus()));
+        let sim_log = over_sim.with_shard(s, |a| checked_log(a.bus()));
         assert_eq!(
             bus_log, sim_log,
             "shard {s} session delivery logs diverged (seed {seed})"
         );
     }
-    let bus_gossip = over_bus.gossip_bus().expect("gossip engine").delivery_log();
-    let sim_gossip = over_sim.gossip_bus().expect("gossip engine").delivery_log();
+    let bus_gossip = checked_log(over_bus.gossip_bus().expect("gossip engine"));
+    let sim_gossip = checked_log(over_sim.gossip_bus().expect("gossip engine"));
     assert_eq!(
         bus_gossip, sim_gossip,
         "gossip-plane delivery logs diverged (seed {seed})"
@@ -223,7 +237,7 @@ fn batch_matches_sequential_over_simnet() {
 #[test]
 fn gossip_exclusion_propagates_across_a_healed_partition() {
     let seed = scenario_seed();
-    let hub_net = Arc::new(SimNet::lossless(seed));
+    let hub_net = Arc::new(SimNet::lossless(seed).with_delivery_log());
     let hub_for_engine = Arc::clone(&hub_net);
     let engine = ShardedAuthority::with_transports(
         4,
@@ -320,7 +334,7 @@ fn gossip_exclusion_propagates_across_a_healed_partition() {
 #[test]
 fn shard_failure_and_rejoin_recovers_watermarks() {
     let seed = scenario_seed();
-    let hub_net = Arc::new(SimNet::lossless(seed ^ 0xF417));
+    let hub_net = Arc::new(SimNet::lossless(seed ^ 0xF417).with_delivery_log());
     let hub_for_engine = Arc::clone(&hub_net);
     let engine = ShardedAuthority::with_transports(
         4,
@@ -395,7 +409,7 @@ fn shard_failure_and_rejoin_recovers_watermarks() {
 #[test]
 fn healed_partition_reconciliation_ships_only_unseen_slots() {
     let seed = scenario_seed();
-    let net = Arc::new(SimNet::lossless(seed ^ 0x5107));
+    let net = Arc::new(SimNet::lossless(seed ^ 0x5107).with_delivery_log());
     let plane = GossipPlane::over_transport_with(
         ReputationDecay::None,
         Arc::clone(&net) as Arc<dyn Transport>,
@@ -658,7 +672,8 @@ fn lossy_campaign_is_seed_deterministic() {
                         seed,
                         default_link: rationality_authority::authority::LinkProfile::lossy(0.3),
                         ..Default::default()
-                    });
+                    })
+                    .with_delivery_log();
                     Arc::new(net) as Arc<dyn Transport>
                 }
                 TransportSite::Shard(_) => Arc::new(Bus::new()) as Arc<dyn Transport>,
@@ -670,7 +685,7 @@ fn lossy_campaign_is_seed_deterministic() {
         }
         engine.sync_reputation();
         let hub = engine.gossip_bus().expect("gossip engine");
-        (hub.delivery_log(), saboteur_scores(&engine))
+        (checked_log(hub), saboteur_scores(&engine))
     };
     let seed = scenario_seed();
     assert_eq!(
