@@ -232,9 +232,11 @@ impl Bus {
 
 impl<M: LinkModel> Network<M> {
     /// Keeps the per-frame delivery log ([`Transport::delivery_log`])
-    /// from now on. Off by default: the ledger then holds only the
-    /// running totals, the frame count and the per-pair sums, so its
-    /// memory does not grow with traffic.
+    /// from now on, and with it the per-pair sums
+    /// ([`Transport::bytes_between`]) read off it. Off by default: the
+    /// ledger then holds only the running totals and the frame count, so
+    /// its memory grows neither with traffic nor with the number of
+    /// parties served, and `bytes_between` reads 0.
     ///
     /// ```
     /// use ra_authority::{Bus, Message, Party, Transport};
@@ -290,9 +292,9 @@ impl<M: LinkModel> Transport for Network<M> {
         self.state().transmit(from, to, message)
     }
 
-    /// Holds the network's lock across the whole batch. The records,
-    /// counters, per-pair map and sampled fates come out exactly as from
-    /// the equivalent sequence of [`Transport::send`] calls.
+    /// Holds the network's lock across the whole batch. The counters,
+    /// the log records (when kept) and the sampled fates come out exactly
+    /// as from the equivalent sequence of [`Transport::send`] calls.
     fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
         if batch.is_empty() {
             return Ok(());
@@ -376,7 +378,7 @@ mod tests {
 
     #[test]
     fn delivery_and_accounting() {
-        let bus = Bus::new();
+        let bus = Bus::new().with_delivery_log();
         let a = Party::Agent(1);
         let b = Party::Agent(2);
         bus.register(a);

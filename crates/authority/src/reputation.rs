@@ -1555,9 +1555,10 @@ mod tests {
         // `Bus`) and one built over an explicit transport converge on
         // identical scores, and the gossip traffic is byte-accounted.
         let free = Arc::new(GossipPlane::new());
+        // Per-pair sums are read off the delivery log.
         let framed = Arc::new(GossipPlane::over_transport_with(
             ReputationDecay::None,
-            Arc::new(Bus::new()),
+            Arc::new(Bus::new().with_delivery_log()),
         ));
         let run = |plane: &Arc<GossipPlane>| {
             let a = GossipReputation::new(0, plane.clone());
@@ -1628,7 +1629,7 @@ mod tests {
         let decay = ReputationDecay::HalfLife { retention: 4 };
         let plane = Arc::new(GossipPlane::over_transport_with(
             decay,
-            Arc::new(Bus::new()),
+            Arc::new(Bus::new().with_delivery_log()),
         ));
         let a = GossipReputation::with_config(0, plane.clone(), VoteRule::Simple, decay);
         let b = GossipReputation::with_config(1, plane.clone(), VoteRule::Simple, decay);
@@ -1655,6 +1656,7 @@ mod tests {
         // And once cursors agree, an idle pull is frameless again.
         let bus = plane.gossip_bus();
         let before = bus.bytes_between(GOSSIP_HUB, Party::Shard(1));
+        assert!(before > 0, "the earlier pulls shipped frames");
         b.pull();
         assert_eq!(
             bus.bytes_between(GOSSIP_HUB, Party::Shard(1)),

@@ -266,15 +266,17 @@ pub struct SessionOutcome {
 }
 
 /// The assembled single-bus infrastructure: one transport, one inventor,
-/// one verifier panel, one reputation backend, the endpoints of every
-/// registered party, and game-id assignment.
+/// one verifier panel, one reputation backend, the endpoints of the
+/// inventor and the verifiers, and game-id assignment.
 ///
 /// Each [`RationalityAuthority::consult`] runs exactly one Fig. 1 flow
-/// under the next game id. The reputation plane is pluggable: [`new`]
-/// gives the authority a private [`LocalReputation`], while
-/// [`with_transport`] accepts any shared [`ReputationBackend`] — a
-/// gossiping one, say — without the protocol changing at all. That is how
-/// [`crate::ShardedAuthority`] wires every shard to one plane.
+/// under the next game id, registering the consulting agent for that
+/// session only, so serving an open population leaves no per-agent state.
+/// The reputation plane is pluggable: [`new`] gives the authority a
+/// private [`LocalReputation`], while [`with_transport`] accepts any
+/// shared [`ReputationBackend`] — a gossiping one, say — without the
+/// protocol changing at all. That is how [`crate::ShardedAuthority`]
+/// wires every shard to one plane.
 ///
 /// [`new`]: RationalityAuthority::new
 /// [`with_transport`]: RationalityAuthority::with_transport
@@ -299,8 +301,9 @@ pub struct RationalityAuthority {
     bus: Arc<dyn Transport>,
     reputation: Arc<dyn ReputationBackend>,
     inventor: Inventor,
-    verifiers: Vec<VerifierService>,
-    endpoints: HashMap<Party, Endpoint>,
+    inventor_endpoint: Endpoint,
+    /// Each verifier with its endpoint, in panel order.
+    verifiers: Vec<(VerifierService, Endpoint)>,
     /// Reusable receive buffer: every endpoint drain on the hot path lands
     /// here via [`Endpoint::drain_into`], so steady-state consults never
     /// allocate a fresh inbox `Vec`.
@@ -351,22 +354,22 @@ impl RationalityAuthority {
         reputation: Arc<dyn ReputationBackend>,
         bus: Arc<dyn Transport>,
     ) -> RationalityAuthority {
-        let mut endpoints = HashMap::new();
-        endpoints.insert(inventor.id, bus.register(inventor.id));
-        let verifiers: Vec<VerifierService> = verifier_behaviors
+        let inventor_endpoint = bus.register(inventor.id);
+        let verifiers = verifier_behaviors
             .iter()
             .enumerate()
-            .map(|(i, &b)| VerifierService::new(i as u64, b))
+            .map(|(i, &b)| {
+                let verifier = VerifierService::new(i as u64, b);
+                let endpoint = bus.register(verifier.id);
+                (verifier, endpoint)
+            })
             .collect();
-        for v in &verifiers {
-            endpoints.insert(v.id, bus.register(v.id));
-        }
         RationalityAuthority {
             bus,
             reputation,
             inventor,
+            inventor_endpoint,
             verifiers,
-            endpoints,
             recv_buf: Vec::new(),
             send_buf: Vec::new(),
             cert_cache: None,
@@ -555,13 +558,24 @@ impl RationalityAuthority {
     /// [`ConsultError::Deadline`] without punishing anyone: with no
     /// responding majority there is no evidence the silence was the
     /// verifiers' fault rather than the network's.
+    ///
+    /// The agent is registered for exactly this session and disconnected
+    /// on every return path, so the transport routes to it only while its
+    /// session runs. Nothing is lost by that: every responder answers only
+    /// frames of the current session, so none is addressed to an agent
+    /// between its sessions, and a delayed frame of an ended session was
+    /// accounted when it was queued and is discarded on arrival, as the
+    /// session filter of a later drain would discard it.
     fn run_session(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
-        // First contact registers the agent; later consults reuse its
-        // endpoint.
-        let bus = &self.bus;
-        self.endpoints
-            .entry(agent)
-            .or_insert_with(|| bus.register(agent));
+        let inbox = self.bus.register(agent);
+        let result = self.run_protocol(&inbox, game_id, spec);
+        self.bus.disconnect(agent);
+        result
+    }
+
+    /// The body of [`RationalityAuthority::run_session`], with the
+    /// agent's endpoint `inbox` registered.
+    fn run_protocol(&mut self, inbox: &Endpoint, game_id: u64, spec: &GameSpec) -> ConsultResult {
         let bytes_before = self.bus.total_bytes();
         let started = self.bus.now();
         let deadline_at = self
@@ -570,7 +584,7 @@ impl RationalityAuthority {
         self.scratch.clear();
 
         // Stage 1: advice.
-        if !self.run_stage(ConsultStage::Advice, agent, game_id, spec, deadline_at) {
+        if !self.run_stage(ConsultStage::Advice, inbox, game_id, spec, deadline_at) {
             if self.resilience.is_none() {
                 return Ok(SessionOutcome {
                     advice: None,
@@ -603,12 +617,12 @@ impl RationalityAuthority {
         self.scratch.panel.extend(
             self.verifiers
                 .iter()
-                .map(|v| v.id)
+                .map(|(v, _)| v.id)
                 .filter(|&v| reputation_view.is_trusted(v)),
         );
         let mut panel_outcome = PanelOutcome::Full;
         let panel_closed_short = !self.scratch.panel.is_empty()
-            && !self.run_stage(ConsultStage::Panel, agent, game_id, spec, deadline_at);
+            && !self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
         // Resilience off pools whatever arrived as the full panel.
         if let Some(cfg) = self.resilience.filter(|_| panel_closed_short) {
             let st = &self.scratch;
@@ -680,11 +694,12 @@ impl RationalityAuthority {
     fn run_stage(
         &mut self,
         stage: ConsultStage,
-        agent: Party,
+        inbox: &Endpoint,
         game_id: u64,
         spec: &GameSpec,
         deadline_at: u64,
     ) -> bool {
+        let agent = inbox.party;
         let resilience = self.resilience;
         let mut attempt: u32 = 0;
         loop {
@@ -739,7 +754,7 @@ impl RationalityAuthority {
                 ConsultStage::Panel => self.serve_verifiers(spec, game_id),
             }
             self.bus.settle();
-            self.collect_agent(agent, game_id);
+            self.collect_agent(inbox, game_id);
             if self.stage_done(stage) {
                 return true;
             }
@@ -788,7 +803,7 @@ impl RationalityAuthority {
     /// retransmit bytes in the ledger.
     fn serve_inventor(&mut self, spec: &GameSpec, agent: Party, game_id: u64) {
         self.recv_buf.clear();
-        self.endpoints[&self.inventor.id].drain_into(&mut self.recv_buf);
+        self.inventor_endpoint.drain_into(&mut self.recv_buf);
         let st = &mut self.scratch;
         for (from, msg) in self.recv_buf.drain(..) {
             let Some((attempt, Message::AdviceRequest { .. })) = open_frame(msg, game_id) else {
@@ -824,9 +839,9 @@ impl RationalityAuthority {
     /// critical section.
     fn serve_verifiers(&mut self, spec: &GameSpec, game_id: u64) {
         let st = &mut self.scratch;
-        for verifier in &self.verifiers {
+        for (verifier, endpoint) in &self.verifiers {
             self.recv_buf.clear();
-            self.endpoints[&verifier.id].drain_into(&mut self.recv_buf);
+            endpoint.drain_into(&mut self.recv_buf);
             for (from, msg) in self.recv_buf.drain(..) {
                 let Some((attempt, Message::VerdictRequest { advice, .. })) =
                     open_frame(msg, game_id)
@@ -858,9 +873,9 @@ impl RationalityAuthority {
     /// Agent-side collection pass: takes the first advice-with-proof and
     /// the first verdict per verifier for this session, dropping
     /// duplicates (idempotent receive) and frames from other sessions.
-    fn collect_agent(&mut self, agent: Party, game_id: u64) {
+    fn collect_agent(&mut self, inbox: &Endpoint, game_id: u64) {
         self.recv_buf.clear();
-        self.endpoints[&agent].drain_into(&mut self.recv_buf);
+        inbox.drain_into(&mut self.recv_buf);
         let st = &mut self.scratch;
         for (from, msg) in self.recv_buf.drain(..) {
             match open_frame(msg, game_id) {
@@ -968,6 +983,7 @@ impl SessionScratch {
 mod tests {
     use super::*;
     use crate::inventor::InventorBehavior;
+    use crate::transport::BusError;
     use crate::verifier::VerifierBehavior;
     use ra_games::named::{battle_of_the_sexes, prisoners_dilemma};
     use ra_solvers::ParticipationParams;
@@ -1337,19 +1353,33 @@ mod tests {
 
     #[test]
     fn driver_runs_with_explicit_game_ids() {
-        // Consults of one agent reuse its endpoint, each under its own
-        // game id.
+        // Consults of one agent each run under their own game id, and
+        // each registers the agent afresh for its session.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        let mut authority = RationalityAuthority::new(
+        let mut authority = RationalityAuthority::with_transport(
             Inventor::new(0, InventorBehavior::Honest),
             &[VerifierBehavior::Honest; 3],
+            Arc::new(LocalReputation::new()),
+            Arc::new(Bus::new().with_delivery_log()),
         );
         let agent = Party::Agent(7);
         let first = authority.consult(7, &spec);
+        // Between its sessions the agent is not routed: a send to it
+        // fails unaccounted.
+        let frames = authority.bus().message_count();
+        assert_eq!(
+            authority.bus().send(
+                Party::Inventor(0),
+                agent,
+                Message::AdviceRequest { game_id: 1 }
+            ),
+            Err(BusError::UnknownParty(agent))
+        );
+        assert_eq!(authority.bus().message_count(), frames);
         let second = authority.consult(7, &spec);
         assert!(first.adopted && second.adopted);
         assert_eq!(first.session_bytes, second.session_bytes);
-        // Both consultations flowed over the same agent endpoint: the
+        // Both consultations were accounted to the same agent: the
         // request byte count doubles rather than resetting.
         assert_eq!(
             authority.bus().bytes_between(agent, Party::Inventor(0)),
@@ -1645,15 +1675,18 @@ mod tests {
         let agent = Party::Agent(0);
         let stamper = Party::Verifier(2);
         let doubled = LinkProfile::duplicating(1.0);
-        let net = Arc::new(SimNet::new(SimNetConfig {
-            seed: 13,
-            links: vec![
-                (agent, Party::Inventor(0), doubled),
-                (agent, stamper, doubled),
-                (stamper, agent, doubled),
-            ],
-            ..SimNetConfig::default()
-        }));
+        let net = Arc::new(
+            SimNet::new(SimNetConfig {
+                seed: 13,
+                links: vec![
+                    (agent, Party::Inventor(0), doubled),
+                    (agent, stamper, doubled),
+                    (stamper, agent, doubled),
+                ],
+                ..SimNetConfig::default()
+            })
+            .with_delivery_log(),
+        );
         let mut authority = RationalityAuthority::with_transport(
             Inventor::new(0, InventorBehavior::Corrupt),
             &[
@@ -1809,6 +1842,60 @@ mod tests {
         assert_eq!(stage, ConsultStage::Advice);
         assert_eq!(attempts, 2, "three sends, two of them retransmits");
         assert_eq!(missing, vec![Party::Inventor(0)]);
+    }
+
+    #[test]
+    fn a_deadline_disconnects_the_agent_and_its_next_consult_succeeds() {
+        // A session that fails with a typed deadline still disconnects
+        // its agent, and the same agent's next consult over the same
+        // slow, duplicating network registers afresh and adopts.
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let agent = Party::Agent(5);
+        let net = Arc::new(SimNet::new(SimNetConfig {
+            seed: 17,
+            default_link: LinkProfile {
+                duplicate_probability: 0.5,
+                ..LinkProfile::with_latency(1, 3)
+            },
+            ..SimNetConfig::default()
+        }));
+        let mut authority = resilient_authority(
+            InventorBehavior::Honest,
+            &[VerifierBehavior::Honest; 3],
+            net,
+            ResilienceConfig {
+                quorum: 2,
+                max_attempts: 3,
+                ..ResilienceConfig::default()
+            },
+        );
+        authority.bus().drop_link(Party::Verifier(1), agent);
+        authority.bus().drop_link(Party::Verifier(2), agent);
+        let err = authority.try_consult(5, &spec).unwrap_err();
+        let ConsultError::Deadline {
+            stage, received, ..
+        } = err;
+        assert_eq!((stage, received), (ConsultStage::Panel, 1));
+        assert_eq!(
+            authority.bus().send(
+                Party::Inventor(0),
+                agent,
+                Message::AdviceRequest { game_id: 1 }
+            ),
+            Err(BusError::UnknownParty(agent))
+        );
+        authority.bus().heal();
+        let outcome = authority.try_consult(5, &spec).expect("the links healed");
+        assert!(outcome.adopted);
+        assert_eq!(outcome.panel, PanelOutcome::Full);
+        assert_eq!(
+            authority.bus().send(
+                Party::Inventor(0),
+                agent,
+                Message::AdviceRequest { game_id: 2 }
+            ),
+            Err(BusError::UnknownParty(agent))
+        );
     }
 
     #[test]

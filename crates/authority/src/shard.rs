@@ -842,7 +842,8 @@ mod tests {
     use crate::messages::Party;
     use ra_games::named::{battle_of_the_sexes, prisoners_dilemma};
 
-    /// An engine over perfect buses with no certificate cache.
+    /// An engine over perfect buses with no certificate cache. Every bus
+    /// keeps its delivery log, which the per-pair sums are read from.
     fn bus_engine(
         shards: usize,
         inventor: InventorBehavior,
@@ -855,7 +856,7 @@ mod tests {
             panel,
             config,
             CertCacheConfig::default(),
-            &|_| Arc::new(Bus::new()),
+            &|_| Arc::new(Bus::new().with_delivery_log()),
         )
     }
 
@@ -1179,6 +1180,7 @@ mod tests {
                 .sum::<usize>()
         };
         let (pulls_before, messages_before) = (pull_bytes(bus), bus.message_count());
+        assert!(pulls_before > 0, "the earlier syncs shipped pull payload");
         engine.sync_reputation();
         assert_eq!(
             pull_bytes(bus),

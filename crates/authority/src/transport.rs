@@ -3,11 +3,12 @@
 //! Everything the Fig. 1 protocol needs from a network is behind the
 //! [`Transport`] trait: endpoint registration, byte-accounted sends
 //! (single and batched), fault injection, and the Lemma 1 ledger view
-//! (totals, per-pair sums, and the delivery log when a network keeps
-//! one). The crate implements it once, for [`Network`](crate::Network):
-//! one lock over the routing table, the [`Ledger`] and the link model's
-//! state, and one send path, generic over a link model that decides each
-//! routed frame's fate. The two instances are:
+//! (totals, and the delivery log with its per-pair sums when a network
+//! keeps one). The crate implements it once, for
+//! [`Network`](crate::Network): one lock over the routing table, the
+//! [`Ledger`] and the link model's state, and one send path, generic over
+//! a link model that decides each routed frame's fate. The two instances
+//! are:
 //!
 //! * [`Bus`](crate::Bus) — the network over perfect links, the canonical
 //!   synchronous backend: every send delivers (or faults) immediately,
@@ -25,9 +26,11 @@
 //! equivalence proptest in `tests/proptests.rs` pins exactly that at this
 //! trait boundary.
 //!
-//! The ledger keeps counters, not history: running totals, a frame count
-//! and per-pair sums are all Lemma 1 needs. The per-frame delivery log is
-//! kept only by a network built with
+//! The ledger keeps counters, not history: running totals and a frame
+//! count are all Lemma 1 needs, so its size does not depend on how many
+//! parties ever talked. The per-frame delivery log, and the per-pair sums
+//! [`Transport::bytes_between`] reads off it, are kept only by a network
+//! built with
 //! [`Network::with_delivery_log`](crate::Network::with_delivery_log).
 //!
 //! The receive side stays concrete: an [`Endpoint`] owns its party's
@@ -40,7 +43,7 @@
 //! costs nothing, on a `SimNet` it flushes the frames whose delivery time
 //! has come.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::mem;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -131,10 +134,11 @@ impl Endpoint {
 }
 
 /// The Lemma 1 ledger of a [`Network`](crate::Network): the running
-/// totals, the frame count, the per-pair byte sums and, only when the
-/// network was built with
+/// totals, the frame count and, only when the network was built with
 /// [`with_delivery_log`](crate::Network::with_delivery_log), the
-/// append-only delivery log in send order. It lives in the network's one
+/// append-only delivery log in send order, from which the per-pair sums
+/// are read. Without the log its size is fixed: nothing in it grows with
+/// traffic or with the number of parties. It lives in the network's one
 /// state lock, so every accessor reads a single consistent snapshot.
 ///
 /// [`Bus`](crate::Bus) and [`SimNet`](crate::SimNet) are one network over
@@ -146,7 +150,6 @@ pub(crate) struct Ledger {
     /// The per-frame log; `None` unless the network opted in.
     records: Option<Vec<DeliveryRecord>>,
     frames: usize,
-    pair_bytes: HashMap<(Party, Party), usize>,
     total_bytes: usize,
     delivered_bytes: usize,
     /// Bytes attributable to protocol retransmissions (resilient envelopes
@@ -181,7 +184,6 @@ impl Ledger {
         if retransmit {
             self.retransmit_bytes += bytes;
         }
-        *self.pair_bytes.entry((from, to)).or_insert(0) += bytes;
         if let Some(records) = &mut self.records {
             records.push(DeliveryRecord {
                 from,
@@ -207,9 +209,15 @@ impl Ledger {
         self.retransmit_bytes
     }
 
-    /// Bytes sent from `from` to `to`. O(1).
+    /// Bytes sent from `from` to `to`, summed over the delivery log; 0
+    /// unless the log is kept.
     pub(crate) fn bytes_between(&self, from: Party, to: Party) -> usize {
-        self.pair_bytes.get(&(from, to)).copied().unwrap_or(0)
+        self.records
+            .iter()
+            .flatten()
+            .filter(|r| r.from == from && r.to == to)
+            .map(|r| r.bytes)
+            .sum()
     }
 
     /// A copy of the delivery log, in send order; empty unless kept.
@@ -328,7 +336,10 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// `total_bytes` additionally counts wasted attempts.
     fn delivered_bytes(&self) -> usize;
 
-    /// Bytes sent from `from` to `to`.
+    /// Bytes sent from `from` to `to` (delivered or not), read off the
+    /// delivery log. Like [`Transport::delivery_log`], it needs a network
+    /// that keeps one: without the log it returns 0, since a per-pair sum
+    /// for every pair that ever talked would grow with the population.
     fn bytes_between(&self, from: Party, to: Party) -> usize;
 
     /// A copy of the full delivery log, in send order. Empty unless the

@@ -1,7 +1,9 @@
-//! Engine memory is bounded by live state, not by traffic: once every
-//! recurring agent has been served, further consultations over the same
-//! agents retain no more heap, over a perfect `Bus` and over a lossy
-//! simulated network under the resilient protocol alike.
+//! Engine memory is bounded by live state, not by traffic or by the
+//! number of agents served: once every recurring agent has been served,
+//! further consultations over the same agents retain no more heap, and
+//! agents that consult once and never return leave nothing behind — over
+//! a perfect `Bus` and over a lossy simulated network under the resilient
+//! protocol alike.
 //!
 //! The binary installs a counting global allocator, so it holds this one
 //! test alone: another test's allocations would mix into the count.
@@ -77,19 +79,37 @@ fn specs() -> Vec<Arc<GameSpec>> {
     ]
 }
 
-/// Consultations `range` of the round robin over the recurring agents and
-/// the specs.
-fn requests(range: std::ops::Range<usize>) -> Vec<(u64, Arc<GameSpec>)> {
+/// Who sends the consultations.
+#[derive(Clone, Copy, Debug)]
+enum Population {
+    /// `AGENTS` agents in a round robin, each served many times.
+    Recurring,
+    /// A new agent for every consultation, never seen again.
+    FirstContact,
+}
+
+impl Population {
+    /// The agent of consultation `i`.
+    fn agent(self, i: usize) -> u64 {
+        match self {
+            Population::Recurring => i as u64 % AGENTS,
+            Population::FirstContact => i as u64,
+        }
+    }
+}
+
+/// Consultations `range` from `population`, cycling the specs.
+fn requests(population: Population, range: std::ops::Range<usize>) -> Vec<(u64, Arc<GameSpec>)> {
     let specs = specs();
     range
-        .map(|i| (i as u64 % AGENTS, Arc::clone(&specs[i % specs.len()])))
+        .map(|i| (population.agent(i), Arc::clone(&specs[i % specs.len()])))
         .collect()
 }
 
 /// Live heap retained by `4 * WARM` consultations after `WARM` of them.
-fn retained(engine: &ShardedAuthority) -> isize {
-    let warm = requests(0..WARM);
-    let more = requests(WARM..5 * WARM);
+fn retained(engine: &ShardedAuthority, population: Population) -> isize {
+    let warm = requests(population, 0..WARM);
+    let more = requests(population, WARM..5 * WARM);
     drop(engine.consult_batch(&warm));
     let base = LIVE.load(Ordering::Relaxed);
     drop(engine.consult_batch(&more));
@@ -117,13 +137,9 @@ fn assert_no_history(engine: &ShardedAuthority) {
     }
 }
 
-#[test]
-fn state_stays_bounded_as_consultations_repeat() {
-    let over_bus = engine(&|_| Arc::new(Bus::new()));
-    let bus_growth = retained(&over_bus);
-    assert_no_history(&over_bus);
-    drop(over_bus);
-
+/// An engine whose shards run the resilient protocol over 20%-loss,
+/// 1–3-tick simulated links.
+fn lossy_engine() -> ShardedAuthority {
     let lossy = engine(&|site| match site {
         TransportSite::Shard(s) => Arc::new(SimNet::new(SimNetConfig {
             seed: 0xB0_0DED ^ s as u64,
@@ -142,21 +158,36 @@ fn state_stays_bounded_as_consultations_repeat() {
         max_attempts: 32,
         ..ResilienceConfig::default()
     }));
-    let lossy_growth = retained(&lossy);
-    assert_no_history(&lossy);
-    assert!(
-        lossy.with_shard(0, |a| a.bus().retransmit_bytes()) > 0,
-        "the lossy links forced retransmissions"
-    );
+    lossy
+}
 
-    assert!(
-        bus_growth <= SLACK,
-        "a Bus engine retained {bus_growth} B over {} repeat consultations",
-        4 * WARM
-    );
-    assert!(
-        lossy_growth <= SLACK,
-        "a lossy SimNet engine retained {lossy_growth} B over {} repeat consultations",
-        4 * WARM
-    );
+#[test]
+fn state_stays_bounded_as_consultations_repeat() {
+    for population in [Population::Recurring, Population::FirstContact] {
+        let over_bus = engine(&|_| Arc::new(Bus::new()));
+        let bus_growth = retained(&over_bus, population);
+        assert_no_history(&over_bus);
+        drop(over_bus);
+
+        let lossy = lossy_engine();
+        let lossy_growth = retained(&lossy, population);
+        assert_no_history(&lossy);
+        assert!(
+            lossy.with_shard(0, |a| a.bus().retransmit_bytes()) > 0,
+            "the lossy links forced retransmissions"
+        );
+        drop(lossy);
+
+        assert!(
+            bus_growth <= SLACK,
+            "a Bus engine retained {bus_growth} B over {} more {population:?} consultations",
+            4 * WARM
+        );
+        assert!(
+            lossy_growth <= SLACK,
+            "a lossy SimNet engine retained {lossy_growth} B over {} more {population:?} \
+             consultations",
+            4 * WARM
+        );
+    }
 }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use ra_authority::{
     Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority,
-    VerifierBehavior,
+    Transport, TransportSite, VerifierBehavior,
 };
 use ra_bench::{build_batch, count_arg, timed, write_bench, write_csv_rows, Row, Spread};
 use ra_games::named::prisoners_dilemma;
@@ -34,7 +34,8 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const EXCLUSION_CAP: u64 = 10_000;
 
 /// An engine with an honest inventor over perfect buses and no
-/// certificate cache.
+/// certificate cache. The gossip hub's bus keeps its delivery log, which
+/// the per-pair pull sums are read from.
 fn bus_engine(
     shards: usize,
     panel: &[VerifierBehavior],
@@ -46,7 +47,12 @@ fn bus_engine(
         panel,
         policy.into(),
         CertCacheConfig::default(),
-        &|_| Arc::new(Bus::new()),
+        &|site| match site {
+            TransportSite::GossipHub => {
+                Arc::new(Bus::new().with_delivery_log()) as Arc<dyn Transport>
+            }
+            TransportSite::Shard(_) => Arc::new(Bus::new()),
+        },
     )
 }
 
@@ -228,12 +234,13 @@ fn main() {
     // with nothing, so the delta must be exactly zero.
     gossip_engine.sync_reputation();
     let bus = gossip_engine.gossip_bus().expect("gossip engine has a bus");
-    let pull_bytes = |bus: &dyn ra_authority::Transport| {
+    let pull_bytes = |bus: &dyn Transport| {
         (0..8)
             .map(|s| bus.bytes_between(ra_authority::GOSSIP_HUB, Party::Shard(s)))
             .sum::<usize>()
     };
     let before_idle = pull_bytes(bus);
+    assert!(before_idle > 0, "the hub's bus logs the pulls it answered");
     gossip_engine.sync_reputation();
     let idle_sync_pull_bytes = pull_bytes(bus) - before_idle;
     println!(

@@ -20,13 +20,15 @@ use std::sync::Arc;
 
 use rationality_authority::authority::{
     Bus, CertCacheConfig, GameSpec, InventorBehavior, Party, ReputationPolicy, ShardedAuthority,
-    VerifierBehavior,
+    Transport, TransportSite, VerifierBehavior,
 };
 use rationality_authority::games::named::prisoners_dilemma;
 
 const EPOCH: usize = 8;
 
-/// A four-shard engine over perfect buses under `policy`.
+/// A four-shard engine over perfect buses under `policy`. The gossip
+/// hub's bus keeps its delivery log, which the per-pair pull sums below
+/// are read from.
 fn engine_with(panel: &[VerifierBehavior], policy: ReputationPolicy) -> ShardedAuthority {
     ShardedAuthority::with_transports(
         4,
@@ -34,7 +36,12 @@ fn engine_with(panel: &[VerifierBehavior], policy: ReputationPolicy) -> ShardedA
         panel,
         policy.into(),
         CertCacheConfig::default(),
-        &|_| Arc::new(Bus::new()),
+        &|site| match site {
+            TransportSite::GossipHub => {
+                Arc::new(Bus::new().with_delivery_log()) as Arc<dyn Transport>
+            }
+            TransportSite::Shard(_) => Arc::new(Bus::new()),
+        },
     )
 }
 
@@ -133,7 +140,7 @@ fn main() {
     // the engine has converged, a re-sync costs the (tiny, unchanged)
     // push frames and *zero* pull bytes — no snapshot re-framing.
     let bus = engine.gossip_bus().expect("gossip engine has a bus");
-    let pull_bytes = |bus: &dyn rationality_authority::authority::Transport| {
+    let pull_bytes = |bus: &dyn Transport| {
         (0..engine.shard_count() as u64)
             .map(|s| {
                 bus.bytes_between(
@@ -145,6 +152,7 @@ fn main() {
     };
     engine.sync_reputation();
     let converged = pull_bytes(bus);
+    assert!(converged > 0, "the hub's bus logs the pulls it answered");
     engine.sync_reputation();
     let idle = pull_bytes(bus) - converged;
     println!(

@@ -47,7 +47,7 @@ fn facade_rejects_dishonest_certificate() {
 
 #[test]
 fn facade_bus_and_wire_round_trip() {
-    let bus = Bus::new();
+    let bus = Bus::new().with_delivery_log();
     let inventor = Party::Inventor(1);
     let agent = Party::Agent(1);
     bus.register(inventor);
