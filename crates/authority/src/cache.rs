@@ -35,6 +35,7 @@ use crate::crypto::{sha256_wire, Digest};
 use crate::inventor::GameSpec;
 use crate::messages::{Advice, Party};
 use crate::reputation::MajorityOutcome;
+use crate::verifier::VerdictReason;
 
 /// SHA-256 of the spec's canonical wire encoding — the cache key.
 ///
@@ -153,7 +154,7 @@ pub(crate) struct CachedConsultation {
     /// Certificate payload size (Lemma 1's "bits communicated").
     pub advice_bytes: usize,
     /// Per-verifier verdicts as reported in the cold session.
-    pub verdict_details: Vec<(Party, bool, String)>,
+    pub verdict_details: Vec<(Party, bool, VerdictReason)>,
     /// The [`crate::ReputationSnapshot::panel_version`] the entry was
     /// minted under. Replay-mode lookups compare it against the current
     /// panel and treat a mismatch as a miss, so advice vouched for by a

@@ -14,7 +14,8 @@
 //!   probabilities, scripted partition/heal schedules on a virtual clock)
 //!   that is byte-identical to the bus when configured lossless;
 //! * [`Inventor`] / [`VerifierService`] — honest and faulty behaviours for
-//!   every case study of the paper;
+//!   every case study of the paper; a verifier answers with a bit and a
+//!   payload-free, one-byte [`VerdictReason`];
 //! * [`ReputationBackend`] — the pluggable reputation plane: majority
 //!   voting (simple or stake-weighted, [`VoteRule`]) and reputation
 //!   updates ("the reputation of the verifiers can be updated according
@@ -93,7 +94,7 @@ pub use session::{
 pub use shard::{ReputationConfig, ReputationPolicy, ShardStats, ShardedAuthority, TransportSite};
 pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig, Simulated};
 pub use transport::{BusError, DeliveryRecord, Endpoint, Transport};
-pub use verifier::{kernel_check, VerifierBehavior, VerifierService};
+pub use verifier::{kernel_check, Check, VerdictReason, VerifierBehavior, VerifierService};
 pub use wire::{
     frame_pool_misses, get_varint, put_varint, with_frame_scratch, Wire, WireBytes, WireError,
 };

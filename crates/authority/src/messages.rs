@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use crate::inventor::GameSpec;
 use crate::reputation::{DecayingPnCounterMap, PnCounter, VersionVector};
+use crate::verifier::VerdictReason;
 use crate::wire::{get_varint, put_varint, Wire, WireBytes, WireError};
 
 /// Identity of a protocol party.
@@ -86,6 +87,22 @@ impl Wire for Party {
     }
 }
 
+/// One byte: the reason's index in [`VerdictReason::ALL`].
+impl Wire for VerdictReason {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let index = VerdictReason::ALL.iter().position(|r| r == self);
+        buf.push(index.expect("ALL lists every reason") as u8);
+    }
+    fn decode(buf: &mut WireBytes) -> Result<VerdictReason, WireError> {
+        if !buf.has_remaining() {
+            return Err(WireError::UnexpectedEnd);
+        }
+        let code = buf.get_u8();
+        let reason = VerdictReason::ALL.get(usize::from(code));
+        reason.copied().ok_or(WireError::BadTag(code))
+    }
+}
+
 /// Advice payloads, one per case-study certificate family.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Advice {
@@ -146,14 +163,19 @@ pub enum Message {
         /// The advice to check.
         advice: Arc<Advice>,
     },
-    /// Verifier → agent: verdict.
+    /// Verifier → agent: verdict. Encodes as the tag, the `game_id`
+    /// varint, the `accepted` byte and one reason byte. The decoder does
+    /// not check that `accepted` agrees with `detail`: a Byzantine
+    /// verifier may send any pair, and judging it is the agent's job.
     Verdict {
         /// Which game.
         game_id: u64,
         /// Accept or reject.
         accepted: bool,
-        /// Reason (for rejections and audits).
-        detail: String,
+        /// Which checker answered, or why none could. It carries no
+        /// payload: whatever a checker derives is deterministic in the
+        /// `(spec, advice)` pair the agent already holds.
+        detail: VerdictReason,
     },
     /// Agent → reputation system: report a verifier's verdict for audit.
     VerdictReport {
@@ -1055,7 +1077,7 @@ impl Wire for Message {
             4 => Message::Verdict {
                 game_id: u64::decode(buf)?,
                 accepted: bool::decode(buf)?,
-                detail: String::decode(buf)?,
+                detail: VerdictReason::decode(buf)?,
             },
             5 => Message::VerdictReport {
                 verifier: Party::decode(buf)?,
@@ -1224,7 +1246,7 @@ mod tests {
             inner: Box::new(Message::Verdict {
                 game_id: 9,
                 accepted: true,
-                detail: String::new(),
+                detail: VerdictReason::Verified(crate::verifier::Check::Online),
             }),
         };
         assert!(retry.is_retransmit());
@@ -1366,16 +1388,49 @@ mod tests {
                 col_support: vec![1],
             })),
         });
-        round_trip(Message::Verdict {
-            game_id: 9,
-            accepted: false,
-            detail: "indifference system inconsistent".into(),
-        });
+        for detail in VerdictReason::ALL {
+            for accepted in [false, true] {
+                let size = round_trip(Message::Verdict {
+                    game_id: 9,
+                    accepted,
+                    detail,
+                });
+                assert_eq!(size, 4, "tag, game id, accepted, reason: {detail:?}");
+            }
+        }
         round_trip(Message::VerdictReport {
             verifier: Party::Verifier(3),
             game_id: 9,
             accepted: true,
         });
+    }
+
+    #[test]
+    fn unassigned_reason_bytes_are_bad_tags() {
+        let frame = Message::Verdict {
+            game_id: 300,
+            accepted: true,
+            detail: VerdictReason::Refused,
+        }
+        .to_bytes()
+        .to_vec();
+        let reason_at = frame.len() - 1;
+        for code in 0..=u8::MAX {
+            let mut bytes = frame.clone();
+            bytes[reason_at] = code;
+            let decoded = Message::decode(&mut WireBytes::from(bytes));
+            match VerdictReason::ALL.get(usize::from(code)).copied() {
+                Some(detail) => assert_eq!(
+                    decoded,
+                    Ok(Message::Verdict {
+                        game_id: 300,
+                        accepted: true,
+                        detail,
+                    })
+                ),
+                None => assert_eq!(decoded, Err(WireError::BadTag(code))),
+            }
+        }
     }
 
     #[test]

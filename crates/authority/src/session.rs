@@ -46,7 +46,7 @@ use crate::inventor::{GameSpec, Inventor};
 use crate::messages::{Advice, Message, Party};
 use crate::reputation::{LocalReputation, MajorityOutcome, ReputationBackend};
 use crate::transport::{Endpoint, Transport};
-use crate::verifier::{kernel_check, VerifierService};
+use crate::verifier::{kernel_check, VerdictReason, VerifierService};
 use crate::wire::Wire;
 
 /// How much of the verifier panel a consultation's verdict pool heard
@@ -250,8 +250,10 @@ pub struct SessionOutcome {
     pub advice_bytes: usize,
     /// Total wire bytes of the whole session.
     pub session_bytes: usize,
-    /// Per-verifier verdict details, for the audit log.
-    pub verdict_details: Vec<(Party, bool, String)>,
+    /// Per-verifier verdicts in panel order, for the audit log: who
+    /// answered, accept or reject, and the one-byte [`VerdictReason`]
+    /// the verifier gave (which checker ran, or why none could).
+    pub verdict_details: Vec<(Party, bool, VerdictReason)>,
     /// Whether this outcome was served from the certificate cache (no
     /// protocol messages flowed: `session_bytes` is zero, `majority` /
     /// `verdict_details` replay the cold session's, and the reputation
@@ -851,11 +853,10 @@ impl RationalityAuthority {
                 if !st.served_verdicts.insert((verifier.id, attempt)) {
                     continue;
                 }
-                let (accepted, detail) = st
+                let (accepted, detail) = *st
                     .verifier_verdicts
                     .entry(verifier.id)
-                    .or_insert_with(|| verifier.verify(spec, &advice))
-                    .clone();
+                    .or_insert_with(|| verifier.verify(spec, &advice));
                 let reply = Message::Verdict {
                     game_id,
                     accepted,
@@ -949,14 +950,14 @@ struct SessionScratch {
     /// `(verifier, attempt)` verdict requests already answered.
     served_verdicts: HashSet<(Party, u32)>,
     /// Verifier-side memoized verdicts.
-    verifier_verdicts: HashMap<Party, (bool, String)>,
+    verifier_verdicts: HashMap<Party, (bool, VerdictReason)>,
     /// The first advice-with-proof the agent received, shared with the
     /// panel fan-out.
     agent_advice: Option<Arc<Advice>>,
     /// The trusted verifiers this consult asks, in panel order.
     panel: Vec<Party>,
     /// First verdict per verifier collected by the agent.
-    agent_verdicts: HashMap<Party, (bool, String)>,
+    agent_verdicts: HashMap<Party, (bool, VerdictReason)>,
     /// Driver-side retransmitted request frames.
     retransmits: u64,
     /// Encoded length of the advice-with-proof payload (Lemma 1).
@@ -1527,7 +1528,7 @@ mod tests {
         adopted: bool,
         advice_bytes: usize,
         session_bytes: usize,
-        verdict_details: Vec<(Party, bool, String)>,
+        verdict_details: Vec<(Party, bool, VerdictReason)>,
         cached: bool,
         panel: PanelOutcome,
         attempts: u64,
@@ -1576,10 +1577,17 @@ mod tests {
         // The resilience-off contract, literal by literal, over a perfect
         // bus, a jittered network, a starved panel, a silent inventor and
         // a lost advice frame.
-        const VERIFIED: &str = "kernel verified isNash((1, 1)) (4 lookups)";
+        // Game id 1 is a one-byte varint, so the frames are: advice
+        // request 2 B (tag, id), advice-with-proof 10 B, three verdict
+        // requests of 10 B (the advice frame under another tag) and three
+        // verdicts of 4 B (tag, id, accepted, reason): 2 + 10 + 3·10 +
+        // 3·4 = 54 B for the full panel; 54 − 2·4 = 46 B with two request
+        // links cut (the cut requests are still sent, the two verdicts they
+        // would provoke are not); 2 + 10 = 12 B when the advice is lost.
+        const VERIFIED: VerdictReason = VerdictReason::Verified(crate::verifier::Check::PureNash);
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let advice = Inventor::new(0, InventorBehavior::Honest).advise(&spec);
-        let verified = |v: u64| (Party::Verifier(v), true, VERIFIED.to_owned());
+        let verified = |v: u64| (Party::Verifier(v), true, VERIFIED);
         let unanimous = |n: usize| MajorityOutcome {
             accepted: true,
             accept_votes: n,
@@ -1595,12 +1603,12 @@ mod tests {
             majority: Some(unanimous(3)),
             adopted: true,
             advice_bytes: 10,
-            session_bytes: 180,
+            session_bytes: 54,
             verdict_details: vec![verified(0), verified(1), verified(2)],
             cached: false,
             panel: PanelOutcome::Full,
             attempts: 0,
-            total_bytes: 180,
+            total_bytes: 54,
             message_count: 8,
             now: 0,
         };
@@ -1625,12 +1633,12 @@ mod tests {
                 majority: Some(unanimous(1)),
                 adopted: true,
                 advice_bytes: 10,
-                session_bytes: 88,
+                session_bytes: 46,
                 verdict_details: vec![verified(0)],
                 cached: false,
                 panel: PanelOutcome::Full,
                 attempts: 0,
-                total_bytes: 88,
+                total_bytes: 46,
                 message_count: 6,
                 now: 0,
             }
@@ -1663,6 +1671,73 @@ mod tests {
                 ..starved
             }
         );
+    }
+
+    #[test]
+    fn lemma1_bytes_per_consult_are_closed_form() {
+        // Resilience off over a lossless logged bus, game ids 1..=132 so
+        // both one- and two-byte varint ids occur. A consult sends eight
+        // frames: the advice request (tag, id), the advice-with-proof,
+        // three verdict requests carrying the same advice under another
+        // tag, and three verdicts (tag, id, accepted, reason).
+        use ra_exact::rat;
+        use ra_games::named::stag_hunt;
+        let coordination = ra_games::StrategicGame::from_payoff_fn(vec![16, 16], |p| {
+            let (a, b) = (p.strategy_of(0), p.strategy_of(1));
+            let payoff = if a == b {
+                rat(1 + a as i64, 1)
+            } else {
+                rat(0, 1)
+            };
+            vec![payoff.clone(), payoff]
+        });
+        let specs = [
+            GameSpec::Strategic(prisoners_dilemma().to_strategic()),
+            GameSpec::Strategic(stag_hunt(3)),
+            GameSpec::Bimatrix(battle_of_the_sexes()),
+            GameSpec::Participation(ParticipationParams::paper_example()),
+            GameSpec::ParallelLinks {
+                current_loads: vec![rat(4, 1), rat(0, 1), rat(9, 2)],
+                own_load: rat(7, 2),
+                expected_future_load: rat(2, 1),
+                expected_future_agents: 5,
+            },
+            GameSpec::Strategic(coordination),
+        ];
+        let bus = Arc::new(Bus::new().with_delivery_log());
+        let mut authority = RationalityAuthority::with_transport(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+            Arc::new(LocalReputation::new()),
+            bus.clone(),
+        );
+        let mut logged = 0;
+        for game_id in 1..=132u64 {
+            let spec = &specs[game_id as usize % specs.len()];
+            let outcome = authority.consult(game_id, spec);
+            assert!(outcome.adopted, "game {game_id}");
+            let log = bus.delivery_log();
+            let frames = &log[logged..];
+            logged = log.len();
+            assert_eq!(frames.len(), 8, "game {game_id}");
+            assert_eq!(
+                outcome.session_bytes,
+                frames.iter().map(|r| r.bytes).sum::<usize>(),
+                "game {game_id}"
+            );
+            let id_len = game_id.encoded_len();
+            let verdicts: Vec<usize> = frames
+                .iter()
+                .filter(|r| matches!(r.from, Party::Verifier(_)))
+                .map(|r| r.bytes)
+                .collect();
+            assert_eq!(verdicts, vec![1 + id_len + 1 + 1; 3], "game {game_id}");
+            assert_eq!(
+                outcome.session_bytes,
+                (1 + id_len) + 4 * outcome.advice_bytes + 3 * (3 + id_len),
+                "game {game_id}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! advice payload to the matching certificate verifier from `ra-proofs`;
 //! the faulty behaviours model broken or malicious verifiers for the
 //! reputation experiments.
+//!
+//! A verdict is an accept/reject bit plus a [`VerdictReason`]: which
+//! checker ran, or why none could, in one byte on the wire. The reason
+//! carries no payload — the proved proposition, the λ values, the
+//! expected gain, the predicted delay and a rejection's error are all
+//! deterministic in the `(spec, advice)` pair the agent already holds, so
+//! it recomputes them with [`kernel_check`]'s checkers when it wants them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +24,95 @@ use ra_proofs::{
 
 use crate::inventor::GameSpec;
 use crate::messages::{Advice, Party};
+
+/// Which certificate checker produced a verdict — one per case-study
+/// (game, advice) pairing that [`kernel_check`] accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Check {
+    /// §3: the kernel proof that a pure profile is a Nash equilibrium.
+    PureNash,
+    /// §4 P1: the support certificate of a bimatrix equilibrium.
+    Support,
+    /// §5: the Eq. (5) participation certificate.
+    Participation,
+    /// §6: the online link advice and its equilibrium assignment.
+    Online,
+}
+
+impl std::fmt::Display for Check {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Check::PureNash => "pure Nash proof",
+            Check::Support => "P1 support certificate",
+            Check::Participation => "Eq. (5) participation certificate",
+            Check::Online => "online link assignment",
+        })
+    }
+}
+
+/// Why a verifier answered the way it did. `Copy`, heap-free, and one
+/// byte on the wire (its index in [`VerdictReason::ALL`]); [`Display`]
+/// prints a sentence for logs.
+///
+/// [`Display`]: std::fmt::Display
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum VerdictReason {
+    /// The checker accepted the certificate.
+    Verified(Check),
+    /// The checker rejected the certificate.
+    Rejected(Check),
+    /// A participation certificate for other parameters than the game's.
+    ParamsMismatch,
+    /// An online certificate whose loads differ from the published
+    /// statistics.
+    StatisticsMismatch,
+    /// The advice family does not fit the game.
+    AdviceTypeMismatch,
+    /// [`VerifierBehavior::AlwaysAccept`]: accepted unchecked.
+    RubberStamped,
+    /// [`VerifierBehavior::AlwaysReject`]: rejected unchecked.
+    Refused,
+    /// [`VerifierBehavior::Random`]: a coin flip.
+    Flaky,
+}
+
+impl VerdictReason {
+    /// Every reason, indexed by its wire byte; a byte past the end is
+    /// unassigned and decodes to [`WireError::BadTag`](crate::WireError::BadTag).
+    pub const ALL: [VerdictReason; 14] = [
+        VerdictReason::Verified(Check::PureNash),
+        VerdictReason::Verified(Check::Support),
+        VerdictReason::Verified(Check::Participation),
+        VerdictReason::Verified(Check::Online),
+        VerdictReason::Rejected(Check::PureNash),
+        VerdictReason::Rejected(Check::Support),
+        VerdictReason::Rejected(Check::Participation),
+        VerdictReason::Rejected(Check::Online),
+        VerdictReason::ParamsMismatch,
+        VerdictReason::StatisticsMismatch,
+        VerdictReason::AdviceTypeMismatch,
+        VerdictReason::RubberStamped,
+        VerdictReason::Refused,
+        VerdictReason::Flaky,
+    ];
+}
+
+impl std::fmt::Display for VerdictReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            VerdictReason::Verified(check) => write!(f, "{check} verified"),
+            VerdictReason::Rejected(check) => write!(f, "{check} rejected"),
+            VerdictReason::ParamsMismatch => f.write_str("certificate for different parameters"),
+            VerdictReason::StatisticsMismatch => {
+                f.write_str("certificate statistics differ from published ones")
+            }
+            VerdictReason::AdviceTypeMismatch => f.write_str("advice type does not match the game"),
+            VerdictReason::RubberStamped => f.write_str("rubber-stamped"),
+            VerdictReason::Refused => f.write_str("refused on principle"),
+            VerdictReason::Flaky => f.write_str("flaky verdict"),
+        }
+    }
+}
 
 /// How a verifier behaves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,72 +149,57 @@ impl VerifierService {
         }
     }
 
-    /// Checks `advice` for `spec`; returns `(accepted, detail)`.
-    pub fn verify(&self, spec: &GameSpec, advice: &Advice) -> (bool, String) {
+    /// Checks `advice` for `spec`; returns `(accepted, reason)`.
+    pub fn verify(&self, spec: &GameSpec, advice: &Advice) -> (bool, VerdictReason) {
         match self.behavior {
-            VerifierBehavior::AlwaysAccept => (true, "rubber-stamped".to_owned()),
-            VerifierBehavior::AlwaysReject => (false, "refused on principle".to_owned()),
+            VerifierBehavior::AlwaysAccept => (true, VerdictReason::RubberStamped),
+            VerifierBehavior::AlwaysReject => (false, VerdictReason::Refused),
             VerifierBehavior::Random { accept_per_mille } => {
-                // Deterministic per (verifier, advice) so repeated queries
-                // are consistent.
-                let fingerprint = format!("{:?}{:?}", self.id, advice);
-                let seed = fingerprint
-                    .bytes()
-                    .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64));
-                let mut rng = StdRng::seed_from_u64(seed);
+                let mut rng = StdRng::seed_from_u64(self.flaky_seed(advice));
                 let accepted = rng.random_range(0..1000) < accept_per_mille;
-                (accepted, "flaky verdict".to_owned())
+                (accepted, VerdictReason::Flaky)
             }
             VerifierBehavior::Honest => kernel_check(spec, advice),
         }
+    }
+
+    /// A [`VerifierBehavior::Random`] verifier's seed: deterministic per
+    /// (verifier, advice), so repeated queries are consistent.
+    fn flaky_seed(&self, advice: &Advice) -> u64 {
+        format!("{:?}{:?}", self.id, advice)
+            .bytes()
+            .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
     }
 }
 
 /// The genuine verification dispatch: each (game, advice) combination runs
 /// the matching certificate checker from `ra-proofs`; mismatched
-/// combinations are rejected outright. Returns `(accepted, detail)`.
+/// combinations are rejected outright. Returns `(accepted, reason)`.
 ///
 /// This is the trusted-checker boundary of the proof-carrying split: an
 /// honest verifier runs exactly this, and the certificate cache replays it
 /// on [`CacheMode::Replay`](crate::cache::CacheMode::Replay) hits — the
 /// expensive solve/panel path is skipped, the cheap kernel check is not.
-/// It is deterministic in `(spec, advice)`.
-pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, String) {
-    match (spec, advice) {
-        (GameSpec::Strategic(game), Advice::PureNash(cert)) => match cert.verify(game) {
-            Ok(theorem) => (
-                true,
-                format!(
-                    "kernel verified {} ({} lookups)",
-                    theorem.prop(),
-                    theorem.cost().utility_lookups
-                ),
-            ),
-            Err(e) => (false, format!("kernel rejected proof: {e}")),
-        },
-        (GameSpec::Bimatrix(game), Advice::Support(cert)) => {
-            match verify_support_certificate(game, cert) {
-                Ok(verified) => (
-                    true,
-                    format!(
-                        "P1 verified, λ1 = {}, λ2 = {}",
-                        verified.lambda1, verified.lambda2
-                    ),
-                ),
-                Err(e) => (false, format!("P1 rejected: {e}")),
-            }
+/// It is deterministic in `(spec, advice)`, and so is everything a checker
+/// derives (the proved proposition, λ values, gain, link): the reason
+/// names the checker and leaves those to whoever holds the pair.
+pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, VerdictReason) {
+    let (check, accepted) = match (spec, advice) {
+        (GameSpec::Strategic(game), Advice::PureNash(cert)) => {
+            (Check::PureNash, cert.verify(game).is_ok())
         }
+        (GameSpec::Bimatrix(game), Advice::Support(cert)) => (
+            Check::Support,
+            verify_support_certificate(game, cert).is_ok(),
+        ),
         (GameSpec::Participation(params), Advice::Participation(cert)) => {
             if &cert.params != params {
-                return (false, "certificate for different parameters".to_owned());
+                return (false, VerdictReason::ParamsMismatch);
             }
-            match verify_participation_certificate(cert, &rat(1, 1 << 20)) {
-                Ok(verified) => (
-                    true,
-                    format!("Eq.(5) verified, expected gain {}", verified.expected_gain),
-                ),
-                Err(e) => (false, format!("participation advice rejected: {e}")),
-            }
+            (
+                Check::Participation,
+                verify_participation_certificate(cert, &rat(1, 1 << 20)).is_ok(),
+            )
         }
         (
             GameSpec::ParallelLinks {
@@ -131,23 +212,16 @@ pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, String) {
             // The certificate must match the published statistics the agent
             // observed (they are signed — see audit.rs).
             if &cert.current_loads != current_loads || &cert.own_load != own_load {
-                return (
-                    false,
-                    "certificate statistics differ from published ones".to_owned(),
-                );
+                return (false, VerdictReason::StatisticsMismatch);
             }
-            match verify_online_advice(cert) {
-                Ok(verified) => (
-                    true,
-                    format!(
-                        "equilibrium assignment verified; take link {} (predicted delay {})",
-                        verified.link, verified.predicted_own_delay
-                    ),
-                ),
-                Err(e) => (false, format!("online advice rejected: {e}")),
-            }
+            (Check::Online, verify_online_advice(cert).is_ok())
         }
-        _ => (false, "advice type does not match the game".to_owned()),
+        _ => return (false, VerdictReason::AdviceTypeMismatch),
+    };
+    if accepted {
+        (true, VerdictReason::Verified(check))
+    } else {
+        (false, VerdictReason::Rejected(check))
     }
 }
 
@@ -172,14 +246,22 @@ mod tests {
         ]
     }
 
+    const CHECKS: [Check; 4] = [
+        Check::PureNash,
+        Check::Support,
+        Check::Participation,
+        Check::Online,
+    ];
+
     #[test]
     fn honest_verifier_accepts_honest_advice_everywhere() {
         let inventor = Inventor::new(0, InventorBehavior::Honest);
         let verifier = VerifierService::new(0, VerifierBehavior::Honest);
-        for spec in specs() {
+        for (spec, check) in specs().into_iter().zip(CHECKS) {
             let advice = inventor.advise(&spec).expect("honest advice exists");
             let (accepted, detail) = verifier.verify(&spec, &advice);
             assert!(accepted, "{detail}");
+            assert_eq!(detail, VerdictReason::Verified(check));
         }
     }
 
@@ -187,11 +269,23 @@ mod tests {
     fn honest_verifier_rejects_corrupt_advice_everywhere() {
         let inventor = Inventor::new(0, InventorBehavior::Corrupt);
         let verifier = VerifierService::new(0, VerifierBehavior::Honest);
-        for spec in specs() {
+        for (spec, check) in specs().into_iter().zip(CHECKS) {
             let advice = inventor.advise(&spec).expect("corrupt advice exists");
             let (accepted, detail) = verifier.verify(&spec, &advice);
             assert!(!accepted, "corruption must be caught, got: {detail}");
+            assert_eq!(detail, VerdictReason::Rejected(check));
         }
+    }
+
+    #[test]
+    fn verdict_reasons_are_small_and_listed_once() {
+        assert!(std::mem::size_of::<VerdictReason>() <= 2);
+        let distinct: std::collections::HashSet<_> = VerdictReason::ALL.into_iter().collect();
+        assert_eq!(distinct.len(), VerdictReason::ALL.len());
+        assert_eq!(
+            VerdictReason::Verified(Check::Support).to_string(),
+            "P1 support certificate verified"
+        );
     }
 
     #[test]
@@ -201,8 +295,8 @@ mod tests {
         let bimatrix_spec = GameSpec::Bimatrix(ra_games::named::battle_of_the_sexes());
         let advice = inventor.advise(&bimatrix_spec).unwrap();
         let wrong_spec = GameSpec::Participation(ParticipationParams::paper_example());
-        let (accepted, _) = verifier.verify(&wrong_spec, &advice);
-        assert!(!accepted);
+        let verdict = verifier.verify(&wrong_spec, &advice);
+        assert_eq!(verdict, (false, VerdictReason::AdviceTypeMismatch));
     }
 
     #[test]
@@ -211,14 +305,19 @@ mod tests {
         let advice = Inventor::new(0, InventorBehavior::Corrupt)
             .advise(&spec)
             .unwrap();
-        let (a, _) = VerifierService::new(1, VerifierBehavior::AlwaysAccept).verify(&spec, &advice);
-        assert!(a, "bought verifier rubber-stamps garbage");
+        let verdict =
+            VerifierService::new(1, VerifierBehavior::AlwaysAccept).verify(&spec, &advice);
+        assert_eq!(
+            verdict,
+            (true, VerdictReason::RubberStamped),
+            "bought verifier rubber-stamps garbage"
+        );
         let honest_advice = Inventor::new(0, InventorBehavior::Honest)
             .advise(&spec)
             .unwrap();
-        let (r, _) =
+        let verdict =
             VerifierService::new(2, VerifierBehavior::AlwaysReject).verify(&spec, &honest_advice);
-        assert!(!r);
+        assert_eq!(verdict, (false, VerdictReason::Refused));
     }
 
     #[test]
@@ -236,5 +335,6 @@ mod tests {
         let first = flaky.verify(&spec, &advice);
         let second = flaky.verify(&spec, &advice);
         assert_eq!(first, second);
+        assert_eq!(first.1, VerdictReason::Flaky);
     }
 }

@@ -11,7 +11,7 @@ use ra_authority::{
     CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, Inventor,
     InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
     ReputationBackend, ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig,
-    StatisticsLedger, Transport, VerifierBehavior, VersionVector, Wire,
+    StatisticsLedger, Transport, VerdictReason, VerifierBehavior, VersionVector, Wire,
 };
 use ra_exact::{rat, Matrix, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
@@ -156,6 +156,11 @@ fn arb_version_vector() -> impl Strategy<Value = VersionVector> {
     })
 }
 
+/// Every `VerdictReason` variant, uniformly.
+fn arb_verdict_reason() -> impl Strategy<Value = VerdictReason> {
+    (0..VerdictReason::ALL.len()).prop_map(|code| VerdictReason::ALL[code])
+}
+
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         (
@@ -191,13 +196,13 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     })),
                 }
             }),
-        (any::<u64>(), any::<bool>(), ".{0,60}").prop_map(|(game_id, accepted, detail)| {
-            Message::Verdict {
+        (any::<u64>(), any::<bool>(), arb_verdict_reason()).prop_map(
+            |(game_id, accepted, detail)| Message::Verdict {
                 game_id,
                 accepted,
                 detail,
             }
-        }),
+        ),
         (arb_party(), any::<u64>(), any::<bool>()).prop_map(|(verifier, game_id, accepted)| {
             Message::VerdictReport {
                 verifier,

@@ -10,11 +10,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use ra_authority::{get_varint, put_varint, with_frame_scratch, Advice, Message, Wire, WireBytes};
+use ra_authority::{
+    get_varint, put_varint, with_frame_scratch, Advice, Check, Message, VerdictReason, Wire,
+    WireBytes,
+};
 use ra_proofs::SupportCertificate;
 
-/// The two frames `Bus::send` measures most on a consult: the request the
-/// agent opens with, and the proof-carrying advice that fans out.
+/// The four Fig. 1 frames `Bus::send` measures on a consult: the request
+/// the agent opens with, the proof-carrying advice, its fan-out to the
+/// panel, and the one-byte-reason verdict each verifier sends back.
 fn hot_messages() -> Vec<(&'static str, Message)> {
     let advice = Advice::Support(SupportCertificate {
         row_support: vec![0, 2, 5, 9],
@@ -39,6 +43,14 @@ fn hot_messages() -> Vec<(&'static str, Message)> {
             Message::VerdictRequest {
                 game_id: 0xDEAD_BEEF,
                 advice: Arc::new(advice),
+            },
+        ),
+        (
+            "verdict",
+            Message::Verdict {
+                game_id: 0xDEAD_BEEF,
+                accepted: true,
+                detail: VerdictReason::Verified(Check::Support),
             },
         ),
     ]

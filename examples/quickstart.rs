@@ -8,7 +8,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use rationality_authority::authority::{
-    GameSpec, Inventor, InventorBehavior, RationalityAuthority, VerifierBehavior,
+    Check, GameSpec, Inventor, InventorBehavior, RationalityAuthority, VerdictReason,
+    VerifierBehavior,
 };
 use rationality_authority::games::named::prisoners_dilemma;
 
@@ -26,11 +27,14 @@ fn main() {
     println!("\n[honest inventor]");
     println!("  advice bytes on the wire: {}", outcome.advice_bytes);
     println!("  session bytes total:      {}", outcome.session_bytes);
+    // Each verdict is a bit plus a one-byte reason; `Display` spells the
+    // reason out.
     for (verifier, accepted, detail) in &outcome.verdict_details {
         println!(
             "  {verifier}: {} — {detail}",
             if *accepted { "ACCEPT" } else { "REJECT" }
         );
+        assert_eq!(*detail, VerdictReason::Verified(Check::PureNash));
     }
     assert!(outcome.adopted, "honest advice must be adopted");
     println!("  agent adopts the advice: play (defect, defect)");
@@ -47,6 +51,7 @@ fn main() {
             "  {verifier}: {} — {detail}",
             if *accepted { "ACCEPT" } else { "REJECT" }
         );
+        assert_eq!(*detail, VerdictReason::Rejected(Check::PureNash));
     }
     assert!(!outcome.adopted, "corrupt advice must be rejected");
     println!("  agent refuses the advice — the rationality authority did its job");
