@@ -419,13 +419,17 @@ mod tests {
     use super::*;
     use ra_games::named::prisoners_dilemma;
 
+    /// Dummy advice told apart by `tag`.
+    fn advice(tag: u64) -> Advice {
+        Advice::Support(ra_proofs::SupportCertificate {
+            row_support: vec![tag as usize],
+            col_support: vec![0],
+        })
+    }
+
     fn entry(tag: u64) -> CachedConsultation {
         CachedConsultation {
-            advice: Advice::Dominant {
-                agent: tag as usize,
-                strategy: 0,
-                strict: true,
-            },
+            advice: advice(tag),
             kernel_accepts: true,
             majority: None,
             adopted: true,
@@ -498,14 +502,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
         let hit = cache.lookup(&digest(1), None).expect("refreshed entry");
-        assert_eq!(
-            hit.advice,
-            Advice::Dominant {
-                agent: 100,
-                strategy: 0,
-                strict: true
-            }
-        );
+        assert_eq!(hit.advice, advice(100));
     }
 
     #[test]

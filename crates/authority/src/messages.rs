@@ -9,7 +9,7 @@
 //! can account for communication exactly.
 
 use ra_exact::{Matrix, Rational};
-use ra_games::{BimatrixGame, Dominance, MixedStrategy, StrategicGame, StrategyProfile};
+use ra_games::{BimatrixGame, MixedStrategy, StrategicGame, StrategyProfile};
 use ra_proofs::kernel::{NotAboveWitness, ProfileVerdict, Proof, Prop, Term};
 use ra_proofs::{
     OnlineAdviceCertificate, P2Advice, ParticipationCertificate, PureNashCertificate,
@@ -116,15 +116,6 @@ pub enum Advice {
     Participation(ParticipationCertificate),
     /// §6: online link advice with its equilibrium assignment.
     Online(OnlineAdviceCertificate),
-    /// Auctions: a dominant-strategy claim.
-    Dominant {
-        /// The agent being advised.
-        agent: usize,
-        /// The claimed dominant strategy.
-        strategy: usize,
-        /// Strict or weak.
-        strict: bool,
-    },
 }
 
 /// A protocol message.
@@ -771,16 +762,6 @@ impl Wire for Advice {
                 c.assignment.encode(buf);
                 c.suggested_link.encode(buf);
             }
-            Advice::Dominant {
-                agent,
-                strategy,
-                strict,
-            } => {
-                buf.push(5);
-                agent.encode(buf);
-                strategy.encode(buf);
-                strict.encode(buf);
-            }
         }
     }
     fn decode(buf: &mut WireBytes) -> Result<Advice, WireError> {
@@ -813,24 +794,8 @@ impl Wire for Advice {
                 assignment: Vec::<usize>::decode(buf)?,
                 suggested_link: usize::decode(buf)?,
             }),
-            5 => Advice::Dominant {
-                agent: usize::decode(buf)?,
-                strategy: usize::decode(buf)?,
-                strict: bool::decode(buf)?,
-            },
             t => return Err(WireError::BadTag(t)),
         })
-    }
-}
-
-impl Advice {
-    /// The dominance kind of a [`Advice::Dominant`] payload.
-    pub fn dominance_kind(strict: bool) -> Dominance {
-        if strict {
-            Dominance::Strict
-        } else {
-            Dominance::Weak
-        }
     }
 }
 
@@ -1366,11 +1331,6 @@ mod tests {
             &rat(1, 1),
             2,
         )));
-        round_trip(Advice::Dominant {
-            agent: 1,
-            strategy: 4,
-            strict: false,
-        });
     }
 
     #[test]
@@ -1483,6 +1443,10 @@ mod tests {
             Message::decode(&mut bad_tag),
             Err(WireError::BadTag(99))
         ));
+        // Advice tag 5 (a dominant-strategy claim no inventor emitted and
+        // no verifier checked) is no longer a variant.
+        let mut retired = WireBytes::from(vec![5u8, 1, 4, 0]);
+        assert_eq!(Advice::decode(&mut retired), Err(WireError::BadTag(5)));
     }
 
     fn sample_specs() -> Vec<GameSpec> {

@@ -20,9 +20,8 @@
 //!   ever touches shard-local state and exclusion still propagates
 //!   engine-wide.
 //!
-//! A backend implements only the writes ([`ReputationBackend::pool_verdicts`],
-//! [`ReputationBackend::report_unresponsive`]) and publication
-//! ([`ReputationBackend::snapshot`]). Every read — `score`, `is_trusted`,
+//! A backend implements only one write ([`ReputationBackend::pool_panel`])
+//! and publication ([`ReputationBackend::snapshot`]). Every read — `score`, `is_trusted`,
 //! `trusted_verifiers` — comes off the published [`ReputationSnapshot`],
 //! the same view a consult trusts, so reading a score never changes any
 //! state (or any gossip byte).
@@ -124,59 +123,73 @@ pub struct MajorityOutcome {
     pub dissenters: Vec<Party>,
 }
 
-/// Computes the pooled verdict of one round under `rule` (ties reject —
-/// the safe side), shared by every backend so the vote rule cannot drift
-/// between them. `score_of` is the backend's current score, read only
-/// under [`VoteRule::Weighted`]; [`VoteRule::Simple`] stakes 1 per vote.
+/// The one close rule of a panel vote under `rule`, shared by every
+/// backend so it cannot drift between them. `verdicts` are the answers
+/// and `silent` the trusted panel members that never gave one. Each
+/// member weighs 1 under [`VoteRule::Simple`] and its score (`score_of`,
+/// clamped to at least 1) under [`VoteRule::Weighted`]. With `W` the
+/// whole panel's weight, `A` the accept and `S` the silent weight, the
+/// vote accepts iff `A > W/2`, rejects iff `A + S ≤ W/2`, and is
+/// otherwise undecided (`None`): the silent could swing it, and unknown
+/// is not false. With nobody silent this is `A > R`, ties rejecting.
 fn pooled_outcome(
     rule: VoteRule,
     verdicts: &[(Party, bool)],
+    silent: &[Party],
     score_of: impl Fn(Party) -> i64,
-) -> MajorityOutcome {
+) -> Option<MajorityOutcome> {
     assert!(
         !verdicts.is_empty(),
         "pooling requires at least one verdict"
     );
+    // A consulted verifier is trusted, hence has positive score; the
+    // clamp keeps hostile direct calls (pooling an already-excluded
+    // verifier) from producing non-positive stakes.
+    let stake = |party| match rule {
+        VoteRule::Simple => 1,
+        VoteRule::Weighted => score_of(party).max(1),
+    };
     let mut accept_votes = 0usize;
     let mut reject_votes = 0usize;
     let mut accept_stake = 0i64;
     let mut reject_stake = 0i64;
     for &(party, vote) in verdicts {
-        // A consulted verifier is trusted, hence has positive score; the
-        // clamp keeps hostile direct calls (pooling an already-excluded
-        // verifier) from producing non-positive stakes.
-        let stake = match rule {
-            VoteRule::Simple => 1,
-            VoteRule::Weighted => score_of(party).max(1),
-        };
         if vote {
             accept_votes += 1;
-            accept_stake += stake;
+            accept_stake += stake(party);
         } else {
             reject_votes += 1;
-            reject_stake += stake;
+            reject_stake += stake(party);
         }
     }
-    let accepted = accept_stake > reject_stake;
+    let silent_stake: i64 = silent.iter().map(|&party| stake(party)).sum();
+    // Doubled: 2A > W is A > R + S, and 2(A + S) <= W is A + S <= R.
+    let accepted = if accept_stake > reject_stake + silent_stake {
+        true
+    } else if accept_stake + silent_stake <= reject_stake {
+        false
+    } else {
+        return None;
+    };
     let dissenters = verdicts
         .iter()
         .filter(|&&(_, vote)| vote != accepted)
         .map(|&(party, _)| party)
         .collect();
-    MajorityOutcome {
+    Some(MajorityOutcome {
         accepted,
         accept_votes,
         reject_votes,
         accept_stake,
         reject_stake,
         dissenters,
-    }
+    })
 }
 
 /// An immutable point-in-time view of every registered verifier's score.
 ///
 /// Backends publish a fresh snapshot (behind `Arc`) whenever scores
-/// change — at the end of [`ReputationBackend::pool_verdicts`] and, for
+/// change — at the end of a decided [`ReputationBackend::pool_panel`] and, for
 /// [`GossipReputation`], after an epoch pull or a generation advance.
 /// Every read goes through it: readers on the consult hot path
 /// ([`crate::RationalityAuthority`]) and the [`ReputationBackend`] read
@@ -329,27 +342,37 @@ pub trait ReputationBackend: Send + Sync {
         self.score(verifier) > EXCLUSION_THRESHOLD
     }
 
-    /// Pools one round of verdicts `(verifier, accepted)`, updates
-    /// reputations toward the majority, and returns the outcome.
+    /// Closes one consult's panel vote by the shared close rule:
+    /// `verdicts` are the answers `(verifier, accepted)`, `silent` the
+    /// trusted panel members that never answered. The vote is decided
+    /// against the whole panel's weight — adopt on more than half, reject
+    /// when accept plus silent weight is at most half — and a decided vote
+    /// moves each answering verifier's score toward the majority. An
+    /// undecided vote returns `None` and changes nothing. Silent members
+    /// are never charged: silence is not evidence.
     ///
     /// # Panics
     ///
     /// Panics if `verdicts` is empty.
-    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome;
+    fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome>;
+
+    /// Pools a round in which every asked verifier answered:
+    /// [`ReputationBackend::pool_panel`] with nobody silent, which always
+    /// decides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `verdicts` is empty.
+    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
+        self.pool_panel(verdicts, &[])
+            .expect("a vote with nobody silent always decides")
+    }
 
     /// All verifiers in the published snapshot that are currently
     /// trusted, sorted for determinism.
     fn trusted_verifiers(&self) -> Vec<Party> {
         self.snapshot().trusted_verifiers()
     }
-
-    /// Records an *unresponsive* observation — distinct from dissent —
-    /// against each listed verifier: a resilient session closed its panel
-    /// vote degraded and these members never answered within the budget.
-    /// Persistent silence costs trust exactly like persistent dissent
-    /// (one point per missed panel), so a dead verifier is eventually
-    /// excluded and consultations stop waiting on it.
-    fn report_unresponsive(&self, silent: &[Party]);
 
     /// The most recently published immutable score view.
     ///
@@ -400,11 +423,11 @@ impl LocalReputation {
 }
 
 impl ReputationBackend for LocalReputation {
-    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
+    fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
         let mut scores = self.scores.lock().expect("reputation lock poisoned");
-        let outcome = pooled_outcome(self.rule, verdicts, |verifier| {
+        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| {
             scores.get(&verifier).copied().unwrap_or(INITIAL_SCORE)
-        });
+        })?;
         for &(verifier, vote) in verdicts {
             let entry = scores.entry(verifier).or_insert(INITIAL_SCORE);
             if vote == outcome.accepted {
@@ -417,22 +440,7 @@ impl ReputationBackend for LocalReputation {
         // can interleave between the mutation and its snapshot, so every
         // published view reflects whole rounds only.
         publish(&self.snapshot, scores.clone());
-        outcome
-    }
-
-    /// Records an unresponsive observation (−1, like a dissent) against
-    /// each listed verifier, publishing the snapshot under the same lock
-    /// so the panel version moves as soon as a silent verifier crosses
-    /// the exclusion threshold.
-    fn report_unresponsive(&self, silent: &[Party]) {
-        if silent.is_empty() {
-            return;
-        }
-        let mut scores = self.scores.lock().expect("reputation lock poisoned");
-        for &verifier in silent {
-            *scores.entry(verifier).or_insert(INITIAL_SCORE) -= 1;
-        }
-        publish(&self.snapshot, scores.clone());
+        Some(outcome)
     }
 
     fn snapshot(&self) -> Arc<ReputationSnapshot> {
@@ -1048,7 +1056,7 @@ impl GossipPlane {
 /// A gossiping reputation backend: one per shard, all sharing a
 /// [`GossipPlane`].
 ///
-/// On the consult hot path ([`ReputationBackend::pool_verdicts`]) only
+/// On the consult hot path ([`ReputationBackend::pool_panel`]) only
 /// this shard's own mutex is taken; observations land in the shard's replica slots of a local
 /// [`DecayingPnCounterMap`]. At epoch boundaries — every `every`
 /// consultations when driven by [`crate::ShardedAuthority`], or on an
@@ -1187,30 +1195,16 @@ impl GossipReputation {
 }
 
 impl ReputationBackend for GossipReputation {
-    fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
+    fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
         let mut local = self.local.lock().expect("gossip local lock poisoned");
-        let outcome = pooled_outcome(self.rule, verdicts, |verifier| {
+        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| {
             INITIAL_SCORE + local.decayed_value(verifier, self.decay)
-        });
+        })?;
         for &(verifier, vote) in verdicts {
             local.record(self.shard, verifier, vote == outcome.accepted);
         }
         self.republish(&local);
-        outcome
-    }
-
-    fn report_unresponsive(&self, silent: &[Party]) {
-        if silent.is_empty() {
-            return;
-        }
-        let mut local = self.local.lock().expect("gossip local lock poisoned");
-        for &verifier in silent {
-            // Mechanically a decrement on the CRDT — the same tally a
-            // dissent pays — so the observation gossips to every shard
-            // with the ordinary epoch merges.
-            local.record(self.shard, verifier, false);
-        }
-        self.republish(&local);
+        Some(outcome)
     }
 
     fn snapshot(&self) -> Arc<ReputationSnapshot> {
@@ -1724,40 +1718,44 @@ mod tests {
     }
 
     #[test]
-    fn unresponsive_reports_cost_one_point_and_republish() {
-        let store = LocalReputation::new();
-        store.report_unresponsive(&[v(1), v(2)]);
-        assert_eq!(store.score(v(1)), INITIAL_SCORE - 1);
-        assert_eq!(store.score(v(2)), INITIAL_SCORE - 1);
-        let published = store.snapshot();
-        assert_eq!(published.score(v(1)), INITIAL_SCORE - 1);
-        // An empty report is a no-op: no lock churn, no version bump.
-        let version = published.version();
-        store.report_unresponsive(&[]);
-        assert_eq!(store.snapshot().version(), version);
-        // Repeated silence drives the verifier below the threshold and
-        // moves the panel version, exactly like repeated dissent.
-        let panel_before = store.snapshot().panel_version();
-        for _ in 0..INITIAL_SCORE {
-            store.report_unresponsive(&[v(1)]);
-        }
-        assert!(!store.is_trusted(v(1)));
-        assert!(store.snapshot().panel_version() > panel_before);
-    }
-
-    #[test]
-    fn unresponsive_reports_gossip_like_dissent() {
-        // The observation is a plain CRDT decrement, so an epoch merge
-        // carries it to every other shard.
+    fn silent_members_leave_a_close_vote_undecided_and_are_never_charged() {
         let plane = Arc::new(GossipPlane::new());
-        let reporter = GossipReputation::new(0, Arc::clone(&plane));
-        let observer = GossipReputation::new(1, Arc::clone(&plane));
-        reporter.report_unresponsive(&[v(5)]);
-        assert_eq!(reporter.score(v(5)), INITIAL_SCORE - 1);
-        assert_eq!(observer.score(v(5)), INITIAL_SCORE, "not merged yet");
-        reporter.sync();
-        observer.sync();
-        assert_eq!(observer.score(v(5)), INITIAL_SCORE - 1);
+        let backends: [Box<dyn ReputationBackend>; 2] = [
+            Box::new(LocalReputation::new()),
+            Box::new(GossipReputation::new(0, plane)),
+        ];
+        for store in backends {
+            // W = 5: 2 accepts against 1 reject with 2 silent could go
+            // either way, so nothing is decided and nothing moves.
+            let version = store.snapshot().version();
+            let round = [(v(0), true), (v(1), true), (v(2), false)];
+            assert_eq!(store.pool_panel(&round, &[v(3), v(4)]), None);
+            assert_eq!(store.snapshot().version(), version);
+            assert_eq!(store.score(v(0)), INITIAL_SCORE);
+            // 3 of 5 accept: a majority of the whole panel adopts, and
+            // the silent pair keeps its score.
+            let round = [(v(0), true), (v(1), true), (v(2), true)];
+            let outcome = store.pool_panel(&round, &[v(3), v(4)]).unwrap();
+            assert!(outcome.accepted);
+            assert_eq!(store.score(v(3)), INITIAL_SCORE);
+            // Accept plus silent weight at most half rejects.
+            let round = [(v(0), false), (v(1), false), (v(2), true)];
+            let outcome = store.pool_panel(&round, &[v(3)]).unwrap();
+            assert!(!outcome.accepted);
+            assert_eq!(outcome.dissenters, vec![v(2)]);
+            assert_eq!(store.score(v(3)), INITIAL_SCORE);
+        }
+        // Weighted: a silent heavyweight (score 20) leaves undecided a
+        // 3:1 vote that one-verifier-one-vote would decide.
+        let round = [(v(2), true), (v(3), true), (v(4), true), (v(5), false)];
+        let simple = LocalReputation::new();
+        assert!(simple.pool_panel(&round, &[v(0)]).unwrap().accepted);
+        let weighted = LocalReputation::with_rule(VoteRule::Weighted);
+        for _ in 0..10 {
+            weighted.pool_verdicts(&[(v(0), true), (v(1), true)]);
+        }
+        assert_eq!(weighted.pool_panel(&round, &[v(0)]), None);
+        assert!(weighted.pool_panel(&round, &[]).unwrap().accepted);
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //! or gossiped engine-wide all live behind the [`ReputationBackend`]
 //! trait, so the Fig. 1 flow never changes when the plane does.
 //!
-//! There is one protocol body. With a [`ResilienceConfig`] attached it
-//! retries on a backoff schedule, closes the panel degraded at quorum and
-//! fails with a typed [`ConsultError`]; without one, each stage makes a
-//! single attempt. Either way first attempts travel bare — every Fig. 1
+//! There is one protocol body and one budget ([`ResilienceConfig`]): a
+//! stage retries on a backoff schedule until it completes or the budget
+//! runs out, and a short panel is decided against the whole trusted
+//! panel ([`PanelOutcome`]). First attempts travel bare — every Fig. 1
 //! frame carries its `game_id`, which is the session id — and only
 //! retries and the replies they provoke ride a [`Message::Resilient`]
-//! envelope. Receivers read a bare frame as attempt 0 and answer each
-//! attempt once, so a duplicated frame never buys a second vote.
+//! envelope. Receivers answer each attempt once, so a duplicated frame
+//! never buys a second vote.
 //!
 //! The flow is also the engine's *hot path*, and it is written to stay
 //! off the allocator and off contended locks in the steady state: endpoint
@@ -49,26 +49,34 @@ use crate::transport::{Endpoint, Transport};
 use crate::verifier::{kernel_check, VerdictReason, VerifierService};
 use crate::wire::Wire;
 
-/// How much of the verifier panel a consultation's verdict pool heard
-/// from before closing.
+/// How a consultation's panel vote closed. The vote is decided against
+/// the whole trusted panel: adopted on more than half its weight,
+/// rejected when accept plus silent weight is at most half, undecided
+/// otherwise ([`ReputationBackend::pool_panel`]). Silence is never charged.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PanelOutcome {
-    /// Every trusted verifier's verdict arrived (always the case when
-    /// resilience is off: whatever arrived *is* the panel a
-    /// single-attempt consult pools).
+    /// Every trusted verifier's verdict arrived.
     #[default]
     Full,
-    /// The vote closed at quorum after the deadline budget ran out; the
-    /// listed verifiers never responded and were reported to the
-    /// reputation plane as unresponsive.
+    /// The budget ran out before every trusted verifier answered, but the
+    /// verdicts that did arrive decide the vote whatever the silent
+    /// verifiers would have said.
     Degraded {
         /// Trusted verifiers that never answered, in panel order.
         missing: Vec<Party>,
     },
+    /// The consult closed without a decision, so nothing was adopted,
+    /// cached or charged. Only the default budget reports this; a
+    /// caller-set budget returns [`ConsultError::Deadline`] instead.
+    Undecided {
+        /// Parties that never answered: the inventor when the advice
+        /// stage starved, else the trusted verifiers whose votes could
+        /// have swung the panel, in panel order.
+        missing: Vec<Party>,
+    },
 }
 
-/// Which protocol stage a resilient consultation was in when its
-/// deadline budget ran out.
+/// Which protocol stage a consultation was in when its budget ran out.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsultStage {
     /// Waiting for the inventor's advice-with-proof.
@@ -86,12 +94,13 @@ impl std::fmt::Display for ConsultStage {
     }
 }
 
-/// A typed consultation failure — what a resilient session returns
-/// instead of a silently half-empty [`SessionOutcome`].
+/// A typed consultation failure — what a session under a caller-set
+/// budget returns instead of an undecided [`SessionOutcome`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConsultError {
-    /// The deadline budget (or retry budget) ran out before the stage
-    /// could complete.
+    /// The deadline (or retry) budget ran out before the stage could
+    /// decide: the advice never arrived, or the panel closed with fewer
+    /// than `quorum` verdicts or undecided.
     Deadline {
         /// The stage that starved.
         stage: ConsultStage,
@@ -130,7 +139,7 @@ impl std::fmt::Display for ConsultError {
 
 impl std::error::Error for ConsultError {}
 
-/// Result type of a resilient consultation.
+/// Result type of a consultation.
 pub type ConsultResult = Result<SessionOutcome, ConsultError>;
 
 /// Exponential-backoff shape for resilient retransmissions: the k-th
@@ -189,22 +198,22 @@ impl BackoffConfig {
     }
 }
 
-/// Per-consultation resilience budget: deadlines, retransmission and
-/// quorum degradation for the Fig. 1 flow. Attach with
-/// [`RationalityAuthority::set_resilience`]. Without one (the default)
-/// each stage makes a single attempt: a starved advice stage yields an
-/// outcome with no advice, and a short panel pools whatever arrived.
-/// Only retries are enveloped in [`Message::Resilient`], so a config
-/// adds no bytes to a consult that needs none.
+/// Per-consultation budget: deadlines, retransmission and the minimum
+/// response count of a short panel close for the Fig. 1 flow. Every
+/// consult runs under one: the caller's, attached with
+/// [`RationalityAuthority::set_resilience`], or
+/// [`ResilienceConfig::default`]. Only retries are enveloped in
+/// [`Message::Resilient`], so a budget adds no bytes to a consult that
+/// needs none.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResilienceConfig {
     /// Total virtual-tick budget per consultation; when the transport's
-    /// clock passes it, the current stage closes (at quorum or with a
-    /// [`ConsultError::Deadline`]). On a clockless synchronous transport
-    /// only `max_attempts` bounds the retries.
+    /// clock passes it, the current stage closes short. On a clockless
+    /// synchronous transport only `max_attempts` bounds the retries.
     pub deadline: u64,
-    /// Minimum trusted-verifier responses for a degraded panel close
-    /// (clamped to the live panel size; ≥ 1).
+    /// Minimum verifier responses a short panel close needs before its
+    /// vote is decided (clamped to the live panel size; ≥ 1). Fewer
+    /// leave the close undecided.
     pub quorum: usize,
     /// Maximum sends per hop, first try included (≥ 1).
     pub max_attempts: u32,
@@ -238,11 +247,11 @@ impl ResilienceConfig {
 }
 
 /// Outcome of one consultation.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SessionOutcome {
     /// The advice received (if the inventor answered).
     pub advice: Option<Advice>,
-    /// The pooled verdict (if advice was received and verifiers exist).
+    /// The pooled verdict, if the panel vote was decided.
     pub majority: Option<MajorityOutcome>,
     /// Whether the agent adopts the advice.
     pub adopted: bool,
@@ -259,11 +268,10 @@ pub struct SessionOutcome {
     /// `verdict_details` replay the cold session's, and the reputation
     /// plane was not touched).
     pub cached: bool,
-    /// Whether the panel vote closed full or degraded (always
-    /// [`PanelOutcome::Full`] when resilience is off or on a cache hit).
+    /// How the panel vote closed (always [`PanelOutcome::Full`] on a
+    /// cache hit).
     pub panel: PanelOutcome,
-    /// Retransmitted frames this session spent (0 when resilience is off
-    /// or on a cache hit).
+    /// Retransmitted frames this session spent (0 on a cache hit).
     pub attempts: u64,
 }
 
@@ -317,11 +325,12 @@ pub struct RationalityAuthority {
     /// Optional content-addressed certificate cache, shared across shards
     /// (`None` — the default — leaves the protocol bit-for-bit unchanged).
     cert_cache: Option<Arc<CertCache>>,
-    /// Optional resilience budget (`None` — the default — makes one
-    /// attempt per stage: no retries, so no envelopes).
+    /// The caller-set budget; `None` (the default) runs
+    /// [`ResilienceConfig::default`] and reports an undecided close as an
+    /// outcome rather than an error.
     resilience: Option<ResilienceConfig>,
     /// Authority-local jitter stream for retry backoff, seeded from
-    /// [`ResilienceConfig::seed`] so resilient runs are replayable.
+    /// [`ResilienceConfig::seed`] so runs are replayable.
     jitter_rng: u64,
     /// Per-consult scratch of the staged protocol body.
     scratch: SessionScratch,
@@ -376,33 +385,41 @@ impl RationalityAuthority {
             send_buf: Vec::new(),
             cert_cache: None,
             resilience: None,
-            jitter_rng: 0,
+            jitter_rng: ResilienceConfig::default().seed,
             scratch: SessionScratch::default(),
             next_game_id: 1,
         }
     }
 
-    /// Attaches (or with `None` removes) a resilience budget: subsequent
-    /// sessions retry on a backoff schedule within a deadline, close the
-    /// panel degraded at quorum, and fail with a typed error via
-    /// [`RationalityAuthority::try_consult`]. Without one, each stage
-    /// makes a single attempt.
+    /// Attaches a caller-set budget, or with `None` returns to the
+    /// default one ([`ResilienceConfig::default`]), and reseeds the jitter
+    /// stream from the budget's seed. Both run the same protocol; they
+    /// differ only in how a consult that closes without a decision is
+    /// reported: [`ConsultError::Deadline`] under a caller-set budget, an
+    /// unadopted [`PanelOutcome::Undecided`] outcome under the default.
     ///
     /// # Panics
     ///
     /// Panics if the config violates its invariants (zero deadline,
     /// quorum, attempts or backoff base).
     pub fn set_resilience(&mut self, config: Option<ResilienceConfig>) {
-        if let Some(cfg) = &config {
-            cfg.check();
-            self.jitter_rng = cfg.seed;
-        }
+        let budget = config.unwrap_or_default();
+        budget.check();
+        self.jitter_rng = budget.seed;
         self.resilience = config;
     }
 
-    /// The attached resilience budget, if any.
+    /// The caller-set budget, if any (`None` runs the default budget).
     pub fn resilience(&self) -> Option<&ResilienceConfig> {
         self.resilience.as_ref()
+    }
+
+    /// Mixes `salt` into the jitter stream's current seed, so authorities
+    /// sharing one budget (the shards of a [`crate::ShardedAuthority`])
+    /// draw decorrelated retry timing.
+    pub(crate) fn salt_jitter(&mut self, salt: u64) {
+        let mut state = self.jitter_rng ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.jitter_rng = rand::splitmix64(&mut state);
     }
 
     /// Attaches a shared certificate cache: subsequent consults look it
@@ -431,24 +448,25 @@ impl RationalityAuthority {
     ///
     /// # Panics
     ///
-    /// With a resilience budget attached, panics if the consultation's
-    /// budget runs out — use [`RationalityAuthority::try_consult`] to
-    /// handle [`ConsultError`] instead. Without one this never panics.
+    /// Under a caller-set budget, panics if the consultation closes
+    /// without a decision — use [`RationalityAuthority::try_consult`] to
+    /// handle [`ConsultError`] instead. Under the default budget this
+    /// never panics.
     pub fn consult(&mut self, agent_id: u64, spec: &GameSpec) -> SessionOutcome {
         match self.try_consult(agent_id, spec) {
             Ok(outcome) => outcome,
             Err(e) => {
-                panic!("resilient consultation failed ({e}); use try_consult to handle errors")
+                panic!("consultation failed ({e}); use try_consult to handle errors")
             }
         }
     }
 
-    /// [`RationalityAuthority::consult`] with typed failure: the resilient
-    /// protocol (when a [`ResilienceConfig`] is attached) returns
-    /// [`ConsultError::Deadline`] when a stage's budget runs out instead
-    /// of a half-empty outcome. Without a config this never errors: each
-    /// stage makes one attempt, and a starved advice stage is an outcome
-    /// with `advice: None`. The game id is consumed either way.
+    /// [`RationalityAuthority::consult`] with typed failure: under a
+    /// caller-set budget a consult that closes without a decision returns
+    /// [`ConsultError::Deadline`]. Under the default budget this never
+    /// errors: such a consult is an unadopted outcome labelled
+    /// [`PanelOutcome::Undecided`] (with `advice: None` when the advice
+    /// stage starved). The game id is consumed either way.
     ///
     /// With no certificate cache attached (the default) this *is* the full
     /// Fig. 1 protocol. With one attached, the spec's digest is looked up
@@ -487,9 +505,9 @@ impl RationalityAuthority {
             }
         }
         let outcome = self.run_session(agent, game_id, spec)?;
-        // Degraded closes are never memoized: their majority was pooled
-        // over a partial panel, so serving them warm would replay a
-        // quorum vote as if the full panel had vouched for it.
+        // Short closes are never memoized: their vote was pooled over a
+        // partial panel, so serving them warm would replay it as if the
+        // full panel had vouched for it.
         if let (Some(advice), PanelOutcome::Full) = (&outcome.advice, &outcome.panel) {
             // Record the kernel's own verdict once, so replay hits compare
             // kernel-to-kernel (deterministic) rather than against the
@@ -521,45 +539,29 @@ impl RationalityAuthority {
             majority: entry.majority.clone(),
             adopted: entry.adopted,
             advice_bytes: entry.advice_bytes,
-            session_bytes: 0,
             verdict_details: entry.verdict_details.clone(),
             cached: true,
-            panel: PanelOutcome::Full,
-            attempts: 0,
+            ..SessionOutcome::default()
         }
     }
 
     /// The Fig. 1 message flow in stages — advice, then the panel, then
     /// the pooled vote — run by every consult the certificate cache does
-    /// not answer, with resilience on or off.
+    /// not answer.
     ///
-    /// First attempts travel bare: every Fig. 1 frame already carries its
-    /// `game_id`, which is the session id. Only retries (attempt ≥ 1) and
-    /// the replies they provoke ship inside a [`Message::Resilient`]
-    /// envelope, so the Lemma 1 ledger classifies all retry traffic (both
-    /// directions) as retransmit bytes. Receivers read a bare frame as
-    /// attempt 0. Responders answer each distinct attempt exactly once —
-    /// duplicates from at-least-once links are dropped — and compute their
-    /// advice/verdict a single time per session; the agent keeps the first
-    /// reply per party and pools the verdicts in panel order.
+    /// Retries (attempt ≥ 1) and the replies they provoke ship inside a
+    /// [`Message::Resilient`] envelope, so the Lemma 1 ledger classifies
+    /// all retry traffic as retransmit bytes. Responders answer each
+    /// distinct attempt exactly once and compute their advice/verdict a
+    /// single time per session; the agent keeps the first reply per party.
     ///
-    /// With no [`ResilienceConfig`] attached, each stage makes one attempt
-    /// with one service pass, and a stage that closes short keeps the
-    /// fire-and-forget contract: starved advice is an outcome with
-    /// `advice: None`, and a short panel pools whatever arrived as
-    /// [`PanelOutcome::Full`].
-    ///
-    /// With one attached, the agent retransmits on the configured
-    /// exponential backoff (driven through the transport's virtual clock)
-    /// until the stage completes, `max_attempts` sends are spent, or the
-    /// deadline budget runs out. The panel stage closes *full* when every
-    /// trusted verifier answers, or *degraded* at `quorum` responses once
-    /// the budget is spent — in which case the silent verifiers are
-    /// reported to the reputation plane as unresponsive. Sub-quorum
-    /// exhaustion (and a starved advice stage) returns
-    /// [`ConsultError::Deadline`] without punishing anyone: with no
-    /// responding majority there is no evidence the silence was the
-    /// verifiers' fault rather than the network's.
+    /// The agent retransmits on the budget's exponential backoff (driven
+    /// through the transport's virtual clock) until the stage completes,
+    /// `max_attempts` sends are spent, or the deadline runs out. A short
+    /// panel is decided against the whole trusted panel
+    /// ([`PanelOutcome`]). Silence is not evidence — the network may be at
+    /// fault — so silent verifiers are never charged, and a starved advice
+    /// stage or an undecided close charges nobody.
     ///
     /// The agent is registered for exactly this session and disconnected
     /// on every return path, so the transport routes to it only while its
@@ -578,36 +580,20 @@ impl RationalityAuthority {
     /// The body of [`RationalityAuthority::run_session`], with the
     /// agent's endpoint `inbox` registered.
     fn run_protocol(&mut self, inbox: &Endpoint, game_id: u64, spec: &GameSpec) -> ConsultResult {
+        let budget = self.resilience.unwrap_or_default();
         let bytes_before = self.bus.total_bytes();
         let started = self.bus.now();
-        let deadline_at = self
-            .resilience
-            .map_or(u64::MAX, |cfg| started.saturating_add(cfg.deadline));
+        let deadline_at = started.saturating_add(budget.deadline);
         self.scratch.clear();
 
         // Stage 1: advice.
         if !self.run_stage(ConsultStage::Advice, inbox, game_id, spec, deadline_at) {
-            if self.resilience.is_none() {
-                return Ok(SessionOutcome {
-                    advice: None,
-                    majority: None,
-                    adopted: false,
-                    advice_bytes: 0,
-                    session_bytes: self.bus.total_bytes() - bytes_before,
-                    verdict_details: Vec::new(),
-                    cached: false,
-                    panel: PanelOutcome::Full,
-                    attempts: 0,
-                });
-            }
-            return Err(ConsultError::Deadline {
-                stage: ConsultStage::Advice,
+            let starved = SessionOutcome {
+                session_bytes: self.bus.total_bytes() - bytes_before,
                 attempts: self.scratch.retransmits,
-                elapsed: self.bus.now().saturating_sub(started),
-                received: 0,
-                quorum: 1,
-                missing: vec![self.inventor.id],
-            });
+                ..SessionOutcome::default()
+            };
+            return self.close_undecided(starved, started, 1, vec![self.inventor.id]);
         }
 
         // Stage 2: panel fan-out. Trust checks read one immutable
@@ -622,52 +608,29 @@ impl RationalityAuthority {
                 .map(|(v, _)| v.id)
                 .filter(|&v| reputation_view.is_trusted(v)),
         );
-        let mut panel_outcome = PanelOutcome::Full;
-        let panel_closed_short = !self.scratch.panel.is_empty()
-            && !self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
-        // Resilience off pools whatever arrived as the full panel.
-        if let Some(cfg) = self.resilience.filter(|_| panel_closed_short) {
-            let st = &self.scratch;
-            let missing: Vec<Party> = st
-                .panel
-                .iter()
-                .copied()
-                .filter(|v| !st.agent_verdicts.contains_key(v))
-                .collect();
-            let quorum = cfg.quorum.min(st.panel.len());
-            if st.agent_verdicts.len() < quorum {
-                return Err(ConsultError::Deadline {
-                    stage: ConsultStage::Panel,
-                    attempts: st.retransmits,
-                    elapsed: self.bus.now().saturating_sub(started),
-                    received: st.agent_verdicts.len(),
-                    quorum,
-                    missing,
-                });
-            }
-            // A responding quorum evidences a live network, so the silent
-            // rest pays: close degraded and report them to the reputation
-            // plane.
-            self.reputation.report_unresponsive(&missing);
-            panel_outcome = PanelOutcome::Degraded { missing };
+        if !self.scratch.panel.is_empty() {
+            self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
         }
 
-        // Stage 3: majority + reputation update, pooled in panel order so
-        // runs are deterministic regardless of arrival order.
+        // Stage 3: the vote against the whole trusted panel, pooled in
+        // panel order so runs are deterministic regardless of arrival
+        // order.
         let mut verdicts: Vec<(Party, bool)> = Vec::new();
         let mut verdict_details = Vec::new();
+        let mut missing = Vec::new();
         for &verifier in &self.scratch.panel {
-            if let Some((accepted, detail)) = self.scratch.agent_verdicts.remove(&verifier) {
-                verdicts.push((verifier, accepted));
-                verdict_details.push((verifier, accepted, detail));
+            match self.scratch.agent_verdicts.remove(&verifier) {
+                Some((accepted, detail)) => {
+                    verdicts.push((verifier, accepted));
+                    verdict_details.push((verifier, accepted, detail));
+                }
+                None => missing.push(verifier),
             }
         }
-        let majority = if verdicts.is_empty() {
-            None
-        } else {
-            Some(self.reputation.pool_verdicts(&verdicts))
-        };
-        let adopted = majority.as_ref().is_some_and(|m| m.accepted);
+        let quorum = budget.quorum.min(self.scratch.panel.len()).max(1);
+        let majority = (verdicts.len() >= quorum)
+            .then(|| self.reputation.pool_panel(&verdicts, &missing))
+            .flatten();
         // Every verifier has normally processed its queue, so the shared
         // payload is unique again and unwraps without copying.
         let advice = self
@@ -675,24 +638,61 @@ impl RationalityAuthority {
             .agent_advice
             .take()
             .expect("advice stage completed");
-        Ok(SessionOutcome {
+        let outcome = SessionOutcome {
             advice: Some(Arc::try_unwrap(advice).unwrap_or_else(|a| (*a).clone())),
+            adopted: majority.as_ref().is_some_and(|m| m.accepted),
             majority,
-            adopted,
             advice_bytes: self.scratch.advice_bytes,
             session_bytes: self.bus.total_bytes() - bytes_before,
             verdict_details,
-            cached: false,
-            panel: panel_outcome,
             attempts: self.scratch.retransmits,
+            ..SessionOutcome::default()
+        };
+        if missing.is_empty() {
+            Ok(outcome)
+        } else if outcome.majority.is_some() {
+            Ok(SessionOutcome {
+                panel: PanelOutcome::Degraded { missing },
+                ..outcome
+            })
+        } else {
+            self.close_undecided(outcome, started, quorum, missing)
+        }
+    }
+
+    /// Reports a consult that closed without a decision (with `advice:
+    /// None` if the advice stage starved): as [`ConsultError::Deadline`]
+    /// under a caller-set budget, else as `outcome` labelled
+    /// [`PanelOutcome::Undecided`].
+    fn close_undecided(
+        &self,
+        outcome: SessionOutcome,
+        started: u64,
+        quorum: usize,
+        missing: Vec<Party>,
+    ) -> ConsultResult {
+        if self.resilience.is_none() {
+            let panel = PanelOutcome::Undecided { missing };
+            return Ok(SessionOutcome { panel, ..outcome });
+        }
+        let stage = match outcome.advice {
+            Some(_) => ConsultStage::Panel,
+            None => ConsultStage::Advice,
+        };
+        Err(ConsultError::Deadline {
+            stage,
+            attempts: outcome.attempts,
+            elapsed: self.bus.now().saturating_sub(started),
+            received: outcome.verdict_details.len(),
+            quorum,
+            missing,
         })
     }
 
     /// Runs one stage to completion: sends an attempt (the stage's
     /// request, or the panel fan-out to every verifier not yet heard
-    /// from), serves it, and repeats while the resilience budget allows.
-    /// Returns whether the stage completed; with resilience off it gets
-    /// exactly one attempt.
+    /// from), serves it, and repeats while the budget allows. Returns
+    /// whether the stage completed.
     fn run_stage(
         &mut self,
         stage: ConsultStage,
@@ -702,7 +702,7 @@ impl RationalityAuthority {
         deadline_at: u64,
     ) -> bool {
         let agent = inbox.party;
-        let resilience = self.resilience;
+        let budget = self.resilience.unwrap_or_default();
         let mut attempt: u32 = 0;
         loop {
             match stage {
@@ -749,7 +749,7 @@ impl RationalityAuthority {
             // a settle, so latency-delayed frames land first). Nothing is
             // in flight after a settle, so an incomplete stage can only
             // wait out its backoff window: one `advance` to its end.
-            let wait_until = resilience.map(|cfg| self.wait_until(attempt, &cfg, deadline_at));
+            let wait_until = self.wait_until(attempt, &budget, deadline_at);
             self.bus.settle();
             match stage {
                 ConsultStage::Advice => self.serve_inventor(spec, agent, game_id),
@@ -760,16 +760,12 @@ impl RationalityAuthority {
             if self.stage_done(stage) {
                 return true;
             }
-            if let Some(wait_until) = wait_until {
-                let now = self.bus.now();
-                if now < wait_until {
-                    self.bus.advance(wait_until - now);
-                }
+            let now = self.bus.now();
+            if now < wait_until {
+                self.bus.advance(wait_until - now);
             }
             attempt += 1;
-            let may_retry = resilience
-                .is_some_and(|cfg| attempt < cfg.max_attempts && self.bus.now() < deadline_at);
-            if !may_retry {
+            if attempt >= budget.max_attempts || self.bus.now() >= deadline_at {
                 return false;
             }
         }
@@ -1499,27 +1495,39 @@ mod tests {
 
     #[test]
     fn legacy_lossy_link_pins_quiet_minority_vote() {
-        // The documented legacy hazard this PR's quorum layer fixes:
-        // with resilience off, dropping the request links to two of three
-        // verifiers silently shrinks the panel vote to a single voice.
+        // Dropping the request links to two of three verifiers leaves one
+        // voice. It was once pooled as if it were the full panel; under
+        // the default budget it is decided against the whole panel, so
+        // one accept of three is refused, labelled undecided, and nobody
+        // is charged.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
             &[VerifierBehavior::Honest; 3],
         );
-        authority
-            .bus()
-            .drop_link(Party::Agent(0), Party::Verifier(1));
-        authority
-            .bus()
-            .drop_link(Party::Agent(0), Party::Verifier(2));
+        let silent = [Party::Verifier(1), Party::Verifier(2)];
+        for verifier in silent {
+            authority.bus().drop_link(Party::Agent(0), verifier);
+        }
         let outcome = authority.consult(0, &spec);
-        assert!(outcome.adopted, "one verdict is quietly pooled as if full");
-        assert_eq!(outcome.majority.unwrap().accept_votes, 1);
-        assert_eq!(outcome.panel, PanelOutcome::Full);
+        assert!(!outcome.adopted, "one voice of three decides nothing");
+        assert_eq!(outcome.majority, None);
+        assert_eq!(outcome.verdict_details.len(), 1);
+        assert_eq!(
+            outcome.panel,
+            PanelOutcome::Undecided {
+                missing: silent.to_vec()
+            }
+        );
+        for verifier in 0..3 {
+            assert_eq!(
+                authority.reputation().score(Party::Verifier(verifier)),
+                crate::reputation::INITIAL_SCORE
+            );
+        }
     }
 
-    /// A resilience-off consult reduced to literals: every
+    /// A default-budget consult reduced to literals: every
     /// [`SessionOutcome`] field, then what the transport saw.
     #[derive(Debug, PartialEq)]
     struct Pinned {
@@ -1537,7 +1545,7 @@ mod tests {
         now: u64,
     }
 
-    /// Runs one resilience-off prisoner's-dilemma consult for `Agent(0)`
+    /// Runs one default-budget prisoner's-dilemma consult for `Agent(0)`
     /// over `transport` with the given directed links dropped.
     fn pin_consult(
         inventor: InventorBehavior,
@@ -1574,16 +1582,21 @@ mod tests {
 
     #[test]
     fn resilience_off_consults_are_pinned() {
-        // The resilience-off contract, literal by literal, over a perfect
-        // bus, a jittered network, a starved panel, a silent inventor and
-        // a lost advice frame.
+        // The default budget, literal by literal, over a perfect bus, a
+        // jittered network, a starved panel, a silent inventor and a lost
+        // advice frame.
         // Game id 1 is a one-byte varint, so the frames are: advice
         // request 2 B (tag, id), advice-with-proof 10 B, three verdict
         // requests of 10 B (the advice frame under another tag) and three
         // verdicts of 4 B (tag, id, accepted, reason): 2 + 10 + 3·10 +
-        // 3·4 = 54 B for the full panel; 54 − 2·4 = 46 B with two request
-        // links cut (the cut requests are still sent, the two verdicts they
-        // would provoke are not); 2 + 10 = 12 B when the advice is lost.
+        // 3·4 = 54 B for the full panel. A stage that does not complete
+        // retries seven times on the clockless bus (eight attempts); a
+        // retry wraps its frame in a 3 B envelope (tag, session, attempt).
+        // Two request links cut: the first attempt costs 54 − 2·4 = 46 B
+        // (the cut requests are still sent, the two verdicts they would
+        // provoke are not), and 7·2 retried requests of 13 B make 228 B.
+        // A silent inventor: 2 + 7·5 = 37 B. A lost advice frame: each
+        // attempt's request and reply are sent, 2 + 10 + 7·(5 + 13) = 138 B.
         const VERIFIED: VerdictReason = VerdictReason::Verified(crate::verifier::Check::PureNash);
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let advice = Inventor::new(0, InventorBehavior::Honest).advise(&spec);
@@ -1630,16 +1643,18 @@ mod tests {
             ),
             Pinned {
                 advice: advice.clone(),
-                majority: Some(unanimous(1)),
-                adopted: true,
+                majority: None,
+                adopted: false,
                 advice_bytes: 10,
-                session_bytes: 46,
+                session_bytes: 228,
                 verdict_details: vec![verified(0)],
                 cached: false,
-                panel: PanelOutcome::Full,
-                attempts: 0,
-                total_bytes: 46,
-                message_count: 6,
+                panel: PanelOutcome::Undecided {
+                    missing: vec![Party::Verifier(1), Party::Verifier(2)]
+                },
+                attempts: 14,
+                total_bytes: 228,
+                message_count: 20,
                 now: 0,
             }
         );
@@ -1648,13 +1663,15 @@ mod tests {
             majority: None,
             adopted: false,
             advice_bytes: 0,
-            session_bytes: 2,
+            session_bytes: 37,
             verdict_details: Vec::new(),
             cached: false,
-            panel: PanelOutcome::Full,
-            attempts: 0,
-            total_bytes: 2,
-            message_count: 1,
+            panel: PanelOutcome::Undecided {
+                missing: vec![Party::Inventor(0)],
+            },
+            attempts: 7,
+            total_bytes: 37,
+            message_count: 8,
             now: 0,
         };
         assert_eq!(pin_consult(InventorBehavior::Silent, bus(), &[]), starved);
@@ -1665,9 +1682,9 @@ mod tests {
                 &[(Party::Inventor(0), agent)]
             ),
             Pinned {
-                session_bytes: 12,
-                total_bytes: 12,
-                message_count: 2,
+                session_bytes: 138,
+                total_bytes: 138,
+                message_count: 16,
                 ..starved
             }
         );
@@ -1830,7 +1847,7 @@ mod tests {
     }
 
     #[test]
-    fn quorum_close_is_degraded_and_punishes_the_silent() {
+    fn quorum_close_is_degraded_and_spares_the_silent() {
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
@@ -1858,13 +1875,16 @@ mod tests {
         assert_eq!(outcome.verdict_details.len(), 2);
         assert_eq!(
             authority.reputation().score(silent),
-            before - 1,
-            "unresponsiveness costs one point, like dissent"
+            before,
+            "silence is not evidence: the network may have lost the frames"
         );
     }
 
     #[test]
     fn persistent_silence_excludes_and_bumps_the_panel_version() {
+        // The name records the behaviour this test once pinned. Silence
+        // is not evidence, so a verifier cut off for 64 consults stays
+        // trusted at its score and the panel version never moves.
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut authority = RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
@@ -1878,22 +1898,29 @@ mod tests {
         let silent = Party::Verifier(2);
         authority.bus().drop_link(Party::Agent(0), silent);
         let version_before = authority.reputation().snapshot().panel_version();
-        let mut round = 0;
-        while authority.reputation().is_trusted(silent) {
+        for _ in 0..64 {
             // Always agent 0: the dropped link is directed from it.
             let outcome = authority.try_consult(0, &spec).expect("quorum met");
-            assert!(matches!(outcome.panel, PanelOutcome::Degraded { .. }));
-            round += 1;
-            assert!(round < 64, "exclusion must happen within the budget");
+            assert!(outcome.adopted);
+            assert_eq!(
+                outcome.panel,
+                PanelOutcome::Degraded {
+                    missing: vec![silent]
+                }
+            );
         }
-        assert!(
-            authority.reputation().snapshot().panel_version() > version_before,
-            "losing a panel member bumps the version"
+        assert_eq!(
+            authority.reputation().score(silent),
+            crate::reputation::INITIAL_SCORE
         );
-        // With the dead verifier excluded, sessions close full again.
+        assert_eq!(
+            authority.reputation().snapshot().panel_version(),
+            version_before
+        );
+        // Another agent's link is intact, so its session closes full.
         let outcome = authority.try_consult(99, &spec).expect("live panel");
         assert_eq!(outcome.panel, PanelOutcome::Full);
-        assert_eq!(outcome.verdict_details.len(), 2);
+        assert_eq!(outcome.verdict_details.len(), 3);
     }
 
     #[test]

@@ -177,9 +177,9 @@ impl From<ReputationPolicy> for ReputationConfig {
 pub struct ShardStats {
     /// Total wire bytes across every shard's bus (consultation plane).
     pub total_bytes: usize,
-    /// Retransmit wire bytes across every shard's bus — the resilient
-    /// protocol's retry traffic, already included in `total_bytes` (zero
-    /// when resilience is off). `total_bytes - retransmit_bytes` is the
+    /// Retransmit wire bytes across every shard's bus — the protocol's
+    /// retry traffic, already included in `total_bytes` (zero on
+    /// lossless links). `total_bytes - retransmit_bytes` is the
     /// engine-wide goodput figure Lemma 1 tables cite.
     pub retransmit_bytes: usize,
     /// Total messages across every shard's bus (consultation plane).
@@ -468,6 +468,7 @@ impl ShardedAuthority {
                     if let Some(c) = &cert_cache {
                         authority.set_cert_cache(Arc::clone(c));
                     }
+                    authority.salt_jitter(s as u64);
                     Mutex::new(authority)
                 })
                 .collect(),
@@ -552,8 +553,8 @@ impl ShardedAuthority {
         outcome
     }
 
-    /// [`ShardedAuthority::consult`] with typed failure: resilient
-    /// sessions whose deadline budget starves return
+    /// [`ShardedAuthority::consult`] with typed failure: under a
+    /// caller-set budget, sessions that close without a decision return
     /// [`crate::ConsultError::Deadline`] instead of panicking. Failed
     /// consultations still advance the engine-wide gossip counters (they
     /// consumed a stream slot) but contribute no dissents — no verdict
@@ -568,27 +569,23 @@ impl ShardedAuthority {
         result
     }
 
-    /// Attaches (or with `None` removes) a resilience budget on every
-    /// shard. Each shard's jitter stream is reseeded by mixing the
-    /// config's seed with the shard index, so retry timing is
-    /// decorrelated across shards yet fully determined by the one seed —
-    /// batch and sequential runs stay equal with resilience on, because
-    /// each shard consumes its own stream in request order either way.
+    /// Attaches a caller-set budget on every shard, or with `None`
+    /// returns them to the default one
+    /// ([`RationalityAuthority::set_resilience`]). Each shard's jitter
+    /// stream is reseeded by mixing the budget's seed with the shard
+    /// index — the default budget's too — so retry timing is
+    /// decorrelated across shards yet fully determined by the one seed:
+    /// batch and sequential runs stay equal, because each shard consumes
+    /// its own stream in request order either way.
     ///
     /// # Panics
     ///
     /// Panics if the config violates its invariants.
     pub fn set_resilience(&self, config: Option<ResilienceConfig>) {
         for (index, shard) in self.shards.iter().enumerate() {
-            let per_shard = config.map(|mut cfg| {
-                let mut state = cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                cfg.seed = rand::splitmix64(&mut state);
-                cfg
-            });
-            shard
-                .lock()
-                .expect("shard lock poisoned")
-                .set_resilience(per_shard);
+            let mut shard = shard.lock().expect("shard lock poisoned");
+            shard.set_resilience(config);
+            shard.salt_jitter(index as u64);
         }
     }
 
@@ -617,20 +614,20 @@ impl ShardedAuthority {
             .into_iter()
             .map(|result| match result {
                 Ok(outcome) => outcome,
-                Err(e) => panic!(
-                    "resilient consultation failed ({e}); use try_consult_batch to handle errors"
-                ),
+                Err(e) => {
+                    panic!("consultation failed ({e}); use try_consult_batch to handle errors")
+                }
             })
             .collect()
     }
 
     /// [`ShardedAuthority::consult_batch`] with typed failure per
-    /// request: a resilient session whose budget starves yields
-    /// [`crate::ConsultError::Deadline`] at its slot without disturbing
-    /// the rest of the batch. Determinism is unchanged — errors occupy
-    /// their request slots, and each shard's jitter stream advances in
-    /// request order exactly as sequential [`ShardedAuthority::try_consult`]
-    /// calls would.
+    /// request: under a caller-set budget, a session that closes
+    /// undecided yields [`crate::ConsultError::Deadline`] at its slot
+    /// without disturbing the rest of the batch. Determinism is
+    /// unchanged — errors occupy their request slots, and each shard's
+    /// jitter stream advances in request order exactly as sequential
+    /// [`ShardedAuthority::try_consult`] calls would.
     pub fn try_consult_batch(&self, requests: &[(u64, Arc<GameSpec>)]) -> Vec<ConsultResult> {
         let mut results: Vec<Option<ConsultResult>> = Vec::new();
         results.resize_with(requests.len(), || None);

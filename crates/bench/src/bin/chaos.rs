@@ -11,8 +11,7 @@
 //!    `try_consult`. Per cell the soak reports:
 //!    - **completion rate** — consults that returned `Ok` (full or
 //!      degraded) over the soak size; the headline robustness number.
-//!    - **degraded rate** — `Ok` closes that settled at quorum rather than
-//!      the full panel.
+//!    - **degraded rate** — `Ok` closes decided without the full panel.
 //!    - **attempt and tick tails** — p50/p99 of per-session send attempts,
 //!      and of the virtual ticks each `try_consult` spends.
 //!    - **retransmit overhead** — the ledger's retransmit-byte share of

@@ -8,7 +8,9 @@
 //! * [`StrategicGame`] — `⟨N, A, U⟩` with `isNash` / `isMaxNash` / `≤u`;
 //! * [`BimatrixGame`] / [`MixedStrategy`] — the §4 two-agent setting with
 //!   exact mixed-equilibrium checking;
-//! * [`SymmetricBinaryGame`] — the §5 symmetric participation setting;
+//! * [`SymmetricBinaryGame`] — the §5 symmetric participation setting,
+//!   and [`ParticipationParams`] / [`EquilibriumRoot`] — its parameters
+//!   and the equilibrium probability a certificate carries;
 //! * [`dominates`] / [`dominant_strategy_equilibrium`] and the [`named`]
 //!   example games.
 //!
@@ -22,6 +24,7 @@ mod bimatrix;
 mod dominance;
 mod generators;
 pub mod named;
+mod participation;
 mod profile;
 mod strategic;
 mod symmetric;
@@ -31,6 +34,7 @@ pub use dominance::{
     dominant_strategies, dominant_strategy_equilibrium, dominates, is_dominant_strategy, Dominance,
 };
 pub use generators::GameGenerator;
+pub use participation::{EquilibriumRoot, ParticipationParams};
 pub use profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 pub use strategic::StrategicGame;
 pub use symmetric::SymmetricBinaryGame;

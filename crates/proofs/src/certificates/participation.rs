@@ -13,7 +13,7 @@
 use std::fmt;
 
 use ra_exact::{binomial_tail_at_least, binomial_tail_at_most, Rational};
-use ra_solvers::{EquilibriumRoot, ParticipationParams};
+use ra_games::{EquilibriumRoot, ParticipationParams};
 
 /// The §5 certificate sent to each firm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,7 +97,7 @@ impl std::error::Error for ParticipationError {}
 /// ```
 /// use ra_exact::rat;
 /// use ra_proofs::{verify_participation_certificate, ParticipationCertificate};
-/// use ra_solvers::{EquilibriumRoot, ParticipationParams};
+/// use ra_games::{EquilibriumRoot, ParticipationParams};
 ///
 /// // The paper's worked example: p = 1/4 for c/v = 3/8, n = 3.
 /// let cert = ParticipationCertificate {

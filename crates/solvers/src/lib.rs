@@ -30,10 +30,9 @@ mod zero_sum;
 
 pub use dynamics::{best_response_dynamics, DynamicsOutcome};
 pub use lemke_howson::{lemke_howson, lemke_howson_all, LemkeHowsonError};
-pub use participation::{
-    solve_participation_equilibrium, EquilibriumRoot, ParticipationParams, ParticipationSolveError,
-};
+pub use participation::{solve_participation_equilibrium, ParticipationSolveError};
 pub use pure_enum::{analyze_pure_nash, PureNashAnalysis};
+pub use ra_games::{EquilibriumRoot, ParticipationParams};
 pub use support_enum::{
     enumerate_equilibria, find_one_equilibrium, EnumerationOptions, EnumerationStats,
     SupportEquilibrium,

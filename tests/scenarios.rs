@@ -701,12 +701,13 @@ fn lossy_campaign_is_seed_deterministic() {
 }
 
 // ---------------------------------------------------------------------------
-// Session resilience: quorum degradation and unresponsiveness churn.
+// Session resilience: degraded closes, and silence that costs nothing.
 // ---------------------------------------------------------------------------
 
 /// A scripted partition cuts one verifier off mid-session; the resilient
-/// consult retries until its budget is spent, closes degraded at quorum,
-/// and — once the partition heals after the deadline — the next consult
+/// consult retries until its budget is spent, closes degraded (the two
+/// live verdicts decide the panel of three) without charging the cut
+/// verifier, and — once the partition heals after the deadline — the next consult
 /// closes full again on the same network.
 #[test]
 fn midsession_partition_degrades_then_heals_to_full() {
@@ -762,8 +763,8 @@ fn midsession_partition_degrades_then_heals_to_full() {
     );
     assert_eq!(
         authority.reputation().score(cut),
-        INITIAL_SCORE - 1,
-        "one unresponsive observation (seed {seed})"
+        INITIAL_SCORE,
+        "silence is not evidence, so the cut verifier is not charged (seed {seed})"
     );
     // The partition outlived the session's whole deadline budget; heal it
     // and the very next consult closes full on the same transport.
@@ -776,14 +777,17 @@ fn midsession_partition_degrades_then_heals_to_full() {
     assert!(healed.adopted, "seed {seed}");
 }
 
-/// Persistent unresponsiveness is a trust event: a verifier that stops
-/// answering is bled one point per degraded close until excluded, the
-/// exclusion bumps the panel version, and the bump invalidates every
-/// Replay-cache entry minted under the old panel.
+/// Persistent unresponsiveness is not a trust event. The name records
+/// the behaviour this test once pinned: a verifier that stopped answering
+/// was bled one point per degraded close until excluded. Silence is not
+/// evidence — the network may be at fault — so the dark verifier stays
+/// trusted, the panel version never moves, and entries minted under the
+/// healthy panel keep hitting. The panel guard itself is exercised by
+/// `replay_cache_stays_sound_when_panel_churn_races_loss`.
 #[test]
 fn unresponsive_verifier_excluded_and_replay_cache_invalidated() {
     use rationality_authority::authority::{
-        CertCache, Inventor, PanelOutcome, RationalityAuthority, ResilienceConfig,
+        CertCache, Inventor, PanelOutcome, RationalityAuthority, ResilienceConfig, INITIAL_SCORE,
     };
     let seed = scenario_seed();
     let primed = GameSpec::Strategic(prisoners_dilemma().to_strategic());
@@ -802,39 +806,281 @@ fn unresponsive_verifier_excluded_and_replay_cache_invalidated() {
     // Prime under the full, healthy panel.
     let cold = authority.try_consult(0, &primed).expect("healthy panel");
     assert_eq!(cold.panel, PanelOutcome::Full, "seed {seed}");
-    assert!(
-        authority.try_consult(0, &primed).expect("warm").cached,
-        "warm hit before the panel churns (seed {seed})"
-    );
-    // The verifier goes dark: every churn consult closes degraded and
-    // costs it one point, until it crosses the exclusion threshold.
+    // The verifier goes dark: every churn consult closes degraded, is
+    // decided by the two live verifiers, and is never memoized.
     authority.bus().drop_link(Party::Agent(0), silent);
     let version_before = authority.reputation().snapshot().panel_version();
-    let mut rounds = 0;
-    while authority.reputation().is_trusted(silent) {
+    let score_before = authority.reputation().score(silent);
+    for _ in 0..2 * INITIAL_SCORE {
         let outcome = authority
             .try_consult(0, &churn)
             .expect("quorum of 2 still met");
-        assert!(
-            matches!(outcome.panel, PanelOutcome::Degraded { .. }) || outcome.cached,
+        assert!(outcome.adopted, "seed {seed}");
+        assert!(!outcome.cached, "seed {seed}");
+        assert_eq!(
+            outcome.panel,
+            PanelOutcome::Degraded {
+                missing: vec![silent]
+            },
             "seed {seed}"
         );
-        rounds += 1;
-        assert!(
-            rounds < 64,
-            "exclusion within the trust budget (seed {seed})"
+    }
+    assert_eq!(
+        authority.reputation().score(silent),
+        score_before,
+        "silence costs nothing (seed {seed})"
+    );
+    assert_eq!(
+        authority.reputation().snapshot().panel_version(),
+        version_before,
+        "the panel never changed (seed {seed})"
+    );
+    // The primed entry was minted under this very panel, so it still hits.
+    let probe = authority.try_consult(0, &primed).expect("warm");
+    assert!(
+        probe.cached,
+        "an unchanged panel keeps hitting (seed {seed})"
+    );
+    assert_eq!(probe.verdict_details.len(), 3, "seed {seed}");
+    let stats = authority.cert_cache().expect("cache attached").stats();
+    assert_eq!(stats.stale, 0, "no panel-guard miss (seed {seed})");
+}
+
+// ---------------------------------------------------------------------------
+// Soundness under cut links: adopt only on a majority of the whole trusted
+// panel, and never charge a verifier for silence.
+// ---------------------------------------------------------------------------
+
+/// A rubber-stamper beside two honest verifiers, the agent's request links
+/// to both honest verifiers cut, and a corrupt inventor: the one voice
+/// that arrives is the bought one.
+fn cut_off_honest_majority(
+    inventor: InventorBehavior,
+) -> rationality_authority::authority::RationalityAuthority {
+    use rationality_authority::authority::{Inventor, RationalityAuthority};
+    let authority = RationalityAuthority::new(
+        Inventor::new(0, inventor),
+        &[
+            VerifierBehavior::AlwaysAccept,
+            VerifierBehavior::Honest,
+            VerifierBehavior::Honest,
+        ],
+    );
+    for verifier in [Party::Verifier(1), Party::Verifier(2)] {
+        authority.bus().drop_link(Party::Agent(0), verifier);
+    }
+    authority
+}
+
+/// Asserts that every listed verifier is trusted at its initial score.
+fn assert_uncharged(
+    authority: &rationality_authority::authority::RationalityAuthority,
+    honest: &[Party],
+) {
+    for &verifier in honest {
+        assert_eq!(
+            authority.reputation().score(verifier),
+            rationality_authority::authority::INITIAL_SCORE,
+            "{verifier:?} was charged"
         );
     }
-    assert!(
-        authority.reputation().snapshot().panel_version() > version_before,
-        "exclusion bumps the panel version (seed {seed})"
+}
+
+/// The default budget refuses the rubber-stamper's lone accept: one voice
+/// of three decides nothing, so the consult is undecided, not adopted.
+#[test]
+fn cut_links_never_pass_corrupt_advice_under_the_default_budget() {
+    use rationality_authority::authority::{kernel_check, PanelOutcome};
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let mut authority = cut_off_honest_majority(InventorBehavior::Corrupt);
+    authority.set_resilience(None);
+    let outcome = authority.consult(0, &spec);
+    let advice = outcome.advice.as_ref().expect("the inventor answered");
+    assert!(!kernel_check(&spec, advice).0, "the advice is corrupt");
+    assert!(!outcome.adopted, "a lone rubber stamp is not a majority");
+    assert_eq!(outcome.majority, None);
+    assert_eq!(
+        outcome.panel,
+        PanelOutcome::Undecided {
+            missing: vec![Party::Verifier(1), Party::Verifier(2)]
+        }
     );
-    // The primed entry was minted under the old panel: the probe is a
-    // stale miss, and the re-run closes full on the surviving panel.
-    let probe = authority.try_consult(0, &primed).expect("live panel");
-    assert!(!probe.cached, "stale entries are not served (seed {seed})");
-    assert_eq!(probe.panel, PanelOutcome::Full, "seed {seed}");
-    assert_eq!(probe.verdict_details.len(), 2, "seed {seed}");
-    let stats = authority.cert_cache().expect("cache attached").stats();
-    assert!(stats.stale >= 1, "panel-guard miss recorded (seed {seed})");
+    assert_uncharged(&authority, &[Party::Verifier(1), Party::Verifier(2)]);
+}
+
+/// The same cut under a caller-set default budget is a typed deadline:
+/// the retries never reach the honest verifiers, and nothing is adopted.
+#[test]
+fn cut_links_never_pass_corrupt_advice_under_a_caller_budget() {
+    use rationality_authority::authority::{ConsultError, ConsultStage, ResilienceConfig};
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let mut authority = cut_off_honest_majority(InventorBehavior::Corrupt);
+    authority.set_resilience(Some(ResilienceConfig::default()));
+    let ConsultError::Deadline {
+        stage,
+        received,
+        missing,
+        ..
+    } = authority
+        .try_consult(0, &spec)
+        .expect_err("undecided under a caller budget");
+    assert_eq!((stage, received), (ConsultStage::Panel, 1));
+    assert_eq!(missing, vec![Party::Verifier(1), Party::Verifier(2)]);
+    assert_uncharged(&authority, &[Party::Verifier(1), Party::Verifier(2)]);
+}
+
+/// A network adversary cannot talk an honest majority out of the panel:
+/// ten consults with both honest verifiers cut off charge nobody, and
+/// once the links heal all three verifiers vote again.
+#[test]
+fn cut_links_never_exclude_the_silent_honest_majority() {
+    use rationality_authority::authority::ResilienceConfig;
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let mut authority = cut_off_honest_majority(InventorBehavior::Honest);
+    authority.set_resilience(Some(ResilienceConfig::default()));
+    for _ in 0..10 {
+        assert!(authority.try_consult(0, &spec).is_err());
+    }
+    let honest = [Party::Verifier(1), Party::Verifier(2)];
+    assert!(honest.iter().all(|&v| authority.reputation().is_trusted(v)));
+    assert_uncharged(&authority, &honest);
+    authority.bus().heal();
+    let outcome = authority.try_consult(0, &spec).expect("healed links");
+    assert!(outcome.adopted);
+    assert_eq!(
+        authority.reputation().trusted_verifiers(),
+        vec![Party::Verifier(0), Party::Verifier(1), Party::Verifier(2)]
+    );
+}
+
+/// A majority quorum is not a majority of the panel: five verifiers, two
+/// of them bought, quorum 3, and two honest verifiers cut off. The 2:1
+/// vote that arrives could be swung by the two silent votes, so it is
+/// undecided.
+#[test]
+fn a_quorum_of_three_cannot_adopt_on_a_two_to_one_vote() {
+    use rationality_authority::authority::{
+        ConsultError, Inventor, RationalityAuthority, ResilienceConfig,
+    };
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let mut authority = RationalityAuthority::new(
+        Inventor::new(0, InventorBehavior::Corrupt),
+        &[
+            VerifierBehavior::AlwaysAccept,
+            VerifierBehavior::AlwaysAccept,
+            VerifierBehavior::Honest,
+            VerifierBehavior::Honest,
+            VerifierBehavior::Honest,
+        ],
+    );
+    authority.set_resilience(Some(ResilienceConfig {
+        quorum: 3,
+        ..ResilienceConfig::default()
+    }));
+    let cut = [Party::Verifier(3), Party::Verifier(4)];
+    for verifier in cut {
+        authority.bus().drop_link(Party::Agent(0), verifier);
+    }
+    let ConsultError::Deadline {
+        received,
+        quorum,
+        missing,
+        ..
+    } = authority
+        .try_consult(0, &spec)
+        .expect_err("a 2:1 vote with two silent is undecided");
+    assert_eq!((received, quorum), (3, 3));
+    assert_eq!(missing, cut.to_vec());
+    assert_uncharged(
+        &authority,
+        &[Party::Verifier(2), Party::Verifier(3), Party::Verifier(4)],
+    );
+}
+
+/// The default budget is as deterministic as a caller-set one: over lossy
+/// links with some agents cut off from one or two verifiers, a sharded
+/// batch equals sequential consults outcome for outcome and byte for
+/// byte, and neither `consult` nor `consult_batch` panics on an
+/// undecided close.
+#[test]
+fn default_budget_batches_match_sequential_over_cut_lossy_links() {
+    use rationality_authority::authority::{
+        ConsultResult, LinkProfile, PanelOutcome, SessionOutcome, SimNetConfig,
+    };
+    let seed = scenario_seed();
+    let requests = batch_requests(48);
+    let build = || {
+        let engine = ShardedAuthority::with_transports(
+            2,
+            InventorBehavior::Honest,
+            &saboteur_panel(),
+            ReputationConfig::default(),
+            CertCacheConfig::default(),
+            &|site| {
+                let salt = match site {
+                    TransportSite::Shard(s) => s as u64,
+                    TransportSite::GossipHub => u64::MAX,
+                };
+                Arc::new(SimNet::new(SimNetConfig {
+                    seed: seed ^ salt,
+                    default_link: LinkProfile::lossy(0.2),
+                    ..SimNetConfig::default()
+                })) as Arc<dyn Transport>
+            },
+        );
+        engine.set_resilience(None);
+        for (agent, _) in &requests {
+            let cut: &[u64] = match agent % 4 {
+                0 => &[0],
+                1 => &[0, 1],
+                _ => &[],
+            };
+            for &v in cut {
+                engine.with_shard(engine.shard_of(*agent), |a| {
+                    a.bus().drop_link(Party::Agent(*agent), Party::Verifier(v))
+                });
+            }
+        }
+        engine
+    };
+    let (batched, sequential) = (build(), build());
+    let from_batch = batched.try_consult_batch(&requests);
+    let from_seq: Vec<ConsultResult> = requests
+        .iter()
+        .map(|(agent, spec)| sequential.try_consult(*agent, spec))
+        .collect();
+    let same = |b: &SessionOutcome, s: &SessionOutcome| {
+        assert_eq!(b.adopted, s.adopted, "seed {seed}");
+        assert_eq!(b.majority, s.majority, "seed {seed}");
+        assert_eq!(b.session_bytes, s.session_bytes, "seed {seed}");
+        assert_eq!(b.attempts, s.attempts, "seed {seed}");
+        assert_eq!(b.panel, s.panel, "seed {seed}");
+    };
+    let mut undecided = 0;
+    for (b, s) in from_batch.iter().zip(&from_seq) {
+        let (b, s) = (
+            b.as_ref().expect("the default budget never errors"),
+            s.as_ref().expect("the default budget never errors"),
+        );
+        same(b, s);
+        if matches!(b.panel, PanelOutcome::Undecided { .. }) {
+            assert!(!b.adopted, "seed {seed}");
+            undecided += 1;
+        }
+    }
+    assert!(
+        undecided > 0,
+        "the cuts leave some votes undecided (seed {seed})"
+    );
+    assert_eq!(
+        comparable(batched.shard_stats()),
+        comparable(sequential.shard_stats()),
+        "seed {seed}"
+    );
+    // The panicking entry points return the same outcomes.
+    let (batched, sequential) = (build(), build());
+    let from_batch = batched.consult_batch(&requests);
+    for ((agent, spec), b) in requests.iter().zip(&from_batch) {
+        same(b, &sequential.consult(*agent, spec));
+    }
 }
