@@ -1,4 +1,4 @@
-//! Minimal cryptographic substrate: SHA-256, HMAC and commitments.
+//! Minimal cryptographic substrate: SHA-256 and HMAC.
 //!
 //! §6 footnote 3 of the paper has the inventor "publish the average loads
 //! with its signature at each round", so dishonest statistics can later be
@@ -93,26 +93,6 @@ impl SigningKey {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Signature(pub Digest);
 
-/// A hash commitment with an explicit nonce (hiding in the random-oracle
-/// sense; binding by collision resistance).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Commitment(pub Digest);
-
-impl Commitment {
-    /// Commits to `payload` under `nonce`.
-    pub fn commit(payload: &[u8], nonce: &[u8; 16]) -> Commitment {
-        let mut data = Vec::with_capacity(payload.len() + 16);
-        data.extend_from_slice(nonce);
-        data.extend_from_slice(payload);
-        Commitment(sha256(&data))
-    }
-
-    /// Opens the commitment: checks `payload`/`nonce` against it.
-    pub fn open(&self, payload: &[u8], nonce: &[u8; 16]) -> bool {
-        Commitment::commit(payload, nonce) == *self
-    }
-}
-
 /// Hex rendering of a digest (for logs and audit reports).
 pub fn to_hex(digest: &Digest) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -186,14 +166,5 @@ mod tests {
         assert!(!key.verify(b"average load = 999.9 at round 17", &sig));
         let other = SigningKey::derive("inventor-8");
         assert!(!other.verify(b"average load = 503.2 at round 17", &sig));
-    }
-
-    #[test]
-    fn commitments_bind_and_open() {
-        let nonce = [7u8; 16];
-        let c = Commitment::commit(b"support = {1, 3}", &nonce);
-        assert!(c.open(b"support = {1, 3}", &nonce));
-        assert!(!c.open(b"support = {0, 3}", &nonce));
-        assert!(!c.open(b"support = {1, 3}", &[8u8; 16]));
     }
 }

@@ -49,7 +49,7 @@
 //!   reputation scope chosen per engine via [`ReputationPolicy`] —
 //!   cross-shard gossip pulls are incremental, watermarked by a
 //!   [`VersionVector`] per shard;
-//! * [`sha256`] / [`SigningKey`] / [`Commitment`] — the from-scratch crypto
+//! * [`sha256`] / [`SigningKey`] — the from-scratch crypto
 //!   substrate (an offline stand-in for real signatures; the workspace
 //!   builds without registry access, see `docs/ARCHITECTURE.md`).
 
@@ -76,9 +76,7 @@ mod wire;
 pub use audit::{AuditError, StatisticsLedger, StatisticsRecord};
 pub use bus::{Bus, LinkModel, Network, Perfect};
 pub use cache::{spec_digest, CacheMode, CacheStats, CertCache, CertCacheConfig};
-pub use crypto::{
-    hmac_sha256, sha256, sha256_wire, to_hex, Commitment, Digest, Signature, SigningKey,
-};
+pub use crypto::{hmac_sha256, sha256, sha256_wire, to_hex, Digest, Signature, SigningKey};
 pub use inventor::{GameSpec, Inventor, InventorBehavior};
 pub use messages::{Advice, Message, Party};
 pub use private_session::{run_p2_session, P2Prover, P2SessionOutcome};

@@ -1475,50 +1475,9 @@ mod tests {
         }
     }
 
-    /// The kernel's game fingerprint as it was computed before
-    /// `StrategicGame` memoized it: a SipHash of the agent count, the
-    /// strategy counts and then each profile's payoffs, profile by profile.
-    fn profile_by_profile_fingerprint(game: &StrategicGame) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        game.num_agents().hash(&mut hasher);
-        game.strategy_counts().hash(&mut hasher);
-        for profile in game.profiles() {
-            for u in game.payoffs(&profile) {
-                u.hash(&mut hasher);
-            }
-        }
-        hasher.finish()
-    }
-
-    #[test]
-    fn memoized_fingerprint_survives_clones_and_the_wire() {
-        let mut fingerprints = Vec::new();
-        for spec in sample_specs() {
-            let GameSpec::Strategic(fresh) = spec else {
-                continue;
-            };
-            let expected = profile_by_profile_fingerprint(&fresh);
-            let cold_clone = fresh.clone();
-            let mut bytes = fresh.to_bytes();
-            let decoded = StrategicGame::decode(&mut bytes).expect("decodes");
-            assert_eq!(fresh.fingerprint(), expected, "fresh game");
-            assert_eq!(fresh.clone().fingerprint(), expected, "warm clone");
-            assert_eq!(decoded.fingerprint(), expected, "wire copy");
-            assert_eq!(ra_proofs::kernel::game_fingerprint(&fresh), expected);
-            // `fresh` is warm now, `cold_clone` has never been hashed.
-            assert_eq!(fresh, cold_clone);
-            assert_eq!(cold_clone.fingerprint(), expected, "cold clone");
-            fingerprints.push(expected);
-        }
-        fingerprints.push(ra_games::named::stag_hunt(3).fingerprint());
-        fingerprints.sort_unstable();
-        fingerprints.dedup();
-        assert_eq!(fingerprints.len(), 3, "distinct games share a fingerprint");
-    }
-
     #[test]
     fn memoized_spec_digest_survives_clones_and_the_wire() {
+        let mut digests = Vec::new();
         for spec in sample_specs() {
             let expected = crate::crypto::sha256(spec.to_bytes().as_slice());
             let GameSpec::Strategic(fresh) = &spec else {
@@ -1534,7 +1493,12 @@ mod tests {
             // `fresh` is warm now, `cold_clone` has never been hashed.
             assert_eq!(*fresh, cold_clone);
             assert_eq!(cold_clone.spec_digest(), expected, "cold clone");
+            digests.push(expected);
         }
+        digests.push(ra_games::named::stag_hunt(3).spec_digest());
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), 3, "distinct games share a digest");
     }
 
     #[test]

@@ -21,10 +21,12 @@
 //!   engine-wide.
 //!
 //! A backend implements only one write ([`ReputationBackend::pool_panel`])
-//! and publication ([`ReputationBackend::snapshot`]). Every read — `score`, `is_trusted`,
-//! `trusted_verifiers` — comes off the published [`ReputationSnapshot`],
-//! the same view a consult trusts, so reading a score never changes any
-//! state (or any gossip byte).
+//! and publication ([`ReputationBackend::snapshot`]). Every read — `score`,
+//! `is_trusted` — comes off the published [`ReputationSnapshot`], the same
+//! view a consult trusts, so reading a score never changes any state (or
+//! any gossip byte). A backend knows only the verifiers it has pooled, so
+//! the trusted *set* is read where the panel is registered:
+//! [`crate::RationalityAuthority::trusted_verifiers`].
 //!
 //! Three refinements layer on top of the basic plane:
 //!
@@ -253,19 +255,6 @@ impl ReputationSnapshot {
         self.score(verifier) > EXCLUSION_THRESHOLD
     }
 
-    /// Every verifier registered in this view that is trusted, sorted for
-    /// determinism.
-    pub fn trusted_verifiers(&self) -> Vec<Party> {
-        let mut out: Vec<Party> = self
-            .scores
-            .iter()
-            .filter(|&(_, &s)| s > EXCLUSION_THRESHOLD)
-            .map(|(&p, _)| p)
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Number of verifiers registered in this view.
     pub fn len(&self) -> usize {
         self.scores.len()
@@ -366,12 +355,6 @@ pub trait ReputationBackend: Send + Sync {
     fn pool_verdicts(&self, verdicts: &[(Party, bool)]) -> MajorityOutcome {
         self.pool_panel(verdicts, &[])
             .expect("a vote with nobody silent always decides")
-    }
-
-    /// All verifiers in the published snapshot that are currently
-    /// trusted, sorted for determinism.
-    fn trusted_verifiers(&self) -> Vec<Party> {
-        self.snapshot().trusted_verifiers()
     }
 
     /// The most recently published immutable score view.
@@ -1221,6 +1204,14 @@ mod tests {
         Party::Verifier(i)
     }
 
+    /// Verifiers `0..panel` that `backend` trusts, in id order.
+    fn trusted(backend: &dyn ReputationBackend, panel: u64) -> Vec<Party> {
+        (0..panel)
+            .map(v)
+            .filter(|&p| backend.is_trusted(p))
+            .collect()
+    }
+
     #[test]
     fn majority_decides_and_updates() {
         let store = LocalReputation::new();
@@ -1264,7 +1255,7 @@ mod tests {
         }
         assert!(!store.is_trusted(v(2)));
         assert!(store.is_trusted(v(0)));
-        assert_eq!(store.trusted_verifiers(), vec![v(0), v(1)]);
+        assert_eq!(trusted(&store, 3), vec![v(0), v(1)]);
     }
 
     #[test]
@@ -1287,11 +1278,11 @@ mod tests {
         for _ in 0..INITIAL_SCORE {
             store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false)]);
         }
-        assert_eq!(store.trusted_verifiers(), vec![v(0), v(1)]);
+        assert_eq!(trusted(&store, 3), vec![v(0), v(1)]);
         // …then let it agree with the majority until it climbs back over.
         store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), true)]);
         assert!(store.is_trusted(v(2)));
-        assert_eq!(store.trusted_verifiers(), vec![v(0), v(1), v(2)]);
+        assert_eq!(trusted(&store, 3), vec![v(0), v(1), v(2)]);
     }
 
     #[test]
@@ -1366,10 +1357,7 @@ mod tests {
                 "verifier {i}"
             );
         }
-        assert_eq!(
-            ReputationBackend::trusted_verifiers(&local),
-            gossip.trusted_verifiers()
-        );
+        assert_eq!(trusted(&local, 3), trusted(&gossip, 3));
     }
 
     #[test]
@@ -1378,13 +1366,12 @@ mod tests {
         fn read_unseen(backend: &dyn ReputationBackend) {
             assert_eq!(backend.score(v(7)), INITIAL_SCORE);
             assert!(backend.is_trusted(v(7)));
-            assert!(!backend.trusted_verifiers().contains(&v(7)));
         }
         fn assert_reads_match_snapshot(backend: &dyn ReputationBackend) {
             let snapshot = backend.snapshot();
-            assert_eq!(backend.trusted_verifiers(), snapshot.trusted_verifiers());
             for i in 0..8 {
                 assert_eq!(backend.score(v(i)), snapshot.score(v(i)));
+                assert_eq!(backend.is_trusted(v(i)), snapshot.is_trusted(v(i)));
             }
         }
         let round = [(v(0), true), (v(1), true), (v(2), false)];
@@ -1522,7 +1509,7 @@ mod tests {
         a.push();
         b.pull();
         assert!(!b.is_trusted(v(2)), "one epoch propagates the exclusion");
-        assert_eq!(b.trusted_verifiers(), vec![v(0), v(1)]);
+        assert_eq!(trusted(&b, 3), vec![v(0), v(1)]);
     }
 
     #[test]

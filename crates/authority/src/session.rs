@@ -44,7 +44,7 @@ use crate::bus::Bus;
 use crate::cache::{spec_digest, CacheMode, CachedConsultation, CertCache};
 use crate::inventor::{GameSpec, Inventor};
 use crate::messages::{Advice, Message, Party};
-use crate::reputation::{LocalReputation, MajorityOutcome, ReputationBackend};
+use crate::reputation::{LocalReputation, MajorityOutcome, ReputationBackend, ReputationSnapshot};
 use crate::transport::{Endpoint, Transport};
 use crate::verifier::{kernel_check, VerdictReason, VerifierService};
 use crate::wire::Wire;
@@ -439,6 +439,12 @@ impl RationalityAuthority {
         &*self.reputation
     }
 
+    /// The registered verifiers the published reputation snapshot
+    /// trusts, in panel order: the panel the next consult fans out to.
+    pub fn trusted_verifiers(&self) -> Vec<Party> {
+        trusted_panel(&self.verifiers, &self.reputation.snapshot()).collect()
+    }
+
     /// The underlying transport (byte accounting, fault injection).
     pub fn bus(&self) -> &dyn Transport {
         &*self.bus
@@ -602,12 +608,9 @@ impl RationalityAuthority {
         // never contends with this fan-out (and the panel seen by one
         // consult is always a whole epoch).
         let reputation_view = self.reputation.snapshot();
-        self.scratch.panel.extend(
-            self.verifiers
-                .iter()
-                .map(|(v, _)| v.id)
-                .filter(|&v| reputation_view.is_trusted(v)),
-        );
+        self.scratch
+            .panel
+            .extend(trusted_panel(&self.verifiers, &reputation_view));
         if !self.scratch.panel.is_empty() {
             self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
         }
@@ -891,6 +894,19 @@ impl RationalityAuthority {
             }
         }
     }
+}
+
+/// Each registered verifier, in panel order, that `view` trusts. A
+/// consult's panel and [`RationalityAuthority::trusted_verifiers`] are
+/// both this set, so a verifier that was never pooled is in both.
+fn trusted_panel<'a>(
+    verifiers: &'a [(VerifierService, Endpoint)],
+    view: &'a ReputationSnapshot,
+) -> impl Iterator<Item = Party> + 'a {
+    verifiers
+        .iter()
+        .map(|(v, _)| v.id)
+        .filter(|&v| view.is_trusted(v))
 }
 
 /// Frames `msg` as attempt `attempt` of session `session`: a first

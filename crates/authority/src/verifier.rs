@@ -182,11 +182,12 @@ impl VerifierService {
 /// expensive solve/panel path is skipped, the cheap kernel check is not.
 /// It is deterministic in `(spec, advice)`, and so is everything a checker
 /// derives (the proved proposition, λ values, gain, link): the reason
-/// names the checker and leaves those to whoever holds the pair.
+/// names the checker and leaves those to whoever holds the pair, so the
+/// §3 arm mints no theorem and never hashes the game.
 pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, VerdictReason) {
     let (check, accepted) = match (spec, advice) {
         (GameSpec::Strategic(game), Advice::PureNash(cert)) => {
-            (Check::PureNash, cert.verify(game).is_ok())
+            (Check::PureNash, cert.verdict(game).is_ok())
         }
         (GameSpec::Bimatrix(game), Advice::Support(cert)) => (
             Check::Support,

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use ra_authority::WireBytes;
 use ra_authority::{
     frame_pool_misses, sha256, sha256_wire, spec_digest, with_frame_scratch, Advice, Bus,
-    CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, Inventor,
-    InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
+    CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, GossipReputation,
+    Inventor, InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
     ReputationBackend, ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig,
     StatisticsLedger, Transport, VerdictReason, VerifierBehavior, VersionVector, Wire,
 };
@@ -1066,6 +1066,62 @@ proptest! {
         prop_assert_eq!(over_bus.3, over_sim.3, "delivered_bytes diverged");
         prop_assert_eq!(&over_bus.4, &over_sim.4, "per-pair bytes diverged");
         prop_assert_eq!(&over_bus.5, &over_sim.5, "delivered inboxes diverged");
+    }
+}
+
+proptest! {
+    /// One trusted set: over random pool histories on both backends —
+    /// deviant voters excluded, undecided rounds with silent members, a
+    /// peer shard's gossiped dissent, votes from unregistered ids, and
+    /// verifiers outside `reach` never pooled at all — the authority's
+    /// trusted read is its registered panel filtered by `is_trusted`.
+    #[test]
+    fn trusted_verifiers_is_the_panel_filtered_by_is_trusted(
+        panel in 1usize..6,
+        gossip in any::<bool>(),
+        reach in any::<u8>(),
+        deviants in any::<u8>(),
+        rounds in prop::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..64),
+    ) {
+        let plane = Arc::new(GossipPlane::new());
+        let shard = Arc::new(GossipReputation::new(0, Arc::clone(&plane)));
+        let peer = GossipReputation::new(1, plane);
+        let backend: Arc<dyn ReputationBackend> = if gossip {
+            shard.clone()
+        } else {
+            Arc::new(LocalReputation::new())
+        };
+        let authority = RationalityAuthority::with_transport(
+            Inventor::new(0, InventorBehavior::Honest),
+            &vec![VerifierBehavior::Honest; panel],
+            Arc::clone(&backend),
+            Arc::new(Bus::new()),
+        );
+        let ids = |mask: u8| (0..8u64).filter(move |i| mask >> i & 1 == 1);
+        for (voters, silent, on_peer) in rounds {
+            let verdicts: Vec<(Party, bool)> = ids(voters & reach)
+                .map(|i| (Party::Verifier(i), deviants >> i & 1 == 0))
+                .collect();
+            if verdicts.is_empty() {
+                continue;
+            }
+            let silent: Vec<Party> = ids(silent & reach & !voters).map(Party::Verifier).collect();
+            if gossip && on_peer {
+                peer.pool_panel(&verdicts, &silent);
+                peer.push();
+                shard.pull();
+            } else {
+                backend.pool_panel(&verdicts, &silent);
+            }
+        }
+        let registered = (0..panel as u64).map(Party::Verifier);
+        let expected: Vec<Party> =
+            registered.filter(|&v| authority.reputation().is_trusted(v)).collect();
+        let read = authority.trusted_verifiers();
+        for i in (0..panel as u64).filter(|i| reach >> i & 1 == 0) {
+            prop_assert!(read.contains(&Party::Verifier(i)), "never-pooled V{} missing", i);
+        }
+        prop_assert_eq!(read, expected);
     }
 }
 

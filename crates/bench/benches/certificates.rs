@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use ra_exact::{rat, Rational};
 use ra_games::GameGenerator;
-use ra_proofs::kernel::{check, game_fingerprint};
+use ra_proofs::kernel::{check, verdict};
 use ra_proofs::{
     prove_is_nash, prove_max_nash, verify_participation_certificate, ParticipationCertificate,
 };
@@ -27,9 +27,6 @@ fn bench_kernel(c: &mut Criterion) {
                 Some((game, eq, maximal))
             })
             .expect("instance with equilibria");
-        // Warm the game's fingerprint memo so the checks below time only
-        // kernel work, not the one-time pass over the payoff tensor.
-        game_fingerprint(&game);
         let nash_proof = prove_is_nash(eq);
         let max_proof = prove_max_nash(&game, &maximal).expect("maximal provable");
         group.bench_with_input(BenchmarkId::new("search/exhaustive", s), &s, |b, _| {
@@ -46,6 +43,12 @@ fn bench_kernel(c: &mut Criterion) {
                 })
             },
         );
+        // The verifier's entry: the kernel rules alone, no digest.
+        group.bench_with_input(BenchmarkId::new("verdict/is_nash", s), &s, |b, _| {
+            b.iter(|| verdict(black_box(&game), black_box(&nash_proof)).unwrap())
+        });
+        // The minting entry: the same rules plus the spec digest, which is
+        // memoized after the first iteration.
         group.bench_with_input(BenchmarkId::new("check/is_nash", s), &s, |b, _| {
             b.iter(|| check(black_box(&game), black_box(&nash_proof)).unwrap())
         });

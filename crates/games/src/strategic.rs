@@ -7,7 +7,6 @@
 //! profile incomparability (`noComp`).
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 use ra_exact::{put_varint, sha256, Rational};
@@ -41,17 +40,15 @@ pub struct StrategicGame {
     strategy_counts: Vec<usize>,
     /// `payoffs[flat_profile_index][agent]`.
     payoffs: Vec<Vec<Rational>>,
-    /// [`StrategicGame::fingerprint`], filled on first use. The game has
+    /// [`StrategicGame::spec_digest`], filled on first use. The game has
     /// no `&mut` API, so it can never go stale; clones carry it along.
-    fingerprint: OnceLock<u64>,
-    /// [`StrategicGame::spec_digest`], memoized the same way. Only this
-    /// crate fills it, always from the game's own bytes, so no caller can
-    /// plant a digest that names another game.
+    /// Only this crate fills it, always from the game's own bytes, so no
+    /// caller can plant a digest that names another game.
     spec_digest: OnceLock<[u8; 32]>,
 }
 
-/// Equality is over the game itself; whether the fingerprint or digest
-/// memo is warm does not matter.
+/// Equality is over the game itself; whether the digest memo is warm does
+/// not matter.
 impl PartialEq for StrategicGame {
     fn eq(&self, other: &StrategicGame) -> bool {
         self.strategy_counts == other.strategy_counts && self.payoffs == other.payoffs
@@ -87,7 +84,6 @@ impl StrategicGame {
         StrategicGame {
             strategy_counts,
             payoffs,
-            fingerprint: OnceLock::new(),
             spec_digest: OnceLock::new(),
         }
     }
@@ -129,25 +125,6 @@ impl StrategicGame {
     /// Iterator over all pure strategy profiles.
     pub fn profiles(&self) -> ProfileIter {
         ProfileIter::new(self.strategy_counts.clone())
-    }
-
-    /// A 64-bit SipHash of the whole game: the agent count, the strategy
-    /// counts, then every payoff in [`profiles`](StrategicGame::profiles)
-    /// (odometer) order. Equal games have equal fingerprints.
-    ///
-    /// The first call costs one pass over the payoff tensor; the value is
-    /// memoized, so every later call (on this game or a clone made after
-    /// it) is a load. Collision resistance is not a goal.
-    pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            self.num_agents().hash(&mut hasher);
-            self.strategy_counts.hash(&mut hasher);
-            for u in self.payoffs.iter().flatten() {
-                u.hash(&mut hasher);
-            }
-            hasher.finish()
-        })
     }
 
     /// The tag byte that precedes a strategic game in a game spec's

@@ -2,11 +2,13 @@
 //!
 //! The inventor runs the expensive exhaustive analysis (`ra-solvers`) and
 //! packages the result as a kernel-checkable [`Proof`]. Agents re-check with
-//! [`crate::kernel::check`] — they never rerun the search.
+//! [`crate::kernel::verdict`] — they never rerun the search.
 
 use ra_games::{StrategicGame, StrategyProfile};
 
-use crate::kernel::{check, CheckedProp, NotAboveWitness, ProfileVerdict, Proof, ProofError};
+use crate::kernel::{
+    check, verdict, CheckedProp, NotAboveWitness, ProfileVerdict, Proof, ProofError, Prop,
+};
 
 /// A §3 certificate: a claimed equilibrium plus the kernel proof shipped by
 /// the inventor.
@@ -19,26 +21,41 @@ pub struct PureNashCertificate {
 }
 
 impl PureNashCertificate {
-    /// Verifies the certificate against a game using the trusted kernel.
+    /// Checks the certificate with the kernel's [`verdict`]: the proved
+    /// proposition, no theorem minted.
     ///
     /// # Errors
     ///
     /// Propagates the kernel's [`ProofError`] if the proof is invalid, and
     /// rejects proofs whose conclusion is about a different profile.
+    pub fn verdict(&self, game: &StrategicGame) -> Result<Prop, ProofError> {
+        let prop = verdict(game, &self.proof)?;
+        self.require_about_profile(&prop)?;
+        Ok(prop)
+    }
+
+    /// [`PureNashCertificate::verdict`], with the theorem minted by [`check`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PureNashCertificate::verdict`].
     pub fn verify(&self, game: &StrategicGame) -> Result<CheckedProp, ProofError> {
-        use crate::kernel::Prop;
         let theorem = check(game, &self.proof)?;
-        let about_this_profile = matches!(
-            theorem.prop(),
-            Prop::IsNash(p) | Prop::IsMaxNash(p) | Prop::IsMinNash(p) if p == &self.profile
-        );
-        if !about_this_profile {
-            return Err(ProofError::SubProofMismatch {
-                expected: Prop::IsNash(self.profile.clone()),
-                actual: theorem.prop().clone(),
-            });
-        }
+        self.require_about_profile(theorem.prop())?;
         Ok(theorem)
+    }
+
+    /// Accepts only an equilibrium claim about this certificate's profile.
+    fn require_about_profile(&self, prop: &Prop) -> Result<(), ProofError> {
+        match prop {
+            Prop::IsNash(p) | Prop::IsMaxNash(p) | Prop::IsMinNash(p) if p == &self.profile => {
+                Ok(())
+            }
+            _ => Err(ProofError::SubProofMismatch {
+                expected: Prop::IsNash(self.profile.clone()),
+                actual: prop.clone(),
+            }),
+        }
     }
 }
 
@@ -137,7 +154,6 @@ fn prove_extremal(game: &StrategicGame, candidate: &StrategyProfile, max: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Prop;
     use ra_games::named::{coordination_game, prisoners_dilemma, stag_hunt};
     use ra_games::GameGenerator;
 

@@ -4,8 +4,11 @@
 //! procedure v() supplied by a reputable verifier"). It is deliberately
 //! small: every rule reduces to exact rational comparisons of utility
 //! lookups. Proofs are untrusted input from the (possibly biased) inventor;
-//! the checker either derives a sealed [`CheckedProp`] or reports precisely
-//! why the proof is invalid.
+//! the checker either establishes a proposition or reports precisely why
+//! the proof is invalid.
+//!
+//! [`verdict`] runs the rules and returns the proved [`Prop`]; [`check`]
+//! runs the same rules and mints a [`CheckedProp`] bound to the game.
 //!
 //! Soundness argument, rule by rule, is in each match arm below; the
 //! [`CheckedProp`] type cannot be constructed outside this module, so a
@@ -18,22 +21,6 @@ use ra_games::{StrategicGame, StrategyProfile};
 use super::proof::{NotAboveWitness, ProfileVerdict, Proof};
 use super::prop::Prop;
 use super::term::{Term, TermError};
-
-/// A fingerprint binding checked statements to one specific game, so a
-/// certificate for game `G` cannot be replayed against `G'`.
-///
-/// This is [`StrategicGame::fingerprint`]: one pass over the payoff tensor
-/// the first time a game is fingerprinted, a memoized load afterwards. So
-/// after a game's first [`check`], certificate checking costs only the
-/// kernel work (`Σ_i |A_i|` lookups for `IsNash`), preserving the paper's
-/// verify-vs-compute asymmetry.
-///
-/// (SipHash via [`std::hash`]; collision resistance is not a security goal
-/// here — end-to-end sessions in `ra-authority` additionally commit to
-/// games with SHA-256.)
-pub fn game_fingerprint(game: &StrategicGame) -> u64 {
-    game.fingerprint()
-}
 
 /// Cost accounting for a verification run — the basis of the §3
 /// verify-vs-compute experiments.
@@ -49,11 +36,12 @@ pub struct CheckCost {
 ///
 /// Values of this type can only be produced by [`check`]; holding one is
 /// holding the theorem. (The constructor is private — this is the Rust
-/// encoding of an LCF-style kernel.)
+/// encoding of an LCF-style kernel.) It is bound to the game's SHA-256
+/// [`StrategicGame::spec_digest`], so it cannot be replayed on another.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckedProp {
     prop: Prop,
-    fingerprint: u64,
+    digest: [u8; 32],
     cost: CheckCost,
 }
 
@@ -63,9 +51,9 @@ impl CheckedProp {
         &self.prop
     }
 
-    /// Fingerprint of the game the proposition was checked against.
-    pub fn game_fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// Spec digest of the game the proposition was checked against.
+    pub fn game_digest(&self) -> [u8; 32] {
+        self.digest
     }
 
     /// What the verification cost.
@@ -75,7 +63,7 @@ impl CheckedProp {
 
     /// Returns `true` if this theorem talks about the given game.
     pub fn applies_to(&self, game: &StrategicGame) -> bool {
-        self.fingerprint == game_fingerprint(game)
+        self.digest == game.spec_digest()
     }
 }
 
@@ -180,12 +168,19 @@ impl From<TermError> for ProofError {
     }
 }
 
-/// Checks `proof` against `game`.
+/// Runs [`check`]'s rules and returns the proved proposition, minting no
+/// theorem: the game is never hashed, so a verdict costs only its rules.
 ///
-/// A successful check binds the theorem to [`game_fingerprint`]`(game)`.
-/// That hash is memoized on the game, so only the first check of a game
-/// pays the pass over its payoff tensor; every later one costs just the
-/// kernel work.
+/// # Errors
+///
+/// Returns a [`ProofError`] describing the first invalid step found.
+pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<Prop, ProofError> {
+    check_inner(game, proof, &mut CheckCost::default())
+}
+
+/// Checks `proof` against `game` and mints the theorem: [`verdict`] plus
+/// the binding to [`StrategicGame::spec_digest`], whose first computation
+/// on a game encodes and hashes the whole payoff tensor.
 ///
 /// # Errors
 ///
@@ -211,7 +206,7 @@ pub fn check(game: &StrategicGame, proof: &Proof) -> Result<CheckedProp, ProofEr
     let prop = check_inner(game, proof, &mut cost)?;
     Ok(CheckedProp {
         prop,
-        fingerprint: game_fingerprint(game),
+        digest: game.spec_digest(),
         cost,
     })
 }
@@ -746,10 +741,10 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_games() {
+    fn digest_distinguishes_games() {
         let g1 = pd();
         let g2 = coordination_game(2);
-        assert_ne!(game_fingerprint(&g1), game_fingerprint(&g2));
+        assert_ne!(g1.spec_digest(), g2.spec_digest());
         let theorem = check(
             &g1,
             &Proof::NashIntro {
@@ -759,6 +754,18 @@ mod tests {
         .unwrap();
         assert!(theorem.applies_to(&g1));
         assert!(!theorem.applies_to(&g2));
+        assert_eq!(theorem.game_digest(), g1.spec_digest());
+        // One payoff apart, at a profile the proof never reads: still
+        // another game, so the theorem does not carry over.
+        let tweaked = StrategicGame::from_payoff_fn(vec![2, 2], |p| {
+            let mut u = g1.payoffs(p).to_vec();
+            if p.strategy_of(0) == 0 && p.strategy_of(1) == 0 {
+                u[0] += rat(1, 1);
+            }
+            u
+        });
+        assert_ne!(tweaked, g1);
+        assert!(!theorem.applies_to(&tweaked));
     }
 
     /// The `NashIntro` rule as it was before it delegated to

@@ -4,14 +4,15 @@
 //! This is the workspace's stand-in for the paper's use of Coq (§3): a
 //! small, auditable core that checks inventor-supplied proof objects. The
 //! LCF discipline is encoded in the type system — [`CheckedProp`] values can
-//! only be minted by [`check`].
+//! only be minted by [`check`]; [`verdict`] runs the same rules and mints
+//! nothing.
 
 mod checker;
 mod proof;
 mod prop;
 mod term;
 
-pub use checker::{check, game_fingerprint, CheckCost, CheckedProp, ProofError};
+pub use checker::{check, verdict, CheckCost, CheckedProp, ProofError};
 pub use proof::{NotAboveWitness, ProfileVerdict, Proof};
 pub use prop::Prop;
 pub use term::{Term, TermError};

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use ra_exact::{rat, Rational};
 use ra_games::{GameGenerator, MixedProfile, MixedStrategy, StrategyProfile};
-use ra_proofs::kernel::{check, Proof, Prop};
+use ra_proofs::kernel::{check, verdict, NotAboveWitness, ProfileVerdict, Proof, Prop};
 use ra_proofs::{
     honest_online_advice, honest_row_advice, prove_is_nash, prove_max_nash, prove_not_nash,
     verify_online_advice, verify_participation_certificate, verify_private_advice,
@@ -64,6 +64,69 @@ proptest! {
             let proof = prove_max_nash(&game, maximal).expect("provable");
             let spliced = PureNashCertificate { profile: other, proof };
             prop_assert!(spliced.verify(&game).is_err());
+        }
+    }
+
+    /// The kernel's two entries are one rule body. Over random games, for
+    /// honest, spliced and forged `IsNash`/`IsMaxNash` proofs, `verdict`
+    /// and `check` agree on accept/reject, on the proved `Prop` and on the
+    /// error; so do a certificate's `verdict` and `verify`.
+    #[test]
+    fn verdict_and_check_agree(seed in 0u64..2000, forge in any::<u64>()) {
+        let shapes = [vec![2, 3], vec![3, 3], vec![2, 2, 2]];
+        let counts = shapes[seed as usize % shapes.len()].clone();
+        let game = GameGenerator::seeded(seed).strategic(counts.clone(), -4..=4);
+        let profiles: Vec<StrategyProfile> = game.profiles().collect();
+        let n = profiles.len();
+        let mut claims = Vec::new();
+        for (i, profile) in profiles.iter().enumerate() {
+            // Honest on equilibria, forged everywhere else.
+            claims.push((profile.clone(), prove_is_nash(profile.clone())));
+            // A maximality proof whose classification labels every profile
+            // as below the candidate.
+            claims.push((profile.clone(), Proof::MaxNashIntro {
+                profile: profile.clone(),
+                nash: Box::new(prove_is_nash(profile.clone())),
+                classification: vec![ProfileVerdict::NotStrictlyBetter(NotAboveWitness::LeCandidate); n],
+            }));
+            let Some(max) = prove_max_nash(&game, profile) else { continue };
+            // One classification entry overwritten by a forged verdict.
+            let Proof::MaxNashIntro { classification, .. } = &max else { unreachable!() };
+            let mut forged_classification = classification.clone();
+            let agent = (forge as usize) % counts.len();
+            forged_classification[(forge >> 8) as usize % n] = if forge >> 16 & 1 == 0 {
+                ProfileVerdict::NotNash { agent, strategy: (forge >> 24) as usize % counts[agent] }
+            } else {
+                ProfileVerdict::NotStrictlyBetter(NotAboveWitness::PrefersCandidate { agent })
+            };
+            claims.push((profile.clone(), Proof::MaxNashIntro {
+                profile: profile.clone(),
+                nash: Box::new(prove_is_nash(profile.clone())),
+                classification: forged_classification,
+            }));
+            // The honest proof, then spliced onto every other profile.
+            claims.push((profile.clone(), max.clone()));
+            for other in profiles.iter().filter(|&p| p != profile) {
+                claims.push((other.clone(), max.clone()));
+            }
+            // Spliced the other way: another equilibrium's `IsNash` proof
+            // as the maximality sub-proof.
+            let j = (i + 1 + (forge >> 32) as usize % n) % n;
+            let Proof::MaxNashIntro { classification, .. } = max else { unreachable!() };
+            claims.push((profile.clone(), Proof::MaxNashIntro {
+                profile: profile.clone(),
+                nash: Box::new(prove_is_nash(profiles[j].clone())),
+                classification,
+            }));
+        }
+        for (profile, proof) in claims {
+            let theorem = check(&game, &proof);
+            prop_assert_eq!(verdict(&game, &proof), theorem.clone().map(|t| t.prop().clone()));
+            if let Ok(theorem) = theorem {
+                prop_assert!(theorem.applies_to(&game));
+            }
+            let cert = PureNashCertificate { profile, proof };
+            prop_assert_eq!(cert.verdict(&game), cert.verify(&game).map(|t| t.prop().clone()));
         }
     }
 

@@ -57,7 +57,7 @@ fn main() {
             if trusted { "(trusted)" } else { "(EXCLUDED)" }
         );
     }
-    let trusted = authority.reputation().trusted_verifiers();
+    let trusted = authority.trusted_verifiers();
     println!("\nStill consulted: {trusted:?}");
     assert!(trusted.contains(&Party::Verifier(0)));
     assert!(

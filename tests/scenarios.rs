@@ -944,11 +944,38 @@ fn cut_links_never_exclude_the_silent_honest_majority() {
     let honest = [Party::Verifier(1), Party::Verifier(2)];
     assert!(honest.iter().all(|&v| authority.reputation().is_trusted(v)));
     assert_uncharged(&authority, &honest);
+    let all = vec![Party::Verifier(0), Party::Verifier(1), Party::Verifier(2)];
+    assert_eq!(
+        authority.trusted_verifiers(),
+        all,
+        "never pooled, still trusted"
+    );
     authority.bus().heal();
     let outcome = authority.try_consult(0, &spec).expect("healed links");
     assert!(outcome.adopted);
+    assert_eq!(authority.trusted_verifiers(), all);
+}
+
+/// One trusted set: an honest panel whose V1 and V2 are cut off for ten
+/// default-budget consults is never pooled, and every member stays in
+/// the trusted read that the next consult's panel is built from.
+#[test]
+fn never_pooled_verifiers_stay_in_the_trusted_set() {
+    use rationality_authority::authority::{Inventor, PanelOutcome, RationalityAuthority};
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let mut authority = RationalityAuthority::new(
+        Inventor::new(0, InventorBehavior::Honest),
+        &[VerifierBehavior::Honest; 3],
+    );
+    for verifier in [Party::Verifier(1), Party::Verifier(2)] {
+        authority.bus().drop_link(Party::Agent(0), verifier);
+    }
+    for _ in 0..10 {
+        let outcome = authority.consult(0, &spec);
+        assert!(matches!(outcome.panel, PanelOutcome::Undecided { .. }));
+    }
     assert_eq!(
-        authority.reputation().trusted_verifiers(),
+        authority.trusted_verifiers(),
         vec![Party::Verifier(0), Party::Verifier(1), Party::Verifier(2)]
     );
 }
