@@ -11,8 +11,9 @@
 //! threshold and stop being consulted — behind a [`ReputationBackend`]
 //! trait so the *scope* of a reputation score is pluggable:
 //!
-//! * [`LocalReputation`] — one mutex-guarded score table, the classic
-//!   single-bus store;
+//! * [`LocalReputation`] — one mutex-guarded score table, kept only as
+//!   its published snapshot and updated in place, the classic single-bus
+//!   store;
 //! * [`GossipReputation`] — per-shard PN-counter deltas
 //!   ([`DecayingPnCounterMap`], a state-based CRDT whose merge is
 //!   commutative, associative and idempotent) published to a shared
@@ -190,9 +191,12 @@ fn pooled_outcome(
 
 /// An immutable point-in-time view of every registered verifier's score.
 ///
-/// Backends publish a fresh snapshot (behind `Arc`) whenever scores
+/// Backends publish a new snapshot (behind `Arc`) whenever scores
 /// change — at the end of a decided [`ReputationBackend::pool_panel`] and, for
-/// [`GossipReputation`], after an epoch pull or a generation advance.
+/// [`GossipReputation`], after an epoch pull or a generation advance. A
+/// decided round rewrites its voters' scores in the published snapshot in
+/// place when no reader holds it, and in a copy when one does, so a
+/// snapshot in a reader's hands never changes.
 /// Every read goes through it: readers on the consult hot path
 /// ([`crate::RationalityAuthority`]) and the [`ReputationBackend`] read
 /// methods grab the current `Arc` with one short lock and then read
@@ -264,6 +268,30 @@ impl ReputationSnapshot {
     pub fn is_empty(&self) -> bool {
         self.scores.is_empty()
     }
+
+    /// Publishes one decided round in place: each distinct voter's score
+    /// becomes `rescore(voter, old_score)`, the version moves on, and the
+    /// panel version moves on iff some voter's trust flipped. A round
+    /// moves no other score, so the voters alone decide the panel
+    /// version, as [`trusted_set_changed`] over the whole maps would.
+    fn publish_round(
+        &mut self,
+        verdicts: &[(Party, bool)],
+        mut rescore: impl FnMut(Party, i64) -> i64,
+    ) {
+        let mut flipped = false;
+        for (i, &(voter, _)) in verdicts.iter().enumerate() {
+            if verdicts[..i].iter().any(|&(seen, _)| seen == voter) {
+                continue;
+            }
+            let score = self.scores.entry(voter).or_insert(INITIAL_SCORE);
+            let old = *score;
+            *score = rescore(voter, old);
+            flipped |= (old > EXCLUSION_THRESHOLD) != (*score > EXCLUSION_THRESHOLD);
+        }
+        self.version += 1;
+        self.panel_version += u64::from(flipped);
+    }
 }
 
 /// Whether the trusted-verifier set differs between two score maps,
@@ -280,9 +308,10 @@ fn trusted_set_changed(old: &HashMap<Party, i64>, new: &HashMap<Party, i64>) -> 
 }
 
 /// Swaps a snapshot of `scores` into a backend's snapshot `slot`, bumping
-/// the version and — when the trusted set moved — the panel version.
-/// Callers hold their data lock, which serializes publications with
-/// mutations; the slot itself is a leaf lock held only for the swap.
+/// the version and — when the trusted set moved — the panel version: the
+/// full rebuild after a gossip pull or generation advance, which may move
+/// any score. Callers hold their data lock, which serializes publications
+/// with mutations; the slot itself is a leaf lock held only for the swap.
 fn publish(slot: &Mutex<Arc<ReputationSnapshot>>, scores: HashMap<Party, i64>) {
     let mut slot = slot.lock().expect("reputation snapshot lock poisoned");
     let panel_version = slot.panel_version + u64::from(trusted_set_changed(&slot.scores, &scores));
@@ -376,12 +405,16 @@ pub trait ReputationBackend: Send + Sync {
 /// [`crate::ReputationPolicy::Isolated`]. The vote rule is configurable
 /// via [`LocalReputation::with_rule`]; reads go through
 /// [`ReputationBackend`].
+///
+/// The score table exists once, as the published snapshot. A decided
+/// round updates it in place ([`Arc::make_mut`]), which copies the table
+/// only while a reader still holds the previous snapshot, so a held view
+/// never changes and an unheld one costs no copy.
 #[derive(Debug, Default)]
 pub struct LocalReputation {
     rule: VoteRule,
-    scores: Mutex<HashMap<Party, i64>>,
-    /// Latest immutable score view, published under the `scores` lock
-    /// at the end of every write.
+    /// The scores, as the latest immutable view: every write runs under
+    /// this lock and leaves a whole round published.
     snapshot: Mutex<Arc<ReputationSnapshot>>,
 }
 
@@ -407,22 +440,18 @@ impl LocalReputation {
 
 impl ReputationBackend for LocalReputation {
     fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
-        let mut scores = self.scores.lock().expect("reputation lock poisoned");
-        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| {
-            scores.get(&verifier).copied().unwrap_or(INITIAL_SCORE)
-        })?;
-        for &(verifier, vote) in verdicts {
-            let entry = scores.entry(verifier).or_insert(INITIAL_SCORE);
-            if vote == outcome.accepted {
-                *entry += 1;
-            } else {
-                *entry -= 1;
-            }
-        }
-        // Publish while still holding the scores lock: no other round
-        // can interleave between the mutation and its snapshot, so every
-        // published view reflects whole rounds only.
-        publish(&self.snapshot, scores.clone());
+        let mut view = self.snapshot.lock().expect("reputation lock poisoned");
+        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| view.score(verifier))?;
+        // Each voter moves by its net agreement with the majority: +1 per
+        // agreeing verdict, -1 per dissenting one.
+        Arc::make_mut(&mut view).publish_round(verdicts, |voter, old| {
+            let agreement: i64 = verdicts
+                .iter()
+                .filter(|&&(party, _)| party == voter)
+                .map(|&(_, vote)| if vote == outcome.accepted { 1 } else { -1 })
+                .sum();
+            old + agreement
+        });
         Some(outcome)
     }
 
@@ -1058,8 +1087,9 @@ pub struct GossipReputation {
     /// Versioned-pull watermark: the highest hub version of every peer
     /// replica's rows this shard has merged ([`GossipPlane::pull_into`]).
     seen: Mutex<VersionVector>,
-    /// Latest immutable score view, republished under the `local` lock
-    /// after every pooled round, epoch pull and generation advance.
+    /// Latest immutable score view, published under the `local` lock:
+    /// rebuilt after every epoch pull and generation advance, and updated
+    /// in place for the voters of every pooled round.
     snapshot: Mutex<Arc<ReputationSnapshot>>,
 }
 
@@ -1186,7 +1216,12 @@ impl ReputationBackend for GossipReputation {
         for &(verifier, vote) in verdicts {
             local.record(self.shard, verifier, vote == outcome.accepted);
         }
-        self.republish(&local);
+        // The round moved only the voters' counters, so only their scores
+        // are rewritten, in place, still under the local lock.
+        let mut view = self.snapshot.lock().expect("gossip snapshot lock poisoned");
+        Arc::make_mut(&mut view).publish_round(verdicts, |voter, _| {
+            INITIAL_SCORE + local.decayed_value(voter, self.decay)
+        });
         Some(outcome)
     }
 
@@ -1819,5 +1854,116 @@ mod tests {
         let final_snap = reader_backend.snapshot();
         assert_eq!(final_snap.score(v(0)), INITIAL_SCORE - 200);
         assert_eq!(final_snap.score(v(1)), INITIAL_SCORE + 200);
+    }
+
+    /// One round of a random verdict stream over verifiers `0..4`. `bits`
+    /// picks the majority's direction, an honest verifier that sits the
+    /// round out (absent or silent), each honest verifier's rare slip
+    /// once the deviant has turned, a repeated verdict, and — for the
+    /// gossip backend — a generation advance. The `deviant` dissents
+    /// alone before round `turn` and agrees after it, so long streams
+    /// exclude it and then readmit it.
+    fn stream_round(
+        bits: u64,
+        round: usize,
+        deviant: u64,
+        turn: usize,
+    ) -> (Vec<(Party, bool)>, Vec<Party>) {
+        let majority = bits & 1 == 1;
+        let sitter = (bits >> 1) & 3;
+        let sits_out = (bits >> 3) & 3 == 0 && sitter != deviant;
+        let mut verdicts = Vec::new();
+        let mut silent = Vec::new();
+        for i in 0..4u64 {
+            if sits_out && i == sitter {
+                if bits & (1 << 5) != 0 {
+                    silent.push(v(i));
+                }
+                continue;
+            }
+            let vote = if i == deviant {
+                majority != (round < turn)
+            } else {
+                let slip = round >= turn && (bits >> (8 + 4 * i)) & 15 == 15;
+                majority != slip
+            };
+            verdicts.push((v(i), vote));
+        }
+        if (bits >> 24) & 15 == 0 {
+            verdicts.push(verdicts[0]);
+        }
+        (verdicts, silent)
+    }
+
+    proptest::proptest! {
+        /// Publishing a round in place equals the old full publish —
+        /// clone and compare the whole maps for the local store, rebuild
+        /// from the CRDT state for the gossip backend — in every score,
+        /// `version` and `panel_version`, and a snapshot held across later
+        /// rounds never changes.
+        #[test]
+        fn in_place_publish_matches_the_full_publish(
+            mut stream in proptest::arbitrary::any::<u64>(),
+            rounds in 20usize..120,
+            deviant in 0u64..4,
+            turn in 24usize..36,
+            weighted in proptest::arbitrary::any::<bool>(),
+            decaying in proptest::arbitrary::any::<bool>(),
+        ) {
+            let rule = if weighted { VoteRule::Weighted } else { VoteRule::Simple };
+            let decay = if decaying {
+                ReputationDecay::HalfLife { retention: 3 }
+            } else {
+                ReputationDecay::None
+            };
+            let local = LocalReputation::with_rule(rule);
+            let gossip = GossipReputation::with_config(0, Arc::new(GossipPlane::new()), rule, decay);
+            let local_ref = Mutex::new(Arc::new(ReputationSnapshot::default()));
+            let gossip_ref = Mutex::new(Arc::new(ReputationSnapshot::default()));
+            let mut local_scores: HashMap<Party, i64> = HashMap::new();
+            let mut held = Vec::new();
+            let mut panel_moves = 0;
+            for round in 0..rounds {
+                let bits = rand::splitmix64(&mut stream);
+                let (verdicts, silent) = stream_round(bits, round, deviant, turn);
+                if let Some(outcome) = local.pool_panel(&verdicts, &silent) {
+                    for &(verifier, vote) in &verdicts {
+                        *local_scores.entry(verifier).or_insert(INITIAL_SCORE) +=
+                            if vote == outcome.accepted { 1 } else { -1 };
+                    }
+                    publish(&local_ref, local_scores.clone());
+                }
+                let rebuilt = || {
+                    let state = gossip.local.lock().unwrap();
+                    state
+                        .verifiers()
+                        .into_iter()
+                        .map(|p| (p, INITIAL_SCORE + state.decayed_value(p, decay)))
+                        .collect()
+                };
+                if gossip.pool_panel(&verdicts, &silent).is_some() {
+                    publish(&gossip_ref, rebuilt());
+                }
+                if (bits >> 28) & 15 == 0 {
+                    gossip.advance_generation(round as u64);
+                    publish(&gossip_ref, rebuilt());
+                }
+                let (local_now, gossip_now) = (local.snapshot(), gossip.snapshot());
+                proptest::prop_assert_eq!(&*local_now, &**local_ref.lock().unwrap());
+                proptest::prop_assert_eq!(&*gossip_now, &**gossip_ref.lock().unwrap());
+                panel_moves = local_now.panel_version() + gossip_now.panel_version();
+                if round % 7 == 0 {
+                    held.push(((*local_now).clone(), local_now));
+                    held.push(((*gossip_now).clone(), gossip_now));
+                }
+            }
+            for (copy, view) in &held {
+                proptest::prop_assert_eq!(copy, &**view);
+            }
+            // Long streams exclude the deviant and readmit it.
+            if rounds >= 2 * turn + 24 && !weighted {
+                proptest::prop_assert!(panel_moves >= 2, "panel moved {panel_moves} times");
+            }
+        }
     }
 }

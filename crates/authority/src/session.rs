@@ -37,7 +37,6 @@
 //! [`crate::ReputationSnapshot`] taken at the top of the fan-out instead
 //! of locking the backend per verifier.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::bus::Bus;
@@ -590,7 +589,7 @@ impl RationalityAuthority {
         let bytes_before = self.bus.total_bytes();
         let started = self.bus.now();
         let deadline_at = started.saturating_add(budget.deadline);
-        self.scratch.clear();
+        self.scratch.clear(self.verifiers.len());
 
         // Stage 1: advice.
         if !self.run_stage(ConsultStage::Advice, inbox, game_id, spec, deadline_at) {
@@ -611,6 +610,12 @@ impl RationalityAuthority {
         self.scratch
             .panel
             .extend(trusted_panel(&self.verifiers, &reputation_view));
+        // Released before the vote pools, so the backend can update its
+        // published scores in place instead of copying them.
+        drop(reputation_view);
+        self.scratch
+            .agent_verdicts
+            .resize(self.scratch.panel.len(), None);
         if !self.scratch.panel.is_empty() {
             self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
         }
@@ -621,8 +626,8 @@ impl RationalityAuthority {
         let mut verdicts: Vec<(Party, bool)> = Vec::new();
         let mut verdict_details = Vec::new();
         let mut missing = Vec::new();
-        for &verifier in &self.scratch.panel {
-            match self.scratch.agent_verdicts.remove(&verifier) {
+        for (&verifier, &verdict) in self.scratch.panel.iter().zip(&self.scratch.agent_verdicts) {
+            match verdict {
                 Some((accepted, detail)) => {
                     verdicts.push((verifier, accepted));
                     verdict_details.push((verifier, accepted, detail));
@@ -725,8 +730,8 @@ impl RationalityAuthority {
                     let st = &mut self.scratch;
                     let advice = st.agent_advice.as_ref().expect("advice stage completed");
                     self.send_buf.clear();
-                    for &verifier in &st.panel {
-                        if st.agent_verdicts.contains_key(&verifier) {
+                    for (&verifier, verdict) in st.panel.iter().zip(&st.agent_verdicts) {
+                        if verdict.is_some() {
                             continue;
                         }
                         if attempt > 0 {
@@ -778,7 +783,7 @@ impl RationalityAuthority {
     fn stage_done(&self, stage: ConsultStage) -> bool {
         match stage {
             ConsultStage::Advice => self.scratch.agent_advice.is_some(),
-            ConsultStage::Panel => self.scratch.agent_verdicts.len() == self.scratch.panel.len(),
+            ConsultStage::Panel => self.scratch.agent_verdicts.iter().all(Option::is_some),
         }
     }
 
@@ -810,9 +815,10 @@ impl RationalityAuthority {
             let Some((attempt, Message::AdviceRequest { .. })) = open_frame(msg, game_id) else {
                 continue;
             };
-            if from != agent || !st.served_advice.insert(attempt) {
+            if from != agent || st.served_advice.contains(&attempt) {
                 continue;
             }
+            st.served_advice.push(attempt);
             if !st.advice_computed {
                 st.advice_computed = true;
                 st.inventor_advice = self.inventor.advise(spec);
@@ -840,7 +846,7 @@ impl RationalityAuthority {
     /// critical section.
     fn serve_verifiers(&mut self, spec: &GameSpec, game_id: u64) {
         let st = &mut self.scratch;
-        for (verifier, endpoint) in &self.verifiers {
+        for (index, (verifier, endpoint)) in self.verifiers.iter().enumerate() {
             self.recv_buf.clear();
             endpoint.drain_into(&mut self.recv_buf);
             for (from, msg) in self.recv_buf.drain(..) {
@@ -849,13 +855,12 @@ impl RationalityAuthority {
                 else {
                     continue;
                 };
-                if !st.served_verdicts.insert((verifier.id, attempt)) {
+                if st.served_verdicts.contains(&(index, attempt)) {
                     continue;
                 }
-                let (accepted, detail) = *st
-                    .verifier_verdicts
-                    .entry(verifier.id)
-                    .or_insert_with(|| verifier.verify(spec, &advice));
+                st.served_verdicts.push((index, attempt));
+                let (accepted, detail) = *st.verifier_verdicts[index]
+                    .get_or_insert_with(|| verifier.verify(spec, &advice));
                 let reply = Message::Verdict {
                     game_id,
                     accepted,
@@ -888,7 +893,9 @@ impl RationalityAuthority {
                         accepted, detail, ..
                     },
                 )) => {
-                    st.agent_verdicts.entry(from).or_insert((accepted, detail));
+                    if let Some(slot) = st.panel.iter().position(|&v| v == from) {
+                        st.agent_verdicts[slot].get_or_insert((accepted, detail));
+                    }
                 }
                 _ => {}
             }
@@ -948,28 +955,30 @@ fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
 }
 
 /// Per-consult scratch, kept in the authority and cleared at the start of
-/// every consult so steady-state consults allocate no new hash tables:
-/// the responders' dedup sets and memoized answers, plus what the agent
-/// has collected so far.
+/// every consult so steady-state consults allocate nothing here: the
+/// responders' dedup lists and memoized answers, plus what the agent has
+/// collected so far. A panel is a handful of verifiers and a consult a
+/// handful of attempts, so every lookup is a short scan of a small vector
+/// indexed by verifier or panel slot.
 #[derive(Default)]
 struct SessionScratch {
     /// Advice-request attempts the inventor has already answered.
-    served_advice: HashSet<u32>,
+    served_advice: Vec<u32>,
     /// Whether the inventor has computed (or declined) its advice.
     advice_computed: bool,
     /// The inventor's memoized advice for this session.
     inventor_advice: Option<Advice>,
-    /// `(verifier, attempt)` verdict requests already answered.
-    served_verdicts: HashSet<(Party, u32)>,
-    /// Verifier-side memoized verdicts.
-    verifier_verdicts: HashMap<Party, (bool, VerdictReason)>,
+    /// `(verifier index, attempt)` verdict requests already answered.
+    served_verdicts: Vec<(usize, u32)>,
+    /// Verifier-side memoized verdicts, one slot per registered verifier.
+    verifier_verdicts: Vec<Option<(bool, VerdictReason)>>,
     /// The first advice-with-proof the agent received, shared with the
     /// panel fan-out.
     agent_advice: Option<Arc<Advice>>,
     /// The trusted verifiers this consult asks, in panel order.
     panel: Vec<Party>,
-    /// First verdict per verifier collected by the agent.
-    agent_verdicts: HashMap<Party, (bool, VerdictReason)>,
+    /// First verdict the agent collected from each panel slot.
+    agent_verdicts: Vec<Option<(bool, VerdictReason)>>,
     /// Driver-side retransmitted request frames.
     retransmits: u64,
     /// Encoded length of the advice-with-proof payload (Lemma 1).
@@ -977,13 +986,15 @@ struct SessionScratch {
 }
 
 impl SessionScratch {
-    /// Resets every field, keeping the collections' allocations.
-    fn clear(&mut self) {
+    /// Resets every field for a panel of `verifiers` registered
+    /// verifiers, keeping the collections' allocations.
+    fn clear(&mut self, verifiers: usize) {
         self.served_advice.clear();
         self.advice_computed = false;
         self.inventor_advice = None;
         self.served_verdicts.clear();
         self.verifier_verdicts.clear();
+        self.verifier_verdicts.resize(verifiers, None);
         self.agent_advice = None;
         self.panel.clear();
         self.agent_verdicts.clear();

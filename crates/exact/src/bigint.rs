@@ -14,7 +14,10 @@
 //! - every other value is sign-magnitude with little-endian `u64` limbs,
 //!   using schoolbook multiplication and Knuth Algorithm D division
 //!   (sufficient for the limb counts produced by Gaussian elimination on
-//!   game-sized systems).
+//!   game-sized systems). The limb form is rare, so it lives behind one
+//!   pointer: a `BigInt` is two words, and a
+//!   [`Rational`](crate::Rational) four, which keeps dense payoff tables
+//!   of word-sized values compact.
 //!
 //! The form is canonical: a word operation that overflows promotes its
 //! result to limbs, and a limb result that fits in `i64` is demoted to the
@@ -71,9 +74,18 @@ pub struct BigInt(Repr);
 enum Repr {
     /// Every value in `i64` range.
     Inline(i64),
-    /// Every value outside `i64` range: `sign` is `Plus` or `Minus`, and
-    /// `mag` holds little-endian base-2^64 limbs with a non-zero top limb.
-    Limbs { sign: Sign, mag: Vec<u64> },
+    /// Every value outside `i64` range, boxed so the inline form sets the
+    /// size of the whole type.
+    Limbs(Box<Wide>),
+}
+
+/// The limb form of a value outside `i64` range.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Wide {
+    /// `Plus` or `Minus`.
+    sign: Sign,
+    /// Little-endian base-2^64 limbs with a non-zero top limb.
+    mag: Vec<u64>,
 }
 
 /// The magnitude `2^63` of `i64::MIN`, which `i64` cannot hold positive.
@@ -122,7 +134,7 @@ impl BigInt {
                 Ordering::Equal => Sign::Zero,
                 Ordering::Greater => Sign::Plus,
             },
-            Repr::Limbs { sign, .. } => sign,
+            Repr::Limbs(ref wide) => wide.sign,
         }
     }
 
@@ -130,10 +142,7 @@ impl BigInt {
     pub fn abs(&self) -> BigInt {
         match &self.0 {
             Repr::Inline(v) => BigInt::from(v.unsigned_abs()),
-            Repr::Limbs { mag, .. } => BigInt(Repr::Limbs {
-                sign: Sign::Plus,
-                mag: mag.clone(),
-            }),
+            Repr::Limbs(wide) => BigInt::from_mag(Sign::Plus, wide.mag.clone()),
         }
     }
 
@@ -147,7 +156,7 @@ impl BigInt {
                 buf[0] = v.unsigned_abs();
                 (self.sign(), &buf[..])
             }
-            Repr::Limbs { sign, mag } => (*sign, mag),
+            Repr::Limbs(wide) => (wide.sign, &wide.mag),
         }
     }
 
@@ -158,7 +167,7 @@ impl BigInt {
     pub fn magnitude_u64(&self) -> Option<u64> {
         match &self.0 {
             Repr::Inline(v) => Some(v.unsigned_abs()),
-            Repr::Limbs { mag, .. } => match **mag {
+            Repr::Limbs(wide) => match *wide.mag {
                 [limb] => Some(limb),
                 _ => None,
             },
@@ -190,7 +199,7 @@ impl BigInt {
             BigInt::zero()
         } else {
             debug_assert_ne!(sign, Sign::Zero);
-            BigInt(Repr::Limbs { sign, mag })
+            BigInt(Repr::Limbs(Box::new(Wide { sign, mag })))
         }
     }
 
@@ -232,7 +241,7 @@ impl BigInt {
     pub fn to_i64(&self) -> Option<i64> {
         match self.0 {
             Repr::Inline(v) => Some(v),
-            Repr::Limbs { .. } => None,
+            Repr::Limbs(_) => None,
         }
     }
 
@@ -649,7 +658,7 @@ impl Neg for &BigInt {
     fn neg(self) -> BigInt {
         match &self.0 {
             Repr::Inline(v) => BigInt::from_i128(-(*v as i128)),
-            Repr::Limbs { sign, mag } => BigInt::from_mag(sign.flip(), mag.clone()),
+            Repr::Limbs(wide) => BigInt::from_mag(wide.sign.flip(), wide.mag.clone()),
         }
     }
 }
@@ -660,7 +669,7 @@ impl Neg for BigInt {
         match self.0 {
             Repr::Inline(v) => BigInt::from_i128(-(v as i128)),
             // `from_mag` demotes `-(2^63)` to the inline `i64::MIN`.
-            Repr::Limbs { sign, mag } => BigInt::from_mag(sign.flip(), mag),
+            Repr::Limbs(wide) => BigInt::from_mag(wide.sign.flip(), wide.mag),
         }
     }
 }
@@ -833,9 +842,9 @@ impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
             Repr::Inline(v) => write!(f, "{v}"),
-            Repr::Limbs { sign, mag } => {
-                let body = mag_to_decimal(mag);
-                if *sign == Sign::Minus {
+            Repr::Limbs(wide) => {
+                let body = mag_to_decimal(&wide.mag);
+                if wide.sign == Sign::Minus {
                     write!(f, "-{body}")
                 } else {
                     f.write_str(&body)
@@ -1056,7 +1065,10 @@ pub(crate) mod tests {
 
     #[test]
     fn fits_in_the_old_limb_vector_footprint() {
-        assert!(std::mem::size_of::<BigInt>() <= 32);
+        // Half of it: the boxed limb form leaves two words, so a
+        // `Rational` takes the 32 bytes one `BigInt` used to.
+        assert_eq!(std::mem::size_of::<BigInt>(), 16);
+        assert_eq!(std::mem::size_of::<crate::Rational>(), 32);
     }
 
     #[test]
@@ -1078,7 +1090,9 @@ pub(crate) mod tests {
         assert!(matches!(min.0, Repr::Inline(i64::MIN)));
         // 2^63 does not fit in `i64`: negating or taking |i64::MIN| promotes.
         for wide in [-&min, -min.clone(), min.abs(), &min / &bi(-1)] {
-            assert!(matches!(&wide.0, Repr::Limbs { sign: Sign::Plus, mag } if **mag == [1 << 63]));
+            assert!(
+                matches!(&wide.0, Repr::Limbs(w) if w.sign == Sign::Plus && *w.mag == [1 << 63])
+            );
             assert_eq!(wide.to_string(), "9223372036854775808");
             // ...and negating it back demotes to the inline `i64::MIN`.
             assert_eq!(-wide, min);
@@ -1087,14 +1101,14 @@ pub(crate) mod tests {
         // Single-limb magnitudes above `i64::MAX` stay limbs, and the wire
         // encoder's one-limb shortcut still sees them.
         for v in [i64::MAX as i128 + 1, u64::MAX as i128, -(u64::MAX as i128)] {
-            assert!(matches!(bi(v).0, Repr::Limbs { .. }), "{v}");
+            assert!(matches!(bi(v).0, Repr::Limbs(_)), "{v}");
             assert_eq!(bi(v).magnitude_u64(), Some(v.unsigned_abs() as u64));
         }
         assert_eq!(bi(-(1 << 63) - 1).to_i64(), None);
         // Products across 2^63 promote; dividing back demotes.
         let root = bi(3_037_000_500); // ceil(sqrt(2^63))
         let square = &root * &root;
-        assert!(matches!(square.0, Repr::Limbs { .. }));
+        assert!(matches!(square.0, Repr::Limbs(_)));
         assert!(matches!((&square / &root).0, Repr::Inline(3_037_000_500)));
         assert!(matches!(
             (&bi(3_037_000_499) * &bi(3_037_000_499)).0,
@@ -1102,7 +1116,7 @@ pub(crate) mod tests {
         ));
         assert!(matches!(
             (&bi(i64::MAX as i128) - &bi(-1)).0,
-            Repr::Limbs { .. }
+            Repr::Limbs(_)
         ));
         assert!(matches!(
             (&bi(i64::MAX as i128 + 1) - &BigInt::one()).0,
@@ -1227,10 +1241,10 @@ pub(crate) mod tests {
     pub(crate) fn is_canonical(v: &BigInt) -> bool {
         match &v.0 {
             Repr::Inline(_) => true,
-            Repr::Limbs { sign, mag } => {
-                *sign != Sign::Zero
-                    && mag.last().is_some_and(|&top| top != 0)
-                    && !matches!(**mag, [m] if fit_i64(*sign == Sign::Minus, m).is_some())
+            Repr::Limbs(wide) => {
+                wide.sign != Sign::Zero
+                    && wide.mag.last().is_some_and(|&top| top != 0)
+                    && !matches!(*wide.mag, [m] if fit_i64(wide.sign == Sign::Minus, m).is_some())
             }
         }
     }

@@ -15,9 +15,10 @@ use crate::profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 
 /// A finite strategic-form game with rational payoffs.
 ///
-/// Payoffs are stored densely: one vector of per-agent utilities for every
-/// pure strategy profile, indexed in the same odometer order that
-/// [`ProfileIter`] produces.
+/// Payoffs are stored densely in one flat table: profile by profile, in
+/// the odometer order that [`ProfileIter`] produces, and within a profile
+/// agent by agent, so agent `i`'s utility under the profile at flat index
+/// `p` sits at `p * num_agents + i`.
 ///
 /// # Examples
 ///
@@ -38,8 +39,8 @@ use crate::profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 #[derive(Clone)]
 pub struct StrategicGame {
     strategy_counts: Vec<usize>,
-    /// `payoffs[flat_profile_index][agent]`.
-    payoffs: Vec<Vec<Rational>>,
+    /// `payoffs[flat_profile_index * num_agents + agent]`.
+    payoffs: Vec<Rational>,
     /// [`StrategicGame::spec_digest`], filled on first use. The game has
     /// no `&mut` API, so it can never go stale; clones carry it along.
     /// Only this crate fills it, always from the game's own bytes, so no
@@ -74,13 +75,12 @@ impl StrategicGame {
         let total = ProfileIter::new(strategy_counts.clone()).total();
         assert!(total <= 1 << 32, "profile space too large to materialize");
         let n = strategy_counts.len();
-        let payoffs = ProfileIter::new(strategy_counts.clone())
-            .map(|p| {
-                let u = payoff(&p);
-                assert_eq!(u.len(), n, "payoff function arity mismatch");
-                u
-            })
-            .collect();
+        let mut payoffs = Vec::with_capacity(total as usize * n);
+        for p in ProfileIter::new(strategy_counts.clone()) {
+            let u = payoff(&p);
+            assert_eq!(u.len(), n, "payoff function arity mismatch");
+            payoffs.extend(u);
+        }
         StrategicGame {
             strategy_counts,
             payoffs,
@@ -117,9 +117,10 @@ impl StrategicGame {
         &self.strategy_counts
     }
 
-    /// Number of pure strategy profiles.
+    /// Number of pure strategy profiles: the product of the strategy
+    /// counts, so a game with no agents has its one empty profile.
     pub fn num_profiles(&self) -> usize {
-        self.payoffs.len()
+        self.strategy_counts.iter().product()
     }
 
     /// Iterator over all pure strategy profiles.
@@ -144,7 +145,7 @@ impl StrategicGame {
         for &count in &self.strategy_counts {
             put_varint(buf, count as u64);
         }
-        for utility in self.payoffs.iter().flatten() {
+        for utility in &self.payoffs {
             utility.encode_canonical(buf);
         }
     }
@@ -161,18 +162,19 @@ impl StrategicGame {
         *self.spec_digest.get_or_init(|| {
             // Sized for small payoffs (a one-digit integer takes 5 bytes),
             // so the usual game encodes without regrowing.
-            let values = self.payoffs.len() * self.num_agents();
-            let mut buf = Vec::with_capacity(16 + 6 * values);
+            let mut buf = Vec::with_capacity(16 + 6 * self.payoffs.len());
             buf.push(Self::SPEC_TAG);
             self.encode_canonical(&mut buf);
             sha256(&buf)
         })
     }
 
+    /// The table index of agent 0's utility under `profile`; agent `i`'s
+    /// follows at offset `i`.
     fn flat_index(&self, profile: &StrategyProfile) -> usize {
         debug_assert!(profile.is_valid_for(&self.strategy_counts));
         let mut idx = 0usize;
-        let mut stride = 1usize;
+        let mut stride = self.num_agents();
         for (agent, &count) in self.strategy_counts.iter().enumerate() {
             idx += profile.strategy_of(agent) * stride;
             stride *= count;
@@ -190,7 +192,7 @@ impl StrategicGame {
             profile.is_valid_for(&self.strategy_counts),
             "profile invalid for game"
         );
-        &self.payoffs[self.flat_index(profile)][agent]
+        &self.payoffs[self.flat_index(profile) + agent]
     }
 
     /// All agents' utilities under `profile`.
@@ -203,7 +205,8 @@ impl StrategicGame {
             profile.is_valid_for(&self.strategy_counts),
             "profile invalid for game"
         );
-        &self.payoffs[self.flat_index(profile)]
+        let base = self.flat_index(profile);
+        &self.payoffs[base..base + self.num_agents()]
     }
 
     /// Fig. 2's `isNash(n, u, Si, TSi)`: no agent gains by a unilateral
@@ -225,7 +228,7 @@ impl StrategicGame {
     /// is reported.
     ///
     /// Costs `Σ_i |A_i|` payoff reads and no allocation: agent `i`'s
-    /// deviations lie at a fixed stride from `profile` in the dense table.
+    /// deviations lie at a fixed stride from `profile` in the flat table.
     ///
     /// # Panics
     ///
@@ -236,14 +239,15 @@ impl StrategicGame {
             "profile invalid for game"
         );
         let base = self.flat_index(profile);
-        let mut stride = 1usize;
+        let mut stride = self.num_agents();
         for (agent, &count) in self.strategy_counts.iter().enumerate() {
             let own = profile.strategy_of(agent);
-            let current = &self.payoffs[base][agent];
-            let origin = base - own * stride;
+            let current = &self.payoffs[base + agent];
+            // Agent `agent`'s utility when it plays strategy 0 instead.
+            let origin = base + agent - own * stride;
             let improving = (0..count)
                 .filter(|&s| s != own)
-                .find(|&s| self.payoffs[origin + s * stride][agent] > *current);
+                .find(|&s| self.payoffs[origin + s * stride] > *current);
             if let Some(s) = improving {
                 return Some((agent, s));
             }

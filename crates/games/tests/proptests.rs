@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use ra_exact::Rational;
 use ra_games::{
     dominant_strategy_equilibrium, Dominance, GameGenerator, MixedProfile, MixedStrategy,
-    ProfileIter, StrategyProfile, SymmetricBinaryGame,
+    ProfileIter, StrategicGame, StrategyProfile, SymmetricBinaryGame,
 };
 
 fn arb_counts() -> impl Strategy<Value = Vec<usize>> {
@@ -188,5 +188,140 @@ fn bimatrix_nash_matches_strategic_on_pure_profiles() {
                 "seed {seed} profile {p}"
             );
         }
+    }
+}
+
+/// Utility of `agent` under `profile` in the reference game of `seed`: a
+/// hash of the whole profile, in -2..=2 so ties are common, and now and
+/// then scaled past `i64` so the wide integer form is compared too.
+fn reference_payoff(seed: u64, agent: usize, profile: &StrategyProfile) -> Rational {
+    let mut h = seed ^ (agent as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for &s in profile.strategies() {
+        h = (h ^ s as u64).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 29;
+    }
+    let small = Rational::from((h % 5) as i64 - 2);
+    if h % 13 == 0 {
+        small * Rational::from(i64::MAX) * Rational::from(4)
+    } else {
+        small
+    }
+}
+
+/// The reference game of `seed` over `counts`.
+fn reference_game(seed: u64, counts: &[usize]) -> StrategicGame {
+    StrategicGame::from_payoff_fn(counts.to_vec(), |p| {
+        (0..counts.len())
+            .map(|agent| reference_payoff(seed, agent, p))
+            .collect()
+    })
+}
+
+/// The first improving deviation, found from the reference payoffs alone
+/// by cloning each deviating profile.
+fn reference_deviation(
+    seed: u64,
+    counts: &[usize],
+    profile: &StrategyProfile,
+) -> Option<(usize, usize)> {
+    (0..counts.len()).find_map(|agent| {
+        let current = reference_payoff(seed, agent, profile);
+        (0..counts[agent])
+            .filter(|&s| s != profile.strategy_of(agent))
+            .find(|&s| reference_payoff(seed, agent, &profile.with_strategy(agent, s)) > current)
+            .map(|s| (agent, s))
+    })
+}
+
+/// Every accessor of `game` agrees with the reference game of `seed`.
+fn assert_matches_reference(seed: u64, counts: &[usize], game: &StrategicGame) {
+    let profiles = ProfileIter::new(counts.to_vec()).count();
+    assert_eq!(game.num_profiles(), profiles, "{counts:?}");
+    assert_eq!(game.profiles().count(), profiles, "{counts:?}");
+    for profile in ProfileIter::new(counts.to_vec()) {
+        let want: Vec<Rational> = (0..counts.len())
+            .map(|agent| reference_payoff(seed, agent, &profile))
+            .collect();
+        assert_eq!(game.payoffs(&profile), &want[..], "{counts:?} {profile}");
+        for (agent, utility) in want.iter().enumerate() {
+            assert_eq!(
+                game.payoff(agent, &profile),
+                utility,
+                "{counts:?} {profile}"
+            );
+        }
+        let deviation = reference_deviation(seed, counts, &profile);
+        assert_eq!(
+            game.improving_deviation(&profile),
+            deviation,
+            "{counts:?} {profile}"
+        );
+        assert_eq!(game.is_pure_nash(&profile), deviation.is_none());
+    }
+}
+
+proptest! {
+    /// The flat payoff table reads back exactly the utilities it was built
+    /// from, and its strided deviation scan finds the same first improving
+    /// deviation as a naive scan over cloned profiles.
+    #[test]
+    fn flat_payoff_table_matches_the_reference(
+        seed in any::<u64>(),
+        counts in prop::collection::vec(1usize..6, 1..5),
+    ) {
+        assert_matches_reference(seed, &counts, &reference_game(seed, &counts));
+    }
+}
+
+#[test]
+fn empty_games_have_the_profile_counts_of_their_shapes() {
+    // No agents: one empty profile, which is trivially an equilibrium.
+    let game = reference_game(7, &[]);
+    assert_matches_reference(7, &[], &game);
+    assert_eq!(game.num_profiles(), 1);
+    assert!(game.is_pure_nash(&StrategyProfile::new(vec![])));
+    // An agent with no strategy: no profile at all.
+    for counts in [vec![0], vec![2, 0], vec![0, 3, 2]] {
+        let game = reference_game(7, &counts);
+        assert_matches_reference(7, &counts, &game);
+        assert_eq!(game.num_profiles(), 0, "{counts:?}");
+    }
+}
+
+/// Spec digests key the certificate cache and bind checked theorems, so
+/// neither the payoff layout nor the integer representation may move them.
+#[test]
+fn spec_digests_are_pinned() {
+    use ra_games::named::{coordination_game, prisoners_dilemma, stag_hunt};
+    let wide = Rational::from(i64::MAX) * Rational::new(i64::MAX, 3);
+    let wide_game = StrategicGame::from_payoff_fn(vec![2, 3], |p| {
+        let k = (p.strategy_of(0) * 3 + p.strategy_of(1)) as i64;
+        vec![&wide * &Rational::from(k - 2), Rational::new(k, 7) - &wide]
+    });
+    let pinned = [
+        (
+            prisoners_dilemma().to_strategic(),
+            "04ddc852b1302732294f582985b9afea0fddaa4dd6ad4769ac9e9b7a3eb3c0b2",
+        ),
+        (
+            stag_hunt(3),
+            "453c88478999a38b880854fe35d97c9c3efc982d5f7739727f72a0a785629853",
+        ),
+        (
+            coordination_game(16),
+            "3728708e8d1c169962e562c72e85f9f325dac5c56d1ef7386cd3a4b24931e34d",
+        ),
+        (
+            wide_game,
+            "508f771d7d31d94d0ac69f5c8e965d3b0524d6d4ef882494cc674c48f2e6b469",
+        ),
+    ];
+    for (game, want) in pinned {
+        let hex: String = game
+            .spec_digest()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, want, "{game:?}");
     }
 }
