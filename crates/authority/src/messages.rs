@@ -1,10 +1,10 @@
 //! Protocol messages of the rationality authority, with exact wire
 //! encodings.
 //!
-//! The flows mirror Fig. 1 of the paper: the inventor announces a game and
-//! sends advice-with-proof to agents; agents fetch verification procedures
+//! The flows mirror Fig. 1 of the paper: an agent requests advice, the
+//! inventor sends advice-with-proof; agents fetch verification procedures
 //! from verifiers (modelled as verdict requests/responses since procedures
-//! are code); verdicts are reported for reputation updates. Every payload —
+//! are code); shards gossip reputation. Every payload —
 //! including recursive §3 proof trees — encodes to real bytes so the bus
 //! can account for communication exactly.
 
@@ -121,16 +121,6 @@ pub enum Advice {
 /// A protocol message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Inventor → everyone: a new game exists; `commitment` binds the
-    /// inventor to the game description (opened on demand).
-    GameAnnouncement {
-        /// Game identifier.
-        game_id: u64,
-        /// Human-readable description.
-        description: String,
-        /// SHA-256 commitment to the full game data.
-        commitment: Vec<u64>,
-    },
     /// Agent → inventor: request advice for a game.
     AdviceRequest {
         /// Which game.
@@ -167,15 +157,6 @@ pub enum Message {
         /// payload: whatever a checker derives is deterministic in the
         /// `(spec, advice)` pair the agent already holds.
         detail: VerdictReason,
-    },
-    /// Agent → reputation system: report a verifier's verdict for audit.
-    VerdictReport {
-        /// The reporting agent's view of the verifier.
-        verifier: Party,
-        /// Which game.
-        game_id: u64,
-        /// The verdict reported.
-        accepted: bool,
     },
     /// Agent → inventor (P2): "is this pure strategy in my opponent's
     /// support?" — the Fig. 4 oracle query.
@@ -942,16 +923,6 @@ impl Wire for GameSpec {
 impl Wire for Message {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Message::GameAnnouncement {
-                game_id,
-                description,
-                commitment,
-            } => {
-                buf.push(0);
-                game_id.encode(buf);
-                description.encode(buf);
-                commitment.encode(buf);
-            }
             Message::AdviceRequest { game_id } => {
                 buf.push(1);
                 game_id.encode(buf);
@@ -975,16 +946,6 @@ impl Wire for Message {
                 game_id.encode(buf);
                 accepted.encode(buf);
                 detail.encode(buf);
-            }
-            Message::VerdictReport {
-                verifier,
-                game_id,
-                accepted,
-            } => {
-                buf.push(5);
-                verifier.encode(buf);
-                game_id.encode(buf);
-                accepted.encode(buf);
             }
             Message::SupportQuery { game_id, index } => {
                 buf.push(6);
@@ -1023,11 +984,6 @@ impl Wire for Message {
             return Err(WireError::UnexpectedEnd);
         }
         Ok(match buf.get_u8() {
-            0 => Message::GameAnnouncement {
-                game_id: u64::decode(buf)?,
-                description: String::decode(buf)?,
-                commitment: Vec::<u64>::decode(buf)?,
-            },
             1 => Message::AdviceRequest {
                 game_id: u64::decode(buf)?,
             },
@@ -1043,11 +999,6 @@ impl Wire for Message {
                 game_id: u64::decode(buf)?,
                 accepted: bool::decode(buf)?,
                 detail: VerdictReason::decode(buf)?,
-            },
-            5 => Message::VerdictReport {
-                verifier: Party::decode(buf)?,
-                game_id: u64::decode(buf)?,
-                accepted: bool::decode(buf)?,
             },
             6 => Message::SupportQuery {
                 game_id: u64::decode(buf)?,
@@ -1335,11 +1286,6 @@ mod tests {
 
     #[test]
     fn all_message_variants_round_trip() {
-        round_trip(Message::GameAnnouncement {
-            game_id: 9,
-            description: "participation auction".into(),
-            commitment: vec![1, 2, 3, 4],
-        });
         round_trip(Message::AdviceRequest { game_id: 9 });
         round_trip(Message::AdviceWithProof {
             game_id: 9,
@@ -1358,11 +1304,6 @@ mod tests {
                 assert_eq!(size, 4, "tag, game id, accepted, reason: {detail:?}");
             }
         }
-        round_trip(Message::VerdictReport {
-            verifier: Party::Verifier(3),
-            game_id: 9,
-            accepted: true,
-        });
     }
 
     #[test]
@@ -1447,6 +1388,16 @@ mod tests {
         // no verifier checked) is no longer a variant.
         let mut retired = WireBytes::from(vec![5u8, 1, 4, 0]);
         assert_eq!(Advice::decode(&mut retired), Err(WireError::BadTag(5)));
+    }
+
+    #[test]
+    fn retired_message_tags_are_bad_tags() {
+        // Message tags 0 (a game announcement) and 5 (a verdict report)
+        // were never sent or read, and are no longer variants.
+        for (tag, body) in [(0u8, vec![9, 0, 0]), (5, vec![2, 3, 9, 1])] {
+            let mut frame = WireBytes::from([vec![tag], body].concat());
+            assert_eq!(Message::decode(&mut frame), Err(WireError::BadTag(tag)));
+        }
     }
 
     fn sample_specs() -> Vec<GameSpec> {

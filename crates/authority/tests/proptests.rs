@@ -117,15 +117,6 @@ fn arb_game_spec() -> impl Strategy<Value = GameSpec> {
     ]
 }
 
-fn arb_party() -> impl Strategy<Value = Party> {
-    (0u64..1000, 0u8..4).prop_map(|(id, kind)| match kind {
-        0 => Party::Inventor(id),
-        1 => Party::Agent(id),
-        2 => Party::Verifier(id),
-        _ => Party::Shard(id),
-    })
-}
-
 /// Raw observation events for building a [`DecayingPnCounterMap`]: each is
 /// one `(replica, verifier, agreed, advance)` step — a recording, the only
 /// way real shards ever advance their counters, optionally followed by a
@@ -163,18 +154,6 @@ fn arb_verdict_reason() -> impl Strategy<Value = VerdictReason> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (
-            any::<u64>(),
-            ".{0,40}",
-            prop::collection::vec(any::<u64>(), 0..6)
-        )
-            .prop_map(
-                |(game_id, description, commitment)| Message::GameAnnouncement {
-                    game_id,
-                    description,
-                    commitment,
-                }
-            ),
         any::<u64>().prop_map(|game_id| Message::AdviceRequest { game_id }),
         (
             any::<u64>(),
@@ -203,13 +182,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 detail,
             }
         ),
-        (arb_party(), any::<u64>(), any::<bool>()).prop_map(|(verifier, game_id, accepted)| {
-            Message::VerdictReport {
-                verifier,
-                game_id,
-                accepted,
-            }
-        }),
     ]
 }
 

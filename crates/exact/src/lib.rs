@@ -1,9 +1,9 @@
 //! # ra-exact — exact arithmetic substrate
 //!
-//! Arbitrary-precision integers, exact rationals, dense linear algebra,
-//! polynomials and binomial combinatorics over ℚ — plus the byte-level
-//! leaves every crate above needs: the canonical varint and rational
-//! writers, and SHA-256.
+//! Arbitrary-precision integers, exact rationals, dense matrices with an
+//! exact linear solver, and binomial combinatorics over ℚ — plus the
+//! byte-level leaves every crate above needs: the canonical varint and
+//! rational writers, and SHA-256.
 //!
 //! This crate exists because the rationality-authority verifiers (the
 //! `ra-proofs` consumers) must be *sound*: accepting a certificate is a
@@ -35,8 +35,7 @@ mod bigint;
 mod binomial;
 mod encoding;
 mod linalg;
-mod lp;
-mod polynomial;
+mod matrix;
 mod rational;
 mod sha256;
 
@@ -45,8 +44,7 @@ pub use binomial::{
     binomial, binomial_pmf, binomial_tail_at_least, binomial_tail_at_most, factorial,
 };
 pub use encoding::put_varint;
-pub use linalg::{solve_linear_system, LinearSolution, Matrix};
-pub use lp::{maximize, LpError, LpResult};
-pub use polynomial::{bisect, BisectError, BisectionResult, Polynomial};
+pub use linalg::{solve_linear_system, LinearSolution};
+pub use matrix::Matrix;
 pub use rational::{rat, Rational};
 pub use sha256::sha256;

@@ -1,111 +1,29 @@
-//! Exact dense linear algebra over [`Rational`].
+//! Exact linear algebra over [`Rational`]: products, determinants and
+//! Gauss–Jordan elimination.
 //!
-//! The P1 verifier of the paper (§4, Lemma 1) must solve the indifference
-//! linear system induced by the claimed equilibrium supports. Solving it
-//! exactly over ℚ removes the usual floating-point caveat from the
-//! verification step: acceptance is a proof, not an approximation.
+//! The P1 verifier of the paper (§4, Lemma 1) reconstructs an equilibrium
+//! by solving the indifference linear system induced by the claimed
+//! supports. This module only *generates* that witness: the checker
+//! re-evaluates every payoff against it, so a wrong solution here can make
+//! the checker reject, never accept. It is therefore outside the trusted
+//! base, and so is `ra-solvers`' support enumeration, which calls the same
+//! solver.
 
-use std::fmt;
-use std::ops::{Index, IndexMut};
-
+use crate::matrix::Matrix;
 use crate::rational::Rational;
 
-/// A dense matrix of [`Rational`] entries in row-major order.
-///
-/// # Examples
-///
-/// ```
-/// use ra_exact::{Matrix, rat};
-///
-/// let m = Matrix::from_rows(vec![
-///     vec![rat(1, 1), rat(2, 1)],
-///     vec![rat(3, 1), rat(4, 1)],
-/// ]);
-/// assert_eq!(m.determinant(), rat(-2, 1));
-/// ```
-#[derive(Clone, PartialEq, Eq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<Rational>,
-}
-
 impl Matrix {
-    /// Creates a `rows × cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
-        Matrix {
-            rows,
-            cols,
-            data: vec![Rational::zero(); rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Rational::one();
-        }
-        m
-    }
-
-    /// Builds a matrix from rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have unequal lengths.
-    pub fn from_rows(rows: Vec<Vec<Rational>>) -> Matrix {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        assert!(rows.iter().all(|row| row.len() == c), "ragged matrix rows");
-        Matrix {
-            rows: r,
-            cols: c,
-            data: rows.into_iter().flatten().collect(),
-        }
-    }
-
-    /// Builds a matrix by evaluating `f(row, col)`.
-    pub fn from_fn(
-        rows: usize,
-        cols: usize,
-        mut f: impl FnMut(usize, usize) -> Rational,
-    ) -> Matrix {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)].clone())
-    }
-
     /// Matrix-vector product.
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != self.cols()`.
     pub fn mul_vec(&self, v: &[Rational]) -> Vec<Rational> {
-        assert_eq!(v.len(), self.cols, "dimension mismatch in mul_vec");
-        (0..self.rows)
+        assert_eq!(v.len(), self.cols(), "dimension mismatch in mul_vec");
+        (0..self.rows())
             .map(|i| {
                 let mut acc = Rational::zero();
-                for j in 0..self.cols {
+                for j in 0..self.cols() {
                     acc += &(&self[(i, j)] * &v[j]);
                 }
                 acc
@@ -119,10 +37,10 @@ impl Matrix {
     ///
     /// Panics if inner dimensions disagree.
     pub fn mul_mat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "dimension mismatch in mul_mat");
-        Matrix::from_fn(self.rows, rhs.cols, |i, j| {
+        assert_eq!(self.cols(), rhs.rows(), "dimension mismatch in mul_mat");
+        Matrix::from_fn(self.rows(), rhs.cols(), |i, j| {
             let mut acc = Rational::zero();
-            for k in 0..self.cols {
+            for k in 0..self.cols() {
                 acc += &(&self[(i, k)] * &rhs[(k, j)]);
             }
             acc
@@ -131,13 +49,25 @@ impl Matrix {
 
     /// Determinant by fraction-preserving Gaussian elimination.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ra_exact::{Matrix, rat};
+    ///
+    /// let m = Matrix::from_rows(vec![
+    ///     vec![rat(1, 1), rat(2, 1)],
+    ///     vec![rat(3, 1), rat(4, 1)],
+    /// ]);
+    /// assert_eq!(m.determinant(), rat(-2, 1));
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if the matrix is not square.
     pub fn determinant(&self) -> Rational {
-        assert_eq!(self.rows, self.cols, "determinant of non-square matrix");
+        assert_eq!(self.rows(), self.cols(), "determinant of non-square matrix");
         let mut m = self.clone();
-        let n = m.rows;
+        let n = m.rows();
         let mut det = Rational::one();
         for col in 0..n {
             let pivot = match (col..n).find(|&r| !m[(r, col)].is_zero()) {
@@ -169,38 +99,10 @@ impl Matrix {
         if a == b {
             return;
         }
-        for c in 0..self.cols {
-            self.data.swap(a * self.cols + c, b * self.cols + c);
+        let cols = self.cols();
+        for c in 0..cols {
+            self.data.swap(a * cols + c, b * cols + c);
         }
-    }
-}
-
-impl Index<(usize, usize)> for Matrix {
-    type Output = Rational;
-    fn index(&self, (r, c): (usize, usize)) -> &Rational {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        &self.data[r * self.cols + c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for Matrix {
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Rational {
-        assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
-        &mut self.data[r * self.cols + c]
-    }
-}
-
-impl fmt::Debug for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
-        for i in 0..self.rows {
-            write!(f, "  ")?;
-            for j in 0..self.cols {
-                write!(f, "{} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        write!(f, "]")
     }
 }
 
@@ -227,15 +129,6 @@ impl LinearSolution {
         match self {
             LinearSolution::Unique(x) => Some(x),
             _ => None,
-        }
-    }
-
-    /// Returns any solution (unique or particular) if the system is solvable.
-    pub fn any_solution(self) -> Option<Vec<Rational>> {
-        match self {
-            LinearSolution::Unique(x) => Some(x),
-            LinearSolution::Underdetermined { particular, .. } => Some(particular),
-            LinearSolution::Inconsistent => None,
         }
     }
 }

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use ra_exact::{
     binomial, binomial_pmf, binomial_tail_at_least, solve_linear_system, BigInt, LinearSolution,
-    Matrix, Polynomial, Rational,
+    Matrix, Rational,
 };
 
 fn arb_bigint() -> impl Strategy<Value = BigInt> {
@@ -126,19 +126,6 @@ proptest! {
     fn rational_from_f64_exact(v in -1.0e12f64..1.0e12) {
         let r = Rational::from_f64(v).unwrap();
         prop_assert_eq!(r.to_f64(), v);
-    }
-
-    #[test]
-    fn polynomial_eval_is_ring_hom(
-        ca in prop::collection::vec(-50i64..=50, 0..6),
-        cb in prop::collection::vec(-50i64..=50, 0..6),
-        x in -20i64..=20,
-    ) {
-        let pa = Polynomial::new(ca.iter().map(|&c| Rational::from(c)).collect());
-        let pb = Polynomial::new(cb.iter().map(|&c| Rational::from(c)).collect());
-        let x = Rational::from(x);
-        prop_assert_eq!(pa.add(&pb).eval(&x), pa.eval(&x) + pb.eval(&x));
-        prop_assert_eq!(pa.mul(&pb).eval(&x), pa.eval(&x) * pb.eval(&x));
     }
 
     #[test]

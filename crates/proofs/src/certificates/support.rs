@@ -3,8 +3,12 @@
 //! The prover (inventor) sends each agent *both supports* of the claimed
 //! mixed equilibrium — `O(n + m)` bits as two index masks. The verifier
 //! reconstructs the equilibrium by solving the indifference linear system
-//! exactly and re-checks every Nash condition, so a dishonest support claim
-//! can never be accepted.
+//! exactly, then re-checks that witness against the payoffs directly: the
+//! opponent's mix must be a distribution positive exactly on its claimed
+//! support, every strategy in the agent's own support must earn exactly λ
+//! against it, and every other strategy at most λ. The linear solver only
+//! proposes the witness, so an elimination bug can cause a reject but
+//! never an accept, and a dishonest support claim is never accepted.
 
 use std::fmt;
 
@@ -47,10 +51,12 @@ pub struct P1Verified {
 /// Reasons P1 verification rejects a certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum P1Error {
-    /// A support is empty or contains out-of-range indices.
+    /// A claimed support is empty, unsorted or names no strategy.
     MalformedSupport {
-        /// Description of the problem.
-        reason: String,
+        /// Whose support is malformed (0 = row, 1 = column).
+        agent: usize,
+        /// What is wrong with it.
+        defect: SupportDefect,
     },
     /// The indifference system has no solution: the claimed supports cannot
     /// carry an equilibrium.
@@ -58,13 +64,21 @@ pub enum P1Error {
     /// The indifference system is underdetermined (degenerate game); P1
     /// cannot pin down the equilibrium from supports alone.
     Degenerate,
-    /// A reconstructed probability is negative or zero on the claimed
-    /// support.
+    /// A reconstructed probability is not positive on the claimed support,
+    /// not zero off it, or the probabilities do not sum to one.
     InvalidProbability {
         /// Which agent's distribution is broken (0 = row, 1 = column).
         agent: usize,
         /// The offending strategy index.
         index: usize,
+    },
+    /// A strategy in the claimed support earns a payoff other than λ
+    /// against the reconstructed opponent mix: the witness is wrong.
+    SupportPayoffMismatch {
+        /// Whose strategy it is (0 = row, 1 = column).
+        agent: usize,
+        /// The in-support strategy that is not indifferent.
+        strategy: usize,
     },
     /// A strategy outside the support would earn more than λ — the claimed
     /// profile is not an equilibrium.
@@ -76,10 +90,28 @@ pub enum P1Error {
     },
 }
 
+/// What makes a claimed support malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SupportDefect {
+    /// The support names no strategy.
+    Empty,
+    /// The indices are not strictly increasing.
+    Unsorted,
+    /// An index is not a strategy of the agent.
+    OutOfRange,
+}
+
 impl fmt::Display for P1Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            P1Error::MalformedSupport { reason } => write!(f, "malformed support: {reason}"),
+            P1Error::MalformedSupport { agent, defect } => {
+                let what = match defect {
+                    SupportDefect::Empty => "is empty",
+                    SupportDefect::Unsorted => "is not strictly sorted",
+                    SupportDefect::OutOfRange => "has an index out of range",
+                };
+                write!(f, "malformed support: agent {agent}'s support {what}")
+            }
             P1Error::IndifferenceInconsistent => {
                 write!(f, "indifference system inconsistent for the claimed supports")
             }
@@ -90,6 +122,10 @@ impl fmt::Display for P1Error {
             P1Error::InvalidProbability { agent, index } => {
                 write!(f, "reconstructed probability invalid for agent {agent}, strategy {index}")
             }
+            P1Error::SupportPayoffMismatch { agent, strategy } => write!(
+                f,
+                "agent {agent}'s support strategy {strategy} does not earn the equilibrium payoff"
+            ),
             P1Error::OutsideSupportImproves { agent, strategy } => write!(
                 f,
                 "agent {agent} would profit by deviating to out-of-support strategy {strategy}"
@@ -102,9 +138,11 @@ impl std::error::Error for P1Error {}
 
 /// Runs the P1 verifier (both agents' sides) on a support certificate.
 ///
-/// Follows Fig. 3: solve the `(k+1) × (k+1)` linear system (1) for the
-/// opponent's probabilities and λ, check `0 ≤ y ≤ 1`, and check that every
-/// out-of-support strategy earns at most λ. All arithmetic is exact.
+/// Follows Fig. 3: solve the linear system (1) for the opponent's
+/// probabilities and λ, then check that witness directly — the mix is a
+/// distribution positive exactly on the claimed support, every strategy
+/// in the agent's support earns exactly λ against it, and every other
+/// strategy earns at most λ. All arithmetic is exact.
 ///
 /// # Errors
 ///
@@ -128,8 +166,9 @@ pub fn verify_support_certificate(
     game: &BimatrixGame,
     certificate: &SupportCertificate,
 ) -> Result<P1Verified, P1Error> {
-    validate_support(&certificate.row_support, game.rows(), "row")?;
-    validate_support(&certificate.col_support, game.cols(), "column")?;
+    let (s1, s2) = (&certificate.row_support, &certificate.col_support);
+    validate_support(s1, game.rows(), 0)?;
+    validate_support(s2, game.cols(), 1)?;
     let mut transcript = Transcript::new();
     transcript.prover_message(
         game.rows() as u64,
@@ -143,46 +182,13 @@ pub fn verify_support_certificate(
     );
 
     // Row agent's verifier: reconstruct the column agent's probabilities y
-    // and λ1 from the indifference of rows in S1 (Fig. 3, system (1)).
-    let (y, lambda1) = solve_side(
-        &certificate.row_support,
-        &certificate.col_support,
-        |i, j| game.a(i, j).clone(),
-        game.cols(),
-        0,
-    )?;
-    // Outside-support condition for the row agent: every i ∉ S1 earns ≤ λ1.
-    for i in 0..game.rows() {
-        if certificate.row_support.contains(&i) {
-            continue;
-        }
-        if game.row_payoff_against(i, &y) > lambda1 {
-            return Err(P1Error::OutsideSupportImproves {
-                agent: 0,
-                strategy: i,
-            });
-        }
-    }
-
+    // and λ1 from the indifference of rows in S1 (Fig. 3, system (1)), then
+    // re-check y against the payoffs.
+    let (y, lambda1) = solve_side(game, 0, s1, s2)?;
+    let y = check_witness(game, 0, s1, s2, y, &lambda1)?;
     // Column agent's verifier (symmetric, "easy to state" per the paper).
-    let (x, lambda2) = solve_side(
-        &certificate.col_support,
-        &certificate.row_support,
-        |j, i| game.b(i, j).clone(),
-        game.rows(),
-        1,
-    )?;
-    for j in 0..game.cols() {
-        if certificate.col_support.contains(&j) {
-            continue;
-        }
-        if game.col_payoff_against(&x, j) > lambda2 {
-            return Err(P1Error::OutsideSupportImproves {
-                agent: 1,
-                strategy: j,
-            });
-        }
-    }
+    let (x, lambda2) = solve_side(game, 1, s2, s1)?;
+    let x = check_witness(game, 1, s2, s1, x, &lambda2)?;
 
     let profile = MixedProfile { row: x, col: y };
     debug_assert!(game.is_nash(&profile), "P1 acceptance implies Nash");
@@ -194,35 +200,36 @@ pub fn verify_support_certificate(
     })
 }
 
-fn validate_support(support: &[usize], bound: usize, who: &str) -> Result<(), P1Error> {
-    if support.is_empty() {
-        return Err(P1Error::MalformedSupport {
-            reason: format!("{who} support is empty"),
-        });
-    }
-    if support.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(P1Error::MalformedSupport {
-            reason: format!("{who} support not strictly sorted"),
-        });
-    }
-    if support.iter().any(|&i| i >= bound) {
-        return Err(P1Error::MalformedSupport {
-            reason: format!("{who} support index out of range"),
-        });
-    }
-    Ok(())
+fn validate_support(support: &[usize], bound: usize, agent: usize) -> Result<(), P1Error> {
+    let defect = if support.is_empty() {
+        SupportDefect::Empty
+    } else if support.windows(2).any(|w| w[0] >= w[1]) {
+        SupportDefect::Unsorted
+    } else if support.iter().any(|&i| i >= bound) {
+        SupportDefect::OutOfRange
+    } else {
+        return Ok(());
+    };
+    Err(P1Error::MalformedSupport { agent, defect })
 }
 
-/// Solves the indifference system for one side: probabilities of the
-/// `opp_support` strategies (over the opponent's full strategy space of size
-/// `opp_total`) making every `own_support` strategy earn the same λ.
+/// Proposes one side's witness by solving the indifference system:
+/// probabilities over the opponent's strategies, zero off `opp_support`,
+/// making every `own_support` strategy of `agent` earn the same λ. Nothing
+/// here is trusted; [`check_witness`] decides.
 fn solve_side(
+    game: &BimatrixGame,
+    agent: usize,
     own_support: &[usize],
     opp_support: &[usize],
-    payoff: impl Fn(usize, usize) -> Rational,
-    opp_total: usize,
-    agent: usize,
-) -> Result<(MixedStrategy, Rational), P1Error> {
+) -> Result<(Vec<Rational>, Rational), P1Error> {
+    let payoff = |own: usize, opp: usize| {
+        if agent == 0 {
+            game.a(own, opp).clone()
+        } else {
+            game.b(opp, own).clone()
+        }
+    };
     let k = opp_support.len();
     let rows = own_support.len() + 1;
     let a = Matrix::from_fn(rows, k + 1, |r, c| {
@@ -240,28 +247,70 @@ fn solve_side(
     });
     let mut b = vec![Rational::zero(); rows];
     b[own_support.len()] = Rational::one();
-    let solution = match solve_linear_system(&a, &b) {
+    let mut solution = match solve_linear_system(&a, &b) {
         LinearSolution::Unique(x) => x,
         LinearSolution::Underdetermined { .. } => return Err(P1Error::Degenerate),
         LinearSolution::Inconsistent => return Err(P1Error::IndifferenceInconsistent),
     };
-    let lambda = solution[k].clone();
+    // A solution of the wrong length is left for the check to reject.
+    let lambda = solution.pop().unwrap_or_else(Rational::zero);
+    let opp_total = if agent == 0 { game.cols() } else { game.rows() };
     let mut probs = vec![Rational::zero(); opp_total];
-    for (idx, &j) in opp_support.iter().enumerate() {
-        let p = &solution[idx];
-        // Strictly positive on the claimed support, ≤ 1 implicitly via the
-        // simplex sum; Fig. 3 asks for 0 ≤ y_t ≤ 1, strictness pins the
-        // support exactly.
-        if !p.is_positive() || p > &Rational::one() {
+    for (&j, p) in opp_support.iter().zip(solution) {
+        probs[j] = p;
+    }
+    Ok((probs, lambda))
+}
+
+/// Checks one side's witness `(probs, λ)` against the payoffs alone, in
+/// one pass per agent over every pure strategy:
+/// - `probs` is a distribution, strictly positive on `opp_support` (which
+///   pins the support exactly, Fig. 3's `0 ≤ y ≤ 1`) and zero off it;
+/// - every strategy in `own_support` earns exactly λ against it;
+/// - every other strategy of `agent` earns at most λ.
+///
+/// Together these make the mix a best-response witness whatever produced
+/// it, so a wrong solve can only cause a reject.
+fn check_witness(
+    game: &BimatrixGame,
+    agent: usize,
+    own_support: &[usize],
+    opp_support: &[usize],
+    probs: Vec<Rational>,
+    lambda: &Rational,
+) -> Result<MixedStrategy, P1Error> {
+    let mut in_opp = opp_support.iter().peekable();
+    for (j, p) in probs.iter().enumerate() {
+        let valid = if in_opp.next_if_eq(&&j).is_some() {
+            p.is_positive()
+        } else {
+            p.is_zero()
+        };
+        if !valid {
             return Err(P1Error::InvalidProbability { agent, index: j });
         }
-        probs[j] = p.clone();
     }
-    let mixed = MixedStrategy::try_new(probs).map_err(|_| P1Error::InvalidProbability {
+    let mix = MixedStrategy::try_new(probs).map_err(|_| P1Error::InvalidProbability {
         agent,
         index: opp_support[0],
     })?;
-    Ok((mixed, lambda))
+    let own_total = if agent == 0 { game.rows() } else { game.cols() };
+    let mut in_own = own_support.iter().peekable();
+    for strategy in 0..own_total {
+        let earned = if agent == 0 {
+            game.row_payoff_against(strategy, &mix)
+        } else {
+            game.col_payoff_against(&mix, strategy)
+        };
+        if in_own.next_if_eq(&&strategy).is_some() {
+            if &earned != lambda {
+                return Err(P1Error::SupportPayoffMismatch { agent, strategy });
+            }
+        } else if &earned > lambda {
+            return Err(P1Error::OutsideSupportImproves { agent, strategy });
+        }
+    }
+    Ok(mix)
 }
 
 #[cfg(test)]
@@ -406,5 +455,40 @@ mod tests {
             }
         }
         assert!(accepted > 0, "some random support guesses hit equilibria");
+    }
+    #[test]
+    fn witness_check_rejects_corrupted_witnesses() {
+        // Matching pennies, both supports {0, 1}: the honest row-side
+        // witness is y = (1/2, 1/2) with λ1 = 0.
+        let g = matching_pennies();
+        let both = [0, 1];
+        let check = |own: &[usize], opp: &[usize], y: Vec<Rational>, lambda: Rational| {
+            check_witness(&g, 0, own, opp, y, &lambda)
+        };
+        assert_eq!(
+            check(&both, &both, vec![rat(1, 2), rat(1, 2)], rat(0, 1)),
+            Ok(MixedStrategy::uniform(2))
+        );
+        // A wrong λ: both rows earn 0, not 1.
+        assert_eq!(
+            check(&both, &both, vec![rat(1, 2), rat(1, 2)], rat(1, 1)),
+            Err(P1Error::SupportPayoffMismatch {
+                agent: 0,
+                strategy: 0
+            })
+        );
+        // A y that leaves the rows unequal: row 0 earns -1/3, row 1 earns 1/3.
+        assert_eq!(
+            check(&both, &both, vec![rat(1, 3), rat(2, 3)], rat(1, 3)),
+            Err(P1Error::SupportPayoffMismatch {
+                agent: 0,
+                strategy: 0
+            })
+        );
+        // Mass on column 1, outside the claimed column support {0}.
+        assert_eq!(
+            check(&both, &[0], vec![rat(1, 2), rat(1, 2)], rat(0, 1)),
+            Err(P1Error::InvalidProbability { agent: 0, index: 1 })
+        );
     }
 }

@@ -64,6 +64,6 @@ pub use certificates::pure_nash::{
     prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash, PureNashCertificate,
 };
 pub use certificates::support::{
-    verify_support_certificate, P1Error, P1Verified, SupportCertificate,
+    verify_support_certificate, P1Error, P1Verified, SupportCertificate, SupportDefect,
 };
 pub use transcript::{Disclosure, Transcript, TranscriptEvent};

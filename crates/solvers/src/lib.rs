@@ -10,8 +10,10 @@
 //! * [`enumerate_equilibria`] / [`find_one_equilibrium`] — support
 //!   enumeration for bimatrix games (§4);
 //! * [`lemke_howson`] — complementary pivoting with exact arithmetic (§4);
-//! * [`solve_participation_equilibrium`] — root isolation for the
-//!   participation game's symmetric equilibrium (§5);
+//! * [`solve_zero_sum`] — exact minimax for zero-sum games by an exact
+//!   simplex (Bland's rule);
+//! * [`solve_participation_equilibrium`] — root isolation by exact
+//!   bisection for the participation game's symmetric equilibrium (§5);
 //! * [`best_response_dynamics`] — improvement paths (used by the congestion
 //!   case study of §6).
 //!
@@ -23,6 +25,7 @@
 
 mod dynamics;
 mod lemke_howson;
+mod lp;
 mod participation;
 mod pure_enum;
 mod support_enum;
@@ -30,6 +33,7 @@ mod zero_sum;
 
 pub use dynamics::{best_response_dynamics, DynamicsOutcome};
 pub use lemke_howson::{lemke_howson, lemke_howson_all, LemkeHowsonError};
+pub use lp::LpError;
 pub use participation::{solve_participation_equilibrium, ParticipationSolveError};
 pub use pure_enum::{analyze_pure_nash, PureNashAnalysis};
 pub use ra_games::{EquilibriumRoot, ParticipationParams};

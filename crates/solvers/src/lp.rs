@@ -1,18 +1,16 @@
 //! Exact linear programming (simplex with Bland's rule).
 //!
-//! Lemma 1 states the P1 verifier runs in "LP(n, m)" time; this module
-//! makes that literal: a simplex solver over exact rationals, used by
-//! `ra-solvers` for zero-sum game values and available to verifiers that
-//! need full LP power (the paper's "general purpose verification
-//! procedures"). Bland's pivoting rule guarantees termination despite
-//! degeneracy — important because game-derived LPs tie constantly.
+//! A simplex solver over exact rationals, used by [`crate::solve_zero_sum`]
+//! for zero-sum game values. No checker runs it, so it is outside the
+//! trusted base like the rest of this crate. Bland's pivoting rule
+//! guarantees termination despite degeneracy — important because
+//! game-derived LPs tie constantly.
 
-use crate::linalg::Matrix;
-use crate::rational::Rational;
+use ra_exact::{Matrix, Rational};
 
 /// Result of solving a standard-form LP.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LpResult {
+pub(crate) enum LpResult {
     /// An optimal solution exists.
     Optimal {
         /// The maximizing assignment.
@@ -24,7 +22,7 @@ pub enum LpResult {
     Unbounded,
 }
 
-/// Errors from [`maximize`].
+/// Errors from the exact simplex behind [`crate::solve_zero_sum`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LpError {
     /// Dimensions of objective/constraints/rhs disagree.
@@ -66,23 +64,7 @@ impl std::error::Error for LpError {}
 /// # Errors
 ///
 /// See [`LpError`].
-///
-/// # Examples
-///
-/// ```
-/// use ra_exact::{maximize, rat, LpResult, Matrix};
-///
-/// // max x + y  s.t.  x + 2y ≤ 4, 3x + y ≤ 6.
-/// let a = Matrix::from_rows(vec![
-///     vec![rat(1, 1), rat(2, 1)],
-///     vec![rat(3, 1), rat(1, 1)],
-/// ]);
-/// let LpResult::Optimal { value, .. } =
-///     maximize(&[rat(1, 1), rat(1, 1)], &a, &[rat(4, 1), rat(6, 1)]).unwrap()
-/// else { panic!() };
-/// assert_eq!(value, rat(14, 5)); // x = 8/5, y = 6/5
-/// ```
-pub fn maximize(
+pub(crate) fn maximize(
     objective: &[Rational],
     constraints: &Matrix,
     rhs: &[Rational],
@@ -206,7 +188,7 @@ pub fn maximize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rational::rat;
+    use ra_exact::rat;
 
     fn r(v: i64) -> Rational {
         Rational::from(v)

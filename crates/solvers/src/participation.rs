@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use ra_exact::{bisect, BisectionResult, Rational};
+use ra_exact::{rat, Rational};
 use ra_games::{EquilibriumRoot, ParticipationParams};
 
 /// Error from [`solve_participation_equilibrium`].
@@ -120,10 +120,84 @@ fn finish_root(g: impl Fn(&Rational) -> Rational, res: BisectionResult) -> Equil
     }
 }
 
+/// Result of an exact bisection search.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct BisectionResult {
+    /// Lower bound of the bracketing interval.
+    lo: Rational,
+    /// Upper bound of the bracketing interval.
+    hi: Rational,
+}
+
+impl BisectionResult {
+    /// Interval midpoint — the advised root approximation.
+    fn midpoint(&self) -> Rational {
+        (&self.lo + &self.hi) * rat(1, 2)
+    }
+}
+
+/// Errors from [`bisect`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum BisectError {
+    /// `f(lo)` and `f(hi)` do not have opposite signs.
+    NoSignChange,
+    /// The requested interval is empty or reversed.
+    EmptyInterval,
+}
+
+/// Exact bisection: narrows a sign-changing interval of `f` until its width
+/// is at most `tolerance`.
+///
+/// All arithmetic is rational, so the returned bracket is a *certificate*:
+/// anyone can re-evaluate `f` at `lo` and `hi` and confirm the sign change.
+///
+/// # Errors
+///
+/// Returns [`BisectError::NoSignChange`] if `f(lo)·f(hi) > 0`, and
+/// [`BisectError::EmptyInterval`] if `lo >= hi`.
+fn bisect(
+    f: impl Fn(&Rational) -> Rational,
+    mut lo: Rational,
+    mut hi: Rational,
+    tolerance: &Rational,
+) -> Result<BisectionResult, BisectError> {
+    if lo >= hi {
+        return Err(BisectError::EmptyInterval);
+    }
+    let mut f_lo = f(&lo);
+    let f_hi = f(&hi);
+    if f_lo.is_zero() {
+        return Ok(BisectionResult { hi: lo.clone(), lo });
+    }
+    if f_hi.is_zero() {
+        return Ok(BisectionResult { lo: hi.clone(), hi });
+    }
+    if f_lo.is_negative() == f_hi.is_negative() {
+        return Err(BisectError::NoSignChange);
+    }
+    let half = rat(1, 2);
+    while &(&hi - &lo) > tolerance {
+        let mid = (&lo + &hi) * &half;
+        let f_mid = f(&mid);
+        if f_mid.is_zero() {
+            return Ok(BisectionResult {
+                lo: mid.clone(),
+                hi: mid,
+            });
+        }
+        if f_mid.is_negative() == f_lo.is_negative() {
+            lo = mid;
+            f_lo = f_mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(BisectionResult { lo, hi })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ra_exact::rat;
 
     #[test]
     fn paper_example_exact_roots() {
@@ -215,5 +289,44 @@ mod tests {
         assert!(ParticipationParams::new(3, 2, Rational::from(0), Rational::from(3)).is_err());
         assert!(ParticipationParams::new(3, 2, Rational::from(8), Rational::from(9)).is_err());
         assert!(ParticipationParams::new(3, 2, Rational::from(8), Rational::from(0)).is_err());
+    }
+    #[test]
+    fn bisect_finds_participation_equilibrium() {
+        // §5 worked example: v(n-1)p(1-p)^{n-2} - c with v=1, c=3/8, n=3.
+        // Smallest root is exactly 1/4.
+        let f = |p: &Rational| Rational::from(2) * p * (Rational::one() - p) - rat(3, 8);
+        let res = bisect(f, rat(0, 1), rat(1, 2), &rat(1, 1 << 20)).unwrap();
+        let mid = res.midpoint();
+        assert!((mid - rat(1, 4)).abs() < rat(1, 1 << 19));
+    }
+
+    #[test]
+    fn bisect_narrows_to_tolerance() {
+        // Root of x^2 - 2 in [1, 2]: narrows toward sqrt(2).
+        let f = |x: &Rational| x * x - Rational::from(2);
+        let res = bisect(f, rat(1, 1), rat(2, 1), &rat(1, 1024)).unwrap();
+        assert!(&res.hi - &res.lo <= rat(1, 1024));
+        assert!(res.lo.pow(2) < rat(2, 1) && res.hi.pow(2) > rat(2, 1));
+    }
+
+    #[test]
+    fn bisect_exact_hit() {
+        let f = |x: &Rational| x - &rat(1, 2);
+        let res = bisect(f, rat(0, 1), rat(1, 1), &rat(1, 1024)).unwrap();
+        assert_eq!(res.lo, rat(1, 2));
+        assert_eq!(res.hi, rat(1, 2));
+    }
+
+    #[test]
+    fn bisect_errors() {
+        let f = |x: &Rational| x.clone();
+        assert_eq!(
+            bisect(f, rat(1, 1), rat(2, 1), &rat(1, 2)),
+            Err(BisectError::NoSignChange)
+        );
+        assert_eq!(
+            bisect(f, rat(2, 1), rat(1, 1), &rat(1, 2)),
+            Err(BisectError::EmptyInterval)
+        );
     }
 }

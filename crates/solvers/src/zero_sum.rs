@@ -11,7 +11,9 @@
 //! `−Aᵀ` (shifted), i.e. one more simplex call instead of dual extraction —
 //! two small LPs keep the code auditable.
 
-use ra_exact::{maximize, LpError, LpResult, Matrix, Rational};
+use ra_exact::{Matrix, Rational};
+
+use crate::lp::{maximize, LpError, LpResult};
 use ra_games::{BimatrixGame, MixedProfile, MixedStrategy};
 
 /// The exact minimax solution of a zero-sum game.

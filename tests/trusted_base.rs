@@ -1,7 +1,10 @@
 //! Keeps the "Trusted base" table of `docs/ARCHITECTURE.md` honest: every
 //! row's Lines and Code columns are recomputed from its file glob, and the
 //! total from the rows, so a change to a checker shows its delta in the
-//! diff of that table.
+//! diff of that table. Every `.rs` file of the crates the base draws on
+//! must be named exactly once, by the table or by the "Outside the base"
+//! list under it, so a new or moved file cannot silently leave or enter
+//! the base.
 //!
 //! "Lines" counts newline characters (as `wc -l` does); "Code" counts the
 //! lines before the file's first `#[cfg(test)]` line (all of them if it
@@ -66,6 +69,19 @@ fn trusted_base_table(doc: &str) -> (Vec<Row>, (usize, usize)) {
         });
     }
     (rows, total.expect("a **Total** row"))
+}
+
+/// The first `glob` of each item of the "Outside the base" list.
+fn outside_the_base(doc: &str) -> Vec<String> {
+    let list = doc
+        .split("\n### Outside the base\n")
+        .nth(1)
+        .expect("docs/ARCHITECTURE.md has an \"### Outside the base\" list");
+    list.lines()
+        .take_while(|l| !l.starts_with('#'))
+        .filter_map(|l| l.strip_prefix("- `"))
+        .map(|item| item.split('`').next().expect("a `glob`").to_string())
+        .collect()
 }
 
 /// Every file under `root` that `glob` names.
@@ -158,4 +174,34 @@ fn trusted_base_table_matches_the_files() {
         sum = (sum.0 + counted.0, sum.1 + counted.1);
     }
     assert_eq!(total, sum, "the trusted-base **Total** row");
+}
+
+#[test]
+fn every_file_of_the_base_crates_is_classified_once() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = fs::read_to_string(root.join("docs/ARCHITECTURE.md")).expect("architecture doc");
+    let (rows, _) = trusted_base_table(&doc);
+    let outside = outside_the_base(&doc);
+    assert!(
+        !outside.is_empty(),
+        "the \"Outside the base\" list has items"
+    );
+    let mut named: Vec<PathBuf> = rows
+        .iter()
+        .map(|row| row.glob.as_str())
+        .chain(outside.iter().map(String::as_str))
+        .flat_map(|glob| expand(root, glob))
+        .collect();
+    named.sort();
+    for crate_dir in ["exact", "games", "proofs"] {
+        for file in expand(root, &format!("crates/{crate_dir}/src/**/*.rs")) {
+            let times = named.iter().filter(|&n| n == &file).count();
+            assert_eq!(
+                times,
+                1,
+                "{} is named {times} times by the trusted-base table and the \"Outside the base\" list; name it exactly once",
+                file.display()
+            );
+        }
+    }
 }
