@@ -9,8 +9,8 @@
 use ra_exact::{rat, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
 use ra_proofs::{
-    honest_online_advice, prove_is_nash, ParticipationCertificate, PureNashCertificate,
-    SupportCertificate,
+    honest_online_advice, honest_row_advice, prove_is_nash, P2Advice, ParticipationCertificate,
+    PureNashCertificate, SupportCertificate,
 };
 use ra_solvers::{
     find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
@@ -83,6 +83,23 @@ impl Inventor {
             InventorBehavior::Honest => self.advise_honestly(spec),
             InventorBehavior::Corrupt => self.advise_corruptly(spec),
         }
+    }
+
+    /// §4 P2 advice for the row agent of `game`, with the prover's answer
+    /// to a membership query about each column, both from one
+    /// equilibrium (`None` as for [`Inventor::advise`]). A corrupt prover
+    /// inverts every answer.
+    pub(crate) fn advise_private(&self, game: &BimatrixGame) -> Option<(P2Advice, Vec<bool>)> {
+        let lies = match self.behavior {
+            InventorBehavior::Silent => return None,
+            InventorBehavior::Honest => false,
+            InventorBehavior::Corrupt => true,
+        };
+        let profile = find_one_equilibrium(game)?.profile;
+        let answers = (0..game.cols())
+            .map(|j| !profile.col.prob(j).is_zero() ^ lies)
+            .collect();
+        Some((honest_row_advice(game, &profile), answers))
     }
 
     fn advise_honestly(&self, spec: &GameSpec) -> Option<Advice> {

@@ -30,7 +30,8 @@
 //! * [`StatisticsLedger`] — the signed, hash-chained statistics stream of
 //!   §6 footnote 3;
 //! * [`RationalityAuthority`] — the per-consultation Fig. 1 protocol over
-//!   one transport, with game-id assignment;
+//!   one transport, with game-id assignment, and the §4 P2 private
+//!   consultation on the same stages;
 //! * [`CertCache`] — the content-addressed certificate cache: a
 //!   consultation is memoized under the SHA-256 digest of its game spec's
 //!   canonical wire encoding ([`spec_digest`]) in a sharded LRU, and a
@@ -64,7 +65,6 @@ mod inventor;
 mod messages;
 #[cfg(feature = "parallel")]
 mod pool;
-mod private_session;
 mod reputation;
 mod session;
 mod shard;
@@ -79,15 +79,14 @@ pub use cache::{spec_digest, CacheMode, CacheStats, CertCache, CertCacheConfig};
 pub use crypto::{hmac_sha256, sha256, sha256_wire, to_hex, Digest, Signature, SigningKey};
 pub use inventor::{GameSpec, Inventor, InventorBehavior};
 pub use messages::{Advice, Message, Party};
-pub use private_session::{run_p2_session, P2Prover, P2SessionOutcome};
 pub use reputation::{
     DecayingPnCounterMap, GossipPlane, GossipReputation, LocalReputation, MajorityOutcome,
     PnCounter, ReputationBackend, ReputationDecay, ReputationSnapshot, VersionVector, VoteRule,
     EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
 };
 pub use session::{
-    BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, RationalityAuthority,
-    ResilienceConfig, SessionOutcome,
+    BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, PrivateOutcome,
+    RationalityAuthority, ResilienceConfig, SessionOutcome,
 };
 pub use shard::{ReputationConfig, ReputationPolicy, ShardStats, ShardedAuthority, TransportSite};
 pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig, Simulated};

@@ -8,7 +8,10 @@
 //!
 //! [`RationalityAuthority`] runs one Fig. 1 message flow per consult
 //! against the transport, inventor, verifier panel and reputation backend
-//! it was assembled with, and assigns each consult its game id. The
+//! it was assembled with, and assigns each consult its game id. A §4 P2
+//! consult ([`RationalityAuthority::try_consult_private`]) runs on the
+//! same stages: advice, then one Query stage per Fig. 4 membership query,
+//! with the agent as the checker. The
 //! sharded, multi-bus orchestration lives in [`crate::ShardedAuthority`],
 //! which runs one authority per shard.
 //!
@@ -38,6 +41,9 @@
 //! of locking the backend per verifier.
 
 use std::sync::Arc;
+
+use ra_games::BimatrixGame;
+use ra_proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome, TranscriptEvent};
 
 use crate::bus::Bus;
 use crate::cache::{spec_digest, CacheMode, CachedConsultation, CertCache};
@@ -82,6 +88,8 @@ pub enum ConsultStage {
     Advice,
     /// Waiting for verifier verdicts.
     Panel,
+    /// Waiting for the inventor's answer to one §4 P2 membership query.
+    Query,
 }
 
 impl std::fmt::Display for ConsultStage {
@@ -89,6 +97,7 @@ impl std::fmt::Display for ConsultStage {
         match self {
             ConsultStage::Advice => write!(f, "advice"),
             ConsultStage::Panel => write!(f, "panel"),
+            ConsultStage::Query => write!(f, "query"),
         }
     }
 }
@@ -98,8 +107,8 @@ impl std::fmt::Display for ConsultStage {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConsultError {
     /// The deadline (or retry) budget ran out before the stage could
-    /// decide: the advice never arrived, or the panel closed with fewer
-    /// than `quorum` verdicts or undecided.
+    /// decide: the advice never arrived, the panel closed with fewer
+    /// than `quorum` verdicts or undecided, or a P2 query went unanswered.
     Deadline {
         /// The stage that starved.
         stage: ConsultStage,
@@ -271,6 +280,23 @@ pub struct SessionOutcome {
     /// cache hit).
     pub panel: PanelOutcome,
     /// Retransmitted frames this session spent (0 on a cache hit).
+    pub attempts: u64,
+}
+
+/// Outcome of one §4 P2 consult.
+#[derive(Clone, Debug)]
+pub struct PrivateOutcome {
+    /// The advice received (if the inventor answered).
+    pub advice: Option<P2Advice>,
+    /// The agent's Fig. 4 verdict and transcript, if advice arrived.
+    pub verdict: Option<P2Outcome>,
+    /// Whether the agent adopts the advice (its Fig. 4 check accepted).
+    pub adopted: bool,
+    /// Wire bytes of the advice message itself.
+    pub advice_bytes: usize,
+    /// Total wire bytes of the whole session.
+    pub session_bytes: usize,
+    /// Retransmitted frames this session spent.
     pub attempts: u64,
 }
 
@@ -486,7 +512,7 @@ impl RationalityAuthority {
         self.next_game_id += 1;
         let agent = Party::Agent(agent_id);
         let Some(cache) = self.cert_cache.clone() else {
-            return self.run_session(agent, game_id, spec);
+            return self.run_session(agent, |a, inbox| a.run_protocol(inbox, game_id, spec));
         };
         let digest = spec_digest(spec);
         // Replay hits are panel-guarded: an entry minted under a
@@ -509,7 +535,7 @@ impl RationalityAuthority {
                 }
             }
         }
-        let outcome = self.run_session(agent, game_id, spec)?;
+        let outcome = self.run_session(agent, |a, inbox| a.run_protocol(inbox, game_id, spec))?;
         // Short closes are never memoized: their vote was pooled over a
         // partial panel, so serving them warm would replay it as if the
         // full panel had vouched for it.
@@ -536,6 +562,30 @@ impl RationalityAuthority {
         Ok(outcome)
     }
 
+    /// One §4 P2 consult (Fig. 4) for agent `agent_id` as the row agent
+    /// of `game`. The Advice stage brings [`Advice::Private`], then each
+    /// membership query [`verify_private_advice`] draws with `rng` is a
+    /// Query stage under the consult's budget. The agent checks the advice
+    /// itself: no certificate cache, panel or reputation takes part.
+    ///
+    /// A query unanswered when its stage's budget runs out is unknown,
+    /// never "out", and leaves the verdict [`P2Outcome::Undecided`]. Under
+    /// a caller-set budget that, like a starved advice stage, is a
+    /// [`ConsultError::Deadline`] instead.
+    pub fn try_consult_private(
+        &mut self,
+        agent_id: u64,
+        game: &BimatrixGame,
+        config: &P2Config,
+        rng: &mut dyn rand::RngCore,
+    ) -> Result<PrivateOutcome, ConsultError> {
+        let game_id = self.next_game_id;
+        self.next_game_id += 1;
+        self.run_session(Party::Agent(agent_id), |a, inbox| {
+            a.run_private(inbox, game_id, game, config, rng)
+        })
+    }
+
     /// Materializes a cache hit: the stored session's result with zero
     /// fresh bus traffic.
     fn outcome_from_cache(entry: &CachedConsultation) -> SessionOutcome {
@@ -550,9 +600,9 @@ impl RationalityAuthority {
         }
     }
 
-    /// The Fig. 1 message flow in stages — advice, then the panel, then
-    /// the pooled vote — run by every consult the certificate cache does
-    /// not answer.
+    /// Runs one consult's staged `body` — the Fig. 1 flow (advice, then
+    /// the panel, then the pooled vote) for every consult the certificate
+    /// cache does not answer, or a P2 consult (advice, then its queries).
     ///
     /// Retries (attempt ≥ 1) and the replies they provoke ship inside a
     /// [`Message::Resilient`] envelope, so the Lemma 1 ledger classifies
@@ -575,14 +625,14 @@ impl RationalityAuthority {
     /// between its sessions, and a delayed frame of an ended session was
     /// accounted when it was queued and is discarded on arrival, as the
     /// session filter of a later drain would discard it.
-    fn run_session(&mut self, agent: Party, game_id: u64, spec: &GameSpec) -> ConsultResult {
+    fn run_session<T>(&mut self, agent: Party, body: impl FnOnce(&mut Self, &Endpoint) -> T) -> T {
         let inbox = self.bus.register(agent);
-        let result = self.run_protocol(&inbox, game_id, spec);
+        let result = body(self, &inbox);
         self.bus.disconnect(agent);
         result
     }
 
-    /// The body of [`RationalityAuthority::run_session`], with the
+    /// The Fig. 1 body of [`RationalityAuthority::run_session`], with the
     /// agent's endpoint `inbox` registered.
     fn run_protocol(&mut self, inbox: &Endpoint, game_id: u64, spec: &GameSpec) -> ConsultResult {
         let budget = self.resilience.unwrap_or_default();
@@ -592,7 +642,8 @@ impl RationalityAuthority {
         self.scratch.clear(self.verifiers.len());
 
         // Stage 1: advice.
-        if !self.run_stage(ConsultStage::Advice, inbox, game_id, spec, deadline_at) {
+        let subject = Subject::Spec(spec);
+        if !self.run_stage(ConsultStage::Advice, inbox, game_id, subject, deadline_at) {
             let starved = SessionOutcome {
                 session_bytes: self.bus.total_bytes() - bytes_before,
                 attempts: self.scratch.retransmits,
@@ -617,7 +668,7 @@ impl RationalityAuthority {
             .agent_verdicts
             .resize(self.scratch.panel.len(), None);
         if !self.scratch.panel.is_empty() {
-            self.run_stage(ConsultStage::Panel, inbox, game_id, spec, deadline_at);
+            self.run_stage(ConsultStage::Panel, inbox, game_id, subject, deadline_at);
         }
 
         // Stage 3: the vote against the whole trusted panel, pooled in
@@ -697,16 +748,74 @@ impl RationalityAuthority {
         })
     }
 
+    /// The §4 P2 body of [`RationalityAuthority::run_session`]: the
+    /// Advice stage, then [`verify_private_advice`] with each membership
+    /// query a Query stage.
+    fn run_private(
+        &mut self,
+        inbox: &Endpoint,
+        game_id: u64,
+        game: &BimatrixGame,
+        config: &P2Config,
+        rng: &mut dyn rand::RngCore,
+    ) -> Result<PrivateOutcome, ConsultError> {
+        let bytes_before = self.bus.total_bytes();
+        let started = self.bus.now();
+        let deadline_at = started.saturating_add(self.resilience.unwrap_or_default().deadline);
+        self.scratch.clear(self.verifiers.len());
+        let subject = Subject::Private(game);
+        self.run_stage(ConsultStage::Advice, inbox, game_id, subject, deadline_at);
+        let advice = match self.scratch.agent_advice.take().as_deref() {
+            Some(Advice::Private(advice)) => Some(advice.clone()),
+            _ => None,
+        };
+        let verdict = advice.as_ref().map(|advice| {
+            let mut ask = |index| {
+                self.scratch.query = (index, None);
+                self.scratch.served.clear();
+                self.run_stage(ConsultStage::Query, inbox, game_id, subject, deadline_at);
+                self.scratch.query.1
+            };
+            verify_private_advice(game, advice, &mut ask, rng, config)
+        });
+        let outcome = PrivateOutcome {
+            adopted: verdict.as_ref().is_some_and(P2Outcome::is_accepted),
+            advice,
+            verdict,
+            advice_bytes: self.scratch.advice_bytes,
+            session_bytes: self.bus.total_bytes() - bytes_before,
+            attempts: self.scratch.retransmits,
+        };
+        let stage = match &outcome.verdict {
+            None => ConsultStage::Advice,
+            Some(verdict) if unanswered(verdict) => ConsultStage::Query,
+            Some(_) => return Ok(outcome),
+        };
+        match self.resilience {
+            None => Ok(outcome),
+            Some(_) => Err(ConsultError::Deadline {
+                stage,
+                attempts: outcome.attempts,
+                elapsed: self.bus.now().saturating_sub(started),
+                received: 0,
+                quorum: 1,
+                missing: vec![self.inventor.id],
+            }),
+        }
+    }
+
     /// Runs one stage to completion: sends an attempt (the stage's
     /// request, or the panel fan-out to every verifier not yet heard
     /// from), serves it, and repeats while the budget allows. Returns
-    /// whether the stage completed.
+    /// whether the stage completed. A send that fails (its recipient is
+    /// not registered) is a lost frame: the stage starves into the
+    /// budget's close.
     fn run_stage(
         &mut self,
         stage: ConsultStage,
         inbox: &Endpoint,
         game_id: u64,
-        spec: &GameSpec,
+        subject: Subject<'_>,
         deadline_at: u64,
     ) -> bool {
         let agent = inbox.party;
@@ -714,14 +823,19 @@ impl RationalityAuthority {
         let mut attempt: u32 = 0;
         loop {
             match stage {
-                ConsultStage::Advice => {
+                ConsultStage::Advice | ConsultStage::Query => {
                     if attempt > 0 {
                         self.scratch.retransmits += 1;
                     }
-                    let request = framed(game_id, attempt, Message::AdviceRequest { game_id });
-                    self.bus
-                        .send(agent, self.inventor.id, request)
-                        .expect("inventor registered");
+                    let request = match stage {
+                        ConsultStage::Query => Message::SupportQuery {
+                            game_id,
+                            index: self.scratch.query.0,
+                        },
+                        _ => Message::AdviceRequest { game_id },
+                    };
+                    let request = framed(game_id, attempt, request);
+                    let _ = self.bus.send(agent, self.inventor.id, request);
                 }
                 ConsultStage::Panel => {
                     // The same advice fans out to the whole panel, so it
@@ -747,9 +861,7 @@ impl RationalityAuthority {
                     // One accounting critical section for the whole
                     // fan-out; send_batch drains the buffer so its
                     // allocation is reused.
-                    self.bus
-                        .send_batch(&mut self.send_buf)
-                        .expect("verifier registered");
+                    let _ = self.bus.send_batch(&mut self.send_buf);
                 }
             }
             // The attempt's service pass: settle, let the responders
@@ -759,9 +871,10 @@ impl RationalityAuthority {
             // wait out its backoff window: one `advance` to its end.
             let wait_until = self.wait_until(attempt, &budget, deadline_at);
             self.bus.settle();
-            match stage {
-                ConsultStage::Advice => self.serve_inventor(spec, agent, game_id),
-                ConsultStage::Panel => self.serve_verifiers(spec, game_id),
+            match (stage, subject) {
+                (ConsultStage::Panel, Subject::Spec(spec)) => self.serve_verifiers(spec, game_id),
+                // A P2 consult has no Panel stage.
+                _ => self.serve_inventor(subject, agent, game_id),
             }
             self.bus.settle();
             self.collect_agent(inbox, game_id);
@@ -784,6 +897,7 @@ impl RationalityAuthority {
         match stage {
             ConsultStage::Advice => self.scratch.agent_advice.is_some(),
             ConsultStage::Panel => self.scratch.agent_verdicts.iter().all(Option::is_some),
+            ConsultStage::Query => self.scratch.query.1.is_some(),
         }
     }
 
@@ -803,40 +917,65 @@ impl RationalityAuthority {
     }
 
     /// Inventor-side service pass: answers each distinct attempt of the
-    /// agent's advice request exactly once — duplicated frames are
-    /// dropped — computing the advice a single time per session. Replies
-    /// are framed with the request's attempt, so retries classify as
-    /// retransmit bytes in the ledger.
-    fn serve_inventor(&mut self, spec: &GameSpec, agent: Party, game_id: u64) {
+    /// stage's request (the advice request, or the current P2 query)
+    /// exactly once — duplicated frames are dropped — computing the advice
+    /// (and a P2 prover's answers) a single time per session.
+    /// Replies are framed with the request's attempt, so retries classify
+    /// as retransmit bytes in the ledger.
+    fn serve_inventor(&mut self, subject: Subject<'_>, agent: Party, game_id: u64) {
         self.recv_buf.clear();
         self.inventor_endpoint.drain_into(&mut self.recv_buf);
         let st = &mut self.scratch;
         for (from, msg) in self.recv_buf.drain(..) {
-            let Some((attempt, Message::AdviceRequest { .. })) = open_frame(msg, game_id) else {
+            let Some((attempt, msg)) = open_frame(msg, game_id) else {
                 continue;
             };
-            if from != agent || st.served_advice.contains(&attempt) {
+            if from != agent || st.served.contains(&attempt) {
                 continue;
             }
-            st.served_advice.push(attempt);
-            if !st.advice_computed {
-                st.advice_computed = true;
-                st.inventor_advice = self.inventor.advise(spec);
-            }
-            // A Silent inventor never answers; the advice stage starves.
-            let Some(advice) = st.inventor_advice.clone() else {
-                continue;
+            st.served.push(attempt);
+            let reply = match msg {
+                Message::AdviceRequest { .. } => {
+                    if !st.advice_computed {
+                        st.advice_computed = true;
+                        st.inventor_advice = match subject {
+                            Subject::Spec(spec) => self.inventor.advise(spec),
+                            Subject::Private(game) => {
+                                self.inventor.advise_private(game).map(|(advice, answers)| {
+                                    st.prover_answers = answers;
+                                    Advice::Private(advice)
+                                })
+                            }
+                        };
+                    }
+                    // A Silent inventor never answers; the advice stage starves.
+                    let Some(advice) = st.inventor_advice.clone() else {
+                        continue;
+                    };
+                    let reply = Message::AdviceWithProof {
+                        game_id,
+                        advice: Box::new(advice),
+                    };
+                    if st.advice_bytes == 0 {
+                        st.advice_bytes = reply.encoded_len();
+                    }
+                    reply
+                }
+                Message::SupportQuery { index, .. } => {
+                    let Some(&in_support) = st.prover_answers.get(index) else {
+                        continue;
+                    };
+                    Message::SupportAnswer {
+                        game_id,
+                        index,
+                        in_support,
+                    }
+                }
+                _ => continue,
             };
-            let reply = Message::AdviceWithProof {
-                game_id,
-                advice: Box::new(advice),
-            };
-            if st.advice_bytes == 0 {
-                st.advice_bytes = reply.encoded_len();
-            }
-            self.bus
-                .send(self.inventor.id, from, framed(game_id, attempt, reply))
-                .expect("agent registered");
+            let _ = self
+                .bus
+                .send(self.inventor.id, from, framed(game_id, attempt, reply));
         }
     }
 
@@ -870,14 +1009,13 @@ impl RationalityAuthority {
                     .push((verifier.id, from, framed(game_id, attempt, reply)));
             }
         }
-        self.bus
-            .send_batch(&mut self.send_buf)
-            .expect("agent registered");
+        let _ = self.bus.send_batch(&mut self.send_buf);
     }
 
-    /// Agent-side collection pass: takes the first advice-with-proof and
-    /// the first verdict per verifier for this session, dropping
-    /// duplicates (idempotent receive) and frames from other sessions.
+    /// Agent-side collection pass: takes the first advice-with-proof, the
+    /// first verdict per verifier and the first answer to the current P2
+    /// query for this session, dropping duplicates (idempotent receive)
+    /// and frames from other sessions.
     fn collect_agent(&mut self, inbox: &Endpoint, game_id: u64) {
         self.recv_buf.clear();
         inbox.drain_into(&mut self.recv_buf);
@@ -897,10 +1035,33 @@ impl RationalityAuthority {
                         st.agent_verdicts[slot].get_or_insert((accepted, detail));
                     }
                 }
+                Some((
+                    _,
+                    Message::SupportAnswer {
+                        index, in_support, ..
+                    },
+                )) if index == st.query.0 => {
+                    st.query.1.get_or_insert(in_support);
+                }
                 _ => {}
             }
         }
     }
+}
+
+/// What a consult asks the inventor about: a spec whose Fig. 1 advice
+/// the panel checks, or a bimatrix game whose §4 P2 advice the agent
+/// checks itself through membership queries.
+#[derive(Clone, Copy)]
+enum Subject<'a> {
+    Spec(&'a GameSpec),
+    Private(&'a BimatrixGame),
+}
+
+/// Whether a P2 run stopped on a query whose answer never arrived.
+fn unanswered(verdict: &P2Outcome) -> bool {
+    let last = verdict.transcript().events().last();
+    matches!(last, Some(TranscriptEvent::Answer { in_support: None }))
 }
 
 /// Each registered verifier, in panel order, that `view` trusts. A
@@ -931,9 +1092,9 @@ fn framed(session: u64, attempt: u32, msg: Message) -> Message {
     }
 }
 
-/// Opens a Fig. 1 frame of session `game_id`: its attempt number and the
+/// Opens a consult frame of session `game_id`: its attempt number and the
 /// bare message. A bare frame is attempt 0; frames of other sessions, and
-/// frames that are not Fig. 1 messages, open to `None`.
+/// frames that are not consult messages, open to `None`.
 fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
     let (attempt, inner) = match msg {
         Message::Resilient {
@@ -948,7 +1109,9 @@ fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
         Message::AdviceRequest { game_id }
         | Message::AdviceWithProof { game_id, .. }
         | Message::VerdictRequest { game_id, .. }
-        | Message::Verdict { game_id, .. } => *game_id,
+        | Message::Verdict { game_id, .. }
+        | Message::SupportQuery { game_id, .. }
+        | Message::SupportAnswer { game_id, .. } => *game_id,
         _ => return None,
     };
     (session == game_id).then_some((attempt, inner))
@@ -962,8 +1125,9 @@ fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
 /// indexed by verifier or panel slot.
 #[derive(Default)]
 struct SessionScratch {
-    /// Advice-request attempts the inventor has already answered.
-    served_advice: Vec<u32>,
+    /// Attempts of the current advice or query stage the inventor has
+    /// already answered.
+    served: Vec<u32>,
     /// Whether the inventor has computed (or declined) its advice.
     advice_computed: bool,
     /// The inventor's memoized advice for this session.
@@ -983,13 +1147,18 @@ struct SessionScratch {
     retransmits: u64,
     /// Encoded length of the advice-with-proof payload (Lemma 1).
     advice_bytes: usize,
+    /// The inventor's answer to a P2 membership query, per column.
+    prover_answers: Vec<bool>,
+    /// The column the agent's current P2 query asks about, and the first
+    /// answer it collected.
+    query: (usize, Option<bool>),
 }
 
 impl SessionScratch {
     /// Resets every field for a panel of `verifiers` registered
     /// verifiers, keeping the collections' allocations.
     fn clear(&mut self, verifiers: usize) {
-        self.served_advice.clear();
+        self.served.clear();
         self.advice_computed = false;
         self.inventor_advice = None;
         self.served_verdicts.clear();
@@ -1000,6 +1169,8 @@ impl SessionScratch {
         self.agent_verdicts.clear();
         self.retransmits = 0;
         self.advice_bytes = 0;
+        self.prover_answers.clear();
+        self.query = (0, None);
     }
 }
 
@@ -1970,6 +2141,61 @@ mod tests {
         } = err;
         assert_eq!(stage, ConsultStage::Advice);
         assert_eq!(attempts, 2, "three sends, two of them retransmits");
+        assert_eq!(missing, vec![Party::Inventor(0)]);
+    }
+
+    // ---- a failed send is a lost frame, never a panic -----------------
+
+    #[test]
+    fn a_disconnected_verifier_degrades_the_panel() {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        authority.bus().disconnect(Party::Verifier(1));
+        let outcome = authority.consult(0, &spec);
+        assert!(outcome.adopted, "the two honest verdicts decide");
+        assert_eq!(outcome.majority.unwrap().accept_votes, 2);
+        assert_eq!(
+            outcome.panel,
+            PanelOutcome::Degraded {
+                missing: vec![Party::Verifier(1)]
+            }
+        );
+    }
+
+    #[test]
+    fn a_disconnected_inventor_starves_the_advice_stage() {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        authority.bus().disconnect(Party::Inventor(0));
+        let outcome = authority.consult(0, &spec);
+        assert!(!outcome.adopted);
+        assert!(outcome.advice.is_none());
+        assert_eq!(
+            outcome.panel,
+            PanelOutcome::Undecided {
+                missing: vec![Party::Inventor(0)]
+            }
+        );
+    }
+
+    #[test]
+    fn a_disconnected_inventor_is_an_advice_deadline_under_a_caller_budget() {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        authority.set_resilience(Some(ResilienceConfig::default()));
+        authority.bus().disconnect(Party::Inventor(0));
+        let ConsultError::Deadline { stage, missing, .. } =
+            authority.try_consult(0, &spec).unwrap_err();
+        assert_eq!(stage, ConsultStage::Advice);
         assert_eq!(missing, vec![Party::Inventor(0)]);
     }
 

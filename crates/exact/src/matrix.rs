@@ -32,24 +32,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Creates a `rows × cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
-        Matrix {
-            rows,
-            cols,
-            data: vec![Rational::zero(); rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Rational::one();
-        }
-        m
-    }
-
     /// Builds a matrix from rows.
     ///
     /// # Panics

@@ -41,10 +41,18 @@ pub struct P2Advice {
 /// The membership oracle the prover answers queries through.
 ///
 /// Honest provers answer from the true equilibrium support; dishonest ones
-/// can answer anything — the verifier's job is to catch them.
+/// can answer anything — the verifier's job is to catch them. Any
+/// `FnMut(usize) -> Option<bool>` closure is an oracle.
 pub trait SupportOracle {
-    /// Is pure strategy `index` in the opponent's support?
-    fn is_in_opponent_support(&mut self, index: usize) -> bool;
+    /// Is pure strategy `index` in the opponent's support? `None` when
+    /// the answer is unknown (it never arrived).
+    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool>;
+}
+
+impl<F: FnMut(usize) -> Option<bool>> SupportOracle for F {
+    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
+        self(index)
+    }
 }
 
 /// Honest oracle backed by the true support set.
@@ -63,8 +71,8 @@ impl HonestOracle {
 }
 
 impl SupportOracle for HonestOracle {
-    fn is_in_opponent_support(&mut self, index: usize) -> bool {
-        self.support.contains(&index)
+    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
+        Some(self.support.contains(&index))
     }
 }
 
@@ -91,8 +99,8 @@ impl LyingOracle {
 }
 
 impl SupportOracle for LyingOracle {
-    fn is_in_opponent_support(&mut self, index: usize) -> bool {
-        self.truth.contains(&index) ^ self.lies_about.contains(&index)
+    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
+        Some(self.truth.contains(&index) ^ self.lies_about.contains(&index))
     }
 }
 
@@ -178,7 +186,9 @@ pub enum P2Outcome {
         transcript: Transcript,
     },
     /// The query budget ran out before enough conclusive tests (can only
-    /// happen with tiny budgets or tiny supports).
+    /// happen with tiny budgets or tiny supports), or an oracle answer
+    /// never arrived: unknown is neither in nor out, so the transcript
+    /// ends with that query and no verdict rests on it.
     Undecided {
         /// Conclusive tests completed before the budget ran out.
         conclusive_tests: u64,
@@ -261,27 +271,23 @@ pub fn verify_private_advice(
     let lambda_opp = &advice.lambda_opp;
     let mut conclusive = 0u64;
     let mut queries = 0u64;
-    while conclusive < config.required_conclusive {
-        if queries + 2 > config.max_queries {
-            return P2Outcome::Undecided {
-                conclusive_tests: conclusive,
-                transcript,
-            };
-        }
-        let j1 = rng.random_range(0..m);
-        let j2 = rng.random_range(0..m);
-        for &j in &[j1, j2] {
+    'pairs: while conclusive < config.required_conclusive && queries + 2 <= config.max_queries {
+        let pair = [rng.random_range(0..m), rng.random_range(0..m)];
+        let mut inside = [false; 2];
+        for (&j, inside) in pair.iter().zip(&mut inside) {
             transcript.query(j, m);
+            let answer = oracle.is_in_opponent_support(j);
+            transcript.answer(answer);
+            let Some(answer) = answer else {
+                break 'pairs;
+            };
+            *inside = answer;
         }
-        let in1 = oracle.is_in_opponent_support(j1);
-        let in2 = oracle.is_in_opponent_support(j2);
-        transcript.answer(in1);
-        transcript.answer(in2);
         queries += 2;
         // Expected payoff of the opponent's pure strategy j against the
         // agent's own (known) mixed strategy — computable locally.
         let payoff = |j: usize| game.col_payoff_against(&advice.own_strategy, j);
-        for (&j, &inside) in [j1, j2].iter().zip([in1, in2].iter()) {
+        for (&j, &inside) in pair.iter().zip(&inside) {
             let actual = payoff(j);
             if inside && &actual != lambda_opp {
                 return P2Outcome::Rejected {
@@ -297,9 +303,15 @@ pub fn verify_private_advice(
             }
         }
         // Fig. 4's case analysis: conclusive iff at least one index was in.
-        if in1 || in2 {
+        if inside.contains(&true) {
             conclusive += 1;
         }
+    }
+    if conclusive < config.required_conclusive {
+        return P2Outcome::Undecided {
+            conclusive_tests: conclusive,
+            transcript,
+        };
     }
     P2Outcome::Accepted {
         conclusive_tests: conclusive,
@@ -320,6 +332,7 @@ pub fn honest_row_advice(game: &BimatrixGame, profile: &ra_games::MixedProfile) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transcript::TranscriptEvent;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -426,6 +439,41 @@ mod tests {
                 "denial lies must not reject honest advice (seed {seed})"
             );
         }
+    }
+
+    #[test]
+    fn unanswered_query_is_undecided_never_out() {
+        // The advice lies about λ, so a pair of answers rejects it. An
+        // answer that never arrives is neither in nor out: the run stops
+        // undecided at that query, and no opponent bit is counted for it.
+        let game = matching_pennies();
+        let profile = MixedProfile {
+            row: MixedStrategy::uniform(2),
+            col: MixedStrategy::uniform(2),
+        };
+        let mut advice = honest_row_advice(&game, &profile);
+        advice.lambda_opp = rat(1, 2);
+        for answered in 0..2u64 {
+            let mut asked = 0;
+            let mut oracle = |_| {
+                asked += 1;
+                (asked <= answered).then_some(true)
+            };
+            let outcome = run(&game, &advice, &mut oracle, 4);
+            assert!(matches!(outcome, P2Outcome::Undecided { .. }));
+            let transcript = outcome.transcript();
+            assert_eq!(transcript.num_queries(), answered + 1);
+            assert_eq!(transcript.opponent_bits_disclosed(), answered);
+            assert_eq!(
+                transcript.events().last(),
+                Some(&TranscriptEvent::Answer { in_support: None })
+            );
+        }
+        let mut answers = |_| Some(true);
+        assert!(matches!(
+            run(&game, &advice, &mut answers, 4),
+            P2Outcome::Rejected { .. }
+        ));
     }
 
     #[test]

@@ -40,10 +40,11 @@ pub enum TranscriptEvent {
         /// The queried index.
         index: usize,
     },
-    /// Prover → agent oracle answer (one bit of opponent information).
+    /// Prover → agent oracle answer: one bit of opponent information, or
+    /// none when the answer never arrived.
     Answer {
-        /// The membership bit.
-        in_support: bool,
+        /// The membership bit; `None` for an unanswered query.
+        in_support: Option<bool>,
     },
 }
 
@@ -74,8 +75,8 @@ impl Transcript {
         self.events.push(TranscriptEvent::Query { bits, index });
     }
 
-    /// Logs an oracle answer.
-    pub fn answer(&mut self, in_support: bool) {
+    /// Logs an oracle answer (`None`: the query went unanswered).
+    pub fn answer(&mut self, in_support: Option<bool>) {
         self.events.push(TranscriptEvent::Answer { in_support });
     }
 
@@ -99,7 +100,7 @@ impl Transcript {
             .map(|e| match e {
                 TranscriptEvent::ProverMessage { bits, .. } => *bits,
                 TranscriptEvent::Query { bits, .. } => *bits,
-                TranscriptEvent::Answer { .. } => 1,
+                TranscriptEvent::Answer { in_support } => u64::from(in_support.is_some()),
             })
             .sum()
     }
@@ -116,7 +117,9 @@ impl Transcript {
                     disclosure: Disclosure::OpponentData,
                     ..
                 } => *bits,
-                TranscriptEvent::Answer { .. } => 1,
+                TranscriptEvent::Answer {
+                    in_support: Some(_),
+                } => 1,
                 _ => 0,
             })
             .sum()
@@ -142,8 +145,11 @@ impl fmt::Display for Transcript {
                 TranscriptEvent::Query { bits, index } => {
                     writeln!(f, "  agent → prover: query index {index} ({bits} bits)")?
                 }
-                TranscriptEvent::Answer { in_support } => {
-                    writeln!(f, "  prover → agent: answer {in_support} (1 bit)")?
+                TranscriptEvent::Answer {
+                    in_support: Some(in_support),
+                } => writeln!(f, "  prover → agent: answer {in_support} (1 bit)")?,
+                TranscriptEvent::Answer { in_support: None } => {
+                    writeln!(f, "  prover → agent: no answer (0 bits)")?
                 }
             }
         }
@@ -162,11 +168,13 @@ mod tests {
         t.prover_message(16, Disclosure::EquilibriumValue, "lambdas");
         t.prover_message(4, Disclosure::OpponentData, "opponent support mask");
         t.query(3, 8); // 3 bits
-        t.answer(true);
-        assert_eq!(t.num_queries(), 1);
-        assert_eq!(t.total_bits(), 8 + 16 + 4 + 3 + 1);
+        t.answer(Some(true));
+        t.query(5, 8); // 3 bits, never answered
+        t.answer(None);
+        assert_eq!(t.num_queries(), 2);
+        assert_eq!(t.total_bits(), 8 + 16 + 4 + 3 + 1 + 3);
         assert_eq!(t.opponent_bits_disclosed(), 4 + 1);
-        assert_eq!(t.events().len(), 5);
+        assert_eq!(t.events().len(), 7);
     }
 
     #[test]
@@ -180,9 +188,11 @@ mod tests {
     #[test]
     fn display_contains_summary() {
         let mut t = Transcript::new();
-        t.answer(false);
+        t.answer(Some(false));
+        t.answer(None);
         let s = t.to_string();
         assert!(s.contains("1 bits total"));
         assert!(s.contains("answer false"));
+        assert!(s.contains("no answer"));
     }
 }

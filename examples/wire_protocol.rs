@@ -1,19 +1,36 @@
 //! The P2 interactive proof as an actual wire protocol.
 //!
 //! Unlike `private_consultation` (which runs the verifier locally), this
-//! example pushes every advice message, oracle query and one-bit answer
-//! through the byte-accounted message bus — the deployment shape of
-//! Fig. 1. The bus log then shows exactly how much opponent information
-//! ever crossed the wire.
+//! example runs §4's private consultation on the authority's consult
+//! stages: the advice, then one query stage per membership query, each a
+//! round trip through the byte-accounted message bus — the deployment
+//! shape of Fig. 1. The bus ledger then shows exactly how much opponent
+//! information ever crossed the wire.
 //!
 //! Run with: `cargo run --example wire_protocol`
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rationality_authority::authority::{run_p2_session, Bus, P2Prover, Transport};
-use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
+use rationality_authority::authority::{
+    Bus, Inventor, InventorBehavior, LocalReputation, Party, RationalityAuthority,
+};
+use rationality_authority::games::{BimatrixGame, GameGenerator};
+use rationality_authority::proofs::{P2Config, P2Outcome};
 use rationality_authority::solvers::find_one_equilibrium;
+
+/// An authority with no verifier panel — the P2 agent checks the advice
+/// itself — over a bus that logs every frame.
+fn authority(inventor: InventorBehavior) -> RationalityAuthority {
+    RationalityAuthority::with_transport(
+        Inventor::new(0, inventor),
+        &[],
+        Arc::new(LocalReputation::new()),
+        Arc::new(Bus::new().with_delivery_log()),
+    )
+}
 
 fn main() {
     let game = GameGenerator::seeded(4242).bimatrix(5, 5, -30..=30);
@@ -24,49 +41,52 @@ fn main() {
     );
 
     // ---- Honest prover ----------------------------------------------------
-    let bus = Bus::new();
-    let prover = P2Prover::honest(0, eq.profile.clone());
+    let mut honest = authority(InventorBehavior::Honest);
     let mut rng = StdRng::seed_from_u64(17);
-    let outcome = run_p2_session(&bus, &game, &prover, /*agent*/ 0, 3, 500, &mut rng);
+    let config = P2Config {
+        required_conclusive: 3,
+        max_queries: 500,
+    };
+    let outcome = honest
+        .try_consult_private(/*agent*/ 0, &game, &config, &mut rng)
+        .expect("the default budget reports, never errs");
+    let queries = outcome
+        .verdict
+        .as_ref()
+        .map_or(0, |v| v.transcript().num_queries());
+    // Everything the prover sent the agent but the advice frame is a
+    // framed one-bit answer.
+    let answer_bytes = honest
+        .bus()
+        .bytes_between(Party::Inventor(0), Party::Agent(0))
+        - outcome.advice_bytes;
     println!("\n[honest prover over the bus]");
-    println!("  accepted:                {}", outcome.accepted);
-    println!("  oracle queries:          {}", outcome.queries);
+    println!("  accepted:                {}", outcome.adopted);
+    println!("  oracle queries:          {queries}");
     println!("  session bytes on wire:   {}", outcome.session_bytes);
-    println!(
-        "  opponent-revealing bytes: {} ({} one-bit answers, framed)",
-        outcome.opponent_answer_bytes, outcome.queries
-    );
-    assert!(outcome.accepted);
+    println!("  opponent-revealing bytes: {answer_bytes} ({queries} one-bit answers, framed)");
+    assert!(outcome.adopted);
+    assert!(answer_bytes < outcome.session_bytes);
 
     // ---- A maximally dishonest oracle --------------------------------------
-    // Construct a game with a strictly dominated column so membership lies
-    // are detectable, then let the prover invert every answer.
-    let game = rationality_authority::games::BimatrixGame::from_i64_tables(
-        &[&[2, 0, 0], &[0, 1, 0]],
-        &[&[1, 0, -1], &[0, 2, -1]],
-    );
-    let profile = MixedProfile {
-        row: MixedStrategy::try_new(vec![
-            rationality_authority::exact::rat(2, 3),
-            rationality_authority::exact::rat(1, 3),
-        ])
-        .unwrap(),
-        col: MixedStrategy::try_new(vec![
-            rationality_authority::exact::rat(1, 3),
-            rationality_authority::exact::rat(2, 3),
-            rationality_authority::exact::rat(0, 1),
-        ])
-        .unwrap(),
+    // A game with a strictly dominated column, so membership lies are
+    // detectable; the corrupt prover inverts every answer.
+    let game =
+        BimatrixGame::from_i64_tables(&[&[2, 0, 0], &[0, 1, 0]], &[&[1, 0, -1], &[0, 2, -1]]);
+    let mut lying = authority(InventorBehavior::Corrupt);
+    let config = P2Config {
+        required_conclusive: 3,
+        max_queries: 200,
     };
-    assert!(game.is_nash(&profile));
-    let bus = Bus::new();
-    let prover = P2Prover::lying(1, profile);
     let mut caught = 0;
     let runs = 10;
     for seed in 0..runs {
         let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = run_p2_session(&bus, &game, &prover, seed, 3, 200, &mut rng);
-        if !outcome.accepted {
+        let outcome = lying
+            .try_consult_private(seed, &game, &config, &mut rng)
+            .expect("the default budget reports, never errs");
+        assert!(!outcome.adopted);
+        if matches!(outcome.verdict, Some(P2Outcome::Rejected { .. })) {
             caught += 1;
         }
     }
@@ -74,6 +94,6 @@ fn main() {
     assert!(caught >= 7);
     println!(
         "\nTotal wire traffic across all sessions: {} bytes",
-        bus.total_bytes()
+        honest.bus().total_bytes() + lying.bus().total_bytes()
     );
 }

@@ -5,13 +5,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rationality_authority::authority::{run_p2_session, Bus, P2Prover};
 use rationality_authority::exact::{rat, Rational};
 use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
 use rationality_authority::proofs::kernel::{check, NotAboveWitness, ProfileVerdict, Proof};
 use rationality_authority::proofs::{
-    honest_online_advice, prove_max_nash, verify_online_advice, verify_support_certificate,
-    SupportCertificate,
+    honest_online_advice, honest_row_advice, prove_max_nash, verify_online_advice,
+    verify_private_advice, verify_support_certificate, HonestOracle, P2Advice, P2Config, P2Outcome,
+    P2Rejection, SupportCertificate, TranscriptEvent,
 };
 use rationality_authority::solvers::{enumerate_equilibria, EnumerationOptions};
 
@@ -153,46 +153,52 @@ fn online_advice_mutation_fuzz() {
     }
 }
 
-/// P2 over the bus with an equilibrium-consistent but λ-corrupted prover:
-/// the advice carries a wrong λ_opp, the oracle answers honestly.
+/// P2 with λ-corrupted advice: the row advice of battle of the sexes'
+/// mixed equilibrium with λ_opp perturbed, checked against an honest
+/// oracle. Both columns are in that support and each earns the true λ₂
+/// against the advised row mix, so the first pair of answers exposes the
+/// lie at its first query, whatever indices the seed draws.
 #[test]
 fn p2_session_catches_lambda_corruption() {
-    // In-support payoffs all equal the true λ2; a perturbed λ claim makes
-    // every conclusive test fail.
     let game = rationality_authority::games::named::battle_of_the_sexes();
     let eq = MixedProfile {
         row: MixedStrategy::try_new(vec![rat(2, 3), rat(1, 3)]).unwrap(),
         col: MixedStrategy::try_new(vec![rat(1, 3), rat(2, 3)]).unwrap(),
     };
     assert!(game.is_nash(&eq));
-    // Corrupt by scaling the column payoffs the prover *claims* (simulate by
-    // a prover holding a different "equilibrium" whose λ differs).
-    let wrong = MixedProfile {
-        row: MixedStrategy::pure(2, 0),
-        col: MixedStrategy::pure(2, 0),
-    };
-    // (2/3·? ) — the pure profile has λ_opp = 1 ≠ payoffs induced by the
-    // advice's own strategy; run and expect rejection or non-acceptance.
-    let bus = Bus::new();
-    let prover = P2Prover::honest(0, wrong);
-    let mut accepted = 0;
-    for seed in 0..10 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let outcome = run_p2_session(&bus, &game, &prover, seed, 3, 100, &mut rng);
-        if outcome.accepted {
-            accepted += 1;
-            // A pure-profile advice CAN be a genuine equilibrium of BoS —
-            // (0,0) is one. Acceptance is then sound.
-            assert!(game.is_nash(&MixedProfile {
-                row: MixedStrategy::pure(2, 0),
-                col: MixedStrategy::pure(2, 0),
-            }));
+    let honest = honest_row_advice(&game, &eq);
+    assert_eq!(honest.lambda_opp, rat(2, 3));
+    for lambda_opp in [rat(1, 2), rat(1, 1)] {
+        let advice = P2Advice {
+            lambda_opp,
+            ..honest.clone()
+        };
+        for seed in 0..20 {
+            let mut oracle = HonestOracle::new(eq.col.support());
+            let mut rng = StdRng::seed_from_u64(seed);
+            let outcome =
+                verify_private_advice(&game, &advice, &mut oracle, &mut rng, &P2Config::default());
+            let P2Outcome::Rejected { reason, transcript } = outcome else {
+                panic!("λ-corrupted advice not rejected (seed {seed}): {outcome:?}");
+            };
+            let Some(TranscriptEvent::Query { index, .. }) = transcript.events().get(3) else {
+                panic!("the first query follows the three advice messages");
+            };
+            assert_eq!(
+                reason,
+                P2Rejection::InSupportPayoffMismatch {
+                    index: *index,
+                    actual: rat(2, 3)
+                },
+                "seed {seed}"
+            );
+            assert_eq!(
+                transcript.num_queries(),
+                2,
+                "one pair decides (seed {seed})"
+            );
         }
     }
-    // (0,0) is an equilibrium of battle of the sexes, so honest advice about
-    // it is legitimately accepted — the point of this test is that the
-    // session never crashes and never accepts *in*consistent advice.
-    assert!(accepted <= 10);
 }
 
 /// The reputation system under a coordinated 2-vs-3 attack: two colluding

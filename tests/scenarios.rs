@@ -1111,3 +1111,408 @@ fn default_budget_batches_match_sequential_over_cut_lossy_links() {
         same(b, &sequential.consult(*agent, spec));
     }
 }
+
+// ---------------------------------------------------------------------------
+// §4 P2 on the consult stages: the advice, then one Query stage per Fig. 4
+// membership query, with an unanswered query unknown, never "out".
+// ---------------------------------------------------------------------------
+
+mod p2 {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rationality_authority::authority::{
+        BusError, ConsultError, ConsultStage, Endpoint, Inventor, LinkProfile, LocalReputation,
+        Message, PrivateOutcome, RationalityAuthority, ResilienceConfig, SimNetConfig, Wire,
+    };
+    use rationality_authority::games::{BimatrixGame, GameGenerator};
+    use rationality_authority::proofs::{
+        honest_row_advice, verify_private_advice, HonestOracle, LyingOracle, P2Config, P2Outcome,
+        SupportOracle, TranscriptEvent,
+    };
+    use rationality_authority::solvers::find_one_equilibrium;
+
+    const INVENTOR: Party = Party::Inventor(0);
+    const AGENT: Party = Party::Agent(0);
+
+    /// An authority with no verifier panel whose inventor proves P2
+    /// claims over `transport`.
+    fn p2_authority(
+        inventor: InventorBehavior,
+        transport: Arc<dyn Transport>,
+    ) -> RationalityAuthority {
+        RationalityAuthority::with_transport(
+            Inventor::new(0, inventor),
+            &[],
+            Arc::new(LocalReputation::new()),
+            transport,
+        )
+    }
+
+    fn p2_config(required_conclusive: u64, max_queries: u64) -> P2Config {
+        P2Config {
+            required_conclusive,
+            max_queries,
+        }
+    }
+
+    /// The random 5×5 game of the `wire_protocol` example.
+    fn five_by_five() -> BimatrixGame {
+        GameGenerator::seeded(4242).bimatrix(5, 5, -30..=30)
+    }
+
+    /// A 2×3 game whose unique mixed equilibrium leaves column 2 strictly
+    /// outside the support, so membership lies about it are detectable.
+    fn dominated_column_game() -> BimatrixGame {
+        BimatrixGame::from_i64_tables(&[&[2, 0, 0], &[0, 1, 0]], &[&[1, 0, -1], &[0, 2, -1]])
+    }
+
+    /// Bytes the inventor put on the wire for the agent's oracle answers:
+    /// everything it sent the agent but the advice frame.
+    fn opponent_answer_bytes(authority: &RationalityAuthority, outcome: &PrivateOutcome) -> usize {
+        authority.bus().bytes_between(INVENTOR, AGENT) - outcome.advice_bytes
+    }
+
+    /// Runs one P2 consult of agent 0 under `seed` and `config` on a fresh
+    /// authority over a logged lossless [`Bus`], runs the local Fig. 4
+    /// verifier on the honest row advice for `game` with `oracle` under the
+    /// same seed, and asserts the consult reached the same verdict by the
+    /// same transcript. Its frames must be the transcript's exactly: one
+    /// advice request and one advice frame, then one query frame out and
+    /// one answer frame back per query, each first attempt travelling bare.
+    fn assert_matches_local(
+        inventor: InventorBehavior,
+        game: &BimatrixGame,
+        oracle: &mut dyn SupportOracle,
+        seed: u64,
+        config: P2Config,
+    ) -> (RationalityAuthority, PrivateOutcome) {
+        let mut authority = p2_authority(inventor, Arc::new(Bus::new().with_delivery_log()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let outcome = authority
+            .try_consult_private(0, game, &config, &mut rng)
+            .expect("a lossless bus answers every query");
+        let advice = honest_row_advice(game, &find_one_equilibrium(game).unwrap().profile);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let local = verify_private_advice(game, &advice, oracle, &mut rng, &config);
+        assert_eq!(outcome.verdict.as_ref(), Some(&local), "seed {seed}");
+        assert_eq!(outcome.advice.as_ref(), Some(&advice), "seed {seed}");
+        assert_eq!(outcome.adopted, local.is_accepted(), "seed {seed}");
+        assert_eq!(outcome.attempts, 0, "seed {seed}");
+        let (mut asked, mut answered) = (Message::AdviceRequest { game_id: 1 }.encoded_len(), 0);
+        let mut events = local.transcript().events().iter();
+        while let Some(event) = events.next() {
+            if let TranscriptEvent::Query { index, .. } = *event {
+                let Some(TranscriptEvent::Answer {
+                    in_support: Some(in_support),
+                }) = events.next()
+                else {
+                    panic!("every query is answered on a lossless bus (seed {seed})");
+                };
+                asked += Message::SupportQuery { game_id: 1, index }.encoded_len();
+                answered += Message::SupportAnswer {
+                    game_id: 1,
+                    index,
+                    in_support: *in_support,
+                }
+                .encoded_len();
+            }
+        }
+        let bus = authority.bus();
+        assert_eq!(bus.bytes_between(AGENT, INVENTOR), asked, "seed {seed}");
+        assert_eq!(opponent_answer_bytes(&authority, &outcome), answered);
+        assert_eq!(
+            outcome.session_bytes,
+            asked + outcome.advice_bytes + answered
+        );
+        assert_eq!(bus.total_bytes(), outcome.session_bytes, "seed {seed}");
+        (authority, outcome)
+    }
+
+    fn queries(outcome: &PrivateOutcome) -> u64 {
+        outcome
+            .verdict
+            .as_ref()
+            .map_or(0, |v| v.transcript().num_queries())
+    }
+
+    #[test]
+    fn honest_p2_session_accepts() {
+        let game = battle_of_the_sexes();
+        let support = find_one_equilibrium(&game).unwrap().col_support;
+        let mut oracle = HonestOracle::new(support);
+        let (authority, outcome) = assert_matches_local(
+            InventorBehavior::Honest,
+            &game,
+            &mut oracle,
+            1,
+            p2_config(3, 100),
+        );
+        assert!(outcome.adopted, "{:?}", outcome.verdict);
+        assert!(queries(&outcome) >= 6);
+        // Opponent-revealing traffic is a small fraction of the session,
+        // and every one of those bytes frames exactly one membership bit.
+        assert!(opponent_answer_bytes(&authority, &outcome) < outcome.session_bytes);
+    }
+
+    #[test]
+    fn lying_prover_wrong_lambda_detected_via_wire() {
+        // A corrupt prover inverts every membership answer. With full
+        // support that is only inconclusive, so use a game with a dominated
+        // column, whose false "in" answer exposes the lie.
+        let game = dominated_column_game();
+        let support = find_one_equilibrium(&game).unwrap().col_support;
+        let mut rejections = 0;
+        for seed in 0..20 {
+            // The local lying oracle over all columns, under the same seed,
+            // must agree.
+            let mut oracle = LyingOracle::new(support.clone(), 0..game.cols());
+            let (_, outcome) = assert_matches_local(
+                InventorBehavior::Corrupt,
+                &game,
+                &mut oracle,
+                seed,
+                p2_config(3, 200),
+            );
+            if matches!(outcome.verdict, Some(P2Outcome::Rejected { .. })) {
+                rejections += 1;
+            }
+            assert!(!outcome.adopted, "seed {seed}");
+        }
+        assert!(
+            rejections >= 15,
+            "lying prover caught in {rejections}/20 sessions"
+        );
+    }
+
+    #[test]
+    fn session_is_deterministic_per_seed() {
+        let game = battle_of_the_sexes();
+        let run = |seed: u64| {
+            let mut authority = p2_authority(InventorBehavior::Honest, Arc::new(Bus::new()));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let o = authority
+                .try_consult_private(0, &game, &p2_config(3, 100), &mut rng)
+                .unwrap();
+            (o.verdict, o.session_bytes)
+        };
+        assert_eq!(run(9), run(9));
+        let support = find_one_equilibrium(&game).unwrap().col_support;
+        let mut oracle = HonestOracle::new(support);
+        let config = p2_config(3, 100);
+        let (_, o) = assert_matches_local(InventorBehavior::Honest, &game, &mut oracle, 9, config);
+        assert_eq!((o.verdict, o.session_bytes), run(9));
+    }
+
+    #[test]
+    fn lost_advice_frame_is_undecided_not_a_panic() {
+        let game = battle_of_the_sexes();
+        for budget in [None, Some(ResilienceConfig::default())] {
+            let mut authority = p2_authority(InventorBehavior::Honest, Arc::new(Bus::new()));
+            authority.set_resilience(budget);
+            authority.bus().drop_link(INVENTOR, AGENT);
+            let mut rng = StdRng::seed_from_u64(1);
+            let result = authority.try_consult_private(0, &game, &p2_config(3, 100), &mut rng);
+            match (budget, result) {
+                (None, Ok(outcome)) => {
+                    assert!(!outcome.adopted);
+                    assert!(outcome.advice.is_none() && outcome.verdict.is_none());
+                    assert_eq!(outcome.attempts, 7, "eight advice requests");
+                    assert!(outcome.session_bytes > 0, "the lost frames are accounted");
+                }
+                (Some(_), Err(ConsultError::Deadline { stage, missing, .. })) => {
+                    assert_eq!(stage, ConsultStage::Advice);
+                    assert_eq!(missing, vec![INVENTOR]);
+                }
+                (budget, result) => panic!("{budget:?}: {result:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn query_budget_respected() {
+        // The P2 query budget runs out before 50 conclusive tests: an
+        // undecided verdict that is no network deadline, so a caller-set
+        // budget reports it too.
+        let game = battle_of_the_sexes();
+        let mut authority = p2_authority(InventorBehavior::Honest, Arc::new(Bus::new()));
+        authority.set_resilience(Some(ResilienceConfig::default()));
+        let mut rng = StdRng::seed_from_u64(3);
+        let outcome = authority
+            .try_consult_private(0, &game, &p2_config(50, 4), &mut rng)
+            .expect("every query was answered");
+        assert!(!outcome.adopted);
+        assert!(matches!(outcome.verdict, Some(P2Outcome::Undecided { .. })));
+        assert!(queries(&outcome) <= 4);
+    }
+
+    /// The lossless differential at the campaign seed: three games, an
+    /// honest and a lying prover, two budgets.
+    #[test]
+    fn lossless_p2_consults_match_the_local_verifier() {
+        let seed = scenario_seed();
+        for game in [
+            five_by_five(),
+            battle_of_the_sexes(),
+            dominated_column_game(),
+        ] {
+            let support = find_one_equilibrium(&game).unwrap().col_support;
+            for (k, q) in [(3, 100), (50, 4)] {
+                for run in 0..4 {
+                    let seed = seed.wrapping_add(run);
+                    let oracles: [(InventorBehavior, Box<dyn SupportOracle>); 2] = [
+                        (
+                            InventorBehavior::Honest,
+                            Box::new(HonestOracle::new(support.clone())),
+                        ),
+                        (
+                            InventorBehavior::Corrupt,
+                            Box::new(LyingOracle::new(support.clone(), 0..game.cols())),
+                        ),
+                    ];
+                    for (inventor, mut oracle) in oracles {
+                        assert_matches_local(inventor, &game, &mut *oracle, seed, p2_config(k, q));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Honest P2 over 20% loss with 1–3 ticks of latency: every query
+    /// stage retries under the default budget, so an honest prover is
+    /// never rejected and almost always accepted.
+    #[test]
+    fn honest_p2_consults_survive_a_lossy_network() {
+        let seed = scenario_seed();
+        let game = five_by_five();
+        let net = Arc::new(SimNet::new(SimNetConfig {
+            seed,
+            default_link: LinkProfile {
+                latency_min: 1,
+                latency_max: 3,
+                drop_prob: 0.2,
+                duplicate_probability: 0.0,
+            },
+            ..SimNetConfig::default()
+        }));
+        let mut authority = p2_authority(InventorBehavior::Honest, net);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut accepted, mut retries) = (0, 0);
+        for agent in 0..32 {
+            let outcome = authority
+                .try_consult_private(agent, &game, &p2_config(3, 500), &mut rng)
+                .expect("the default budget reports, not errs");
+            match &outcome.verdict {
+                Some(P2Outcome::Accepted { .. }) => accepted += 1,
+                Some(P2Outcome::Rejected { reason, .. }) => {
+                    panic!("honest advice rejected: {reason} (seed {seed})")
+                }
+                _ => {}
+            }
+            retries += outcome.attempts;
+        }
+        assert!(accepted >= 30, "{accepted}/32 accepted (seed {seed})");
+        assert!(retries > 0, "20% loss forces retries (seed {seed})");
+    }
+
+    /// A [`Bus`] whose network swallows every P2 membership answer, bare
+    /// or in a retry envelope, before it is accounted.
+    #[derive(Debug)]
+    struct DropAnswers(Bus);
+
+    fn is_answer(message: &Message) -> bool {
+        match message {
+            Message::SupportAnswer { .. } => true,
+            Message::Resilient { inner, .. } => is_answer(inner),
+            _ => false,
+        }
+    }
+
+    impl Transport for DropAnswers {
+        fn register(&self, party: Party) -> Endpoint {
+            self.0.register(party)
+        }
+        fn disconnect(&self, party: Party) {
+            self.0.disconnect(party)
+        }
+        fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+            if is_answer(&message) {
+                return Ok(());
+            }
+            self.0.send(from, to, message)
+        }
+        fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
+            batch.retain(|(_, _, message)| !is_answer(message));
+            self.0.send_batch(batch)
+        }
+        fn drop_link(&self, from: Party, to: Party) {
+            self.0.drop_link(from, to)
+        }
+        fn heal(&self) {
+            self.0.heal()
+        }
+        fn settle(&self) {
+            self.0.settle()
+        }
+        fn total_bytes(&self) -> usize {
+            self.0.total_bytes()
+        }
+        fn delivered_bytes(&self) -> usize {
+            self.0.delivered_bytes()
+        }
+        fn bytes_between(&self, from: Party, to: Party) -> usize {
+            self.0.bytes_between(from, to)
+        }
+        fn delivery_log(&self) -> Vec<DeliveryRecord> {
+            self.0.delivery_log()
+        }
+        fn message_count(&self) -> usize {
+            self.0.message_count()
+        }
+        fn retransmit_bytes(&self) -> usize {
+            self.0.retransmit_bytes()
+        }
+    }
+
+    /// A network adversary that drops every answer steers nothing: the
+    /// first query stays unknown, so no consult accepts or rejects, the
+    /// transcript ends with the unanswered query and counts no opponent
+    /// bit, and a caller-set budget reports a Query-stage deadline.
+    #[test]
+    fn dropped_answers_never_decide_a_p2_consult() {
+        let seed = scenario_seed();
+        for game in [five_by_five(), dominated_column_game()] {
+            for inventor in [InventorBehavior::Honest, InventorBehavior::Corrupt] {
+                let drop_answers =
+                    || Arc::new(DropAnswers(Bus::new().with_delivery_log())) as Arc<dyn Transport>;
+                let mut authority = p2_authority(inventor, drop_answers());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let config = p2_config(3, 100);
+                let outcome = authority
+                    .try_consult_private(0, &game, &config, &mut rng)
+                    .expect("the default budget reports, not errs");
+                assert!(!outcome.adopted, "seed {seed}");
+                let Some(P2Outcome::Undecided { transcript, .. }) = &outcome.verdict else {
+                    panic!("{:?} decided on no answers (seed {seed})", outcome.verdict);
+                };
+                assert_eq!(transcript.num_queries(), 1, "seed {seed}");
+                assert_eq!(transcript.opponent_bits_disclosed(), 0);
+                assert_eq!(
+                    transcript.events().last(),
+                    Some(&TranscriptEvent::Answer { in_support: None })
+                );
+                assert_eq!(outcome.attempts, 7, "eight tries of the one query");
+                assert_eq!(opponent_answer_bytes(&authority, &outcome), 0);
+
+                let mut authority = p2_authority(inventor, drop_answers());
+                authority.set_resilience(Some(ResilienceConfig::default()));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let ConsultError::Deadline { stage, missing, .. } = authority
+                    .try_consult_private(0, &game, &config, &mut rng)
+                    .expect_err("a caller budget reports the starved query");
+                assert_eq!(stage, ConsultStage::Query, "seed {seed}");
+                assert_eq!(missing, vec![INVENTOR]);
+            }
+        }
+    }
+}
