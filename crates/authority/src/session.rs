@@ -1199,67 +1199,6 @@ mod tests {
     }
 
     #[test]
-    fn honest_end_to_end_adopts_everywhere() {
-        for spec in all_specs() {
-            let mut authority = RationalityAuthority::new(
-                Inventor::new(0, InventorBehavior::Honest),
-                &[VerifierBehavior::Honest; 3],
-            );
-            let outcome = authority.consult(0, &spec);
-            assert!(outcome.adopted, "spec {spec:?}");
-            assert!(outcome.advice_bytes > 0);
-            assert!(outcome.session_bytes >= outcome.advice_bytes);
-            let majority = outcome.majority.unwrap();
-            assert_eq!(majority.accept_votes, 3);
-        }
-    }
-
-    #[test]
-    fn corrupt_inventor_rejected_everywhere() {
-        for spec in all_specs() {
-            let mut authority = RationalityAuthority::new(
-                Inventor::new(0, InventorBehavior::Corrupt),
-                &[VerifierBehavior::Honest; 3],
-            );
-            let outcome = authority.consult(0, &spec);
-            assert!(!outcome.adopted, "spec {spec:?}");
-            assert!(outcome.advice.is_some(), "advice was given but rejected");
-        }
-    }
-
-    #[test]
-    fn silent_inventor_yields_no_adoption() {
-        let mut authority = RationalityAuthority::new(
-            Inventor::new(0, InventorBehavior::Silent),
-            &[VerifierBehavior::Honest; 3],
-        );
-        let outcome = authority.consult(0, &all_specs()[0]);
-        assert!(!outcome.adopted);
-        assert!(outcome.advice.is_none());
-    }
-
-    #[test]
-    fn minority_of_bad_verifiers_is_outvoted() {
-        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        // 3 honest + 2 rubber-stampers, corrupt inventor: majority rejects.
-        let mut authority = RationalityAuthority::new(
-            Inventor::new(0, InventorBehavior::Corrupt),
-            &[
-                VerifierBehavior::Honest,
-                VerifierBehavior::Honest,
-                VerifierBehavior::Honest,
-                VerifierBehavior::AlwaysAccept,
-                VerifierBehavior::AlwaysAccept,
-            ],
-        );
-        let outcome = authority.consult(0, &spec);
-        assert!(!outcome.adopted);
-        let majority = outcome.majority.unwrap();
-        assert_eq!(majority.accept_votes, 2);
-        assert_eq!(majority.reject_votes, 3);
-    }
-
-    #[test]
     fn deviant_verifiers_lose_reputation_and_get_excluded() {
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let mut authority = RationalityAuthority::new(

@@ -14,9 +14,6 @@
 //! deterministic in the `(spec, advice)` pair the agent already holds, so
 //! it recomputes them with [`kernel_check`]'s checkers when it wants them.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use ra_exact::rat;
 use ra_proofs::{
     verify_online_advice, verify_participation_certificate, verify_support_certificate,
@@ -72,14 +69,12 @@ pub enum VerdictReason {
     RubberStamped,
     /// [`VerifierBehavior::AlwaysReject`]: rejected unchecked.
     Refused,
-    /// [`VerifierBehavior::Random`]: a coin flip.
-    Flaky,
 }
 
 impl VerdictReason {
     /// Every reason, indexed by its wire byte; a byte past the end is
     /// unassigned and decodes to [`WireError::BadTag`](crate::WireError::BadTag).
-    pub const ALL: [VerdictReason; 14] = [
+    pub const ALL: [VerdictReason; 13] = [
         VerdictReason::Verified(Check::PureNash),
         VerdictReason::Verified(Check::Support),
         VerdictReason::Verified(Check::Participation),
@@ -93,7 +88,6 @@ impl VerdictReason {
         VerdictReason::AdviceTypeMismatch,
         VerdictReason::RubberStamped,
         VerdictReason::Refused,
-        VerdictReason::Flaky,
     ];
 }
 
@@ -109,7 +103,6 @@ impl std::fmt::Display for VerdictReason {
             VerdictReason::AdviceTypeMismatch => f.write_str("advice type does not match the game"),
             VerdictReason::RubberStamped => f.write_str("rubber-stamped"),
             VerdictReason::Refused => f.write_str("refused on principle"),
-            VerdictReason::Flaky => f.write_str("flaky verdict"),
         }
     }
 }
@@ -123,12 +116,6 @@ pub enum VerifierBehavior {
     AlwaysAccept,
     /// Rejects everything (a saboteur).
     AlwaysReject,
-    /// Accepts randomly with the given per-mille probability (a flaky
-    /// implementation); seeded per verifier for determinism.
-    Random {
-        /// Acceptance probability in per-mille (0..=1000).
-        accept_per_mille: u32,
-    },
 }
 
 /// A verification service instance.
@@ -154,21 +141,8 @@ impl VerifierService {
         match self.behavior {
             VerifierBehavior::AlwaysAccept => (true, VerdictReason::RubberStamped),
             VerifierBehavior::AlwaysReject => (false, VerdictReason::Refused),
-            VerifierBehavior::Random { accept_per_mille } => {
-                let mut rng = StdRng::seed_from_u64(self.flaky_seed(advice));
-                let accepted = rng.random_range(0..1000) < accept_per_mille;
-                (accepted, VerdictReason::Flaky)
-            }
             VerifierBehavior::Honest => kernel_check(spec, advice),
         }
-    }
-
-    /// A [`VerifierBehavior::Random`] verifier's seed: deterministic per
-    /// (verifier, advice), so repeated queries are consistent.
-    fn flaky_seed(&self, advice: &Advice) -> u64 {
-        format!("{:?}{:?}", self.id, advice)
-            .bytes()
-            .fold(0u64, |acc, b| acc.wrapping_mul(131).wrapping_add(b as u64))
     }
 }
 
@@ -319,23 +293,5 @@ mod tests {
         let verdict =
             VerifierService::new(2, VerifierBehavior::AlwaysReject).verify(&spec, &honest_advice);
         assert_eq!(verdict, (false, VerdictReason::Refused));
-    }
-
-    #[test]
-    fn random_verifier_is_deterministic_per_advice() {
-        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        let advice = Inventor::new(0, InventorBehavior::Honest)
-            .advise(&spec)
-            .unwrap();
-        let flaky = VerifierService::new(
-            3,
-            VerifierBehavior::Random {
-                accept_per_mille: 500,
-            },
-        );
-        let first = flaky.verify(&spec, &advice);
-        let second = flaky.verify(&spec, &advice);
-        assert_eq!(first, second);
-        assert_eq!(first.1, VerdictReason::Flaky);
     }
 }

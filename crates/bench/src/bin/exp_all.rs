@@ -1,5 +1,6 @@
-//! Runs every experiment binary in sequence — regenerates all the data
-//! behind EXPERIMENTS.md (CSV files land in `results/`).
+//! Runs every paper-table binary in sequence — regenerates the data of
+//! the "Paper-table binaries" table in `docs/BENCHMARKS.md` (CSV files
+//! land in `results/`).
 //!
 //! Usage: `cargo run -p ra-bench --release --bin exp_all`
 
@@ -14,7 +15,6 @@ fn main() {
         "remark3_queries",
         "sec5_numbers",
         "fig7",
-        "authority_faults",
     ];
     let exe_dir = std::env::current_exe()
         .expect("own path")

@@ -126,11 +126,12 @@ impl Default for P2Config {
 /// Reasons the P2 verifier rejects.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum P2Rejection {
-    /// The shipped own-strategy is not a probability distribution of the
-    /// right dimension.
+    /// The shipped own-strategy has the wrong dimension.
     MalformedOwnStrategy {
-        /// Description.
-        reason: String,
+        /// How many probabilities the strategy has.
+        entries: usize,
+        /// How many rows the game has.
+        rows: usize,
     },
     /// An index claimed to be in the opponent support does not earn
     /// exactly λ_opp against the agent's own strategy.
@@ -153,9 +154,10 @@ pub enum P2Rejection {
 impl fmt::Display for P2Rejection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            P2Rejection::MalformedOwnStrategy { reason } => {
-                write!(f, "own strategy malformed: {reason}")
-            }
+            P2Rejection::MalformedOwnStrategy { entries, rows } => write!(
+                f,
+                "own strategy malformed: strategy has {entries} entries, game has {rows} rows"
+            ),
             P2Rejection::InSupportPayoffMismatch { index, actual } => write!(
                 f,
                 "claimed-in-support index {index} earns {actual}, not the claimed λ"
@@ -258,10 +260,8 @@ pub fn verify_private_advice(
     if advice.own_strategy.len() != n {
         return P2Outcome::Rejected {
             reason: P2Rejection::MalformedOwnStrategy {
-                reason: format!(
-                    "strategy has {} entries, game has {n} rows",
-                    advice.own_strategy.len()
-                ),
+                entries: advice.own_strategy.len(),
+                rows: n,
             },
             transcript,
         };
@@ -485,13 +485,20 @@ mod tests {
             lambda_opp: rat(0, 1),
         };
         let mut oracle = HonestOracle::new([0, 1]);
-        assert!(matches!(
-            run(&game, &advice, &mut oracle, 3),
-            P2Outcome::Rejected {
-                reason: P2Rejection::MalformedOwnStrategy { .. },
-                ..
+        let P2Outcome::Rejected { reason, .. } = run(&game, &advice, &mut oracle, 3) else {
+            panic!("a three-entry strategy in a two-row game is malformed");
+        };
+        assert_eq!(
+            reason,
+            P2Rejection::MalformedOwnStrategy {
+                entries: 3,
+                rows: 2
             }
-        ));
+        );
+        assert_eq!(
+            reason.to_string(),
+            "own strategy malformed: strategy has 3 entries, game has 2 rows"
+        );
     }
 
     #[test]

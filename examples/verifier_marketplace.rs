@@ -4,7 +4,7 @@
 //! Verifiers "profit from selling general purpose verification procedures
 //! … and therefore would like to have a good long-lasting reputation".
 //! This example runs many consultations through a mixed panel — honest,
-//! bought (always-accept), saboteur (always-reject) and flaky — and shows
+//! bought (always-accept) and saboteur (always-reject) — and shows
 //! the reputation system excluding the bad ones while the majority keeps
 //! agents safe. It also demonstrates the signed statistics ledger that
 //! keeps the *inventor* accountable (§6 footnote 3).
@@ -25,14 +25,12 @@ fn main() {
         VerifierBehavior::Honest,
         VerifierBehavior::AlwaysAccept,
         VerifierBehavior::AlwaysReject,
-        VerifierBehavior::Random {
-            accept_per_mille: 500,
-        },
+        VerifierBehavior::AlwaysReject,
     ];
     let mut authority =
         RationalityAuthority::new(Inventor::new(0, InventorBehavior::Honest), &panel);
 
-    println!("Panel: 3 honest, 1 bought, 1 saboteur, 1 flaky verifier.");
+    println!("Panel: 3 honest, 1 bought, 2 saboteur verifiers.");
     println!("Running 40 consultations on random games...\n");
     let mut adopted = 0;
     for round in 0..40u64 {
@@ -61,8 +59,8 @@ fn main() {
     println!("\nStill consulted: {trusted:?}");
     assert!(trusted.contains(&Party::Verifier(0)));
     assert!(
-        !trusted.contains(&Party::Verifier(4)),
-        "saboteur must be excluded"
+        !trusted.contains(&Party::Verifier(4)) && !trusted.contains(&Party::Verifier(5)),
+        "saboteurs must be excluded"
     );
 
     // ---- The inventor-side audit trail -------------------------------------

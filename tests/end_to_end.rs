@@ -165,8 +165,10 @@ fn maximal_advice_end_to_end() {
     assert!(!theorem.applies_to(&other));
 }
 
-/// Reputation isolates a flaky verifier over many random games while the
-/// honest panel keeps serving correct verdicts.
+/// Reputation isolates a saboteur over many random games while the
+/// honest panel keeps serving correct verdicts. It dissents from the
+/// majority once per consult, so its score falls from 10 to the exclusion
+/// threshold 0 at exactly the tenth.
 #[test]
 fn long_run_reputation_dynamics() {
     let mut authority = RationalityAuthority::new(
@@ -175,9 +177,7 @@ fn long_run_reputation_dynamics() {
             VerifierBehavior::Honest,
             VerifierBehavior::Honest,
             VerifierBehavior::Honest,
-            VerifierBehavior::Random {
-                accept_per_mille: 300,
-            },
+            VerifierBehavior::AlwaysReject,
         ],
     );
     let mut consultations = 0u64;
@@ -196,13 +196,10 @@ fn long_run_reputation_dynamics() {
             break;
         }
     }
-    assert!(
-        consultations >= 5,
-        "ran a meaningful number of consultations"
-    );
+    assert_eq!(consultations, 10, "excluded at the tenth consultation");
     assert!(
         !authority.reputation().is_trusted(Party::Verifier(3)),
-        "the mostly-rejecting flaky verifier must eventually be excluded"
+        "the rejecting verifier must eventually be excluded"
     );
 }
 

@@ -1118,12 +1118,13 @@ fn default_budget_batches_match_sequential_over_cut_lossy_links() {
 // ---------------------------------------------------------------------------
 
 mod p2 {
+    use super::exhaustive::LossScript;
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rationality_authority::authority::{
-        BusError, ConsultError, ConsultStage, Endpoint, Inventor, LinkProfile, LocalReputation,
-        Message, PrivateOutcome, RationalityAuthority, ResilienceConfig, SimNetConfig, Wire,
+        ConsultError, ConsultStage, Inventor, LinkProfile, LocalReputation, Message,
+        PrivateOutcome, RationalityAuthority, ResilienceConfig, SimNetConfig, Wire,
     };
     use rationality_authority::games::{BimatrixGame, GameGenerator};
     use rationality_authority::proofs::{
@@ -1137,7 +1138,7 @@ mod p2 {
 
     /// An authority with no verifier panel whose inventor proves P2
     /// claims over `transport`.
-    fn p2_authority(
+    pub(super) fn p2_authority(
         inventor: InventorBehavior,
         transport: Arc<dyn Transport>,
     ) -> RationalityAuthority {
@@ -1149,7 +1150,7 @@ mod p2 {
         )
     }
 
-    fn p2_config(required_conclusive: u64, max_queries: u64) -> P2Config {
+    pub(super) fn p2_config(required_conclusive: u64, max_queries: u64) -> P2Config {
         P2Config {
             required_conclusive,
             max_queries,
@@ -1157,13 +1158,13 @@ mod p2 {
     }
 
     /// The random 5×5 game of the `wire_protocol` example.
-    fn five_by_five() -> BimatrixGame {
+    pub(super) fn five_by_five() -> BimatrixGame {
         GameGenerator::seeded(4242).bimatrix(5, 5, -30..=30)
     }
 
     /// A 2×3 game whose unique mixed equilibrium leaves column 2 strictly
     /// outside the support, so membership lies about it are detectable.
-    fn dominated_column_game() -> BimatrixGame {
+    pub(super) fn dominated_column_game() -> BimatrixGame {
         BimatrixGame::from_i64_tables(&[&[2, 0, 0], &[0, 1, 0]], &[&[1, 0, -1], &[0, 2, -1]])
     }
 
@@ -1180,7 +1181,7 @@ mod p2 {
     /// same transcript. Its frames must be the transcript's exactly: one
     /// advice request and one advice frame, then one query frame out and
     /// one answer frame back per query, each first attempt travelling bare.
-    fn assert_matches_local(
+    pub(super) fn assert_matches_local(
         inventor: InventorBehavior,
         game: &BimatrixGame,
         oracle: &mut dyn SupportOracle,
@@ -1415,76 +1416,22 @@ mod p2 {
         assert!(retries > 0, "20% loss forces retries (seed {seed})");
     }
 
-    /// A [`Bus`] whose network swallows every P2 membership answer, bare
-    /// or in a retry envelope, before it is accounted.
-    #[derive(Debug)]
-    struct DropAnswers(Bus);
-
-    fn is_answer(message: &Message) -> bool {
-        match message {
-            Message::SupportAnswer { .. } => true,
-            Message::Resilient { inner, .. } => is_answer(inner),
-            _ => false,
-        }
-    }
-
-    impl Transport for DropAnswers {
-        fn register(&self, party: Party) -> Endpoint {
-            self.0.register(party)
-        }
-        fn disconnect(&self, party: Party) {
-            self.0.disconnect(party)
-        }
-        fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
-            if is_answer(&message) {
-                return Ok(());
-            }
-            self.0.send(from, to, message)
-        }
-        fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
-            batch.retain(|(_, _, message)| !is_answer(message));
-            self.0.send_batch(batch)
-        }
-        fn drop_link(&self, from: Party, to: Party) {
-            self.0.drop_link(from, to)
-        }
-        fn heal(&self) {
-            self.0.heal()
-        }
-        fn settle(&self) {
-            self.0.settle()
-        }
-        fn total_bytes(&self) -> usize {
-            self.0.total_bytes()
-        }
-        fn delivered_bytes(&self) -> usize {
-            self.0.delivered_bytes()
-        }
-        fn bytes_between(&self, from: Party, to: Party) -> usize {
-            self.0.bytes_between(from, to)
-        }
-        fn delivery_log(&self) -> Vec<DeliveryRecord> {
-            self.0.delivery_log()
-        }
-        fn message_count(&self) -> usize {
-            self.0.message_count()
-        }
-        fn retransmit_bytes(&self) -> usize {
-            self.0.retransmit_bytes()
-        }
-    }
-
-    /// A network adversary that drops every answer steers nothing: the
-    /// first query stays unknown, so no consult accepts or rejects, the
-    /// transcript ends with the unanswered query and counts no opponent
-    /// bit, and a caller-set budget reports a Query-stage deadline.
+    /// A network adversary that drops every answer to the first query
+    /// steers nothing: that query stays unknown, so no consult accepts or
+    /// rejects, the transcript ends with the unanswered query and counts
+    /// no opponent bit, and a caller-set budget reports a Query-stage
+    /// deadline.
     #[test]
     fn dropped_answers_never_decide_a_p2_consult() {
         let seed = scenario_seed();
         for game in [five_by_five(), dominated_column_game()] {
             for inventor in [InventorBehavior::Honest, InventorBehavior::Corrupt] {
-                let drop_answers =
-                    || Arc::new(DropAnswers(Bus::new().with_delivery_log())) as Arc<dyn Transport>;
+                // Frames 0 and 1 are the advice request and the advice;
+                // each of the first query's eight attempts is a query
+                // frame and an answer frame, so its answers are frames 3,
+                // 5, ..., 17.
+                let mask = (0..8).map(|attempt| 1u128 << (3 + 2 * attempt)).sum();
+                let drop_answers = || Arc::new(LossScript::new(mask, &[])) as Arc<dyn Transport>;
                 let mut authority = p2_authority(inventor, drop_answers());
                 let mut rng = StdRng::seed_from_u64(seed);
                 let config = p2_config(3, 100);
@@ -1514,5 +1461,709 @@ mod p2 {
                 assert_eq!(missing, vec![INVENTOR]);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Every loss pattern of a short consult. Under a caller budget of one or two
+// attempts every dropped frame is final, so enumerating which frames are lost
+// checks the Fig. 1 and §4 P2 invariants for every schedule of a small panel,
+// not for a sample of them (the small-scope hypothesis: every setup that
+// broke these invariants before was a small panel with a few dropped frames).
+// ---------------------------------------------------------------------------
+
+mod exhaustive {
+    use super::*;
+    use std::sync::Mutex;
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rationality_authority::authority::{
+        kernel_check, Advice, BusError, ConsultError, ConsultResult, ConsultStage, DeliveryRecord,
+        Endpoint, Inventor, LocalReputation, Message, PanelOutcome, PrivateOutcome,
+        RationalityAuthority, ResilienceConfig, SessionOutcome, VerdictReason, Wire, INITIAL_SCORE,
+    };
+    use rationality_authority::games::BimatrixGame;
+    use rationality_authority::proofs::{
+        verify_private_advice, HonestOracle, LyingOracle, P2Advice, P2Config, P2Outcome,
+        SupportOracle, TranscriptEvent,
+    };
+    use rationality_authority::solvers::find_one_equilibrium;
+
+    use super::p2::{
+        assert_matches_local, dominated_column_game, five_by_five, p2_authority, p2_config,
+    };
+
+    /// One frame handed to a [`LossScript`], with its fate.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Frame {
+        from: Party,
+        to: Party,
+        message: Message,
+        dropped: bool,
+    }
+
+    /// What a consult put on a [`LossScript`]: every numbered frame in
+    /// send order, and the delivery log of the frames it let through.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        frames: Vec<Frame>,
+        ledger: Vec<DeliveryRecord>,
+    }
+
+    impl Trace {
+        /// Whether a frame `party` sent or was sent was dropped.
+        fn dropped_a_frame_of(&self, party: Party) -> bool {
+            self.frames
+                .iter()
+                .any(|f| f.dropped && (f.from == party || f.to == party))
+        }
+    }
+
+    /// A logged [`Bus`] that loses frames on a script: it numbers the
+    /// frames it is given in send order and swallows frame i, before it
+    /// is accounted, iff bit i of `mask` is set. Frames from or to a
+    /// `silent` party are swallowed unnumbered, so a silent verifier never
+    /// answers and its requests take no mask bit.
+    #[derive(Debug)]
+    pub(super) struct LossScript {
+        bus: Bus,
+        mask: u128,
+        silent: Vec<Party>,
+        frames: Mutex<Vec<Frame>>,
+    }
+
+    impl LossScript {
+        pub(super) fn new(mask: u128, silent: &[Party]) -> LossScript {
+            LossScript {
+                bus: Bus::new().with_delivery_log(),
+                mask,
+                silent: silent.to_vec(),
+                frames: Mutex::new(Vec::new()),
+            }
+        }
+
+        /// Takes the frames numbered so far, and copies the ledger.
+        fn take_trace(&self) -> Trace {
+            let frames = std::mem::take(&mut *self.frames.lock().expect("frame log lock"));
+            Trace {
+                frames,
+                ledger: self.bus.delivery_log(),
+            }
+        }
+
+        /// Numbers and logs one frame; returns whether it is lost.
+        fn swallows(&self, from: Party, to: Party, message: &Message) -> bool {
+            if self.silent.contains(&from) || self.silent.contains(&to) {
+                return true;
+            }
+            let mut frames = self.frames.lock().expect("frame log lock");
+            let bit = self.mask.checked_shr(frames.len() as u32).unwrap_or(0);
+            let dropped = bit & 1 == 1;
+            frames.push(Frame {
+                from,
+                to,
+                message: message.clone(),
+                dropped,
+            });
+            dropped
+        }
+    }
+
+    impl Transport for LossScript {
+        fn register(&self, party: Party) -> Endpoint {
+            self.bus.register(party)
+        }
+        fn disconnect(&self, party: Party) {
+            self.bus.disconnect(party)
+        }
+        fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+            if self.swallows(from, to, &message) {
+                return Ok(());
+            }
+            self.bus.send(from, to, message)
+        }
+        fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
+            batch.retain(|(from, to, message)| !self.swallows(*from, *to, message));
+            self.bus.send_batch(batch)
+        }
+        fn drop_link(&self, from: Party, to: Party) {
+            self.bus.drop_link(from, to)
+        }
+        fn heal(&self) {
+            self.bus.heal()
+        }
+        fn settle(&self) {
+            self.bus.settle()
+        }
+        fn total_bytes(&self) -> usize {
+            self.bus.total_bytes()
+        }
+        fn delivered_bytes(&self) -> usize {
+            self.bus.delivered_bytes()
+        }
+        fn bytes_between(&self, from: Party, to: Party) -> usize {
+            self.bus.bytes_between(from, to)
+        }
+        fn delivery_log(&self) -> Vec<DeliveryRecord> {
+            self.bus.delivery_log()
+        }
+        fn message_count(&self) -> usize {
+            self.bus.message_count()
+        }
+        fn retransmit_bytes(&self) -> usize {
+            self.bus.retransmit_bytes()
+        }
+    }
+
+    /// Runs `run` once per distinct loss pattern and returns how many
+    /// runs that took. `run(mask)` consults with the frames in `mask`
+    /// lost and returns how many frames it numbered. A bit past the last
+    /// frame a run sends changes nothing, so the distinct runs are the
+    /// drop sets of sent frames, and every mask over every frame a consult
+    /// can send is covered: each drop set is reached once, by adding its
+    /// frames in send order.
+    fn for_each_loss_pattern(mut run: impl FnMut(u128) -> usize) -> usize {
+        fn visit(mask: u128, next: usize, run: &mut dyn FnMut(u128) -> usize) -> usize {
+            let sent = run(mask);
+            assert!(sent <= 128, "a mask numbers at most 128 frames");
+            let mut runs = 1;
+            for i in next..sent {
+                runs += visit(mask | 1 << i, i + 1, run);
+            }
+            runs
+        }
+        visit(0, 0, &mut run)
+    }
+
+    /// Whether two consults ended identically, field for field.
+    fn same_result(a: &ConsultResult, b: &ConsultResult) -> bool {
+        fn fields(outcome: &SessionOutcome) -> impl PartialEq + '_ {
+            let SessionOutcome {
+                advice,
+                majority,
+                adopted,
+                advice_bytes,
+                session_bytes,
+                verdict_details,
+                cached,
+                panel,
+                attempts,
+            } = outcome;
+            (
+                advice,
+                majority,
+                adopted,
+                advice_bytes,
+                session_bytes,
+                verdict_details,
+                cached,
+                panel,
+                attempts,
+            )
+        }
+        match (a, b) {
+            (Ok(a), Ok(b)) => fields(a) == fields(b),
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// A caller budget of `max_attempts` sends per hop.
+    fn budget(max_attempts: u32) -> ResilienceConfig {
+        ResilienceConfig {
+            max_attempts,
+            ..ResilienceConfig::default()
+        }
+    }
+
+    // -- Fig. 1 ---------------------------------------------------------------
+
+    /// A panel member as the enumeration places it. A verifier that may
+    /// answer either way is covered by `Accept` and `Reject` both.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Member {
+        Honest,
+        Accept,
+        Reject,
+        Silent,
+    }
+
+    /// Every panel of `size` with an honest majority: the honest members
+    /// first, then one multiset of faulty kinds. Every loss pattern is
+    /// enumerated, so where the faulty members sit does not matter: moving
+    /// one only renumbers the frames.
+    fn honest_majority_panels(size: usize) -> Vec<Vec<Member>> {
+        fn multisets(kinds: &[Member], size: usize) -> Vec<Vec<Member>> {
+            if size == 0 {
+                return vec![Vec::new()];
+            }
+            let mut out = Vec::new();
+            for (i, &kind) in kinds.iter().enumerate() {
+                for mut rest in multisets(&kinds[i..], size - 1) {
+                    rest.insert(0, kind);
+                    out.push(rest);
+                }
+            }
+            out
+        }
+        let faulty = [Member::Accept, Member::Reject, Member::Silent];
+        (0..=(size - 1) / 2)
+            .flat_map(|f| multisets(&faulty, f))
+            .map(|kinds| {
+                let mut panel = vec![Member::Honest; size - kinds.len()];
+                panel.extend(kinds);
+                panel
+            })
+            .collect()
+    }
+
+    /// One spec per `kernel_check` arm.
+    fn one_spec_per_check() -> [GameSpec; 4] {
+        [
+            GameSpec::Strategic(prisoners_dilemma().to_strategic()),
+            GameSpec::Bimatrix(battle_of_the_sexes()),
+            GameSpec::Participation(ParticipationParams::paper_example()),
+            GameSpec::ParallelLinks {
+                current_loads: vec![rat(4, 1), rat(0, 1), rat(9, 2)],
+                own_load: rat(7, 2),
+                expected_future_load: rat(2, 1),
+                expected_future_agents: 5,
+            },
+        ]
+    }
+
+    /// One Fig. 1 setup: a panel, an inventor, a spec and a budget.
+    #[derive(Clone)]
+    struct Fig1Case {
+        panel: Vec<Member>,
+        inventor: InventorBehavior,
+        spec: GameSpec,
+        budget: Option<ResilienceConfig>,
+    }
+
+    impl Fig1Case {
+        fn silent(&self) -> Vec<Party> {
+            (0..self.panel.len())
+                .filter(|&i| self.panel[i] == Member::Silent)
+                .map(|i| Party::Verifier(i as u64))
+                .collect()
+        }
+
+        fn is_silent(&self, party: Party) -> bool {
+            match party {
+                Party::Inventor(_) => self.inventor == InventorBehavior::Silent,
+                party => self.silent().contains(&party),
+            }
+        }
+
+        /// One consult of agent 0 on a fresh authority over a fresh
+        /// script losing `mask`: its result, its trace, and every
+        /// verifier's score after it.
+        fn consult(&self, mask: u128) -> (ConsultResult, Trace, Vec<i64>) {
+            let net = Arc::new(LossScript::new(mask, &self.silent()));
+            let behaviors: Vec<VerifierBehavior> = self
+                .panel
+                .iter()
+                .map(|member| match member {
+                    Member::Accept => VerifierBehavior::AlwaysAccept,
+                    Member::Reject => VerifierBehavior::AlwaysReject,
+                    Member::Honest | Member::Silent => VerifierBehavior::Honest,
+                })
+                .collect();
+            let mut authority = RationalityAuthority::with_transport(
+                Inventor::new(0, self.inventor),
+                &behaviors,
+                Arc::new(LocalReputation::new()),
+                net.clone(),
+            );
+            authority.set_resilience(self.budget);
+            let result = authority.try_consult(0, &self.spec);
+            let scores = (0..self.panel.len() as u64)
+                .map(|i| authority.reputation().score(Party::Verifier(i)))
+                .collect();
+            (result, net.take_trace(), scores)
+        }
+
+        /// How many distinct loss patterns the consult has. With `a`
+        /// attempts a hop succeeds in 2^a - 1 ways (on the first try, or
+        /// on a retry after either frame of each earlier try was lost) and
+        /// fails in 2^a. So the advice stage fails in 2^a ways and
+        /// otherwise each answering verifier ends in 2^(a+1) - 1. A silent
+        /// inventor's consult sends only its a advice requests.
+        fn loss_patterns(&self) -> usize {
+            let a = self.budget.map_or(8, |b| b.max_attempts);
+            let answering = (self.panel.len() - self.silent().len()) as u32;
+            match self.inventor {
+                InventorBehavior::Silent => 1 << a,
+                _ => (1 << a) + ((1 << a) - 1) * ((1 << (a + 1)) - 1usize).pow(answering),
+            }
+        }
+
+        fn label(&self, mask: u128) -> String {
+            let spec = match &self.spec {
+                GameSpec::Strategic(_) => "strategic",
+                GameSpec::Bimatrix(_) => "bimatrix",
+                GameSpec::Participation(_) => "participation",
+                GameSpec::ParallelLinks { .. } => "parallel links",
+            };
+            format!(
+                "{:?} inventor, panel {:?}, {spec}, {:?}, mask {mask:#b}",
+                self.inventor,
+                self.panel,
+                self.budget.map(|b| b.max_attempts)
+            )
+        }
+
+        /// Checks one run's invariants and its replay; returns how many
+        /// frames it numbered.
+        fn check(&self, mask: u128) -> usize {
+            let at = || self.label(mask);
+            let (result, trace, scores) = self.consult(mask);
+            let missing = match &result {
+                Ok(outcome) => {
+                    if outcome.adopted {
+                        let advice = outcome.advice.as_ref().expect("adopted advice");
+                        assert!(kernel_check(&self.spec, advice).0, "{}", at());
+                    }
+                    match &outcome.panel {
+                        PanelOutcome::Full => Vec::new(),
+                        PanelOutcome::Degraded { missing }
+                        | PanelOutcome::Undecided { missing } => missing.clone(),
+                    }
+                }
+                Err(ConsultError::Deadline { missing, .. }) => missing.clone(),
+            };
+            for party in missing {
+                assert!(
+                    self.is_silent(party) || trace.dropped_a_frame_of(party),
+                    "{party:?} reported missing, {}",
+                    at()
+                );
+            }
+            for (member, score) in self.panel.iter().zip(&scores) {
+                assert!(
+                    *member != Member::Honest || *score >= INITIAL_SCORE,
+                    "an honest verifier was charged: {scores:?}, {}",
+                    at()
+                );
+            }
+            let (again, retrace, rescored) = self.consult(mask);
+            assert!(same_result(&result, &again), "{}", at());
+            assert!(trace == retrace, "{}", at());
+            assert_eq!(scores, rescored, "{}", at());
+            trace.frames.len()
+        }
+
+        /// The lossless run, under this budget and the default one: an
+        /// honest majority decides as the kernel does, each member answers
+        /// as its kind does, and a consult with no silent party is `Full`
+        /// at the Lemma 1 closed form; a silent inventor starves the
+        /// advice stage.
+        fn check_lossless(&self) {
+            for budget in [self.budget, None] {
+                let case = Fig1Case {
+                    budget,
+                    ..self.clone()
+                };
+                let at = || case.label(0);
+                let result = case.consult(0).0;
+                if self.inventor == InventorBehavior::Silent {
+                    let missing = vec![Party::Inventor(0)];
+                    match result {
+                        Ok(outcome) => {
+                            assert!(budget.is_none(), "{}", at());
+                            assert!(!outcome.adopted && outcome.advice.is_none(), "{}", at());
+                            assert_eq!(outcome.panel, PanelOutcome::Undecided { missing });
+                        }
+                        Err(ConsultError::Deadline {
+                            stage,
+                            missing: starved,
+                            ..
+                        }) => {
+                            assert!(budget.is_some(), "{}", at());
+                            assert_eq!((stage, starved), (ConsultStage::Advice, missing));
+                        }
+                    }
+                    continue;
+                }
+                let outcome = result.unwrap_or_else(|e| panic!("{e}: {}", at()));
+                let advice = outcome.advice.as_ref().expect("the inventor answered");
+                let (sound, reason) = kernel_check(&self.spec, advice);
+                assert_eq!(sound, self.inventor == InventorBehavior::Honest, "{}", at());
+                assert_eq!(outcome.adopted, sound, "{}", at());
+                let answers: Vec<(Party, bool, VerdictReason)> = (self.panel.iter().enumerate())
+                    .filter_map(|(i, member)| {
+                        let (accepted, reason) = match member {
+                            Member::Honest => (sound, reason),
+                            Member::Accept => (true, VerdictReason::RubberStamped),
+                            Member::Reject => (false, VerdictReason::Refused),
+                            Member::Silent => return None,
+                        };
+                        Some((Party::Verifier(i as u64), accepted, reason))
+                    })
+                    .collect();
+                assert_eq!(outcome.verdict_details, answers, "{}", at());
+                let silent = self.silent();
+                if !silent.is_empty() {
+                    let missing = silent;
+                    assert_eq!(outcome.panel, PanelOutcome::Degraded { missing });
+                    continue;
+                }
+                assert_eq!(outcome.panel, PanelOutcome::Full, "{}", at());
+                let (k, id_len) = (self.panel.len(), 1u64.encoded_len());
+                assert_eq!(
+                    outcome.session_bytes,
+                    (1 + id_len) + (k + 1) * outcome.advice_bytes + k * (3 + id_len),
+                    "{}",
+                    at()
+                );
+            }
+        }
+    }
+
+    /// Checks every Fig. 1 setup with a panel of `size` under a caller
+    /// budget of `max_attempts`, for every loss pattern; returns how many
+    /// consults ran (each is also replayed once).
+    fn enumerate_fig1(size: usize, max_attempts: u32) -> usize {
+        let mut runs = 0;
+        for panel in honest_majority_panels(size) {
+            for inventor in [
+                InventorBehavior::Honest,
+                InventorBehavior::Corrupt,
+                InventorBehavior::Silent,
+            ] {
+                for spec in one_spec_per_check() {
+                    let case = Fig1Case {
+                        panel: panel.clone(),
+                        inventor,
+                        spec,
+                        budget: Some(budget(max_attempts)),
+                    };
+                    case.check_lossless();
+                    let patterns = for_each_loss_pattern(|mask| case.check(mask));
+                    assert_eq!(patterns, case.loss_patterns(), "{}", case.label(0));
+                    runs += patterns;
+                }
+            }
+        }
+        println!("Fig. 1, panel of {size}, {max_attempts} attempt(s): {runs} consults");
+        runs
+    }
+
+    #[test]
+    fn every_loss_pattern_of_a_single_attempt_consult() {
+        assert_eq!(enumerate_fig1(3, 1), 816);
+        assert_eq!(enumerate_fig1(5, 1), 14_064);
+    }
+
+    #[test]
+    #[ignore = "26k consults, about 3-4.5 s in debug: run in release with --include-ignored"]
+    fn every_loss_pattern_of_a_two_attempt_three_panel_consult() {
+        assert_eq!(enumerate_fig1(3, 2), 26_064);
+    }
+
+    #[test]
+    #[ignore = "2.6M consults: run in release with --include-ignored"]
+    fn every_loss_pattern_of_a_two_attempt_five_panel_consult() {
+        assert_eq!(enumerate_fig1(5, 2), 2_601_792);
+    }
+
+    // -- §4 P2 ------------------------------------------------------------------
+
+    /// One P2 setup: a game, a prover, the Fig. 4 budget and a caller
+    /// budget.
+    struct P2Case {
+        game: BimatrixGame,
+        inventor: InventorBehavior,
+        config: P2Config,
+        max_attempts: u32,
+        seed: u64,
+    }
+
+    /// What the agent could have learnt from the frames a script
+    /// delivered: the first advice to arrive, and per query stage (each
+    /// opens with a bare query) the first answer to arrive, if any did.
+    fn delivered(frames: &[Frame]) -> (Option<P2Advice>, Vec<Option<bool>>) {
+        let (mut advice, mut answers) = (None, Vec::new());
+        for frame in frames {
+            let message = match &frame.message {
+                Message::Resilient { inner, .. } => inner.as_ref(),
+                bare => {
+                    if let Message::SupportQuery { .. } = bare {
+                        answers.push(None);
+                    }
+                    bare
+                }
+            };
+            match message {
+                _ if frame.dropped => {}
+                Message::AdviceWithProof { advice: a, .. } if advice.is_none() => {
+                    if let Advice::Private(a) = a.as_ref() {
+                        advice = Some(a.clone());
+                    }
+                }
+                Message::SupportAnswer { in_support, .. } => {
+                    let stage = answers.last_mut().expect("an answer follows a query");
+                    stage.get_or_insert(*in_support);
+                }
+                _ => {}
+            }
+        }
+        (advice, answers)
+    }
+
+    impl P2Case {
+        fn consult(&self, mask: u128) -> (Result<PrivateOutcome, ConsultError>, Trace) {
+            let net = Arc::new(LossScript::new(mask, &[]));
+            let mut authority = p2_authority(self.inventor, net.clone());
+            authority.set_resilience(Some(budget(self.max_attempts)));
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let result = authority.try_consult_private(0, &self.game, &self.config, &mut rng);
+            (result, net.take_trace())
+        }
+
+        fn label(&self, mask: u128) -> String {
+            format!(
+                "{:?} prover, {}x{} game, {:?}, {} attempt(s), seed {}, mask {mask:#b}",
+                self.inventor,
+                self.game.rows(),
+                self.game.cols(),
+                self.config,
+                self.max_attempts,
+                self.seed
+            )
+        }
+
+        /// Checks one run against the local Fig. 4 verifier fed exactly
+        /// the answers that arrived, and its replay; returns how many
+        /// frames it numbered.
+        fn check(&self, mask: u128) -> usize {
+            let at = || self.label(mask);
+            let (result, trace) = self.consult(mask);
+            let (advice, answers) = delivered(&trace.frames);
+            let mut stage = 0;
+            let mut oracle = |_| {
+                stage += 1;
+                answers.get(stage - 1).copied().flatten()
+            };
+            let local = advice.as_ref().map(|advice| {
+                let mut rng = StdRng::seed_from_u64(self.seed);
+                verify_private_advice(&self.game, advice, &mut oracle, &mut rng, &self.config)
+            });
+            let verdict = match &result {
+                Ok(outcome) => {
+                    assert_eq!(outcome.advice, advice, "{}", at());
+                    assert_eq!(outcome.verdict, local, "{}", at());
+                    outcome.verdict.as_ref()
+                }
+                Err(ConsultError::Deadline { stage, .. }) => {
+                    let unanswered = local.as_ref().map(|v| v.transcript().events().last());
+                    match stage {
+                        ConsultStage::Advice => assert_eq!(unanswered, None, "{}", at()),
+                        _ => assert_eq!(
+                            unanswered,
+                            Some(Some(&TranscriptEvent::Answer { in_support: None })),
+                            "{}",
+                            at()
+                        ),
+                    }
+                    None
+                }
+            };
+            let decided = verdict.is_some_and(|v| !matches!(v, P2Outcome::Undecided { .. }));
+            assert!(
+                !(decided && answers.contains(&None)),
+                "a dropped answer decided: {}",
+                at()
+            );
+            let rejected = matches!(verdict, Some(P2Outcome::Rejected { .. }));
+            assert!(
+                !(rejected && self.inventor == InventorBehavior::Honest),
+                "an honest prover was rejected: {}",
+                at()
+            );
+            let (again, retrace) = self.consult(mask);
+            assert_eq!(format!("{result:?}"), format!("{again:?}"), "{}", at());
+            assert!(trace == retrace, "{}", at());
+            trace.frames.len()
+        }
+
+        /// The lossless run is the one `assert_matches_local` pins; a
+        /// silent prover starves the advice stage.
+        fn check_lossless(&self) {
+            let at = || self.label(0);
+            let result = self.consult(0).0;
+            if self.inventor == InventorBehavior::Silent {
+                let starved = matches!(
+                    result,
+                    Err(ConsultError::Deadline {
+                        stage: ConsultStage::Advice,
+                        ..
+                    })
+                );
+                assert!(starved, "{}", at());
+                return;
+            }
+            let support = find_one_equilibrium(&self.game).unwrap().col_support;
+            let mut oracle: Box<dyn SupportOracle> = match self.inventor {
+                InventorBehavior::Honest => Box::new(HonestOracle::new(support)),
+                _ => Box::new(LyingOracle::new(support, 0..self.game.cols())),
+            };
+            let (_, local) = assert_matches_local(
+                self.inventor,
+                &self.game,
+                &mut *oracle,
+                self.seed,
+                self.config,
+            );
+            let outcome = result.unwrap_or_else(|e| panic!("{e}: {}", at()));
+            assert_eq!(outcome.verdict, local.verdict, "{}", at());
+            assert_eq!(outcome.session_bytes, local.session_bytes, "{}", at());
+            assert_eq!(outcome.attempts, 0, "{}", at());
+        }
+    }
+
+    /// Checks every P2 setup (battle of the sexes, the `wire_protocol`
+    /// 5×5 game and the dominated-column game, each prover kind) under
+    /// `config` and a caller budget of `max_attempts`, for every loss
+    /// pattern; returns how many consults ran (each is also replayed).
+    fn enumerate_p2(config: P2Config, max_attempts: u32) -> usize {
+        let mut runs = 0;
+        for game in [
+            battle_of_the_sexes(),
+            five_by_five(),
+            dominated_column_game(),
+        ] {
+            for inventor in [
+                InventorBehavior::Honest,
+                InventorBehavior::Corrupt,
+                InventorBehavior::Silent,
+            ] {
+                let case = P2Case {
+                    game: game.clone(),
+                    inventor,
+                    config,
+                    max_attempts,
+                    seed: scenario_seed(),
+                };
+                case.check_lossless();
+                runs += for_each_loss_pattern(|mask| case.check(mask));
+            }
+        }
+        println!("P2, {config:?}, {max_attempts} attempt(s): {runs} consults");
+        runs
+    }
+
+    #[test]
+    fn every_loss_pattern_of_a_p2_consult() {
+        enumerate_p2(p2_config(3, 24), 1);
+        enumerate_p2(p2_config(2, 4), 2);
+    }
+
+    #[test]
+    #[ignore = "20k P2 consults: run in release with --include-ignored"]
+    fn every_loss_pattern_of_a_longer_p2_consult() {
+        enumerate_p2(p2_config(3, 6), 2);
     }
 }
