@@ -31,12 +31,25 @@
 //! envelope. Receivers answer each attempt once, so a duplicated frame
 //! never buys a second vote.
 //!
+//! The authority plays every party of Fig. 1, each as its own frame-in,
+//! frame-out machine. A *responder* (the inventor, and each verifier)
+//! owns its endpoint, the attempts it has answered and its memoized
+//! answer; every responder answers only the consult's agent, once per
+//! attempt, through one path, and only computing the answer differs by
+//! role. The *agent* machine holds the budget, the panel and what it has
+//! collected, and takes advice and P2 answers only from the inventor it
+//! asked and verdicts only from panel members. The stage loop,
+//! `run_stage`, is the scheduler that moves frames between the transport
+//! and the machines; the unit tests drive the machines with no network at
+//! all.
+//!
 //! The flow is also the engine's *hot path*, and it is written to stay
 //! off the allocator and off contended locks in the steady state: endpoint
-//! drains reuse one receive buffer ([`Endpoint::drain_into`]), the
-//! verdict fan-out and the replies each ship as one
-//! [`Transport::send_batch`] accounting critical section from a reused
-//! staging buffer, and trust checks read a single immutable
+//! drains reuse one receive buffer ([`Endpoint::drain_into`]), an
+//! attempt's requests (the whole verdict fan-out, in the panel stage) and
+//! its replies each ship as one [`Transport::send_batch`] accounting
+//! critical section from a reused staging buffer, and trust checks read a
+//! single immutable
 //! [`crate::ReputationSnapshot`] taken at the top of the fan-out instead
 //! of locking the backend per verifier.
 
@@ -335,17 +348,19 @@ pub struct PrivateOutcome {
 pub struct RationalityAuthority {
     bus: Arc<dyn Transport>,
     reputation: Arc<dyn ReputationBackend>,
-    inventor: Inventor,
-    inventor_endpoint: Endpoint,
-    /// Each verifier with its endpoint, in panel order.
-    verifiers: Vec<(VerifierService, Endpoint)>,
+    /// The inventor's responder machine.
+    inventor: Responder<Inventor>,
+    /// Each verifier's responder machine, in panel order.
+    verifiers: Vec<Responder<VerifierService>>,
+    /// The consulting agent's machine, reset for every consult.
+    agent: AgentMachine,
     /// Reusable receive buffer: every endpoint drain on the hot path lands
     /// here via [`Endpoint::drain_into`], so steady-state consults never
     /// allocate a fresh inbox `Vec`.
     recv_buf: Vec<(Party, Message)>,
-    /// Reusable fan-out buffer for [`Transport::send_batch`]: verdict
-    /// requests and verdict replies are staged here and shipped in one
-    /// accounting critical section each.
+    /// Reusable staging buffer for [`Transport::send_batch`]: the agent's
+    /// requests and the responders' replies of an attempt are staged here
+    /// and shipped in one accounting critical section each.
     send_buf: Vec<(Party, Party, Message)>,
     /// Optional content-addressed certificate cache, shared across shards
     /// (`None` — the default — leaves the protocol bit-for-bit unchanged).
@@ -357,8 +372,6 @@ pub struct RationalityAuthority {
     /// Authority-local jitter stream for retry backoff, seeded from
     /// [`ResilienceConfig::seed`] so runs are replayable.
     jitter_rng: u64,
-    /// Per-consult scratch of the staged protocol body.
-    scratch: SessionScratch,
     next_game_id: u64,
 }
 
@@ -390,28 +403,26 @@ impl RationalityAuthority {
         reputation: Arc<dyn ReputationBackend>,
         bus: Arc<dyn Transport>,
     ) -> RationalityAuthority {
-        let inventor_endpoint = bus.register(inventor.id);
+        let inventor = Responder::new(bus.register(inventor.id), inventor);
         let verifiers = verifier_behaviors
             .iter()
             .enumerate()
             .map(|(i, &b)| {
-                let verifier = VerifierService::new(i as u64, b);
-                let endpoint = bus.register(verifier.id);
-                (verifier, endpoint)
+                let service = VerifierService::new(i as u64, b);
+                Responder::new(bus.register(service.id), service)
             })
             .collect();
         RationalityAuthority {
             bus,
             reputation,
             inventor,
-            inventor_endpoint,
             verifiers,
+            agent: AgentMachine::default(),
             recv_buf: Vec::new(),
             send_buf: Vec::new(),
             cert_cache: None,
             resilience: None,
             jitter_rng: ResilienceConfig::default().seed,
-            scratch: SessionScratch::default(),
             next_game_id: 1,
         }
     }
@@ -508,11 +519,9 @@ impl RationalityAuthority {
     /// falls back to the full protocol). Misses run the protocol and
     /// memoize the result.
     pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
-        let game_id = self.next_game_id;
-        self.next_game_id += 1;
-        let agent = Party::Agent(agent_id);
+        let session = self.open_session(agent_id, Subject::Spec(spec));
         let Some(cache) = self.cert_cache.clone() else {
-            return self.run_session(agent, |a, inbox| a.run_protocol(inbox, game_id, spec));
+            return self.run_session(session, Self::run_protocol);
         };
         let digest = spec_digest(spec);
         // Replay hits are panel-guarded: an entry minted under a
@@ -535,7 +544,7 @@ impl RationalityAuthority {
                 }
             }
         }
-        let outcome = self.run_session(agent, |a, inbox| a.run_protocol(inbox, game_id, spec))?;
+        let outcome = self.run_session(session, Self::run_protocol)?;
         // Short closes are never memoized: their vote was pooled over a
         // partial panel, so serving them warm would replay it as if the
         // full panel had vouched for it.
@@ -579,10 +588,9 @@ impl RationalityAuthority {
         config: &P2Config,
         rng: &mut dyn rand::RngCore,
     ) -> Result<PrivateOutcome, ConsultError> {
-        let game_id = self.next_game_id;
-        self.next_game_id += 1;
-        self.run_session(Party::Agent(agent_id), |a, inbox| {
-            a.run_private(inbox, game_id, game, config, rng)
+        let session = self.open_session(agent_id, Subject::Private(game));
+        self.run_session(session, |a, inbox, session| {
+            a.run_private(inbox, session, game, config, rng)
         })
     }
 
@@ -607,8 +615,9 @@ impl RationalityAuthority {
     /// Retries (attempt ≥ 1) and the replies they provoke ship inside a
     /// [`Message::Resilient`] envelope, so the Lemma 1 ledger classifies
     /// all retry traffic as retransmit bytes. Responders answer each
-    /// distinct attempt exactly once and compute their advice/verdict a
-    /// single time per session; the agent keeps the first reply per party.
+    /// distinct attempt of the consult's agent exactly once and compute
+    /// their advice/verdict a single time per session; the agent keeps the
+    /// first reply per party, and only from the party it asked.
     ///
     /// The agent retransmits on the budget's exponential backoff (driven
     /// through the transport's virtual clock) until the stage completes,
@@ -625,124 +634,123 @@ impl RationalityAuthority {
     /// between its sessions, and a delayed frame of an ended session was
     /// accounted when it was queued and is discarded on arrival, as the
     /// session filter of a later drain would discard it.
-    fn run_session<T>(&mut self, agent: Party, body: impl FnOnce(&mut Self, &Endpoint) -> T) -> T {
-        let inbox = self.bus.register(agent);
-        let result = body(self, &inbox);
-        self.bus.disconnect(agent);
+    ///
+    /// Every machine starts the session afresh: the agent under the
+    /// attached budget from the transport's current tick, each responder
+    /// with nothing served or memoized.
+    fn run_session<'a, T>(
+        &mut self,
+        session: Session<'a>,
+        body: impl FnOnce(&mut Self, &Endpoint, Session<'a>) -> T,
+    ) -> T {
+        let inbox = self.bus.register(session.agent);
+        let deadline = self.resilience.unwrap_or_default().deadline;
+        self.agent.begin(self.bus.now(), deadline);
+        self.inventor.reset();
+        for verifier in &mut self.verifiers {
+            verifier.reset();
+        }
+        let result = body(self, &inbox, session);
+        self.bus.disconnect(session.agent);
         result
+    }
+
+    /// Assigns the next game id to a consult of agent `agent_id` about
+    /// `subject`.
+    fn open_session<'a>(&mut self, agent_id: u64, subject: Subject<'a>) -> Session<'a> {
+        self.next_game_id += 1;
+        Session {
+            agent: Party::Agent(agent_id),
+            inventor: self.inventor.endpoint.party,
+            game_id: self.next_game_id - 1,
+            subject,
+        }
     }
 
     /// The Fig. 1 body of [`RationalityAuthority::run_session`], with the
     /// agent's endpoint `inbox` registered.
-    fn run_protocol(&mut self, inbox: &Endpoint, game_id: u64, spec: &GameSpec) -> ConsultResult {
-        let budget = self.resilience.unwrap_or_default();
+    fn run_protocol(&mut self, inbox: &Endpoint, session: Session<'_>) -> ConsultResult {
         let bytes_before = self.bus.total_bytes();
-        let started = self.bus.now();
-        let deadline_at = started.saturating_add(budget.deadline);
-        self.scratch.clear(self.verifiers.len());
 
         // Stage 1: advice.
-        let subject = Subject::Spec(spec);
-        if !self.run_stage(ConsultStage::Advice, inbox, game_id, subject, deadline_at) {
-            let starved = SessionOutcome {
+        if !self.run_stage(ConsultStage::Advice, inbox, session) {
+            let panel = self.close_undecided(ConsultStage::Advice, 0, 1, vec![session.inventor])?;
+            return Ok(SessionOutcome {
                 session_bytes: self.bus.total_bytes() - bytes_before,
-                attempts: self.scratch.retransmits,
+                attempts: self.agent.retransmits,
+                panel,
                 ..SessionOutcome::default()
-            };
-            return self.close_undecided(starved, started, 1, vec![self.inventor.id]);
+            });
         }
 
         // Stage 2: panel fan-out. Trust checks read one immutable
         // snapshot taken here — the backend's data lock is untouched
         // until the verdicts pool, so a gossip merge on another shard
         // never contends with this fan-out (and the panel seen by one
-        // consult is always a whole epoch).
-        let reputation_view = self.reputation.snapshot();
-        self.scratch
+        // consult is always a whole epoch). The snapshot is released at the
+        // end of the statement, before the vote pools, so the backend can
+        // update its published scores in place instead of copying them.
+        let agent = &mut self.agent;
+        agent
             .panel
-            .extend(trusted_panel(&self.verifiers, &reputation_view));
-        // Released before the vote pools, so the backend can update its
-        // published scores in place instead of copying them.
-        drop(reputation_view);
-        self.scratch
-            .agent_verdicts
-            .resize(self.scratch.panel.len(), None);
-        if !self.scratch.panel.is_empty() {
-            self.run_stage(ConsultStage::Panel, inbox, game_id, subject, deadline_at);
+            .extend(trusted_panel(&self.verifiers, &self.reputation.snapshot()));
+        agent.verdicts.resize(agent.panel.len(), None);
+        if !self.agent.panel.is_empty() {
+            self.run_stage(ConsultStage::Panel, inbox, session);
         }
 
-        // Stage 3: the vote against the whole trusted panel, pooled in
-        // panel order so runs are deterministic regardless of arrival
-        // order.
-        let mut verdicts: Vec<(Party, bool)> = Vec::new();
-        let mut verdict_details = Vec::new();
-        let mut missing = Vec::new();
-        for (&verifier, &verdict) in self.scratch.panel.iter().zip(&self.scratch.agent_verdicts) {
-            match verdict {
-                Some((accepted, detail)) => {
-                    verdicts.push((verifier, accepted));
-                    verdict_details.push((verifier, accepted, detail));
-                }
-                None => missing.push(verifier),
-            }
-        }
-        let quorum = budget.quorum.min(self.scratch.panel.len()).max(1);
+        // Stage 3: the vote against the whole trusted panel.
+        let (verdict_details, missing) = self.agent.votes();
+        let verdicts: Vec<_> = verdict_details.iter().map(|&(v, a, _)| (v, a)).collect();
+        let quorum = self.resilience.unwrap_or_default().quorum;
+        let quorum = quorum.min(self.agent.panel.len()).max(1);
         let majority = (verdicts.len() >= quorum)
             .then(|| self.reputation.pool_panel(&verdicts, &missing))
             .flatten();
+        let panel = if missing.is_empty() {
+            PanelOutcome::Full
+        } else if majority.is_some() {
+            PanelOutcome::Degraded { missing }
+        } else {
+            let received = verdict_details.len();
+            self.close_undecided(ConsultStage::Panel, received, quorum, missing)?
+        };
         // Every verifier has normally processed its queue, so the shared
         // payload is unique again and unwraps without copying.
-        let advice = self
-            .scratch
-            .agent_advice
-            .take()
-            .expect("advice stage completed");
-        let outcome = SessionOutcome {
+        let advice = self.agent.advice.take().expect("advice stage completed");
+        Ok(SessionOutcome {
             advice: Some(Arc::try_unwrap(advice).unwrap_or_else(|a| (*a).clone())),
             adopted: majority.as_ref().is_some_and(|m| m.accepted),
             majority,
-            advice_bytes: self.scratch.advice_bytes,
+            advice_bytes: self.inventor.memo.advice_bytes,
             session_bytes: self.bus.total_bytes() - bytes_before,
             verdict_details,
-            attempts: self.scratch.retransmits,
-            ..SessionOutcome::default()
-        };
-        if missing.is_empty() {
-            Ok(outcome)
-        } else if outcome.majority.is_some() {
-            Ok(SessionOutcome {
-                panel: PanelOutcome::Degraded { missing },
-                ..outcome
-            })
-        } else {
-            self.close_undecided(outcome, started, quorum, missing)
-        }
+            cached: false,
+            panel,
+            attempts: self.agent.retransmits,
+        })
     }
 
-    /// Reports a consult that closed without a decision (with `advice:
-    /// None` if the advice stage starved): as [`ConsultError::Deadline`]
-    /// under a caller-set budget, else as `outcome` labelled
-    /// [`PanelOutcome::Undecided`].
+    /// Reports a consult that closed without a decision in `stage`, having
+    /// received `received` of the `quorum` responses it needed and never
+    /// heard from `missing`: under a caller-set budget as
+    /// [`ConsultError::Deadline`], under the default budget as an outcome
+    /// whose panel is [`PanelOutcome::Undecided`].
     fn close_undecided(
         &self,
-        outcome: SessionOutcome,
-        started: u64,
+        stage: ConsultStage,
+        received: usize,
         quorum: usize,
         missing: Vec<Party>,
-    ) -> ConsultResult {
+    ) -> Result<PanelOutcome, ConsultError> {
         if self.resilience.is_none() {
-            let panel = PanelOutcome::Undecided { missing };
-            return Ok(SessionOutcome { panel, ..outcome });
+            return Ok(PanelOutcome::Undecided { missing });
         }
-        let stage = match outcome.advice {
-            Some(_) => ConsultStage::Panel,
-            None => ConsultStage::Advice,
-        };
         Err(ConsultError::Deadline {
             stage,
-            attempts: outcome.attempts,
-            elapsed: self.bus.now().saturating_sub(started),
-            received: outcome.verdict_details.len(),
+            attempts: self.agent.retransmits,
+            elapsed: self.bus.now().saturating_sub(self.agent.started),
+            received,
             quorum,
             missing,
         })
@@ -754,27 +762,22 @@ impl RationalityAuthority {
     fn run_private(
         &mut self,
         inbox: &Endpoint,
-        game_id: u64,
+        session: Session<'_>,
         game: &BimatrixGame,
         config: &P2Config,
         rng: &mut dyn rand::RngCore,
     ) -> Result<PrivateOutcome, ConsultError> {
         let bytes_before = self.bus.total_bytes();
-        let started = self.bus.now();
-        let deadline_at = started.saturating_add(self.resilience.unwrap_or_default().deadline);
-        self.scratch.clear(self.verifiers.len());
-        let subject = Subject::Private(game);
-        self.run_stage(ConsultStage::Advice, inbox, game_id, subject, deadline_at);
-        let advice = match self.scratch.agent_advice.take().as_deref() {
+        self.run_stage(ConsultStage::Advice, inbox, session);
+        let advice = match self.agent.advice.take().as_deref() {
             Some(Advice::Private(advice)) => Some(advice.clone()),
             _ => None,
         };
         let verdict = advice.as_ref().map(|advice| {
             let mut ask = |index| {
-                self.scratch.query = (index, None);
-                self.scratch.served.clear();
-                self.run_stage(ConsultStage::Query, inbox, game_id, subject, deadline_at);
-                self.scratch.query.1
+                self.agent.query = (index, None);
+                self.run_stage(ConsultStage::Query, inbox, session);
+                self.agent.query.1
             };
             verify_private_advice(game, advice, &mut ask, rng, config)
         });
@@ -782,103 +785,62 @@ impl RationalityAuthority {
             adopted: verdict.as_ref().is_some_and(P2Outcome::is_accepted),
             advice,
             verdict,
-            advice_bytes: self.scratch.advice_bytes,
+            advice_bytes: self.inventor.memo.advice_bytes,
             session_bytes: self.bus.total_bytes() - bytes_before,
-            attempts: self.scratch.retransmits,
+            attempts: self.agent.retransmits,
         };
         let stage = match &outcome.verdict {
             None => ConsultStage::Advice,
             Some(verdict) if unanswered(verdict) => ConsultStage::Query,
             Some(_) => return Ok(outcome),
         };
-        match self.resilience {
-            None => Ok(outcome),
-            Some(_) => Err(ConsultError::Deadline {
-                stage,
-                attempts: outcome.attempts,
-                elapsed: self.bus.now().saturating_sub(started),
-                received: 0,
-                quorum: 1,
-                missing: vec![self.inventor.id],
-            }),
-        }
+        self.close_undecided(stage, 0, 1, vec![session.inventor])?;
+        Ok(outcome)
     }
 
-    /// Runs one stage to completion: sends an attempt (the stage's
-    /// request, or the panel fan-out to every verifier not yet heard
-    /// from), serves it, and repeats while the budget allows. Returns
-    /// whether the stage completed. A send that fails (its recipient is
-    /// not registered) is a lost frame: the stage starves into the
-    /// budget's close.
-    fn run_stage(
-        &mut self,
-        stage: ConsultStage,
-        inbox: &Endpoint,
-        game_id: u64,
-        subject: Subject<'_>,
-        deadline_at: u64,
-    ) -> bool {
-        let agent = inbox.party;
+    /// The scheduler: runs one stage to completion, moving frames between
+    /// the transport and the machines. Each attempt ships the agent's
+    /// requests, settles, hands every frame the stage's responders drained
+    /// to its responder, ships their replies, settles and hands the agent
+    /// its frames; then, while the stage is incomplete and the agent's
+    /// budget allows, it waits out the backoff and repeats. Returns whether
+    /// the stage completed. A send that fails (its recipient is not
+    /// registered) is a lost frame: the stage starves into the budget's
+    /// close.
+    fn run_stage(&mut self, stage: ConsultStage, inbox: &Endpoint, session: Session<'_>) -> bool {
         let budget = self.resilience.unwrap_or_default();
         let mut attempt: u32 = 0;
         loop {
-            match stage {
-                ConsultStage::Advice | ConsultStage::Query => {
-                    if attempt > 0 {
-                        self.scratch.retransmits += 1;
-                    }
-                    let request = match stage {
-                        ConsultStage::Query => Message::SupportQuery {
-                            game_id,
-                            index: self.scratch.query.0,
-                        },
-                        _ => Message::AdviceRequest { game_id },
-                    };
-                    let request = framed(game_id, attempt, request);
-                    let _ = self.bus.send(agent, self.inventor.id, request);
-                }
-                ConsultStage::Panel => {
-                    // The same advice fans out to the whole panel, so it
-                    // is shared: every frame is a reference-count bump,
-                    // not a proof-tree clone.
-                    let st = &mut self.scratch;
-                    let advice = st.agent_advice.as_ref().expect("advice stage completed");
-                    self.send_buf.clear();
-                    for (&verifier, verdict) in st.panel.iter().zip(&st.agent_verdicts) {
-                        if verdict.is_some() {
-                            continue;
-                        }
-                        if attempt > 0 {
-                            st.retransmits += 1;
-                        }
-                        let request = Message::VerdictRequest {
-                            game_id,
-                            advice: Arc::clone(advice),
-                        };
-                        self.send_buf
-                            .push((agent, verifier, framed(game_id, attempt, request)));
-                    }
-                    // One accounting critical section for the whole
-                    // fan-out; send_batch drains the buffer so its
-                    // allocation is reused.
-                    let _ = self.bus.send_batch(&mut self.send_buf);
-                }
-            }
-            // The attempt's service pass: settle, let the responders
-            // answer, settle, let the agent collect (every drain follows
-            // a settle, so latency-delayed frames land first). Nothing is
-            // in flight after a settle, so an incomplete stage can only
-            // wait out its backoff window: one `advance` to its end.
-            let wait_until = self.wait_until(attempt, &budget, deadline_at);
+            // One accounting critical section for the agent's requests
+            // (the whole fan-out, in the panel stage) and one for the
+            // replies; send_batch drains the buffer so its allocation is
+            // reused.
+            self.agent
+                .requests(stage, session, attempt, &mut self.send_buf);
+            let _ = self.bus.send_batch(&mut self.send_buf);
+            // Every drain follows a settle, so latency-delayed frames land
+            // first. Nothing is in flight after a settle, so an incomplete
+            // stage can only wait out its backoff window: one `advance` to
+            // its end.
+            let wait_until = self.wait_until(attempt, &budget, self.agent.deadline_at);
             self.bus.settle();
-            match (stage, subject) {
-                (ConsultStage::Panel, Subject::Spec(spec)) => self.serve_verifiers(spec, game_id),
-                // A P2 consult has no Panel stage.
-                _ => self.serve_inventor(subject, agent, game_id),
+            // Only the stage's addressees can hold its requests: the panel
+            // in the panel stage, the inventor in the others.
+            let (drained, replies) = (&mut self.recv_buf, &mut self.send_buf);
+            if stage == ConsultStage::Panel {
+                for verifier in &mut self.verifiers {
+                    verifier.serve(session, attempt, drained, replies);
+                }
+            } else {
+                self.inventor.serve(session, attempt, drained, replies);
             }
+            let _ = self.bus.send_batch(&mut self.send_buf);
             self.bus.settle();
-            self.collect_agent(inbox, game_id);
-            if self.stage_done(stage) {
+            inbox.drain_into(&mut self.recv_buf);
+            for (from, msg) in self.recv_buf.drain(..) {
+                self.agent.on_frame(session, from, msg);
+            }
+            if self.agent.done(stage) {
                 return true;
             }
             let now = self.bus.now();
@@ -886,18 +848,9 @@ impl RationalityAuthority {
                 self.bus.advance(wait_until - now);
             }
             attempt += 1;
-            if attempt >= budget.max_attempts || self.bus.now() >= deadline_at {
+            if attempt >= budget.max_attempts || self.bus.now() >= self.agent.deadline_at {
                 return false;
             }
-        }
-    }
-
-    /// Whether the agent holds everything `stage` asked for.
-    fn stage_done(&self, stage: ConsultStage) -> bool {
-        match stage {
-            ConsultStage::Advice => self.scratch.agent_advice.is_some(),
-            ConsultStage::Panel => self.scratch.agent_verdicts.iter().all(Option::is_some),
-            ConsultStage::Query => self.scratch.query.1.is_some(),
         }
     }
 
@@ -915,138 +868,17 @@ impl RationalityAuthority {
                 .min(deadline_at)
         }
     }
+}
 
-    /// Inventor-side service pass: answers each distinct attempt of the
-    /// stage's request (the advice request, or the current P2 query)
-    /// exactly once — duplicated frames are dropped — computing the advice
-    /// (and a P2 prover's answers) a single time per session.
-    /// Replies are framed with the request's attempt, so retries classify
-    /// as retransmit bytes in the ledger.
-    fn serve_inventor(&mut self, subject: Subject<'_>, agent: Party, game_id: u64) {
-        self.recv_buf.clear();
-        self.inventor_endpoint.drain_into(&mut self.recv_buf);
-        let st = &mut self.scratch;
-        for (from, msg) in self.recv_buf.drain(..) {
-            let Some((attempt, msg)) = open_frame(msg, game_id) else {
-                continue;
-            };
-            if from != agent || st.served.contains(&attempt) {
-                continue;
-            }
-            st.served.push(attempt);
-            let reply = match msg {
-                Message::AdviceRequest { .. } => {
-                    if !st.advice_computed {
-                        st.advice_computed = true;
-                        st.inventor_advice = match subject {
-                            Subject::Spec(spec) => self.inventor.advise(spec),
-                            Subject::Private(game) => {
-                                self.inventor.advise_private(game).map(|(advice, answers)| {
-                                    st.prover_answers = answers;
-                                    Advice::Private(advice)
-                                })
-                            }
-                        };
-                    }
-                    // A Silent inventor never answers; the advice stage starves.
-                    let Some(advice) = st.inventor_advice.clone() else {
-                        continue;
-                    };
-                    let reply = Message::AdviceWithProof {
-                        game_id,
-                        advice: Box::new(advice),
-                    };
-                    if st.advice_bytes == 0 {
-                        st.advice_bytes = reply.encoded_len();
-                    }
-                    reply
-                }
-                Message::SupportQuery { index, .. } => {
-                    let Some(&in_support) = st.prover_answers.get(index) else {
-                        continue;
-                    };
-                    Message::SupportAnswer {
-                        game_id,
-                        index,
-                        in_support,
-                    }
-                }
-                _ => continue,
-            };
-            let _ = self
-                .bus
-                .send(self.inventor.id, from, framed(game_id, attempt, reply));
-        }
-    }
-
-    /// Verifier-side service pass: each panel member answers each distinct
-    /// attempt of a verdict request once, memoizing its verdict so retries
-    /// never re-verify. Replies batch back to the agent in one accounting
-    /// critical section.
-    fn serve_verifiers(&mut self, spec: &GameSpec, game_id: u64) {
-        let st = &mut self.scratch;
-        for (index, (verifier, endpoint)) in self.verifiers.iter().enumerate() {
-            self.recv_buf.clear();
-            endpoint.drain_into(&mut self.recv_buf);
-            for (from, msg) in self.recv_buf.drain(..) {
-                let Some((attempt, Message::VerdictRequest { advice, .. })) =
-                    open_frame(msg, game_id)
-                else {
-                    continue;
-                };
-                if st.served_verdicts.contains(&(index, attempt)) {
-                    continue;
-                }
-                st.served_verdicts.push((index, attempt));
-                let (accepted, detail) = *st.verifier_verdicts[index]
-                    .get_or_insert_with(|| verifier.verify(spec, &advice));
-                let reply = Message::Verdict {
-                    game_id,
-                    accepted,
-                    detail,
-                };
-                self.send_buf
-                    .push((verifier.id, from, framed(game_id, attempt, reply)));
-            }
-        }
-        let _ = self.bus.send_batch(&mut self.send_buf);
-    }
-
-    /// Agent-side collection pass: takes the first advice-with-proof, the
-    /// first verdict per verifier and the first answer to the current P2
-    /// query for this session, dropping duplicates (idempotent receive)
-    /// and frames from other sessions.
-    fn collect_agent(&mut self, inbox: &Endpoint, game_id: u64) {
-        self.recv_buf.clear();
-        inbox.drain_into(&mut self.recv_buf);
-        let st = &mut self.scratch;
-        for (from, msg) in self.recv_buf.drain(..) {
-            match open_frame(msg, game_id) {
-                Some((_, Message::AdviceWithProof { advice, .. })) if st.agent_advice.is_none() => {
-                    st.agent_advice = Some(Arc::new(*advice));
-                }
-                Some((
-                    _,
-                    Message::Verdict {
-                        accepted, detail, ..
-                    },
-                )) => {
-                    if let Some(slot) = st.panel.iter().position(|&v| v == from) {
-                        st.agent_verdicts[slot].get_or_insert((accepted, detail));
-                    }
-                }
-                Some((
-                    _,
-                    Message::SupportAnswer {
-                        index, in_support, ..
-                    },
-                )) if index == st.query.0 => {
-                    st.query.1.get_or_insert(in_support);
-                }
-                _ => {}
-            }
-        }
-    }
+/// One consult as its machines see it: the consulting agent, the
+/// inventor it asks, the session id (the consult's `game_id`) and what
+/// the inventor is asked about.
+#[derive(Clone, Copy)]
+struct Session<'a> {
+    agent: Party,
+    inventor: Party,
+    game_id: u64,
+    subject: Subject<'a>,
 }
 
 /// What a consult asks the inventor about: a spec whose Fig. 1 advice
@@ -1068,12 +900,12 @@ fn unanswered(verdict: &P2Outcome) -> bool {
 /// consult's panel and [`RationalityAuthority::trusted_verifiers`] are
 /// both this set, so a verifier that was never pooled is in both.
 fn trusted_panel<'a>(
-    verifiers: &'a [(VerifierService, Endpoint)],
+    verifiers: &'a [Responder<VerifierService>],
     view: &'a ReputationSnapshot,
 ) -> impl Iterator<Item = Party> + 'a {
     verifiers
         .iter()
-        .map(|(v, _)| v.id)
+        .map(|v| v.endpoint.party)
         .filter(|&v| view.is_trusted(v))
 }
 
@@ -1117,60 +949,278 @@ fn open_frame(msg: Message, game_id: u64) -> Option<(u32, Message)> {
     (session == game_id).then_some((attempt, inner))
 }
 
-/// Per-consult scratch, kept in the authority and cleared at the start of
-/// every consult so steady-state consults allocate nothing here: the
-/// responders' dedup lists and memoized answers, plus what the agent has
-/// collected so far. A panel is a handful of verifiers and a consult a
-/// handful of attempts, so every lookup is a short scan of a small vector
-/// indexed by verifier or panel slot.
-#[derive(Default)]
-struct SessionScratch {
-    /// Attempts of the current advice or query stage the inventor has
-    /// already answered.
+/// A responding party — the inventor or one verifier — as a frame-in,
+/// frame-out machine: its endpoint, the attempts of the current stage it
+/// has answered, its role and what it computed this consult. Every
+/// responder dedups, checks the sender and frames its reply on one path,
+/// [`Responder::serve`]; only computing the answer ([`Role`]) differs.
+/// A responder has no clock: the budget is the agent's alone.
+struct Responder<R: Role> {
+    endpoint: Endpoint,
+    /// Attempts of the current stage already answered. A consult is a
+    /// handful of attempts, so a lookup is a short scan.
     served: Vec<u32>,
-    /// Whether the inventor has computed (or declined) its advice.
-    advice_computed: bool,
-    /// The inventor's memoized advice for this session.
-    inventor_advice: Option<Advice>,
-    /// `(verifier index, attempt)` verdict requests already answered.
-    served_verdicts: Vec<(usize, u32)>,
-    /// Verifier-side memoized verdicts, one slot per registered verifier.
-    verifier_verdicts: Vec<Option<(bool, VerdictReason)>>,
-    /// The first advice-with-proof the agent received, shared with the
-    /// panel fan-out.
-    agent_advice: Option<Arc<Advice>>,
-    /// The trusted verifiers this consult asks, in panel order.
-    panel: Vec<Party>,
-    /// First verdict the agent collected from each panel slot.
-    agent_verdicts: Vec<Option<(bool, VerdictReason)>>,
-    /// Driver-side retransmitted request frames.
-    retransmits: u64,
-    /// Encoded length of the advice-with-proof payload (Lemma 1).
-    advice_bytes: usize,
-    /// The inventor's answer to a P2 membership query, per column.
-    prover_answers: Vec<bool>,
-    /// The column the agent's current P2 query asks about, and the first
-    /// answer it collected.
-    query: (usize, Option<bool>),
+    role: R,
+    memo: R::Memo,
 }
 
-impl SessionScratch {
-    /// Resets every field for a panel of `verifiers` registered
-    /// verifiers, keeping the collections' allocations.
-    fn clear(&mut self, verifiers: usize) {
+impl<R: Role> Responder<R> {
+    fn new(endpoint: Endpoint, role: R) -> Responder<R> {
+        Responder {
+            endpoint,
+            served: Vec::new(),
+            role,
+            memo: R::Memo::default(),
+        }
+    }
+
+    /// Forgets the previous consult.
+    fn reset(&mut self) {
         self.served.clear();
-        self.advice_computed = false;
-        self.inventor_advice = None;
-        self.served_verdicts.clear();
-        self.verifier_verdicts.clear();
-        self.verifier_verdicts.resize(verifiers, None);
-        self.agent_advice = None;
+        self.memo = R::Memo::default();
+    }
+
+    /// Answers the frames queued at the responder's endpoint, drained
+    /// through `inbox`, staging its replies in `out`. A request of
+    /// `session` from its agent, in an attempt not yet answered this
+    /// stage, is answered if the role has an answer, and the reply framed
+    /// with that attempt (so a retry's reply is billed as a retransmit).
+    /// Any other frame is dropped, and only a reply uses up an attempt, so
+    /// a frame of the wrong kind or sender never does. The first attempt
+    /// of a stage (`stage_attempt` 0) starts the dedup afresh.
+    fn serve(
+        &mut self,
+        session: Session<'_>,
+        stage_attempt: u32,
+        inbox: &mut Vec<(Party, Message)>,
+        out: &mut Vec<(Party, Party, Message)>,
+    ) {
+        if stage_attempt == 0 {
+            self.served.clear();
+        }
+        self.endpoint.drain_into(inbox);
+        for (from, msg) in inbox.drain(..) {
+            let request = open_frame(msg, session.game_id).filter(|_| from == session.agent);
+            let Some((attempt, request)) = request else {
+                continue;
+            };
+            if self.served.contains(&attempt) {
+                continue;
+            }
+            if let Some(reply) = self.role.answer(&mut self.memo, request, session) {
+                self.served.push(attempt);
+                let reply = framed(session.game_id, attempt, reply);
+                out.push((self.endpoint.party, from, reply));
+            }
+        }
+    }
+}
+
+/// What a responder computes: the one part of a responder that differs
+/// by role. The inventor and each verifier are roles as they are.
+trait Role {
+    /// What the role remembers for the rest of a consult, so a retry
+    /// costs wire, not CPU.
+    type Memo: Default;
+
+    /// The bare reply to the request `msg`, computing the answer at most
+    /// once per consult through `memo`; `None` for a request of a kind the
+    /// role does not answer, or when it has nothing to answer with.
+    fn answer(&self, memo: &mut Self::Memo, msg: Message, session: Session<'_>) -> Option<Message>;
+}
+
+/// What the inventor computed this consult.
+#[derive(Default)]
+struct InventorMemo {
+    /// The advice: `None` until computed, `Some(None)` when the inventor
+    /// gave none (a Silent inventor never answers; the advice stage
+    /// starves).
+    advice: Option<Option<Advice>>,
+    /// The P2 prover's answer to a membership query, per column.
+    prover_answers: Vec<bool>,
+    /// The encoded length of the advice-with-proof (Lemma 1), measured
+    /// when the inventor first builds it, so it counts even if that reply
+    /// is lost.
+    advice_bytes: usize,
+}
+
+/// The inventor answers the advice request and the P2 membership queries.
+impl Role for Inventor {
+    type Memo = InventorMemo;
+
+    fn answer(&self, memo: &mut Self::Memo, msg: Message, session: Session<'_>) -> Option<Message> {
+        let game_id = session.game_id;
+        match msg {
+            Message::SupportQuery { index, .. } => Some(Message::SupportAnswer {
+                game_id,
+                index,
+                in_support: *memo.prover_answers.get(index)?,
+            }),
+            Message::AdviceRequest { .. } => {
+                let advice = memo.advice.get_or_insert_with(|| match session.subject {
+                    Subject::Spec(spec) => self.advise(spec),
+                    Subject::Private(game) => {
+                        let (advice, answers) = self.advise_private(game)?;
+                        memo.prover_answers = answers;
+                        Some(Advice::Private(advice))
+                    }
+                });
+                let reply = Message::AdviceWithProof {
+                    game_id,
+                    advice: Box::new(advice.clone()?),
+                };
+                if memo.advice_bytes == 0 {
+                    memo.advice_bytes = reply.encoded_len();
+                }
+                Some(reply)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A verifier answers verdict requests, remembering its verdict.
+impl Role for VerifierService {
+    type Memo = Option<(bool, VerdictReason)>;
+
+    fn answer(&self, memo: &mut Self::Memo, msg: Message, session: Session<'_>) -> Option<Message> {
+        let (Message::VerdictRequest { advice, .. }, Subject::Spec(spec)) = (msg, session.subject)
+        else {
+            return None;
+        };
+        let (accepted, detail) = *memo.get_or_insert_with(|| self.verify(spec, &advice));
+        Some(Message::Verdict {
+            game_id: session.game_id,
+            accepted,
+            detail,
+        })
+    }
+}
+
+/// The consulting agent as a frame-in, frame-out machine. It holds the
+/// consult's clock and deadline, builds each attempt's requests, and keeps
+/// the first advice and the first answer to the current P2 query from the
+/// inventor, and the first verdict of each panel member, so a duplicated
+/// or forged frame never buys a second vote. A panel is a handful of
+/// verifiers, so a slot lookup is a short scan.
+#[derive(Default)]
+struct AgentMachine {
+    /// The virtual-clock tick the consult started at.
+    started: u64,
+    /// The tick at which the consult's budget runs out.
+    deadline_at: u64,
+    /// The trusted verifiers this consult asks, in panel order.
+    panel: Vec<Party>,
+    /// The first verdict collected from each panel slot.
+    verdicts: Vec<Option<(bool, VerdictReason)>>,
+    /// The inventor's advice-with-proof, shared with the panel fan-out.
+    advice: Option<Arc<Advice>>,
+    /// The column the current P2 query asks about, and its answer.
+    query: (usize, Option<bool>),
+    /// Retransmitted request frames.
+    retransmits: u64,
+}
+
+impl AgentMachine {
+    /// Starts a consult at tick `now` with a budget of `deadline` ticks,
+    /// keeping the collections' allocations.
+    fn begin(&mut self, now: u64, deadline: u64) {
+        self.started = now;
+        self.deadline_at = now.saturating_add(deadline);
         self.panel.clear();
-        self.agent_verdicts.clear();
-        self.retransmits = 0;
-        self.advice_bytes = 0;
-        self.prover_answers.clear();
+        self.verdicts.clear();
+        self.advice = None;
         self.query = (0, None);
+        self.retransmits = 0;
+    }
+
+    /// Stages attempt `attempt` of `stage` in `out`: the advice request,
+    /// the current P2 query, or a verdict request to every panel member
+    /// not yet heard from. The same advice fans out to the whole panel,
+    /// so it is shared: every frame is a reference-count bump, not a
+    /// proof-tree clone.
+    fn requests(
+        &mut self,
+        stage: ConsultStage,
+        session: Session<'_>,
+        attempt: u32,
+        out: &mut Vec<(Party, Party, Message)>,
+    ) {
+        let (agent, game_id) = (session.agent, session.game_id);
+        let staged = out.len();
+        if stage == ConsultStage::Panel {
+            let advice = self.advice.as_ref().expect("advice stage completed");
+            for (&verifier, verdict) in self.panel.iter().zip(&self.verdicts) {
+                if verdict.is_none() {
+                    let advice = Arc::clone(advice);
+                    let request = Message::VerdictRequest { game_id, advice };
+                    out.push((agent, verifier, framed(game_id, attempt, request)));
+                }
+            }
+        } else {
+            let index = self.query.0;
+            let request = match stage {
+                ConsultStage::Query => Message::SupportQuery { game_id, index },
+                _ => Message::AdviceRequest { game_id },
+            };
+            out.push((agent, session.inventor, framed(game_id, attempt, request)));
+        }
+        if attempt > 0 {
+            self.retransmits += (out.len() - staged) as u64;
+        }
+    }
+
+    /// Takes one frame `from` a party: of `session`, the first
+    /// advice-with-proof and the first answer to the current P2 query
+    /// from its inventor, and the first verdict of each panel member. Any
+    /// other frame is dropped.
+    fn on_frame(&mut self, session: Session<'_>, from: Party, msg: Message) {
+        let Some((_, msg)) = open_frame(msg, session.game_id) else {
+            return;
+        };
+        let from_inventor = from == session.inventor;
+        match msg {
+            Message::AdviceWithProof { advice, .. } if from_inventor && self.advice.is_none() => {
+                self.advice = Some(Arc::new(*advice));
+            }
+            Message::SupportAnswer {
+                index, in_support, ..
+            } if from_inventor && index == self.query.0 => {
+                self.query.1.get_or_insert(in_support);
+            }
+            Message::Verdict {
+                accepted, detail, ..
+            } => {
+                if let Some(slot) = self.panel.iter().position(|&v| v == from) {
+                    self.verdicts[slot].get_or_insert((accepted, detail));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether the agent holds everything `stage` asked for.
+    fn done(&self, stage: ConsultStage) -> bool {
+        match stage {
+            ConsultStage::Advice => self.advice.is_some(),
+            ConsultStage::Panel => self.verdicts.iter().all(Option::is_some),
+            ConsultStage::Query => self.query.1.is_some(),
+        }
+    }
+
+    /// The panel's votes in panel order, so runs are deterministic
+    /// regardless of arrival order: each verdict with its reason, for the
+    /// audit log, and the members never heard from.
+    fn votes(&self) -> (Vec<(Party, bool, VerdictReason)>, Vec<Party>) {
+        let mut details = Vec::new();
+        let mut missing = Vec::new();
+        for (&verifier, &verdict) in self.panel.iter().zip(&self.verdicts) {
+            match verdict {
+                Some((accepted, detail)) => details.push((verifier, accepted, detail)),
+                None => missing.push(verifier),
+            }
+        }
+        (details, missing)
     }
 }
 
@@ -2371,5 +2421,188 @@ mod tests {
                 let _ = authority.try_consult(round, &spec);
             }
         }
+    }
+
+    // ---- the machines, driven with no network -------------------------
+
+    /// A frame: sender, recipient, message.
+    type Frame = (Party, Party, Message);
+
+    /// Calls `visit` with every distinct order of the multiset holding
+    /// `counts[i]` copies of item `i`.
+    fn each_order(counts: &mut [usize], order: &mut Vec<usize>, visit: &mut dyn FnMut(&[usize])) {
+        if counts.iter().all(|&c| c == 0) {
+            return visit(order);
+        }
+        for item in 0..counts.len() {
+            if counts[item] > 0 {
+                counts[item] -= 1;
+                order.push(item);
+                each_order(counts, order, visit);
+                order.pop();
+                counts[item] += 1;
+            }
+        }
+    }
+
+    /// Calls `visit` with every delivery of `frames` distinct frames in
+    /// which each arrives once or twice, in every order.
+    fn each_delivery(frames: usize, visit: &mut dyn FnMut(&[usize])) {
+        for twice in 0..1usize << frames {
+            let mut counts: Vec<usize> = (0..frames).map(|i| 1 + (twice >> i & 1)).collect();
+            each_order(&mut counts, &mut Vec::new(), visit);
+        }
+    }
+
+    /// The number of deliveries [`each_delivery`] makes of `n` frames:
+    /// over the `k` frames sent twice, `C(n, k) (n + k)! / 2^k`.
+    fn deliveries(n: usize) -> usize {
+        let factorial = |m: usize| (1..=m).product::<usize>();
+        let choose = |k: usize| factorial(n) / (factorial(k) * factorial(n - k));
+        (0..=n).map(|k| (choose(k) * factorial(n + k)) >> k).sum()
+    }
+
+    /// One attempt of the panel stage of a consult about the prisoner's
+    /// dilemma, for `panel` and the advice of an `inventor`, with every
+    /// frame of the attempt delivered once or twice in every order. A
+    /// stranger sends the last verifier a verdict request under this
+    /// consult's id, and that verifier's verdict of another consult,
+    /// contrary to its own, reaches the agent. Returns the agent runs.
+    ///
+    /// A frame's effect depends only on the machine it reaches, and the
+    /// machines share nothing, so an interleaving of the whole attempt is
+    /// fixed by its order at each machine: each verifier's orders run on
+    /// their own, and the agent's run over the replies they produced. That
+    /// covers every interleaving of the attempt's frames (26,862,378,480 for
+    /// a panel of three) in a few thousand runs.
+    fn enumerate_panel_attempt(panel: &[VerifierBehavior], inventor: InventorBehavior) -> usize {
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let advice = Inventor::new(0, inventor).advise(&spec).expect("advice");
+        let kernel_accepts = kernel_check(&spec, &advice).0;
+        let (agent, last) = (Party::Agent(0), Party::Verifier(panel.len() as u64 - 1));
+        let session = Session {
+            agent,
+            inventor: Party::Inventor(0),
+            game_id: 1,
+            subject: Subject::Spec(&spec),
+        };
+        // One agent machine, begun afresh for every run with the advice in
+        // hand and the panel seated.
+        let shared = Arc::new(advice.clone());
+        let seat = |machine: &mut AgentMachine| {
+            machine.begin(0, ResilienceConfig::default().deadline);
+            machine.advice = Some(Arc::clone(&shared));
+            let members = (0..panel.len() as u64).map(Party::Verifier);
+            machine.panel.extend(members);
+            machine.verdicts.resize(panel.len(), None);
+        };
+        let mut machine = AgentMachine::default();
+        seat(&mut machine);
+        let mut requests = Vec::new();
+        machine.requests(ConsultStage::Panel, session, 0, &mut requests);
+        assert_eq!(requests.len(), panel.len(), "one request per member");
+
+        // Each verifier's inbox: its request, and for the last one the
+        // stranger's. Every order of every inbox yields the in-order
+        // replies: exactly one verdict, to the agent.
+        let stranger: Frame = (
+            Party::Agent(99),
+            last,
+            Message::VerdictRequest {
+                game_id: 1,
+                advice: Arc::new(advice.clone()),
+            },
+        );
+        let mut replies: Vec<Frame> = Vec::new();
+        for (index, (request, &behavior)) in requests.iter().zip(panel).enumerate() {
+            let service = VerifierService::new(index as u64, behavior);
+            let party = service.id;
+            let inbox: Vec<&Frame> = match party == last {
+                true => vec![request, &stranger],
+                false => vec![request],
+            };
+            let mut in_order = None;
+            each_delivery(inbox.len(), &mut |order| {
+                let endpoint = Endpoint {
+                    party,
+                    queue: Arc::default(),
+                };
+                for &i in order {
+                    let (from, _, msg) = inbox[i].clone();
+                    endpoint.queue().push_back((from, msg));
+                }
+                let mut verifier = Responder::new(endpoint, service.clone());
+                let mut out = Vec::new();
+                verifier.serve(session, 0, &mut Vec::new(), &mut out);
+                assert_eq!(out.len(), 1, "{party} answers once: {out:?}");
+                assert_eq!(out[0].1, agent, "{party} answers only the agent");
+                assert_eq!(in_order.get_or_insert_with(|| out.clone()), &out);
+            });
+            replies.extend(in_order.expect("at least one order"));
+        }
+        let real = replies.last().map(|(_, _, m)| m.clone());
+        let Some(Message::Verdict { accepted, .. }) = real else {
+            panic!("a verdict: {real:?}")
+        };
+        let mut frames = replies;
+        frames.push((
+            last,
+            agent,
+            Message::Verdict {
+                game_id: 2,
+                accepted: !accepted,
+                detail: VerdictReason::RubberStamped,
+            },
+        ));
+
+        // The agent, over every order of the replies and the stale
+        // verdict: every run collects the in-order votes, one per member,
+        // and those adopt nothing the kernel rejects.
+        let mut votes = |order: &[usize]| {
+            seat(&mut machine);
+            for &i in order {
+                let (from, _, msg) = frames[i].clone();
+                machine.on_frame(session, from, msg);
+            }
+            machine.votes()
+        };
+        let in_order = votes(&(0..frames.len()).collect::<Vec<_>>());
+        let (details, missing) = &in_order;
+        assert!(missing.is_empty(), "every member voted: {missing:?}");
+        let verdicts: Vec<_> = details.iter().map(|&(v, a, _)| (v, a)).collect();
+        let majority = LocalReputation::new().pool_verdicts(&verdicts);
+        assert_eq!(majority.accept_votes + majority.reject_votes, panel.len());
+        assert!(
+            !majority.accepted || kernel_accepts,
+            "adopted only if sound"
+        );
+        let mut runs = 0;
+        each_delivery(frames.len(), &mut |order| {
+            assert_eq!(votes(order), in_order, "delivered as {order:?}");
+            runs += 1;
+        });
+        assert_eq!(runs, deliveries(frames.len()));
+        runs
+    }
+
+    #[test]
+    fn every_delivery_order_of_a_panel_attempt_gives_the_in_order_outcome() {
+        use VerifierBehavior::{AlwaysAccept, Honest};
+        let mut runs = 0;
+        for panel in [[Honest; 3], [Honest, Honest, AlwaysAccept]] {
+            for inventor in [InventorBehavior::Honest, InventorBehavior::Corrupt] {
+                runs += enumerate_panel_attempt(&panel, inventor);
+            }
+        }
+        assert_eq!(runs, 4 * 6384);
+    }
+
+    #[test]
+    #[ignore = "19.4M agent runs: run in release with --include-ignored"]
+    fn every_delivery_order_of_a_five_panel_attempt_gives_the_in_order_outcome() {
+        use VerifierBehavior::{AlwaysAccept, Honest};
+        let panel = [Honest, Honest, Honest, AlwaysAccept, AlwaysAccept];
+        let runs = enumerate_panel_attempt(&panel, InventorBehavior::Corrupt);
+        assert_eq!(runs, 19_445_040);
     }
 }

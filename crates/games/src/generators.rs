@@ -3,7 +3,7 @@
 //! The benchmark harness compares inventor-side equilibrium *computation*
 //! against agent-side *verification* on the same instances; these generators
 //! produce the instances deterministically from a seed so that every
-//! experiment in EXPERIMENTS.md is reproducible.
+//! experiment in `docs/BENCHMARKS.md` is reproducible.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

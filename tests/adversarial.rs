@@ -239,3 +239,144 @@ fn colluding_verifiers_get_ground_down() {
     assert!(!authority.reputation().is_trusted(Party::Verifier(3)));
     assert!(!authority.reputation().is_trusted(Party::Verifier(4)));
 }
+
+/// Frames a third party forges into a consult. Game ids are sequential,
+/// so anyone can predict a consult's id: the first consult of a fresh
+/// authority is game 1.
+mod forged {
+    use std::sync::Arc;
+
+    use rationality_authority::authority::{
+        Bus, BusError, DeliveryRecord, Endpoint, GameSpec, Inventor, InventorBehavior,
+        LocalReputation, Message, Party, RationalityAuthority, SessionOutcome, Transport,
+        VerifierBehavior,
+    };
+    use rationality_authority::games::named::prisoners_dilemma;
+
+    /// A `Bus` with a third party on it: whenever a consult sends a frame
+    /// that `trigger` picks, the third party first injects `forged`.
+    #[derive(Debug)]
+    struct Forger {
+        bus: Bus,
+        trigger: fn(&Message) -> bool,
+        forged: (Party, Party, Message),
+    }
+
+    impl Forger {
+        fn inject(&self, message: &Message) {
+            if (self.trigger)(message) {
+                let (from, to, forged) = self.forged.clone();
+                let _ = self.bus.send(from, to, forged);
+            }
+        }
+    }
+
+    impl Transport for Forger {
+        fn register(&self, party: Party) -> Endpoint {
+            self.bus.register(party)
+        }
+        fn disconnect(&self, party: Party) {
+            self.bus.disconnect(party)
+        }
+        fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
+            self.inject(&message);
+            self.bus.send(from, to, message)
+        }
+        fn send_batch(&self, batch: &mut Vec<(Party, Party, Message)>) -> Result<(), BusError> {
+            for (_, _, message) in batch.iter() {
+                self.inject(message);
+            }
+            self.bus.send_batch(batch)
+        }
+        fn drop_link(&self, from: Party, to: Party) {
+            self.bus.drop_link(from, to)
+        }
+        fn heal(&self) {
+            self.bus.heal()
+        }
+        fn settle(&self) {
+            self.bus.settle()
+        }
+        fn total_bytes(&self) -> usize {
+            self.bus.total_bytes()
+        }
+        fn delivered_bytes(&self) -> usize {
+            self.bus.delivered_bytes()
+        }
+        fn bytes_between(&self, from: Party, to: Party) -> usize {
+            self.bus.bytes_between(from, to)
+        }
+        fn delivery_log(&self) -> Vec<DeliveryRecord> {
+            self.bus.delivery_log()
+        }
+        fn message_count(&self) -> usize {
+            self.bus.message_count()
+        }
+        fn retransmit_bytes(&self) -> usize {
+            self.bus.retransmit_bytes()
+        }
+    }
+
+    fn spec() -> GameSpec {
+        GameSpec::Strategic(prisoners_dilemma().to_strategic())
+    }
+
+    /// Agent 0's first consult about the prisoner's dilemma, with an
+    /// honest inventor and three honest verifiers, over a `Forger`.
+    fn consult(trigger: fn(&Message) -> bool, forged: (Party, Party, Message)) -> SessionOutcome {
+        let forger = Forger {
+            bus: Bus::new(),
+            trigger,
+            forged,
+        };
+        let mut authority = RationalityAuthority::with_transport(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+            Arc::new(LocalReputation::new()),
+            Arc::new(forger),
+        );
+        authority.consult(0, &spec())
+    }
+
+    /// On seeing the agent's advice request, `Verifier(0)` sends the
+    /// agent corrupt advice under the consult's game id, ahead of the
+    /// inventor's answer. The agent takes advice only from the inventor it
+    /// asked, so it adopts the honest advice.
+    #[test]
+    fn advice_forged_by_a_verifier_is_ignored() {
+        let corrupt = Inventor::new(0, InventorBehavior::Corrupt).advise(&spec());
+        let honest = Inventor::new(0, InventorBehavior::Honest).advise(&spec());
+        assert_ne!(corrupt, honest);
+        let forged = Message::AdviceWithProof {
+            game_id: 1,
+            advice: Box::new(corrupt.expect("a corrupt inventor still advises")),
+        };
+        let outcome = consult(
+            |m| matches!(m, Message::AdviceRequest { .. }),
+            (Party::Verifier(0), Party::Agent(0), forged),
+        );
+        assert_eq!(outcome.advice, honest, "the inventor's advice is kept");
+        assert!(outcome.adopted);
+        assert_eq!(outcome.verdict_details.len(), 3);
+    }
+
+    /// A stranger asks `Verifier(0)` for a verdict under the consult's
+    /// game id just before the agent does. A verifier answers only the
+    /// consult's agent, so the stranger neither uses up the verifier's
+    /// attempt nor makes the agent retry.
+    #[test]
+    fn a_strangers_verdict_request_does_not_silence_a_verifier() {
+        let advice = Inventor::new(0, InventorBehavior::Honest).advise(&spec());
+        let stranger = Message::VerdictRequest {
+            game_id: 1,
+            advice: Arc::new(advice.expect("honest advice")),
+        };
+        let outcome = consult(
+            |m| matches!(m, Message::VerdictRequest { .. }),
+            (Party::Agent(66), Party::Verifier(0), stranger),
+        );
+        assert!(outcome.adopted);
+        assert_eq!(outcome.verdict_details.len(), 3);
+        assert_eq!(outcome.attempts, 0, "no verifier was silenced");
+    }
+}
