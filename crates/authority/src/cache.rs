@@ -8,7 +8,12 @@
 //! `ra-proofs` kernel is the small trusted checker. A cache hit therefore
 //! skips the expensive solve/panel path and — under [`CacheMode::Replay`] —
 //! replays only the cheap kernel check against the stored advice, or — under
-//! [`CacheMode::Trust`] — returns the exact digest hit directly.
+//! [`CacheMode::Trust`] — returns the exact digest hit directly. A Replay
+//! hit is also guarded by the panel that minted it: it is served only to a
+//! consult whose trusted verifier panel is exactly the one that voted, so
+//! the replayed vote is the one that panel would cast. The guard compares
+//! panels, not counters, so it holds across shards that share one cache
+//! but keep their own reputation.
 //!
 //! The key is content, not object identity: two separately built but
 //! equal specs share one entry. A strategic spec is hashed once per game
@@ -133,13 +138,17 @@ pub struct CacheStats {
     /// Replay-mode hits whose fresh kernel verdict contradicted the stored
     /// one (the hit is discarded and the full protocol re-runs).
     pub replay_failures: u64,
-    /// Replay-mode hits discarded because the trusted verifier panel
-    /// changed since the entry was cached (also counted under `misses`:
-    /// the full protocol re-runs and re-primes the entry).
+    /// Replay-mode hits discarded because the consult's trusted verifier
+    /// panel is not the one that voted for the entry (also counted under
+    /// `misses`: the full protocol re-runs and re-primes the entry).
     pub stale: u64,
 }
 
 /// The memoized result of one full consultation, replayable on hits.
+///
+/// Only full closes are cached, so `verdict_details` lists exactly the
+/// panel that voted, in panel order: that list is the entry's panel
+/// guard.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedConsultation {
     /// The advice (with its embedded proof/certificate) the inventor gave.
@@ -153,13 +162,18 @@ pub(crate) struct CachedConsultation {
     pub adopted: bool,
     /// Certificate payload size (Lemma 1's "bits communicated").
     pub advice_bytes: usize,
-    /// Per-verifier verdicts as reported in the cold session.
+    /// Per-verifier verdicts as reported in the cold session, one per
+    /// member of the panel that voted.
     pub verdict_details: Vec<(Party, bool, VerdictReason)>,
-    /// The [`crate::ReputationSnapshot::panel_version`] the entry was
-    /// minted under. Replay-mode lookups compare it against the current
-    /// panel and treat a mismatch as a miss, so advice vouched for by a
-    /// since-excluded (or since-readmitted) panel is never served warm.
-    pub panel_version: u64,
+}
+
+impl CachedConsultation {
+    /// Whether `panel` is, member for member and in order, the panel that
+    /// voted for this entry.
+    pub fn minted_by(&self, panel: impl IntoIterator<Item = Party>) -> bool {
+        let voters = self.verdict_details.iter().map(|&(party, _, _)| party);
+        voters.eq(panel)
+    }
 }
 
 const NIL: usize = usize::MAX;
@@ -365,29 +379,28 @@ impl CertCache {
         &self.shards[digest[0] as usize % self.shards.len()]
     }
 
-    /// Looks up a digest. `current_panel` is the caller's current
-    /// [`crate::ReputationSnapshot::panel_version`] when hits must be
-    /// panel-checked (`Replay` mode): a hit minted under a different
-    /// panel is treated as a miss (counted under both `stale` and
-    /// `misses`), so the full protocol re-runs and re-primes the entry
-    /// under the current panel. Pass `None` to skip the check (`Trust`
-    /// mode serves the digest hit unconditionally).
+    /// Looks up a digest. `current` says whether a hit may be served to
+    /// the caller (`Replay` mode: whether the caller's trusted panel is
+    /// the one that minted it; `Trust` mode serves every hit). A hit it
+    /// refuses is a miss, counted under both `stale` and `misses`, so the
+    /// full protocol re-runs and re-primes the entry under the caller's
+    /// panel.
     pub(crate) fn lookup(
         &self,
         digest: &Digest,
-        current_panel: Option<u64>,
+        current: impl FnOnce(&CachedConsultation) -> bool,
     ) -> Option<Arc<CachedConsultation>> {
         let hit = self
             .shard_of(digest)
             .lock()
             .expect("cache shard lock")
             .lookup(digest);
-        let hit = match (hit, current_panel) {
-            (Some(entry), Some(panel)) if entry.panel_version != panel => {
+        let hit = match hit {
+            Some(entry) if !current(&entry) => {
                 self.stale.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            (hit, _) => hit,
+            hit => hit,
         };
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -435,7 +448,6 @@ mod tests {
             adopted: true,
             advice_bytes: 3,
             verdict_details: Vec::new(),
-            panel_version: 0,
         }
     }
 
@@ -463,10 +475,10 @@ mod tests {
     #[test]
     fn hit_miss_counters_track_lookups() {
         let cache = CertCache::new(CertCacheConfig::replay(8));
-        assert!(cache.lookup(&digest(1), None).is_none());
+        assert!(cache.lookup(&digest(1), |_| true).is_none());
         cache.insert(digest(1), entry(1));
-        assert!(cache.lookup(&digest(1), None).is_some());
-        assert!(cache.lookup(&digest(2), None).is_none());
+        assert!(cache.lookup(&digest(1), |_| true).is_some());
+        assert!(cache.lookup(&digest(2), |_| true).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(cache.len(), 1);
@@ -481,16 +493,16 @@ mod tests {
             cache.insert(digest(tag), entry(tag as u64));
         }
         // Touch 0 so 1 becomes the LRU victim.
-        assert!(cache.lookup(&digest(0), None).is_some());
+        assert!(cache.lookup(&digest(0), |_| true).is_some());
         cache.insert(digest(3), entry(3));
         assert_eq!(cache.stats().evictions, 1);
         assert!(
-            cache.lookup(&digest(1), None).is_none(),
+            cache.lookup(&digest(1), |_| true).is_none(),
             "LRU entry evicted"
         );
-        assert!(cache.lookup(&digest(0), None).is_some());
-        assert!(cache.lookup(&digest(2), None).is_some());
-        assert!(cache.lookup(&digest(3), None).is_some());
+        assert!(cache.lookup(&digest(0), |_| true).is_some());
+        assert!(cache.lookup(&digest(2), |_| true).is_some());
+        assert!(cache.lookup(&digest(3), |_| true).is_some());
         assert_eq!(cache.len(), 3);
     }
 
@@ -501,7 +513,7 @@ mod tests {
         cache.insert(digest(1), entry(100));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-        let hit = cache.lookup(&digest(1), None).expect("refreshed entry");
+        let hit = cache.lookup(&digest(1), |_| true).expect("refreshed entry");
         assert_eq!(hit.advice, advice(100));
     }
 
@@ -537,21 +549,36 @@ mod tests {
     #[test]
     fn panel_mismatch_is_a_miss_when_guarded() {
         let cache = CertCache::new(CertCacheConfig::replay(8));
-        // The entry is minted under panel 0; unguarded (Trust-mode)
-        // lookups serve the hit regardless.
-        cache.insert(digest(1), entry(1));
-        assert!(cache.lookup(&digest(1), None).is_some());
-        // Guarded lookup under the same panel: a hit.
-        assert!(cache.lookup(&digest(1), Some(0)).is_some());
-        // Guarded lookup under a newer panel: stale, counted as a miss.
-        assert!(cache.lookup(&digest(1), Some(1)).is_none());
+        let voted = [Party::Verifier(0), Party::Verifier(2)];
+        let mut minted = entry(1);
+        minted.verdict_details = voted
+            .iter()
+            .map(|&party| (party, true, VerdictReason::RubberStamped))
+            .collect();
+        cache.insert(digest(1), minted);
+        // Unguarded (Trust-mode) lookups serve the hit whatever the panel.
+        assert!(cache.lookup(&digest(1), |_| true).is_some());
+        // The minting panel, member for member: a hit.
+        assert!(cache.lookup(&digest(1), |e| e.minted_by(voted)).is_some());
+        // A subset, a superset and a reordering are other panels: stale,
+        // each counted as a miss.
+        for panel in [
+            &[Party::Verifier(0)][..],
+            &[Party::Verifier(0), Party::Verifier(1), Party::Verifier(2)],
+            &[Party::Verifier(2), Party::Verifier(0)],
+        ] {
+            let current = |e: &CachedConsultation| e.minted_by(panel.iter().copied());
+            assert!(cache.lookup(&digest(1), current).is_none(), "{panel:?}");
+        }
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stale), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.stale), (2, 3, 3));
         // Re-priming under the new panel makes it hit again.
         let mut fresh = entry(1);
-        fresh.panel_version = 1;
+        fresh.verdict_details = vec![(Party::Verifier(0), true, VerdictReason::RubberStamped)];
         cache.insert(digest(1), fresh);
-        assert!(cache.lookup(&digest(1), Some(1)).is_some());
+        assert!(cache
+            .lookup(&digest(1), |e| e.minted_by([Party::Verifier(0)]))
+            .is_some());
     }
 
     #[test]

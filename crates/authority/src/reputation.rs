@@ -33,7 +33,7 @@
 //!
 //! * **Bus-carried gossip** — a [`GossipPlane`] owns a dedicated
 //!   inter-shard [`Transport`] and routes every epoch merge through it as
-//!   real framed [`Message::Gossip`](crate::Message::Gossip) sends, so the
+//!   real framed [`Message::Gossip`] sends, so the
 //!   Lemma 1 byte accounting covers the control plane, not just
 //!   consultations.
 //! * **Weighted votes** — [`VoteRule::Weighted`] pools verdicts by the
@@ -239,10 +239,12 @@ impl ReputationSnapshot {
     /// Monotone *panel* counter: increases only when the trusted-verifier
     /// set changes between consecutive publications — an exclusion
     /// crossing [`EXCLUSION_THRESHOLD`] or a readmission — not on mere
-    /// score movement within the trusted band. The certificate cache
-    /// stamps entries with this, so a `Replay`-mode hit can tell when
-    /// cached advice was minted under an older verification panel while
-    /// ordinary honest-traffic score drift keeps hitting.
+    /// score movement within the trusted band. An observation only: it
+    /// counts this backend's panel changes, and nothing is guarded by
+    /// it. Two backends' counters say nothing about whether their panels
+    /// agree, and a verifier excluded and then readmitted leaves the same
+    /// panel under a new count, so the certificate cache compares the
+    /// panels themselves ([`crate::RationalityAuthority::trusted_verifiers`]).
     pub fn panel_version(&self) -> u64 {
         self.panel_version
     }

@@ -513,26 +513,30 @@ impl RationalityAuthority {
     /// With no certificate cache attached (the default) this *is* the full
     /// Fig. 1 protocol. With one attached, the spec's digest is looked up
     /// first: a hit short-circuits the protocol entirely — zero bus bytes,
-    /// no reputation update, `cached: true` — after replaying the
-    /// `ra-proofs` kernel check when the cache is in
-    /// [`CacheMode::Replay`] (a verdict mismatch discards the hit and
-    /// falls back to the full protocol). Misses run the protocol and
-    /// memoize the result.
+    /// no reputation update, `cached: true`. In [`CacheMode::Replay`] a
+    /// hit is served only if this authority's trusted panel
+    /// ([`RationalityAuthority::trusted_verifiers`]) is exactly the panel
+    /// that voted for it, and the `ra-proofs` kernel check, replayed on
+    /// the stored advice, gives the stored verdict; otherwise the hit is
+    /// discarded and the full protocol runs. Misses run the protocol and
+    /// memoize a full close.
     pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
         let session = self.open_session(agent_id, Subject::Spec(spec));
         let Some(cache) = self.cert_cache.clone() else {
             return self.run_session(session, Self::run_protocol);
         };
         let digest = spec_digest(spec);
-        // Replay hits are panel-guarded: an entry minted under a
-        // different trusted-verifier set (ReputationSnapshot
-        // panel_version) is treated as a miss, so exclusions invalidate
-        // warm advice. Trust mode serves the digest hit unconditionally.
-        let panel_guard = match cache.mode() {
-            CacheMode::Replay => Some(self.reputation.snapshot().panel_version()),
-            CacheMode::Trust => None,
+        // Replay hits are guarded by the panel that minted them: an entry
+        // whose voters are not this consult's trusted panel is a miss, so
+        // no consult replays a vote its own panel did not cast. Trust mode
+        // serves the digest hit unconditionally.
+        let current = |entry: &CachedConsultation| match cache.mode() {
+            CacheMode::Replay => {
+                entry.minted_by(trusted_panel(&self.verifiers, &self.reputation.snapshot()))
+            }
+            CacheMode::Trust => true,
         };
-        if let Some(entry) = cache.lookup(&digest, panel_guard) {
+        if let Some(entry) = cache.lookup(&digest, current) {
             match cache.mode() {
                 CacheMode::Trust => return Ok(Self::outcome_from_cache(&entry)),
                 CacheMode::Replay => {
@@ -562,9 +566,6 @@ impl RationalityAuthority {
                     adopted: outcome.adopted,
                     advice_bytes: outcome.advice_bytes,
                     verdict_details: outcome.verdict_details.clone(),
-                    // Stamped *after* the session, so an exclusion caused
-                    // by this very consult is already reflected.
-                    panel_version: self.reputation.snapshot().panel_version(),
                 },
             );
         }
@@ -1400,8 +1401,9 @@ mod tests {
         // vouched for under an older verifier panel. Prime the cache on
         // one spec, drive a saboteur below the exclusion threshold with
         // *different* consultations, then probe the primed spec: the
-        // panel version moved, so the probe re-runs the full protocol
-        // (and re-primes the entry under the new panel).
+        // trusted panel is no longer the one that voted, so the probe
+        // re-runs the full protocol (and re-primes the entry under the
+        // new panel).
         use crate::cache::CertCacheConfig;
         let primed = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let churn = GameSpec::Bimatrix(battle_of_the_sexes());
@@ -1462,6 +1464,55 @@ mod tests {
         assert!(authority.cert_cache().unwrap().stats().stale >= 1);
         // The probe re-primed the entry under the new panel.
         assert!(authority.consult(1000, &primed).cached);
+    }
+
+    #[test]
+    fn a_shared_cache_replays_no_vote_from_a_panel_the_consult_does_not_trust() {
+        // Two authorities share one cache and keep their own reputation.
+        // A excludes Verifier(2) and B excludes Verifier(0): both panel
+        // versions read 1, but the panels are [V0, V1] and [V1, V2]. B
+        // must not replay the vote A's panel cast.
+        use crate::cache::CertCacheConfig;
+        let cache = Arc::new(CertCache::new(CertCacheConfig::replay(64)));
+        let authority = || {
+            let mut authority = RationalityAuthority::with_transport(
+                Inventor::new(0, InventorBehavior::Honest),
+                &[VerifierBehavior::Honest; 3],
+                Arc::new(LocalReputation::new()),
+                Arc::new(Bus::new()),
+            );
+            authority.set_cert_cache(Arc::clone(&cache));
+            authority
+        };
+        let exclude = |authority: &RationalityAuthority, dissenter: u64| {
+            let round: Vec<_> = (0..3)
+                .map(|v| (Party::Verifier(v), v != dissenter))
+                .collect();
+            while authority
+                .reputation()
+                .is_trusted(Party::Verifier(dissenter))
+            {
+                authority.reputation().pool_verdicts(&round);
+            }
+        };
+        let (mut a, mut b) = (authority(), authority());
+        exclude(&a, 2);
+        exclude(&b, 0);
+        let counters = [&a, &b].map(|x| x.reputation().snapshot().panel_version());
+        assert_eq!(counters, [1, 1]);
+
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let cold = a.consult(0, &spec);
+        assert!(!cold.cached);
+        let voters = |o: &SessionOutcome| -> Vec<Party> {
+            o.verdict_details.iter().map(|&(p, _, _)| p).collect()
+        };
+        assert_eq!(voters(&cold), a.trusted_verifiers());
+        let probe = b.consult(0, &spec);
+        assert!(!probe.cached, "B's panel did not cast A's vote");
+        assert_eq!(voters(&probe), b.trusted_verifiers());
+        assert!(probe.adopted);
+        assert_eq!(cache.stats().stale, 1);
     }
 
     #[test]

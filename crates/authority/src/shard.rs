@@ -1590,6 +1590,59 @@ mod tests {
     }
 
     #[test]
+    fn replay_hits_cross_shards_whose_panels_agree_whatever_their_counters() {
+        // Shard 0 excludes Verifier(2) and readmits it, so both shards
+        // trust the same panel while their panel versions read 2 and 0: a
+        // vote minted on either is the vote the other's panel casts.
+        let engine = ShardedAuthority::with_transports(
+            2,
+            InventorBehavior::Honest,
+            &[VerifierBehavior::Honest; 3],
+            ReputationConfig::default(),
+            CertCacheConfig::replay(64),
+            &|_| Arc::new(Bus::new()),
+        );
+        let agent_on = |shard| (0..).find(|&a| engine.shard_of(a) == shard).unwrap();
+        let round = |readmit| {
+            [
+                (Party::Verifier(0), true),
+                (Party::Verifier(1), true),
+                (Party::Verifier(2), readmit),
+            ]
+        };
+        engine.with_shard(0, |a| {
+            let store = a.reputation();
+            while store.is_trusted(Party::Verifier(2)) {
+                store.pool_verdicts(&round(false));
+            }
+            while !store.is_trusted(Party::Verifier(2)) {
+                store.pool_verdicts(&round(true));
+            }
+        });
+        let counters: Vec<u64> = (0..2)
+            .map(|s| engine.with_shard(s, |a| a.reputation().snapshot().panel_version()))
+            .collect();
+        assert_eq!(counters, [2, 0]);
+        let panels: Vec<_> = (0..2)
+            .map(|s| engine.with_shard(s, |a| a.trusted_verifiers()))
+            .collect();
+        assert_eq!(panels[0], panels[1]);
+
+        let spec = spec_for_tests();
+        let cold = engine.consult(agent_on(0), &spec);
+        assert!(!cold.cached);
+        let warm = engine.consult(agent_on(1), &spec);
+        assert!(warm.cached, "the same panel replays the vote it cast");
+        assert_eq!(warm.verdict_details, cold.verdict_details);
+        assert_eq!(
+            (warm.adopted, &warm.majority),
+            (cold.adopted, &cold.majority)
+        );
+        let stats = engine.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.stale), (1, 1, 0));
+    }
+
+    #[test]
     fn disabled_cache_is_bit_for_bit_the_plain_engine() {
         // The off-switch regression: a disabled cache config must leave
         // outcomes, Lemma 1 byte accounting and batch==sequential

@@ -4,7 +4,9 @@
 //! adds a per-consult allocation (a map clone, a fresh hash table, a
 //! boxed payoff) fails this test and must update the figure on purpose.
 //! Pooling a panel into a `LocalReputation` that no reader holds a
-//! snapshot of allocates nothing at all.
+//! snapshot of allocates nothing at all. A Replay-mode certificate-cache
+//! hit is pinned the same way: its panel guard and kernel replay run on
+//! every hit.
 //!
 //! The binary installs a counting global allocator, so it holds this one
 //! test alone. The count is per thread, so the harness's own threads
@@ -12,10 +14,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use ra_authority::{
-    GameSpec, Inventor, InventorBehavior, LocalReputation, Party, RationalityAuthority,
-    ReputationBackend, VerifierBehavior,
+    CertCache, CertCacheConfig, GameSpec, Inventor, InventorBehavior, LocalReputation, Party,
+    RationalityAuthority, ReputationBackend, VerifierBehavior,
 };
 use ra_exact::rat;
 use ra_games::named::{battle_of_the_sexes, coordination_game, prisoners_dilemma, stag_hunt};
@@ -110,6 +113,49 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
     ]
 }
 
+/// Specs served from a Replay-mode cache, each with its allocations per
+/// hit.
+fn pinned_hits() -> Vec<(&'static str, GameSpec, u64)> {
+    vec![
+        (
+            "prisoners_dilemma hit",
+            GameSpec::Strategic(prisoners_dilemma().to_strategic()),
+            4,
+        ),
+        (
+            "coordination_game(16) hit",
+            GameSpec::Strategic(coordination_game(16)),
+            4,
+        ),
+    ]
+}
+
+/// Allocations per consult of `spec` on `authority` once `WARM` consults
+/// of it have run. Panics if a consult does not adopt or two measured
+/// consults differ.
+fn allocations_per_consult(
+    authority: &mut RationalityAuthority,
+    name: &str,
+    spec: &GameSpec,
+) -> u64 {
+    for agent in 0..WARM as u64 {
+        assert!(authority.consult(agent % 4, spec).adopted, "{name}");
+    }
+    let counts: Vec<u64> = (0..MEASURED as u64)
+        .map(|agent| {
+            allocations(|| {
+                let outcome = authority.consult(agent % 4, spec);
+                assert!(outcome.adopted, "{name}");
+            })
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "{name}: allocations differ between consults: {counts:?}"
+    );
+    counts[0]
+}
+
 /// Unanimous rounds over a three-verifier panel: no dissenter list to
 /// allocate, so whatever a round allocates is the store's own.
 fn unanimous_round() -> [(Party, bool); 3] {
@@ -140,29 +186,29 @@ fn consult_allocations_are_pinned() {
     assert_eq!(held.version() + 1, store.snapshot().version());
     drop(held);
 
-    let mut report = Vec::new();
-    for (name, spec, pinned) in pinned_specs() {
-        let mut authority = RationalityAuthority::new(
+    let honest = || {
+        RationalityAuthority::new(
             Inventor::new(0, InventorBehavior::Honest),
             &[VerifierBehavior::Honest; 3],
-        );
-        for agent in 0..WARM as u64 {
-            assert!(authority.consult(agent % 4, &spec).adopted, "{name}");
-        }
-        let counts: Vec<u64> = (0..MEASURED as u64)
-            .map(|agent| {
-                allocations(|| {
-                    let outcome = authority.consult(agent % 4, &spec);
-                    assert!(outcome.adopted, "{name}");
-                })
-            })
-            .collect();
-        assert!(
-            counts.iter().all(|&c| c == counts[0]),
-            "{name}: allocations differ between consults: {counts:?}"
-        );
-        report.push((name, counts[0], pinned));
+        )
+    };
+    let mut report = Vec::new();
+    for (name, spec, pinned) in pinned_specs() {
+        let got = allocations_per_consult(&mut honest(), name, &spec);
+        report.push((name, got, pinned));
     }
+    let mut cached = honest();
+    cached.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
+    for (name, spec, pinned) in pinned_hits() {
+        let got = allocations_per_consult(&mut cached, name, &spec);
+        report.push((name, got, pinned));
+    }
+    let stats = cached.cert_cache().expect("cache attached").stats();
+    assert_eq!(
+        (stats.misses, stats.stale),
+        (2, 0),
+        "every consult after each spec's first is a hit"
+    );
     let drifted: Vec<_> = report.iter().filter(|(_, got, want)| got != want).collect();
     assert!(
         drifted.is_empty(),

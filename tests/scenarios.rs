@@ -522,7 +522,7 @@ fn replay_cache_stays_sound_when_panel_churn_races_loss() {
         &|site| match site {
             TransportSite::GossipHub => {
                 // 40% gossip loss: exclusion news reaches the shards
-                // erratically, racing the cached entries' panel versions.
+                // erratically, racing the cached entries' panels.
                 let net = SimNet::lossless(seed ^ 0xCAFE);
                 net.set_link(
                     GOSSIP_HUB,
@@ -551,7 +551,7 @@ fn replay_cache_stays_sound_when_panel_churn_races_loss() {
     };
 
     // Phase A: prime the cache with one spec while the panel is intact.
-    // The cached entries remember the pre-exclusion panel version.
+    // The cached entry remembers the pre-exclusion panel that voted.
     for agent in 0..16u64 {
         assert!(
             engine.consult(agent, &spec).adopted,
@@ -564,13 +564,25 @@ fn replay_cache_stays_sound_when_panel_churn_races_loss() {
         engine.consult(agent, &fresh_spec(agent));
     }
     engine.sync_reputation();
-    // Phase C: the primed spec again, now against a changed panel. Every
-    // hit must be invalidated (`stale`) and re-run — no consultation on a
-    // shard that has excluded the saboteur may carry its verdict.
+    // Phase C: the primed spec again, now against a changed panel. A hit
+    // minted by another panel must be invalidated (`stale`) and re-run:
+    // every cached outcome's voters are the serving shard's trusted
+    // panel, and no consultation on a shard that has excluded the
+    // saboteur may carry its verdict.
+    let mut served_warm = 0;
     for agent in 80..112u64 {
         let shard = engine.shard_of(agent);
         let excluded_before = !engine.with_shard(shard, |a| a.reputation().is_trusted(SABOTEUR));
+        let trusted = engine.with_shard(shard, |a| a.trusted_verifiers());
         let outcome = engine.consult(agent, &spec);
+        if outcome.cached {
+            served_warm += 1;
+            let voters: Vec<Party> = outcome.verdict_details.iter().map(|d| d.0).collect();
+            assert_eq!(
+                voters, trusted,
+                "agent {agent} on shard {shard} was served another panel's vote (seed {seed})"
+            );
+        }
         if excluded_before {
             assert!(
                 !outcome
@@ -585,6 +597,10 @@ fn replay_cache_stays_sound_when_panel_churn_races_loss() {
         assert!(outcome.adopted, "honest advice adopted (seed {seed})");
     }
 
+    assert!(
+        served_warm > 0,
+        "phase C must serve hits to check their panels (seed {seed})"
+    );
     let stats = engine.cache_stats();
     assert!(
         stats.hits > 0,
