@@ -6,14 +6,15 @@
 //! module is the proof-carrying-architecture split: the session engine is
 //! fast but untrusted, its results carry replayable certificates, and the
 //! `ra-proofs` kernel is the small trusted checker. A cache hit therefore
-//! skips the expensive solve/panel path and — under [`CacheMode::Replay`] —
-//! replays only the cheap kernel check against the stored advice, or — under
-//! [`CacheMode::Trust`] — returns the exact digest hit directly. A Replay
-//! hit is also guarded by the panel that minted it: it is served only to a
-//! consult whose trusted verifier panel is exactly the one that voted, so
-//! the replayed vote is the one that panel would cast. The guard compares
-//! panels, not counters, so it holds across shards that share one cache
-//! but keep their own reputation.
+//! skips the expensive solve/panel path, and every hit is checked twice
+//! before it is served. First it is guarded by the panel that minted it:
+//! it is served only to a consult whose trusted verifier panel is exactly
+//! the one that voted, so the replayed vote is the one that panel would
+//! cast. The guard compares panels, not counters, so it holds across
+//! shards that share one cache but keep their own reputation. Then the
+//! cheap kernel check is replayed against the stored advice, and the hit
+//! is served only if the kernel gives the verdict it gave at insert time.
+//! A hit that fails either check falls back to the full protocol.
 //!
 //! The key is content, not object identity: two separately built but
 //! equal specs share one entry. A strategic spec is hashed once per game
@@ -63,20 +64,6 @@ pub fn spec_digest(spec: &GameSpec) -> Digest {
     }
 }
 
-/// What to do with a cache hit.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Re-run the `ra-proofs` kernel check on the stored advice and serve
-    /// the hit only if the kernel's verdict matches the one recorded at
-    /// insert time; on mismatch, fall back to the full protocol. This is
-    /// the proof-carrying default: hits stay as trustworthy as the kernel.
-    #[default]
-    Replay,
-    /// Serve the exact digest hit directly, skipping even the kernel
-    /// check. Fastest; appropriate when the cache itself is trusted.
-    Trust,
-}
-
 /// Configuration for the certificate cache.
 ///
 /// `Default` is **disabled**: the engine behaves exactly as without a
@@ -91,8 +78,6 @@ pub struct CertCacheConfig {
     /// enabled; rounded up to a per-shard bound, so the effective total
     /// can slightly exceed it).
     pub capacity: usize,
-    /// Hit semantics: replay the kernel check or trust the digest.
-    pub mode: CacheMode,
 }
 
 impl Default for CertCacheConfig {
@@ -100,27 +85,17 @@ impl Default for CertCacheConfig {
         CertCacheConfig {
             enabled: false,
             capacity: 1024,
-            mode: CacheMode::Replay,
         }
     }
 }
 
 impl CertCacheConfig {
-    /// An enabled cache in [`CacheMode::Replay`] with the given capacity.
+    /// An enabled cache with the given capacity. Every hit is
+    /// panel-guarded and replays the kernel check.
     pub fn replay(capacity: usize) -> CertCacheConfig {
         CertCacheConfig {
             enabled: true,
             capacity,
-            mode: CacheMode::Replay,
-        }
-    }
-
-    /// An enabled cache in [`CacheMode::Trust`] with the given capacity.
-    pub fn trust(capacity: usize) -> CertCacheConfig {
-        CertCacheConfig {
-            enabled: true,
-            capacity,
-            mode: CacheMode::Trust,
         }
     }
 }
@@ -135,12 +110,12 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by per-shard LRU pressure.
     pub evictions: u64,
-    /// Replay-mode hits whose fresh kernel verdict contradicted the stored
-    /// one (the hit is discarded and the full protocol re-runs).
+    /// Hits whose replayed kernel verdict contradicted the stored one
+    /// (the hit is discarded and the full protocol re-runs).
     pub replay_failures: u64,
-    /// Replay-mode hits discarded because the consult's trusted verifier
-    /// panel is not the one that voted for the entry (also counted under
-    /// `misses`: the full protocol re-runs and re-primes the entry).
+    /// Hits discarded because the consult's trusted verifier panel is not
+    /// the one that voted for the entry (also counted under `misses`: the
+    /// full protocol re-runs and re-primes the entry).
     pub stale: u64,
 }
 
@@ -154,7 +129,7 @@ pub(crate) struct CachedConsultation {
     /// The advice (with its embedded proof/certificate) the inventor gave.
     pub advice: Advice,
     /// The `ra-proofs` kernel's own verdict on that advice, computed once
-    /// at insert time; replay hits must reproduce it exactly.
+    /// at insert time; every hit must reproduce it exactly.
     pub kernel_accepts: bool,
     /// The verifier panel's pooled outcome.
     pub majority: Option<MajorityOutcome>,
@@ -290,7 +265,6 @@ impl LruShard {
 /// [`crate::RationalityAuthority`], so a game solved on one shard is a
 /// hit on all of them.
 pub struct CertCache {
-    mode: CacheMode,
     shards: Vec<Mutex<LruShard>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -302,7 +276,6 @@ pub struct CertCache {
 impl std::fmt::Debug for CertCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CertCache")
-            .field("mode", &self.mode)
             .field("shards", &self.shards.len())
             .field("len", &self.len())
             .field("stats", &self.stats())
@@ -333,7 +306,6 @@ impl CertCache {
         };
         let per_shard = config.capacity.div_ceil(shards);
         CertCache {
-            mode: config.mode,
             shards: (0..shards)
                 .map(|_| Mutex::new(LruShard::new(per_shard)))
                 .collect(),
@@ -343,11 +315,6 @@ impl CertCache {
             replay_failures: AtomicU64::new(0),
             stale: AtomicU64::new(0),
         }
-    }
-
-    /// The configured hit semantics.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
     }
 
     /// Entries currently cached, summed across shards.
@@ -380,11 +347,10 @@ impl CertCache {
     }
 
     /// Looks up a digest. `current` says whether a hit may be served to
-    /// the caller (`Replay` mode: whether the caller's trusted panel is
-    /// the one that minted it; `Trust` mode serves every hit). A hit it
-    /// refuses is a miss, counted under both `stale` and `misses`, so the
-    /// full protocol re-runs and re-primes the entry under the caller's
-    /// panel.
+    /// the caller: whether the caller's trusted panel is the one that
+    /// minted it. A hit it refuses is a miss, counted under both `stale`
+    /// and `misses`, so the full protocol re-runs and re-primes the entry
+    /// under the caller's panel.
     pub(crate) fn lookup(
         &self,
         digest: &Digest,
@@ -420,8 +386,8 @@ impl CertCache {
         }
     }
 
-    /// Records a replay-mode hit whose fresh kernel verdict contradicted
-    /// the stored one (the session layer falls back to the full protocol).
+    /// Records a hit whose replayed kernel verdict contradicted the
+    /// stored one (the session layer falls back to the full protocol).
     pub(crate) fn note_replay_failure(&self) {
         self.replay_failures.fetch_add(1, Ordering::Relaxed);
     }
@@ -488,7 +454,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_per_shard() {
         // Capacity 3 < 16 collapses to a single shard with capacity 3.
-        let cache = CertCache::new(CertCacheConfig::trust(3));
+        let cache = CertCache::new(CertCacheConfig::replay(3));
         for tag in 0..3 {
             cache.insert(digest(tag), entry(tag as u64));
         }
@@ -508,7 +474,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_without_eviction() {
-        let cache = CertCache::new(CertCacheConfig::trust(2));
+        let cache = CertCache::new(CertCacheConfig::replay(2));
         cache.insert(digest(1), entry(1));
         cache.insert(digest(1), entry(100));
         assert_eq!(cache.len(), 1);
@@ -519,7 +485,7 @@ mod tests {
 
     #[test]
     fn slab_slots_are_recycled_under_churn() {
-        let cache = CertCache::new(CertCacheConfig::trust(2));
+        let cache = CertCache::new(CertCacheConfig::replay(2));
         for round in 0..20u8 {
             cache.insert(digest(round), entry(round as u64));
         }
@@ -556,7 +522,7 @@ mod tests {
             .map(|&party| (party, true, VerdictReason::RubberStamped))
             .collect();
         cache.insert(digest(1), minted);
-        // Unguarded (Trust-mode) lookups serve the hit whatever the panel.
+        // A lookup that admits every panel serves the hit.
         assert!(cache.lookup(&digest(1), |_| true).is_some());
         // The minting panel, member for member: a hit.
         assert!(cache.lookup(&digest(1), |e| e.minted_by(voted)).is_some());

@@ -17,7 +17,7 @@
 //!   every case study of the paper; a verifier answers with a bit and a
 //!   payload-free, one-byte [`VerdictReason`];
 //! * [`ReputationBackend`] — the pluggable reputation plane: majority
-//!   voting (simple or stake-weighted, [`VoteRule`]) and reputation
+//!   voting (one verifier, one vote) and reputation
 //!   updates ("the reputation of the verifiers can be updated according
 //!   to the majority of their results"), with a process-local
 //!   [`LocalReputation`] backend and a cross-shard [`GossipReputation`]
@@ -35,9 +35,9 @@
 //! * [`CertCache`] — the content-addressed certificate cache: a
 //!   consultation is memoized under the SHA-256 digest of its game spec's
 //!   canonical wire encoding ([`spec_digest`]) in a sharded LRU, and a
-//!   later consultation of the same spec is served from the cache — after
-//!   re-running the trusted checker ([`kernel_check`]) under
-//!   [`CacheMode::Replay`], or directly under [`CacheMode::Trust`].
+//!   later consultation of the same spec is served from the cache, but
+//!   only to the trusted panel that minted the entry and only after
+//!   re-running the trusted checker ([`kernel_check`]) on it.
 //!   Off by default ([`CertCacheConfig`]); enable it per engine with
 //!   [`ShardedAuthority::with_transports`];
 //! * [`ShardedAuthority`] — the sharded multi-bus session engine, built
@@ -75,7 +75,7 @@ mod wire;
 
 pub use audit::{AuditError, StatisticsLedger, StatisticsRecord};
 pub use bus::{Bus, LinkModel, Network, Perfect};
-pub use cache::{spec_digest, CacheMode, CacheStats, CertCache, CertCacheConfig};
+pub use cache::{spec_digest, CacheStats, CertCache, CertCacheConfig};
 pub use crypto::{hmac_sha256, sha256, sha256_wire, to_hex, Digest, Signature, SigningKey};
 pub use inventor::{GameSpec, Inventor, InventorBehavior};
 pub use messages::{Advice, Message, Party};

@@ -29,15 +29,13 @@
 //! the trusted *set* is read where the panel is registered:
 //! [`crate::RationalityAuthority::trusted_verifiers`].
 //!
-//! Three refinements layer on top of the basic plane:
+//! Two refinements layer on top of the basic plane:
 //!
 //! * **Bus-carried gossip** — a [`GossipPlane`] owns a dedicated
 //!   inter-shard [`Transport`] and routes every epoch merge through it as
 //!   real framed [`Message::Gossip`] sends, so the
 //!   Lemma 1 byte accounting covers the control plane, not just
 //!   consultations.
-//! * **Weighted votes** — [`VoteRule::Weighted`] pools verdicts by the
-//!   verifiers' reputation stakes instead of one-verifier-one-vote.
 //! * **Decay** — [`ReputationDecay::HalfLife`] halves the contribution of
 //!   each past epoch generation, so ancient dissent is eventually
 //!   forgiven ([`DecayingPnCounterMap`] keeps per-generation counters
@@ -78,16 +76,16 @@ pub const EXCLUSION_THRESHOLD: i64 = 0;
 /// `s < shard_count`, so the all-ones id can never collide.
 pub const GOSSIP_HUB: Party = Party::Shard(u64::MAX);
 
-/// How one round of verdicts is pooled into a majority.
+/// How one round of verdicts is pooled into a majority: one verifier,
+/// one vote, the paper's rule, is the only rule.
+///
+/// The type stays, with its one variant, only because the end-to-end
+/// benchmark package names it; every backend ignores it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VoteRule {
     /// One verifier, one vote — the paper's rule.
     #[default]
     Simple,
-    /// Stake-weighted: each verdict counts its verifier's current
-    /// reputation score (clamped to at least 1), so long-trusted
-    /// verifiers outweigh newcomers and near-excluded ones.
-    Weighted,
 }
 
 /// How past observations fade from a verifier's score.
@@ -116,60 +114,29 @@ pub struct MajorityOutcome {
     pub accept_votes: usize,
     /// Number of verifiers voting reject.
     pub reject_votes: usize,
-    /// Total stake behind accept (equals `accept_votes` under
-    /// [`VoteRule::Simple`]).
-    pub accept_stake: i64,
-    /// Total stake behind reject (equals `reject_votes` under
-    /// [`VoteRule::Simple`]).
-    pub reject_stake: i64,
     /// Verifiers that disagreed with the majority this round.
     pub dissenters: Vec<Party>,
 }
 
-/// The one close rule of a panel vote under `rule`, shared by every
-/// backend so it cannot drift between them. `verdicts` are the answers
-/// and `silent` the trusted panel members that never gave one. Each
-/// member weighs 1 under [`VoteRule::Simple`] and its score (`score_of`,
-/// clamped to at least 1) under [`VoteRule::Weighted`]. With `W` the
-/// whole panel's weight, `A` the accept and `S` the silent weight, the
-/// vote accepts iff `A > W/2`, rejects iff `A + S ≤ W/2`, and is
-/// otherwise undecided (`None`): the silent could swing it, and unknown
-/// is not false. With nobody silent this is `A > R`, ties rejecting.
-fn pooled_outcome(
-    rule: VoteRule,
-    verdicts: &[(Party, bool)],
-    silent: &[Party],
-    score_of: impl Fn(Party) -> i64,
-) -> Option<MajorityOutcome> {
+/// The one close rule of a panel vote, shared by every backend so it
+/// cannot drift between them. `verdicts` are the answers and `silent`
+/// the trusted panel members that never gave one; each member has one
+/// vote. With `W` the whole panel, `A` the accept and `S` the silent
+/// count, the vote accepts iff `A > W/2`, rejects iff `A + S ≤ W/2`, and
+/// is otherwise undecided (`None`): the silent could swing it, and
+/// unknown is not false. With nobody silent this is `A > R`, ties
+/// rejecting.
+fn pooled_outcome(verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
     assert!(
         !verdicts.is_empty(),
         "pooling requires at least one verdict"
     );
-    // A consulted verifier is trusted, hence has positive score; the
-    // clamp keeps hostile direct calls (pooling an already-excluded
-    // verifier) from producing non-positive stakes.
-    let stake = |party| match rule {
-        VoteRule::Simple => 1,
-        VoteRule::Weighted => score_of(party).max(1),
-    };
-    let mut accept_votes = 0usize;
-    let mut reject_votes = 0usize;
-    let mut accept_stake = 0i64;
-    let mut reject_stake = 0i64;
-    for &(party, vote) in verdicts {
-        if vote {
-            accept_votes += 1;
-            accept_stake += stake(party);
-        } else {
-            reject_votes += 1;
-            reject_stake += stake(party);
-        }
-    }
-    let silent_stake: i64 = silent.iter().map(|&party| stake(party)).sum();
+    let accept_votes = verdicts.iter().filter(|&&(_, vote)| vote).count();
+    let reject_votes = verdicts.len() - accept_votes;
     // Doubled: 2A > W is A > R + S, and 2(A + S) <= W is A + S <= R.
-    let accepted = if accept_stake > reject_stake + silent_stake {
+    let accepted = if accept_votes > reject_votes + silent.len() {
         true
-    } else if accept_stake + silent_stake <= reject_stake {
+    } else if accept_votes + silent.len() <= reject_votes {
         false
     } else {
         return None;
@@ -183,8 +150,6 @@ fn pooled_outcome(
         accepted,
         accept_votes,
         reject_votes,
-        accept_stake,
-        reject_stake,
         dissenters,
     })
 }
@@ -365,11 +330,11 @@ pub trait ReputationBackend: Send + Sync {
     /// Closes one consult's panel vote by the shared close rule:
     /// `verdicts` are the answers `(verifier, accepted)`, `silent` the
     /// trusted panel members that never answered. The vote is decided
-    /// against the whole panel's weight — adopt on more than half, reject
-    /// when accept plus silent weight is at most half — and a decided vote
-    /// moves each answering verifier's score toward the majority. An
-    /// undecided vote returns `None` and changes nothing. Silent members
-    /// are never charged: silence is not evidence.
+    /// against the whole panel, one vote each — adopt on more than half,
+    /// reject when accept plus silent votes are at most half — and a
+    /// decided vote moves each answering verifier's score toward the
+    /// majority. An undecided vote returns `None` and changes nothing.
+    /// Silent members are never charged: silence is not evidence.
     ///
     /// # Panics
     ///
@@ -404,8 +369,7 @@ pub trait ReputationBackend: Send + Sync {
 /// [`EXCLUSION_THRESHOLD`] are excluded. This is the classic store the
 /// single-bus [`crate::RationalityAuthority`] always used; it is also
 /// each isolated shard's backend under
-/// [`crate::ReputationPolicy::Isolated`]. The vote rule is configurable
-/// via [`LocalReputation::with_rule`]; reads go through
+/// [`crate::ReputationPolicy::Isolated`]. Reads go through
 /// [`ReputationBackend`].
 ///
 /// The score table exists once, as the published snapshot. A decided
@@ -414,36 +378,29 @@ pub trait ReputationBackend: Send + Sync {
 /// never changes and an unheld one costs no copy.
 #[derive(Debug, Default)]
 pub struct LocalReputation {
-    rule: VoteRule,
     /// The scores, as the latest immutable view: every write runs under
     /// this lock and leaves a whole round published.
     snapshot: Mutex<Arc<ReputationSnapshot>>,
 }
 
 impl LocalReputation {
-    /// Creates an empty store with the [`VoteRule::Simple`] rule.
+    /// Creates an empty store.
     pub fn new() -> LocalReputation {
         LocalReputation::default()
     }
 
-    /// Creates an empty store pooling verdicts under `rule`.
-    pub fn with_rule(rule: VoteRule) -> LocalReputation {
-        LocalReputation {
-            rule,
-            ..LocalReputation::default()
-        }
-    }
-
-    /// The vote rule this store pools verdicts under.
-    pub fn rule(&self) -> VoteRule {
-        self.rule
+    /// [`LocalReputation::new`]. The `rule` is ignored: [`VoteRule`] has
+    /// one variant, and the argument stays only because the end-to-end
+    /// benchmark package passes it.
+    pub fn with_rule(_rule: VoteRule) -> LocalReputation {
+        LocalReputation::new()
     }
 }
 
 impl ReputationBackend for LocalReputation {
     fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
+        let outcome = pooled_outcome(verdicts, silent)?;
         let mut view = self.snapshot.lock().expect("reputation lock poisoned");
-        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| view.score(verifier))?;
         // Each voter moves by its net agreement with the majority: +1 per
         // agreeing verdict, -1 per dissenting one.
         Arc::make_mut(&mut view).publish_round(verdicts, |voter, old| {
@@ -1083,7 +1040,6 @@ impl GossipPlane {
 pub struct GossipReputation {
     shard: u64,
     plane: Arc<GossipPlane>,
-    rule: VoteRule,
     decay: ReputationDecay,
     local: Mutex<DecayingPnCounterMap>,
     /// Versioned-pull watermark: the highest hub version of every peer
@@ -1097,13 +1053,14 @@ pub struct GossipReputation {
 
 impl GossipReputation {
     /// Creates the backend for `shard`, wired to the shared `plane`, with
-    /// [`VoteRule::Simple`] and no decay.
+    /// no decay.
     pub fn new(shard: u64, plane: Arc<GossipPlane>) -> GossipReputation {
         GossipReputation::with_config(shard, plane, VoteRule::Simple, ReputationDecay::None)
     }
 
-    /// Creates the backend for `shard` with an explicit vote rule and
-    /// decay policy.
+    /// Creates the backend for `shard` with an explicit decay policy. The
+    /// `rule` is ignored: [`VoteRule`] has one variant, and the argument
+    /// stays only because the end-to-end benchmark package passes it.
     ///
     /// # Panics
     ///
@@ -1112,7 +1069,7 @@ impl GossipReputation {
     pub fn with_config(
         shard: u64,
         plane: Arc<GossipPlane>,
-        rule: VoteRule,
+        _rule: VoteRule,
         decay: ReputationDecay,
     ) -> GossipReputation {
         if let ReputationDecay::HalfLife { retention } = decay {
@@ -1121,7 +1078,6 @@ impl GossipReputation {
         GossipReputation {
             shard,
             plane,
-            rule,
             decay,
             local: Mutex::new(DecayingPnCounterMap::new()),
             seen: Mutex::new(VersionVector::new()),
@@ -1145,11 +1101,6 @@ impl GossipReputation {
     /// The shard (replica id) this backend writes observations under.
     pub fn shard(&self) -> u64 {
         self.shard
-    }
-
-    /// The vote rule this backend pools verdicts under.
-    pub fn rule(&self) -> VoteRule {
-        self.rule
     }
 
     /// The decay policy applied when reading scores.
@@ -1211,10 +1162,8 @@ impl GossipReputation {
 
 impl ReputationBackend for GossipReputation {
     fn pool_panel(&self, verdicts: &[(Party, bool)], silent: &[Party]) -> Option<MajorityOutcome> {
+        let outcome = pooled_outcome(verdicts, silent)?;
         let mut local = self.local.lock().expect("gossip local lock poisoned");
-        let outcome = pooled_outcome(self.rule, verdicts, silent, |verifier| {
-            INITIAL_SCORE + local.decayed_value(verifier, self.decay)
-        })?;
         for &(verifier, vote) in verdicts {
             local.record(self.shard, verifier, vote == outcome.accepted);
         }
@@ -1255,7 +1204,6 @@ mod tests {
         let outcome = store.pool_verdicts(&[(v(0), true), (v(1), true), (v(2), false)]);
         assert!(outcome.accepted);
         assert_eq!(outcome.accept_votes, 2);
-        assert_eq!(outcome.accept_stake, 2, "simple rule: stake == votes");
         assert_eq!(outcome.dissenters, vec![v(2)]);
         assert_eq!(store.score(v(0)), INITIAL_SCORE + 1);
         assert_eq!(store.score(v(2)), INITIAL_SCORE - 1);
@@ -1326,49 +1274,6 @@ mod tests {
     #[should_panic(expected = "at least one verdict")]
     fn empty_pool_panics() {
         LocalReputation::new().pool_verdicts(&[]);
-    }
-
-    #[test]
-    fn weighted_rule_lets_stake_outvote_headcount() {
-        // Verifier 0 earns stake by agreeing with rounds where everyone
-        // votes the same way; then its single vote outweighs two
-        // newcomers under the weighted rule.
-        let store = LocalReputation::with_rule(VoteRule::Weighted);
-        for _ in 0..25 {
-            store.pool_verdicts(&[(v(0), false), (v(9), false)]);
-        }
-        assert_eq!(store.score(v(0)), INITIAL_SCORE + 25);
-        let outcome = store.pool_verdicts(&[(v(0), false), (v(1), true), (v(2), true)]);
-        assert!(
-            !outcome.accepted,
-            "35 stake on reject beats 20 on accept despite the 2-1 headcount"
-        );
-        assert_eq!(outcome.accept_votes, 2);
-        assert_eq!(outcome.reject_votes, 1);
-        assert!(outcome.reject_stake > outcome.accept_stake);
-        assert_eq!(outcome.dissenters, vec![v(1), v(2)]);
-    }
-
-    #[test]
-    fn weighted_rule_ties_still_reject() {
-        let store = LocalReputation::with_rule(VoteRule::Weighted);
-        // Equal stakes, one vote each way: stake tie → reject.
-        let outcome = store.pool_verdicts(&[(v(0), true), (v(1), false)]);
-        assert!(!outcome.accepted);
-        assert_eq!(outcome.accept_stake, outcome.reject_stake);
-    }
-
-    #[test]
-    fn weighted_and_simple_agree_on_fresh_panels() {
-        // With all-equal stakes the weighted rule degenerates to the
-        // simple one.
-        let simple = LocalReputation::new();
-        let weighted = LocalReputation::with_rule(VoteRule::Weighted);
-        let round = [(v(0), true), (v(1), true), (v(2), false)];
-        let a = simple.pool_verdicts(&round);
-        let b = weighted.pool_verdicts(&round);
-        assert_eq!(a.accepted, b.accepted);
-        assert_eq!(a.dissenters, b.dissenters);
     }
 
     #[test]
@@ -1769,17 +1674,10 @@ mod tests {
             assert_eq!(outcome.dissenters, vec![v(2)]);
             assert_eq!(store.score(v(3)), INITIAL_SCORE);
         }
-        // Weighted: a silent heavyweight (score 20) leaves undecided a
-        // 3:1 vote that one-verifier-one-vote would decide.
+        // One vote each: one silent member cannot swing a 3:1 vote.
         let round = [(v(2), true), (v(3), true), (v(4), true), (v(5), false)];
         let simple = LocalReputation::new();
         assert!(simple.pool_panel(&round, &[v(0)]).unwrap().accepted);
-        let weighted = LocalReputation::with_rule(VoteRule::Weighted);
-        for _ in 0..10 {
-            weighted.pool_verdicts(&[(v(0), true), (v(1), true)]);
-        }
-        assert_eq!(weighted.pool_panel(&round, &[v(0)]), None);
-        assert!(weighted.pool_panel(&round, &[]).unwrap().accepted);
     }
 
     #[test]
@@ -1909,17 +1807,16 @@ mod tests {
             rounds in 20usize..120,
             deviant in 0u64..4,
             turn in 24usize..36,
-            weighted in proptest::arbitrary::any::<bool>(),
             decaying in proptest::arbitrary::any::<bool>(),
         ) {
-            let rule = if weighted { VoteRule::Weighted } else { VoteRule::Simple };
             let decay = if decaying {
                 ReputationDecay::HalfLife { retention: 3 }
             } else {
                 ReputationDecay::None
             };
-            let local = LocalReputation::with_rule(rule);
-            let gossip = GossipReputation::with_config(0, Arc::new(GossipPlane::new()), rule, decay);
+            let local = LocalReputation::new();
+            let plane = Arc::new(GossipPlane::new());
+            let gossip = GossipReputation::with_config(0, plane, VoteRule::Simple, decay);
             let local_ref = Mutex::new(Arc::new(ReputationSnapshot::default()));
             let gossip_ref = Mutex::new(Arc::new(ReputationSnapshot::default()));
             let mut local_scores: HashMap<Party, i64> = HashMap::new();
@@ -1963,7 +1860,7 @@ mod tests {
                 proptest::prop_assert_eq!(copy, &**view);
             }
             // Long streams exclude the deviant and readmit it.
-            if rounds >= 2 * turn + 24 && !weighted {
+            if rounds >= 2 * turn + 24 {
                 proptest::prop_assert!(panel_moves >= 2, "panel moved {panel_moves} times");
             }
         }

@@ -16,11 +16,10 @@
 //! which runs one authority per shard.
 //!
 //! The authority is deliberately ignorant of reputation *policy*: whether
-//! verdicts are pooled one-verifier-one-vote or stake-weighted
-//! ([`crate::VoteRule`]), whether scores decay
-//! ([`crate::ReputationDecay`]), and whether the scores are shard-local
-//! or gossiped engine-wide all live behind the [`ReputationBackend`]
-//! trait, so the Fig. 1 flow never changes when the plane does.
+//! scores decay ([`crate::ReputationDecay`]) and whether they are
+//! shard-local or gossiped engine-wide both live behind the
+//! [`ReputationBackend`] trait, so the Fig. 1 flow never changes when the
+//! plane does.
 //!
 //! There is one protocol body and one budget ([`ResilienceConfig`]): a
 //! stage retries on a backoff schedule until it completes or the budget
@@ -59,7 +58,7 @@ use ra_games::BimatrixGame;
 use ra_proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome, TranscriptEvent};
 
 use crate::bus::Bus;
-use crate::cache::{spec_digest, CacheMode, CachedConsultation, CertCache};
+use crate::cache::{spec_digest, CachedConsultation, CertCache};
 use crate::inventor::{GameSpec, Inventor};
 use crate::messages::{Advice, Message, Party};
 use crate::reputation::{LocalReputation, MajorityOutcome, ReputationBackend, ReputationSnapshot};
@@ -68,8 +67,8 @@ use crate::verifier::{kernel_check, VerdictReason, VerifierService};
 use crate::wire::Wire;
 
 /// How a consultation's panel vote closed. The vote is decided against
-/// the whole trusted panel: adopted on more than half its weight,
-/// rejected when accept plus silent weight is at most half, undecided
+/// the whole trusted panel: adopted on more than half its votes,
+/// rejected when accept plus silent votes are at most half, undecided
 /// otherwise ([`ReputationBackend::pool_panel`]). Silence is never charged.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum PanelOutcome {
@@ -513,40 +512,30 @@ impl RationalityAuthority {
     /// With no certificate cache attached (the default) this *is* the full
     /// Fig. 1 protocol. With one attached, the spec's digest is looked up
     /// first: a hit short-circuits the protocol entirely — zero bus bytes,
-    /// no reputation update, `cached: true`. In [`CacheMode::Replay`] a
-    /// hit is served only if this authority's trusted panel
-    /// ([`RationalityAuthority::trusted_verifiers`]) is exactly the panel
-    /// that voted for it, and the `ra-proofs` kernel check, replayed on
-    /// the stored advice, gives the stored verdict; otherwise the hit is
-    /// discarded and the full protocol runs. Misses run the protocol and
-    /// memoize a full close.
+    /// no reputation update, `cached: true`. A hit is served only if this
+    /// authority's trusted panel ([`RationalityAuthority::trusted_verifiers`])
+    /// is exactly the panel that voted for it, and the `ra-proofs` kernel
+    /// check, replayed on the stored advice, gives the stored verdict;
+    /// otherwise the hit is discarded and the full protocol runs. Misses
+    /// run the protocol and memoize a full close.
     pub fn try_consult(&mut self, agent_id: u64, spec: &GameSpec) -> ConsultResult {
         let session = self.open_session(agent_id, Subject::Spec(spec));
         let Some(cache) = self.cert_cache.clone() else {
             return self.run_session(session, Self::run_protocol);
         };
         let digest = spec_digest(spec);
-        // Replay hits are guarded by the panel that minted them: an entry
-        // whose voters are not this consult's trusted panel is a miss, so
-        // no consult replays a vote its own panel did not cast. Trust mode
-        // serves the digest hit unconditionally.
-        let current = |entry: &CachedConsultation| match cache.mode() {
-            CacheMode::Replay => {
-                entry.minted_by(trusted_panel(&self.verifiers, &self.reputation.snapshot()))
-            }
-            CacheMode::Trust => true,
+        // Hits are guarded by the panel that minted them: an entry whose
+        // voters are not this consult's trusted panel is a miss, so no
+        // consult replays a vote its own panel did not cast.
+        let current = |entry: &CachedConsultation| {
+            entry.minted_by(trusted_panel(&self.verifiers, &self.reputation.snapshot()))
         };
         if let Some(entry) = cache.lookup(&digest, current) {
-            match cache.mode() {
-                CacheMode::Trust => return Ok(Self::outcome_from_cache(&entry)),
-                CacheMode::Replay => {
-                    let (kernel_accepts, _) = kernel_check(spec, &entry.advice);
-                    if kernel_accepts == entry.kernel_accepts {
-                        return Ok(Self::outcome_from_cache(&entry));
-                    }
-                    cache.note_replay_failure();
-                }
+            let (kernel_accepts, _) = kernel_check(spec, &entry.advice);
+            if kernel_accepts == entry.kernel_accepts {
+                return Ok(Self::outcome_from_cache(&entry));
             }
+            cache.note_replay_failure();
         }
         let outcome = self.run_session(session, Self::run_protocol)?;
         // Short closes are never memoized: their vote was pooled over a
@@ -1306,14 +1295,14 @@ mod tests {
     }
 
     #[test]
-    fn trust_hit_skips_the_protocol_entirely() {
+    fn cache_hit_skips_the_protocol_entirely() {
         use crate::cache::CertCacheConfig;
         for spec in all_specs() {
             let mut authority = RationalityAuthority::new(
                 Inventor::new(0, InventorBehavior::Honest),
                 &[VerifierBehavior::Honest; 3],
             );
-            authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+            authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
             let cold = authority.consult(0, &spec);
             assert!(!cold.cached);
             assert!(cold.session_bytes > 0);
@@ -1372,33 +1361,29 @@ mod tests {
                 vec![payoff.clone(), payoff]
             }))
         };
-        for config in [CertCacheConfig::replay(64), CertCacheConfig::trust(64)] {
-            let mut authority = RationalityAuthority::new(
-                Inventor::new(0, InventorBehavior::Honest),
-                &[VerifierBehavior::Honest; 3],
-            );
-            authority.set_cert_cache(Arc::new(CertCache::new(config)));
-            assert!(!authority.consult(0, &build(false)).cached);
-            assert!(
-                authority.consult(1, &build(false)).cached,
-                "{:?}: a separately built equal game shares the entry",
-                config.mode
-            );
-            assert!(
-                !authority.consult(2, &build(true)).cached,
-                "{:?}: one changed payoff misses",
-                config.mode
-            );
-            let cache = authority.cert_cache().unwrap();
-            assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
-            assert_eq!(cache.len(), 2);
-        }
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
+        assert!(!authority.consult(0, &build(false)).cached);
+        assert!(
+            authority.consult(1, &build(false)).cached,
+            "a separately built equal game shares the entry"
+        );
+        assert!(
+            !authority.consult(2, &build(true)).cached,
+            "one changed payoff misses"
+        );
+        let cache = authority.cert_cache().unwrap();
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 2));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn exclusion_between_prime_and_probe_invalidates_replay_hits() {
-        // The PR 7 follow-up: a Replay-mode hit must not serve advice
-        // vouched for under an older verifier panel. Prime the cache on
+        // A cache hit must not serve advice vouched for under an older
+        // verifier panel. Prime the cache on
         // one spec, drive a saboteur below the exclusion threshold with
         // *different* consultations, then probe the primed spec: the
         // trusted panel is no longer the one that voted, so the probe
@@ -1537,6 +1522,51 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_the_kernel_contradicts_runs_the_protocol_and_reprimes() {
+        // The entry was minted by this authority's trusted panel, so the
+        // guard admits it, but its stored kernel verdict is the opposite
+        // of the kernel's: the replayed check refuses the hit.
+        use crate::cache::CertCacheConfig;
+        let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+        let mut authority = RationalityAuthority::new(
+            Inventor::new(0, InventorBehavior::Honest),
+            &[VerifierBehavior::Honest; 3],
+        );
+        let cache = Arc::new(CertCache::new(CertCacheConfig::replay(64)));
+        authority.set_cert_cache(Arc::clone(&cache));
+        let advice = Inventor::new(0, InventorBehavior::Honest)
+            .advise(&spec)
+            .expect("honest advice");
+        let (kernel_accepts, reason) = kernel_check(&spec, &advice);
+        assert!(kernel_accepts);
+        cache.insert(
+            spec_digest(&spec),
+            CachedConsultation {
+                advice: advice.clone(),
+                kernel_accepts: !kernel_accepts,
+                majority: None,
+                adopted: false,
+                advice_bytes: advice.encoded_len(),
+                verdict_details: authority
+                    .trusted_verifiers()
+                    .into_iter()
+                    .map(|party| (party, true, reason))
+                    .collect(),
+            },
+        );
+        let outcome = authority.consult(0, &spec);
+        assert!(!outcome.cached, "the contradicted hit is not served");
+        assert_eq!(cache.stats().replay_failures, 1);
+        assert!(outcome.session_bytes > 0, "the full protocol ran");
+        assert_eq!(outcome.adopted, kernel_accepts);
+        assert_eq!(outcome.advice, Some(advice));
+        let hit = authority.consult(1, &spec);
+        assert!(hit.cached, "the protocol re-primed the entry");
+        assert!(hit.adopted);
+        assert_eq!(cache.stats().replay_failures, 1);
+    }
+
+    #[test]
     fn cached_hits_do_not_move_reputation() {
         use crate::cache::CertCacheConfig;
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
@@ -1548,7 +1578,7 @@ mod tests {
                 VerifierBehavior::AlwaysReject,
             ],
         );
-        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
         let saboteur = Party::Verifier(2);
         let cold = authority.consult(0, &spec);
         assert!(cold.adopted);
@@ -1575,7 +1605,7 @@ mod tests {
             Inventor::new(0, InventorBehavior::Silent),
             &[VerifierBehavior::Honest; 3],
         );
-        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::trust(64))));
+        authority.set_cert_cache(Arc::new(CertCache::new(CertCacheConfig::replay(64))));
         for round in 0..3 {
             let outcome = authority.consult(round, &spec);
             assert!(!outcome.cached, "adviceless outcomes never hit");
@@ -1843,8 +1873,6 @@ mod tests {
             accepted: true,
             accept_votes: n,
             reject_votes: 0,
-            accept_stake: n as i64,
-            reject_stake: 0,
             dissenters: Vec::new(),
         };
         let bus = || Arc::new(Bus::new()) as Arc<dyn Transport>;

@@ -36,8 +36,7 @@
 //! same multiples — so batch and sequential execution still reach
 //! identical outcomes (and identical byte counts), and the consult hot
 //! path never takes a cross-shard lock (the merge is amortized off-path).
-//! Vote weighting and reputation decay are orthogonal knobs on
-//! [`ReputationConfig`].
+//! Reputation decay is a knob on [`ReputationConfig`].
 //!
 //! Inside a shard, each consult runs the lock-free hot path documented in
 //! `docs/ARCHITECTURE.md` ("Consult hot path"): frame lengths are
@@ -145,8 +144,7 @@ impl ReputationPolicy {
 }
 
 /// The full reputation-plane configuration of a [`ShardedAuthority`]:
-/// scope ([`ReputationPolicy`]), vote rule ([`VoteRule`]) and decay
-/// ([`ReputationDecay`]).
+/// scope ([`ReputationPolicy`]) and decay ([`ReputationDecay`]).
 ///
 /// `Default` is the classic plane: isolated shards, one-verifier-one-vote,
 /// no decay.
@@ -154,7 +152,9 @@ impl ReputationPolicy {
 pub struct ReputationConfig {
     /// How reputation is scoped across shards.
     pub policy: ReputationPolicy,
-    /// How one round of verdicts is pooled.
+    /// How one round of verdicts is pooled. Ignored: [`VoteRule`] has one
+    /// variant, and the field stays only because the end-to-end benchmark
+    /// package sets it.
     pub vote_rule: VoteRule,
     /// How past observations fade (requires a gossip policy — decay
     /// generations advance at engine-wide epoch boundaries).
@@ -284,14 +284,14 @@ impl GossipController {
 /// ```
 ///
 /// With gossip, exclusion propagates engine-wide and the merge traffic is
-/// byte-accounted on a dedicated inter-shard bus. Weighted votes, decay
-/// and the certificate cache are configured at the same call:
+/// byte-accounted on a dedicated inter-shard bus. Decay and the
+/// certificate cache are configured at the same call:
 ///
 /// ```
 /// use std::sync::Arc;
 /// use ra_authority::{
 ///     Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ReputationDecay,
-///     ReputationPolicy, ShardedAuthority, VerifierBehavior, VoteRule,
+///     ReputationPolicy, ShardedAuthority, VerifierBehavior,
 /// };
 /// use ra_games::named::prisoners_dilemma;
 ///
@@ -301,8 +301,8 @@ impl GossipController {
 ///     &[VerifierBehavior::Honest; 3],
 ///     ReputationConfig {
 ///         policy: ReputationPolicy::Adaptive { every: 8, check_every: 8, burst: 1 },
-///         vote_rule: VoteRule::Weighted,
 ///         decay: ReputationDecay::HalfLife { retention: 6 },
+///         ..ReputationConfig::default()
 ///     },
 ///     CertCacheConfig::default(),
 ///     &|_| Arc::new(Bus::new()),
@@ -312,7 +312,7 @@ impl GossipController {
 /// engine.consult_batch(&requests);
 /// let stats = engine.shard_stats();
 /// assert!(stats.gossip_bytes > 0, "epoch merges are real framed sends");
-/// assert_eq!(engine.reputation_config().vote_rule, VoteRule::Weighted);
+/// assert_eq!(engine.reputation_config().decay, ReputationDecay::HalfLife { retention: 6 });
 /// ```
 pub struct ShardedAuthority {
     shards: Arc<Vec<Mutex<RationalityAuthority>>>,
@@ -393,7 +393,7 @@ impl ShardedAuthority {
     ///     InventorBehavior::Honest,
     ///     &[VerifierBehavior::Honest; 3],
     ///     ReputationConfig::default(),
-    ///     CertCacheConfig::trust(1024),
+    ///     CertCacheConfig::replay(1024),
     ///     &|_| Arc::new(Bus::new()),
     /// );
     /// let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
@@ -456,7 +456,7 @@ impl ShardedAuthority {
                 .map(|s| {
                     let inventor = Inventor::new(s as u64, inventor_behavior);
                     let backend: Arc<dyn crate::ReputationBackend> = match &gossip {
-                        None => Arc::new(LocalReputation::with_rule(config.vote_rule)),
+                        None => Arc::new(LocalReputation::new()),
                         Some(g) => g.backends[s].clone(),
                     };
                     let mut authority = RationalityAuthority::with_transport(
@@ -1063,18 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_gossip_batch_matches_sequential() {
-        assert_batch_matches_sequential(
-            ReputationConfig {
-                policy: gossip(16),
-                vote_rule: VoteRule::Weighted,
-                decay: ReputationDecay::None,
-            },
-            64,
-        );
-    }
-
-    #[test]
     fn decaying_gossip_batch_matches_sequential() {
         // Epoch 8 over 64 consultations: several generations advance (and
         // prune) mid-stream in both executions.
@@ -1099,7 +1087,7 @@ mod tests {
                     check_every: 4,
                     burst: 2,
                 },
-                vote_rule: VoteRule::Weighted,
+                vote_rule: VoteRule::Simple,
                 decay: ReputationDecay::HalfLife { retention: 4 },
             },
             64,
@@ -1149,7 +1137,7 @@ mod tests {
                 check_every: 4,
                 burst: 2,
             },
-            vote_rule: VoteRule::Weighted,
+            vote_rule: VoteRule::Simple,
             decay: ReputationDecay::HalfLife { retention: 4 },
         });
     }
@@ -1538,7 +1526,7 @@ mod tests {
 
     #[test]
     fn shared_cache_serves_hits_across_shards_for_zero_bytes() {
-        let engine = cached_engine(CertCacheConfig::trust(1024));
+        let engine = cached_engine(CertCacheConfig::replay(1024));
         let spec = spec_for_tests();
         // Sequential consults so the miss/hit split is exact: the first
         // consult (whichever shard it routes to) populates the shared
@@ -1686,7 +1674,7 @@ mod tests {
             InventorBehavior::Honest,
             &saboteur_panel(),
             ReputationConfig::default(),
-            CertCacheConfig::trust(64),
+            CertCacheConfig::replay(64),
             &|_| Arc::new(Bus::new()),
         );
         let spec = spec_for_tests();

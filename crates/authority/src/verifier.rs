@@ -152,7 +152,7 @@ impl VerifierService {
 ///
 /// This is the trusted-checker boundary of the proof-carrying split: an
 /// honest verifier runs exactly this, and the certificate cache replays it
-/// on [`CacheMode::Replay`](crate::cache::CacheMode::Replay) hits — the
+/// on every hit ([`crate::CertCache`]) — the
 /// expensive solve/panel path is skipped, the cheap kernel check is not.
 /// It is deterministic in `(spec, advice)`, and so is everything a checker
 /// derives (the proved proposition, λ values, gain, link): the reason

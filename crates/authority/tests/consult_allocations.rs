@@ -4,8 +4,8 @@
 //! adds a per-consult allocation (a map clone, a fresh hash table, a
 //! boxed payoff) fails this test and must update the figure on purpose.
 //! Pooling a panel into a `LocalReputation` that no reader holds a
-//! snapshot of allocates nothing at all. A Replay-mode certificate-cache
-//! hit is pinned the same way: its panel guard and kernel replay run on
+//! snapshot of allocates nothing at all. A certificate-cache hit is
+//! pinned the same way: its panel guard and kernel replay run on
 //! every hit.
 //!
 //! The binary installs a counting global allocator, so it holds this one
@@ -113,7 +113,7 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
     ]
 }
 
-/// Specs served from a Replay-mode cache, each with its allocations per
+/// Specs served from the certificate cache, each with its allocations per
 /// hit.
 fn pinned_hits() -> Vec<(&'static str, GameSpec, u64)> {
     vec![

@@ -640,7 +640,7 @@ proptest! {
         prop_assert_eq!(spec_digest(&spec), expected);
     }
 
-    /// A Replay-mode cache hit is observably identical to a cold
+    /// A certificate-cache hit is observably identical to a cold
     /// consultation: advice, certificate adoption, majority and advice
     /// bytes all match what a cacheless twin authority produces for the
     /// same consultation stream, for arbitrary specs of every family.
@@ -656,7 +656,7 @@ proptest! {
         let mut warm =
             RationalityAuthority::new(Inventor::new(0, InventorBehavior::Honest), &panel);
         warm.set_cert_cache(Arc::clone(&cache));
-        // Prime the cache, then every later consult is a replay-mode hit
+        // Prime the cache, then every later consult is a cache hit
         // (unless the inventor stayed silent — no advice, nothing cached).
         let primed = warm.consult(0, &spec);
         let reference = cold.consult(0, &spec);

@@ -3,17 +3,17 @@
 //! memoization absorbs, and what a hit costs next to the full Fig. 1
 //! protocol.
 //!
-//! For each Zipf exponent `s ∈ {0.8, 1.1}` × catalog size `{64, 1k, 16k}`
-//! × cache mode `{Replay, Trust}`, the same drawn consultation stream is
-//! run through two 4-shard engines: a **cold** pass on a cache-disabled
-//! engine (every consult pays the full protocol — the baseline the cache
-//! is up against) and a **warm** pass on an engine with a shared
-//! capacity-4096 cache primed by one untimed run of the identical
-//! stream. Hit rates come from the engine's own `cache_stats()`
+//! For each Zipf exponent `s ∈ {0.8, 1.1}` × catalog size `{64, 1k, 16k}`,
+//! the same drawn consultation stream is run through two 4-shard engines:
+//! a **cold** pass on a cache-disabled engine (every consult pays the full
+//! protocol — the baseline the cache is up against) and a **warm** pass on
+//! an engine with a shared capacity-4096 cache primed by one untimed run
+//! of the identical stream. Every warm hit is panel-guarded and replays
+//! the kernel check. Hit rates come from the engine's own `cache_stats()`
 //! deltas; throughput is wall-clock consults/sec. Results go to
 //! `results/cert_cache.csv` and, in the perf-trajectory format,
 //! `BENCH_cert_cache.json` at the workspace root — the headline block is
-//! the warm-over-cold Trust speedup on the Zipf(1.1)/1k-catalog stream,
+//! the warm-over-cold speedup on the Zipf(1.1)/1k-catalog stream,
 //! and CI gates that stream's warm hit rate.
 //!
 //! Usage: `cargo run -p ra-bench --release --bin cert_cache [-- DRAWS]`
@@ -26,8 +26,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ra_authority::{
-    Bus, CacheMode, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig,
-    ShardedAuthority, VerifierBehavior,
+    Bus, CertCacheConfig, GameSpec, InventorBehavior, ReputationConfig, ShardedAuthority,
+    VerifierBehavior,
 };
 use ra_bench::{count_arg, timed, write_bench, write_csv_rows, Row};
 use ra_exact::rat;
@@ -100,83 +100,74 @@ fn main() {
     );
     let mut results = Vec::new();
     let mut headline = None;
-    for mode in [CacheMode::Replay, CacheMode::Trust] {
-        for s in ZIPF_EXPONENTS {
-            for catalog_size in CATALOG_SIZES {
-                let zipf = Zipf::new(catalog_size, s);
-                // Seeded per configuration, so the stream is reproducible
-                // and identical across the two modes.
-                let mut rng =
-                    StdRng::seed_from_u64(0xCAC4E ^ catalog_size as u64 ^ (s * 10.0) as u64);
-                let ranks: Vec<usize> = (0..draws).map(|_| zipf.sample(&mut rng)).collect();
-                let specs: Vec<GameSpec> = ranks.iter().map(|&r| catalog_game(r)).collect();
-                let cache = CertCacheConfig {
-                    enabled: true,
-                    capacity: CACHE_CAPACITY,
-                    mode,
-                };
-                let baseline = ShardedAuthority::new(
-                    SHARDS,
-                    InventorBehavior::Honest,
-                    &[VerifierBehavior::Honest; 3],
-                );
-                let engine = ShardedAuthority::with_transports(
-                    SHARDS,
-                    InventorBehavior::Honest,
-                    &[VerifierBehavior::Honest; 3],
-                    ReputationConfig::default(),
-                    cache,
-                    &|_| Arc::new(Bus::new()),
-                );
-                let pass = |engine: &ShardedAuthority, baseline_hits: u64| {
-                    let (_, secs) = timed(|| {
-                        for (agent, spec) in specs.iter().enumerate() {
-                            let outcome = engine.consult(agent as u64, spec);
-                            assert!(outcome.adopted, "coordination games always adopt");
-                        }
-                    });
-                    PassResult {
-                        secs,
-                        rate: draws as f64 / secs.max(1e-12),
-                        hit_rate: (engine.cache_stats().hits - baseline_hits) as f64 / draws as f64,
+    for s in ZIPF_EXPONENTS {
+        for catalog_size in CATALOG_SIZES {
+            let zipf = Zipf::new(catalog_size, s);
+            // Seeded per configuration, so the stream is reproducible.
+            let mut rng = StdRng::seed_from_u64(0xCAC4E ^ catalog_size as u64 ^ (s * 10.0) as u64);
+            let ranks: Vec<usize> = (0..draws).map(|_| zipf.sample(&mut rng)).collect();
+            let specs: Vec<GameSpec> = ranks.iter().map(|&r| catalog_game(r)).collect();
+            let baseline = ShardedAuthority::new(
+                SHARDS,
+                InventorBehavior::Honest,
+                &[VerifierBehavior::Honest; 3],
+            );
+            let engine = ShardedAuthority::with_transports(
+                SHARDS,
+                InventorBehavior::Honest,
+                &[VerifierBehavior::Honest; 3],
+                ReputationConfig::default(),
+                CertCacheConfig::replay(CACHE_CAPACITY),
+                &|_| Arc::new(Bus::new()),
+            );
+            let pass = |engine: &ShardedAuthority, baseline_hits: u64| {
+                let (_, secs) = timed(|| {
+                    for (agent, spec) in specs.iter().enumerate() {
+                        let outcome = engine.consult(agent as u64, spec);
+                        assert!(outcome.adopted, "coordination games always adopt");
                     }
-                };
-                // Cold: the cache-disabled engine, so every consult is
-                // the full Fig. 1 protocol. Warm: prime the cached
-                // engine with one untimed pass of the same stream, then
-                // time the replayed stream against the populated cache.
-                let cold = pass(&baseline, 0);
-                let _prime = pass(&engine, 0);
-                let warm = pass(&engine, engine.cache_stats().hits);
-                let stats = engine.shard_stats();
-                let row = Row::new()
-                    .label("mode", &format!("{mode:?}"))
-                    .fixed("zipf_s", s, 1)
-                    .int("catalog", catalog_size as u64)
-                    .int("draws", draws as u64)
-                    .fixed("cold_secs", cold.secs, 9)
-                    .fixed("cold_consults_per_sec", cold.rate, 3)
-                    .fixed("cold_hit_rate", cold.hit_rate, 6)
-                    .fixed("warm_secs", warm.secs, 9)
-                    .fixed("warm_consults_per_sec", warm.rate, 3)
-                    .fixed("warm_hit_rate", warm.hit_rate, 6)
-                    .int("hits", stats.cache.hits)
-                    .int("misses", stats.cache.misses)
-                    .int("evictions", stats.cache.evictions)
-                    .int("replay_failures", stats.cache.replay_failures)
-                    .int("frame_pool_misses", stats.frame_pool_misses);
-                row.print(results.is_empty());
-                results.push(row);
-                if mode == CacheMode::Trust && s == 1.1 && catalog_size == 1024 {
-                    headline = Some((cold, warm));
+                });
+                PassResult {
+                    secs,
+                    rate: draws as f64 / secs.max(1e-12),
+                    hit_rate: (engine.cache_stats().hits - baseline_hits) as f64 / draws as f64,
                 }
+            };
+            // Cold: the cache-disabled engine, so every consult is
+            // the full Fig. 1 protocol. Warm: prime the cached
+            // engine with one untimed pass of the same stream, then
+            // time the replayed stream against the populated cache.
+            let cold = pass(&baseline, 0);
+            let _prime = pass(&engine, 0);
+            let warm = pass(&engine, engine.cache_stats().hits);
+            let stats = engine.shard_stats();
+            let row = Row::new()
+                .label("mode", "Replay")
+                .fixed("zipf_s", s, 1)
+                .int("catalog", catalog_size as u64)
+                .int("draws", draws as u64)
+                .fixed("cold_secs", cold.secs, 9)
+                .fixed("cold_consults_per_sec", cold.rate, 3)
+                .fixed("cold_hit_rate", cold.hit_rate, 6)
+                .fixed("warm_secs", warm.secs, 9)
+                .fixed("warm_consults_per_sec", warm.rate, 3)
+                .fixed("warm_hit_rate", warm.hit_rate, 6)
+                .int("hits", stats.cache.hits)
+                .int("misses", stats.cache.misses)
+                .int("evictions", stats.cache.evictions)
+                .int("replay_failures", stats.cache.replay_failures)
+                .int("frame_pool_misses", stats.frame_pool_misses);
+            row.print(results.is_empty());
+            results.push(row);
+            if s == 1.1 && catalog_size == 1024 {
+                headline = Some((cold, warm));
             }
         }
     }
     let (cold, warm) = headline.expect("the headline configuration always runs");
     let speedup = warm.rate / cold.rate.max(1e-12);
     println!(
-        "\nheadline — Trust, Zipf(1.1), 1k catalog: warm {:.0} consults/sec over cold \
+        "\nheadline — Replay, Zipf(1.1), 1k catalog: warm {:.0} consults/sec over cold \
          {:.0} ({speedup:.1}x), warm hit rate {:.3}",
         warm.rate, cold.rate, warm.hit_rate
     );
@@ -192,13 +183,13 @@ fn main() {
             .object(
                 "headline",
                 Row::new()
-                    .label("mode", "Trust")
+                    .label("mode", "Replay")
                     .fixed("zipf_s", 1.1, 1)
                     .int("catalog", 1024)
                     .fixed("cold_consults_per_sec", cold.rate, 3)
                     .fixed("warm_consults_per_sec", warm.rate, 3)
                     .fixed("warm_hit_rate", warm.hit_rate, 6)
-                    .fixed("warm_trust_over_cold", speedup, 3),
+                    .fixed("warm_replay_over_cold", speedup, 3),
             )
             .rows("results", results),
     );

@@ -589,15 +589,15 @@ mod tests {
     #[test]
     fn a_row_renders_csv_and_json_with_the_same_fields_in_order() {
         let row = Row::new()
-            .label("mode", "Trust")
+            .label("mode", "Replay")
             .fixed("zipf_s", 1.1, 1)
             .int("hits", 8128)
             .fixed("rate", 0.984375, 4);
         assert_eq!(row.csv_header(), "mode,zipf_s,hits,rate");
-        assert_eq!(row.csv(), "Trust,1.1,8128,0.9844");
+        assert_eq!(row.csv(), "Replay,1.1,8128,0.9844");
         assert_eq!(
             row.json(),
-            "{\"mode\":\"Trust\",\"zipf_s\":1.1,\"hits\":8128,\"rate\":0.9844}"
+            "{\"mode\":\"Replay\",\"zipf_s\":1.1,\"hits\":8128,\"rate\":0.9844}"
         );
         assert_eq!(
             row.table_line(true).split_whitespace().collect::<Vec<_>>(),
@@ -605,7 +605,7 @@ mod tests {
         );
         assert_eq!(
             row.table_line(false).split_whitespace().collect::<Vec<_>>(),
-            ["Trust", "1.1", "8128", "0.9844"]
+            ["Replay", "1.1", "8128", "0.9844"]
         );
     }
 

@@ -502,11 +502,11 @@ fn healed_partition_reconciliation_ships_only_unseen_slots() {
 }
 
 // ---------------------------------------------------------------------------
-// Replay-mode cache soundness when panel changes race message loss.
+// Certificate-cache soundness when panel changes race message loss.
 // ---------------------------------------------------------------------------
 
 /// Under a lossy gossip plane, shards learn of the saboteur's exclusion
-/// at different times. The Replay-mode cache must never let a stale
+/// at different times. The certificate cache must never let a stale
 /// cached consultation resurrect an excluded verifier: once a shard's
 /// panel has dropped the saboteur, no consultation served by that shard —
 /// cached or fresh — may carry a saboteur verdict.
