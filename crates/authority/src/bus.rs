@@ -14,8 +14,8 @@
 //!   nothing is sampled and the clock never moves. [`Bus`] is the network
 //!   over perfect links, the canonical backend.
 //! * [`Simulated`](crate::Simulated) — per-link latency, loss and
-//!   duplication sampled from a seeded stream, partitions and a virtual
-//!   clock (see [`crate::SimNet`]).
+//!   duplication sampled from a seeded stream, a scripted partition/heal
+//!   schedule and a virtual clock (see [`crate::SimNet`]).
 //!
 //! Each network holds one `Mutex` over everything it mutates: the
 //! routing table, the drop rules, the [`Ledger`](crate::transport) and
@@ -80,12 +80,6 @@ pub(crate) mod sealed {
     /// so only this crate's two models implement it; every provided
     /// method is the perfect link's behaviour.
     pub trait Hooks {
-        /// Whether a partition separates `from` and `to`. Checked with
-        /// the drop rules, before the destination is looked up.
-        fn partitioned(&self, _from: Party, _to: Party) -> bool {
-            false
-        }
-
         /// The fate of one frame on the `from → to` link.
         fn fate(&mut self, _from: Party, _to: Party) -> Fate {
             Fate::Deliver {
@@ -97,11 +91,8 @@ pub(crate) mod sealed {
         /// Puts a frame in flight for `delay > 0` ticks.
         fn queue(&mut self, delay: u64, from: Party, inbox: Inbox, message: Message);
 
-        /// Removes the model's own faults (partitions).
-        fn heal(&mut self) {}
-
         /// Delivers every in-flight frame (see `Transport::settle`); a
-        /// scheduled heal clears `drop_rules`.
+        /// scheduled split or heal edits `drop_rules`.
         fn settle(&mut self, _drop_rules: &mut DropRules) {}
 
         /// The virtual clock.
@@ -110,7 +101,8 @@ pub(crate) mod sealed {
         }
 
         /// Advances the virtual clock by `ticks` (see
-        /// `Transport::advance`); a scheduled heal clears `drop_rules`.
+        /// `Transport::advance`); a scheduled split or heal edits
+        /// `drop_rules`.
         fn advance(&mut self, _ticks: u64, _drop_rules: &mut DropRules) {}
     }
 }
@@ -144,7 +136,7 @@ pub(crate) struct NetState<M> {
 }
 
 impl<M: LinkModel> NetState<M> {
-    /// The one send step: drop rule or partition, then the destination
+    /// The one send step: drop rule, then the destination
     /// lookup (an unknown party errors before any accounting), then the
     /// link model's fate, then delivery — inside this call when the delay
     /// is zero, which is the only case a dropped `Endpoint` is detected —
@@ -152,7 +144,7 @@ impl<M: LinkModel> NetState<M> {
     fn transmit(&mut self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
         let bytes = message.encoded_len();
         let retransmit = message.is_retransmit();
-        if self.drop_rules.contains(&(from, to)) || self.link.partitioned(from, to) {
+        if self.drop_rules.contains(&(from, to)) {
             self.ledger.account(from, to, bytes, false, retransmit);
             return Ok(());
         }
@@ -315,9 +307,7 @@ impl<M: LinkModel> Transport for Network<M> {
     }
 
     fn heal(&self) {
-        let mut state = self.state();
-        state.link.heal();
-        state.drop_rules.clear();
+        self.state().drop_rules.clear();
     }
 
     fn settle(&self) {
@@ -684,25 +674,26 @@ mod tests {
 
     #[test]
     fn fault_injection_drops_silently() {
-        let bus = Bus::new().with_delivery_log();
-        let a = Party::Agent(1);
-        let b = Party::Agent(2);
-        bus.register(a);
-        let ep_b = bus.register(b);
-        bus.drop_link(a, b);
-        // Duplicate rules are idempotent (set semantics) and heal() still
-        // clears everything.
-        bus.drop_link(a, b);
-        bus.send(a, b, Message::AdviceRequest { game_id: 1 })
-            .unwrap();
-        assert!(ep_b.try_recv().is_none());
-        let log = checked_log(&bus);
-        assert_eq!(log.len(), 1);
-        assert!(!log[0].delivered);
-        bus.heal();
-        bus.send(a, b, Message::AdviceRequest { game_id: 2 })
-            .unwrap();
-        assert!(ep_b.try_recv().is_some());
+        for bus in both_models() {
+            let a = Party::Agent(1);
+            let b = Party::Agent(2);
+            bus.register(a);
+            let ep_b = bus.register(b);
+            bus.drop_link(a, b);
+            // Duplicate rules are idempotent (set semantics) and heal()
+            // still clears everything.
+            bus.drop_link(a, b);
+            bus.send(a, b, Message::AdviceRequest { game_id: 1 })
+                .unwrap();
+            assert!(ep_b.try_recv().is_none());
+            let log = checked_log(bus.as_ref());
+            assert_eq!(log.len(), 1);
+            assert!(!log[0].delivered);
+            bus.heal();
+            bus.send(a, b, Message::AdviceRequest { game_id: 2 })
+                .unwrap();
+            assert!(ep_b.try_recv().is_some());
+        }
     }
 
     #[test]

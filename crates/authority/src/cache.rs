@@ -29,7 +29,7 @@
 //! the same lock. Counters ([`CacheStats`]) are atomics read without taking
 //! any shard lock.
 //!
-//! Disabled (the default — see [`CertCacheConfig`]), nothing changes: the
+//! Off (the default — see [`CertCacheConfig`]), nothing changes: the
 //! session layer never computes a digest, Lemma 1 byte accounting and
 //! batch==sequential determinism are bit-for-bit the pre-cache behavior.
 
@@ -64,39 +64,30 @@ pub fn spec_digest(spec: &GameSpec) -> Digest {
     }
 }
 
-/// Configuration for the certificate cache.
+/// Configuration for the certificate cache: on iff `capacity > 0`.
 ///
-/// `Default` is **disabled**: the engine behaves exactly as without a
-/// cache (same bytes on the bus, same reputation trajectory), which keeps
-/// batch==sequential determinism and the Lemma 1 accounting tests
+/// `Default` is capacity 0, **off**: the engine behaves exactly as without
+/// a cache (same bytes on the bus, same reputation trajectory), which
+/// keeps batch==sequential determinism and the Lemma 1 accounting tests
 /// bit-for-bit intact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertCacheConfig {
-    /// Whether consultations consult the cache at all.
-    pub enabled: bool,
-    /// Total entry budget across all cache shards (must be nonzero when
-    /// enabled; rounded up to a per-shard bound, so the effective total
-    /// can slightly exceed it).
+    /// Total entry budget across all cache shards (0: no cache; rounded
+    /// up to a per-shard bound, so the effective total can slightly
+    /// exceed it).
     pub capacity: usize,
 }
 
-impl Default for CertCacheConfig {
-    fn default() -> CertCacheConfig {
-        CertCacheConfig {
-            enabled: false,
-            capacity: 1024,
-        }
-    }
-}
-
 impl CertCacheConfig {
-    /// An enabled cache with the given capacity. Every hit is
-    /// panel-guarded and replays the kernel check.
+    /// A cache with the given capacity. Every hit is panel-guarded and
+    /// replays the kernel check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
     pub fn replay(capacity: usize) -> CertCacheConfig {
-        CertCacheConfig {
-            enabled: true,
-            capacity,
-        }
+        assert!(capacity > 0, "certificate cache capacity must be nonzero");
+        CertCacheConfig { capacity }
     }
 }
 
@@ -288,8 +279,7 @@ impl CertCache {
     /// collapse to one shard so the capacity bound stays meaningful).
     const SHARDS: usize = 16;
 
-    /// Builds a cache from `config` (the `enabled` flag is the caller's
-    /// concern — constructing one always yields a usable cache).
+    /// Builds a cache from `config`.
     ///
     /// # Panics
     ///

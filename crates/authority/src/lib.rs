@@ -11,8 +11,9 @@
 //!   link models: [`Bus`] is the canonical network over [`Perfect`]
 //!   links, [`SimNet`] the network over [`Simulated`] links, a
 //!   deterministic seeded lossy model (per-link latency windows, drop
-//!   probabilities, scripted partition/heal schedules on a virtual clock)
-//!   that is byte-identical to the bus when configured lossless;
+//!   probabilities, scripted partition/heal schedules on a virtual clock,
+//!   a partition being the drop rules that cut it) that is byte-identical
+//!   to the bus when configured lossless;
 //! * [`Inventor`] / [`VerifierService`] — honest and faulty behaviours for
 //!   every case study of the paper; a verifier answers with a bit and a
 //!   payload-free, one-byte [`VerdictReason`];
@@ -44,9 +45,8 @@
 //!   with [`ShardedAuthority::new`] (isolated shards over perfect buses) or
 //!   [`ShardedAuthority::with_transports`] (everything explicit): routed
 //!   single consultations and batched fan-out across shards over a
-//!   persistent, shard-pinned worker pool (gated by the default-on
-//!   `parallel` cargo feature; `--no-default-features` builds run batches
-//!   inline, single-threaded, with identical outcomes), with the
+//!   persistent, shard-pinned worker pool (a chunk that routes to one
+//!   shard runs inline, with identical outcomes), with the
 //!   reputation scope chosen per engine via [`ReputationPolicy`] —
 //!   cross-shard gossip pulls are incremental, watermarked by a
 //!   [`VersionVector`] per shard;
@@ -63,7 +63,6 @@ mod cache;
 mod crypto;
 mod inventor;
 mod messages;
-#[cfg(feature = "parallel")]
 mod pool;
 mod reputation;
 mod session;
@@ -85,8 +84,8 @@ pub use reputation::{
     EXCLUSION_THRESHOLD, GOSSIP_HUB, INITIAL_SCORE,
 };
 pub use session::{
-    BackoffConfig, ConsultError, ConsultResult, ConsultStage, PanelOutcome, PrivateOutcome,
-    RationalityAuthority, ResilienceConfig, SessionOutcome,
+    ConsultError, ConsultResult, ConsultStage, PanelOutcome, PrivateOutcome, RationalityAuthority,
+    ResilienceConfig, SessionOutcome,
 };
 pub use shard::{ReputationConfig, ReputationPolicy, ShardStats, ShardedAuthority, TransportSite};
 pub use simnet::{LinkProfile, NetEvent, SimNet, SimNetConfig, Simulated};

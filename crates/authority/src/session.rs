@@ -162,60 +162,27 @@ impl std::error::Error for ConsultError {}
 /// Result type of a consultation.
 pub type ConsultResult = Result<SessionOutcome, ConsultError>;
 
-/// Exponential-backoff shape for resilient retransmissions: the k-th
-/// retry waits `min(cap, base * factor^k) + U[0, jitter]` virtual ticks
-/// (drawn from the authority's seeded stream, so runs are replayable).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// First retry interval in virtual ticks (≥ 1).
-    pub base: u64,
-    /// Multiplier applied per successive retry (≥ 1).
-    pub factor: u64,
-    /// Ceiling on the un-jittered interval.
-    pub cap: u64,
-    /// Maximum additive jitter in ticks (0 disables the draw).
-    pub jitter: u64,
-}
+/// First retry interval of the retransmission schedule, in virtual ticks.
+const BACKOFF_BASE: u64 = 4;
+/// Growth of the interval per successive retry.
+const BACKOFF_FACTOR: u64 = 2;
+/// Ceiling on the un-jittered interval.
+const BACKOFF_CAP: u64 = 256;
+/// Maximum additive jitter in ticks.
+const BACKOFF_JITTER: u64 = 3;
 
-impl Default for BackoffConfig {
-    fn default() -> BackoffConfig {
-        BackoffConfig {
-            base: 4,
-            factor: 2,
-            cap: 256,
-            jitter: 3,
+/// The wait before retry `attempt` (0-based): `min(cap, base * factor^attempt)`
+/// virtual ticks plus one uniform draw from `[0, jitter]` off the
+/// authority's seeded stream, so runs are replayable.
+fn rto(attempt: u32, rng: &mut u64) -> u64 {
+    let mut interval = BACKOFF_BASE;
+    for _ in 0..attempt {
+        if interval >= BACKOFF_CAP {
+            break;
         }
+        interval *= BACKOFF_FACTOR;
     }
-}
-
-impl BackoffConfig {
-    /// The wait before retry `attempt` (0-based): exponential growth,
-    /// capped, plus a seeded jitter draw.
-    fn rto(&self, attempt: u32, rng: &mut u64) -> u64 {
-        let mut interval = self.base;
-        for _ in 0..attempt {
-            if interval >= self.cap {
-                break;
-            }
-            interval = interval.saturating_mul(self.factor);
-        }
-        interval = interval.min(self.cap);
-        if self.jitter > 0 {
-            // Saturating, so extreme configs wait "forever" rather than
-            // wrap; `jitter + 1` overflows only when every draw is in range.
-            let draw = rand::splitmix64(rng);
-            let draw = self.jitter.checked_add(1).map_or(draw, |span| draw % span);
-            interval = interval.saturating_add(draw);
-        }
-        interval
-    }
-
-    /// Validates the shape's invariants.
-    fn check(&self) {
-        assert!(self.base >= 1, "backoff base must be at least one tick");
-        assert!(self.factor >= 1, "backoff factor must be at least 1");
-        assert!(self.cap >= self.base, "backoff cap below base");
-    }
+    interval.min(BACKOFF_CAP) + rand::splitmix64(rng) % (BACKOFF_JITTER + 1)
 }
 
 /// Per-consultation budget: deadlines, retransmission and the minimum
@@ -235,10 +202,9 @@ pub struct ResilienceConfig {
     /// vote is decided (clamped to the live panel size; ≥ 1). Fewer
     /// leave the close undecided.
     pub quorum: usize,
-    /// Maximum sends per hop, first try included (≥ 1).
+    /// Maximum sends per hop, first try included (≥ 1). Retry `k` waits
+    /// `min(256, 4 * 2^k)` ticks plus a jitter of 0 to 3 ticks.
     pub max_attempts: u32,
-    /// Retry backoff shape.
-    pub backoff: BackoffConfig,
     /// Seed of the authority-local jitter stream (kept separate from any
     /// transport seed so retry timing is reproducible on its own).
     pub seed: u64,
@@ -250,7 +216,6 @@ impl Default for ResilienceConfig {
             deadline: 4096,
             quorum: 1,
             max_attempts: 8,
-            backoff: BackoffConfig::default(),
             seed: 0x5EED_0FBA_C0FF,
         }
     }
@@ -262,7 +227,6 @@ impl ResilienceConfig {
         assert!(self.deadline >= 1, "deadline must be at least one tick");
         assert!(self.quorum >= 1, "quorum must be at least one verifier");
         assert!(self.max_attempts >= 1, "need at least one attempt");
-        self.backoff.check();
     }
 }
 
@@ -436,7 +400,7 @@ impl RationalityAuthority {
     /// # Panics
     ///
     /// Panics if the config violates its invariants (zero deadline,
-    /// quorum, attempts or backoff base).
+    /// quorum or attempts).
     pub fn set_resilience(&mut self, config: Option<ResilienceConfig>) {
         let budget = config.unwrap_or_default();
         budget.check();
@@ -609,7 +573,7 @@ impl RationalityAuthority {
     /// their advice/verdict a single time per session; the agent keeps the
     /// first reply per party, and only from the party it asked.
     ///
-    /// The agent retransmits on the budget's exponential backoff (driven
+    /// The agent retransmits on the exponential backoff of [`rto`] (driven
     /// through the transport's virtual clock) until the stage completes,
     /// `max_attempts` sends are spent, or the deadline runs out. A short
     /// panel is decided against the whole trusted panel
@@ -854,7 +818,7 @@ impl RationalityAuthority {
         } else {
             self.bus
                 .now()
-                .saturating_add(cfg.backoff.rto(attempt, &mut self.jitter_rng))
+                .saturating_add(rto(attempt, &mut self.jitter_rng))
                 .min(deadline_at)
         }
     }
@@ -2033,18 +1997,10 @@ mod tests {
         let agent = Party::Agent(0);
         let stamper = Party::Verifier(2);
         let doubled = LinkProfile::duplicating(1.0);
-        let net = Arc::new(
-            SimNet::new(SimNetConfig {
-                seed: 13,
-                links: vec![
-                    (agent, Party::Inventor(0), doubled),
-                    (agent, stamper, doubled),
-                    (stamper, agent, doubled),
-                ],
-                ..SimNetConfig::default()
-            })
-            .with_delivery_log(),
-        );
+        let net = Arc::new(SimNet::lossless(13).with_delivery_log());
+        net.set_link(agent, Party::Inventor(0), doubled);
+        net.set_link(agent, stamper, doubled);
+        net.set_link(stamper, agent, doubled);
         let mut authority = RationalityAuthority::with_transport(
             Inventor::new(0, InventorBehavior::Corrupt),
             &[
@@ -2371,13 +2327,7 @@ mod tests {
             InventorBehavior::Honest,
             &[VerifierBehavior::Honest; 3],
             transport,
-            ResilienceConfig {
-                backoff: BackoffConfig {
-                    base: 16,
-                    ..BackoffConfig::default()
-                },
-                ..ResilienceConfig::default()
-            },
+            ResilienceConfig::default(),
         );
         let outcome = authority.try_consult(0, &spec).expect("no loss");
         assert!(outcome.adopted);
@@ -2450,56 +2400,46 @@ mod tests {
     }
 
     #[test]
-    fn extreme_backoff_configs_saturate_instead_of_overflowing() {
-        // A jitter of u64::MAX made the draw's modulus wrap to zero, and a
-        // base next to u64::MAX wrapped when the draw was added.
-        let wide_jitter = BackoffConfig {
-            jitter: u64::MAX,
-            ..BackoffConfig::default()
-        };
-        let huge_base = BackoffConfig {
-            base: u64::MAX - 1,
-            factor: 2,
-            cap: u64::MAX,
-            jitter: 3,
-        };
-        let mut rng = 7;
-        for attempt in 0..8 {
-            assert!(wide_jitter.rto(attempt, &mut rng) >= 4);
-            assert!(huge_base.rto(attempt, &mut rng) >= u64::MAX - 1);
-        }
-        // A config that cannot overflow keeps its exact jitter stream.
+    fn the_retry_schedule_is_pinned() {
+        // Retry k waits min(4 << k, 256) ticks plus one jitter draw in
+        // [0, 3] off the seeded stream.
         let (mut ours, mut reference) = (11, 11);
         for attempt in 0..8 {
             let expected = (4u64 << attempt).min(256) + rand::splitmix64(&mut reference) % 4;
-            assert_eq!(BackoffConfig::default().rto(attempt, &mut ours), expected);
+            assert_eq!(rto(attempt, &mut ours), expected);
         }
-        // End to end, a lossy consult retries under either config.
+        // However late the retry, the interval saturates at the cap.
+        let expected = 256 + rand::splitmix64(&mut reference) % 4;
+        assert_eq!(rto(u32::MAX - 1, &mut ours), expected);
+    }
+
+    #[test]
+    fn lossy_consults_retry_under_the_default_schedule() {
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
-        for backoff in [wide_jitter, huge_base] {
-            let net = Arc::new(SimNet::new(SimNetConfig {
-                seed: 5,
-                default_link: LinkProfile {
-                    latency_min: 1,
-                    latency_max: 2,
-                    drop_prob: 0.5,
-                    duplicate_probability: 0.0,
-                },
-                ..SimNetConfig::default()
-            }));
-            let mut authority = resilient_authority(
-                InventorBehavior::Honest,
-                &[VerifierBehavior::Honest; 3],
-                net,
-                ResilienceConfig {
-                    backoff,
-                    ..ResilienceConfig::default()
-                },
-            );
-            for round in 0..4 {
-                let _ = authority.try_consult(round, &spec);
-            }
-        }
+        let net = Arc::new(SimNet::new(SimNetConfig {
+            seed: 5,
+            default_link: LinkProfile {
+                latency_min: 1,
+                latency_max: 2,
+                drop_prob: 0.5,
+                duplicate_probability: 0.0,
+            },
+            ..SimNetConfig::default()
+        }));
+        let mut authority = resilient_authority(
+            InventorBehavior::Honest,
+            &[VerifierBehavior::Honest; 3],
+            net,
+            ResilienceConfig::default(),
+        );
+        let attempts: u64 = (0..4)
+            .map(|round| {
+                authority
+                    .try_consult(round, &spec)
+                    .map_or(0, |o| o.attempts)
+            })
+            .sum();
+        assert!(attempts > 0, "half the frames are lost, so consults retry");
     }
 
     // ---- the machines, driven with no network -------------------------

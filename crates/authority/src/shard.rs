@@ -11,9 +11,8 @@
 //! pool (`pool.rs`): one long-lived thread per shard, spun up lazily on
 //! the first multi-shard chunk and reused across chunks and across
 //! [`ShardedAuthority::consult_batch`] calls, so epoch-chunked batches no
-//! longer pay a spawn/join per chunk. Builds with
-//! `--no-default-features` (dropping the `parallel` feature) fall back to
-//! inline single-threaded execution with identical outcomes.
+//! longer pay a spawn/join per chunk. A chunk that routes to a single
+//! shard runs inline on the calling thread, with identical outcomes.
 //!
 //! Determinism is preserved by construction: a shard processes its
 //! consultations strictly in request order under one lock — and under one
@@ -56,7 +55,6 @@ use std::sync::{Arc, Mutex};
 use crate::bus::Bus;
 use crate::cache::{CacheStats, CertCache, CertCacheConfig};
 use crate::inventor::{GameSpec, Inventor, InventorBehavior};
-#[cfg(feature = "parallel")]
 use crate::pool::ShardPool;
 use crate::reputation::{
     GossipPlane, GossipReputation, LocalReputation, ReputationDecay, VoteRule,
@@ -318,14 +316,13 @@ pub struct ShardedAuthority {
     shards: Arc<Vec<Mutex<RationalityAuthority>>>,
     config: ReputationConfig,
     gossip: Option<GossipController>,
-    /// The shared content-addressed certificate cache, when enabled: one
-    /// instance attached to every shard, so a game solved on one
-    /// shard is a hit on all of them.
+    /// The shared content-addressed certificate cache, when the config's
+    /// capacity is nonzero: one instance attached to every shard, so a
+    /// game solved on one shard is a hit on all of them.
     cert_cache: Option<Arc<CertCache>>,
     /// The persistent shard-pinned worker pool (see `pool.rs`): threads
     /// spin up lazily on the first multi-shard chunk and are reused until
     /// the engine drops.
-    #[cfg(feature = "parallel")]
     pool: ShardPool,
 }
 
@@ -373,10 +370,10 @@ impl ShardedAuthority {
     /// whole engine, control plane included, under simulated loss,
     /// latency and partitions.
     ///
-    /// With `cache.enabled` one shared [`CertCache`] is attached to every
-    /// shard, so a game memoized by any shard is a digest hit on all of
-    /// them; disabled (the [`CertCacheConfig::default`]) consultations
-    /// always run the full Fig. 1 protocol.
+    /// With a nonzero `cache.capacity` one shared [`CertCache`] is attached
+    /// to every shard, so a game memoized by any shard is a digest hit on
+    /// all of them; with capacity 0 (the [`CertCacheConfig::default`])
+    /// consultations always run the full Fig. 1 protocol.
     ///
     /// # Examples
     ///
@@ -411,8 +408,7 @@ impl ShardedAuthority {
     /// burst is zero; if an adaptive epoch is not a multiple of its check
     /// interval; if decay is requested under
     /// [`ReputationPolicy::Isolated`] (decay generations advance at
-    /// gossip epoch boundaries, which isolated engines do not have); or if
-    /// `cache.enabled` with zero capacity.
+    /// gossip epoch boundaries, which isolated engines do not have).
     pub fn with_transports(
         shards: usize,
         inventor_behavior: InventorBehavior,
@@ -422,7 +418,7 @@ impl ShardedAuthority {
         transport_for: &dyn Fn(TransportSite) -> Arc<dyn Transport>,
     ) -> ShardedAuthority {
         assert!(shards > 0, "at least one shard");
-        let cert_cache = cache.enabled.then(|| Arc::new(CertCache::new(cache)));
+        let cert_cache = (cache.capacity > 0).then(|| Arc::new(CertCache::new(cache)));
         let gossip = config.policy.cadence().map(|(every, check_every, burst)| {
             let plane = Arc::new(GossipPlane::over_transport_with(
                 config.decay,
@@ -474,7 +470,6 @@ impl ShardedAuthority {
                 .collect(),
         );
         ShardedAuthority {
-            #[cfg(feature = "parallel")]
             pool: ShardPool::new(Arc::clone(&shards)),
             shards,
             config,
@@ -486,11 +481,6 @@ impl ShardedAuthority {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The reputation policy this engine was built with.
-    pub fn reputation_policy(&self) -> ReputationPolicy {
-        self.config.policy
     }
 
     /// The full reputation configuration this engine was built with.
@@ -525,11 +515,7 @@ impl ShardedAuthority {
     /// warmed batches — the observable form of the hot path's
     /// zero-allocation claim.
     pub fn frame_pool_misses(&self) -> u64 {
-        #[cfg(feature = "parallel")]
-        let pool = self.pool.frame_pool_misses();
-        #[cfg(not(feature = "parallel"))]
-        let pool = 0;
-        wire::frame_pool_misses() + pool
+        wire::frame_pool_misses() + self.pool.frame_pool_misses()
     }
 
     /// The shard serving `agent_id`: a deterministic (SplitMix64) hash of
@@ -593,8 +579,7 @@ impl ShardedAuthority {
     /// persistent worker pool — one long-lived thread pinned per shard,
     /// spun up lazily on the first multi-shard chunk and reused across
     /// chunks and across calls; a batch that routes to a single shard
-    /// runs inline on the calling thread instead, as does everything when
-    /// the `parallel` feature is disabled.
+    /// runs inline on the calling thread instead.
     ///
     /// Outcomes are returned in request order, and each equals what the
     /// same sequence of [`ShardedAuthority::consult`] calls would have
@@ -680,8 +665,7 @@ impl ShardedAuthority {
     /// the persistent worker pool (one pinned worker per shard, reused
     /// across chunks and batches); a chunk that routes to a single shard
     /// runs inline on the calling thread, borrowing the specs directly —
-    /// no spec clone, no pool wake-up. Without the `parallel` feature
-    /// every chunk takes the inline path.
+    /// no spec clone, no pool wake-up.
     fn run_chunk(
         &self,
         requests: &[(u64, Arc<GameSpec>)],
@@ -694,7 +678,8 @@ impl ShardedAuthority {
             by_shard[self.shard_of(agent_id)].push(start + offset);
         }
         let non_empty = by_shard.iter().filter(|ix| !ix.is_empty()).count();
-        if non_empty > 1 && self.fan_out(requests, &by_shard, results) {
+        if non_empty > 1 {
+            self.fan_out(requests, &by_shard, results);
             return;
         }
         for (shard, indices) in self.shards.iter().zip(&by_shard) {
@@ -712,14 +697,13 @@ impl ShardedAuthority {
     /// Dispatches one multi-shard chunk to the pinned worker pool. Jobs
     /// own their payloads (one `Arc` bump per request — never a deep spec
     /// clone), which is what keeps the long-lived workers free of
-    /// borrowed data. Returns `true` when the chunk was handled.
-    #[cfg(feature = "parallel")]
+    /// borrowed data.
     fn fan_out(
         &self,
         requests: &[(u64, Arc<GameSpec>)],
         by_shard: &[Vec<usize>],
         results: &mut [Option<ConsultResult>],
-    ) -> bool {
+    ) {
         let chunk = by_shard
             .iter()
             .enumerate()
@@ -736,19 +720,6 @@ impl ShardedAuthority {
             })
             .collect();
         self.pool.run(chunk, results);
-        true
-    }
-
-    /// Single-threaded builds (`--no-default-features`) have no pool:
-    /// every chunk falls through to the inline path.
-    #[cfg(not(feature = "parallel"))]
-    fn fan_out(
-        &self,
-        _requests: &[(u64, Arc<GameSpec>)],
-        _by_shard: &[Vec<usize>],
-        _results: &mut [Option<ConsultResult>],
-    ) -> bool {
-        false
     }
 
     /// Forces one full gossip epoch merge: every shard publishes its
@@ -806,16 +777,6 @@ impl ShardedAuthority {
     /// Total wire bytes across every shard's bus (consultation plane).
     pub fn total_bytes(&self) -> usize {
         self.shard_stats().total_bytes
-    }
-
-    /// Total messages across every shard's bus (consultation plane).
-    pub fn message_count(&self) -> usize {
-        self.shard_stats().message_count
-    }
-
-    /// Per-shard wire-byte totals (index = shard).
-    pub fn shard_bytes(&self) -> Vec<usize> {
-        self.shard_stats().shard_bytes
     }
 }
 
@@ -990,7 +951,6 @@ mod tests {
             assert_eq!(b.majority, s.majority, "{config:?}");
             assert_eq!(b.session_bytes, s.session_bytes, "{config:?}");
         }
-        assert_eq!(batched.shard_bytes(), sequential.shard_bytes());
         assert_eq!(
             comparable(batched.shard_stats()),
             comparable(sequential.shard_stats()),
@@ -1388,7 +1348,7 @@ mod tests {
             ShardedAuthority::new(2, InventorBehavior::Honest, &[VerifierBehavior::Honest]);
         assert!(engine.consult_batch(&[]).is_empty());
         assert_eq!(engine.total_bytes(), 0);
-        assert_eq!(engine.message_count(), 0);
+        assert_eq!(engine.shard_stats().message_count, 0);
     }
 
     #[test]
@@ -1408,7 +1368,7 @@ mod tests {
         let outcomes = engine.consult_batch(&pinned);
         assert!(outcomes.iter().all(|o| o.adopted));
         let home = engine.shard_of(0);
-        for (s, &bytes) in engine.shard_bytes().iter().enumerate() {
+        for (s, &bytes) in engine.shard_stats().shard_bytes.iter().enumerate() {
             assert_eq!(s != home, bytes == 0);
         }
     }
@@ -1420,8 +1380,15 @@ mod tests {
         engine.consult_batch(&batch(32));
         let stats = engine.shard_stats();
         assert_eq!(stats.total_bytes, engine.total_bytes());
-        assert_eq!(stats.message_count, engine.message_count());
-        assert_eq!(stats.shard_bytes, engine.shard_bytes());
+        let buses: Vec<(usize, usize)> = (0..engine.shard_count())
+            .map(|s| engine.with_shard(s, |a| (a.bus().total_bytes(), a.bus().message_count())))
+            .collect();
+        let shard_bytes: Vec<usize> = buses.iter().map(|&(bytes, _)| bytes).collect();
+        assert_eq!(stats.shard_bytes, shard_bytes);
+        assert_eq!(
+            stats.message_count,
+            buses.iter().map(|&(_, count)| count).sum::<usize>()
+        );
         assert_eq!(stats.total_bytes, stats.shard_bytes.iter().sum::<usize>());
         assert!(stats.total_bytes > 0);
     }
@@ -1691,7 +1658,6 @@ mod tests {
         assert_eq!(dissent_votes(&warm), 0, "but a hit is not a new vote");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn frame_pool_misses_reach_a_steady_state_across_batches() {
         let engine =

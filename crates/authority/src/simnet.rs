@@ -3,7 +3,9 @@
 //! [`SimNet`] puts a fault-injectable, latency-shaped network under the
 //! unchanged Fig. 1 protocol: per-link latency windows and drop
 //! probabilities ([`LinkProfile`]), scripted partition/heal schedules
-//! ([`NetEvent`]), and a **virtual clock** in abstract ticks. Sends do
+//! ([`NetEvent`]), and a **virtual clock** in abstract ticks. A partition
+//! is nothing but drop rules: a scheduled split inserts one for every
+//! pair it cuts, in both directions, and a heal clears them. Sends do
 //! not advance the clock; a frame with sampled latency `d` is queued to
 //! land at `now + d` (saturating at `u64::MAX`), and
 //! [`Transport::settle`](crate::Transport::settle) (or
@@ -14,7 +16,8 @@
 //!
 //! Routing, fault injection by drop rule, the send path and the ledger
 //! are the shared [`Network`]'s; this module is only the [`Simulated`]
-//! link model that decides each routed frame's fate.
+//! link model that decides each routed frame's fate and applies the
+//! schedule to the network's drop rules.
 //!
 //! Everything is **seeded and deterministic**: loss and latency are
 //! sampled from one SplitMix64 stream (the shared [`rand::splitmix64`]
@@ -30,7 +33,7 @@
 //! adversarial traffic over both link models and asserts field equality.
 //!
 //! Accounting happens at **send time**: a frame lost to sampling or a
-//! partition is accounted undelivered immediately (the sender paid for
+//! drop rule is accounted undelivered immediately (the sender paid for
 //! the bytes; Lemma 1's `delivered_bytes` excludes them), and a
 //! latency-delayed frame is accounted delivered when it is queued — its
 //! destination queue is captured at send time, so a party that
@@ -39,7 +42,7 @@
 //! (the simulation's one divergence from an infinitely observant wire,
 //! and only reachable with non-zero latency).
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::bus::{push, sealed, DropRules, Fate, Inbox, LinkModel, Network};
 use crate::messages::{Message, Party};
@@ -140,8 +143,9 @@ impl LinkProfile {
 /// [`SimNet::advance_to`] — sends themselves never advance the clock).
 #[derive(Clone, Debug)]
 pub enum NetEvent {
-    /// Partition the network: every frame between a party on `left` and a
-    /// party on `right` (either direction) is dropped until healed.
+    /// Partition the network: a drop rule for every pair of a party on
+    /// `left` and a party on `right`, in both directions, so every frame
+    /// between the sides is dropped until a heal.
     Split {
         /// Virtual tick at which the partition starts.
         at: u64,
@@ -150,7 +154,8 @@ pub enum NetEvent {
         /// The other side.
         right: Vec<Party>,
     },
-    /// Heal every active partition and drop rule.
+    /// Clear every drop rule: a split's, and any set with
+    /// [`Transport::drop_link`](crate::Transport::drop_link).
     Heal {
         /// Virtual tick at which the network heals.
         at: u64,
@@ -171,10 +176,9 @@ impl NetEvent {
 pub struct SimNetConfig {
     /// Seed of the deterministic loss/latency stream.
     pub seed: u64,
-    /// Profile of every link without an explicit override.
+    /// Profile of every link without an override
+    /// ([`SimNet::set_link`]).
     pub default_link: LinkProfile,
-    /// Per-link overrides, directed: `(from, to, profile)`.
-    pub links: Vec<(Party, Party, LinkProfile)>,
     /// Scripted partition/heal events, applied as the clock crosses their
     /// timestamps (any order; sorted at construction).
     pub schedule: Vec<NetEvent>,
@@ -215,14 +219,13 @@ impl Ord for PendingFrame {
 }
 
 /// The simulated link model: per-link loss, latency and duplication
-/// sampled from a seeded stream, partitions, a scripted schedule, the
+/// sampled from a seeded stream, a scripted schedule, the
 /// in-flight queue and a virtual clock. It lives inside its network's one
 /// lock, which keeps the sampled stream strictly in send order — what
 /// makes runs replayable.
 #[derive(Debug)]
 pub struct Simulated {
     default_link: LinkProfile,
-    partitions: Vec<(HashSet<Party>, HashSet<Party>)>,
     links: HashMap<(Party, Party), LinkProfile>,
     pending: BinaryHeap<PendingFrame>,
     now: u64,
@@ -257,7 +260,7 @@ impl Simulated {
 
     /// Delivers every pending frame due at or before `target`, advances
     /// the clock to `target`, and applies schedule events the clock
-    /// crossed (a heal also clears `drop_rules`). Delivery failures
+    /// crossed to `drop_rules`. Delivery failures
     /// (receiver dropped mid-flight) are swallowed: the frame was
     /// accounted at send time.
     fn run_until(&mut self, target: u64, drop_rules: &mut DropRules) {
@@ -273,15 +276,16 @@ impl Simulated {
         while self.next_event < self.schedule.len()
             && self.schedule[self.next_event].at() <= self.now
         {
-            match self.schedule[self.next_event].clone() {
+            match &self.schedule[self.next_event] {
                 NetEvent::Split { left, right, .. } => {
-                    self.partitions
-                        .push((left.into_iter().collect(), right.into_iter().collect()));
+                    for &l in left {
+                        for &r in right {
+                            drop_rules.insert((l, r));
+                            drop_rules.insert((r, l));
+                        }
+                    }
                 }
-                NetEvent::Heal { .. } => {
-                    self.partitions.clear();
-                    drop_rules.clear();
-                }
+                NetEvent::Heal { .. } => drop_rules.clear(),
             }
             self.next_event += 1;
         }
@@ -291,13 +295,6 @@ impl Simulated {
 impl LinkModel for Simulated {}
 
 impl sealed::Hooks for Simulated {
-    fn partitioned(&self, from: Party, to: Party) -> bool {
-        self.partitions.iter().any(|(left, right)| {
-            (left.contains(&from) && right.contains(&to))
-                || (right.contains(&from) && left.contains(&to))
-        })
-    }
-
     /// Samples the RNG only when the link actually has loss, jitter or
     /// duplication — a perfect link leaves the stream untouched.
     fn fate(&mut self, from: Party, to: Party) -> Fate {
@@ -325,10 +322,6 @@ impl sealed::Hooks for Simulated {
             inbox,
             message,
         });
-    }
-
-    fn heal(&mut self) {
-        self.partitions.clear();
     }
 
     /// The clock jumps to the latest pending delivery time, so per-phase
@@ -402,21 +395,15 @@ impl SimNet {
     ///
     /// # Panics
     ///
-    /// Panics if any [`LinkProfile`] has an inverted latency window or a
-    /// loss probability outside `[0, 1]`.
+    /// Panics if the default [`LinkProfile`] has an inverted latency
+    /// window or a probability outside `[0, 1]`.
     pub fn new(config: SimNetConfig) -> SimNet {
         config.default_link.check();
-        let mut links = HashMap::new();
-        for (from, to, profile) in config.links {
-            profile.check();
-            links.insert((from, to), profile);
-        }
         let mut schedule = config.schedule;
         schedule.sort_by_key(NetEvent::at);
         Network::with_model(Simulated {
             default_link: config.default_link,
-            partitions: Vec::new(),
-            links,
+            links: HashMap::new(),
             pending: BinaryHeap::new(),
             now: 0,
             rng: config.seed,
@@ -429,7 +416,7 @@ impl SimNet {
     /// A perfect network: zero latency, zero loss, no schedule — sends
     /// never touch the RNG, so this is byte-identical to a
     /// [`Bus`](crate::Bus) (the seed only matters if lossy links are
-    /// added later).
+    /// set later).
     pub fn lossless(seed: u64) -> SimNet {
         SimNet::new(SimNetConfig {
             seed,
@@ -448,21 +435,6 @@ impl SimNet {
     pub fn advance_to(&self, tick: u64) {
         let state = &mut *self.state();
         state.link.run_until(tick, &mut state.drop_rules);
-    }
-
-    /// Manually partitions the network: frames between `left` and `right`
-    /// (either direction) drop until [`SimNet::heal_partitions`] or a
-    /// trait-level [`Transport::heal`](crate::Transport::heal).
-    pub fn split(&self, left: &[Party], right: &[Party]) {
-        self.state().link.partitions.push((
-            left.iter().copied().collect(),
-            right.iter().copied().collect(),
-        ));
-    }
-
-    /// Removes every active partition (drop rules stay).
-    pub fn heal_partitions(&self) {
-        self.state().link.partitions.clear();
     }
 
     /// Overrides the profile of the directed `from → to` link.
@@ -538,14 +510,9 @@ mod tests {
         let c = Party::Verifier(0);
         let a = Party::Agent(1);
         let b = Party::Agent(2);
-        let net = SimNet::new(SimNetConfig {
-            seed: 5,
-            links: vec![
-                (a, c, LinkProfile::with_latency(100, 100)),
-                (b, c, LinkProfile::with_latency(1, 1)),
-            ],
-            ..SimNetConfig::default()
-        });
+        let net = SimNet::lossless(5);
+        net.set_link(a, c, LinkProfile::with_latency(100, 100));
+        net.set_link(b, c, LinkProfile::with_latency(1, 1));
         net.register(a);
         net.register(b);
         let ep = net.register(c);
@@ -745,11 +712,14 @@ mod tests {
         net.send(a, b, msg(1)).unwrap();
         assert_eq!(ep.drain().len(), 1, "before the split: delivered");
         net.advance_to(100);
+        assert_eq!(
+            net.state().drop_rules,
+            DropRules::from([(a, b), (b, a)]),
+            "the split is its drop rules"
+        );
         net.send(a, b, msg(2)).unwrap();
         net.send(b, a, msg(3)).unwrap();
         assert!(ep.try_recv().is_none(), "partitioned: both directions cut");
-        // The scheduled heal clears drop rules as well as partitions.
-        net.drop_link(a, b);
         net.advance_to(200);
         net.send(a, b, msg(4)).unwrap();
         assert_eq!(ep.drain().len(), 1, "healed: delivery resumes");
@@ -757,21 +727,6 @@ mod tests {
         let log = checked_log(&net);
         assert_eq!(log.len(), 4);
         assert_eq!(log.iter().filter(|r| !r.delivered).count(), 2);
-    }
-
-    #[test]
-    fn manual_split_and_trait_heal() {
-        let net = SimNet::lossless(0);
-        let a = Party::Agent(1);
-        let hub = Party::Shard(0);
-        net.register(a);
-        let ep = net.register(hub);
-        net.split(&[a], &[hub]);
-        net.send(a, hub, msg(1)).unwrap();
-        assert!(ep.try_recv().is_none());
-        Transport::heal(&net);
-        net.send(a, hub, msg(2)).unwrap();
-        assert_eq!(ep.drain().len(), 1);
     }
 
     #[test]

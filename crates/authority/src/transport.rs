@@ -16,8 +16,8 @@
 //! * [`SimNet`](crate::SimNet) — the network over simulated links: a
 //!   deterministic seeded simulation with per-link latency, drop
 //!   probability, reordering, and scripted partition/heal schedules on a
-//!   virtual clock; in-flight frames land when the clock advances
-//!   ([`Transport::settle`]).
+//!   virtual clock (a partition is the drop rules that cut it); in-flight
+//!   frames land when the clock advances ([`Transport::settle`]).
 //!
 //! Configured lossless and zero-latency, a `SimNet` is **byte-identical**
 //! to a `Bus`: its link model samples nothing and every frame takes the
@@ -248,7 +248,7 @@ impl Ledger {
 /// * `send`/`send_batch` account the serialized size of every attempted
 ///   message into the ledger — except sends to an unknown party, which
 ///   error *before* accounting. A message suppressed by fault injection
-///   (drop rule, partition, simulated loss) returns `Ok(())` and accounts
+///   (drop rule, simulated loss) returns `Ok(())` and accounts
 ///   as undelivered, exactly like a packet lost on a real wire.
 /// * `send_batch` drains its buffer, attempts every message even after a
 ///   failure, returns the first error, and produces byte-identical
@@ -316,8 +316,7 @@ pub trait Transport: std::fmt::Debug + Send + Sync {
     /// (accounted as undelivered).
     fn drop_link(&self, from: Party, to: Party);
 
-    /// Removes all fault injection: drop rules, and on a simulated
-    /// network also every active partition.
+    /// Removes every drop rule, those of a scripted partition included.
     fn heal(&self);
 
     /// Delivers every in-flight frame whose time has come. A no-op on a

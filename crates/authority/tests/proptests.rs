@@ -9,9 +9,10 @@ use ra_authority::WireBytes;
 use ra_authority::{
     frame_pool_misses, sha256, sha256_wire, spec_digest, with_frame_scratch, Advice, Bus,
     CertCache, CertCacheConfig, DecayingPnCounterMap, GameSpec, GossipPlane, GossipReputation,
-    Inventor, InventorBehavior, LinkProfile, LocalReputation, Message, Party, RationalityAuthority,
-    ReputationBackend, ReputationDecay, ResilienceConfig, SigningKey, SimNet, SimNetConfig,
-    StatisticsLedger, Transport, VerdictReason, VerifierBehavior, VersionVector, Wire,
+    Inventor, InventorBehavior, LinkProfile, LocalReputation, Message, NetEvent, Party,
+    RationalityAuthority, ReputationBackend, ReputationDecay, ResilienceConfig, SigningKey, SimNet,
+    SimNetConfig, StatisticsLedger, Transport, VerdictReason, VerifierBehavior, VersionVector,
+    Wire,
 };
 use ra_exact::{rat, Matrix, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
@@ -940,13 +941,15 @@ proptest! {
 // Bus vs lossless SimNet equivalence (the PR 9 transport boundary).
 // ---------------------------------------------------------------------------
 
-/// Replays an operation sequence over any [`Transport`] and returns every
-/// observable: per-op results, the full delivery log, the counters, the
-/// per-pair matrix, and what each still-live endpoint actually received.
+/// Replays an operation sequence over any [`Transport`], calling
+/// `before(i)` ahead of op `i`, and returns every observable: per-op
+/// results, the full delivery log, the counters, the per-pair matrix, and
+/// what each still-live endpoint actually received.
 #[allow(clippy::type_complexity)]
 fn replay_ops(
     transport: &dyn Transport,
     ops: &[BusOp],
+    before: &mut dyn FnMut(usize),
 ) -> (
     Vec<Result<(), ra_authority::BusError>>,
     Vec<ra_authority::DeliveryRecord>,
@@ -958,7 +961,8 @@ fn replay_ops(
     let mut results = Vec::new();
     let mut live_endpoints: std::collections::HashMap<u64, ra_authority::Endpoint> =
         std::collections::HashMap::new();
-    for op in ops {
+    for (i, op) in ops.iter().enumerate() {
+        before(i);
         match op {
             BusOp::Register(idx) => {
                 live_endpoints.insert(*idx, transport.register(universe_party(*idx)));
@@ -1030,8 +1034,66 @@ proptest! {
     ) {
         let bus = Bus::new().with_delivery_log();
         let sim = SimNet::lossless(seed).with_delivery_log();
-        let over_bus = replay_ops(&bus, &ops);
-        let over_sim = replay_ops(&sim, &ops);
+        let over_bus = replay_ops(&bus, &ops, &mut |_| {});
+        let over_sim = replay_ops(&sim, &ops, &mut |_| {});
+        prop_assert_eq!(&over_bus.0, &over_sim.0, "per-op results diverged");
+        prop_assert_eq!(&over_bus.1, &over_sim.1, "delivery logs diverged");
+        prop_assert_eq!(over_bus.2, over_sim.2, "total_bytes diverged");
+        prop_assert_eq!(over_bus.3, over_sim.3, "delivered_bytes diverged");
+        prop_assert_eq!(&over_bus.4, &over_sim.4, "per-pair bytes diverged");
+        prop_assert_eq!(&over_bus.5, &over_sim.5, "delivered inboxes diverged");
+    }
+
+    /// A scripted split is exactly its drop rules: a lossless [`SimNet`]
+    /// whose schedule splits `left` from `right` before op `split_at` (and
+    /// heals before op `split_at + heal_gap`) is byte-identical to a
+    /// [`Bus`] given every left×right pair as a drop rule, in both
+    /// directions, before the same op (and healed before the same op).
+    #[test]
+    fn a_scheduled_split_is_its_drop_rules(
+        ops in prop::collection::vec(arb_bus_op(), 1..40),
+        left in prop::collection::vec(0u64..6, 1..3),
+        right in prop::collection::vec(0u64..6, 1..3),
+        split_at in 0usize..40,
+        heal_gap in 0usize..60,
+        seed in any::<u64>(),
+    ) {
+        let heal_at = split_at + heal_gap;
+        let parties = |side: &[u64]| side.iter().map(|&i| universe_party(i)).collect::<Vec<_>>();
+        let (left, right) = (parties(&left), parties(&right));
+        let bus = Bus::new().with_delivery_log();
+        let over_bus = replay_ops(&bus, &ops, &mut |i| {
+            if i == split_at {
+                for &l in &left {
+                    for &r in &right {
+                        bus.drop_link(l, r);
+                        bus.drop_link(r, l);
+                    }
+                }
+            }
+            if i == heal_at {
+                bus.heal();
+            }
+        });
+        // The split fires at tick 1 and the heal at tick 2; a lossless
+        // net's clock moves only when advanced.
+        let sim = SimNet::new(SimNetConfig {
+            seed,
+            schedule: vec![
+                NetEvent::Split { at: 1, left, right },
+                NetEvent::Heal { at: 2 },
+            ],
+            ..SimNetConfig::default()
+        })
+        .with_delivery_log();
+        let over_sim = replay_ops(&sim, &ops, &mut |i| {
+            if i == split_at {
+                sim.advance(1);
+            }
+            if i == heal_at {
+                sim.advance(1);
+            }
+        });
         prop_assert_eq!(&over_bus.0, &over_sim.0, "per-op results diverged");
         prop_assert_eq!(&over_bus.1, &over_sim.1, "delivery logs diverged");
         prop_assert_eq!(over_bus.2, over_sim.2, "total_bytes diverged");

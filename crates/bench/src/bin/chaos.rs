@@ -220,7 +220,8 @@ fn run_reconciliation(cell_seed: u64) -> (usize, usize) {
         let s = shard as usize;
         plane.pull_into(shard, &mut states[s], &mut seens[s]);
     }
-    net.split(&[Party::Shard(2)], &[GOSSIP_HUB]);
+    net.drop_link(Party::Shard(2), GOSSIP_HUB);
+    net.drop_link(GOSSIP_HUB, Party::Shard(2));
     for round in 0..4u64 {
         for shard in 0..2u64 {
             let s = shard as usize;
@@ -228,7 +229,7 @@ fn run_reconciliation(cell_seed: u64) -> (usize, usize) {
             plane.publish_from(shard, states[s].replica_slice(shard));
         }
     }
-    net.heal_partitions();
+    net.heal();
     let before = delivered_to(2);
     plane.pull_into(2, &mut states[2], &mut seens[2]);
     let reconciliation = delivered_to(2) - before;

@@ -87,54 +87,41 @@ pub fn fig7_iteration(
     (greedy, inventor)
 }
 
-/// Runs the full experiment, one point per link count. With the default
-/// `parallel` cargo feature the sweep is parallelised across link counts
-/// with scoped threads (worker count scaled to the available
-/// parallelism); built with `--no-default-features` it runs inline on the
-/// calling thread. Every point is seeded independently, so the results
-/// are identical either way.
+/// Runs the full experiment, one point per link count, parallelised across
+/// link counts with scoped threads (worker count scaled to the available
+/// parallelism). Every point is seeded independently, so the results do
+/// not depend on which worker computes which point.
 pub fn run_fig7(config: &Fig7Config) -> Vec<Fig7Point> {
-    #[cfg(feature = "parallel")]
-    {
-        let num_workers = std::thread::available_parallelism()
-            .map_or(4, |n| n.get())
-            .min(16);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let results_cell: Vec<std::sync::Mutex<Option<Fig7Point>>> = config
-            .link_counts
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..num_workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= config.link_counts.len() {
-                        break;
-                    }
-                    let m = config.link_counts[idx];
-                    *results_cell[idx].lock().expect("result lock poisoned") =
-                        Some(run_point(config, m));
-                });
-            }
-        });
-        results_cell
-            .into_iter()
-            .map(|cell| {
-                cell.into_inner()
-                    .expect("result lock poisoned")
-                    .expect("every point computed")
-            })
-            .collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        config
-            .link_counts
-            .iter()
-            .map(|&m| run_point(config, m))
-            .collect()
-    }
+    let num_workers = std::thread::available_parallelism()
+        .map_or(4, |n| n.get())
+        .min(16);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let results_cell: Vec<std::sync::Mutex<Option<Fig7Point>>> = config
+        .link_counts
+        .iter()
+        .map(|_| std::sync::Mutex::new(None))
+        .collect();
+    std::thread::scope(|scope| {
+        for _ in 0..num_workers {
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if idx >= config.link_counts.len() {
+                    break;
+                }
+                let m = config.link_counts[idx];
+                *results_cell[idx].lock().expect("result lock poisoned") =
+                    Some(run_point(config, m));
+            });
+        }
+    });
+    results_cell
+        .into_iter()
+        .map(|cell| {
+            cell.into_inner()
+                .expect("result lock poisoned")
+                .expect("every point computed")
+        })
+        .collect()
 }
 
 fn run_point(config: &Fig7Config, m: usize) -> Fig7Point {

@@ -5,8 +5,7 @@
 //! and reputation store — routes every agent to its home shard by a
 //! deterministic hash and fans the batch over a persistent pool of
 //! shard-pinned worker threads (spun up lazily on the first batch and
-//! reused by every later one; built with `--no-default-features` the
-//! batch runs inline instead). The outcomes are exactly what sequential,
+//! reused by every later one). The outcomes are exactly what sequential,
 //! routed consultations would have produced; only the wall clock
 //! changes.
 //!

@@ -277,7 +277,8 @@ fn gossip_exclusion_propagates_across_a_healed_partition() {
     // Phase B: cut shard 0 off the hub. Consultations keep landing on the
     // other shards until the saboteur is excluded there; shard 0 sees
     // nothing of it.
-    hub_net.split(&[Party::Shard(0)], &[GOSSIP_HUB]);
+    hub_net.drop_link(Party::Shard(0), GOSSIP_HUB);
+    hub_net.drop_link(GOSSIP_HUB, Party::Shard(0));
     let mut driven = 0u64;
     for agent in 8..2048u64 {
         if engine.shard_of(agent) != 0 {
@@ -312,7 +313,7 @@ fn gossip_exclusion_propagates_across_a_healed_partition() {
     // Phase C: heal. The next sync reconciles shard 0 through its stalled
     // version vector — it receives exactly the slots it missed, not the
     // full merged snapshot — and adopts the exclusion.
-    hub_net.heal_partitions();
+    hub_net.heal();
     let before_heal_pull = delivered_pull_bytes(hub, 0);
     engine.sync_reputation();
     let reconciliation = delivered_pull_bytes(hub, 0) - before_heal_pull;
@@ -433,7 +434,8 @@ fn healed_partition_reconciliation_ships_only_unseen_slots() {
 
     // Phase B: shard 2 loses the hub. Shards 0 and 1 keep recording
     // genuinely new slots (new verifiers) and publishing them.
-    net.split(&[Party::Shard(2)], &[GOSSIP_HUB]);
+    net.drop_link(Party::Shard(2), GOSSIP_HUB);
+    net.drop_link(GOSSIP_HUB, Party::Shard(2));
     for round in 0..4u64 {
         for shard in 0..2u64 {
             let s = shard as usize;
@@ -462,7 +464,7 @@ fn healed_partition_reconciliation_ships_only_unseen_slots() {
     );
 
     // Heal: the reconciliation pull ships only the slots shard 2 missed.
-    net.heal_partitions();
+    net.heal();
     plane.pull_into(2, &mut states[2], &mut seens[2]);
     let reconciliation = delivered_pull_bytes(&*net, 2) - before;
     assert!(
@@ -645,7 +647,6 @@ fn scripted_schedule_drives_partition_and_heal() {
             },
             NetEvent::Heal { at: 100 },
         ],
-        ..SimNetConfig::default()
     });
     net.register(a);
     let ep = net.register(b);
@@ -745,7 +746,6 @@ fn midsession_partition_degrades_then_heals_to_full() {
             left: vec![agent],
             right: vec![cut],
         }],
-        ..SimNetConfig::default()
     }));
     let mut authority = RationalityAuthority::with_transport(
         Inventor::new(0, InventorBehavior::Honest),
@@ -784,7 +784,7 @@ fn midsession_partition_degrades_then_heals_to_full() {
     );
     // The partition outlived the session's whole deadline budget; heal it
     // and the very next consult closes full on the same transport.
-    net.heal_partitions();
+    net.heal();
     let healed = authority
         .try_consult(0, &spec)
         .unwrap_or_else(|e| panic!("healed network completes ({e}, seed {seed})"));

@@ -123,7 +123,8 @@ fn batches_are_reproducible_across_engines() {
             .iter()
             .map(|o| (o.adopted, o.advice_bytes, o.session_bytes))
             .collect();
-        (trace, engine.shard_bytes(), engine.message_count())
+        let stats = engine.shard_stats();
+        (trace, stats.shard_bytes, stats.message_count)
     };
     assert_eq!(run(), run());
 }
@@ -172,7 +173,10 @@ fn gossip_batch_matches_sequential_on_four_shards() {
         assert_eq!(b.majority, s.majority);
         assert_eq!(b.session_bytes, s.session_bytes);
     }
-    assert_eq!(batched.shard_bytes(), sequential.shard_bytes());
+    assert_eq!(
+        batched.shard_stats().shard_bytes,
+        sequential.shard_stats().shard_bytes
+    );
 }
 
 /// The acceptance-criteria propagation property: a verifier that falls to
@@ -402,7 +406,7 @@ fn routing_is_deterministic_and_pinned() {
     a.consult(17, &spec);
     a.consult(17, &spec);
     let home = a.shard_of(17);
-    let bytes = a.shard_bytes();
+    let bytes = a.shard_stats().shard_bytes;
     for (shard, &shard_bytes) in bytes.iter().enumerate() {
         assert_eq!(shard != home, shard_bytes == 0);
     }
