@@ -106,7 +106,7 @@ impl Inventor {
         match spec {
             GameSpec::Strategic(game) => {
                 // Only one equilibrium is shipped, so stop at the first.
-                let profile = game.profiles().find(|p| game.is_pure_nash(p))?;
+                let profile = game.find_profile(|p| game.is_pure_nash(p))?;
                 Some(Advice::PureNash(PureNashCertificate {
                     proof: prove_is_nash(profile.clone()),
                     profile,
@@ -146,7 +146,7 @@ impl Inventor {
         match spec {
             GameSpec::Strategic(game) => {
                 // Advise a non-equilibrium profile, with a (doomed) proof.
-                let profile = game.profiles().find(|p| !game.is_pure_nash(p))?;
+                let profile = game.find_profile(|p| !game.is_pure_nash(p))?;
                 Some(Advice::PureNash(PureNashCertificate {
                     proof: prove_is_nash(profile.clone()),
                     profile,

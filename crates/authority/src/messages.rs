@@ -804,23 +804,20 @@ impl Wire for StrategicGame {
             }
             counts.push(count);
         }
-        let profiles = counts
+        // One utility per agent per profile, read straight into the flat
+        // table. Every rational takes at least two bytes, so a frame can
+        // only reserve room it could fill.
+        let entries = counts
             .iter()
             .try_fold(1usize, |acc, &c| acc.checked_mul(c))
             .filter(|&total| total <= 1 << 20)
+            .and_then(|profiles| profiles.checked_mul(agents))
             .ok_or(WireError::Malformed("profile space too large".to_owned()))?;
-        let mut table = Vec::with_capacity(profiles.min(1 << 12));
-        for _ in 0..profiles {
-            let mut row = Vec::with_capacity(agents);
-            for _ in 0..agents {
-                row.push(Rational::decode(buf)?);
-            }
-            table.push(row);
+        let mut table = Vec::with_capacity(entries.min(buf.remaining() / 2));
+        for _ in 0..entries {
+            table.push(Rational::decode(buf)?);
         }
-        let mut rows = table.into_iter();
-        Ok(StrategicGame::from_payoff_fn(counts, |_| {
-            rows.next().expect("one payoff row per profile")
-        }))
+        Ok(StrategicGame::from_payoff_table(counts, table))
     }
 }
 

@@ -7,6 +7,15 @@
 //! structurally. Encoding and decoding round-trip exactly (tested), and the
 //! byte counts feed the experiment tables.
 //!
+//! Every rational (payoffs, probabilities, loads) is written by
+//! `ra-exact`'s one canonical writer, [`Rational::encode_canonical`]: a
+//! tag byte (sign, and whether the value is an integer) and then its
+//! magnitudes as minimal LEB128, so a payoff of `0` is 2 bytes. The
+//! decoder is its reader, [`Rational::decode_canonical`], which accepts
+//! only what that writer produces and reports anything else as a typed
+//! [`WireError`]. A strategic game's wire bytes are therefore its
+//! spec-digest preimage (after the spec tag), byte for byte.
+//!
 //! Encoding appends to a plain `Vec<u8>`; decoding consumes a [`WireBytes`]
 //! cursor — an `Arc`-backed, cheaply cloneable byte window that replaces the
 //! `bytes::Bytes` dependency with `std`-only machinery.
@@ -26,7 +35,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use ra_exact::Rational;
+use ra_exact::{Rational, RationalDecodeError};
 
 thread_local! {
     /// The per-thread reusable encode buffer behind [`with_frame_scratch`].
@@ -139,6 +148,16 @@ impl WireBytes {
         byte
     }
 
+    /// Consumes the first `n` remaining bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` bytes remain.
+    pub fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance past end of WireBytes");
+        self.start += n;
+    }
+
     /// Splits off and returns the first `n` remaining bytes.
     ///
     /// # Panics
@@ -235,6 +254,20 @@ pub enum WireError {
     BadTag(u8),
     /// A string/number failed to parse.
     Malformed(String),
+    /// Bytes shaped like a rational that its canonical encoder never
+    /// writes (a truncated value is [`WireError::UnexpectedEnd`] and an
+    /// unknown tag bit [`WireError::BadTag`]).
+    NonCanonical(RationalDecodeError),
+}
+
+impl From<RationalDecodeError> for WireError {
+    fn from(e: RationalDecodeError) -> WireError {
+        match e {
+            RationalDecodeError::UnexpectedEnd => WireError::UnexpectedEnd,
+            RationalDecodeError::UnknownTag(t) => WireError::BadTag(t),
+            other => WireError::NonCanonical(other),
+        }
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -243,6 +276,7 @@ impl std::fmt::Display for WireError {
             WireError::UnexpectedEnd => write!(f, "unexpected end of input"),
             WireError::BadTag(t) => write!(f, "invalid tag byte {t:#x}"),
             WireError::Malformed(s) => write!(f, "malformed value: {s}"),
+            WireError::NonCanonical(e) => write!(f, "non-canonical rational: {e}"),
         }
     }
 }
@@ -413,33 +447,19 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl Wire for Rational {
-    /// Sign byte + decimal magnitudes (arbitrary precision survives); see
-    /// [`Rational::encode_canonical`].
+    /// A tag byte and minimal LEB128 magnitudes (arbitrary precision
+    /// survives); see [`Rational::encode_canonical`].
     fn encode(&self, buf: &mut Vec<u8>) {
         self.encode_canonical(buf);
     }
+    /// Accepts exactly the bytes [`Rational::encode_canonical`] writes;
+    /// see [`Rational::decode_canonical`].
     fn decode(buf: &mut WireBytes) -> Result<Rational, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let negative = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            t => return Err(WireError::BadTag(t)),
-        };
-        let num_str = String::decode(buf)?;
-        let den_str = String::decode(buf)?;
-        let num: ra_exact::BigInt = num_str
-            .parse()
-            .map_err(|e| WireError::Malformed(format!("numerator: {e}")))?;
-        let den: ra_exact::BigInt = den_str
-            .parse()
-            .map_err(|e| WireError::Malformed(format!("denominator: {e}")))?;
-        if den.is_zero() {
-            return Err(WireError::Malformed("zero denominator".into()));
-        }
-        let r = Rational::from_bigints(num, den);
-        Ok(if negative { -r } else { r })
+        let mut rest = buf.as_slice();
+        let value = Rational::decode_canonical(&mut rest)?;
+        let used = buf.len() - rest.len();
+        buf.advance(used);
+        Ok(value)
     }
 }
 
@@ -486,6 +506,88 @@ mod tests {
         round_trip(rat(1, 4));
         let huge: Rational = "123456789012345678901234567890/977".parse().unwrap();
         round_trip(huge);
+        assert_eq!(rat(0, 1).encoded_len(), 2, "a zero payoff is two bytes");
+    }
+
+    fn decode_rational(bytes: &[u8]) -> Result<Rational, WireError> {
+        Rational::decode(&mut WireBytes::from(bytes))
+    }
+
+    #[test]
+    fn rational_with_an_unknown_tag_bit_is_rejected() {
+        assert_eq!(decode_rational(&[0b110, 1]), Err(WireError::BadTag(0b110)));
+        assert_eq!(decode_rational(&[0x80, 1, 2]), Err(WireError::BadTag(0x80)));
+    }
+
+    #[test]
+    fn rational_with_a_zero_denominator_is_rejected() {
+        assert_eq!(
+            decode_rational(&[0, 1, 0]),
+            Err(WireError::NonCanonical(
+                RationalDecodeError::ZeroDenominator
+            ))
+        );
+    }
+
+    #[test]
+    fn rational_with_a_written_unit_denominator_is_rejected() {
+        assert_eq!(decode_rational(&[0b10, 5]), Ok(rat(5, 1)));
+        assert_eq!(
+            decode_rational(&[0, 5, 1]),
+            Err(WireError::NonCanonical(
+                RationalDecodeError::UnitDenominator
+            ))
+        );
+    }
+
+    #[test]
+    fn rational_not_in_lowest_terms_is_rejected() {
+        assert_eq!(decode_rational(&[0, 3, 4]), Ok(rat(3, 4)));
+        for unreduced in [[0, 2, 4], [1, 6, 9], [0, 0, 2]] {
+            assert_eq!(
+                decode_rational(&unreduced),
+                Err(WireError::NonCanonical(
+                    RationalDecodeError::NotInLowestTerms
+                )),
+                "{unreduced:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rational_negative_zero_is_rejected() {
+        assert_eq!(decode_rational(&[0b10, 0]), Ok(rat(0, 1)));
+        for negative_zero in [&[0b11, 0][..], &[0b01, 0, 3]] {
+            assert_eq!(
+                decode_rational(negative_zero),
+                Err(WireError::NonCanonical(RationalDecodeError::NegativeZero)),
+                "{negative_zero:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rational_with_a_non_minimal_group_is_rejected() {
+        for overlong in [
+            &[0b10, 0x80, 0x00][..],
+            &[0b10, 0x85, 0x80, 0x00],
+            &[0, 1, 0x83, 0x00],
+        ] {
+            assert_eq!(
+                decode_rational(overlong),
+                Err(WireError::NonCanonical(RationalDecodeError::OverlongVarint)),
+                "{overlong:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_rational_is_rejected_and_consumes_nothing() {
+        for cut in [&[][..], &[0b10], &[0b10, 0x80], &[0, 1], &[0, 1, 0x82]] {
+            let mut buf = WireBytes::from(cut);
+            assert_eq!(Rational::decode(&mut buf), Err(WireError::UnexpectedEnd));
+            assert_eq!(buf.len(), cut.len());
+        }
     }
 
     #[test]

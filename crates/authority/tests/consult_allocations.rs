@@ -82,9 +82,9 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            23,
+            18,
         ),
-        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 20),
+        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 18),
         (
             "battle_of_the_sexes",
             GameSpec::Bimatrix(battle_of_the_sexes()),
@@ -108,7 +108,7 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "coordination_game(16)",
             GameSpec::Strategic(coordination_game(16)),
-            20,
+            18,
         ),
     ]
 }

@@ -286,28 +286,13 @@ proptest! {
     }
 }
 
-/// A fixed frame for `decoder_is_total`: a numerator whose 20 bytes open
-/// with the two-byte UTF-8 character `é`. Reading decimal text 19 digits
-/// at a time would cut that character at byte 1; the decoder must reject
-/// the frame as malformed instead.
+/// At the edges of the machine-word representation, every rational
+/// round-trips through the wire in its minimal form: the integer bit is
+/// set exactly when the denominator is 1, each magnitude's last LEB128
+/// group is non-zero (unless the magnitude is 0), and so the frame is
+/// exactly `1 + leb_len(|num|) + [den ≠ 1] · leb_len(den)` bytes.
 #[test]
-fn decoder_rejects_a_multibyte_numerator() {
-    let mut frame = vec![0, 20, 0xC3, 0xA9];
-    frame.extend_from_slice(&[b'1'; 18]);
-    frame.extend_from_slice(&[1, b'1']);
-    assert_eq!(frame.len(), 24);
-    let mut buf = WireBytes::from(frame);
-    assert!(matches!(
-        Rational::decode(&mut buf),
-        Err(ra_authority::WireError::Malformed(_))
-    ));
-}
-
-/// The encoder's single-limb shortcut writes exactly the bytes of the
-/// decimal-string path, and the frame decodes back to the value, at the
-/// edges of the machine-word representation.
-#[test]
-fn rational_encoding_matches_the_string_path_at_word_edges() {
+fn rational_encoding_round_trips_minimally_at_word_edges() {
     use ra_exact::BigInt;
     let edges: Vec<BigInt> = [
         0i128,
@@ -328,14 +313,26 @@ fn rational_encoding_matches_the_string_path_at_word_edges() {
     .map(BigInt::from)
     .chain(["-123456789012345678901234567890123456789".parse().unwrap()])
     .collect();
+    let leb_len = |v: &BigInt| v.bits().div_ceil(7).max(1) as usize;
     for num in &edges {
         for den in edges.iter().filter(|d| !d.is_zero()) {
             let r = Rational::from_bigints(num.clone(), den.clone());
-            let mut string_path = vec![u8::from(r.is_negative())];
-            r.numer().abs().to_string().encode(&mut string_path);
-            r.denom().to_string().encode(&mut string_path);
             let bytes = r.to_bytes();
-            assert_eq!(bytes.as_slice(), &string_path[..], "{r}");
+            let frame = bytes.as_slice();
+            let integer = r.is_integer();
+            assert_eq!(
+                frame[0],
+                u8::from(r.is_negative()) | u8::from(integer) << 1,
+                "{r}"
+            );
+            let num_len = leb_len(r.numer());
+            let den_len = if integer { 0 } else { leb_len(r.denom()) };
+            assert_eq!(frame.len(), 1 + num_len + den_len, "{r}");
+            for magnitude in [&frame[1..1 + num_len], &frame[1 + num_len..]] {
+                if let [.., head, last] = magnitude {
+                    assert!(head & 0x80 != 0 && *last != 0, "{r}: {frame:02x?}");
+                }
+            }
             let mut buf = bytes;
             assert_eq!(Rational::decode(&mut buf).unwrap(), r);
             assert!(!buf.has_remaining());

@@ -39,7 +39,7 @@ fn bench_kernel(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let game = black_box(&game);
-                    game.profiles().find(|p| game.is_pure_nash(p)).unwrap()
+                    game.find_profile(|p| game.is_pure_nash(p)).unwrap()
                 })
             },
         );

@@ -122,7 +122,7 @@ fn bench_transport(c: &mut Criterion) {
     group.finish();
 }
 
-/// The certificate-cache key of a 16×16 coordination game whose 2,724-byte
+/// The certificate-cache key of a 16×16 coordination game whose 1,092-byte
 /// spec matches the benchmark catalog's: `cold` encodes the spec and
 /// hashes it (what a game's first touch pays, once), `warm` is
 /// `spec_digest` on a game whose memo is filled (every later consult).
@@ -137,7 +137,7 @@ fn bench_cache(c: &mut Criterion) {
         };
         vec![payoff.clone(), payoff]
     }));
-    assert_eq!(spec.encoded_len(), 2724);
+    assert_eq!(spec.encoded_len(), 1092);
     group.bench_function("spec_digest_16x16/cold", |b| {
         b.iter(|| sha256_wire(black_box(&spec)))
     });

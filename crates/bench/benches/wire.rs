@@ -1,8 +1,8 @@
 //! Criterion bench: the wire layer's consult hot path — message
-//! encode/decode round-trips and varint packing, with the pooled
-//! frame-scratch length measurement benched against a fresh-`Vec`
-//! serialization so the frame-pooling win stays visible in
-//! `results/criterion.jsonl` and not just end-to-end.
+//! encode/decode round-trips, varint packing and the canonical rational
+//! format, with the pooled frame-scratch length measurement benched
+//! against a fresh-`Vec` serialization so the frame-pooling win stays
+//! visible in `results/criterion.jsonl` and not just end-to-end.
 //!
 //! Run with `cargo bench -p ra-bench --bench wire`.
 
@@ -14,6 +14,7 @@ use ra_authority::{
     get_varint, put_varint, with_frame_scratch, Advice, Check, Message, VerdictReason, Wire,
     WireBytes,
 };
+use ra_exact::{rat, BigInt, Rational};
 use ra_proofs::SupportCertificate;
 
 /// The four Fig. 1 frames `Bus::send` measures on a consult: the request
@@ -99,9 +100,43 @@ fn bench_varints(c: &mut Criterion) {
     group.finish();
 }
 
+/// The canonical rational format both ways: `small` is 64 paper-size
+/// payoffs and probabilities (one-word magnitudes), `wide` is 64 values
+/// whose numerators span two or three limbs.
+fn bench_rationals(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire");
+    let small: Vec<Rational> = (0..64).map(|i| rat(i % 9 - 4, 1 + i % 4)).collect();
+    let wide: Vec<Rational> = (0..64)
+        .map(|i| {
+            let num = BigInt::one().shl(64 + 2 * i as u32) + BigInt::from(i);
+            Rational::from_bigints(num, BigInt::from(3 + 2 * i))
+        })
+        .collect();
+    for (name, values) in [("small", small), ("wide", wide)] {
+        group.bench_with_input(
+            BenchmarkId::new("rational_round_trip", name),
+            &values,
+            |b, values| {
+                b.iter(|| {
+                    with_frame_scratch(|buf| {
+                        for v in values {
+                            black_box(v).encode(buf);
+                        }
+                        let mut cursor = WireBytes::from(buf.as_slice());
+                        while !cursor.is_empty() {
+                            black_box(Rational::decode(&mut cursor).unwrap());
+                        }
+                    })
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_frames, bench_varints
+    targets = bench_frames, bench_varints, bench_rationals
 }
 criterion_main!(benches);

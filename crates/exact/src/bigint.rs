@@ -149,7 +149,7 @@ impl BigInt {
     /// The sign and the little-endian magnitude limbs (empty for zero).
     /// An inline value lends its one limb from `buf`, so the limb helpers
     /// can read either representation without allocating.
-    fn parts<'a>(&'a self, buf: &'a mut [u64; 1]) -> (Sign, &'a [u64]) {
+    pub(crate) fn parts<'a>(&'a self, buf: &'a mut [u64; 1]) -> (Sign, &'a [u64]) {
         match &self.0 {
             Repr::Inline(0) => (Sign::Zero, &[]),
             Repr::Inline(v) => {
@@ -186,7 +186,7 @@ impl BigInt {
     /// The canonical value with this sign and magnitude: trailing zero
     /// limbs are dropped, and a magnitude that fits in `i64` is demoted to
     /// the inline form.
-    fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
+    pub(crate) fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
         while mag.last() == Some(&0) {
             mag.pop();
         }

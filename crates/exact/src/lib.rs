@@ -2,8 +2,8 @@
 //!
 //! Arbitrary-precision integers, exact rationals, dense matrices with an
 //! exact linear solver, and binomial combinatorics over ℚ — plus the
-//! byte-level leaves every crate above needs: the canonical varint and
-//! rational writers, and SHA-256.
+//! byte-level leaves every crate above needs: the canonical varint writer,
+//! the canonical rational writer and reader, and SHA-256.
 //!
 //! This crate exists because the rationality-authority verifiers (the
 //! `ra-proofs` consumers) must be *sound*: accepting a certificate is a
@@ -43,7 +43,7 @@ pub use bigint::{BigInt, ParseExactError, Sign};
 pub use binomial::{
     binomial, binomial_pmf, binomial_tail_at_least, binomial_tail_at_most, factorial,
 };
-pub use encoding::put_varint;
+pub use encoding::{put_varint, RationalDecodeError};
 pub use linalg::{solve_linear_system, LinearSolution};
 pub use matrix::Matrix;
 pub use rational::{rat, Rational};

@@ -73,6 +73,13 @@ impl Rational {
         Rational { num, den }
     }
 
+    /// The value `num / den` of parts already in lowest terms with
+    /// `den > 0`, as the canonical decoder has checked them.
+    pub(crate) fn from_reduced(num: BigInt, den: BigInt) -> Rational {
+        debug_assert!(den.is_positive());
+        Rational { num, den }
+    }
+
     /// `n / d` in lowest terms, for `d != 0` and operands widened from
     /// machine words: the gcd runs on `u64` when both magnitudes fit.
     fn reduce_wide(n: i128, d: i128) -> Rational {

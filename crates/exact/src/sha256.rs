@@ -208,7 +208,7 @@ mod tests {
             );
         }
         let catalog = catalog_preimage(123_457);
-        assert_eq!(catalog.len(), 2724, "a 16x16 catalog spec is 2,724 bytes");
+        assert_eq!(catalog.len(), 1092, "a 16x16 catalog spec is 1,092 bytes");
         assert_eq!(sha256(&catalog), copy_and_pad_sha256(&catalog));
     }
 }

@@ -76,6 +76,34 @@ impl StrategyProfile {
         StrategyProfile(out)
     }
 
+    /// Steps this profile to the next one in odometer order (agent 0's
+    /// strategy fastest), in place. Returns `false`, leaving the all-zeros
+    /// profile, once the last profile of a game with these strategy
+    /// counts has been passed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ra_games::StrategyProfile;
+    ///
+    /// let mut s = StrategyProfile::zeros(2);
+    /// assert!(s.advance(&[2, 2]));
+    /// assert_eq!(s.strategies(), &[1, 0]);
+    /// assert!(s.advance(&[2, 2]) && s.advance(&[2, 2]));
+    /// assert_eq!(s.strategies(), &[1, 1]);
+    /// assert!(!s.advance(&[2, 2]), "(1, 1) is the last profile");
+    /// ```
+    pub fn advance(&mut self, strategy_counts: &[usize]) -> bool {
+        for (strategy, &count) in self.0.iter_mut().zip(strategy_counts) {
+            *strategy += 1;
+            if *strategy < count {
+                return true;
+            }
+            *strategy = 0;
+        }
+        false
+    }
+
     /// Checks Fig. 2's `isStrat(n, TSi, Si)`: the profile has the right arity
     /// and every strategy index is within its agent's strategy set.
     pub fn is_valid_for(&self, strategy_counts: &[usize]) -> bool {
@@ -133,7 +161,7 @@ impl From<&[Strategy]> for StrategyProfile {
 #[derive(Clone, Debug)]
 pub struct ProfileIter {
     counts: Vec<usize>,
-    current: Option<Vec<Strategy>>,
+    current: Option<StrategyProfile>,
 }
 
 impl ProfileIter {
@@ -143,44 +171,32 @@ impl ProfileIter {
         let current = if counts.contains(&0) {
             None
         } else {
-            Some(vec![0; counts.len()])
+            Some(StrategyProfile::zeros(counts.len()))
         };
         ProfileIter { counts, current }
     }
 
     /// Total number of profiles this iterator will yield.
     pub fn total(&self) -> u128 {
-        if self.counts.contains(&0) {
-            0
-        } else {
-            self.counts.iter().map(|&c| c as u128).product()
-        }
+        profile_count(&self.counts)
     }
+}
+
+/// The number of profiles of a game with these strategy counts.
+pub(crate) fn profile_count(strategy_counts: &[usize]) -> u128 {
+    strategy_counts.iter().map(|&c| c as u128).product()
 }
 
 impl Iterator for ProfileIter {
     type Item = StrategyProfile;
 
+    /// Yields a copy of the current profile and steps it with
+    /// [`StrategyProfile::advance`]. When every position wraps (including
+    /// the zero-agent case), the iterator ends.
     fn next(&mut self) -> Option<StrategyProfile> {
         let current = self.current.as_mut()?;
-        let out = StrategyProfile::new(current.clone());
-        // Odometer increment, least-significant agent first. When every
-        // position wraps (including the zero-agent case), the iterator ends.
-        let mut i = 0;
-        let mut exhausted = false;
-        loop {
-            if i == current.len() {
-                exhausted = true;
-                break;
-            }
-            current[i] += 1;
-            if current[i] < self.counts[i] {
-                break;
-            }
-            current[i] = 0;
-            i += 1;
-        }
-        if exhausted {
+        let out = current.clone();
+        if !current.advance(&self.counts) {
             self.current = None;
         }
         Some(out)

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 use ra_exact::{put_varint, sha256, Rational};
 
-use crate::profile::{Agent, ProfileIter, Strategy, StrategyProfile};
+use crate::profile::{profile_count, Agent, ProfileIter, Strategy, StrategyProfile};
 
 /// A finite strategic-form game with rational payoffs.
 ///
@@ -59,7 +59,10 @@ impl PartialEq for StrategicGame {
 impl Eq for StrategicGame {}
 
 impl StrategicGame {
-    /// Builds a game by evaluating `payoff` on every pure profile.
+    /// Builds a game by evaluating `payoff` on every pure profile, in
+    /// odometer order. The closure sees one profile that is stepped in
+    /// place between calls, so building a game allocates no profile per
+    /// entry.
     ///
     /// `payoff` must return one utility per agent.
     ///
@@ -72,15 +75,38 @@ impl StrategicGame {
         strategy_counts: Vec<usize>,
         mut payoff: impl FnMut(&StrategyProfile) -> Vec<Rational>,
     ) -> StrategicGame {
-        let total = ProfileIter::new(strategy_counts.clone()).total();
+        let total = profile_count(&strategy_counts);
         assert!(total <= 1 << 32, "profile space too large to materialize");
         let n = strategy_counts.len();
         let mut payoffs = Vec::with_capacity(total as usize * n);
-        for p in ProfileIter::new(strategy_counts.clone()) {
-            let u = payoff(&p);
-            assert_eq!(u.len(), n, "payoff function arity mismatch");
-            payoffs.extend(u);
+        if total > 0 {
+            let mut profile = StrategyProfile::zeros(n);
+            loop {
+                let u = payoff(&profile);
+                assert_eq!(u.len(), n, "payoff function arity mismatch");
+                payoffs.extend(u);
+                if !profile.advance(&strategy_counts) {
+                    break;
+                }
+            }
         }
+        StrategicGame::from_payoff_table(strategy_counts, payoffs)
+    }
+
+    /// Builds a game from its flat payoff table: profile by profile in
+    /// odometer order, and within a profile agent by agent (the layout
+    /// [`StrategicGame::encode_canonical`] writes).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `payoffs` holds exactly one utility per agent per
+    /// profile.
+    pub fn from_payoff_table(strategy_counts: Vec<usize>, payoffs: Vec<Rational>) -> StrategicGame {
+        assert_eq!(
+            profile_count(&strategy_counts).checked_mul(strategy_counts.len() as u128),
+            Some(payoffs.len() as u128),
+            "payoff table must hold one utility per agent per profile"
+        );
         StrategicGame {
             strategy_counts,
             payoffs,
@@ -128,6 +154,27 @@ impl StrategicGame {
         ProfileIter::new(self.strategy_counts.clone())
     }
 
+    /// The first profile, in odometer order, that satisfies `pred`. The
+    /// search steps one profile in place, so it allocates that profile
+    /// and nothing per profile visited.
+    pub fn find_profile(
+        &self,
+        mut pred: impl FnMut(&StrategyProfile) -> bool,
+    ) -> Option<StrategyProfile> {
+        if self.num_profiles() == 0 {
+            return None;
+        }
+        let mut profile = StrategyProfile::zeros(self.num_agents());
+        loop {
+            if pred(&profile) {
+                return Some(profile);
+            }
+            if !profile.advance(&self.strategy_counts) {
+                return None;
+            }
+        }
+    }
+
     /// The tag byte that precedes a strategic game in a game spec's
     /// canonical encoding (the other spec families take `1`, `2`, …). The
     /// [`spec_digest`](StrategicGame::spec_digest) preimage starts with it,
@@ -160,9 +207,9 @@ impl StrategicGame {
     /// made after it) is a load.
     pub fn spec_digest(&self) -> [u8; 32] {
         *self.spec_digest.get_or_init(|| {
-            // Sized for small payoffs (a one-digit integer takes 5 bytes),
+            // Sized for small payoffs (an integer below 128 takes 2 bytes),
             // so the usual game encodes without regrowing.
-            let mut buf = Vec::with_capacity(16 + 6 * self.payoffs.len());
+            let mut buf = Vec::with_capacity(16 + 3 * self.payoffs.len());
             buf.push(Self::SPEC_TAG);
             self.encode_canonical(&mut buf);
             sha256(&buf)
@@ -494,6 +541,30 @@ mod tests {
         // those are NOT equilibria), but 2-1 splits where the majority
         // member's switch can't reach unanimity are.
         assert!(!g.is_pure_nash(&vec![0, 0, 1].into()));
+    }
+
+    #[test]
+    fn in_place_walks_visit_the_iterator_order() {
+        for counts in [vec![], vec![3], vec![2, 0], vec![3, 4], vec![2, 3, 2]] {
+            let mut seen = Vec::new();
+            let g = StrategicGame::from_payoff_fn(counts.clone(), |p| {
+                seen.push(p.clone());
+                vec![r(seen.len() as i64); p.len()]
+            });
+            assert_eq!(seen, ProfileIter::new(counts.clone()).collect::<Vec<_>>());
+            let table = StrategicGame::from_payoff_table(counts.clone(), g.payoffs.clone());
+            assert_eq!(table, g, "{counts:?}");
+            for p in &seen {
+                assert_eq!(g.find_profile(|q| q == p).as_ref(), Some(p), "{counts:?}");
+            }
+            assert_eq!(g.find_profile(|_| false), None, "{counts:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one utility per agent per profile")]
+    fn payoff_table_of_the_wrong_length_panics() {
+        let _ = StrategicGame::from_payoff_table(vec![2, 2], vec![r(0); 7]);
     }
 
     #[test]
