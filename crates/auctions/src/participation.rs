@@ -73,7 +73,6 @@ impl ParticipationGame {
     ) -> Result<ParticipationCertificate, ParticipationSolveError> {
         let roots = solve_participation_equilibrium(&self.params, tolerance)?;
         Ok(ParticipationCertificate {
-            params: self.params.clone(),
             root: roots
                 .into_iter()
                 .next()
@@ -108,7 +107,8 @@ mod tests {
     fn advice_round_trip() {
         let game = ParticipationGame::paper_example();
         let cert = game.inventor_advice(&rat(1, 1 << 24)).unwrap();
-        let verified = verify_participation_certificate(&cert, &rat(1, 1 << 20)).unwrap();
+        let verified =
+            verify_participation_certificate(game.params(), &cert, &rat(1, 1 << 20)).unwrap();
         assert_eq!(verified.p, rat(1, 4));
         assert_eq!(verified.expected_gain, rat(1, 2));
     }

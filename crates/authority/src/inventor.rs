@@ -9,8 +9,8 @@
 use ra_exact::{rat, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
 use ra_proofs::{
-    honest_online_advice, honest_row_advice, prove_is_nash, P2Advice, ParticipationCertificate,
-    PureNashCertificate, SupportCertificate,
+    honest_online_advice, honest_row_advice, prove_is_nash, OnlineInstance, P2Advice,
+    ParticipationCertificate, PureNashCertificate, SupportCertificate,
 };
 use ra_solvers::{
     find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
@@ -122,7 +122,6 @@ impl Inventor {
             GameSpec::Participation(params) => {
                 let roots = solve_participation_equilibrium(params, &rat(1, 1 << 30)).ok()?;
                 Some(Advice::Participation(ParticipationCertificate {
-                    params: params.clone(),
                     root: roots.into_iter().next()?,
                 }))
             }
@@ -131,12 +130,12 @@ impl Inventor {
                 own_load,
                 expected_future_load,
                 expected_future_agents,
-            } => Some(Advice::Online(honest_online_advice(
+            } => Some(Advice::Online(honest_online_advice(&OnlineInstance {
                 current_loads,
                 own_load,
                 expected_future_load,
-                *expected_future_agents,
-            ))),
+                expected_future_agents: *expected_future_agents,
+            }))),
         }
     }
 
@@ -185,10 +184,7 @@ impl Inventor {
                         hi: hi + rat(1, 50),
                     },
                 };
-                Some(Advice::Participation(ParticipationCertificate {
-                    params: params.clone(),
-                    root,
-                }))
+                Some(Advice::Participation(ParticipationCertificate { root }))
             }
             GameSpec::ParallelLinks {
                 current_loads,
@@ -198,12 +194,12 @@ impl Inventor {
             } => {
                 // Honest assignment but reroute the suggestion — steering
                 // the agent onto a worse link.
-                let mut cert = honest_online_advice(
+                let mut cert = honest_online_advice(&OnlineInstance {
                     current_loads,
                     own_load,
                     expected_future_load,
-                    *expected_future_agents,
-                );
+                    expected_future_agents: *expected_future_agents,
+                });
                 cert.suggested_link = (cert.suggested_link + 1) % current_loads.len();
                 Some(Advice::Online(cert))
             }

@@ -103,7 +103,9 @@ impl Wire for VerdictReason {
     }
 }
 
-/// Advice payloads, one per case-study certificate family.
+/// Advice payloads, one per case-study certificate family. Each carries
+/// only what the inventor adds: every party to a consult holds its
+/// [`GameSpec`], and the checkers take the game from there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Advice {
     /// §3: a pure-profile advice with a kernel proof.
@@ -731,15 +733,10 @@ impl Wire for Advice {
             }
             Advice::Participation(c) => {
                 buf.push(3);
-                c.params.encode(buf);
                 c.root.encode(buf);
             }
             Advice::Online(c) => {
                 buf.push(4);
-                c.current_loads.encode(buf);
-                c.own_load.encode(buf);
-                c.expected_future_load.encode(buf);
-                c.expected_future_agents.encode(buf);
                 c.assignment.encode(buf);
                 c.suggested_link.encode(buf);
             }
@@ -764,14 +761,9 @@ impl Wire for Advice {
                 lambda_opp: Rational::decode(buf)?,
             }),
             3 => Advice::Participation(ParticipationCertificate {
-                params: ParticipationParams::decode(buf)?,
                 root: EquilibriumRoot::decode(buf)?,
             }),
             4 => Advice::Online(OnlineAdviceCertificate {
-                current_loads: Vec::<Rational>::decode(buf)?,
-                own_load: Rational::decode(buf)?,
-                expected_future_load: Rational::decode(buf)?,
-                expected_future_agents: usize::decode(buf)?,
                 assignment: Vec::<usize>::decode(buf)?,
                 suggested_link: usize::decode(buf)?,
             }),
@@ -1262,23 +1254,29 @@ mod tests {
             lambda_own: rat(5, 8),
             lambda_opp: rat(-1, 2),
         }));
-        round_trip(Advice::Participation(ParticipationCertificate {
-            params: ParticipationParams::paper_example(),
+        // §5 and §6 advice carry only the inventor's answer, never the
+        // spec: the root is 5 bytes (advice tag, root tag, the canonical
+        // 1/4), and the assignment of own load and two future loads with
+        // its link is 6 (advice tag, length, three links, the link).
+        let exact = round_trip(Advice::Participation(ParticipationCertificate {
             root: EquilibriumRoot::Exact(rat(1, 4)),
         }));
+        assert_eq!(exact, 5);
         round_trip(Advice::Participation(ParticipationCertificate {
-            params: ParticipationParams::paper_example(),
             root: EquilibriumRoot::Bracket {
                 lo: rat(1, 5),
                 hi: rat(2, 5),
             },
         }));
-        round_trip(Advice::Online(ra_proofs::honest_online_advice(
-            &[rat(3, 1), rat(1, 2)],
-            &rat(7, 3),
-            &rat(1, 1),
-            2,
+        let online = round_trip(Advice::Online(ra_proofs::honest_online_advice(
+            &ra_proofs::OnlineInstance {
+                current_loads: &[rat(3, 1), rat(1, 2)],
+                own_load: &rat(7, 3),
+                expected_future_load: &rat(1, 1),
+                expected_future_agents: 2,
+            },
         )));
+        assert_eq!(online, 6);
     }
 
     #[test]
@@ -1305,6 +1303,13 @@ mod tests {
 
     #[test]
     fn unassigned_reason_bytes_are_bad_tags() {
+        for (reason, byte) in [
+            (VerdictReason::AdviceTypeMismatch, 8),
+            (VerdictReason::RubberStamped, 9),
+            (VerdictReason::Refused, 10),
+        ] {
+            assert_eq!(reason.to_bytes().to_vec(), [byte], "{reason}");
+        }
         let frame = Message::Verdict {
             game_id: 300,
             accepted: true,

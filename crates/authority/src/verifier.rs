@@ -13,10 +13,16 @@
 //! expected gain, the predicted delay and a rejection's error are all
 //! deterministic in the `(spec, advice)` pair the agent already holds, so
 //! it recomputes them with [`kernel_check`]'s checkers when it wants them.
+//!
+//! Every checker takes the game from the spec: advice carries only what
+//! the inventor adds (a profile and its proof, supports, a root, an
+//! assignment), so no advice can name another game than the one it is
+//! checked against.
 
 use ra_exact::rat;
 use ra_proofs::{
     verify_online_advice, verify_participation_certificate, verify_support_certificate,
+    OnlineInstance,
 };
 
 use crate::inventor::GameSpec;
@@ -58,11 +64,6 @@ pub enum VerdictReason {
     Verified(Check),
     /// The checker rejected the certificate.
     Rejected(Check),
-    /// A participation certificate for other parameters than the game's.
-    ParamsMismatch,
-    /// An online certificate whose loads differ from the published
-    /// statistics.
-    StatisticsMismatch,
     /// The advice family does not fit the game.
     AdviceTypeMismatch,
     /// [`VerifierBehavior::AlwaysAccept`]: accepted unchecked.
@@ -74,7 +75,7 @@ pub enum VerdictReason {
 impl VerdictReason {
     /// Every reason, indexed by its wire byte; a byte past the end is
     /// unassigned and decodes to [`WireError::BadTag`](crate::WireError::BadTag).
-    pub const ALL: [VerdictReason; 13] = [
+    pub const ALL: [VerdictReason; 11] = [
         VerdictReason::Verified(Check::PureNash),
         VerdictReason::Verified(Check::Support),
         VerdictReason::Verified(Check::Participation),
@@ -83,8 +84,6 @@ impl VerdictReason {
         VerdictReason::Rejected(Check::Support),
         VerdictReason::Rejected(Check::Participation),
         VerdictReason::Rejected(Check::Online),
-        VerdictReason::ParamsMismatch,
-        VerdictReason::StatisticsMismatch,
         VerdictReason::AdviceTypeMismatch,
         VerdictReason::RubberStamped,
         VerdictReason::Refused,
@@ -96,10 +95,6 @@ impl std::fmt::Display for VerdictReason {
         match self {
             VerdictReason::Verified(check) => write!(f, "{check} verified"),
             VerdictReason::Rejected(check) => write!(f, "{check} rejected"),
-            VerdictReason::ParamsMismatch => f.write_str("certificate for different parameters"),
-            VerdictReason::StatisticsMismatch => {
-                f.write_str("certificate statistics differ from published ones")
-            }
             VerdictReason::AdviceTypeMismatch => f.write_str("advice type does not match the game"),
             VerdictReason::RubberStamped => f.write_str("rubber-stamped"),
             VerdictReason::Refused => f.write_str("refused on principle"),
@@ -167,29 +162,29 @@ pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, VerdictReason) {
             Check::Support,
             verify_support_certificate(game, cert).is_ok(),
         ),
-        (GameSpec::Participation(params), Advice::Participation(cert)) => {
-            if &cert.params != params {
-                return (false, VerdictReason::ParamsMismatch);
-            }
-            (
-                Check::Participation,
-                verify_participation_certificate(cert, &rat(1, 1 << 20)).is_ok(),
-            )
-        }
+        (GameSpec::Participation(params), Advice::Participation(cert)) => (
+            Check::Participation,
+            verify_participation_certificate(params, cert, &rat(1, 1 << 20)).is_ok(),
+        ),
         (
             GameSpec::ParallelLinks {
                 current_loads,
                 own_load,
-                ..
+                expected_future_load,
+                expected_future_agents,
             },
             Advice::Online(cert),
         ) => {
-            // The certificate must match the published statistics the agent
-            // observed (they are signed — see audit.rs).
-            if &cert.current_loads != current_loads || &cert.own_load != own_load {
-                return (false, VerdictReason::StatisticsMismatch);
-            }
-            (Check::Online, verify_online_advice(cert).is_ok())
+            // The whole instance comes from the spec: the published loads
+            // the agent observed (signed — see audit.rs) and the future
+            // model it consulted about.
+            let instance = OnlineInstance {
+                current_loads,
+                own_load,
+                expected_future_load,
+                expected_future_agents: *expected_future_agents,
+            };
+            (Check::Online, verify_online_advice(&instance, cert).is_ok())
         }
         _ => return (false, VerdictReason::AdviceTypeMismatch),
     };
@@ -205,13 +200,29 @@ mod tests {
     use super::*;
     use crate::inventor::{Inventor, InventorBehavior};
     use ra_games::named::prisoners_dilemma;
+    use ra_proofs::honest_online_advice;
     use ra_solvers::ParticipationParams;
 
+    /// The steady-small §6 arrival: three links, own load 7/2, five future
+    /// agents of load 2 each.
+    fn steady_links() -> GameSpec {
+        GameSpec::ParallelLinks {
+            current_loads: vec![rat(4, 1), rat(0, 1), rat(9, 2)],
+            own_load: rat(7, 2),
+            expected_future_load: rat(2, 1),
+            expected_future_agents: 5,
+        }
+    }
+
+    /// The paper-size specs of the consult tests and one more §6 arrival;
+    /// `CHECKS` names the checker of each.
     fn specs() -> Vec<GameSpec> {
         vec![
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
+            GameSpec::Strategic(ra_games::named::stag_hunt(3)),
             GameSpec::Bimatrix(ra_games::named::battle_of_the_sexes()),
             GameSpec::Participation(ParticipationParams::paper_example()),
+            steady_links(),
             GameSpec::ParallelLinks {
                 current_loads: vec![rat(3, 1), rat(1, 1)],
                 own_load: rat(2, 1),
@@ -221,10 +232,12 @@ mod tests {
         ]
     }
 
-    const CHECKS: [Check; 4] = [
+    const CHECKS: [Check; 6] = [
+        Check::PureNash,
         Check::PureNash,
         Check::Support,
         Check::Participation,
+        Check::Online,
         Check::Online,
     ];
 
@@ -249,6 +262,66 @@ mod tests {
             let (accepted, detail) = verifier.verify(&spec, &advice);
             assert!(!accepted, "corruption must be caught, got: {detail}");
             assert_eq!(detail, VerdictReason::Rejected(check));
+        }
+    }
+
+    #[test]
+    fn online_advice_for_another_future_is_rejected() {
+        let spec = steady_links();
+        let GameSpec::ParallelLinks {
+            current_loads,
+            own_load,
+            expected_future_load,
+            ..
+        } = &spec
+        else {
+            unreachable!()
+        };
+        // Valid advice for the same loads but one future agent of load 100.
+        let other_future = honest_online_advice(&OnlineInstance {
+            current_loads,
+            own_load,
+            expected_future_load: &rat(100, 1),
+            expected_future_agents: 1,
+        });
+        assert_eq!(other_future.suggested_link, 0);
+        let Some(Advice::Online(honest)) = Inventor::new(0, InventorBehavior::Honest).advise(&spec)
+        else {
+            unreachable!()
+        };
+        assert_eq!(honest.suggested_link, 1);
+        // Valid advice for one future agent fewer.
+        let fewer = honest_online_advice(&OnlineInstance {
+            current_loads,
+            own_load,
+            expected_future_load,
+            expected_future_agents: 4,
+        });
+        for advice in [other_future, fewer] {
+            assert_eq!(
+                kernel_check(&spec, &Advice::Online(advice)),
+                (false, VerdictReason::Rejected(Check::Online))
+            );
+        }
+    }
+
+    #[test]
+    fn corrupt_participation_and_online_advice_rejected_for_every_spec() {
+        let corrupt = Inventor::new(0, InventorBehavior::Corrupt);
+        let specs = specs();
+        for (advised, check) in specs.iter().zip(CHECKS) {
+            if !matches!(check, Check::Participation | Check::Online) {
+                continue;
+            }
+            let advice = corrupt.advise(advised).expect("corrupt advice exists");
+            for spec in &specs {
+                let expected = if std::mem::discriminant(spec) == std::mem::discriminant(advised) {
+                    VerdictReason::Rejected(check)
+                } else {
+                    VerdictReason::AdviceTypeMismatch
+                };
+                assert_eq!(kernel_check(spec, &advice), (false, expected), "{spec:?}");
+            }
         }
     }
 

@@ -82,9 +82,9 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            18,
+            15,
         ),
-        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 18),
+        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 15),
         (
             "battle_of_the_sexes",
             GameSpec::Bimatrix(battle_of_the_sexes()),
@@ -103,12 +103,12 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
                 expected_future_load: rat(2, 1),
                 expected_future_agents: 5,
             },
-            21,
+            18,
         ),
         (
             "coordination_game(16)",
             GameSpec::Strategic(coordination_game(16)),
-            18,
+            15,
         ),
     ]
 }
@@ -120,12 +120,12 @@ fn pinned_hits() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma hit",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            4,
+            3,
         ),
         (
             "coordination_game(16) hit",
             GameSpec::Strategic(coordination_game(16)),
-            4,
+            3,
         ),
     ]
 }

@@ -66,14 +66,16 @@ fn bench_participation(c: &mut Criterion) {
         let tol = rat(1, 1 << 24);
         let roots = solve_participation_equilibrium(&params, &tol).unwrap();
         let cert = ParticipationCertificate {
-            params: params.clone(),
             root: roots[0].clone(),
         };
         group.bench_with_input(BenchmarkId::new("solve/bisection", n), &n, |b, _| {
             b.iter(|| solve_participation_equilibrium(black_box(&params), &tol).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("verify/eq5", n), &n, |b, _| {
-            b.iter(|| verify_participation_certificate(black_box(&cert), &tol).unwrap())
+            b.iter(|| {
+                verify_participation_certificate(black_box(&params), black_box(&cert), &tol)
+                    .unwrap()
+            })
         });
     }
     group.finish();

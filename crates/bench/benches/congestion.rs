@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use ra_congestion::{greedy_assign, inventor_assign, inventor_suggested_link, lpt_assign};
 use ra_exact::Rational;
-use ra_proofs::{honest_online_advice, verify_online_advice};
+use ra_proofs::{honest_online_advice, verify_online_advice, OnlineInstance};
 
 fn loads(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -56,16 +56,18 @@ fn bench_advice_verification(c: &mut Criterion) {
     let mut group = c.benchmark_group("online_advice");
     for future in [10usize, 100, 500] {
         let current: Vec<Rational> = (0..20).map(|i| Rational::from(i * 37 % 900)).collect();
-        let cert = honest_online_advice(
-            &current,
-            &Rational::from(650),
-            &Rational::new(1001, 2),
-            future,
-        );
+        let (own, average) = (Rational::from(650), Rational::new(1001, 2));
+        let instance = OnlineInstance {
+            current_loads: &current,
+            own_load: &own,
+            expected_future_load: &average,
+            expected_future_agents: future,
+        };
+        let cert = honest_online_advice(&instance);
         group.bench_with_input(
             BenchmarkId::new("verify_certificate", future),
             &future,
-            |b, _| b.iter(|| verify_online_advice(black_box(&cert)).unwrap()),
+            |b, _| b.iter(|| verify_online_advice(black_box(&instance), black_box(&cert)).unwrap()),
         );
     }
     group.finish();

@@ -32,7 +32,7 @@ fn main() {
     // Offline equilibrium and certificate verification.
     let (cert, t_solve) = timed(|| game.inventor_advice(&rat(1, 1 << 30)).unwrap());
     let (verified, t_verify) =
-        timed(|| verify_participation_certificate(&cert, &rat(1, 1 << 20)).unwrap());
+        timed(|| verify_participation_certificate(&params, &cert, &rat(1, 1 << 20)).unwrap());
     println!("advised p                 = {}   (paper: 1/4)", verified.p);
     println!(
         "A_k = Pr[≥1 other | in]   = {}   (paper: 7/16)",
@@ -115,10 +115,9 @@ fn main() {
             continue;
         };
         let cert = ra_proofs::ParticipationCertificate {
-            params: params.clone(),
             root: roots[0].clone(),
         };
-        let (res, t_verify) = timed(|| verify_participation_certificate(&cert, &tol));
+        let (res, t_verify) = timed(|| verify_participation_certificate(&params, &cert, &tol));
         assert!(res.is_ok());
         let p_approx = roots[0].value().to_f64();
         println!(

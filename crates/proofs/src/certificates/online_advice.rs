@@ -8,24 +8,47 @@
 //! assignment", and the *proof* is the assignment itself: the agent verifies
 //! the Nash property of the assignment locally — no trust in the inventor's
 //! computation needed.
+//!
+//! The certificate carries only what the inventor adds. The loads and the
+//! future model form the [`OnlineInstance`] the agent consulted about, and
+//! the checker takes it from its caller, so an assignment is always judged
+//! against the whole instance it is advice for.
 
 use std::fmt;
 
 use ra_exact::Rational;
 
-/// A §6 advice certificate for one arriving agent on `m` parallel links.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OnlineAdviceCertificate {
-    /// Link loads at the agent's arrival time (the inventor's published
-    /// statistics).
-    pub current_loads: Vec<Rational>,
+/// The §6 instance an arriving agent consults about, borrowed from whoever
+/// holds it: every party to a consult has these fields before any advice
+/// is sent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OnlineInstance<'a> {
+    /// Link loads at the agent's arrival time (the published statistics).
+    pub current_loads: &'a [Rational],
     /// The arriving agent's own load `w_i`.
-    pub own_load: Rational,
-    /// The inventor's estimate of each future agent's load (the running
-    /// average `w̄_i` in the paper's second model).
-    pub expected_future_load: Rational,
+    pub own_load: &'a Rational,
+    /// The estimate of each future agent's load (the running average `w̄_i`
+    /// in the paper's second model).
+    pub expected_future_load: &'a Rational,
     /// Number of agents still expected to arrive (`n − i`).
     pub expected_future_agents: usize,
+}
+
+impl OnlineInstance<'_> {
+    /// The load at `index` of an assignment: the agent's own at 0, the
+    /// expected future load elsewhere.
+    fn load(&self, index: usize) -> &Rational {
+        if index == 0 {
+            self.own_load
+        } else {
+            self.expected_future_load
+        }
+    }
+}
+
+/// A §6 advice certificate for one [`OnlineInstance`] on `m` parallel links.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OnlineAdviceCertificate {
     /// The claimed equilibrium assignment: entry 0 is the link assigned to
     /// the agent's own load; entries `1..` are links for the expected
     /// future loads.
@@ -37,7 +60,8 @@ pub struct OnlineAdviceCertificate {
 /// Rejection reasons for online advice.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OnlineAdviceError {
-    /// No links, negative loads, or assignment of the wrong length.
+    /// An instance with no links or a negative load, or an assignment of
+    /// the wrong length or onto a link that does not exist.
     Malformed {
         /// Description.
         reason: String,
@@ -91,78 +115,69 @@ pub struct OnlineAdviceVerified {
     pub predicted_own_delay: Rational,
 }
 
-/// Verifies a §6 advice certificate.
+/// Verifies a §6 advice certificate for `instance`.
 ///
-/// The Nash property checked is the standard one for load balancing on
-/// identical (equispeed) links: no single assigned load can move to another
-/// link and end up with a strictly smaller completed load
-/// (`target + w < source`, i.e. the move lowers the delay the moved load
-/// experiences). The check costs `O((1 + future) · m)` — independent of how
-/// the inventor *found* the assignment.
+/// The assignment must place the instance's own load and exactly
+/// `expected_future_agents` future loads. The Nash property checked is
+/// the standard one for load balancing on identical (equispeed) links: no
+/// single assigned load can move to another link and end up with a
+/// strictly smaller completed load (`target + w < source`, i.e. the move
+/// lowers the delay the moved load experiences). The check costs
+/// `O((1 + future) · m)` — independent of how the inventor *found* the
+/// assignment.
 ///
 /// # Errors
 ///
 /// See [`OnlineAdviceError`].
 pub fn verify_online_advice(
+    instance: &OnlineInstance<'_>,
     certificate: &OnlineAdviceCertificate,
 ) -> Result<OnlineAdviceVerified, OnlineAdviceError> {
-    let m = certificate.current_loads.len();
+    let malformed = |reason: &str| {
+        Err(OnlineAdviceError::Malformed {
+            reason: reason.to_owned(),
+        })
+    };
+    let m = instance.current_loads.len();
     if m == 0 {
-        return Err(OnlineAdviceError::Malformed {
-            reason: "no links".to_owned(),
-        });
+        return malformed("no links");
     }
-    if certificate.current_loads.iter().any(Rational::is_negative) {
-        return Err(OnlineAdviceError::Malformed {
-            reason: "negative link load".to_owned(),
-        });
+    if instance.current_loads.iter().any(Rational::is_negative) {
+        return malformed("negative link load");
     }
-    if certificate.own_load.is_negative() || certificate.expected_future_load.is_negative() {
-        return Err(OnlineAdviceError::Malformed {
-            reason: "negative agent load".to_owned(),
-        });
+    if instance.own_load.is_negative() || instance.expected_future_load.is_negative() {
+        return malformed("negative agent load");
     }
-    if certificate.assignment.len() != 1 + certificate.expected_future_agents {
+    let assignment = &certificate.assignment;
+    if assignment.len().checked_sub(1) != Some(instance.expected_future_agents) {
         return Err(OnlineAdviceError::Malformed {
             reason: format!(
-                "assignment covers {} loads, expected {}",
-                certificate.assignment.len(),
-                1 + certificate.expected_future_agents
+                "assignment covers {} loads, expected 1 + {}",
+                assignment.len(),
+                instance.expected_future_agents
             ),
         });
     }
-    if certificate.assignment.iter().any(|&l| l >= m) {
-        return Err(OnlineAdviceError::Malformed {
-            reason: "assignment refers to a non-existent link".to_owned(),
-        });
+    if assignment.iter().any(|&l| l >= m) {
+        return malformed("assignment refers to a non-existent link");
     }
-    if certificate.suggested_link != certificate.assignment[0] {
+    if certificate.suggested_link != assignment[0] {
         return Err(OnlineAdviceError::SuggestionMismatch);
     }
     // Predicted final loads.
-    let mut final_loads = certificate.current_loads.clone();
-    let load_of = |idx: usize| -> &Rational {
-        if idx == 0 {
-            &certificate.own_load
-        } else {
-            &certificate.expected_future_load
-        }
-    };
-    for (idx, &link) in certificate.assignment.iter().enumerate() {
-        final_loads[link] = &final_loads[link] + load_of(idx);
+    let mut final_loads = instance.current_loads.to_vec();
+    for (idx, &link) in assignment.iter().enumerate() {
+        final_loads[link] = &final_loads[link] + instance.load(idx);
     }
     // Nash property: no assigned load strictly gains by moving.
-    for (idx, &link) in certificate.assignment.iter().enumerate() {
-        let w = load_of(idx);
+    for (idx, &link) in assignment.iter().enumerate() {
+        let w = instance.load(idx);
         if w.is_zero() {
             continue;
         }
-        let here = final_loads[link].clone();
+        let here = &final_loads[link];
         for (target, target_load) in final_loads.iter().enumerate() {
-            if target == link {
-                continue;
-            }
-            if (target_load + w) < here {
+            if target != link && &(target_load + w) < here {
                 return Err(OnlineAdviceError::NotEquilibrium {
                     load_index: idx,
                     better_link: target,
@@ -180,41 +195,33 @@ pub fn verify_online_advice(
 }
 
 /// The honest inventor's construction: LPT/greedy Nash assignment of the
-/// agent's load plus `future` expected loads onto the current link loads
+/// agent's load plus the expected future loads onto the current link loads
 /// (each load, greatest first, goes to the least-loaded link — ties to the
 /// lowest index).
 ///
 /// This is exactly the strategy of the Fig. 7 simulation; the returned
-/// certificate always verifies.
-pub fn honest_online_advice(
-    current_loads: &[Rational],
-    own_load: &Rational,
-    expected_future_load: &Rational,
-    expected_future_agents: usize,
-) -> OnlineAdviceCertificate {
+/// certificate always verifies for `instance`.
+///
+/// # Panics
+///
+/// If the instance has no links.
+pub fn honest_online_advice(instance: &OnlineInstance<'_>) -> OnlineAdviceCertificate {
+    let future = instance.expected_future_agents;
     // Order loads greatest-first; remember which is the agent's own.
-    let mut items: Vec<(usize, Rational)> = Vec::with_capacity(1 + expected_future_agents);
-    items.push((0, own_load.clone()));
-    for k in 0..expected_future_agents {
-        items.push((k + 1, expected_future_load.clone()));
-    }
-    items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut loads = current_loads.to_vec();
-    let mut assignment = vec![0usize; 1 + expected_future_agents];
-    for (idx, w) in items {
+    let mut order: Vec<usize> = (0..1 + future).collect();
+    order.sort_by(|&a, &b| instance.load(b).cmp(instance.load(a)).then(a.cmp(&b)));
+    let mut loads = instance.current_loads.to_vec();
+    let mut assignment = vec![0usize; 1 + future];
+    for idx in order {
         let best = (0..loads.len())
             .min_by(|&a, &b| loads[a].cmp(&loads[b]).then(a.cmp(&b)))
             .expect("at least one link");
         assignment[idx] = best;
-        loads[best] = &loads[best] + &w;
+        loads[best] = &loads[best] + instance.load(idx);
     }
     OnlineAdviceCertificate {
-        current_loads: current_loads.to_vec(),
-        own_load: own_load.clone(),
-        expected_future_load: expected_future_load.clone(),
-        expected_future_agents,
-        assignment: assignment.clone(),
         suggested_link: assignment[0],
+        assignment,
     }
 }
 
@@ -227,10 +234,26 @@ mod tests {
         Rational::from(v)
     }
 
+    fn instance<'a>(
+        current_loads: &'a [Rational],
+        own_load: &'a Rational,
+        expected_future_load: &'a Rational,
+        expected_future_agents: usize,
+    ) -> OnlineInstance<'a> {
+        OnlineInstance {
+            current_loads,
+            own_load,
+            expected_future_load,
+            expected_future_agents,
+        }
+    }
+
     #[test]
     fn honest_advice_verifies() {
-        let cert = honest_online_advice(&[r(3), r(1), r(2)], &r(4), &r(2), 3);
-        let verified = verify_online_advice(&cert).unwrap();
+        let (loads, own, future) = ([r(3), r(1), r(2)], r(4), r(2));
+        let inst = instance(&loads, &own, &future, 3);
+        let cert = honest_online_advice(&inst);
+        let verified = verify_online_advice(&inst, &cert).unwrap();
         assert_eq!(verified.link, cert.suggested_link);
         // Total predicted load conserved: 6 existing + 4 + 3·2 = 16.
         let total: Rational = verified
@@ -243,18 +266,21 @@ mod tests {
     #[test]
     fn lpt_places_big_load_on_least_loaded() {
         // Own load 10 dominates: goes to the emptiest link (index 1).
-        let cert = honest_online_advice(&[r(3), r(0), r(2)], &r(10), &r(1), 2);
+        let (loads, own, future) = ([r(3), r(0), r(2)], r(10), r(1));
+        let inst = instance(&loads, &own, &future, 2);
+        let cert = honest_online_advice(&inst);
         assert_eq!(cert.suggested_link, 1);
-        assert!(verify_online_advice(&cert).is_ok());
+        assert!(verify_online_advice(&inst, &cert).is_ok());
     }
 
     #[test]
     fn tampered_suggestion_rejected() {
-        let mut cert = honest_online_advice(&[r(5), r(0)], &r(1), &r(1), 1);
-        let other = 1 - cert.suggested_link;
-        cert.suggested_link = other;
+        let (loads, one) = ([r(5), r(0)], r(1));
+        let inst = instance(&loads, &one, &one, 1);
+        let mut cert = honest_online_advice(&inst);
+        cert.suggested_link = 1 - cert.suggested_link;
         assert_eq!(
-            verify_online_advice(&cert),
+            verify_online_advice(&inst, &cert),
             Err(OnlineAdviceError::SuggestionMismatch)
         );
     }
@@ -262,16 +288,13 @@ mod tests {
     #[test]
     fn non_equilibrium_assignment_rejected() {
         // Force the agent's load onto the heavily loaded link.
+        let (loads, own, future) = ([r(10), r(0)], r(2), r(0));
         let cert = OnlineAdviceCertificate {
-            current_loads: vec![r(10), r(0)],
-            own_load: r(2),
-            expected_future_load: r(0),
-            expected_future_agents: 0,
             assignment: vec![0],
             suggested_link: 0,
         };
         assert_eq!(
-            verify_online_advice(&cert),
+            verify_online_advice(&instance(&loads, &own, &future, 0), &cert),
             Err(OnlineAdviceError::NotEquilibrium {
                 load_index: 0,
                 better_link: 1
@@ -281,55 +304,56 @@ mod tests {
 
     #[test]
     fn malformed_certificates_rejected() {
-        let good = honest_online_advice(&[r(1), r(2)], &r(1), &r(1), 1);
-        let mut no_links = good.clone();
-        no_links.current_loads.clear();
-        assert!(matches!(
-            verify_online_advice(&no_links),
-            Err(OnlineAdviceError::Malformed { .. })
-        ));
+        let (loads, one) = ([r(1), r(2)], r(1));
+        let good_instance = instance(&loads, &one, &one, 1);
+        let good = honest_online_advice(&good_instance);
+        let malformed = |inst: &OnlineInstance<'_>, cert: &OnlineAdviceCertificate| {
+            matches!(
+                verify_online_advice(inst, cert),
+                Err(OnlineAdviceError::Malformed { .. })
+            )
+        };
+        assert!(malformed(&instance(&[], &one, &one, 1), &good));
         let mut short = good.clone();
         short.assignment.pop();
-        assert!(matches!(
-            verify_online_advice(&short),
-            Err(OnlineAdviceError::Malformed { .. })
-        ));
+        assert!(malformed(&good_instance, &short));
         let mut bad_link = good.clone();
         bad_link.assignment[0] = 9;
-        assert!(matches!(
-            verify_online_advice(&bad_link),
-            Err(OnlineAdviceError::Malformed { .. })
-        ));
-        let mut negative = good;
-        negative.own_load = r(-1);
-        assert!(matches!(
-            verify_online_advice(&negative),
-            Err(OnlineAdviceError::Malformed { .. })
-        ));
+        assert!(malformed(&good_instance, &bad_link));
+        assert!(malformed(&instance(&loads, &r(-1), &one, 1), &good));
+        // Advice for a different future: too few or too many future loads.
+        assert!(malformed(&instance(&loads, &one, &one, 0), &good));
+        assert!(malformed(&instance(&loads, &one, &one, 2), &good));
+        assert!(malformed(&instance(&loads, &one, &one, usize::MAX), &good));
     }
 
     #[test]
     fn zero_future_agents_is_last_mover() {
         // Last mover: pure least-loaded placement, trivially an equilibrium.
-        let cert = honest_online_advice(&[r(7), r(3), r(5)], &r(2), &r(0), 0);
+        let (loads, own, future) = ([r(7), r(3), r(5)], r(2), r(0));
+        let inst = instance(&loads, &own, &future, 0);
+        let cert = honest_online_advice(&inst);
         assert_eq!(cert.suggested_link, 1);
-        let v = verify_online_advice(&cert).unwrap();
+        let v = verify_online_advice(&inst, &cert).unwrap();
         assert_eq!(v.predicted_own_delay, r(5));
     }
 
     #[test]
     fn fractional_loads() {
-        let cert = honest_online_advice(&[rat(1, 2), rat(3, 4)], &rat(5, 4), &rat(1, 3), 2);
-        assert!(verify_online_advice(&cert).is_ok());
+        let (loads, own, future) = ([rat(1, 2), rat(3, 4)], rat(5, 4), rat(1, 3));
+        let inst = instance(&loads, &own, &future, 2);
+        assert!(verify_online_advice(&inst, &honest_online_advice(&inst)).is_ok());
     }
 
     #[test]
     fn equilibria_other_than_lpt_also_accepted() {
         // The verifier checks the Nash property, not LPT provenance:
         // swapping two equal future loads keeps the equilibrium.
-        let mut cert = honest_online_advice(&[r(0), r(0)], &r(2), &r(2), 1);
+        let (loads, two) = ([r(0), r(0)], r(2));
+        let inst = instance(&loads, &two, &two, 1);
+        let mut cert = honest_online_advice(&inst);
         cert.assignment.swap(0, 1);
         cert.suggested_link = cert.assignment[0];
-        assert!(verify_online_advice(&cert).is_ok());
+        assert!(verify_online_advice(&inst, &cert).is_ok());
     }
 }

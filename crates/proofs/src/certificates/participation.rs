@@ -5,6 +5,11 @@
 //! handful of exact binomial evaluations. Irrational roots are shipped as
 //! sign-change *bracket* certificates, which are just as checkable.
 //!
+//! The certificate is the root alone. The game's parameters are public and
+//! every party to a consult already holds them, so the checker takes them
+//! from its caller: a certificate cannot name other parameters than the
+//! ones it is checked against.
+//!
 //! The paper also notes that with multiple symmetric equilibria a dishonest
 //! prover could send different (individually valid) probabilities to
 //! different firms; [`cross_check_advice`] implements the players'
@@ -15,11 +20,10 @@ use std::fmt;
 use ra_exact::{binomial_tail_at_least, binomial_tail_at_most, Rational};
 use ra_games::{EquilibriumRoot, ParticipationParams};
 
-/// The §5 certificate sent to each firm.
+/// The §5 certificate sent to each firm: the advised root of the game
+/// whose [`ParticipationParams`] the firm already holds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParticipationCertificate {
-    /// The game parameters (public).
-    pub params: ParticipationParams,
     /// The advised equilibrium probability.
     pub root: EquilibriumRoot,
 }
@@ -85,8 +89,8 @@ impl fmt::Display for ParticipationError {
 
 impl std::error::Error for ParticipationError {}
 
-/// Verifies a participation certificate: Eq. (5) for exact roots, the
-/// sign-change property (plus a width bound) for brackets.
+/// Verifies a participation certificate for the game `params`: Eq. (5) for
+/// exact roots, the sign-change property (plus a width bound) for brackets.
 ///
 /// # Errors
 ///
@@ -100,19 +104,19 @@ impl std::error::Error for ParticipationError {}
 /// use ra_games::{EquilibriumRoot, ParticipationParams};
 ///
 /// // The paper's worked example: p = 1/4 for c/v = 3/8, n = 3.
+/// let params = ParticipationParams::paper_example();
 /// let cert = ParticipationCertificate {
-///     params: ParticipationParams::paper_example(),
 ///     root: EquilibriumRoot::Exact(rat(1, 4)),
 /// };
-/// let verified = verify_participation_certificate(&cert, &rat(1, 1_000_000)).unwrap();
+/// let verified = verify_participation_certificate(&params, &cert, &rat(1, 1_000_000)).unwrap();
 /// // Expected equilibrium gain is v/16 = 8/16 = 1/2.
 /// assert_eq!(verified.expected_gain, rat(1, 2));
 /// ```
 pub fn verify_participation_certificate(
+    params: &ParticipationParams,
     certificate: &ParticipationCertificate,
     tolerance: &Rational,
 ) -> Result<ParticipationVerified, ParticipationError> {
-    let params = &certificate.params;
     let in_unit = |p: &Rational| !p.is_negative() && p <= &Rational::one();
     let p = match &certificate.root {
         EquilibriumRoot::Exact(p) => {
@@ -164,12 +168,10 @@ pub fn verify_participation_certificate(
 }
 
 /// The firms' cross-check (end of §5): with several symmetric equilibria a
-/// dishonest prover might advise different firms different probabilities.
-/// Returns `true` iff all advised roots are identical.
+/// dishonest prover might advise different firms of one game different
+/// probabilities. Returns `true` iff all advised roots are identical.
 pub fn cross_check_advice(certificates: &[ParticipationCertificate]) -> bool {
-    certificates
-        .windows(2)
-        .all(|w| w[0].root == w[1].root && w[0].params == w[1].params)
+    certificates.windows(2).all(|w| w[0].root == w[1].root)
 }
 
 #[cfg(test)]
@@ -180,14 +182,20 @@ mod tests {
 
     fn paper_cert() -> ParticipationCertificate {
         ParticipationCertificate {
-            params: ParticipationParams::paper_example(),
             root: EquilibriumRoot::Exact(rat(1, 4)),
         }
     }
 
+    fn verify_paper(
+        cert: &ParticipationCertificate,
+        tolerance: &Rational,
+    ) -> Result<ParticipationVerified, ParticipationError> {
+        verify_participation_certificate(&ParticipationParams::paper_example(), cert, tolerance)
+    }
+
     #[test]
     fn paper_numbers_check_out() {
-        let v = verify_participation_certificate(&paper_cert(), &rat(1, 1024)).unwrap();
+        let v = verify_paper(&paper_cert(), &rat(1, 1024)).unwrap();
         // With p = 1/4 and two other firms:
         assert_eq!(v.a_k, rat(7, 16)); // ≥1 other participates
         assert_eq!(v.b_k, rat(9, 16)); // no other participates
@@ -206,12 +214,12 @@ mod tests {
         let mut cert = paper_cert();
         cert.root = EquilibriumRoot::Exact(rat(1, 3));
         assert!(matches!(
-            verify_participation_certificate(&cert, &rat(1, 1024)),
+            verify_paper(&cert, &rat(1, 1024)),
             Err(ParticipationError::IndifferenceViolated { .. })
         ));
         cert.root = EquilibriumRoot::Exact(rat(5, 4));
         assert!(matches!(
-            verify_participation_certificate(&cert, &rat(1, 1024)),
+            verify_paper(&cert, &rat(1, 1024)),
             Err(ParticipationError::ProbabilityOutOfRange)
         ));
     }
@@ -220,7 +228,7 @@ mod tests {
     fn second_equilibrium_also_verifies() {
         let mut cert = paper_cert();
         cert.root = EquilibriumRoot::Exact(rat(3, 4));
-        assert!(verify_participation_certificate(&cert, &rat(1, 1024)).is_ok());
+        assert!(verify_paper(&cert, &rat(1, 1024)).is_ok());
     }
 
     #[test]
@@ -230,11 +238,8 @@ mod tests {
         let tol = rat(1, 1 << 20);
         let roots = solve_participation_equilibrium(&params, &tol).unwrap();
         for root in roots {
-            let cert = ParticipationCertificate {
-                params: params.clone(),
-                root,
-            };
-            assert!(verify_participation_certificate(&cert, &tol).is_ok());
+            let cert = ParticipationCertificate { root };
+            assert!(verify_participation_certificate(&params, &cert, &tol).is_ok());
         }
     }
 
@@ -244,26 +249,24 @@ mod tests {
         // No sign change across [0.3, 0.5] (g > 0 on both: 16·0.3·0.7=3.36>3,
         // 16·0.5·0.5=4>3).
         let cert = ParticipationCertificate {
-            params: params.clone(),
             root: EquilibriumRoot::Bracket {
                 lo: rat(3, 10),
                 hi: rat(1, 2),
             },
         };
         assert!(matches!(
-            verify_participation_certificate(&cert, &rat(1, 1)),
+            verify_participation_certificate(&params, &cert, &rat(1, 1)),
             Err(ParticipationError::BracketWithoutSignChange)
         ));
         // Too wide for the verifier's tolerance.
         let cert = ParticipationCertificate {
-            params,
             root: EquilibriumRoot::Bracket {
                 lo: rat(1, 10),
                 hi: rat(1, 2),
             },
         };
         assert!(matches!(
-            verify_participation_certificate(&cert, &rat(1, 100)),
+            verify_participation_certificate(&params, &cert, &rat(1, 100)),
             Err(ParticipationError::BracketTooWide { .. })
         ));
     }
@@ -276,7 +279,7 @@ mod tests {
         // Both 1/4 and 3/4 verify individually — only the cross-check
         // catches the prover playing firms against each other.
         b.root = EquilibriumRoot::Exact(rat(3, 4));
-        assert!(verify_participation_certificate(&b, &rat(1, 1024)).is_ok());
+        assert!(verify_paper(&b, &rat(1, 1024)).is_ok());
         assert!(!cross_check_advice(&[a, b]));
     }
 
@@ -288,12 +291,12 @@ mod tests {
             let tol = rat(1, 1 << 22);
             if let Ok(roots) = solve_participation_equilibrium(&params, &tol) {
                 for root in roots {
-                    let cert = ParticipationCertificate {
-                        params: params.clone(),
-                        root,
-                    };
-                    verify_participation_certificate(&cert, &tol)
-                        .unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
+                    verify_participation_certificate(
+                        &params,
+                        &ParticipationCertificate { root },
+                        &tol,
+                    )
+                    .unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
                 }
             }
         }

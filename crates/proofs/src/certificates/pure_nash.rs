@@ -21,17 +21,17 @@ pub struct PureNashCertificate {
 }
 
 impl PureNashCertificate {
-    /// Checks the certificate with the kernel's [`verdict`]: the proved
-    /// proposition, no theorem minted.
+    /// Checks the certificate with the kernel's [`verdict`], minting no
+    /// theorem and building no proposition: on `Ok`, the proof proves its
+    /// [`Proof::claims`], an equilibrium claim about this profile.
     ///
     /// # Errors
     ///
     /// Propagates the kernel's [`ProofError`] if the proof is invalid, and
     /// rejects proofs whose conclusion is about a different profile.
-    pub fn verdict(&self, game: &StrategicGame) -> Result<Prop, ProofError> {
-        let prop = verdict(game, &self.proof)?;
-        self.require_about_profile(&prop)?;
-        Ok(prop)
+    pub fn verdict(&self, game: &StrategicGame) -> Result<(), ProofError> {
+        verdict(game, &self.proof)?;
+        self.require_about_profile()
     }
 
     /// [`PureNashCertificate::verdict`], with the theorem minted by [`check`].
@@ -41,19 +41,24 @@ impl PureNashCertificate {
     /// As [`PureNashCertificate::verdict`].
     pub fn verify(&self, game: &StrategicGame) -> Result<CheckedProp, ProofError> {
         let theorem = check(game, &self.proof)?;
-        self.require_about_profile(theorem.prop())?;
+        self.require_about_profile()?;
         Ok(theorem)
     }
 
-    /// Accepts only an equilibrium claim about this certificate's profile.
-    fn require_about_profile(&self, prop: &Prop) -> Result<(), ProofError> {
-        match prop {
-            Prop::IsNash(p) | Prop::IsMaxNash(p) | Prop::IsMinNash(p) if p == &self.profile => {
+    /// Accepts only a proof of an equilibrium claim (`IsNash`, `IsMaxNash`
+    /// or `IsMinNash`) about this certificate's profile.
+    fn require_about_profile(&self) -> Result<(), ProofError> {
+        match &self.proof {
+            Proof::NashIntro { profile }
+            | Proof::MaxNashIntro { profile, .. }
+            | Proof::MinNashIntro { profile, .. }
+                if profile == &self.profile =>
+            {
                 Ok(())
             }
             _ => Err(ProofError::SubProofMismatch {
                 expected: Prop::IsNash(self.profile.clone()),
-                actual: prop.clone(),
+                actual: self.proof.claims(),
             }),
         }
     }

@@ -7,8 +7,10 @@
 //! the checker either establishes a proposition or reports precisely why
 //! the proof is invalid.
 //!
-//! [`verdict`] runs the rules and returns the proved [`Prop`]; [`check`]
-//! runs the same rules and mints a [`CheckedProp`] bound to the game.
+//! A proof that passes the rules proves exactly what it claims,
+//! [`Proof::claims`]. [`verdict`] runs the rules and builds nothing;
+//! [`check`] runs the same rules and mints a [`CheckedProp`] of that claim,
+//! bound to the game.
 //!
 //! Soundness argument, rule by rule, is in each match arm below; the
 //! [`CheckedProp`] type cannot be constructed outside this module, so a
@@ -168,13 +170,14 @@ impl From<TermError> for ProofError {
     }
 }
 
-/// Runs [`check`]'s rules and returns the proved proposition, minting no
-/// theorem: the game is never hashed, so a verdict costs only its rules.
+/// Runs [`check`]'s rules, minting no theorem and building no
+/// proposition: on `Ok`, `proof` proves [`Proof::claims`]. The game is
+/// never hashed, so a verdict costs only its rules.
 ///
 /// # Errors
 ///
 /// Returns a [`ProofError`] describing the first invalid step found.
-pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<Prop, ProofError> {
+pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<(), ProofError> {
     check_inner(game, proof, &mut CheckCost::default())
 }
 
@@ -203,9 +206,9 @@ pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<Prop, ProofError> 
 /// ```
 pub fn check(game: &StrategicGame, proof: &Proof) -> Result<CheckedProp, ProofError> {
     let mut cost = CheckCost::default();
-    let prop = check_inner(game, proof, &mut cost)?;
+    check_inner(game, proof, &mut cost)?;
     Ok(CheckedProp {
-        prop,
+        prop: proof.claims(),
         digest: game.spec_digest(),
         cost,
     })
@@ -215,7 +218,7 @@ fn check_inner(
     game: &StrategicGame,
     proof: &Proof,
     cost: &mut CheckCost,
-) -> Result<Prop, ProofError> {
+) -> Result<(), ProofError> {
     cost.rules_applied += 1;
     match proof {
         Proof::EvalAtom(prop) => {
@@ -223,18 +226,14 @@ fn check_inner(
                 return Err(ProofError::NotAtomic(prop.clone()));
             }
             if eval_atom(game, prop, cost)? {
-                Ok(prop.clone())
+                Ok(())
             } else {
                 Err(ProofError::AtomFalse(prop.clone()))
             }
         }
-        Proof::AndIntro(parts) => {
-            let mut props = Vec::with_capacity(parts.len());
-            for part in parts {
-                props.push(check_inner(game, part, cost)?);
-            }
-            Ok(Prop::And(props))
-        }
+        Proof::AndIntro(parts) => parts
+            .iter()
+            .try_for_each(|part| check_inner(game, part, cost)),
         Proof::OrIntro {
             disjuncts,
             index,
@@ -244,43 +243,32 @@ fn check_inner(
                 index: *index,
                 len: disjuncts.len(),
             })?;
-            let actual = check_inner(game, witness, cost)?;
+            check_inner(game, witness, cost)?;
+            let actual = witness.claims();
             if &actual != expected {
                 return Err(ProofError::OrWitnessMismatch {
                     expected: expected.clone(),
                     actual,
                 });
             }
-            Ok(Prop::Or(disjuncts.clone()))
+            Ok(())
         }
-        Proof::NashIntro { profile } => {
-            check_is_nash(game, profile, cost)?;
-            Ok(Prop::IsNash(profile.clone()))
-        }
+        Proof::NashIntro { profile } => check_is_nash(game, profile, cost),
         Proof::NashRefute {
             profile,
             agent,
             strategy,
-        } => {
-            check_refutation(game, profile, *agent, *strategy, cost)?;
-            Ok(Prop::NotNash(profile.clone()))
-        }
+        } => check_refutation(game, profile, *agent, *strategy, cost),
         Proof::MaxNashIntro {
             profile,
             nash,
             classification,
-        } => {
-            check_extremal(game, profile, nash, classification, cost, Extremum::Max)?;
-            Ok(Prop::IsMaxNash(profile.clone()))
-        }
+        } => check_extremal(game, profile, nash, classification, cost, Extremum::Max),
         Proof::MinNashIntro {
             profile,
             nash,
             classification,
-        } => {
-            check_extremal(game, profile, nash, classification, cost, Extremum::Min)?;
-            Ok(Prop::IsMinNash(profile.clone()))
-        }
+        } => check_extremal(game, profile, nash, classification, cost, Extremum::Min),
     }
 }
 
@@ -412,8 +400,9 @@ fn check_extremal(
     cost: &mut CheckCost,
     direction: Extremum,
 ) -> Result<(), ProofError> {
+    check_inner(game, nash, cost)?;
     let expected_prop = Prop::IsNash(candidate.clone());
-    let actual = check_inner(game, nash, cost)?;
+    let actual = nash.claims();
     if actual != expected_prop {
         return Err(ProofError::SubProofMismatch {
             expected: expected_prop,

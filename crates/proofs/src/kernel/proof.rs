@@ -105,7 +105,9 @@ pub enum Proof {
 }
 
 impl Proof {
-    /// The proposition this proof claims to establish (before checking).
+    /// The proposition this proof claims to establish: what it proves
+    /// once the kernel's rules accept it, and the proposition of the
+    /// theorem [`check`](super::check) mints.
     pub fn claims(&self) -> Prop {
         match self {
             Proof::EvalAtom(p) => p.clone(),

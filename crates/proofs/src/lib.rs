@@ -50,7 +50,7 @@ pub use certificates::dominant::{
 };
 pub use certificates::online_advice::{
     honest_online_advice, verify_online_advice, OnlineAdviceCertificate, OnlineAdviceError,
-    OnlineAdviceVerified,
+    OnlineAdviceVerified, OnlineInstance,
 };
 pub use certificates::participation::{
     cross_check_advice, verify_participation_certificate, ParticipationCertificate,

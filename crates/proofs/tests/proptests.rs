@@ -16,7 +16,7 @@ use ra_proofs::kernel::{check, verdict, NotAboveWitness, ProfileVerdict, Proof, 
 use ra_proofs::{
     honest_online_advice, honest_row_advice, prove_is_nash, prove_max_nash, prove_not_nash,
     verify_online_advice, verify_participation_certificate, verify_private_advice,
-    verify_support_certificate, HonestOracle, P2Config, ParticipationCertificate,
+    verify_support_certificate, HonestOracle, OnlineInstance, P2Config, ParticipationCertificate,
     PureNashCertificate, SupportCertificate,
 };
 use ra_solvers::{
@@ -69,8 +69,9 @@ proptest! {
 
     /// The kernel's two entries are one rule body. Over random games, for
     /// honest, spliced and forged `IsNash`/`IsMaxNash` proofs, `verdict`
-    /// and `check` agree on accept/reject, on the proved `Prop` and on the
-    /// error; so do a certificate's `verdict` and `verify`.
+    /// and `check` agree on accept/reject and on the error, and the theorem
+    /// `check` mints is the proof's claim; so do a certificate's `verdict`
+    /// and `verify`.
     #[test]
     fn verdict_and_check_agree(seed in 0u64..2000, forge in any::<u64>()) {
         let shapes = [vec![2, 3], vec![3, 3], vec![2, 2, 2]];
@@ -121,12 +122,18 @@ proptest! {
         }
         for (profile, proof) in claims {
             let theorem = check(&game, &proof);
-            prop_assert_eq!(verdict(&game, &proof), theorem.clone().map(|t| t.prop().clone()));
+            prop_assert_eq!(
+                verdict(&game, &proof).map(|()| proof.claims()),
+                theorem.clone().map(|t| t.prop().clone())
+            );
             if let Ok(theorem) = theorem {
                 prop_assert!(theorem.applies_to(&game));
             }
             let cert = PureNashCertificate { profile, proof };
-            prop_assert_eq!(cert.verdict(&game), cert.verify(&game).map(|t| t.prop().clone()));
+            prop_assert_eq!(
+                cert.verdict(&game).map(|()| cert.proof.claims()),
+                cert.verify(&game).map(|t| t.prop().clone())
+            );
         }
     }
 
@@ -235,14 +242,13 @@ proptest! {
             return Ok(());
         };
         for root in roots {
-            let cert = ParticipationCertificate { params: params.clone(), root: root.clone() };
-            prop_assert!(verify_participation_certificate(&cert, &tol).is_ok());
+            let cert = ParticipationCertificate { root: root.clone() };
+            prop_assert!(verify_participation_certificate(&params, &cert, &tol).is_ok());
             if let EquilibriumRoot::Exact(p) = &root {
                 let perturbed = ParticipationCertificate {
-                    params: params.clone(),
                     root: EquilibriumRoot::Exact(p + &rat(noise, 100_000)),
                 };
-                prop_assert!(verify_participation_certificate(&perturbed, &tol).is_err());
+                prop_assert!(verify_participation_certificate(&params, &perturbed, &tol).is_err());
             }
         }
     }
@@ -259,19 +265,21 @@ proptest! {
         agents in 0usize..5,
     ) {
         let current: Vec<Rational> = loads.iter().map(|&l| Rational::from(l)).collect();
-        let cert = honest_online_advice(
-            &current,
-            &Rational::from(own),
-            &Rational::from(future),
-            agents,
-        );
-        let verified = verify_online_advice(&cert).expect("honest advice verifies");
+        let (own, future) = (Rational::from(own), Rational::from(future));
+        let instance = OnlineInstance {
+            current_loads: &current,
+            own_load: &own,
+            expected_future_load: &future,
+            expected_future_agents: agents,
+        };
+        let cert = honest_online_advice(&instance);
+        let verified = verify_online_advice(&instance, &cert).expect("honest advice verifies");
         prop_assert_eq!(verified.link, cert.suggested_link);
         // Tamper: point the suggestion elsewhere without editing the
         // assignment — always caught.
         let mut tampered = cert.clone();
         tampered.suggested_link = (cert.suggested_link + 1) % current.len();
-        prop_assert!(verify_online_advice(&tampered).is_err());
+        prop_assert!(verify_online_advice(&instance, &tampered).is_err());
     }
 }
 
@@ -324,10 +332,9 @@ fn paper_section5_numbers() {
     let roots = solve_participation_equilibrium(&params, &rat(1, 1 << 26)).unwrap();
     assert_eq!(roots[0], EquilibriumRoot::Exact(rat(1, 4)));
     let cert = ParticipationCertificate {
-        params,
         root: roots[0].clone(),
     };
-    let verified = verify_participation_certificate(&cert, &rat(1, 1024)).unwrap();
+    let verified = verify_participation_certificate(&params, &cert, &rat(1, 1024)).unwrap();
     // Expected gain v/16 with v = 8.
     assert_eq!(verified.expected_gain, rat(1, 2));
 }

@@ -13,14 +13,25 @@
 //!   {0, 1}. The kernel proves `IsNash` exactly when no agent has an
 //!   improving deviation, and no single-field mutation of an accepted
 //!   proof proves anything false.
+//! - §6 online advice: every instance on 1–3 identical links with current
+//!   loads in {0, 1, 2}, own load in {1, 2}, future load in {0, 1, 2} and
+//!   0–2 future agents, against every assignment of 1 + F loads for every
+//!   F in 0–2. The checker accepts exactly the assignments of the
+//!   instance's own 1 + F loads, with the suggestion on the own load's
+//!   link, that leave no non-zero load a strictly shorter final load
+//!   elsewhere.
 //!
-//! The 3×3 families over {0, 1} (262,144 games each) are `#[ignore]`d;
-//! CI runs them in release with `--include-ignored`.
+//! The 3×3 families over {0, 1} (262,144 games each) and the §6 scope on
+//! up to 4 links are `#[ignore]`d; CI runs them in release with
+//! `--include-ignored`.
 
 use ra_exact::Rational;
 use ra_games::{BimatrixGame, StrategicGame, StrategyProfile};
 use ra_proofs::kernel::{verdict, Prop};
-use ra_proofs::{prove_is_nash, verify_support_certificate, SupportCertificate};
+use ra_proofs::{
+    prove_is_nash, verify_online_advice, verify_support_certificate, OnlineAdviceCertificate,
+    OnlineInstance, SupportCertificate,
+};
 
 /// Calls `check(a, b)` once for every pair of `rows × cols` payoff tables
 /// with entries in `0..values`; returns how many games that was.
@@ -198,7 +209,8 @@ fn enumerate_pure_nash(rows: usize, cols: usize) -> (u64, u64) {
             for j in 0..cols {
                 checks += 1;
                 let profile: StrategyProfile = vec![i, j].into();
-                let proved = verdict(&game, &prove_is_nash(profile.clone())).ok();
+                let proof = prove_is_nash(profile.clone());
+                let proved = verdict(&game, &proof).ok().map(|()| proof.claims());
                 let nash = is_pure_equilibrium(a, b, &[i, j]);
                 let claim = Prop::IsNash(profile);
                 assert_eq!(
@@ -214,8 +226,8 @@ fn enumerate_pure_nash(rows: usize, cols: usize) -> (u64, u64) {
                 for mutated in mutations(&[i, j], &[rows, cols]) {
                     checks += 1;
                     let proof = prove_is_nash(mutated.clone().into());
-                    if let Ok(prop) = verdict(&game, &proof) {
-                        assert_eq!(prop, Prop::IsNash(mutated.clone().into()));
+                    if verdict(&game, &proof).is_ok() {
+                        assert_eq!(proof.claims(), Prop::IsNash(mutated.clone().into()));
                         assert!(
                             is_pure_equilibrium(a, b, &mutated),
                             "A {a:?}, B {b:?}: mutation {mutated:?} of ({i}, {j}) accepted"
@@ -243,4 +255,113 @@ fn pure_nash_every_profile_of_every_2x3_game_over_0_1() {
 #[ignore = "9.7M checks: run in release with --include-ignored"]
 fn pure_nash_every_profile_of_every_3x3_game_over_0_1() {
     assert_eq!(enumerate_pure_nash(3, 3), (262_144, 9_732_096));
+}
+
+/// Every vector of `len` entries in `0..base`, in odometer order.
+fn tuples(len: u32, base: usize) -> impl Iterator<Item = Vec<usize>> {
+    (0..base.pow(len)).map(move |mut code| {
+        (0..len)
+            .map(|_| {
+                let digit = code % base;
+                code /= base;
+                digit
+            })
+            .collect()
+    })
+}
+
+/// Whether `assignment` (entry 0 the own load, the rest future loads) is a
+/// Nash equilibrium on identical links: moving any non-zero load to any
+/// other link leaves it a final load no smaller than where it is.
+fn is_online_equilibrium(
+    current: &[Rational],
+    own: &Rational,
+    future: &Rational,
+    assignment: &[usize],
+) -> bool {
+    let weight = |index: usize| if index == 0 { own } else { future };
+    let mut finals = current.to_vec();
+    for (index, &link) in assignment.iter().enumerate() {
+        finals[link] = &finals[link] + weight(index);
+    }
+    assignment.iter().enumerate().all(|(index, &from)| {
+        let w = weight(index);
+        w.is_zero()
+            || (0..finals.len()).filter(|&to| to != from).all(|to| {
+                let mut moved = finals.clone();
+                moved[from] = &moved[from] - w;
+                moved[to] = &moved[to] + w;
+                moved[to] >= finals[from]
+            })
+    })
+}
+
+/// Runs the §6 checker on every instance with up to `max_links` links,
+/// current loads and future loads in `0..values`, own loads in
+/// `1..values` and `0..=max_future` future agents, against every
+/// assignment of `1 + F` loads for each `F` in `0..=max_future`, each with
+/// its own-load link and one other link as the suggestion; returns
+/// (instances, checks, accepted).
+fn enumerate_online(max_links: u32, values: i64, max_future: u32) -> (u64, u64, u64) {
+    let (mut instances, mut checks, mut accepted) = (0, 0, 0);
+    let value = Rational::from;
+    for m in 1..=max_links {
+        for loads in tuples(m, values as usize) {
+            let current: Vec<Rational> = loads.iter().map(|&l| value(l as i64)).collect();
+            for (own, future) in (1..values).flat_map(|o| (0..values).map(move |f| (o, f))) {
+                let (own, future) = (value(own), value(future));
+                for agents in 0..=max_future {
+                    instances += 1;
+                    let instance = OnlineInstance {
+                        current_loads: &current,
+                        own_load: &own,
+                        expected_future_load: &future,
+                        expected_future_agents: agents as usize,
+                    };
+                    for shipped in 0..=max_future {
+                        for assignment in tuples(1 + shipped, m as usize) {
+                            let fits = shipped == agents;
+                            let nash =
+                                fits && is_online_equilibrium(&current, &own, &future, &assignment);
+                            let own_link = assignment[0];
+                            let other_link = (m > 1).then_some((own_link + 1) % m as usize);
+                            for suggested_link in std::iter::once(own_link).chain(other_link) {
+                                checks += 1;
+                                let cert = OnlineAdviceCertificate {
+                                    assignment: assignment.clone(),
+                                    suggested_link,
+                                };
+                                let verdict = verify_online_advice(&instance, &cert);
+                                assert_eq!(
+                                    verdict.is_ok(),
+                                    nash && suggested_link == own_link,
+                                    "{instance:?}, {cert:?}: {verdict:?}"
+                                );
+                                if let Ok(verified) = verdict {
+                                    assert_eq!(verified.link, own_link);
+                                    accepted += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    println!(
+        "online advice, up to {max_links} links over 0..{values}: \
+         {instances} instances, {checks} checks, {accepted} accepted"
+    );
+    (instances, checks, accepted)
+}
+
+#[test]
+fn online_every_assignment_of_every_instance_on_up_to_3_links() {
+    assert_eq!(enumerate_online(3, 3, 2), (702, 42_606, 2_869));
+}
+
+#[test]
+#[ignore = "9.1M checks: run in release with --include-ignored"]
+fn online_every_assignment_of_every_instance_on_up_to_4_links() {
+    assert_eq!(enumerate_online(4, 4, 3), (16_320, 9_139_968, 223_775));
 }

@@ -27,7 +27,7 @@ fn main() {
     let cert = game
         .inventor_advice(&rat(1, 1 << 30))
         .expect("equilibrium exists");
-    let verified = verify_participation_certificate(&cert, &rat(1, 1 << 20))
+    let verified = verify_participation_certificate(&params, &cert, &rat(1, 1 << 20))
         .expect("honest certificate verifies");
     println!(
         "\n[offline] advised participation probability p = {}",
@@ -42,20 +42,18 @@ fn main() {
 
     // A perturbed p is caught:
     let bogus = ParticipationCertificate {
-        params: params.clone(),
         root: EquilibriumRoot::Exact(rat(1, 3)),
     };
-    assert!(verify_participation_certificate(&bogus, &rat(1, 1024)).is_err());
+    assert!(verify_participation_certificate(&params, &bogus, &rat(1, 1024)).is_err());
     println!("  (a perturbed p = 1/3 was rejected by Eq. (5))");
 
     // The cross-check: both symmetric equilibria verify individually, so a
     // dishonest prover could split the firms across them — unless they
     // compare notes.
     let other = ParticipationCertificate {
-        params: params.clone(),
         root: EquilibriumRoot::Exact(rat(3, 4)),
     };
-    assert!(verify_participation_certificate(&other, &rat(1, 1024)).is_ok());
+    assert!(verify_participation_certificate(&params, &other, &rat(1, 1024)).is_ok());
     assert!(!cross_check_advice(&[cert.clone(), other]));
     println!("  (split advice p = 1/4 vs p = 3/4 caught by the firms' cross-check)");
 

@@ -14,7 +14,7 @@ use rationality_authority::congestion::{
     fig6_outcome, greedy_assign, inventor_assign, run_fig7, Fig7Config,
 };
 use rationality_authority::exact::Rational;
-use rationality_authority::proofs::{honest_online_advice, verify_online_advice};
+use rationality_authority::proofs::{honest_online_advice, verify_online_advice, OnlineInstance};
 
 fn main() {
     // ---- Fig. 6 ----------------------------------------------------------
@@ -36,16 +36,18 @@ fn main() {
     for (i, &w) in loads.iter().enumerate() {
         observed += w;
         let average = Rational::new(observed as i64, (i + 1) as i64);
-        let cert = honest_online_advice(
-            &link_loads,
-            &Rational::from(w as i64),
-            &average,
-            loads.len() - i - 1,
-        );
+        let own = Rational::from(w as i64);
+        let instance = OnlineInstance {
+            current_loads: &link_loads,
+            own_load: &own,
+            expected_future_load: &average,
+            expected_future_agents: loads.len() - i - 1,
+        };
+        let cert = honest_online_advice(&instance);
         // The agent trusts nothing: it checks the Nash property of the
-        // shipped assignment before moving.
-        let verified = verify_online_advice(&cert).expect("honest certificate verifies");
-        link_loads[verified.link] = &link_loads[verified.link] + &Rational::from(w as i64);
+        // shipped assignment against the instance it holds before moving.
+        let verified = verify_online_advice(&instance, &cert).expect("honest certificate verifies");
+        link_loads[verified.link] = &link_loads[verified.link] + &own;
         if i < 3 || i == loads.len() - 1 {
             println!(
                 "  agent {i:>2} (load {w:>4}): verified advice -> link {} \

@@ -10,8 +10,8 @@ use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
 use rationality_authority::proofs::kernel::{check, NotAboveWitness, ProfileVerdict, Proof};
 use rationality_authority::proofs::{
     honest_online_advice, honest_row_advice, prove_max_nash, verify_online_advice,
-    verify_private_advice, verify_support_certificate, HonestOracle, P2Advice, P2Config, P2Outcome,
-    P2Rejection, SupportCertificate, TranscriptEvent,
+    verify_private_advice, verify_support_certificate, HonestOracle, OnlineInstance, P2Advice,
+    P2Config, P2Outcome, P2Rejection, SupportCertificate, TranscriptEvent,
 };
 use rationality_authority::solvers::{enumerate_equilibria, EnumerationOptions};
 
@@ -105,7 +105,8 @@ fn p1_acceptance_set_is_exactly_the_equilibria() {
     }
 }
 
-/// Randomly corrupt online-advice certificates field by field.
+/// Randomly corrupt online-advice certificates field by field, or judge
+/// them against another instance than the one they were built for.
 #[test]
 fn online_advice_mutation_fuzz() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -117,35 +118,38 @@ fn online_advice_mutation_fuzz() {
         let own = Rational::from(rng.random_range(1..100));
         let future = Rational::from(rng.random_range(0..50));
         let agents = rng.random_range(0..6);
-        let honest = honest_online_advice(&current, &own, &future, agents);
-        assert!(verify_online_advice(&honest).is_ok());
-        // Corrupt one random field.
-        let mut corrupted = honest.clone();
+        let instance = OnlineInstance {
+            current_loads: &current,
+            own_load: &own,
+            expected_future_load: &future,
+            expected_future_agents: agents,
+        };
+        let honest = honest_online_advice(&instance);
+        assert!(verify_online_advice(&instance, &honest).is_ok());
+        // Corrupt one random field of the certificate or of the instance.
+        let (mut corrupted, mut judged) = (honest.clone(), instance);
+        let heavier = &own + &Rational::from(1000);
         match rng.random_range(0..4) {
             0 => corrupted.suggested_link = (corrupted.suggested_link + 1) % m,
             1 => {
                 let idx = rng.random_range(0..corrupted.assignment.len());
                 corrupted.assignment[idx] = (corrupted.assignment[idx] + 1) % m;
             }
-            2 => corrupted.own_load = &corrupted.own_load + &Rational::from(1000),
+            2 => judged.own_load = &heavier,
             _ => {
-                corrupted.expected_future_agents += 1; // length mismatch
+                judged.expected_future_agents += 1; // length mismatch
             }
         }
-        if corrupted == honest {
+        if corrupted == honest && judged == instance {
             continue;
         }
-        if let Ok(verified) = verify_online_advice(&corrupted) {
+        if let Ok(verified) = verify_online_advice(&judged, &corrupted) {
             // Rare sound acceptances (e.g. swapping equal loads between
             // equally-loaded links): the verified assignment must still be
             // an equilibrium — re-check the Nash property independently.
-            let mut final_loads = corrupted.current_loads.clone();
+            let mut final_loads = current.clone();
             for (idx, &link) in corrupted.assignment.iter().enumerate() {
-                let w = if idx == 0 {
-                    &corrupted.own_load
-                } else {
-                    &corrupted.expected_future_load
-                };
+                let w = if idx == 0 { judged.own_load } else { &future };
                 final_loads[link] = &final_loads[link] + w;
             }
             assert_eq!(verified.predicted_loads, final_loads);

@@ -202,10 +202,7 @@ fn both_symmetric_equilibria_verify() {
         ]
     );
     for root in roots {
-        let cert = rationality_authority::proofs::ParticipationCertificate {
-            params: params.clone(),
-            root,
-        };
-        assert!(verify_participation_certificate(&cert, &rat(1, 1024)).is_ok());
+        let cert = rationality_authority::proofs::ParticipationCertificate { root };
+        assert!(verify_participation_certificate(&params, &cert, &rat(1, 1024)).is_ok());
     }
 }
