@@ -3,7 +3,7 @@
 //! An in-process stand-in for the distributed deployment of Fig. 1:
 //! parties register endpoints, messages are serialized to real bytes
 //! (so Lemma 1's communication claims are measured), delivered into
-//! each recipient's [`Endpoint`] queue, and counted. Fault injection
+//! each recipient's [`Endpoint`] slot, and counted. Fault injection
 //! (drop rules) supports the dishonest-party experiments.
 //!
 //! [`Network`] is generic over a sealed [`LinkModel`] that decides each
@@ -18,41 +18,31 @@
 //!   schedule and a virtual clock (see [`crate::SimNet`]).
 //!
 //! Each network holds one `Mutex` over everything it mutates: the
-//! routing table, the drop rules, the [`Ledger`](crate::transport) and
-//! the link model's state. Every network in the engine is driven by one
-//! thread at a time (a shard's under its shard lock, the gossip hub from
-//! `sync_reputation`), so finer locking bought no throughput. Every
-//! method takes the lock once. The only lock taken under it is a
-//! recipient's queue lock, a leaf held just for the push, so there is no
-//! lock order to keep. A send or a whole batch routes, samples and
-//! accounts under one acquisition, which keeps a simulated link's random
-//! stream in send order; the accessors (`total_bytes`, `delivered_bytes`,
-//! `bytes_between`, `delivery_log`, `message_count`) each read one
-//! consistent snapshot, so under concurrency they are individually
-//! consistent with some linearization of the accounted sends.
+//! routing table, every endpoint's queue, the drop rules, the
+//! [`Ledger`](crate::transport) and the link model's state. Every network
+//! in the engine is driven by one thread at a time (a shard's under its
+//! shard lock, the gossip hub from `sync_reputation`), so finer locking
+//! bought no throughput. Every method takes the lock at most once, and no
+//! other lock is taken under it, so there is no lock order to keep. A
+//! frame is one push into its recipient's slot under that lock. A send or
+//! a whole batch routes, samples, delivers and accounts under one
+//! acquisition, which keeps a simulated link's random stream in send
+//! order. Over [`Perfect`] links, which have no clock, `settle`, `now`
+//! and `advance` take no lock at all. The accessors (`total_bytes`,
+//! `delivered_bytes`, `bytes_between`, `delivery_log`, `message_count`)
+//! each read one consistent snapshot, so under concurrency they are
+//! individually consistent with some linearization of the accounted
+//! sends.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::messages::{Message, Party};
-use crate::transport::{BusError, DeliveryRecord, Endpoint, Ledger, Transport};
+use crate::transport::{
+    BusError, DeliveryRecord, Endpoint, Ledger, MailboxLock, Mailboxes, Slot, Transport,
+};
 use crate::wire::Wire;
-
-/// The network's handle on a registered [`Endpoint`]'s queue. Weak, so
-/// dropping the endpoint frees the queue and later deliveries fail.
-pub type Inbox = Weak<Mutex<VecDeque<(Party, Message)>>>;
-
-/// Appends a frame to `inbox`; false if its endpoint was dropped.
-pub(crate) fn push(inbox: &Inbox, from: Party, message: Message) -> bool {
-    let Some(queue) = inbox.upgrade() else {
-        return false;
-    };
-    queue
-        .lock()
-        .expect("inbox lock poisoned")
-        .push_back((from, message));
-    true
-}
 
 /// Fault injection: `(from, to)` pairs whose messages are dropped.
 pub type DropRules = HashSet<(Party, Party)>;
@@ -72,14 +62,50 @@ pub enum Fate {
     },
 }
 
+/// The routing table's hasher: a fixed multiply-rotate over the words a
+/// [`Party`] hashes (its variant, then its id), in place of a per-map
+/// seeded SipHash. It does not resist chosen keys, and needs not: an
+/// engine network routes only its inventor, its panel and at most one
+/// agent in session.
+#[derive(Default)]
+pub(crate) struct PartyHasher(u64);
+
+impl Hasher for PartyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+/// Each routed party's endpoint slot.
+type Routes = HashMap<Party, Slot, BuildHasherDefault<PartyHasher>>;
+
 pub(crate) mod sealed {
-    use super::{DropRules, Fate, Inbox, Message, Party};
+    use super::{DropRules, Fate, Mailboxes, Message, Party, Slot};
 
     /// The hooks the network's one send path calls on its link model,
     /// always under the network's lock. Public in a crate-private module,
     /// so only this crate's two models implement it; every provided
     /// method is the perfect link's behaviour.
     pub trait Hooks {
+        /// Whether the model keeps a clock. Without one, `settle`, `now`
+        /// and `advance` are the provided no-ops, and the network answers
+        /// them without taking its lock.
+        const CLOCKED: bool = false;
+
         /// The fate of one frame on the `from → to` link.
         fn fate(&mut self, _from: Party, _to: Party) -> Fate {
             Fate::Deliver {
@@ -88,39 +114,46 @@ pub(crate) mod sealed {
             }
         }
 
-        /// Puts a frame in flight for `delay > 0` ticks.
-        fn queue(&mut self, delay: u64, from: Party, inbox: Inbox, message: Message);
+        /// Puts a frame for `slot` in flight for `delay > 0` ticks.
+        fn queue(&mut self, delay: u64, from: Party, slot: Slot, message: Message);
 
-        /// Delivers every in-flight frame (see `Transport::settle`); a
-        /// scheduled split or heal edits `drop_rules`.
-        fn settle(&mut self, _drop_rules: &mut DropRules) {}
+        /// Delivers every in-flight frame into `mailboxes` (see
+        /// `Transport::settle`); a scheduled split or heal edits
+        /// `drop_rules`.
+        fn settle(&mut self, _drop_rules: &mut DropRules, _mailboxes: &mut Mailboxes) {}
 
         /// The virtual clock.
         fn now(&self) -> u64 {
             0
         }
 
-        /// Advances the virtual clock by `ticks` (see
-        /// `Transport::advance`); a scheduled split or heal edits
-        /// `drop_rules`.
-        fn advance(&mut self, _ticks: u64, _drop_rules: &mut DropRules) {}
+        /// Advances the virtual clock by `ticks`, delivering due frames
+        /// into `mailboxes` (see `Transport::advance`); a scheduled split
+        /// or heal edits `drop_rules`.
+        fn advance(
+            &mut self,
+            _ticks: u64,
+            _drop_rules: &mut DropRules,
+            _mailboxes: &mut Mailboxes,
+        ) {
+        }
     }
 }
 
 /// How a [`Network`]'s links treat routed frames. Sealed: the models are
 /// [`Perfect`] and [`Simulated`](crate::Simulated).
-pub trait LinkModel: sealed::Hooks + std::fmt::Debug + Send + Sync {}
+pub trait LinkModel: sealed::Hooks + std::fmt::Debug + Send + Sync + 'static {}
 
 /// The perfect link: zero latency, zero loss, no clock and no RNG. A
-/// zero-sized model, so a [`Bus`]'s lock holds only routing and the
-/// ledger.
+/// zero-sized model, so a [`Bus`]'s lock holds only routing, the queues
+/// and the ledger.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Perfect;
 
 impl LinkModel for Perfect {}
 
 impl sealed::Hooks for Perfect {
-    fn queue(&mut self, _: u64, _: Party, _: Inbox, _: Message) {
+    fn queue(&mut self, _: u64, _: Party, _: Slot, _: Message) {
         unreachable!("a perfect link delivers inside send")
     }
 }
@@ -128,7 +161,8 @@ impl sealed::Hooks for Perfect {
 /// Everything a [`Network`] mutates, behind its one lock.
 #[derive(Debug, Default)]
 pub(crate) struct NetState<M> {
-    endpoints: HashMap<Party, Inbox>,
+    routes: Routes,
+    pub(crate) mailboxes: Mailboxes,
     pub(crate) drop_rules: DropRules,
     ledger: Ledger,
     /// The link model, which decides each routed frame's fate.
@@ -138,9 +172,10 @@ pub(crate) struct NetState<M> {
 impl<M: LinkModel> NetState<M> {
     /// The one send step: drop rule, then the destination
     /// lookup (an unknown party errors before any accounting), then the
-    /// link model's fate, then delivery — inside this call when the delay
-    /// is zero, which is the only case a dropped `Endpoint` is detected —
-    /// and accounting of each frame put on the wire.
+    /// link model's fate, then delivery — a push into the destination's
+    /// slot when the delay is zero, which is the only case a dropped
+    /// `Endpoint` is detected — and accounting of each frame put on the
+    /// wire.
     fn transmit(&mut self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
         let bytes = message.encoded_len();
         let retransmit = message.is_retransmit();
@@ -148,7 +183,7 @@ impl<M: LinkModel> NetState<M> {
             self.ledger.account(from, to, bytes, false, retransmit);
             return Ok(());
         }
-        let inbox = self.endpoints.get(&to).ok_or(BusError::UnknownParty(to))?;
+        let slot = *self.routes.get(&to).ok_or(BusError::UnknownParty(to))?;
         let (delay, duplicate) = match self.link.fate(from, to) {
             Fate::Lost => {
                 self.ledger.account(from, to, bytes, false, retransmit);
@@ -158,12 +193,12 @@ impl<M: LinkModel> NetState<M> {
         };
         // A delayed frame is accounted delivered when it is queued: its
         // fate is already decided and it lands at settle.
-        let link = &mut self.link;
+        let (link, mailboxes) = (&mut self.link, &mut self.mailboxes);
         let mut deliver = |message: Message| {
             if delay == 0 {
-                push(inbox, from, message)
+                mailboxes.push(slot, from, message)
             } else {
-                link.queue(delay, from, inbox.clone(), message);
+                link.queue(delay, from, slot, message);
                 true
             }
         };
@@ -186,11 +221,13 @@ impl<M: LinkModel> NetState<M> {
 }
 
 /// The in-memory network over links of model `M`: one lock over the
-/// routing table, the ledger and the link model, and one send path. Use
-/// it through [`Bus`] or [`SimNet`](crate::SimNet).
+/// routing table, the endpoints' queues, the ledger and the link model,
+/// and one send path. Use it through [`Bus`] or [`SimNet`](crate::SimNet).
 #[derive(Debug, Default)]
 pub struct Network<M: LinkModel> {
-    state: Mutex<NetState<M>>,
+    /// Shared with every registered [`Endpoint`], which drains its queue
+    /// under this lock.
+    state: Arc<Mutex<NetState<M>>>,
 }
 
 /// The synchronous in-memory network: a [`Network`] over [`Perfect`]
@@ -240,24 +277,21 @@ impl<M: LinkModel> Network<M> {
     ///     .unwrap();
     /// assert_eq!(bus.delivery_log().len(), bus.message_count());
     /// ```
-    pub fn with_delivery_log(mut self) -> Self {
-        self.state
-            .get_mut()
-            .expect("network lock poisoned")
-            .ledger
-            .keep_log();
+    pub fn with_delivery_log(self) -> Self {
+        self.state().ledger.keep_log();
         self
     }
 
     /// An empty network over `model`'s links.
     pub(crate) fn with_model(model: M) -> Network<M> {
         Network {
-            state: Mutex::new(NetState {
-                endpoints: HashMap::new(),
+            state: Arc::new(Mutex::new(NetState {
+                routes: Routes::default(),
+                mailboxes: Mailboxes::default(),
                 drop_rules: DropRules::new(),
                 ledger: Ledger::default(),
                 link: model,
-            }),
+            })),
         }
     }
 
@@ -267,17 +301,35 @@ impl<M: LinkModel> Network<M> {
     }
 }
 
+impl<M: LinkModel> MailboxLock for Mutex<NetState<M>> {
+    /// Recovers a poisoned lock: every mailbox update completes in one
+    /// step, so the mailboxes stay valid whatever panicked, and a dropped
+    /// endpoint closes its slot here, which must not panic while a panic
+    /// unwinds.
+    fn with_mailboxes(&self, f: &mut dyn FnMut(&mut Mailboxes)) {
+        f(&mut self
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .mailboxes);
+    }
+}
+
 impl<M: LinkModel> Transport for Network<M> {
-    /// Frames already in flight keep the queue they captured at send
+    /// Frames already in flight keep the slot they captured at send
     /// time, so re-registering does not redirect them.
     fn register(&self, party: Party) -> Endpoint {
-        let queue = Arc::default();
-        self.state().endpoints.insert(party, Arc::downgrade(&queue));
-        Endpoint { party, queue }
+        let state = &mut *self.state();
+        let slot = state.mailboxes.open();
+        state.routes.insert(party, slot);
+        Endpoint {
+            party,
+            slot,
+            network: Arc::clone(&self.state) as Arc<dyn MailboxLock>,
+        }
     }
 
     fn disconnect(&self, party: Party) {
-        self.state().endpoints.remove(&party);
+        self.state().routes.remove(&party);
     }
 
     fn send(&self, from: Party, to: Party, message: Message) -> Result<(), BusError> {
@@ -311,8 +363,12 @@ impl<M: LinkModel> Transport for Network<M> {
     }
 
     fn settle(&self) {
-        let state = &mut *self.state();
-        state.link.settle(&mut state.drop_rules);
+        if M::CLOCKED {
+            let state = &mut *self.state();
+            state
+                .link
+                .settle(&mut state.drop_rules, &mut state.mailboxes);
+        }
     }
 
     fn total_bytes(&self) -> usize {
@@ -340,12 +396,20 @@ impl<M: LinkModel> Transport for Network<M> {
     }
 
     fn now(&self) -> u64 {
-        self.state().link.now()
+        if M::CLOCKED {
+            self.state().link.now()
+        } else {
+            0
+        }
     }
 
     fn advance(&self, ticks: u64) {
-        let state = &mut *self.state();
-        state.link.advance(ticks, &mut state.drop_rules);
+        if M::CLOCKED {
+            let state = &mut *self.state();
+            state
+                .link
+                .advance(ticks, &mut state.drop_rules, &mut state.mailboxes);
+        }
     }
 }
 
@@ -672,6 +736,68 @@ mod tests {
         assert!(new_ep.try_recv().is_some());
     }
 
+    /// A network whose every link delays frames by 5 ticks.
+    fn delaying_net() -> SimNet {
+        SimNet::new(crate::SimNetConfig {
+            default_link: crate::LinkProfile::with_latency(5, 5),
+            ..crate::SimNetConfig::default()
+        })
+    }
+
+    #[test]
+    fn a_frame_in_flight_to_a_closed_slot_never_reaches_its_next_owner() {
+        let net = delaying_net().with_delivery_log();
+        let (a, b, c) = (Party::Agent(1), Party::Agent(2), Party::Agent(3));
+        net.register(a);
+        let ep_b = net.register(b);
+        net.send(a, b, Message::AdviceRequest { game_id: 1 })
+            .unwrap();
+        let closed = ep_b.slot;
+        drop(ep_b);
+        let ep_c = net.register(c);
+        assert_eq!(ep_c.slot.index, closed.index, "c reuses b's slot");
+        net.settle();
+        assert!(ep_c.try_recv().is_none(), "b's frame never reaches c");
+        // Accounted at send, when b's endpoint was live.
+        assert!(checked_log(&net)[0].delivered);
+    }
+
+    #[test]
+    fn a_send_to_a_dropped_endpoint_is_disconnected_after_its_slot_is_reused() {
+        let bus = Bus::new();
+        let (a, b, c) = (Party::Agent(1), Party::Agent(2), Party::Agent(3));
+        bus.register(a);
+        let ep_b = bus.register(b);
+        let closed = ep_b.slot;
+        drop(ep_b);
+        let ep_c = bus.register(c);
+        assert_eq!(ep_c.slot.index, closed.index, "c reuses b's slot");
+        assert_eq!(
+            bus.send(a, b, Message::AdviceRequest { game_id: 1 }),
+            Err(BusError::Disconnected(b))
+        );
+        assert!(ep_c.try_recv().is_none());
+    }
+
+    #[test]
+    fn reregistration_keeps_frames_in_flight_on_the_old_endpoint() {
+        let net = delaying_net();
+        let (a, b) = (Party::Agent(1), Party::Agent(2));
+        net.register(a);
+        let old_ep = net.register(b);
+        net.send(a, b, Message::AdviceRequest { game_id: 1 })
+            .unwrap();
+        let new_ep = net.register(b);
+        net.send(a, b, Message::AdviceRequest { game_id: 2 })
+            .unwrap();
+        net.settle();
+        let messages = |ep: &Endpoint| -> Vec<Message> {
+            ep.drain().into_iter().map(|(_, message)| message).collect()
+        };
+        assert_eq!(messages(&old_ep), [Message::AdviceRequest { game_id: 1 }]);
+        assert_eq!(messages(&new_ep), [Message::AdviceRequest { game_id: 2 }]);
+    }
+
     #[test]
     fn fault_injection_drops_silently() {
         for bus in both_models() {
@@ -990,17 +1116,17 @@ mod tests {
             net.settle();
             assert_eq!(net.message_count(), 41, "{net:?}");
             assert!(net.delivery_log().is_empty(), "{net:?}");
-            assert!(ep.queue().capacity() > 0);
+            assert!(ep.queue_capacity() > 0);
             let mut out = Vec::new();
             assert_eq!(ep.drain_into(&mut out), 41);
-            assert_eq!(ep.queue().capacity(), 0, "drain_into frees the queue");
+            assert_eq!(ep.queue_capacity(), 0, "drain_into frees the queue");
             for g in 0..3 {
                 net.send(a, b, Message::AdviceRequest { game_id: g })
                     .unwrap();
             }
             net.settle();
             while ep.try_recv().is_some() {}
-            assert_eq!(ep.queue().capacity(), 0, "try_recv frees the queue");
+            assert_eq!(ep.queue_capacity(), 0, "try_recv frees the queue");
         }
     }
 

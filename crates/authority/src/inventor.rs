@@ -130,12 +130,14 @@ impl Inventor {
                 own_load,
                 expected_future_load,
                 expected_future_agents,
-            } => Some(Advice::Online(honest_online_advice(&OnlineInstance {
+            } => honest_online_advice(&OnlineInstance {
                 current_loads,
                 own_load,
                 expected_future_load,
                 expected_future_agents: *expected_future_agents,
-            }))),
+            })
+            .ok()
+            .map(Advice::Online),
         }
     }
 
@@ -199,7 +201,8 @@ impl Inventor {
                     own_load,
                     expected_future_load,
                     expected_future_agents: *expected_future_agents,
-                });
+                })
+                .ok()?;
                 cert.suggested_link = (cert.suggested_link + 1) % current_loads.len();
                 Some(Advice::Online(cert))
             }

@@ -1268,14 +1268,15 @@ mod tests {
                 hi: rat(2, 5),
             },
         }));
-        let online = round_trip(Advice::Online(ra_proofs::honest_online_advice(
-            &ra_proofs::OnlineInstance {
+        let online = round_trip(Advice::Online(
+            ra_proofs::honest_online_advice(&ra_proofs::OnlineInstance {
                 current_loads: &[rat(3, 1), rat(1, 2)],
                 own_load: &rat(7, 3),
                 expected_future_load: &rat(1, 1),
                 expected_future_agents: 2,
-            },
-        )));
+            })
+            .unwrap(),
+        ));
         assert_eq!(online, 6);
     }
 

@@ -2224,6 +2224,45 @@ mod tests {
     }
 
     #[test]
+    fn a_links_spec_the_inventor_cannot_serve_gets_no_advice() {
+        // No links, or more expected agents than an assignment can hold:
+        // no inventor advises, so the advice stage starves.
+        use ra_exact::{rat, Rational};
+        let links =
+            |current_loads: Vec<Rational>, expected_future_agents| GameSpec::ParallelLinks {
+                current_loads,
+                own_load: rat(1, 1),
+                expected_future_load: rat(1, 1),
+                expected_future_agents,
+            };
+        let loads = || vec![rat(1, 1), rat(2, 1)];
+        for spec in [
+            links(Vec::new(), 1),
+            links(loads(), usize::MAX),
+            links(loads(), usize::MAX / 8),
+        ] {
+            for behavior in [InventorBehavior::Honest, InventorBehavior::Corrupt] {
+                let mut authority = RationalityAuthority::new(
+                    Inventor::new(0, behavior),
+                    &[VerifierBehavior::Honest; 3],
+                );
+                let outcome = authority.consult(0, &spec);
+                assert!(outcome.advice.is_none(), "{behavior:?}");
+                assert_eq!(
+                    outcome.panel,
+                    PanelOutcome::Undecided {
+                        missing: vec![Party::Inventor(0)]
+                    }
+                );
+                authority.set_resilience(Some(ResilienceConfig::default()));
+                let ConsultError::Deadline { stage, .. } =
+                    authority.try_consult(0, &spec).unwrap_err();
+                assert_eq!(stage, ConsultStage::Advice, "{behavior:?}");
+            }
+        }
+    }
+
+    #[test]
     fn a_deadline_disconnects_the_agent_and_its_next_consult_succeeds() {
         // A session that fails with a typed deadline still disconnects
         // its agent, and the same agent's next consult over the same
@@ -2546,13 +2585,11 @@ mod tests {
             };
             let mut in_order = None;
             each_delivery(inbox.len(), &mut |order| {
-                let endpoint = Endpoint {
-                    party,
-                    queue: Arc::default(),
-                };
+                let bus = Bus::new();
+                let endpoint = bus.register(party);
                 for &i in order {
-                    let (from, _, msg) = inbox[i].clone();
-                    endpoint.queue().push_back((from, msg));
+                    let (from, to, msg) = inbox[i].clone();
+                    bus.send(from, to, msg).expect("routed to the endpoint");
                 }
                 let mut verifier = Responder::new(endpoint, service.clone());
                 let mut out = Vec::new();

@@ -36,16 +36,18 @@
 //! drop rule is accounted undelivered immediately (the sender paid for
 //! the bytes; Lemma 1's `delivered_bytes` excludes them), and a
 //! latency-delayed frame is accounted delivered when it is queued — its
-//! destination queue is captured at send time, so a party that
+//! destination slot is captured at send time, so a party that
 //! re-registers or disconnects mid-flight still receives nothing on its
-//! *new* endpoint while the ledger keeps the optimistic delivered mark
-//! (the simulation's one divergence from an infinitely observant wire,
-//! and only reachable with non-zero latency).
+//! *new* endpoint, nor does a later owner of a closed slot, while the
+//! ledger keeps the optimistic delivered mark (the simulation's one
+//! divergence from an infinitely observant wire, and only reachable with
+//! non-zero latency).
 
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::bus::{push, sealed, DropRules, Fate, Inbox, LinkModel, Network};
+use crate::bus::{sealed, DropRules, Fate, LinkModel, Network};
 use crate::messages::{Message, Party};
+use crate::transport::{Mailboxes, Slot};
 
 /// The latency/loss shape of one directed link (or of every link, as
 /// [`SimNetConfig::default_link`]).
@@ -184,7 +186,7 @@ pub struct SimNetConfig {
     pub schedule: Vec<NetEvent>,
 }
 
-/// A frame in flight: destination queue captured at send time, ordered by
+/// A frame in flight: destination slot captured at send time, ordered by
 /// `(deliver_at, seq)` so the pending queue pops in virtual-time order
 /// with send order breaking ties.
 #[derive(Debug)]
@@ -192,7 +194,7 @@ struct PendingFrame {
     deliver_at: u64,
     seq: u64,
     from: Party,
-    inbox: Inbox,
+    slot: Slot,
     message: Message,
 }
 
@@ -258,19 +260,19 @@ impl Simulated {
         }
     }
 
-    /// Delivers every pending frame due at or before `target`, advances
-    /// the clock to `target`, and applies schedule events the clock
-    /// crossed to `drop_rules`. Delivery failures
+    /// Delivers every pending frame due at or before `target` into
+    /// `mailboxes`, advances the clock to `target`, and applies schedule
+    /// events the clock crossed to `drop_rules`. Delivery failures
     /// (receiver dropped mid-flight) are swallowed: the frame was
     /// accounted at send time.
-    fn run_until(&mut self, target: u64, drop_rules: &mut DropRules) {
+    fn run_until(&mut self, target: u64, drop_rules: &mut DropRules, mailboxes: &mut Mailboxes) {
         while self
             .pending
             .peek()
             .is_some_and(|frame| frame.deliver_at <= target)
         {
             let frame = self.pending.pop().expect("peeked");
-            push(&frame.inbox, frame.from, frame.message);
+            mailboxes.push(frame.slot, frame.from, frame.message);
         }
         self.now = self.now.max(target);
         while self.next_event < self.schedule.len()
@@ -295,6 +297,8 @@ impl Simulated {
 impl LinkModel for Simulated {}
 
 impl sealed::Hooks for Simulated {
+    const CLOCKED: bool = true;
+
     /// Samples the RNG only when the link actually has loss, jitter or
     /// duplication — a perfect link leaves the stream untouched.
     fn fate(&mut self, from: Party, to: Party) -> Fate {
@@ -313,13 +317,13 @@ impl sealed::Hooks for Simulated {
         Fate::Deliver { delay, duplicate }
     }
 
-    fn queue(&mut self, delay: u64, from: Party, inbox: Inbox, message: Message) {
+    fn queue(&mut self, delay: u64, from: Party, slot: Slot, message: Message) {
         self.frame_seq += 1;
         self.pending.push(PendingFrame {
             deliver_at: self.now.saturating_add(delay),
             seq: self.frame_seq,
             from,
-            inbox,
+            slot,
             message,
         });
     }
@@ -327,7 +331,7 @@ impl sealed::Hooks for Simulated {
     /// The clock jumps to the latest pending delivery time, so per-phase
     /// virtual elapsed time is the *max* of the fan-out's latencies and
     /// nothing stays in flight.
-    fn settle(&mut self, drop_rules: &mut DropRules) {
+    fn settle(&mut self, drop_rules: &mut DropRules, mailboxes: &mut Mailboxes) {
         let target = self
             .pending
             .iter()
@@ -335,15 +339,15 @@ impl sealed::Hooks for Simulated {
             .max()
             .unwrap_or(self.now)
             .max(self.now);
-        self.run_until(target, drop_rules);
+        self.run_until(target, drop_rules, mailboxes);
     }
 
     fn now(&self) -> u64 {
         self.now
     }
 
-    fn advance(&mut self, ticks: u64, drop_rules: &mut DropRules) {
-        self.run_until(self.now.saturating_add(ticks), drop_rules);
+    fn advance(&mut self, ticks: u64, drop_rules: &mut DropRules, mailboxes: &mut Mailboxes) {
+        self.run_until(self.now.saturating_add(ticks), drop_rules, mailboxes);
     }
 }
 
@@ -434,7 +438,9 @@ impl SimNet {
     /// crosses.
     pub fn advance_to(&self, tick: u64) {
         let state = &mut *self.state();
-        state.link.run_until(tick, &mut state.drop_rules);
+        state
+            .link
+            .run_until(tick, &mut state.drop_rules, &mut state.mailboxes);
     }
 
     /// Overrides the profile of the directed `from → to` link.

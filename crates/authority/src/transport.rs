@@ -33,19 +33,21 @@
 //! built with
 //! [`Network::with_delivery_log`](crate::Network::with_delivery_log).
 //!
-//! The receive side stays concrete: an [`Endpoint`] owns its party's
-//! queue, handed out by `register` and identical across link models, which
-//! is what lets [`crate::RationalityAuthority`] and the gossip plane drain
-//! inboxes without caring which transport queued the frames. The network
-//! holds only a weak reference to it, so a dropped endpoint is detected at
-//! send time, and a drained queue holds no allocation. Protocol
+//! The receive side stays concrete: an [`Endpoint`] is its party's slot in
+//! the network's own state, handed out by `register` and identical across
+//! link models, which is what lets [`crate::RationalityAuthority`] and the
+//! gossip plane drain inboxes without caring which transport queued the
+//! frames. A send pushes into the slot under the lock it already holds,
+//! and a drain takes that same lock. Dropping the endpoint closes its slot,
+//! so later sends to it are detected as disconnected, and a drained queue
+//! holds no allocation. Protocol
 //! loops call [`Transport::settle`] before every drain; on a `Bus` that
 //! costs nothing, on a `SimNet` it flushes the frames whose delivery time
 //! has come.
 
 use std::collections::VecDeque;
 use std::mem;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::messages::{Message, Party};
 
@@ -88,29 +90,35 @@ impl std::error::Error for BusError {}
 /// frames a [`SimNet`](crate::SimNet) delivers at `settle` time drain
 /// through the same queue.
 ///
-/// The queue's lock is a leaf: the network takes it under its own lock to
-/// deliver, and a drain takes it alone.
-#[derive(Debug)]
+/// The queue is a slot of the network's own state, read under the
+/// network's one lock; dropping the endpoint closes the slot.
 pub struct Endpoint {
     /// The party this endpoint belongs to.
     pub party: Party,
-    pub(crate) queue: Arc<Mutex<VecDeque<(Party, Message)>>>,
+    pub(crate) slot: Slot,
+    pub(crate) network: Arc<dyn MailboxLock>,
 }
 
 impl Endpoint {
-    pub(crate) fn queue(&self) -> MutexGuard<'_, VecDeque<(Party, Message)>> {
-        self.queue.lock().expect("inbox lock poisoned")
+    /// Runs `f` on this endpoint's queue under the network's lock.
+    fn with_queue<R>(&self, f: impl FnOnce(&mut VecDeque<(Party, Message)>) -> R) -> R {
+        let (mut f, mut result) = (Some(f), None);
+        self.network.with_mailboxes(&mut |mailboxes| {
+            result = f.take().map(|f| f(mailboxes.queue(self.slot)));
+        });
+        result.expect("with_mailboxes runs its closure")
     }
 
     /// Receives the next message if one is queued: `(sender, message)`.
     /// Taking the last one frees the queue's buffer.
     pub fn try_recv(&self) -> Option<(Party, Message)> {
-        let mut queue = self.queue();
-        let next = queue.pop_front();
-        if queue.is_empty() {
-            *queue = VecDeque::new();
-        }
-        next
+        self.with_queue(|queue| {
+            let next = queue.pop_front();
+            if queue.is_empty() {
+                *queue = VecDeque::new();
+            }
+            next
+        })
     }
 
     /// Drains all queued messages.
@@ -126,11 +134,114 @@ impl Endpoint {
     /// drain — the [`crate::RationalityAuthority`] hot path does exactly
     /// that.
     pub fn drain_into(&self, out: &mut Vec<(Party, Message)>) -> usize {
-        let queued = mem::take(&mut *self.queue());
-        let count = queued.len();
-        out.extend(queued);
-        count
+        self.with_queue(|queue| {
+            let count = queue.len();
+            out.extend(mem::take(queue));
+            count
+        })
     }
+
+    /// The capacity of this endpoint's queue buffer.
+    #[cfg(test)]
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.with_queue(|queue| queue.capacity())
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        let slot = self.slot;
+        self.network
+            .with_mailboxes(&mut |mailboxes| mailboxes.close(slot));
+    }
+}
+
+impl std::fmt::Debug for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Endpoint")
+            .field("party", &self.party)
+            .field("slot", &self.slot)
+            .finish_non_exhaustive()
+    }
+}
+
+/// An endpoint's place in its network's [`Mailboxes`]: valid while the
+/// slot's generation is the one it was opened at.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    pub(crate) index: u32,
+    generation: u32,
+}
+
+/// Every registered endpoint's queue, held in the network's state and
+/// indexed by [`Slot`]. A closed slot is reused by the next registration
+/// under a new generation, so a frame routed or in flight to the old
+/// endpoint never reaches the new one.
+#[derive(Debug, Default)]
+pub struct Mailboxes {
+    slots: Vec<Mailbox>,
+    /// Closed slots, reused last closed first.
+    free: Vec<u32>,
+}
+
+#[derive(Debug, Default)]
+struct Mailbox {
+    queue: VecDeque<(Party, Message)>,
+    /// Bumped when the slot closes.
+    generation: u32,
+}
+
+impl Mailboxes {
+    /// Opens an empty slot for a new endpoint.
+    pub(crate) fn open(&mut self) -> Slot {
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Mailbox::default());
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 endpoints")
+        });
+        Slot {
+            index,
+            generation: self.slots[index as usize].generation,
+        }
+    }
+
+    /// Closes `slot`, freeing its queue; every handle on it goes stale.
+    fn close(&mut self, slot: Slot) {
+        let mailbox = &mut self.slots[slot.index as usize];
+        mailbox.generation += 1;
+        mailbox.queue = VecDeque::new();
+        // A slot that has reached the last generation is never reopened,
+        // so no handle on it can ever match again.
+        if mailbox.generation < u32::MAX {
+            self.free.push(slot.index);
+        }
+    }
+
+    /// Appends a frame to `slot`'s queue; false if the slot was closed.
+    pub(crate) fn push(&mut self, slot: Slot, from: Party, message: Message) -> bool {
+        let mailbox = &mut self.slots[slot.index as usize];
+        if mailbox.generation != slot.generation {
+            return false;
+        }
+        mailbox.queue.push_back((from, message));
+        true
+    }
+
+    /// The queue of `slot`, which its live endpoint holds open.
+    fn queue(&mut self, slot: Slot) -> &mut VecDeque<(Party, Message)> {
+        let mailbox = &mut self.slots[slot.index as usize];
+        debug_assert_eq!(
+            mailbox.generation, slot.generation,
+            "a live endpoint's slot"
+        );
+        &mut mailbox.queue
+    }
+}
+
+/// A network's lock over its [`Mailboxes`], with the link model erased,
+/// so [`Endpoint`] is one type over every network.
+pub(crate) trait MailboxLock: Send + Sync {
+    /// Runs `f` on the mailboxes under the network's lock.
+    fn with_mailboxes(&self, f: &mut dyn FnMut(&mut Mailboxes));
 }
 
 /// The Lemma 1 ledger of a [`Network`](crate::Network): the running

@@ -283,7 +283,8 @@ mod tests {
             own_load,
             expected_future_load: &rat(100, 1),
             expected_future_agents: 1,
-        });
+        })
+        .unwrap();
         assert_eq!(other_future.suggested_link, 0);
         let Some(Advice::Online(honest)) = Inventor::new(0, InventorBehavior::Honest).advise(&spec)
         else {
@@ -296,7 +297,8 @@ mod tests {
             own_load,
             expected_future_load,
             expected_future_agents: 4,
-        });
+        })
+        .unwrap();
         for advice in [other_future, fewer] {
             assert_eq!(
                 kernel_check(&spec, &Advice::Online(advice)),

@@ -320,12 +320,13 @@ pub trait Wire: Sized {
 /// one varint format.
 pub use ra_exact::put_varint;
 
-/// Reads a varint.
+/// Reads a varint in the one form [`put_varint`] writes: its last byte
+/// is non-zero unless it is the only one, and it holds at most 64 bits.
 ///
 /// # Errors
 ///
 /// [`WireError::UnexpectedEnd`] on truncation, [`WireError::Malformed`] on
-/// overlong encodings.
+/// overlong encodings and on values past `u64::MAX`.
 pub fn get_varint(buf: &mut WireBytes) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -334,11 +335,15 @@ pub fn get_varint(buf: &mut WireBytes) -> Result<u64, WireError> {
             return Err(WireError::UnexpectedEnd);
         }
         let byte = buf.get_u8();
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone.
+        if shift == 63 && byte > 1 {
             return Err(WireError::Malformed("varint overflow".into()));
         }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(WireError::Malformed("overlong varint".into()));
+            }
             return Ok(v);
         }
         shift += 7;
@@ -485,6 +490,22 @@ mod tests {
         // Compactness: small values take one byte.
         assert_eq!(5u64.encoded_len(), 1);
         assert_eq!(300u64.encoded_len(), 2);
+        for (v, len) in [(0u64, 1), (127, 1), (128, 2), (u64::MAX, 10)] {
+            assert_eq!(v.to_bytes().len(), len, "{v}");
+        }
+    }
+
+    #[test]
+    fn varints_have_one_encoding() {
+        let mut past_u64 = vec![0x80; 9];
+        past_u64.push(0x02);
+        for bytes in [vec![0x80, 0x00], vec![0x85, 0x80, 0x00], past_u64] {
+            let mut buf = WireBytes::from(bytes.clone());
+            assert!(
+                matches!(u64::decode(&mut buf), Err(WireError::Malformed(_))),
+                "{bytes:x?}"
+            );
+        }
     }
 
     #[test]

@@ -82,18 +82,18 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            15,
+            14,
         ),
-        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 15),
+        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 14),
         (
             "battle_of_the_sexes",
             GameSpec::Bimatrix(battle_of_the_sexes()),
-            83,
+            82,
         ),
         (
             "participation",
             GameSpec::Participation(ParticipationParams::paper_example()),
-            12,
+            11,
         ),
         (
             "parallel_links",
@@ -103,12 +103,12 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
                 expected_future_load: rat(2, 1),
                 expected_future_agents: 5,
             },
-            18,
+            17,
         ),
         (
             "coordination_game(16)",
             GameSpec::Strategic(coordination_game(16)),
-            15,
+            14,
         ),
     ]
 }

@@ -63,7 +63,7 @@ fn bench_advice_verification(c: &mut Criterion) {
             expected_future_load: &average,
             expected_future_agents: future,
         };
-        let cert = honest_online_advice(&instance);
+        let cert = honest_online_advice(&instance).expect("instance has links");
         group.bench_with_input(
             BenchmarkId::new("verify_certificate", future),
             &future,

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 use ra_authority::{
     sha256_wire, spec_digest, Bus, GameSpec, Inventor, InventorBehavior, Message, Party,
-    RationalityAuthority, SimNet, Transport, VerifierBehavior, Wire,
+    RationalityAuthority, SimNet, Transport, VerdictReason, VerifierBehavior, Wire,
 };
 use ra_bench::game_with_support_size;
 use ra_exact::{rat, solve_linear_system, Matrix, Rational};
@@ -119,7 +119,69 @@ fn bench_transport(c: &mut Criterion) {
             .unwrap()
         })
     });
+    bench_consult_frames(&mut group);
     group.finish();
+}
+
+/// `transport/consult_frames`: the frame traffic of one small consult over
+/// a `Bus` whose inventor and three verifiers are registered. The agent
+/// registers, then each of the two stages sends a batch of requests,
+/// settles, lets each addressee drain and reply in one batch, settles and
+/// drains the replies: 4 batches carrying 8 frames, 4 settles, 6 drains.
+/// The agent then disconnects and drops its endpoint.
+fn bench_consult_frames(group: &mut criterion::BenchmarkGroup<'_>) {
+    let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
+    let advice = Inventor::new(0, InventorBehavior::Honest)
+        .advise(&spec)
+        .expect("advice");
+    let shared = std::sync::Arc::new(advice.clone());
+    let (agent, inventor) = (Party::Agent(0), Party::Inventor(0));
+    let verifiers = [0, 1, 2].map(Party::Verifier);
+    let bus = Bus::new();
+    let inventor_ep = bus.register(inventor);
+    let verifier_eps = verifiers.map(|v| bus.register(v));
+    let (mut batch, mut inbox) = (Vec::new(), Vec::new());
+    group.bench_function("consult_frames", |b| {
+        b.iter(|| {
+            let agent_ep = bus.register(agent);
+            batch.push((agent, inventor, Message::AdviceRequest { game_id: 1 }));
+            bus.send_batch(&mut batch).unwrap();
+            bus.settle();
+            inventor_ep.drain_into(&mut inbox);
+            inbox.clear();
+            let advice = Box::new(advice.clone());
+            batch.push((
+                inventor,
+                agent,
+                Message::AdviceWithProof { game_id: 1, advice },
+            ));
+            bus.send_batch(&mut batch).unwrap();
+            bus.settle();
+            agent_ep.drain_into(&mut inbox);
+            inbox.clear();
+            for v in verifiers {
+                let advice = std::sync::Arc::clone(&shared);
+                batch.push((agent, v, Message::VerdictRequest { game_id: 1, advice }));
+            }
+            bus.send_batch(&mut batch).unwrap();
+            bus.settle();
+            for (v, ep) in verifiers.iter().zip(&verifier_eps) {
+                ep.drain_into(&mut inbox);
+                inbox.clear();
+                let verdict = Message::Verdict {
+                    game_id: 1,
+                    accepted: true,
+                    detail: VerdictReason::RubberStamped,
+                };
+                batch.push((*v, agent, verdict));
+            }
+            bus.send_batch(&mut batch).unwrap();
+            bus.settle();
+            black_box(agent_ep.drain_into(&mut inbox));
+            inbox.clear();
+            bus.disconnect(agent);
+        })
+    });
 }
 
 /// The certificate-cache key of a 16×16 coordination game whose 1,092-byte

@@ -202,16 +202,36 @@ pub fn verify_online_advice(
 /// This is exactly the strategy of the Fig. 7 simulation; the returned
 /// certificate always verifies for `instance`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// If the instance has no links.
-pub fn honest_online_advice(instance: &OnlineInstance<'_>) -> OnlineAdviceCertificate {
-    let future = instance.expected_future_agents;
+/// [`OnlineAdviceError::Malformed`] if the instance has no links, or if
+/// its `1 + expected_future_agents` loads overflow a `usize` or cannot be
+/// allocated.
+pub fn honest_online_advice(
+    instance: &OnlineInstance<'_>,
+) -> Result<OnlineAdviceCertificate, OnlineAdviceError> {
+    let malformed = |reason: &str| OnlineAdviceError::Malformed {
+        reason: reason.to_owned(),
+    };
+    if instance.current_loads.is_empty() {
+        return Err(malformed("no links"));
+    }
+    let count = instance
+        .expected_future_agents
+        .checked_add(1)
+        .ok_or_else(|| malformed("too many expected agents"))?;
+    let mut order: Vec<usize> = Vec::new();
+    let mut assignment: Vec<usize> = Vec::new();
+    for buffer in [&mut order, &mut assignment] {
+        buffer
+            .try_reserve_exact(count)
+            .map_err(|_| malformed("too many expected agents to assign"))?;
+    }
     // Order loads greatest-first; remember which is the agent's own.
-    let mut order: Vec<usize> = (0..1 + future).collect();
+    order.extend(0..count);
     order.sort_by(|&a, &b| instance.load(b).cmp(instance.load(a)).then(a.cmp(&b)));
     let mut loads = instance.current_loads.to_vec();
-    let mut assignment = vec![0usize; 1 + future];
+    assignment.resize(count, 0);
     for idx in order {
         let best = (0..loads.len())
             .min_by(|&a, &b| loads[a].cmp(&loads[b]).then(a.cmp(&b)))
@@ -219,10 +239,10 @@ pub fn honest_online_advice(instance: &OnlineInstance<'_>) -> OnlineAdviceCertif
         assignment[idx] = best;
         loads[best] = &loads[best] + instance.load(idx);
     }
-    OnlineAdviceCertificate {
+    Ok(OnlineAdviceCertificate {
         suggested_link: assignment[0],
         assignment,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -252,7 +272,7 @@ mod tests {
     fn honest_advice_verifies() {
         let (loads, own, future) = ([r(3), r(1), r(2)], r(4), r(2));
         let inst = instance(&loads, &own, &future, 3);
-        let cert = honest_online_advice(&inst);
+        let cert = honest_online_advice(&inst).unwrap();
         let verified = verify_online_advice(&inst, &cert).unwrap();
         assert_eq!(verified.link, cert.suggested_link);
         // Total predicted load conserved: 6 existing + 4 + 3·2 = 16.
@@ -268,7 +288,7 @@ mod tests {
         // Own load 10 dominates: goes to the emptiest link (index 1).
         let (loads, own, future) = ([r(3), r(0), r(2)], r(10), r(1));
         let inst = instance(&loads, &own, &future, 2);
-        let cert = honest_online_advice(&inst);
+        let cert = honest_online_advice(&inst).unwrap();
         assert_eq!(cert.suggested_link, 1);
         assert!(verify_online_advice(&inst, &cert).is_ok());
     }
@@ -277,7 +297,7 @@ mod tests {
     fn tampered_suggestion_rejected() {
         let (loads, one) = ([r(5), r(0)], r(1));
         let inst = instance(&loads, &one, &one, 1);
-        let mut cert = honest_online_advice(&inst);
+        let mut cert = honest_online_advice(&inst).unwrap();
         cert.suggested_link = 1 - cert.suggested_link;
         assert_eq!(
             verify_online_advice(&inst, &cert),
@@ -306,7 +326,7 @@ mod tests {
     fn malformed_certificates_rejected() {
         let (loads, one) = ([r(1), r(2)], r(1));
         let good_instance = instance(&loads, &one, &one, 1);
-        let good = honest_online_advice(&good_instance);
+        let good = honest_online_advice(&good_instance).unwrap();
         let malformed = |inst: &OnlineInstance<'_>, cert: &OnlineAdviceCertificate| {
             matches!(
                 verify_online_advice(inst, cert),
@@ -328,11 +348,30 @@ mod tests {
     }
 
     #[test]
+    fn instances_the_inventor_cannot_serve_are_malformed() {
+        // Each is rejected by arithmetic alone, before any allocation.
+        let (loads, one) = ([r(1), r(2)], r(1));
+        for inst in [
+            instance(&[], &one, &one, 1),
+            instance(&loads, &one, &one, usize::MAX),
+            instance(&loads, &one, &one, usize::MAX / 8),
+        ] {
+            assert!(
+                matches!(
+                    honest_online_advice(&inst),
+                    Err(OnlineAdviceError::Malformed { .. })
+                ),
+                "{inst:?}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_future_agents_is_last_mover() {
         // Last mover: pure least-loaded placement, trivially an equilibrium.
         let (loads, own, future) = ([r(7), r(3), r(5)], r(2), r(0));
         let inst = instance(&loads, &own, &future, 0);
-        let cert = honest_online_advice(&inst);
+        let cert = honest_online_advice(&inst).unwrap();
         assert_eq!(cert.suggested_link, 1);
         let v = verify_online_advice(&inst, &cert).unwrap();
         assert_eq!(v.predicted_own_delay, r(5));
@@ -342,7 +381,7 @@ mod tests {
     fn fractional_loads() {
         let (loads, own, future) = ([rat(1, 2), rat(3, 4)], rat(5, 4), rat(1, 3));
         let inst = instance(&loads, &own, &future, 2);
-        assert!(verify_online_advice(&inst, &honest_online_advice(&inst)).is_ok());
+        assert!(verify_online_advice(&inst, &honest_online_advice(&inst).unwrap()).is_ok());
     }
 
     #[test]
@@ -351,7 +390,7 @@ mod tests {
         // swapping two equal future loads keeps the equilibrium.
         let (loads, two) = ([r(0), r(0)], r(2));
         let inst = instance(&loads, &two, &two, 1);
-        let mut cert = honest_online_advice(&inst);
+        let mut cert = honest_online_advice(&inst).unwrap();
         cert.assignment.swap(0, 1);
         cert.suggested_link = cert.assignment[0];
         assert!(verify_online_advice(&inst, &cert).is_ok());

@@ -272,7 +272,7 @@ proptest! {
             expected_future_load: &future,
             expected_future_agents: agents,
         };
-        let cert = honest_online_advice(&instance);
+        let cert = honest_online_advice(&instance).expect("instance has links");
         let verified = verify_online_advice(&instance, &cert).expect("honest advice verifies");
         prop_assert_eq!(verified.link, cert.suggested_link);
         // Tamper: point the suggestion elsewhere without editing the

@@ -43,7 +43,7 @@ fn main() {
             expected_future_load: &average,
             expected_future_agents: loads.len() - i - 1,
         };
-        let cert = honest_online_advice(&instance);
+        let cert = honest_online_advice(&instance).expect("the instance has links");
         // The agent trusts nothing: it checks the Nash property of the
         // shipped assignment against the instance it holds before moving.
         let verified = verify_online_advice(&instance, &cert).expect("honest certificate verifies");

@@ -124,7 +124,7 @@ fn online_advice_mutation_fuzz() {
             expected_future_load: &future,
             expected_future_agents: agents,
         };
-        let honest = honest_online_advice(&instance);
+        let honest = honest_online_advice(&instance).expect("instance has links");
         assert!(verify_online_advice(&instance, &honest).is_ok());
         // Corrupt one random field of the certificate or of the instance.
         let (mut corrupted, mut judged) = (honest.clone(), instance);
