@@ -7,6 +7,15 @@
 //! are code); shards gossip reputation. Every payload —
 //! including recursive §3 proof trees — encodes to real bytes so the bus
 //! can account for communication exactly.
+//!
+//! Each tagged enum's and plain struct's format is one row list in the
+//! [`wire_codec!`] block below: its tags and field order appear once,
+//! and both directions are generated from them. The §3 proof trees
+//! (`Term`, `Prop`, `Proof`) are declared `recursive`, so the decoding
+//! cursor caps their depth. The impls written by hand after the block
+//! are the formats that state a rule a table cannot: a slice encoder on
+//! the hot path, a validated value, a size cap and digest preimage, one
+//! flat tag space over a nested enum, and a strictly ordered gossip map.
 
 use ra_exact::{Matrix, Rational};
 use ra_games::{BimatrixGame, MixedStrategy, StrategicGame, StrategyProfile};
@@ -22,7 +31,7 @@ use std::sync::Arc;
 use crate::inventor::GameSpec;
 use crate::reputation::{DecayingPnCounterMap, PnCounter, VersionVector};
 use crate::verifier::VerdictReason;
-use crate::wire::{get_varint, put_varint, Wire, WireBytes, WireError};
+use crate::wire::{get_len_prefix, get_varint, put_varint, wire_codec, Wire, WireBytes, WireError};
 
 /// Identity of a protocol party.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,59 +56,6 @@ impl std::fmt::Display for Party {
             Party::Verifier(i) => write!(f, "verifier-{i}"),
             Party::Shard(i) => write!(f, "shard-{i}"),
         }
-    }
-}
-
-impl Wire for Party {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Party::Inventor(i) => {
-                buf.push(0);
-                put_varint(buf, *i);
-            }
-            Party::Agent(i) => {
-                buf.push(1);
-                put_varint(buf, *i);
-            }
-            Party::Verifier(i) => {
-                buf.push(2);
-                put_varint(buf, *i);
-            }
-            Party::Shard(i) => {
-                buf.push(3);
-                put_varint(buf, *i);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Party, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let tag = buf.get_u8();
-        let id = get_varint(buf)?;
-        match tag {
-            0 => Ok(Party::Inventor(id)),
-            1 => Ok(Party::Agent(id)),
-            2 => Ok(Party::Verifier(id)),
-            3 => Ok(Party::Shard(id)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-/// One byte: the reason's index in [`VerdictReason::ALL`].
-impl Wire for VerdictReason {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let index = VerdictReason::ALL.iter().position(|r| r == self);
-        buf.push(index.expect("ALL lists every reason") as u8);
-    }
-    fn decode(buf: &mut WireBytes) -> Result<VerdictReason, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let code = buf.get_u8();
-        let reason = VerdictReason::ALL.get(usize::from(code));
-        reason.copied().ok_or(WireError::BadTag(code))
     }
 }
 
@@ -225,147 +181,111 @@ impl Message {
     }
 }
 
-// ---- Wire impls for foreign certificate types -------------------------------
+/// The wire tag of [`Message::Resilient`], which its decoder also peeks
+/// for to refuse a nested envelope.
+const RESILIENT_TAG: u8 = 9;
 
-/// Maximum nesting depth accepted when decoding the recursive proof payloads
-/// (`Term`/`Prop`/`Proof`). Honest certificates are a handful of levels deep;
-/// without a cap, hostile wire bytes (e.g. millions of repeated `Term::Add`
-/// tags) would abort the process via stack overflow instead of returning a
-/// [`WireError`].
-const MAX_PROOF_NESTING: u32 = 256;
-
-fn deeper(depth: u32) -> Result<u32, WireError> {
-    if depth >= MAX_PROOF_NESTING {
-        Err(WireError::Malformed(format!(
-            "proof nesting deeper than {MAX_PROOF_NESTING}"
-        )))
-    } else {
-        Ok(depth + 1)
+wire_codec! {
+    enum Party {
+        0 => Inventor(id),
+        1 => Agent(id),
+        2 => Verifier(id),
+        3 => Shard(id),
     }
-}
 
-/// Length-prefixed sequence of depth-tracked elements (same hostile-length
-/// cap as `Vec::<T>::decode`, via the shared prefix reader).
-fn decode_seq<T>(
-    buf: &mut WireBytes,
-    depth: u32,
-    elem: impl Fn(&mut WireBytes, u32) -> Result<T, WireError>,
-) -> Result<Vec<T>, WireError> {
-    let len = crate::wire::get_len_prefix(buf)?;
-    let mut out = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        out.push(elem(buf, depth)?);
+    recursive enum Term {
+        0 => Const(value),
+        1 => Utility { agent, profile },
+        2 => Add(a, b),
+        3 => Sub(a, b),
+        4 => Mul(a, b),
     }
-    Ok(out)
-}
 
-fn decode_term(buf: &mut WireBytes, depth: u32) -> Result<Term, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEnd);
+    recursive enum Prop {
+        0 => Le(a, b),
+        1 => Lt(a, b),
+        2 => Eq(a, b),
+        3 => IsStrat(s),
+        4 => EqStrat(a, b),
+        5 => LeStrat(a, b),
+        6 => NoComp(a, b),
+        7 => IsNash(s),
+        8 => NotNash(s),
+        9 => IsMaxNash(s),
+        10 => IsMinNash(s),
+        11 => And(ps),
+        12 => Or(ps),
     }
-    Ok(match buf.get_u8() {
-        0 => Term::Const(Rational::decode(buf)?),
-        1 => Term::Utility {
-            agent: usize::decode(buf)?,
-            profile: StrategyProfile::decode(buf)?,
+
+    recursive enum Proof {
+        0 => EvalAtom(p),
+        1 => AndIntro(ps),
+        2 => OrIntro { disjuncts, index, witness },
+        3 => NashIntro { profile },
+        4 => NashRefute { profile, agent, strategy },
+        5 => MaxNashIntro { profile, nash, classification },
+        6 => MinNashIntro { profile, nash, classification },
+    }
+
+    enum EquilibriumRoot {
+        0 => Exact(p),
+        1 => Bracket { lo, hi },
+    }
+
+    enum Advice {
+        0 => PureNash(c),
+        1 => Support(c),
+        2 => Private(a),
+        3 => Participation(c),
+        4 => Online(c),
+    }
+
+    struct PureNashCertificate { profile, proof }
+    struct SupportCertificate { row_support, col_support }
+    struct P2Advice { own_strategy, lambda_own, lambda_opp }
+    struct ParticipationCertificate { root }
+    struct OnlineAdviceCertificate { assignment, suggested_link }
+
+    // The preimage of `crate::cache::spec_digest`, so identical specs
+    // must encode to identical bytes. The strategic tag also starts the
+    // preimage of `StrategicGame::spec_digest`.
+    enum GameSpec {
+        (StrategicGame::SPEC_TAG) => Strategic(game),
+        1 => Bimatrix(game),
+        2 => Participation(params),
+        3 => ParallelLinks {
+            current_loads,
+            own_load,
+            expected_future_load,
+            expected_future_agents,
         },
-        2 => {
-            let d = deeper(depth)?;
-            Term::Add(
-                Box::new(decode_term(buf, d)?),
-                Box::new(decode_term(buf, d)?),
-            )
-        }
-        3 => {
-            let d = deeper(depth)?;
-            Term::Sub(
-                Box::new(decode_term(buf, d)?),
-                Box::new(decode_term(buf, d)?),
-            )
-        }
-        4 => {
-            let d = deeper(depth)?;
-            Term::Mul(
-                Box::new(decode_term(buf, d)?),
-                Box::new(decode_term(buf, d)?),
-            )
-        }
-        t => return Err(WireError::BadTag(t)),
-    })
+    }
+
+    // Tags 0 and 5 are retired and decode as bad tags.
+    enum Message {
+        1 => AdviceRequest { game_id },
+        2 => AdviceWithProof { game_id, advice },
+        3 => VerdictRequest { game_id, advice },
+        4 => Verdict { game_id, accepted, detail },
+        6 => SupportQuery { game_id, index },
+        7 => SupportAnswer { game_id, index, in_support },
+        8 => Gossip { delta, versions },
+        (RESILIENT_TAG) => Resilient { session, attempt, inner = unnested_inner },
+    }
+
+    struct PnCounter { increments, decrements }
 }
 
-fn decode_prop(buf: &mut WireBytes, depth: u32) -> Result<Prop, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEnd);
+/// The message inside a [`Message::Resilient`] envelope. A nested
+/// envelope is refused *before* recursing, so a hostile byte chain of
+/// repeated envelope tags fails with a decode error, not a stack overflow.
+fn unnested_inner(buf: &mut WireBytes) -> Result<Box<Message>, WireError> {
+    match buf.peek_u8() {
+        Some(RESILIENT_TAG) => Err(WireError::Malformed(
+            "nested resilient envelope".to_string(),
+        )),
+        _ => Wire::decode(buf),
     }
-    Ok(match buf.get_u8() {
-        0 => {
-            let d = deeper(depth)?;
-            Prop::Le(decode_term(buf, d)?, decode_term(buf, d)?)
-        }
-        1 => {
-            let d = deeper(depth)?;
-            Prop::Lt(decode_term(buf, d)?, decode_term(buf, d)?)
-        }
-        2 => {
-            let d = deeper(depth)?;
-            Prop::Eq(decode_term(buf, d)?, decode_term(buf, d)?)
-        }
-        3 => Prop::IsStrat(StrategyProfile::decode(buf)?),
-        4 => Prop::EqStrat(StrategyProfile::decode(buf)?, StrategyProfile::decode(buf)?),
-        5 => Prop::LeStrat(StrategyProfile::decode(buf)?, StrategyProfile::decode(buf)?),
-        6 => Prop::NoComp(StrategyProfile::decode(buf)?, StrategyProfile::decode(buf)?),
-        7 => Prop::IsNash(StrategyProfile::decode(buf)?),
-        8 => Prop::NotNash(StrategyProfile::decode(buf)?),
-        9 => Prop::IsMaxNash(StrategyProfile::decode(buf)?),
-        10 => Prop::IsMinNash(StrategyProfile::decode(buf)?),
-        11 => Prop::And(decode_seq(buf, deeper(depth)?, decode_prop)?),
-        12 => Prop::Or(decode_seq(buf, deeper(depth)?, decode_prop)?),
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn decode_proof(buf: &mut WireBytes, depth: u32) -> Result<Proof, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::UnexpectedEnd);
-    }
-    Ok(match buf.get_u8() {
-        0 => Proof::EvalAtom(decode_prop(buf, deeper(depth)?)?),
-        1 => Proof::AndIntro(decode_seq(buf, deeper(depth)?, decode_proof)?),
-        2 => {
-            let d = deeper(depth)?;
-            Proof::OrIntro {
-                disjuncts: decode_seq(buf, d, decode_prop)?,
-                index: usize::decode(buf)?,
-                witness: Box::new(decode_proof(buf, d)?),
-            }
-        }
-        3 => Proof::NashIntro {
-            profile: StrategyProfile::decode(buf)?,
-        },
-        4 => Proof::NashRefute {
-            profile: StrategyProfile::decode(buf)?,
-            agent: usize::decode(buf)?,
-            strategy: usize::decode(buf)?,
-        },
-        5 => {
-            let d = deeper(depth)?;
-            Proof::MaxNashIntro {
-                profile: StrategyProfile::decode(buf)?,
-                nash: Box::new(decode_proof(buf, d)?),
-                classification: Vec::<ProfileVerdict>::decode(buf)?,
-            }
-        }
-        6 => {
-            let d = deeper(depth)?;
-            Proof::MinNashIntro {
-                profile: StrategyProfile::decode(buf)?,
-                nash: Box::new(decode_proof(buf, d)?),
-                classification: Vec::<ProfileVerdict>::decode(buf)?,
-            }
-        }
-        t => return Err(WireError::BadTag(t)),
-    })
 }
 
 impl Wire for StrategyProfile {
@@ -401,108 +321,8 @@ impl Wire for MixedStrategy {
     }
 }
 
-impl Wire for Term {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Term::Const(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            Term::Utility { agent, profile } => {
-                buf.push(1);
-                agent.encode(buf);
-                profile.encode(buf);
-            }
-            Term::Add(a, b) => {
-                buf.push(2);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Term::Sub(a, b) => {
-                buf.push(3);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Term::Mul(a, b) => {
-                buf.push(4);
-                a.encode(buf);
-                b.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Term, WireError> {
-        decode_term(buf, 0)
-    }
-}
-
-impl Wire for Prop {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Prop::Le(a, b) => {
-                buf.push(0);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::Lt(a, b) => {
-                buf.push(1);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::Eq(a, b) => {
-                buf.push(2);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::IsStrat(s) => {
-                buf.push(3);
-                s.encode(buf);
-            }
-            Prop::EqStrat(a, b) => {
-                buf.push(4);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::LeStrat(a, b) => {
-                buf.push(5);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::NoComp(a, b) => {
-                buf.push(6);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            Prop::IsNash(s) => {
-                buf.push(7);
-                s.encode(buf);
-            }
-            Prop::NotNash(s) => {
-                buf.push(8);
-                s.encode(buf);
-            }
-            Prop::IsMaxNash(s) => {
-                buf.push(9);
-                s.encode(buf);
-            }
-            Prop::IsMinNash(s) => {
-                buf.push(10);
-                s.encode(buf);
-            }
-            Prop::And(ps) => {
-                buf.push(11);
-                ps.encode(buf);
-            }
-            Prop::Or(ps) => {
-                buf.push(12);
-                ps.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Prop, WireError> {
-        decode_prop(buf, 0)
-    }
-}
-
+/// One flat tag space over the nested enum: `0` is `NotNash`, and `1`
+/// and `2` are the two `NotStrictlyBetter` witnesses.
 impl Wire for ProfileVerdict {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -521,10 +341,7 @@ impl Wire for ProfileVerdict {
         }
     }
     fn decode(buf: &mut WireBytes) -> Result<ProfileVerdict, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(match buf.get_u8() {
+        Ok(match buf.get_u8()? {
             0 => ProfileVerdict::NotNash {
                 agent: usize::decode(buf)?,
                 strategy: usize::decode(buf)?,
@@ -538,79 +355,24 @@ impl Wire for ProfileVerdict {
     }
 }
 
-impl Wire for Proof {
+/// One byte: the reason's index in [`VerdictReason::ALL`].
+impl Wire for VerdictReason {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Proof::EvalAtom(p) => {
-                buf.push(0);
-                p.encode(buf);
-            }
-            Proof::AndIntro(ps) => {
-                buf.push(1);
-                ps.encode(buf);
-            }
-            Proof::OrIntro {
-                disjuncts,
-                index,
-                witness,
-            } => {
-                buf.push(2);
-                disjuncts.encode(buf);
-                index.encode(buf);
-                witness.encode(buf);
-            }
-            Proof::NashIntro { profile } => {
-                buf.push(3);
-                profile.encode(buf);
-            }
-            Proof::NashRefute {
-                profile,
-                agent,
-                strategy,
-            } => {
-                buf.push(4);
-                profile.encode(buf);
-                agent.encode(buf);
-                strategy.encode(buf);
-            }
-            Proof::MaxNashIntro {
-                profile,
-                nash,
-                classification,
-            } => {
-                buf.push(5);
-                profile.encode(buf);
-                nash.encode(buf);
-                classification.encode(buf);
-            }
-            Proof::MinNashIntro {
-                profile,
-                nash,
-                classification,
-            } => {
-                buf.push(6);
-                profile.encode(buf);
-                nash.encode(buf);
-                classification.encode(buf);
-            }
-        }
+        let index = VerdictReason::ALL.iter().position(|r| r == self);
+        buf.push(index.expect("ALL lists every reason") as u8);
     }
-    fn decode(buf: &mut WireBytes) -> Result<Proof, WireError> {
-        decode_proof(buf, 0)
+    fn decode(buf: &mut WireBytes) -> Result<VerdictReason, WireError> {
+        let code = buf.get_u8()?;
+        let reason = VerdictReason::ALL.get(usize::from(code));
+        reason.copied().ok_or(WireError::BadTag(code))
     }
 }
 
-impl Wire for PnCounter {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.increments);
-        put_varint(buf, self.decrements);
-    }
-    fn decode(buf: &mut WireBytes) -> Result<PnCounter, WireError> {
-        Ok(PnCounter {
-            increments: get_varint(buf)?,
-            decrements: get_varint(buf)?,
-        })
-    }
+/// A gossip map's encoder writes each key once, in order, so a frame
+/// whose keys are not strictly increasing would decode to a value that
+/// re-encodes to other bytes. Its decoder refuses it with this error.
+fn keys_out_of_order() -> WireError {
+    WireError::Malformed("gossip keys not strictly increasing".to_owned())
 }
 
 impl Wire for DecayingPnCounterMap {
@@ -620,9 +382,8 @@ impl Wire for DecayingPnCounterMap {
     /// gossip byte counts are reproducible).
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.current_generation());
-        let slots: Vec<_> = self.iter_slots().collect();
-        put_varint(buf, slots.len() as u64);
-        for (verifier, replica, generation, counter) in slots {
+        put_varint(buf, self.len() as u64);
+        for (verifier, replica, generation, counter) in self.iter_slots() {
             verifier.encode(buf);
             put_varint(buf, replica);
             put_varint(buf, generation);
@@ -632,13 +393,15 @@ impl Wire for DecayingPnCounterMap {
     fn decode(buf: &mut WireBytes) -> Result<DecayingPnCounterMap, WireError> {
         let mut map = DecayingPnCounterMap::new();
         map.set_generation(get_varint(buf)?);
-        let len = crate::wire::get_len_prefix(buf)?;
-        for _ in 0..len {
-            let verifier = Party::decode(buf)?;
-            let replica = get_varint(buf)?;
-            let generation = get_varint(buf)?;
-            let counter = PnCounter::decode(buf)?;
-            map.set_counter(replica, verifier, generation, counter);
+        let mut last = None;
+        for _ in 0..get_len_prefix(buf)? {
+            let key = (Party::decode(buf)?, get_varint(buf)?, get_varint(buf)?);
+            if last >= Some(key) {
+                return Err(keys_out_of_order());
+            }
+            last = Some(key);
+            let (verifier, replica, generation) = key;
+            map.set_counter(replica, verifier, generation, PnCounter::decode(buf)?);
         }
         Ok(map)
     }
@@ -656,12 +419,15 @@ impl Wire for VersionVector {
         }
     }
     fn decode(buf: &mut WireBytes) -> Result<VersionVector, WireError> {
-        let len = crate::wire::get_len_prefix(buf)?;
         let mut out = VersionVector::new();
-        for _ in 0..len {
+        let mut last = None;
+        for _ in 0..get_len_prefix(buf)? {
             let replica = get_varint(buf)?;
-            let version = get_varint(buf)?;
-            out.set(replica, version);
+            if last >= Some(replica) {
+                return Err(keys_out_of_order());
+            }
+            last = Some(replica);
+            out.set(replica, get_varint(buf)?);
         }
         Ok(out)
     }
@@ -683,95 +449,6 @@ impl Wire for ParticipationParams {
     }
 }
 
-impl Wire for EquilibriumRoot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            EquilibriumRoot::Exact(p) => {
-                buf.push(0);
-                p.encode(buf);
-            }
-            EquilibriumRoot::Bracket { lo, hi } => {
-                buf.push(1);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<EquilibriumRoot, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(match buf.get_u8() {
-            0 => EquilibriumRoot::Exact(Rational::decode(buf)?),
-            1 => EquilibriumRoot::Bracket {
-                lo: Rational::decode(buf)?,
-                hi: Rational::decode(buf)?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-impl Wire for Advice {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Advice::PureNash(c) => {
-                buf.push(0);
-                c.profile.encode(buf);
-                c.proof.encode(buf);
-            }
-            Advice::Support(c) => {
-                buf.push(1);
-                c.row_support.encode(buf);
-                c.col_support.encode(buf);
-            }
-            Advice::Private(a) => {
-                buf.push(2);
-                a.own_strategy.encode(buf);
-                a.lambda_own.encode(buf);
-                a.lambda_opp.encode(buf);
-            }
-            Advice::Participation(c) => {
-                buf.push(3);
-                c.root.encode(buf);
-            }
-            Advice::Online(c) => {
-                buf.push(4);
-                c.assignment.encode(buf);
-                c.suggested_link.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Advice, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(match buf.get_u8() {
-            0 => Advice::PureNash(PureNashCertificate {
-                profile: StrategyProfile::decode(buf)?,
-                proof: Proof::decode(buf)?,
-            }),
-            1 => Advice::Support(SupportCertificate {
-                row_support: Vec::<usize>::decode(buf)?,
-                col_support: Vec::<usize>::decode(buf)?,
-            }),
-            2 => Advice::Private(P2Advice {
-                own_strategy: MixedStrategy::decode(buf)?,
-                lambda_own: Rational::decode(buf)?,
-                lambda_opp: Rational::decode(buf)?,
-            }),
-            3 => Advice::Participation(ParticipationCertificate {
-                root: EquilibriumRoot::decode(buf)?,
-            }),
-            4 => Advice::Online(OnlineAdviceCertificate {
-                assignment: Vec::<usize>::decode(buf)?,
-                suggested_link: usize::decode(buf)?,
-            }),
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
 impl Wire for StrategicGame {
     /// Strategy counts, then every profile's per-agent payoff vector in
     /// odometer order; see [`StrategicGame::encode_canonical`]. Equal games
@@ -780,7 +457,7 @@ impl Wire for StrategicGame {
         self.encode_canonical(buf);
     }
     fn decode(buf: &mut WireBytes) -> Result<StrategicGame, WireError> {
-        let agents = crate::wire::get_len_prefix(buf)?;
+        let agents = get_len_prefix(buf)?;
         if agents == 0 {
             return Err(WireError::Malformed(
                 "strategic game with zero agents".to_owned(),
@@ -805,7 +482,7 @@ impl Wire for StrategicGame {
             .filter(|&total| total <= 1 << 20)
             .and_then(|profiles| profiles.checked_mul(agents))
             .ok_or(WireError::Malformed("profile space too large".to_owned()))?;
-        let mut table = Vec::with_capacity(entries.min(buf.remaining() / 2));
+        let mut table = Vec::with_capacity(entries.min(buf.len() / 2));
         for _ in 0..entries {
             table.push(Rational::decode(buf)?);
         }
@@ -830,8 +507,8 @@ impl Wire for BimatrixGame {
         }
     }
     fn decode(buf: &mut WireBytes) -> Result<BimatrixGame, WireError> {
-        let rows = crate::wire::get_len_prefix(buf)?;
-        let cols = crate::wire::get_len_prefix(buf)?;
+        let rows = get_len_prefix(buf)?;
+        let cols = get_len_prefix(buf)?;
         if rows == 0 || cols == 0 {
             return Err(WireError::Malformed("empty bimatrix game".to_owned()));
         }
@@ -852,198 +529,6 @@ impl Wire for BimatrixGame {
         let a = decode_matrix(buf)?;
         let b = decode_matrix(buf)?;
         Ok(BimatrixGame::new(a, b))
-    }
-}
-
-impl Wire for GameSpec {
-    /// Tagged by family (`0` strategic, `1` bimatrix, `2` participation,
-    /// `3` parallel links). This canonical encoding is the preimage of
-    /// [`crate::cache::spec_digest`], so it must stay deterministic:
-    /// identical specs must produce identical bytes on every encode. The
-    /// strategic tag is [`StrategicGame::SPEC_TAG`], the same byte that
-    /// starts the preimage of [`StrategicGame::spec_digest`].
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            GameSpec::Strategic(game) => {
-                buf.push(StrategicGame::SPEC_TAG);
-                game.encode(buf);
-            }
-            GameSpec::Bimatrix(game) => {
-                buf.push(1);
-                game.encode(buf);
-            }
-            GameSpec::Participation(params) => {
-                buf.push(2);
-                params.encode(buf);
-            }
-            GameSpec::ParallelLinks {
-                current_loads,
-                own_load,
-                expected_future_load,
-                expected_future_agents,
-            } => {
-                buf.push(3);
-                current_loads.encode(buf);
-                own_load.encode(buf);
-                expected_future_load.encode(buf);
-                expected_future_agents.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<GameSpec, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(match buf.get_u8() {
-            StrategicGame::SPEC_TAG => GameSpec::Strategic(StrategicGame::decode(buf)?),
-            1 => GameSpec::Bimatrix(BimatrixGame::decode(buf)?),
-            2 => GameSpec::Participation(ParticipationParams::decode(buf)?),
-            3 => GameSpec::ParallelLinks {
-                current_loads: Vec::<Rational>::decode(buf)?,
-                own_load: Rational::decode(buf)?,
-                expected_future_load: Rational::decode(buf)?,
-                expected_future_agents: usize::decode(buf)?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-impl Wire for Message {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::AdviceRequest { game_id } => {
-                buf.push(1);
-                game_id.encode(buf);
-            }
-            Message::AdviceWithProof { game_id, advice } => {
-                buf.push(2);
-                game_id.encode(buf);
-                advice.encode(buf);
-            }
-            Message::VerdictRequest { game_id, advice } => {
-                buf.push(3);
-                game_id.encode(buf);
-                advice.encode(buf);
-            }
-            Message::Verdict {
-                game_id,
-                accepted,
-                detail,
-            } => {
-                buf.push(4);
-                game_id.encode(buf);
-                accepted.encode(buf);
-                detail.encode(buf);
-            }
-            Message::SupportQuery { game_id, index } => {
-                buf.push(6);
-                game_id.encode(buf);
-                index.encode(buf);
-            }
-            Message::SupportAnswer {
-                game_id,
-                index,
-                in_support,
-            } => {
-                buf.push(7);
-                game_id.encode(buf);
-                index.encode(buf);
-                in_support.encode(buf);
-            }
-            Message::Gossip { delta, versions } => {
-                buf.push(8);
-                delta.encode(buf);
-                versions.encode(buf);
-            }
-            Message::Resilient {
-                session,
-                attempt,
-                inner,
-            } => {
-                buf.push(9);
-                session.encode(buf);
-                u64::from(*attempt).encode(buf);
-                inner.encode(buf);
-            }
-        }
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Message, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        Ok(match buf.get_u8() {
-            1 => Message::AdviceRequest {
-                game_id: u64::decode(buf)?,
-            },
-            2 => Message::AdviceWithProof {
-                game_id: u64::decode(buf)?,
-                advice: Box::new(Advice::decode(buf)?),
-            },
-            3 => Message::VerdictRequest {
-                game_id: u64::decode(buf)?,
-                advice: Arc::new(Advice::decode(buf)?),
-            },
-            4 => Message::Verdict {
-                game_id: u64::decode(buf)?,
-                accepted: bool::decode(buf)?,
-                detail: VerdictReason::decode(buf)?,
-            },
-            6 => Message::SupportQuery {
-                game_id: u64::decode(buf)?,
-                index: usize::decode(buf)?,
-            },
-            7 => Message::SupportAnswer {
-                game_id: u64::decode(buf)?,
-                index: usize::decode(buf)?,
-                in_support: bool::decode(buf)?,
-            },
-            8 => Message::Gossip {
-                delta: DecayingPnCounterMap::decode(buf)?,
-                versions: VersionVector::decode(buf)?,
-            },
-            9 => {
-                let session = u64::decode(buf)?;
-                let attempt = u32::try_from(u64::decode(buf)?)
-                    .map_err(|_| WireError::Malformed("attempt exceeds u32".to_string()))?;
-                // Reject a nested envelope *before* recursing: a hostile
-                // byte chain of repeated tag-9 frames must fail with a
-                // decode error, not a stack overflow.
-                match buf.peek_u8() {
-                    None => return Err(WireError::UnexpectedEnd),
-                    Some(9) => {
-                        return Err(WireError::Malformed(
-                            "nested resilient envelope".to_string(),
-                        ))
-                    }
-                    Some(_) => {}
-                }
-                Message::Resilient {
-                    session,
-                    attempt,
-                    inner: Box::new(Message::decode(buf)?),
-                }
-            }
-            t => return Err(WireError::BadTag(t)),
-        })
-    }
-}
-
-impl<T: Wire> Wire for Box<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (**self).encode(buf);
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Box<T>, WireError> {
-        Ok(Box::new(T::decode(buf)?))
-    }
-}
-
-impl<T: Wire> Wire for Arc<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (**self).encode(buf);
-    }
-    fn decode(buf: &mut WireBytes) -> Result<Arc<T>, WireError> {
-        Ok(Arc::new(T::decode(buf)?))
     }
 }
 
@@ -1112,6 +597,52 @@ mod tests {
         versions.set(0, 1);
         let size = round_trip(versions);
         assert!(size < 32, "version vectors are a handful of varints");
+    }
+
+    /// One `(verifier, replica, generation, counter)` gossip slot.
+    fn slot(bytes: &mut Vec<u8>, verifier: u64, replica: u64, generation: u64) {
+        Party::Verifier(verifier).encode(bytes);
+        for v in [replica, generation, 1, 0] {
+            put_varint(bytes, v);
+        }
+    }
+
+    #[test]
+    fn gossip_maps_with_repeated_or_unsorted_keys_are_malformed() {
+        let counters = |slots: &[(u64, u64, u64)]| {
+            let mut bytes = vec![3, slots.len() as u8];
+            for &(verifier, replica, generation) in slots {
+                slot(&mut bytes, verifier, replica, generation);
+            }
+            DecayingPnCounterMap::decode(&mut WireBytes::from(bytes))
+        };
+        let sorted = counters(&[(1, 0, 0), (1, 0, 3), (1, 1, 0), (2, 0, 0)]);
+        assert_eq!(sorted.map(|map| map.len()), Ok(4));
+        for slots in [
+            [(1, 0, 3), (1, 0, 3)],
+            [(1, 0, 3), (1, 0, 2)],
+            [(1, 1, 0), (1, 0, 5)],
+            [(2, 0, 0), (1, 0, 0)],
+        ] {
+            assert!(
+                matches!(counters(&slots), Err(WireError::Malformed(_))),
+                "{slots:?}"
+            );
+        }
+        let versions = |pairs: &[(u8, u8)]| {
+            let mut bytes = vec![pairs.len() as u8];
+            for &(replica, version) in pairs {
+                bytes.extend([replica, version]);
+            }
+            VersionVector::decode(&mut WireBytes::from(bytes))
+        };
+        assert_eq!(versions(&[(0, 3), (2, 1)]), Ok(sample_versions()));
+        for pairs in [[(2, 1), (2, 1)], [(2, 1), (0, 3)]] {
+            assert!(
+                matches!(versions(&pairs), Err(WireError::Malformed(_))),
+                "{pairs:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,22 +3,33 @@
 //! The paper's Lemma 1 argues about *bits communicated*; to measure that
 //! honestly the message bus serializes every message into real bytes. No
 //! general-purpose serializer is in the approved dependency set, so this is
-//! a small hand-rolled format: varint-length-prefixed fields, composed
-//! structurally. Encoding and decoding round-trip exactly (tested), and the
-//! byte counts feed the experiment tables.
+//! a small hand-rolled format: tag bytes, minimal varints and
+//! varint-length-prefixed sequences, composed structurally.
+//!
+//! Each format is written once. A tagged enum or a plain struct declares
+//! its format as one table in [`wire_codec!`], `tag => Variant { a, b }`
+//! per variant, and the macro generates both [`Wire::encode`] and
+//! [`Wire::decode`] from that table, so the two directions cannot drift
+//! apart. Only the formats that state a rule a table cannot (a size cap,
+//! a validated value, a strictly ordered map) are written by hand, each as
+//! one `impl Wire`. Every decoder accepts exactly what its encoder writes
+//! and reports anything else as a typed [`WireError`].
 //!
 //! Every rational (payoffs, probabilities, loads) is written by
 //! `ra-exact`'s one canonical writer, [`Rational::encode_canonical`]: a
 //! tag byte (sign, and whether the value is an integer) and then its
 //! magnitudes as minimal LEB128, so a payoff of `0` is 2 bytes. The
-//! decoder is its reader, [`Rational::decode_canonical`], which accepts
-//! only what that writer produces and reports anything else as a typed
-//! [`WireError`]. A strategic game's wire bytes are therefore its
-//! spec-digest preimage (after the spec tag), byte for byte.
+//! decoder is its reader, [`Rational::decode_canonical`]. A strategic
+//! game's wire bytes are therefore its spec-digest preimage (after the
+//! spec tag), byte for byte.
 //!
 //! Encoding appends to a plain `Vec<u8>`; decoding consumes a [`WireBytes`]
 //! cursor — an `Arc`-backed, cheaply cloneable byte window that replaces the
-//! `bytes::Bytes` dependency with `std`-only machinery.
+//! `bytes::Bytes` dependency with `std`-only machinery. The cursor also
+//! counts how deep the decoder has nested: a recursive type (the §3 proof
+//! trees) decodes each level through [`WireBytes::nested`], which refuses
+//! to go past [`MAX_NESTING`] levels, so hostile nesting is a decode error
+//! and not a stack overflow.
 //!
 //! # The pooled frame buffer
 //!
@@ -81,26 +92,31 @@ pub fn frame_pool_misses() -> u64 {
     FRAME_POOL_MISSES.with(Cell::get)
 }
 
+/// How many levels of a recursive type one decode may nest. Honest
+/// certificates are a handful of levels deep; without a cap, hostile
+/// bytes (millions of repeated `Term::Add` tags, say) would abort the
+/// process through a stack overflow instead of returning a [`WireError`].
+pub(crate) const MAX_NESTING: u32 = 256;
+
 /// An immutable, cheaply cloneable window of bytes with cursor semantics.
 ///
-/// Reads (`get_u8`, [`WireBytes::split_to`]) advance the window's start, so
+/// Reads (`get_u8`, [`WireBytes::advance`]) advance the window's start, so
 /// `len()` always reports the bytes *remaining*, exactly like the
-/// `bytes::Bytes` type this replaces.
+/// `bytes::Bytes` type this replaces. The cursor also carries the nesting
+/// depth of the decode in progress, which caps how deep a recursive value
+/// may nest.
 #[derive(Clone)]
 pub struct WireBytes {
     data: Arc<[u8]>,
     start: usize,
     end: usize,
+    depth: u32,
 }
 
 impl WireBytes {
     /// An empty byte window.
     pub fn new() -> WireBytes {
-        WireBytes {
-            data: Arc::from([] as [u8; 0]),
-            start: 0,
-            end: 0,
-        }
+        WireBytes::from(Vec::new())
     }
 
     /// Remaining bytes in the window.
@@ -111,11 +127,6 @@ impl WireBytes {
     /// Whether no bytes remain.
     pub fn is_empty(&self) -> bool {
         self.start == self.end
-    }
-
-    /// Remaining bytes (alias kept for `bytes::Buf` familiarity).
-    pub fn remaining(&self) -> usize {
-        self.len()
     }
 
     /// Whether at least one byte remains.
@@ -129,23 +140,18 @@ impl WireBytes {
     /// hostile chain of envelope tags errors out instead of exhausting
     /// the stack.
     pub fn peek_u8(&self) -> Option<u8> {
-        if self.has_remaining() {
-            Some(self.data[self.start])
-        } else {
-            None
-        }
+        self.as_slice().first().copied()
     }
 
     /// Consumes and returns the next byte.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the window is empty; decoders check `has_remaining` first.
-    pub fn get_u8(&mut self) -> u8 {
-        assert!(self.has_remaining(), "get_u8 on empty WireBytes");
-        let byte = self.data[self.start];
+    /// [`WireError::UnexpectedEnd`] if the window is empty.
+    pub fn get_u8(&mut self) -> Result<u8, WireError> {
+        let byte = self.peek_u8().ok_or(WireError::UnexpectedEnd)?;
         self.start += 1;
-        byte
+        Ok(byte)
     }
 
     /// Consumes the first `n` remaining bytes.
@@ -158,23 +164,31 @@ impl WireBytes {
         self.start += n;
     }
 
-    /// Splits off and returns the first `n` remaining bytes.
+    /// Runs `decode` one nesting level deeper. Every recursive type's
+    /// decoder goes through here, so the depth counts the levels of the
+    /// value being read, and a value nested past [`MAX_NESTING`] levels
+    /// is [`WireError::Malformed`] before its next level is read.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if fewer than `n` bytes remain.
-    pub fn split_to(&mut self, n: usize) -> WireBytes {
-        assert!(n <= self.len(), "split_to past end of WireBytes");
-        let head = WireBytes {
-            data: Arc::clone(&self.data),
-            start: self.start,
-            end: self.start + n,
-        };
-        self.start += n;
-        head
+    /// Whatever `decode` returns, or [`WireError::Malformed`] past the cap.
+    pub(crate) fn nested<T>(
+        &mut self,
+        decode: impl FnOnce(&mut WireBytes) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if self.depth >= MAX_NESTING {
+            return Err(WireError::Malformed(format!(
+                "nesting deeper than {MAX_NESTING}"
+            )));
+        }
+        self.depth += 1;
+        let out = decode(self);
+        self.depth -= 1;
+        out
     }
 
-    /// A sub-window of the remaining bytes (indices relative to the cursor).
+    /// A sub-window of the remaining bytes (indices relative to the
+    /// cursor), at nesting depth 0.
     ///
     /// # Panics
     ///
@@ -188,6 +202,7 @@ impl WireBytes {
             data: Arc::clone(&self.data),
             start: self.start + range.start,
             end: self.start + range.end,
+            depth: 0,
         }
     }
 
@@ -215,6 +230,7 @@ impl From<Vec<u8>> for WireBytes {
             data: Arc::from(v),
             start: 0,
             end,
+            depth: 0,
         }
     }
 }
@@ -252,7 +268,8 @@ pub enum WireError {
     UnexpectedEnd,
     /// A tag byte was invalid for the expected type.
     BadTag(u8),
-    /// A string/number failed to parse.
+    /// A value broke a rule of its format (a length or size cap, an
+    /// overlong varint, keys out of order, nesting past the cap).
     Malformed(String),
     /// Bytes shaped like a rational that its canonical encoder never
     /// writes (a truncated value is [`WireError::UnexpectedEnd`] and an
@@ -315,6 +332,119 @@ pub trait Wire: Sized {
     }
 }
 
+/// Implements [`Wire`] for each type from one table of its format, so
+/// `encode` and `decode` are generated from the same list.
+///
+/// ```text
+/// wire_codec! {
+///     struct PnCounter { increments, decrements }
+///     enum Party { 0 => Inventor(id), 1 => Agent(id), ... }
+///     recursive enum Term { 0 => Const(value), 2 => Add(a, b), ... }
+/// }
+/// ```
+///
+/// - A `struct` row lists every field in wire order; no tag is written.
+/// - An `enum` row per variant, `tag => Variant { a, b }` or
+///   `tag => Variant(a, b)`, is the tag byte then the listed fields. A
+///   tag is a literal or a parenthesised constant, and a byte no row
+///   names decodes to [`WireError::BadTag`]. Two rows with one tag are
+///   an unreachable match arm, which the lints reject.
+/// - A `recursive enum` also decodes one level deeper on the cursor
+///   ([`WireBytes::nested`]), which caps how deep hostile bytes can nest.
+///
+/// Each field is encoded and decoded by its own type's [`Wire`] impl; the
+/// type is inferred from the definition, and every field must be named,
+/// since the generated patterns and constructors name them all. A field
+/// written `field = path` is decoded by `path(buf)` instead, for a rule
+/// the field's type does not state.
+macro_rules! wire_codec {
+    () => {};
+    (struct $ty:ident { $($field:ident),* $(,)? } $($rest:tt)*) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($crate::wire::Wire::encode($field, buf);)*
+            }
+            fn decode(
+                buf: &mut $crate::wire::WireBytes,
+            ) -> Result<$ty, $crate::wire::WireError> {
+                Ok($ty { $($field: $crate::wire::Wire::decode(buf)?),* })
+            }
+        }
+        $crate::wire::wire_codec!($($rest)*);
+    };
+    (recursive enum $ty:ident { $($rows:tt)* } $($rest:tt)*) => {
+        $crate::wire::wire_codec!(@enum $ty [nested] { $($rows)* });
+        $crate::wire::wire_codec!($($rest)*);
+    };
+    (enum $ty:ident { $($rows:tt)* } $($rest:tt)*) => {
+        $crate::wire::wire_codec!(@enum $ty [] { $($rows)* });
+        $crate::wire::wire_codec!($($rest)*);
+    };
+    (@enum $ty:ident [$($nested:ident)?] { $($tag:tt => $variant:ident $fields:tt),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($crate::wire::wire_codec!(@pattern $ty $variant $fields) => {
+                        buf.push($crate::wire::wire_codec!(@tag $tag));
+                        $crate::wire::wire_codec!(@encode buf $fields);
+                    })*
+                }
+            }
+            fn decode(
+                buf: &mut $crate::wire::WireBytes,
+            ) -> Result<$ty, $crate::wire::WireError> {
+                $crate::wire::wire_codec!(@depth buf [$($nested)?] |buf| {
+                    Ok(match buf.get_u8()? {
+                        $($crate::wire::wire_codec!(@tag $tag) => {
+                            $crate::wire::wire_codec!(@build buf $ty $variant $fields)
+                        })*
+                        tag => return Err($crate::wire::WireError::BadTag(tag)),
+                    })
+                })
+            }
+        }
+    };
+    (@tag ($tag:path)) => {
+        $tag
+    };
+    (@tag $tag:literal) => {
+        $tag
+    };
+    (@depth $buf:ident [] |$arg:ident| $body:block) => {{
+        let $arg = $buf;
+        $body
+    }};
+    (@depth $buf:ident [nested] |$arg:ident| $body:block) => {
+        $buf.nested(|$arg| $body)
+    };
+    (@pattern $ty:ident $variant:ident { $($field:ident $(= $with:path)?),* $(,)? }) => {
+        $ty::$variant { $($field),* }
+    };
+    (@pattern $ty:ident $variant:ident ( $($field:ident $(= $with:path)?),* $(,)? )) => {
+        $ty::$variant($($field),*)
+    };
+    (@encode $buf:ident { $($field:ident $(= $with:path)?),* $(,)? }) => {
+        $($crate::wire::Wire::encode($field, $buf);)*
+    };
+    (@encode $buf:ident ( $($field:ident $(= $with:path)?),* $(,)? )) => {
+        $($crate::wire::Wire::encode($field, $buf);)*
+    };
+    (@build $buf:ident $ty:ident $variant:ident { $($field:ident $(= $with:path)?),* $(,)? }) => {
+        $ty::$variant { $($field: $crate::wire::wire_codec!(@field $buf $($with)?)),* }
+    };
+    (@build $buf:ident $ty:ident $variant:ident ( $($field:ident $(= $with:path)?),* $(,)? )) => {
+        $ty::$variant($($crate::wire::wire_codec!(@field $buf $($with)?)),*)
+    };
+    (@field $buf:ident) => {
+        $crate::wire::Wire::decode($buf)?
+    };
+    (@field $buf:ident $with:path) => {
+        $with($buf)?
+    };
+}
+pub(crate) use wire_codec;
+
 /// LEB128-style unsigned varint. The writer lives in `ra-exact` beside
 /// the canonical rational writer, so game digests and wire frames share
 /// one varint format.
@@ -331,10 +461,7 @@ pub fn get_varint(buf: &mut WireBytes) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let byte = buf.get_u8();
+        let byte = buf.get_u8()?;
         // The tenth byte holds bit 63 alone.
         if shift == 63 && byte > 1 {
             return Err(WireError::Malformed("varint overflow".into()));
@@ -359,6 +486,17 @@ impl Wire for u64 {
     }
 }
 
+/// A varint; a value past `u32::MAX` is [`WireError::Malformed`].
+impl Wire for u32 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, u64::from(*self));
+    }
+    fn decode(buf: &mut WireBytes) -> Result<u32, WireError> {
+        u32::try_from(get_varint(buf)?)
+            .map_err(|_| WireError::Malformed("varint exceeds u32".into()))
+    }
+}
+
 impl Wire for usize {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, *self as u64);
@@ -373,30 +511,11 @@ impl Wire for bool {
         buf.push(u8::from(*self));
     }
     fn decode(buf: &mut WireBytes) -> Result<bool, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        match buf.get_u8() {
+        match buf.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-impl Wire for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_varint(buf, self.len() as u64);
-        buf.extend_from_slice(self.as_bytes());
-    }
-    fn decode(buf: &mut WireBytes) -> Result<String, WireError> {
-        let len = get_varint(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(WireError::UnexpectedEnd);
-        }
-        let raw = buf.split_to(len);
-        String::from_utf8(raw.to_vec())
-            .map_err(|e| WireError::Malformed(format!("invalid utf-8: {e}")))
     }
 }
 
@@ -429,25 +548,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
+impl<T: Wire> Wire for Box<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-        }
+        (**self).encode(buf);
     }
-    fn decode(buf: &mut WireBytes) -> Result<Option<T>, WireError> {
-        if !buf.has_remaining() {
-            return Err(WireError::UnexpectedEnd);
-        }
-        match buf.get_u8() {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            t => Err(WireError::BadTag(t)),
-        }
+    fn decode(buf: &mut WireBytes) -> Result<Box<T>, WireError> {
+        Ok(Box::new(T::decode(buf)?))
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+    fn decode(buf: &mut WireBytes) -> Result<Arc<T>, WireError> {
+        Ok(Arc::new(T::decode(buf)?))
     }
 }
 
@@ -509,15 +624,59 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_vectors() {
-        round_trip(String::from("rationality authority"));
-        round_trip(String::new());
+    fn vectors_and_wrappers() {
         round_trip(vec![1u64, 2, 3]);
         round_trip(Vec::<u64>::new());
-        round_trip(vec![String::from("a"), String::from("bc")]);
-        round_trip(Some(42u64));
-        round_trip(Option::<u64>::None);
+        round_trip(vec![vec![rat(1, 2)], vec![], vec![rat(-3, 1), rat(0, 1)]]);
         round_trip(vec![true, false, true]);
+        round_trip(Box::new(7usize));
+        round_trip(Arc::new(vec![3u32, u32::MAX]));
+    }
+
+    #[test]
+    fn u32_past_its_range_is_malformed() {
+        let mut bytes = u64::from(u32::MAX).to_bytes();
+        assert_eq!(u32::decode(&mut bytes), Ok(u32::MAX));
+        let mut bytes = (u64::from(u32::MAX) + 1).to_bytes();
+        assert!(matches!(
+            u32::decode(&mut bytes),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    /// A list of lists, each level decoded through [`WireBytes::nested`].
+    struct Nest(Vec<Nest>);
+
+    impl Wire for Nest {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            self.0.encode(buf);
+        }
+        fn decode(buf: &mut WireBytes) -> Result<Nest, WireError> {
+            buf.nested(|buf| Ok(Nest(Vec::decode(buf)?)))
+        }
+    }
+
+    /// The bytes of a [`Nest`] `levels` deep: a one-element list at each
+    /// level but the last, which is empty.
+    fn nest(levels: u32) -> Vec<u8> {
+        let mut bytes = vec![1; levels as usize - 1];
+        bytes.push(0);
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_capped_on_the_cursor() {
+        let mut deepest = WireBytes::from(nest(MAX_NESTING));
+        assert!(Nest::decode(&mut deepest).is_ok());
+        assert!(deepest.is_empty());
+        let mut too_deep = WireBytes::from(nest(MAX_NESTING + 1));
+        assert!(matches!(
+            Nest::decode(&mut too_deep),
+            Err(WireError::Malformed(_))
+        ));
+        // Each level leaves as it came in, so a failed decode leaves the
+        // cursor at depth 0 for whatever it reads next.
+        assert_eq!(too_deep.depth, 0);
     }
 
     #[test]
@@ -613,9 +772,12 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let bytes = String::from("hello").to_bytes();
+        let bytes = vec![1u64, 300, 7].to_bytes();
         let mut short = bytes.slice(0..3);
-        assert_eq!(String::decode(&mut short), Err(WireError::UnexpectedEnd));
+        assert_eq!(
+            Vec::<u64>::decode(&mut short),
+            Err(WireError::UnexpectedEnd)
+        );
         let mut empty = WireBytes::new();
         assert_eq!(u64::decode(&mut empty), Err(WireError::UnexpectedEnd));
     }
@@ -639,11 +801,13 @@ mod tests {
 
     #[test]
     fn frame_scratch_reuse_is_allocation_free_in_steady_state() {
-        let msg = vec![
-            String::from("rationality"),
-            String::from("authority"),
-            String::from("frame pool"),
-        ];
+        let msg = crate::Message::VerdictRequest {
+            game_id: 300,
+            advice: Arc::new(crate::Advice::Support(ra_proofs::SupportCertificate {
+                row_support: vec![0, 2, 5],
+                col_support: vec![1],
+            })),
+        };
         // Warm this thread's scratch past the message's encoded size.
         let warm_len = msg.encoded_len();
         let misses_after_warmup = frame_pool_misses();
@@ -703,16 +867,19 @@ mod tests {
     fn wire_bytes_window_semantics() {
         let mut w = WireBytes::from(vec![1u8, 2, 3, 4, 5]);
         assert_eq!(w.len(), 5);
-        assert_eq!(w.get_u8(), 1);
+        assert_eq!(w.get_u8(), Ok(1));
         assert_eq!(w.len(), 4);
-        let head = w.split_to(2);
-        assert_eq!(head.as_slice(), &[2, 3]);
+        assert_eq!(w.peek_u8(), Some(2));
+        w.advance(2);
         assert_eq!(w.as_slice(), &[4, 5]);
         assert_eq!(w.slice(1..2).as_slice(), &[5]);
         // Clones share the backing allocation but cursor independently.
         let mut c = w.clone();
-        c.get_u8();
+        assert_eq!(c.get_u8(), Ok(4));
         assert_eq!(w.len(), 2);
         assert_eq!(c.len(), 1);
+        c.advance(1);
+        assert_eq!(c.peek_u8(), None);
+        assert_eq!(c.get_u8(), Err(WireError::UnexpectedEnd));
     }
 }

@@ -15,9 +15,13 @@ use ra_authority::{
     Wire,
 };
 use ra_exact::{rat, Matrix, Rational};
-use ra_games::{BimatrixGame, StrategicGame};
-use ra_proofs::SupportCertificate;
-use ra_solvers::ParticipationParams;
+use ra_games::{BimatrixGame, MixedStrategy, StrategicGame, StrategyProfile};
+use ra_proofs::kernel::{Proof, Prop, Term};
+use ra_proofs::{
+    OnlineAdviceCertificate, P2Advice, ParticipationCertificate, PureNashCertificate,
+    SupportCertificate,
+};
+use ra_solvers::{EquilibriumRoot, ParticipationParams};
 
 /// A splitmix-style finalizer: the deterministic seed-to-payoff hash that
 /// lets arbitrary game specs be generated without `prop_flat_map` (payoffs
@@ -153,29 +157,86 @@ fn arb_verdict_reason() -> impl Strategy<Value = VerdictReason> {
     (0..VerdictReason::ALL.len()).prop_map(|code| VerdictReason::ALL[code])
 }
 
-fn arb_message() -> impl Strategy<Value = Message> {
+/// A proof tree with every recursive proof type in it, shaped by `seed`:
+/// the decoder does not judge proofs, so it need not be a valid one.
+fn sample_proof(seed: u64) -> Proof {
+    let profile = StrategyProfile::new(vec![(seed % 3) as usize, (seed / 3 % 2) as usize]);
+    let atom = Prop::Le(
+        Term::Add(
+            Box::new(Term::utility((seed % 2) as usize, profile.clone())),
+            Box::new(Term::constant(hashed_rational(mix(seed)))),
+        ),
+        Term::constant(hashed_rational(seed)),
+    );
+    Proof::OrIntro {
+        disjuncts: vec![Prop::IsNash(profile), atom.clone()],
+        index: 1,
+        witness: Box::new(Proof::EvalAtom(atom)),
+    }
+}
+
+/// Every advice family: a PureNash proof tree, P1 supports, P2 data, a §5
+/// root and §6 link advice.
+fn arb_advice() -> impl Strategy<Value = Advice> {
     prop_oneof![
-        any::<u64>().prop_map(|game_id| Message::AdviceRequest { game_id }),
+        any::<u64>().prop_map(|seed| Advice::PureNash(PureNashCertificate {
+            profile: StrategyProfile::new(vec![(seed % 4) as usize, 0]),
+            proof: sample_proof(seed),
+        })),
         (
-            any::<u64>(),
             prop::collection::vec(0usize..8, 1..4),
             prop::collection::vec(0usize..8, 1..4)
         )
-            .prop_map(|(game_id, r, c)| {
-                let mut r = r;
-                let mut c = c;
+            .prop_map(|(mut r, mut c)| {
                 r.sort_unstable();
                 r.dedup();
                 c.sort_unstable();
                 c.dedup();
-                Message::VerdictRequest {
-                    game_id,
-                    advice: Arc::new(Advice::Support(SupportCertificate {
-                        row_support: r,
-                        col_support: c,
-                    })),
-                }
+                Advice::Support(SupportCertificate {
+                    row_support: r,
+                    col_support: c,
+                })
             }),
+        (1i64..8, any::<u64>()).prop_map(|(k, seed)| Advice::Private(P2Advice {
+            own_strategy: MixedStrategy::try_new(vec![rat(k, 8), rat(8 - k, 8)])
+                .expect("a distribution"),
+            lambda_own: hashed_rational(seed),
+            lambda_opp: hashed_rational(mix(seed)),
+        })),
+        (any::<u64>(), any::<bool>()).prop_map(|(seed, exact)| {
+            let lo = hashed_rational(seed);
+            let root = if exact {
+                EquilibriumRoot::Exact(lo)
+            } else {
+                EquilibriumRoot::Bracket {
+                    hi: lo.clone() + rat(1, 3),
+                    lo,
+                }
+            };
+            Advice::Participation(ParticipationCertificate { root })
+        }),
+        (prop::collection::vec(0usize..4, 1..5), 0usize..4).prop_map(
+            |(assignment, suggested_link)| Advice::Online(OnlineAdviceCertificate {
+                assignment,
+                suggested_link,
+            })
+        ),
+    ]
+}
+
+/// Every message but the retry envelope, with every advice family and
+/// gossip frames built the way shards build them.
+fn arb_bare_message() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        any::<u64>().prop_map(|game_id| Message::AdviceRequest { game_id }),
+        (any::<u64>(), arb_advice()).prop_map(|(game_id, advice)| Message::AdviceWithProof {
+            game_id,
+            advice: Box::new(advice),
+        }),
+        (any::<u64>(), arb_advice()).prop_map(|(game_id, advice)| Message::VerdictRequest {
+            game_id,
+            advice: Arc::new(advice),
+        }),
         (any::<u64>(), any::<bool>(), arb_verdict_reason()).prop_map(
             |(game_id, accepted, detail)| Message::Verdict {
                 game_id,
@@ -183,7 +244,37 @@ fn arb_message() -> impl Strategy<Value = Message> {
                 detail,
             }
         ),
+        (any::<u64>(), any::<usize>())
+            .prop_map(|(game_id, index)| Message::SupportQuery { game_id, index }),
+        (any::<u64>(), 0usize..300, any::<bool>()).prop_map(|(game_id, index, in_support)| {
+            Message::SupportAnswer {
+                game_id,
+                index,
+                in_support,
+            }
+        }),
+        (arb_counter_events(), arb_version_vector()).prop_map(|(events, versions)| {
+            Message::Gossip {
+                delta: counter_map(&events),
+                versions,
+            }
+        }),
     ]
+}
+
+/// Every message, about one in four wrapped in a retry envelope.
+fn arb_message() -> impl Strategy<Value = Message> {
+    (arb_bare_message(), any::<u64>(), 0u32..8).prop_map(|(inner, session, attempt)| {
+        if session % 4 == 0 {
+            Message::Resilient {
+                session,
+                attempt,
+                inner: Box::new(inner),
+            }
+        } else {
+            inner
+        }
+    })
 }
 
 proptest! {
@@ -274,6 +365,34 @@ proptest! {
     fn decoder_is_total(raw in prop::collection::vec(any::<u8>(), 0..200)) {
         let mut buf = WireBytes::from(raw);
         let _ = Message::decode(&mut buf); // must not panic
+    }
+
+    /// The law's second direction: a decoder accepts only what its encoder
+    /// writes. Whatever `Message::decode` accepts from a frame with one
+    /// byte flipped, inserted or deleted, the bytes it consumed are
+    /// exactly the encoding of the message it returned.
+    #[test]
+    fn decoded_frames_are_their_own_encoding(
+        msg in arb_message(),
+        edit in 0u8..3,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut frame = msg.to_bytes().to_vec();
+        let at = at % (frame.len() + 1);
+        match edit {
+            0 if at < frame.len() => frame[at] ^= byte.max(1),
+            1 => frame.insert(at, byte),
+            _ if at < frame.len() => {
+                frame.remove(at);
+            }
+            _ => {}
+        }
+        let mut buf = WireBytes::from(frame.clone());
+        if let Ok(decoded) = Message::decode(&mut buf) {
+            let consumed = &frame[..frame.len() - buf.len()];
+            prop_assert_eq!(consumed, &decoded.to_bytes().to_vec()[..]);
+        }
     }
 
     /// Rational wire encoding round-trips arbitrary values.
