@@ -10,7 +10,7 @@ use ra_exact::{rat, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
 use ra_proofs::{
     honest_online_advice, honest_row_advice, prove_is_nash, OnlineInstance, P2Advice,
-    ParticipationCertificate, PureNashCertificate, SupportCertificate,
+    ParticipationCertificate, SupportCertificate,
 };
 use ra_solvers::{
     find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
@@ -107,10 +107,7 @@ impl Inventor {
             GameSpec::Strategic(game) => {
                 // Only one equilibrium is shipped, so stop at the first.
                 let profile = game.find_profile(|p| game.is_pure_nash(p))?;
-                Some(Advice::PureNash(PureNashCertificate {
-                    proof: prove_is_nash(profile.clone()),
-                    profile,
-                }))
+                Some(Advice::PureNash(prove_is_nash(profile)))
             }
             GameSpec::Bimatrix(game) => {
                 let eq = find_one_equilibrium(game)?;
@@ -148,10 +145,7 @@ impl Inventor {
             GameSpec::Strategic(game) => {
                 // Advise a non-equilibrium profile, with a (doomed) proof.
                 let profile = game.find_profile(|p| !game.is_pure_nash(p))?;
-                Some(Advice::PureNash(PureNashCertificate {
-                    proof: prove_is_nash(profile.clone()),
-                    profile,
-                }))
+                Some(Advice::PureNash(prove_is_nash(profile)))
             }
             GameSpec::Bimatrix(game) => {
                 // Take the real equilibrium's supports and flip one column
@@ -220,8 +214,8 @@ mod tests {
         let inventor = Inventor::new(0, InventorBehavior::Honest);
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         match inventor.advise(&spec) {
-            Some(Advice::PureNash(cert)) => {
-                assert_eq!(cert.profile, vec![1, 1].into());
+            Some(Advice::PureNash(proof)) => {
+                assert_eq!(proof.equilibrium_profile(), Some(&vec![1, 1].into()));
             }
             other => panic!("unexpected advice {other:?}"),
         }
@@ -241,7 +235,7 @@ mod tests {
                 .cloned();
             without_equilibrium += usize::from(expected.is_none());
             let advised = match inventor.advise(&GameSpec::Strategic(game)) {
-                Some(Advice::PureNash(cert)) => Some(cert.profile),
+                Some(Advice::PureNash(proof)) => proof.equilibrium_profile().cloned(),
                 None => None,
                 other => panic!("unexpected advice {other:?}"),
             };

@@ -20,10 +20,7 @@
 use ra_exact::{Matrix, Rational};
 use ra_games::{BimatrixGame, MixedStrategy, StrategicGame, StrategyProfile};
 use ra_proofs::kernel::{NotAboveWitness, ProfileVerdict, Proof, Prop, Term};
-use ra_proofs::{
-    OnlineAdviceCertificate, P2Advice, ParticipationCertificate, PureNashCertificate,
-    SupportCertificate,
-};
+use ra_proofs::{OnlineAdviceCertificate, P2Advice, ParticipationCertificate, SupportCertificate};
 use ra_solvers::{EquilibriumRoot, ParticipationParams};
 
 use std::sync::Arc;
@@ -64,8 +61,11 @@ impl std::fmt::Display for Party {
 /// [`GameSpec`], and the checkers take the game from there.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Advice {
-    /// §3: a pure-profile advice with a kernel proof.
-    PureNash(PureNashCertificate),
+    /// §3: a kernel proof whose root claims an equilibrium (`NashIntro`,
+    /// `MaxNashIntro` or `MinNashIntro`). The proof is the whole advice:
+    /// the advised profile is the root's ([`Proof::equilibrium_profile`]),
+    /// and [`kernel_check`](crate::kernel_check) rejects any other root.
+    PureNash(Proof),
     /// §4 P1: the two supports.
     Support(SupportCertificate),
     /// §4 P2: the agent's own data plus λ values.
@@ -233,14 +233,13 @@ wire_codec! {
     }
 
     enum Advice {
-        0 => PureNash(c),
+        0 => PureNash(proof),
         1 => Support(c),
         2 => Private(a),
         3 => Participation(c),
         4 => Online(c),
     }
 
-    struct PureNashCertificate { profile, proof }
     struct SupportCertificate { row_support, col_support }
     struct P2Advice { own_strategy, lambda_own, lambda_opp }
     struct ParticipationCertificate { root }
@@ -445,7 +444,7 @@ impl Wire for ParticipationParams {
         let k = u64::decode(buf)?;
         let v = Rational::decode(buf)?;
         let c = Rational::decode(buf)?;
-        ParticipationParams::new(n, k, v, c).map_err(WireError::Malformed)
+        ParticipationParams::new(n, k, v, c).map_err(|e| WireError::Malformed(e.to_string()))
     }
 }
 
@@ -776,10 +775,12 @@ mod tests {
 
     #[test]
     fn all_advice_variants_round_trip() {
-        round_trip(Advice::PureNash(PureNashCertificate {
-            profile: vec![1, 1].into(),
-            proof: prove_is_nash(vec![1, 1].into()),
-        }));
+        // §3 advice is its proof: 5 bytes for a 2-player profile (advice
+        // tag, rule tag, length, two strategies) and 6 for a 3-player one.
+        let two = round_trip(Advice::PureNash(prove_is_nash(vec![1, 1].into())));
+        assert_eq!(two, 5);
+        let three = round_trip(Advice::PureNash(prove_is_nash(vec![1, 1, 1].into())));
+        assert_eq!(three, 6);
         round_trip(Advice::Private(P2Advice {
             own_strategy: MixedStrategy::try_new(vec![rat(1, 3), rat(2, 3)]).unwrap(),
             lambda_own: rat(5, 8),
@@ -1036,5 +1037,24 @@ mod tests {
             GameSpec::decode(&mut empty),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn participation_specs_past_the_firm_cap_are_refused() {
+        let cap = ParticipationParams::MAX_FIRMS;
+        // The encoder writes whatever the fields hold; only the decoder
+        // validates. 2³² + 2 firms would wrap `n − k` as an `i32` exponent.
+        for (n, accepted) in [(cap, true), (cap + 1, false), ((1 << 32) + 2, false)] {
+            let spec = GameSpec::Participation(ParticipationParams {
+                n,
+                k: 2,
+                ..ParticipationParams::paper_example()
+            });
+            let decoded = GameSpec::decode(&mut spec.to_bytes());
+            match decoded {
+                Ok(decoded) => assert!(accepted && decoded == spec, "n = {n}"),
+                Err(e) => assert!(!accepted && matches!(e, WireError::Malformed(_)), "n = {n}"),
+            }
+        }
     }
 }

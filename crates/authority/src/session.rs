@@ -1818,17 +1818,19 @@ mod tests {
         // jittered network, a starved panel, a silent inventor and a lost
         // advice frame.
         // Game id 1 is a one-byte varint, so the frames are: advice
-        // request 2 B (tag, id), advice-with-proof 10 B, three verdict
-        // requests of 10 B (the advice frame under another tag) and three
-        // verdicts of 4 B (tag, id, accepted, reason): 2 + 10 + 3·10 +
-        // 3·4 = 54 B for the full panel. A stage that does not complete
-        // retries seven times on the clockless bus (eight attempts); a
-        // retry wraps its frame in a 3 B envelope (tag, session, attempt).
-        // Two request links cut: the first attempt costs 54 − 2·4 = 46 B
-        // (the cut requests are still sent, the two verdicts they would
-        // provoke are not), and 7·2 retried requests of 13 B make 228 B.
-        // A silent inventor: 2 + 7·5 = 37 B. A lost advice frame: each
-        // attempt's request and reply are sent, 2 + 10 + 7·(5 + 13) = 138 B.
+        // request 2 B (tag, id), advice-with-proof 7 B (tag, id, and the
+        // 5 B advice: its tag, the `NashIntro` tag, the profile's length
+        // and two strategies), three verdict requests of 7 B (the advice
+        // frame under another tag) and three verdicts of 4 B (tag, id,
+        // accepted, reason): 2 + 7 + 3·7 + 3·4 = 42 B for the full panel.
+        // A stage that does not complete retries seven times on the
+        // clockless bus (eight attempts); a retry wraps its frame in a 3 B
+        // envelope (tag, session, attempt). Two request links cut: the
+        // first attempt costs 42 − 2·4 = 34 B (the cut requests are still
+        // sent, the two verdicts they would provoke are not), and 7·2
+        // retried requests of 10 B make 174 B. A silent inventor: 2 + 7·5
+        // = 37 B. A lost advice frame: each attempt's request and reply
+        // are sent, 2 + 7 + 7·(5 + 10) = 114 B.
         const VERIFIED: VerdictReason = VerdictReason::Verified(crate::verifier::Check::PureNash);
         let spec = GameSpec::Strategic(prisoners_dilemma().to_strategic());
         let advice = Inventor::new(0, InventorBehavior::Honest).advise(&spec);
@@ -1845,13 +1847,13 @@ mod tests {
             advice: advice.clone(),
             majority: Some(unanimous(3)),
             adopted: true,
-            advice_bytes: 10,
-            session_bytes: 54,
+            advice_bytes: 7,
+            session_bytes: 42,
             verdict_details: vec![verified(0), verified(1), verified(2)],
             cached: false,
             panel: PanelOutcome::Full,
             attempts: 0,
-            total_bytes: 54,
+            total_bytes: 42,
             message_count: 8,
             now: 0,
         };
@@ -1875,15 +1877,15 @@ mod tests {
                 advice: advice.clone(),
                 majority: None,
                 adopted: false,
-                advice_bytes: 10,
-                session_bytes: 228,
+                advice_bytes: 7,
+                session_bytes: 174,
                 verdict_details: vec![verified(0)],
                 cached: false,
                 panel: PanelOutcome::Undecided {
                     missing: vec![Party::Verifier(1), Party::Verifier(2)]
                 },
                 attempts: 14,
-                total_bytes: 228,
+                total_bytes: 174,
                 message_count: 20,
                 now: 0,
             }
@@ -1912,8 +1914,8 @@ mod tests {
                 &[(Party::Inventor(0), agent)]
             ),
             Pinned {
-                session_bytes: 138,
-                total_bytes: 138,
+                session_bytes: 114,
+                total_bytes: 114,
                 message_count: 16,
                 ..starved
             }

@@ -20,6 +20,7 @@
 //! checked against.
 
 use ra_exact::rat;
+use ra_proofs::kernel::verdict;
 use ra_proofs::{
     verify_online_advice, verify_participation_certificate, verify_support_certificate,
     OnlineInstance,
@@ -153,11 +154,18 @@ impl VerifierService {
 /// derives (the proved proposition, λ values, gain, link): the reason
 /// names the checker and leaves those to whoever holds the pair, so the
 /// §3 arm mints no theorem and never hashes the game.
+///
+/// The §3 arm accepts a proof only if its root rule claims an equilibrium
+/// (`NashIntro`, `MaxNashIntro` or `MinNashIntro`): that root's profile is
+/// what the agent adopts. Any other root, even one the kernel accepts (a
+/// `NashRefute`, or an `AndIntro`/`OrIntro` around a true `NashIntro`),
+/// advises no profile and is `Rejected(PureNash)`.
 pub fn kernel_check(spec: &GameSpec, advice: &Advice) -> (bool, VerdictReason) {
     let (check, accepted) = match (spec, advice) {
-        (GameSpec::Strategic(game), Advice::PureNash(cert)) => {
-            (Check::PureNash, cert.verdict(game).is_ok())
-        }
+        (GameSpec::Strategic(game), Advice::PureNash(proof)) => (
+            Check::PureNash,
+            proof.equilibrium_profile().is_some() && verdict(game, proof).is_ok(),
+        ),
         (GameSpec::Bimatrix(game), Advice::Support(cert)) => (
             Check::Support,
             verify_support_certificate(game, cert).is_ok(),
@@ -262,6 +270,41 @@ mod tests {
             let (accepted, detail) = verifier.verify(&spec, &advice);
             assert!(!accepted, "corruption must be caught, got: {detail}");
             assert_eq!(detail, VerdictReason::Rejected(check));
+        }
+    }
+
+    #[test]
+    fn pure_nash_advice_is_accepted_only_under_an_equilibrium_root() {
+        use ra_proofs::kernel::{Proof, Prop};
+        use ra_proofs::{prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash};
+        let game = ra_games::named::stag_hunt(3);
+        let spec = GameSpec::Strategic(game.clone());
+        let stag = vec![1, 1, 1].into();
+        let hare = vec![0, 0, 0].into();
+        for root in [
+            prove_is_nash(vec![1, 1, 1].into()),
+            prove_max_nash(&game, &stag).unwrap(),
+            prove_min_nash(&game, &hare).unwrap(),
+        ] {
+            assert_eq!(
+                kernel_check(&spec, &Advice::PureNash(root)),
+                (true, VerdictReason::Verified(Check::PureNash))
+            );
+        }
+        // Each of these passes the kernel but claims no profile.
+        let nash = prove_is_nash(hare.clone());
+        let refute = prove_not_nash(&game, &vec![0, 1, 0].into()).unwrap();
+        let or = Proof::OrIntro {
+            disjuncts: vec![Prop::NotNash(hare.clone()), Prop::IsNash(hare)],
+            index: 1,
+            witness: Box::new(nash.clone()),
+        };
+        for proof in [refute, or, Proof::AndIntro(vec![nash])] {
+            assert_eq!(verdict(&game, &proof), Ok(()), "{proof:?}");
+            assert_eq!(
+                kernel_check(&spec, &Advice::PureNash(proof)),
+                (false, VerdictReason::Rejected(Check::PureNash))
+            );
         }
     }
 

@@ -82,9 +82,9 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            14,
+            12,
         ),
-        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 14),
+        ("stag_hunt(3)", GameSpec::Strategic(stag_hunt(3)), 12),
         (
             "battle_of_the_sexes",
             GameSpec::Bimatrix(battle_of_the_sexes()),
@@ -108,7 +108,7 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "coordination_game(16)",
             GameSpec::Strategic(coordination_game(16)),
-            14,
+            12,
         ),
     ]
 }
@@ -120,12 +120,12 @@ fn pinned_hits() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "prisoners_dilemma hit",
             GameSpec::Strategic(prisoners_dilemma().to_strategic()),
-            3,
+            2,
         ),
         (
             "coordination_game(16) hit",
             GameSpec::Strategic(coordination_game(16)),
-            3,
+            2,
         ),
     ]
 }

@@ -16,11 +16,8 @@ use ra_authority::{
 };
 use ra_exact::{rat, Matrix, Rational};
 use ra_games::{BimatrixGame, MixedStrategy, StrategicGame, StrategyProfile};
-use ra_proofs::kernel::{Proof, Prop, Term};
-use ra_proofs::{
-    OnlineAdviceCertificate, P2Advice, ParticipationCertificate, PureNashCertificate,
-    SupportCertificate,
-};
+use ra_proofs::kernel::{NotAboveWitness, ProfileVerdict, Proof, Prop, Term};
+use ra_proofs::{OnlineAdviceCertificate, P2Advice, ParticipationCertificate, SupportCertificate};
 use ra_solvers::{EquilibriumRoot, ParticipationParams};
 
 /// A splitmix-style finalizer: the deterministic seed-to-payoff hash that
@@ -175,14 +172,41 @@ fn sample_proof(seed: u64) -> Proof {
     }
 }
 
+/// §3 advice: a maximality or minimality root, on `seed`'s low bit, over
+/// [`sample_proof`] and one classification entry of each verdict kind.
+fn equilibrium_rooted_proof(seed: u64) -> Proof {
+    let profile = StrategyProfile::new(vec![(seed % 4) as usize, 0]);
+    let nash = Box::new(sample_proof(seed));
+    let classification = vec![
+        ProfileVerdict::NotNash {
+            agent: (seed % 2) as usize,
+            strategy: (seed / 2 % 3) as usize,
+        },
+        ProfileVerdict::NotStrictlyBetter(NotAboveWitness::PrefersCandidate {
+            agent: (seed / 6 % 2) as usize,
+        }),
+        ProfileVerdict::NotStrictlyBetter(NotAboveWitness::LeCandidate),
+    ];
+    if seed & 1 == 0 {
+        Proof::MaxNashIntro {
+            profile,
+            nash,
+            classification,
+        }
+    } else {
+        Proof::MinNashIntro {
+            profile,
+            nash,
+            classification,
+        }
+    }
+}
+
 /// Every advice family: a PureNash proof tree, P1 supports, P2 data, a §5
 /// root and §6 link advice.
 fn arb_advice() -> impl Strategy<Value = Advice> {
     prop_oneof![
-        any::<u64>().prop_map(|seed| Advice::PureNash(PureNashCertificate {
-            profile: StrategyProfile::new(vec![(seed % 4) as usize, 0]),
-            proof: sample_proof(seed),
-        })),
+        any::<u64>().prop_map(|seed| Advice::PureNash(equilibrium_rooted_proof(seed))),
         (
             prop::collection::vec(0usize..8, 1..4),
             prop::collection::vec(0usize..8, 1..4)

@@ -62,12 +62,7 @@ fn bench_wire(c: &mut Criterion) {
     let proof = ra_proofs::prove_max_nash(&game, &vec![3, 3].into()).unwrap();
     let msg = Message::AdviceWithProof {
         game_id: 7,
-        advice: Box::new(ra_authority::Advice::PureNash(
-            ra_proofs::PureNashCertificate {
-                profile: vec![3, 3].into(),
-                proof,
-            },
-        )),
+        advice: Box::new(ra_authority::Advice::PureNash(proof)),
     };
     let bytes = msg.to_bytes();
     group.bench_function("encode_max_proof", |b| {

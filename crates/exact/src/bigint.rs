@@ -92,6 +92,8 @@ struct Wide {
 const I64_MIN_MAG: u64 = 1 << 63;
 
 /// The value `sign · m` as an `i64`, if it fits.
+// `m ≤ 2⁶³` here, and `2⁶³ as i64` wraps to `i64::MIN`, whose negation is itself.
+#[allow(clippy::cast_possible_wrap)]
 fn fit_i64(negative: bool, m: u64) -> Option<i64> {
     if negative {
         (m <= I64_MIN_MAG).then_some((m as i64).wrapping_neg())
@@ -204,6 +206,8 @@ impl BigInt {
     }
 
     /// The value `-m` if `negative`, else `m`.
+    // Splits `m` into its low and high 64-bit limbs.
+    #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn from_sign_u128(negative: bool, m: u128) -> BigInt {
         match u64::try_from(m).ok().and_then(|m| fit_i64(negative, m)) {
             Some(v) => BigInt(Repr::Inline(v)),
@@ -469,6 +473,8 @@ fn mag_sub(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
+// Each `as u64` keeps a 128-bit partial product's low limb; `>> 64` carries the rest.
+#[allow(clippy::cast_possible_truncation)]
 fn mag_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
@@ -513,6 +519,8 @@ fn mag_div_rem(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
     knuth_d(a, b)
 }
 
+// `cur < d·2⁶⁴`, so each quotient digit and the remainder fit one limb.
+#[allow(clippy::cast_possible_truncation)]
 fn mag_div_rem_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
     let mut q = vec![0u64; a.len()];
     let mut rem = 0u128;
@@ -527,6 +535,13 @@ fn mag_div_rem_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
     (q, rem as u64)
 }
 /// Knuth TAOCP vol. 2, Algorithm 4.3.1 D, base 2^64.
+// Knuth's step D4 subtracts limb by limb in `i128`: each `as u64` keeps the
+// low limb of a two's-complement difference, and `>> 64` is the borrow.
+#[allow(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 fn knuth_d(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
     let n = b.len();
     let m = a.len() - n;
@@ -815,6 +830,8 @@ fn mag_to_decimal(mag: &[u64]) -> String {
 
 /// The magnitude spelled by ASCII decimal `digits` (validated by the
 /// caller), read in chunks of at most 19 digits, first chunk shortest.
+// A chunk holds at most 19 digits, so its length fits `u32`.
+#[allow(clippy::cast_possible_truncation)]
 fn decimal_to_mag(digits: &[u8]) -> Vec<u64> {
     let head = digits.len() % 19;
     let chunks = std::iter::once(&digits[..head])
@@ -1102,7 +1119,7 @@ pub(crate) mod tests {
         // encoder's one-limb shortcut still sees them.
         for v in [i64::MAX as i128 + 1, u64::MAX as i128, -(u64::MAX as i128)] {
             assert!(matches!(bi(v).0, Repr::Limbs(_)), "{v}");
-            assert_eq!(bi(v).magnitude_u64(), Some(v.unsigned_abs() as u64));
+            assert_eq!(bi(v).magnitude_u64(), u64::try_from(v.unsigned_abs()).ok());
         }
         assert_eq!(bi(-(1 << 63) - 1).to_i64(), None);
         // Products across 2^63 promote; dividing back demotes.
@@ -1143,6 +1160,8 @@ pub(crate) mod tests {
             LimbRef { sign, mag }
         }
 
+        // Splits `|v|` into its low and high 64-bit limbs.
+        #[allow(clippy::cast_possible_truncation)]
         pub(crate) fn from_i128(v: i128) -> LimbRef {
             let m = v.unsigned_abs();
             let sign = if v < 0 { Sign::Minus } else { Sign::Plus };

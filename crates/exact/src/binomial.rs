@@ -39,7 +39,8 @@ pub fn binomial(n: u64, k: u64) -> BigInt {
 ///
 /// # Panics
 ///
-/// Panics if `p` is outside `[0, 1]`.
+/// Panics if `p` is outside `[0, 1]`, or if `k ≤ n` and `k` or `n − k`
+/// exceeds `i32::MAX` (the exponents of `Rational::pow`).
 pub fn binomial_pmf(n: u64, k: u64, p: &Rational) -> Rational {
     assert!(
         !p.is_negative() && p <= &Rational::one(),
@@ -48,8 +49,9 @@ pub fn binomial_pmf(n: u64, k: u64, p: &Rational) -> Rational {
     if k > n {
         return Rational::zero();
     }
+    let exponent = |e: u64| i32::try_from(e).expect("an exponent above i32::MAX");
     let q = Rational::one() - p;
-    Rational::from(binomial(n, k)) * p.pow(k as i32) * q.pow((n - k) as i32)
+    Rational::from(binomial(n, k)) * p.pow(exponent(k)) * q.pow(exponent(n - k))
 }
 
 /// Upper tail `Pr[X >= k]` for `X ~ Binomial(n, p)`, exactly.

@@ -46,6 +46,8 @@ fn put_magnitude(buf: &mut Vec<u8>, value: &BigInt) {
     }
     let mut word = [0];
     let (_, mag) = value.parts(&mut word);
+    // A magnitude held in memory has far fewer than `usize::MAX` groups.
+    #[allow(clippy::cast_possible_truncation)]
     let groups = value.bits().div_ceil(7) as usize;
     for i in 0..groups {
         let (limb, shift) = ((7 * i) / 64, (7 * i) % 64);
@@ -241,6 +243,8 @@ mod tests {
     }
 
     /// Bytes of a minimal LEB128 of `value`.
+    // A magnitude held in memory has far fewer than `usize::MAX` groups.
+    #[allow(clippy::cast_possible_truncation)]
     fn leb_len(value: &BigInt) -> usize {
         value.bits().div_ceil(7).max(1) as usize
     }

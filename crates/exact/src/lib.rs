@@ -29,6 +29,11 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 #![warn(missing_docs)]
 
 mod bigint;

@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn identity_and_mul() {
         let i3 = identity(3);
-        let m = Matrix::from_fn(3, 3, |i, j| r((i * 3 + j) as i64));
+        let m = Matrix::from_fn(3, 3, |i, j| Rational::from(i * 3 + j));
         assert_eq!(i3.mul_mat(&m), m);
         assert_eq!(m.mul_mat(&i3), m);
         assert_eq!(m.transpose().transpose(), m);

@@ -206,12 +206,11 @@ impl Rational {
     /// Approximate `f64` value.
     pub fn to_f64(&self) -> f64 {
         // Scale so that both parts stay in f64 range for huge operands.
-        let nb = self.num.bits() as i64;
-        let db = self.den.bits() as i64;
+        let (nb, db) = (self.num.bits(), self.den.bits());
         if nb < 900 && db < 900 {
             return self.num.to_f64() / self.den.to_f64();
         }
-        let shift = (nb.max(db) - 512).max(0) as u32;
+        let shift = u32::try_from(nb.max(db) - 512).expect("an operand of under 2³² bits");
         let n = (self.num.abs().shl(0) / BigInt::from(2u8).pow(shift)).to_f64();
         let d = (self.den.shl(0) / BigInt::from(2u8).pow(shift)).to_f64();
         let v = n / d;
@@ -225,6 +224,12 @@ impl Rational {
     /// Exact conversion from an `f64` (every finite `f64` is rational).
     ///
     /// Returns `None` for NaN or infinities.
+    // The exponent field has 11 bits, and `exp2` lies in `[-1074, 971]`.
+    #[allow(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )]
     pub fn from_f64(v: f64) -> Option<Rational> {
         if !v.is_finite() {
             return None;
@@ -504,7 +509,10 @@ impl FromStr for Rational {
                 });
             }
             let frac: BigInt = frac_part.parse()?;
-            let scale = BigInt::from(10u8).pow(frac_part.len() as u32);
+            let digits = u32::try_from(frac_part.len()).map_err(|_| ParseExactError {
+                message: "decimal fraction too long",
+            })?;
+            let scale = BigInt::from(10u8).pow(digits);
             let signed_frac = if negative { -frac } else { frac };
             let num = &(&int * &scale) + &signed_frac;
             return Ok(Rational::from_bigints(num, scale));

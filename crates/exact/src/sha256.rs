@@ -198,7 +198,7 @@ mod tests {
         // spills into a second padding block (56..64), and several full
         // blocks before each.
         let data: Vec<u8> = (0..=200u32)
-            .map(|i| (i.wrapping_mul(167) ^ (i >> 3)) as u8)
+            .map(|i| (i.wrapping_mul(167) ^ (i >> 3)).to_le_bytes()[0])
             .collect();
         for len in 0..=data.len() {
             assert_eq!(

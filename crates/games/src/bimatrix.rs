@@ -84,7 +84,7 @@ impl MixedStrategy {
     /// Panics if `n == 0`.
     pub fn uniform(n: usize) -> MixedStrategy {
         assert!(n > 0, "uniform mixed strategy over zero strategies");
-        MixedStrategy(vec![Rational::new(1, n as i64); n])
+        MixedStrategy(vec![Rational::from(n).recip(); n])
     }
 
     /// The pure strategy `i` as a degenerate distribution.

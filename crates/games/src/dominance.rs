@@ -163,7 +163,7 @@ mod tests {
     fn three_player_dominance() {
         // Each agent's strategy 1 adds 1 to own payoff regardless of others.
         let g = StrategicGame::from_payoff_fn(vec![2, 2, 2], |p| {
-            (0..3).map(|i| r(p.strategy_of(i) as i64)).collect()
+            (0..3).map(|i| Rational::from(p.strategy_of(i))).collect()
         });
         let eq = dominant_strategy_equilibrium(&g, Dominance::Strict).unwrap();
         assert_eq!(eq, StrategyProfile::new(vec![1, 1, 1]));

@@ -18,6 +18,11 @@
 //! live in `ra-solvers`, and certificates/verification in `ra-proofs`.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 #![warn(missing_docs)]
 
 mod bimatrix;
@@ -34,7 +39,7 @@ pub use dominance::{
     dominant_strategies, dominant_strategy_equilibrium, dominates, is_dominant_strategy, Dominance,
 };
 pub use generators::GameGenerator;
-pub use participation::{EquilibriumRoot, ParticipationParams};
+pub use participation::{EquilibriumRoot, ParticipationParams, ParticipationParamsError};
 pub use profile::{Agent, ProfileIter, Strategy, StrategyProfile};
 pub use strategic::StrategicGame;
 pub use symmetric::SymmetricBinaryGame;

@@ -61,7 +61,7 @@ pub fn coordination_game(k: usize) -> StrategicGame {
     StrategicGame::from_payoff_fn(vec![k, k], |p| {
         let (i, j) = (p.strategy_of(0), p.strategy_of(1));
         let v = if i == j {
-            Rational::from((i + 1) as i64)
+            Rational::from(i + 1)
         } else {
             Rational::zero()
         };

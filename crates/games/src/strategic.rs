@@ -471,8 +471,7 @@ mod tests {
     #[test]
     fn strided_deviation_scan_matches_cloning_scan() {
         let shapes = [vec![3, 4], vec![5, 2], vec![2, 3, 4], vec![3, 3, 3]];
-        for seed in 0..60u64 {
-            let counts = shapes[seed as usize % shapes.len()].clone();
+        for (seed, counts) in (0..60u64).zip(shapes.iter().cycle().cloned()) {
             let g = crate::GameGenerator::seeded(seed).strategic(counts, -4..=4);
             for p in g.profiles() {
                 assert_eq!(
@@ -549,7 +548,7 @@ mod tests {
             let mut seen = Vec::new();
             let g = StrategicGame::from_payoff_fn(counts.clone(), |p| {
                 seen.push(p.clone());
-                vec![r(seen.len() as i64); p.len()]
+                vec![Rational::from(seen.len()); p.len()]
             });
             assert_eq!(seen, ProfileIter::new(counts.clone()).collect::<Vec<_>>());
             let table = StrategicGame::from_payoff_table(counts.clone(), g.payoffs.clone());

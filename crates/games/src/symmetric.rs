@@ -127,9 +127,8 @@ impl SymmetricBinaryGame {
             let total: usize = profile.strategies().iter().sum();
             (0..n)
                 .map(|i| {
-                    let own = profile.strategy_of(i) as u8;
-                    let others = total - profile.strategy_of(i);
-                    payoff[own as usize][others].clone()
+                    let own = profile.strategy_of(i);
+                    payoff[own][total - own].clone()
                 })
                 .collect()
         })

@@ -6,63 +6,7 @@
 
 use ra_games::{StrategicGame, StrategyProfile};
 
-use crate::kernel::{
-    check, verdict, CheckedProp, NotAboveWitness, ProfileVerdict, Proof, ProofError, Prop,
-};
-
-/// A §3 certificate: a claimed equilibrium plus the kernel proof shipped by
-/// the inventor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PureNashCertificate {
-    /// The advised strategy profile.
-    pub profile: StrategyProfile,
-    /// Proof of `IsNash(profile)` (or `IsMaxNash` for maximality claims).
-    pub proof: Proof,
-}
-
-impl PureNashCertificate {
-    /// Checks the certificate with the kernel's [`verdict`], minting no
-    /// theorem and building no proposition: on `Ok`, the proof proves its
-    /// [`Proof::claims`], an equilibrium claim about this profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the kernel's [`ProofError`] if the proof is invalid, and
-    /// rejects proofs whose conclusion is about a different profile.
-    pub fn verdict(&self, game: &StrategicGame) -> Result<(), ProofError> {
-        verdict(game, &self.proof)?;
-        self.require_about_profile()
-    }
-
-    /// [`PureNashCertificate::verdict`], with the theorem minted by [`check`].
-    ///
-    /// # Errors
-    ///
-    /// As [`PureNashCertificate::verdict`].
-    pub fn verify(&self, game: &StrategicGame) -> Result<CheckedProp, ProofError> {
-        let theorem = check(game, &self.proof)?;
-        self.require_about_profile()?;
-        Ok(theorem)
-    }
-
-    /// Accepts only a proof of an equilibrium claim (`IsNash`, `IsMaxNash`
-    /// or `IsMinNash`) about this certificate's profile.
-    fn require_about_profile(&self) -> Result<(), ProofError> {
-        match &self.proof {
-            Proof::NashIntro { profile }
-            | Proof::MaxNashIntro { profile, .. }
-            | Proof::MinNashIntro { profile, .. }
-                if profile == &self.profile =>
-            {
-                Ok(())
-            }
-            _ => Err(ProofError::SubProofMismatch {
-                expected: Prop::IsNash(self.profile.clone()),
-                actual: self.proof.claims(),
-            }),
-        }
-    }
-}
+use crate::kernel::{NotAboveWitness, ProfileVerdict, Proof};
 
 /// Builds an `IsNash` proof for a profile the inventor believes to be an
 /// equilibrium. (The kernel will catch it if the belief is wrong.)
@@ -159,40 +103,45 @@ fn prove_extremal(game: &StrategicGame, candidate: &StrategyProfile, max: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{ProofError, Prop};
     use ra_games::named::{coordination_game, prisoners_dilemma, stag_hunt};
     use ra_games::GameGenerator;
 
     #[test]
     fn honest_nash_certificate_verifies() {
         let game = prisoners_dilemma().to_strategic();
-        let cert = PureNashCertificate {
-            profile: vec![1, 1].into(),
-            proof: prove_is_nash(vec![1, 1].into()),
-        };
-        let theorem = cert.verify(&game).unwrap();
+        let proof = prove_is_nash(vec![1, 1].into());
+        let theorem = crate::kernel::check(&game, &proof).unwrap();
         assert_eq!(theorem.prop(), &Prop::IsNash(vec![1, 1].into()));
+        assert_eq!(proof.equilibrium_profile(), Some(&vec![1, 1].into()));
     }
 
     #[test]
     fn dishonest_nash_certificate_rejected() {
         let game = prisoners_dilemma().to_strategic();
-        let cert = PureNashCertificate {
-            profile: vec![0, 0].into(),
-            proof: prove_is_nash(vec![0, 0].into()),
-        };
-        assert!(cert.verify(&game).is_err());
+        assert!(!check_ok(&game, &prove_is_nash(vec![0, 0].into())));
     }
 
     #[test]
     fn mismatched_profile_rejected() {
-        let game = prisoners_dilemma().to_strategic();
-        // Proof proves (1,1) but the certificate advises (0,0).
-        let cert = PureNashCertificate {
+        let game = coordination_game(3);
+        // A maximality proof of (2,2) whose root is moved onto (0,0):
+        // its Nash sub-proof no longer proves the root's profile.
+        let Some(Proof::MaxNashIntro {
+            nash,
+            classification,
+            ..
+        }) = prove_max_nash(&game, &vec![2, 2].into())
+        else {
+            panic!("(2,2) is the maximal equilibrium");
+        };
+        let spliced = Proof::MaxNashIntro {
             profile: vec![0, 0].into(),
-            proof: prove_is_nash(vec![1, 1].into()),
+            nash,
+            classification,
         };
         assert!(matches!(
-            cert.verify(&game),
+            crate::kernel::check(&game, &spliced),
             Err(ProofError::SubProofMismatch { .. })
         ));
     }

@@ -789,8 +789,7 @@ mod tests {
     #[test]
     fn nash_intro_matches_cloning_reference() {
         let shapes = [vec![4, 4], vec![2, 5], vec![3, 2, 3], vec![2, 2, 2]];
-        for seed in 0..60u64 {
-            let counts = shapes[seed as usize % shapes.len()].clone();
+        for (seed, counts) in (0..60u64).zip(shapes.iter().cycle().cloned()) {
             let game = ra_games::GameGenerator::seeded(seed).strategic(counts.clone(), -3..=3);
             // Every strategy one past its agent's last: rejected as invalid.
             let invalid = StrategyProfile::from(counts);

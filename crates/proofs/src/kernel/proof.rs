@@ -120,6 +120,18 @@ impl Proof {
         }
     }
 
+    /// The profile of the root's equilibrium claim: `Some` exactly when
+    /// the root rule is `NashIntro`, `MaxNashIntro` or `MinNashIntro`.
+    /// §3 advice is such a proof, and this is the profile it advises.
+    pub fn equilibrium_profile(&self) -> Option<&StrategyProfile> {
+        match self {
+            Proof::NashIntro { profile }
+            | Proof::MaxNashIntro { profile, .. }
+            | Proof::MinNashIntro { profile, .. } => Some(profile),
+            _ => None,
+        }
+    }
+
     /// Size of the proof tree in rule applications (a rough "proof length"
     /// measure for the experiments).
     pub fn size(&self) -> u64 {

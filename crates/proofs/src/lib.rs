@@ -22,20 +22,24 @@
 //!
 //! ```
 //! use ra_games::named::prisoners_dilemma;
-//! use ra_proofs::{PureNashCertificate, prove_is_nash};
+//! use ra_proofs::{kernel::check, prove_is_nash};
 //!
 //! let game = prisoners_dilemma().to_strategic();
 //! // Inventor side (untrusted): claims (defect, defect) is an equilibrium.
-//! let cert = PureNashCertificate {
-//!     profile: vec![1, 1].into(),
-//!     proof: prove_is_nash(vec![1, 1].into()),
-//! };
+//! // The proof is the whole §3 advice: its root names the profile.
+//! let proof = prove_is_nash(vec![1, 1].into());
+//! assert_eq!(proof.equilibrium_profile(), Some(&vec![1, 1].into()));
 //! // Agent side (trusted kernel): re-check the claim.
-//! let theorem = cert.verify(&game).expect("honest certificate");
+//! let theorem = check(&game, &proof).expect("honest proof");
 //! assert!(theorem.applies_to(&game));
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 #![warn(missing_docs)]
 // Rejections deliberately carry the full offending proposition/profile so
 // agents can audit *why* advice was refused; the error path is cold.
@@ -60,9 +64,7 @@ pub use certificates::private::{
     honest_row_advice, verify_private_advice, HonestOracle, LyingOracle, P2Advice, P2Config,
     P2Outcome, P2Rejection, SupportOracle,
 };
-pub use certificates::pure_nash::{
-    prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash, PureNashCertificate,
-};
+pub use certificates::pure_nash::{prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash};
 pub use certificates::support::{
     verify_support_certificate, P1Error, P1Verified, SupportCertificate, SupportDefect,
 };

@@ -17,7 +17,7 @@ use ra_proofs::{
     honest_online_advice, honest_row_advice, prove_is_nash, prove_max_nash, prove_not_nash,
     verify_online_advice, verify_participation_certificate, verify_private_advice,
     verify_support_certificate, HonestOracle, OnlineInstance, P2Config, ParticipationCertificate,
-    PureNashCertificate, SupportCertificate,
+    SupportCertificate,
 };
 use ra_solvers::{
     enumerate_equilibria, solve_participation_equilibrium, EnumerationOptions, EquilibriumRoot,
@@ -32,11 +32,8 @@ proptest! {
     fn pure_nash_certificates_exact(seed in 0u64..2000) {
         let game = GameGenerator::seeded(seed).strategic(vec![3, 3], -8..=8);
         for profile in game.profiles() {
-            let cert = PureNashCertificate {
-                profile: profile.clone(),
-                proof: prove_is_nash(profile.clone()),
-            };
-            prop_assert_eq!(cert.verify(&game).is_ok(), game.is_pure_nash(&profile));
+            let proof = prove_is_nash(profile.clone());
+            prop_assert_eq!(check(&game, &proof).is_ok(), game.is_pure_nash(&profile));
         }
     }
 
@@ -56,22 +53,24 @@ proptest! {
                 None => prop_assert!(!game.is_maximal_nash(&profile)),
             }
         }
-        // Splice a valid proof onto a different profile: must be rejected.
+        // Splice a valid proof's root onto a different profile: must be
+        // rejected.
         if let (Some(maximal), Some(other)) = (
             equilibria.iter().find(|e| game.is_maximal_nash(e)),
             game.profiles().find(|p| !game.is_maximal_nash(p)),
         ) {
-            let proof = prove_max_nash(&game, maximal).expect("provable");
-            let spliced = PureNashCertificate { profile: other, proof };
-            prop_assert!(spliced.verify(&game).is_err());
+            let Some(Proof::MaxNashIntro { nash, classification, .. }) = prove_max_nash(&game, maximal) else {
+                unreachable!("provable")
+            };
+            let spliced = Proof::MaxNashIntro { profile: other, nash, classification };
+            prop_assert!(check(&game, &spliced).is_err());
         }
     }
 
     /// The kernel's two entries are one rule body. Over random games, for
     /// honest, spliced and forged `IsNash`/`IsMaxNash` proofs, `verdict`
     /// and `check` agree on accept/reject and on the error, and the theorem
-    /// `check` mints is the proof's claim; so do a certificate's `verdict`
-    /// and `verify`.
+    /// `check` mints is the proof's claim.
     #[test]
     fn verdict_and_check_agree(seed in 0u64..2000, forge in any::<u64>()) {
         let shapes = [vec![2, 3], vec![3, 3], vec![2, 2, 2]];
@@ -82,17 +81,17 @@ proptest! {
         let mut claims = Vec::new();
         for (i, profile) in profiles.iter().enumerate() {
             // Honest on equilibria, forged everywhere else.
-            claims.push((profile.clone(), prove_is_nash(profile.clone())));
+            claims.push(prove_is_nash(profile.clone()));
             // A maximality proof whose classification labels every profile
             // as below the candidate.
-            claims.push((profile.clone(), Proof::MaxNashIntro {
+            claims.push(Proof::MaxNashIntro {
                 profile: profile.clone(),
                 nash: Box::new(prove_is_nash(profile.clone())),
                 classification: vec![ProfileVerdict::NotStrictlyBetter(NotAboveWitness::LeCandidate); n],
-            }));
+            });
             let Some(max) = prove_max_nash(&game, profile) else { continue };
             // One classification entry overwritten by a forged verdict.
-            let Proof::MaxNashIntro { classification, .. } = &max else { unreachable!() };
+            let Proof::MaxNashIntro { nash, classification, .. } = &max else { unreachable!() };
             let mut forged_classification = classification.clone();
             let agent = (forge as usize) % counts.len();
             forged_classification[(forge >> 8) as usize % n] = if forge >> 16 & 1 == 0 {
@@ -100,27 +99,31 @@ proptest! {
             } else {
                 ProfileVerdict::NotStrictlyBetter(NotAboveWitness::PrefersCandidate { agent })
             };
-            claims.push((profile.clone(), Proof::MaxNashIntro {
+            claims.push(Proof::MaxNashIntro {
                 profile: profile.clone(),
                 nash: Box::new(prove_is_nash(profile.clone())),
                 classification: forged_classification,
-            }));
-            // The honest proof, then spliced onto every other profile.
-            claims.push((profile.clone(), max.clone()));
-            for other in profiles.iter().filter(|&p| p != profile) {
-                claims.push((other.clone(), max.clone()));
+            });
+            // The honest proof, then its root spliced onto every other
+            // profile.
+            for other in &profiles {
+                claims.push(Proof::MaxNashIntro {
+                    profile: other.clone(),
+                    nash: nash.clone(),
+                    classification: classification.clone(),
+                });
             }
             // Spliced the other way: another equilibrium's `IsNash` proof
             // as the maximality sub-proof.
             let j = (i + 1 + (forge >> 32) as usize % n) % n;
             let Proof::MaxNashIntro { classification, .. } = max else { unreachable!() };
-            claims.push((profile.clone(), Proof::MaxNashIntro {
+            claims.push(Proof::MaxNashIntro {
                 profile: profile.clone(),
                 nash: Box::new(prove_is_nash(profiles[j].clone())),
                 classification,
-            }));
+            });
         }
-        for (profile, proof) in claims {
+        for proof in claims {
             let theorem = check(&game, &proof);
             prop_assert_eq!(
                 verdict(&game, &proof).map(|()| proof.claims()),
@@ -129,11 +132,6 @@ proptest! {
             if let Ok(theorem) = theorem {
                 prop_assert!(theorem.applies_to(&game));
             }
-            let cert = PureNashCertificate { profile, proof };
-            prop_assert_eq!(
-                cert.verdict(&game).map(|()| cert.proof.claims()),
-                cert.verify(&game).map(|t| t.prop().clone())
-            );
         }
     }
 

@@ -36,7 +36,7 @@ pub use lemke_howson::{lemke_howson, lemke_howson_all, LemkeHowsonError};
 pub use lp::LpError;
 pub use participation::{solve_participation_equilibrium, ParticipationSolveError};
 pub use pure_enum::{analyze_pure_nash, PureNashAnalysis};
-pub use ra_games::{EquilibriumRoot, ParticipationParams};
+pub use ra_games::{EquilibriumRoot, ParticipationParams, ParticipationParamsError};
 pub use support_enum::{
     enumerate_equilibria, find_one_equilibrium, EnumerationOptions, EnumerationStats,
     SupportEquilibrium,

@@ -198,6 +198,7 @@ fn bisect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ra_games::ParticipationParamsError;
 
     #[test]
     fn paper_example_exact_roots() {
@@ -289,6 +290,17 @@ mod tests {
         assert!(ParticipationParams::new(3, 2, Rational::from(0), Rational::from(3)).is_err());
         assert!(ParticipationParams::new(3, 2, Rational::from(8), Rational::from(9)).is_err());
         assert!(ParticipationParams::new(3, 2, Rational::from(8), Rational::from(0)).is_err());
+    }
+
+    #[test]
+    fn firm_counts_past_the_cap_are_refused() {
+        let new = |n| ParticipationParams::new(n, 2, Rational::from(8), Rational::from(3));
+        let cap = ParticipationParams::MAX_FIRMS;
+        assert!(new(cap).is_ok());
+        // 2³² + 2 firms: `n − k` would wrap to 0 as an `i32` exponent.
+        for n in [cap + 1, (1 << 32) + 2, u64::MAX] {
+            assert_eq!(new(n), Err(ParticipationParamsError::TooManyFirms { n }));
+        }
     }
     #[test]
     fn bisect_finds_participation_equilibrium() {

@@ -9,7 +9,7 @@ use rationality_authority::exact::rat;
 use rationality_authority::games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
 use rationality_authority::games::GameGenerator;
 use rationality_authority::proofs::kernel::check;
-use rationality_authority::proofs::{prove_max_nash, PureNashCertificate};
+use rationality_authority::proofs::prove_max_nash;
 use rationality_authority::solvers::ParticipationParams;
 
 fn all_specs() -> Vec<GameSpec> {
@@ -130,9 +130,10 @@ fn bitflip_fuzz_on_the_wire() {
                 accepted_mutants += 1;
                 // Acceptance must still be sound: the advised profile is a
                 // genuine equilibrium of the game.
-                if let Advice::PureNash(cert) = advice.as_ref() {
+                if let Advice::PureNash(proof) = advice.as_ref() {
+                    let profile = proof.equilibrium_profile().expect("an equilibrium root");
                     assert!(
-                        game.is_pure_nash(&cert.profile),
+                        game.is_pure_nash(profile),
                         "unsound acceptance at byte {i} bit {bit}"
                     );
                 }
@@ -154,11 +155,8 @@ fn maximal_advice_end_to_end() {
     let game = stag_hunt(4);
     let maximal: rationality_authority::games::StrategyProfile = vec![1, 1, 1, 1].into();
     let proof = prove_max_nash(&game, &maximal).expect("all-stag is maximal");
-    let cert = PureNashCertificate {
-        profile: maximal,
-        proof,
-    };
-    let theorem = cert.verify(&game).expect("verifies");
+    assert_eq!(proof.equilibrium_profile(), Some(&maximal));
+    let theorem = check(&game, &proof).expect("verifies");
     assert!(theorem.applies_to(&game));
     // The same certificate fails against a different game.
     let other = stag_hunt(3);

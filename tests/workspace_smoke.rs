@@ -8,7 +8,7 @@
 use rationality_authority::authority::{Bus, Message, Party, Transport, Wire};
 use rationality_authority::exact::rat;
 use rationality_authority::games::named::prisoners_dilemma;
-use rationality_authority::proofs::{prove_is_nash, PureNashCertificate};
+use rationality_authority::proofs::{kernel::check, prove_is_nash};
 use rationality_authority::solvers::analyze_pure_nash;
 use rationality_authority::{auctions, congestion};
 
@@ -23,14 +23,11 @@ fn facade_certificate_pipeline() {
         .expect("PD has (defect, defect)")
         .clone();
 
-    // Ship it as a checkable certificate.
-    let cert = PureNashCertificate {
-        profile: profile.clone(),
-        proof: prove_is_nash(profile),
-    };
+    // Ship it as a checkable proof.
+    let proof = prove_is_nash(profile);
 
     // Agent side (trusted kernel): re-check the claim.
-    let theorem = cert.verify(&game).expect("honest certificate verifies");
+    let theorem = check(&game, &proof).expect("honest certificate verifies");
     assert!(theorem.applies_to(&game));
 }
 
@@ -38,11 +35,8 @@ fn facade_certificate_pipeline() {
 fn facade_rejects_dishonest_certificate() {
     let game = prisoners_dilemma().to_strategic();
     // (cooperate, cooperate) is not an equilibrium; the kernel must say so.
-    let lie = PureNashCertificate {
-        profile: vec![0, 0].into(),
-        proof: prove_is_nash(vec![0, 0].into()),
-    };
-    assert!(lie.verify(&game).is_err());
+    let lie = prove_is_nash(vec![0, 0].into());
+    assert!(check(&game, &lie).is_err());
 }
 
 #[test]
