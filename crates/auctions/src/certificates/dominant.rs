@@ -3,9 +3,9 @@
 //! The related-work section of the paper cites Tadjouddine's result that
 //! verifying dominant-strategy equilibria is NP-complete for succinct game
 //! representations; for explicitly tabulated games the check is linear in
-//! the table, which is what this verifier does. `ra-auctions` uses these
-//! certificates to ship "bidding truthfully is dominant" advice for
-//! second-price auctions.
+//! the table, which is what this verifier does. The sealed-bid and GSP
+//! auctions use these certificates to ship "bidding truthfully is
+//! dominant" advice, and to refute it where it is false.
 
 use std::fmt;
 
@@ -66,7 +66,7 @@ impl std::error::Error for DominanceError {}
 /// ```
 /// use ra_games::named::prisoners_dilemma;
 /// use ra_games::Dominance;
-/// use ra_proofs::{verify_dominance_certificate, DominanceCertificate};
+/// use ra_auctions::{verify_dominance_certificate, DominanceCertificate};
 ///
 /// let game = prisoners_dilemma().to_strategic();
 /// let cert = DominanceCertificate { agent: 0, strategy: 1, kind: Dominance::Strict };

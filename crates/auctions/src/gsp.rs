@@ -16,7 +16,8 @@
 
 use ra_exact::Rational;
 use ra_games::{Dominance, StrategicGame};
-use ra_proofs::DominanceCertificate;
+
+use crate::DominanceCertificate;
 
 /// A GSP instance: `slots.len()` ad positions with click-through rates
 /// (CTRs), bidders with per-click valuations, integer bid levels
@@ -130,8 +131,8 @@ impl GspAuction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify_dominance_certificate;
     use ra_exact::rat;
-    use ra_proofs::verify_dominance_certificate;
 
     /// The classic EOS counterexample shape: two slots with CTRs 1 and 1/2,
     /// three bidders.

@@ -18,12 +18,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod certificates {
+    pub mod dominant;
+}
 mod gsp;
 mod lottery;
 mod online_participation;
 mod participation;
 mod sealed_bid;
 
+pub use certificates::dominant::{
+    verify_dominance_certificate, DominanceCertificate, DominanceError,
+};
 pub use gsp::GspAuction;
 pub use lottery::{verify_lottery_advisory, Area, Lottery, LotteryAdvisory, LotteryAdvisoryError};
 pub use online_participation::{

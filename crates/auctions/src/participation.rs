@@ -92,7 +92,7 @@ impl ParticipationGame {
 mod tests {
     use super::*;
     use ra_exact::rat;
-    use ra_proofs::verify_participation_certificate;
+    use ra_proofs::{verify_participation_certificate, ParticipationVerified};
 
     #[test]
     fn paper_equilibrium_and_gain() {
@@ -107,9 +107,9 @@ mod tests {
     fn advice_round_trip() {
         let game = ParticipationGame::paper_example();
         let cert = game.inventor_advice(&rat(1, 1 << 24)).unwrap();
-        let verified =
-            verify_participation_certificate(game.params(), &cert, &rat(1, 1 << 20)).unwrap();
-        assert_eq!(verified.p, rat(1, 4));
+        let p = verify_participation_certificate(game.params(), &cert, &rat(1, 1 << 20)).unwrap();
+        assert_eq!(p, rat(1, 4));
+        let verified = ParticipationVerified::at(game.params(), p);
         assert_eq!(verified.expected_gain, rat(1, 2));
     }
 

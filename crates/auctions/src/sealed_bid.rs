@@ -9,7 +9,8 @@
 
 use ra_exact::Rational;
 use ra_games::{Dominance, StrategicGame};
-use ra_proofs::DominanceCertificate;
+
+use crate::DominanceCertificate;
 
 /// Payment rule of a sealed-bid auction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -107,8 +108,8 @@ impl SealedBidAuction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify_dominance_certificate;
     use ra_exact::rat;
-    use ra_proofs::verify_dominance_certificate;
 
     #[test]
     fn second_price_truthfulness_certified() {

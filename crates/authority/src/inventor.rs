@@ -8,12 +8,10 @@
 
 use ra_exact::{rat, Rational};
 use ra_games::{BimatrixGame, StrategicGame};
-use ra_proofs::{
-    honest_online_advice, honest_row_advice, prove_is_nash, OnlineInstance, P2Advice,
-    ParticipationCertificate, SupportCertificate,
-};
+use ra_proofs::{OnlineInstance, P2Advice, ParticipationCertificate, SupportCertificate};
 use ra_solvers::{
-    find_one_equilibrium, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
+    find_one_equilibrium, honest_online_advice, honest_row_advice, prove_is_nash,
+    solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
 };
 
 use crate::messages::{Advice, Party};

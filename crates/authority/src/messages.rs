@@ -535,7 +535,7 @@ impl Wire for BimatrixGame {
 mod tests {
     use super::*;
     use ra_exact::rat;
-    use ra_proofs::{prove_is_nash, prove_max_nash};
+    use ra_solvers::{prove_is_nash, prove_max_nash};
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) -> usize {
         let bytes = v.to_bytes();
@@ -801,7 +801,7 @@ mod tests {
             },
         }));
         let online = round_trip(Advice::Online(
-            ra_proofs::honest_online_advice(&ra_proofs::OnlineInstance {
+            ra_solvers::honest_online_advice(&ra_proofs::OnlineInstance {
                 current_loads: &[rat(3, 1), rat(1, 2)],
                 own_load: &rat(7, 3),
                 expected_future_load: &rat(1, 1),

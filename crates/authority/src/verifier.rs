@@ -208,8 +208,7 @@ mod tests {
     use super::*;
     use crate::inventor::{Inventor, InventorBehavior};
     use ra_games::named::prisoners_dilemma;
-    use ra_proofs::honest_online_advice;
-    use ra_solvers::ParticipationParams;
+    use ra_solvers::{honest_online_advice, ParticipationParams};
 
     /// The steady-small §6 arrival: three links, own load 7/2, five future
     /// agents of load 2 each.
@@ -276,7 +275,7 @@ mod tests {
     #[test]
     fn pure_nash_advice_is_accepted_only_under_an_equilibrium_root() {
         use ra_proofs::kernel::{Proof, Prop};
-        use ra_proofs::{prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash};
+        use ra_solvers::{prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash};
         let game = ra_games::named::stag_hunt(3);
         let spec = GameSpec::Strategic(game.clone());
         let stag = vec![1, 1, 1].into();

@@ -9,10 +9,11 @@ use std::hint::black_box;
 use ra_exact::{rat, Rational};
 use ra_games::GameGenerator;
 use ra_proofs::kernel::{check, verdict};
-use ra_proofs::{
-    prove_is_nash, prove_max_nash, verify_participation_certificate, ParticipationCertificate,
+use ra_proofs::{verify_participation_certificate, ParticipationCertificate};
+use ra_solvers::{
+    analyze_pure_nash, prove_is_nash, prove_max_nash, solve_participation_equilibrium,
+    ParticipationParams,
 };
-use ra_solvers::{analyze_pure_nash, solve_participation_equilibrium, ParticipationParams};
 
 fn bench_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group("sec3");

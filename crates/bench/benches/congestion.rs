@@ -15,7 +15,8 @@ use rand::{Rng, SeedableRng};
 
 use ra_congestion::{greedy_assign, inventor_assign, inventor_suggested_link, lpt_assign};
 use ra_exact::Rational;
-use ra_proofs::{honest_online_advice, verify_online_advice, OnlineInstance};
+use ra_proofs::{verify_online_advice, OnlineInstance};
+use ra_solvers::honest_online_advice;
 
 fn loads(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);

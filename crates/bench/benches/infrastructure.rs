@@ -22,7 +22,8 @@ use ra_bench::game_with_support_size;
 use ra_exact::{rat, solve_linear_system, Matrix, Rational};
 use ra_games::named::prisoners_dilemma;
 use ra_games::{GameGenerator, MixedProfile, MixedStrategy, StrategicGame};
-use ra_proofs::{honest_row_advice, verify_private_advice, HonestOracle, P2Config};
+use ra_proofs::{verify_private_advice, P2Config};
+use ra_solvers::honest_row_advice;
 
 fn bench_p2(c: &mut Criterion) {
     let mut group = c.benchmark_group("p2");
@@ -41,7 +42,7 @@ fn bench_p2(c: &mut Criterion) {
         let support = profile.col.support();
         group.bench_with_input(BenchmarkId::new("verify", s), &s, |b, _| {
             b.iter(|| {
-                let mut oracle = HonestOracle::new(support.clone());
+                let mut oracle = |j| Some(support.contains(&j));
                 let mut rng = StdRng::seed_from_u64(5);
                 verify_private_advice(
                     black_box(&game),
@@ -59,7 +60,7 @@ fn bench_p2(c: &mut Criterion) {
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire");
     let game = ra_games::named::coordination_game(4);
-    let proof = ra_proofs::prove_max_nash(&game, &vec![3, 3].into()).unwrap();
+    let proof = ra_solvers::prove_max_nash(&game, &vec![3, 3].into()).unwrap();
     let msg = Message::AdviceWithProof {
         game_id: 7,
         advice: Box::new(ra_authority::Advice::PureNash(proof)),

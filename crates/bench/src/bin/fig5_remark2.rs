@@ -17,8 +17,7 @@
 use ra_exact::rat;
 use ra_games::named::fig5_game;
 use ra_games::{MixedProfile, MixedStrategy};
-use ra_proofs::honest_row_advice;
-use ra_solvers::{enumerate_equilibria, EnumerationOptions};
+use ra_solvers::{enumerate_equilibria, honest_row_advice, EnumerationOptions};
 
 fn main() {
     let game = fig5_game();

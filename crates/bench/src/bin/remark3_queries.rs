@@ -15,7 +15,8 @@ use rand::SeedableRng;
 use ra_bench::{game_with_support_size, write_csv};
 use ra_exact::Rational;
 use ra_games::{MixedProfile, MixedStrategy};
-use ra_proofs::{honest_row_advice, verify_private_advice, HonestOracle, P2Config, P2Outcome};
+use ra_proofs::{verify_private_advice, P2Config, P2Outcome};
+use ra_solvers::honest_row_advice;
 
 fn main() {
     let m = 51usize;
@@ -46,10 +47,11 @@ fn main() {
         };
         assert!(game.is_nash(&profile), "constructed equilibrium (s = {s})");
         let advice = honest_row_advice(&game, &profile);
+        let support = profile.col.support();
         let mut total_queries = 0u64;
         let mut max_queries = 0u64;
         for t in 0..trials {
-            let mut oracle = HonestOracle::new(profile.col.support());
+            let mut oracle = |j| Some(support.contains(&j));
             let mut rng = StdRng::seed_from_u64(t * 7919 + s as u64);
             match verify_private_advice(&game, &advice, &mut oracle, &mut rng, &config) {
                 P2Outcome::Accepted { transcript, .. } => {

@@ -20,8 +20,7 @@
 use ra_bench::{fmt_secs, timed, write_csv, Spread};
 use ra_games::{GameGenerator, StrategicGame};
 use ra_proofs::kernel::{check, verdict};
-use ra_proofs::{prove_is_nash, prove_max_nash};
-use ra_solvers::analyze_pure_nash;
+use ra_solvers::{analyze_pure_nash, prove_is_nash, prove_max_nash};
 
 /// Timed runs behind every cell.
 const SAMPLES: usize = 7;

@@ -14,7 +14,7 @@ use ra_auctions::{
 };
 use ra_bench::{timed, write_csv};
 use ra_exact::{rat, Rational};
-use ra_proofs::verify_participation_certificate;
+use ra_proofs::{verify_participation_certificate, ParticipationVerified};
 use ra_solvers::{solve_participation_equilibrium, ParticipationParams};
 
 fn main() {
@@ -31,8 +31,9 @@ fn main() {
 
     // Offline equilibrium and certificate verification.
     let (cert, t_solve) = timed(|| game.inventor_advice(&rat(1, 1 << 30)).unwrap());
-    let (verified, t_verify) =
+    let (p, t_verify) =
         timed(|| verify_participation_certificate(&params, &cert, &rat(1, 1 << 20)).unwrap());
+    let verified = ParticipationVerified::at(&params, p);
     println!("advised p                 = {}   (paper: 1/4)", verified.p);
     println!(
         "A_k = Pr[≥1 other | in]   = {}   (paper: 7/16)",

@@ -105,7 +105,7 @@ pub fn inventor_suggested_link(
     assert!(!current_loads.is_empty(), "need at least one link");
     // LPT order: all loads ≥ expected go before the copies; the agent's own
     // load is placed at its sorted position. Equal values: own load first
-    // (deterministic, matches `honest_online_advice` in ra-proofs).
+    // (deterministic, matches `honest_online_advice` in ra-solvers).
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = current_loads
         .iter()
         .enumerate()

@@ -10,10 +10,9 @@
 //! from its caller: a certificate cannot name other parameters than the
 //! ones it is checked against.
 //!
-//! The paper also notes that with multiple symmetric equilibria a dishonest
-//! prover could send different (individually valid) probabilities to
-//! different firms; [`cross_check_advice`] implements the players'
-//! cross-check.
+//! The check returns the checked probability and nothing more. What a firm
+//! expects at it (the Eq. (5) tails and its gain) is
+//! [`ParticipationVerified::at`], computed only by whoever wants it.
 
 use std::fmt;
 
@@ -28,11 +27,11 @@ pub struct ParticipationCertificate {
     pub root: EquilibriumRoot,
 }
 
-/// Successful verification: the advice plus the Eq. (5) quantities the
-/// verifier recomputed.
+/// The Eq. (5) quantities at a checked probability: what a firm that
+/// adopts it can expect. Computing them is not part of the check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParticipationVerified {
-    /// The advised probability (bracket midpoint for brackets).
+    /// The probability (for a bracket, the midpoint the check returns).
     pub p: Rational,
     /// `A_k` = Pr[at least k − 1 others participate] (participant wins).
     pub a_k: Rational,
@@ -89,8 +88,32 @@ impl fmt::Display for ParticipationError {
 
 impl std::error::Error for ParticipationError {}
 
+impl ParticipationVerified {
+    /// The four Eq. (5) tails and the expected gain of the game `params`
+    /// at `p`, normally the probability [`verify_participation_certificate`]
+    /// returned.
+    pub fn at(params: &ParticipationParams, p: Rational) -> ParticipationVerified {
+        let others = params.n - 1;
+        let a_k = binomial_tail_at_least(others, params.k - 1, &p);
+        let b_k = binomial_tail_at_most(others, params.k.saturating_sub(2), &p);
+        let c_k = binomial_tail_at_least(others, params.k, &p);
+        let d_k = binomial_tail_at_most(others, params.k - 1, &p);
+        let expected_gain = (&params.v - &params.c) * &a_k - &params.c * &b_k;
+        ParticipationVerified {
+            p,
+            a_k,
+            b_k,
+            c_k,
+            d_k,
+            expected_gain,
+        }
+    }
+}
+
 /// Verifies a participation certificate for the game `params`: Eq. (5) for
 /// exact roots, the sign-change property (plus a width bound) for brackets.
+/// Returns the checked probability: the root itself, or a bracket's
+/// midpoint.
 ///
 /// # Errors
 ///
@@ -100,7 +123,7 @@ impl std::error::Error for ParticipationError {}
 ///
 /// ```
 /// use ra_exact::rat;
-/// use ra_proofs::{verify_participation_certificate, ParticipationCertificate};
+/// use ra_proofs::{verify_participation_certificate, ParticipationCertificate, ParticipationVerified};
 /// use ra_games::{EquilibriumRoot, ParticipationParams};
 ///
 /// // The paper's worked example: p = 1/4 for c/v = 3/8, n = 3.
@@ -108,17 +131,18 @@ impl std::error::Error for ParticipationError {}
 /// let cert = ParticipationCertificate {
 ///     root: EquilibriumRoot::Exact(rat(1, 4)),
 /// };
-/// let verified = verify_participation_certificate(&params, &cert, &rat(1, 1_000_000)).unwrap();
+/// let p = verify_participation_certificate(&params, &cert, &rat(1, 1_000_000)).unwrap();
+/// assert_eq!(p, rat(1, 4));
 /// // Expected equilibrium gain is v/16 = 8/16 = 1/2.
-/// assert_eq!(verified.expected_gain, rat(1, 2));
+/// assert_eq!(ParticipationVerified::at(&params, p).expected_gain, rat(1, 2));
 /// ```
 pub fn verify_participation_certificate(
     params: &ParticipationParams,
     certificate: &ParticipationCertificate,
     tolerance: &Rational,
-) -> Result<ParticipationVerified, ParticipationError> {
+) -> Result<Rational, ParticipationError> {
     let in_unit = |p: &Rational| !p.is_negative() && p <= &Rational::one();
-    let p = match &certificate.root {
+    match &certificate.root {
         EquilibriumRoot::Exact(p) => {
             if !in_unit(p) {
                 return Err(ParticipationError::ProbabilityOutOfRange);
@@ -127,7 +151,7 @@ pub fn verify_participation_certificate(
             if !residual.is_zero() {
                 return Err(ParticipationError::IndifferenceViolated { residual });
             }
-            p.clone()
+            Ok(p.clone())
         }
         EquilibriumRoot::Bracket { lo, hi } => {
             if !in_unit(lo) || !in_unit(hi) || lo >= hi {
@@ -147,38 +171,15 @@ pub fn verify_participation_certificate(
             } else if g_lo.is_negative() == g_hi.is_negative() {
                 return Err(ParticipationError::BracketWithoutSignChange);
             }
-            certificate.root.value()
+            Ok(certificate.root.value())
         }
-    };
-    // Recompute the Eq. (5) conditional probabilities at the advised p.
-    let others = params.n - 1;
-    let a_k = binomial_tail_at_least(others, params.k - 1, &p);
-    let b_k = binomial_tail_at_most(others, params.k.saturating_sub(2), &p);
-    let c_k = binomial_tail_at_least(others, params.k, &p);
-    let d_k = binomial_tail_at_most(others, params.k - 1, &p);
-    let expected_gain = (&params.v - &params.c) * &a_k - &params.c * &b_k;
-    Ok(ParticipationVerified {
-        p,
-        a_k,
-        b_k,
-        c_k,
-        d_k,
-        expected_gain,
-    })
-}
-
-/// The firms' cross-check (end of §5): with several symmetric equilibria a
-/// dishonest prover might advise different firms of one game different
-/// probabilities. Returns `true` iff all advised roots are identical.
-pub fn cross_check_advice(certificates: &[ParticipationCertificate]) -> bool {
-    certificates.windows(2).all(|w| w[0].root == w[1].root)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ra_exact::rat;
-    use ra_solvers::solve_participation_equilibrium;
 
     fn paper_cert() -> ParticipationCertificate {
         ParticipationCertificate {
@@ -189,13 +190,15 @@ mod tests {
     fn verify_paper(
         cert: &ParticipationCertificate,
         tolerance: &Rational,
-    ) -> Result<ParticipationVerified, ParticipationError> {
+    ) -> Result<Rational, ParticipationError> {
         verify_participation_certificate(&ParticipationParams::paper_example(), cert, tolerance)
     }
 
     #[test]
     fn paper_numbers_check_out() {
-        let v = verify_paper(&paper_cert(), &rat(1, 1024)).unwrap();
+        let p = verify_paper(&paper_cert(), &rat(1, 1024)).unwrap();
+        assert_eq!(p, rat(1, 4));
+        let v = ParticipationVerified::at(&ParticipationParams::paper_example(), p);
         // With p = 1/4 and two other firms:
         assert_eq!(v.a_k, rat(7, 16)); // ≥1 other participates
         assert_eq!(v.b_k, rat(9, 16)); // no other participates
@@ -228,19 +231,7 @@ mod tests {
     fn second_equilibrium_also_verifies() {
         let mut cert = paper_cert();
         cert.root = EquilibriumRoot::Exact(rat(3, 4));
-        assert!(verify_paper(&cert, &rat(1, 1024)).is_ok());
-    }
-
-    #[test]
-    fn bracket_certificates() {
-        // Irrational roots: n = 5, k = 2, v = 10, c = 1.
-        let params = ParticipationParams::new(5, 2, Rational::from(10), Rational::from(1)).unwrap();
-        let tol = rat(1, 1 << 20);
-        let roots = solve_participation_equilibrium(&params, &tol).unwrap();
-        for root in roots {
-            let cert = ParticipationCertificate { root };
-            assert!(verify_participation_certificate(&params, &cert, &tol).is_ok());
-        }
+        assert_eq!(verify_paper(&cert, &rat(1, 1024)), Ok(rat(3, 4)));
     }
 
     #[test]
@@ -269,36 +260,5 @@ mod tests {
             verify_participation_certificate(&params, &cert, &rat(1, 100)),
             Err(ParticipationError::BracketTooWide { .. })
         ));
-    }
-
-    #[test]
-    fn cross_check_detects_split_advice() {
-        let a = paper_cert();
-        let mut b = paper_cert();
-        assert!(cross_check_advice(&[a.clone(), b.clone(), a.clone()]));
-        // Both 1/4 and 3/4 verify individually — only the cross-check
-        // catches the prover playing firms against each other.
-        b.root = EquilibriumRoot::Exact(rat(3, 4));
-        assert!(verify_paper(&b, &rat(1, 1024)).is_ok());
-        assert!(!cross_check_advice(&[a, b]));
-    }
-
-    #[test]
-    fn solver_to_verifier_round_trip() {
-        for (n, k, v, c) in [(4u64, 2u64, 12i64, 2i64), (6, 3, 20, 3), (8, 2, 9, 1)] {
-            let params =
-                ParticipationParams::new(n, k, Rational::from(v), Rational::from(c)).unwrap();
-            let tol = rat(1, 1 << 22);
-            if let Ok(roots) = solve_participation_equilibrium(&params, &tol) {
-                for root in roots {
-                    verify_participation_certificate(
-                        &params,
-                        &ParticipationCertificate { root },
-                        &tol,
-                    )
-                    .unwrap_or_else(|e| panic!("n={n} k={k}: {e}"));
-                }
-            }
-        }
     }
 }

@@ -16,7 +16,6 @@
 //! [`Transcript`]. Expected `O(n)` query pairs reach a conclusive test;
 //! constant for supports of size `θ(n)` (Remark 3).
 
-use std::collections::HashSet;
 use std::fmt;
 
 use rand::Rng;
@@ -33,6 +32,8 @@ pub struct P2Advice {
     /// The agent's own mixed strategy at the claimed equilibrium.
     pub own_strategy: MixedStrategy,
     /// The agent's own equilibrium payoff (λ₁ for the row agent).
+    /// Not certified: [`verify_private_advice`] never reads it, since the
+    /// agent cannot check its own payoff without the opponent's strategy.
     pub lambda_own: Rational,
     /// The opponent's equilibrium payoff (λ₂ for the row agent).
     pub lambda_opp: Rational,
@@ -52,55 +53,6 @@ pub trait SupportOracle {
 impl<F: FnMut(usize) -> Option<bool>> SupportOracle for F {
     fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
         self(index)
-    }
-}
-
-/// Honest oracle backed by the true support set.
-#[derive(Clone, Debug)]
-pub struct HonestOracle {
-    support: HashSet<usize>,
-}
-
-impl HonestOracle {
-    /// Creates an oracle for the given true support.
-    pub fn new(support: impl IntoIterator<Item = usize>) -> HonestOracle {
-        HonestOracle {
-            support: support.into_iter().collect(),
-        }
-    }
-}
-
-impl SupportOracle for HonestOracle {
-    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
-        Some(self.support.contains(&index))
-    }
-}
-
-/// An adversarial oracle that lies about a chosen set of indices — used in
-/// soundness tests and fault-injection experiments.
-#[derive(Clone, Debug)]
-pub struct LyingOracle {
-    truth: HashSet<usize>,
-    lies_about: HashSet<usize>,
-}
-
-impl LyingOracle {
-    /// Oracle that inverts the truthful answer for every index in
-    /// `lies_about`.
-    pub fn new(
-        truth: impl IntoIterator<Item = usize>,
-        lies_about: impl IntoIterator<Item = usize>,
-    ) -> LyingOracle {
-        LyingOracle {
-            truth: truth.into_iter().collect(),
-            lies_about: lies_about.into_iter().collect(),
-        }
-    }
-}
-
-impl SupportOracle for LyingOracle {
-    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
-        Some(self.truth.contains(&index) ^ self.lies_about.contains(&index))
     }
 }
 
@@ -220,12 +172,18 @@ impl P2Outcome {
 /// To verify as the column agent, call with
 /// [`BimatrixGame::swap_roles`]`()` and the column agent's advice.
 ///
+/// An accepted run certifies two things only, each up to Fig. 4's
+/// sampling: the opponent's announced support (the oracle's "in"
+/// answers) is a set of best responses to the agent's own strategy
+/// `own_strategy`, and its value is `lambda_opp`. Nothing is certified
+/// about the agent's own side: [`P2Advice::lambda_own`] is never read.
+///
 /// # Examples
 ///
 /// ```
 /// use ra_games::named::matching_pennies;
 /// use ra_games::MixedStrategy;
-/// use ra_proofs::{verify_private_advice, HonestOracle, P2Advice, P2Config};
+/// use ra_proofs::{verify_private_advice, P2Advice, P2Config};
 /// use ra_exact::rat;
 /// use rand::SeedableRng;
 ///
@@ -234,7 +192,8 @@ impl P2Outcome {
 ///     lambda_own: rat(0, 1),
 ///     lambda_opp: rat(0, 1),
 /// };
-/// let mut oracle = HonestOracle::new([0, 1]);
+/// // The opponent's support is {0, 1}; any closure is an oracle.
+/// let mut oracle = |j: usize| Some(j < 2);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 /// let outcome = verify_private_advice(
 ///     &matching_pennies(), &advice, &mut oracle, &mut rng, &P2Config::default(),
@@ -319,27 +278,14 @@ pub fn verify_private_advice(
     }
 }
 
-/// The honest prover's advice construction for the row agent, from a full
-/// equilibrium (used by `ra-authority`'s honest inventor).
-pub fn honest_row_advice(game: &BimatrixGame, profile: &ra_games::MixedProfile) -> P2Advice {
-    P2Advice {
-        own_strategy: profile.row.clone(),
-        lambda_own: game.expected_row_payoff(&profile.row, &profile.col),
-        lambda_opp: game.expected_col_payoff(&profile.row, &profile.col),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transcript::TranscriptEvent;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use ra_exact::rat;
-    use ra_games::named::{battle_of_the_sexes, matching_pennies};
-    use ra_games::{GameGenerator, MixedProfile};
-    use ra_solvers::find_one_equilibrium;
+    use ra_games::named::matching_pennies;
 
     fn run(
         game: &BimatrixGame,
@@ -352,131 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn honest_advice_accepted() {
-        let game = matching_pennies();
-        let profile = MixedProfile {
-            row: MixedStrategy::uniform(2),
-            col: MixedStrategy::uniform(2),
-        };
-        let advice = honest_row_advice(&game, &profile);
-        let mut oracle = HonestOracle::new(profile.col.support());
-        assert!(run(&game, &advice, &mut oracle, 1).is_accepted());
-    }
-
-    #[test]
-    fn wrong_lambda_rejected() {
-        let game = matching_pennies();
-        let profile = MixedProfile {
-            row: MixedStrategy::uniform(2),
-            col: MixedStrategy::uniform(2),
-        };
-        let mut advice = honest_row_advice(&game, &profile);
-        advice.lambda_opp = rat(1, 2); // lie
-        let mut oracle = HonestOracle::new(profile.col.support());
-        let outcome = run(&game, &advice, &mut oracle, 2);
-        assert!(matches!(
-            outcome,
-            P2Outcome::Rejected {
-                reason: P2Rejection::InSupportPayoffMismatch { .. },
-                ..
-            }
-        ));
-    }
-
-    /// A 2×3 game whose unique mixed equilibrium leaves column 2 strictly
-    /// outside the support (its payoff to the column agent is −1 < λ₂).
-    fn game_with_dominated_column() -> (BimatrixGame, MixedProfile) {
-        let game =
-            BimatrixGame::from_i64_tables(&[&[2, 0, 0], &[0, 1, 0]], &[&[1, 0, -1], &[0, 2, -1]]);
-        let profile = MixedProfile {
-            row: MixedStrategy::try_new(vec![rat(2, 3), rat(1, 3)]).unwrap(),
-            col: MixedStrategy::try_new(vec![rat(1, 3), rat(2, 3), rat(0, 1)]).unwrap(),
-        };
-        assert!(game.is_nash(&profile));
-        (game, profile)
-    }
-
-    #[test]
-    fn false_membership_lies_caught_whp() {
-        // The oracle falsely claims the dominated column 2 is in the
-        // support; whenever the verifier samples it, the payoff −1 ≠ λ₂
-        // exposes the lie.
-        let (game, profile) = game_with_dominated_column();
-        let advice = honest_row_advice(&game, &profile);
-        let mut rejections = 0;
-        for seed in 0..50 {
-            let mut oracle = LyingOracle::new(profile.col.support(), [2usize]);
-            if let P2Outcome::Rejected {
-                reason: P2Rejection::InSupportPayoffMismatch { index: 2, .. },
-                ..
-            } = run(&game, &advice, &mut oracle, seed)
-            {
-                rejections += 1;
-            }
-        }
-        // Each conclusive pair misses column 2 with probability (2/3)²;
-        // three pairs miss it with ≈ 9% probability.
-        assert!(
-            rejections >= 35,
-            "false membership caught in {rejections}/50 runs"
-        );
-    }
-
-    #[test]
-    fn denial_lies_only_lose_information() {
-        // Denying membership of a support column is *not* detectable by the
-        // payoff test: at the equilibrium that column earns exactly λ₂ and
-        // the out-of-support condition is `≤ λ₂` (Fig. 4's boundary case).
-        // The lie costs the prover conclusive tests but cannot make honest
-        // advice rejected.
-        let (game, profile) = game_with_dominated_column();
-        let advice = honest_row_advice(&game, &profile);
-        for seed in 0..20 {
-            let mut oracle = LyingOracle::new(profile.col.support(), [0usize]);
-            let outcome = run(&game, &advice, &mut oracle, seed);
-            assert!(
-                !matches!(outcome, P2Outcome::Rejected { .. }),
-                "denial lies must not reject honest advice (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn unanswered_query_is_undecided_never_out() {
-        // The advice lies about λ, so a pair of answers rejects it. An
-        // answer that never arrives is neither in nor out: the run stops
-        // undecided at that query, and no opponent bit is counted for it.
-        let game = matching_pennies();
-        let profile = MixedProfile {
-            row: MixedStrategy::uniform(2),
-            col: MixedStrategy::uniform(2),
-        };
-        let mut advice = honest_row_advice(&game, &profile);
-        advice.lambda_opp = rat(1, 2);
-        for answered in 0..2u64 {
-            let mut asked = 0;
-            let mut oracle = |_| {
-                asked += 1;
-                (asked <= answered).then_some(true)
-            };
-            let outcome = run(&game, &advice, &mut oracle, 4);
-            assert!(matches!(outcome, P2Outcome::Undecided { .. }));
-            let transcript = outcome.transcript();
-            assert_eq!(transcript.num_queries(), answered + 1);
-            assert_eq!(transcript.opponent_bits_disclosed(), answered);
-            assert_eq!(
-                transcript.events().last(),
-                Some(&TranscriptEvent::Answer { in_support: None })
-            );
-        }
-        let mut answers = |_| Some(true);
-        assert!(matches!(
-            run(&game, &advice, &mut answers, 4),
-            P2Outcome::Rejected { .. }
-        ));
-    }
-
-    #[test]
     fn wrong_own_strategy_dimension_rejected() {
         let game = matching_pennies();
         let advice = P2Advice {
@@ -484,7 +305,7 @@ mod tests {
             lambda_own: rat(0, 1),
             lambda_opp: rat(0, 1),
         };
-        let mut oracle = HonestOracle::new([0, 1]);
+        let mut oracle = |j: usize| Some(j < 2);
         let P2Outcome::Rejected { reason, .. } = run(&game, &advice, &mut oracle, 3) else {
             panic!("a three-entry strategy in a two-row game is malformed");
         };
@@ -502,81 +323,24 @@ mod tests {
     }
 
     #[test]
-    fn tiny_budget_is_undecided() {
+    fn p2_certifies_only_the_opponent_side() {
+        // Matching pennies at its uniform equilibrium: both values are 0.
+        // No check reads λ_own, so advice that misstates it by one either
+        // way is accepted whenever the honest answers are.
         let game = matching_pennies();
-        let profile = MixedProfile {
-            row: MixedStrategy::uniform(2),
-            col: MixedStrategy::uniform(2),
-        };
-        let advice = honest_row_advice(&game, &profile);
-        let mut oracle = HonestOracle::new(profile.col.support());
-        let mut rng = StdRng::seed_from_u64(9);
-        let outcome = verify_private_advice(
-            &game,
-            &advice,
-            &mut oracle,
-            &mut rng,
-            &P2Config {
-                required_conclusive: 5,
-                max_queries: 2,
-            },
-        );
-        assert!(matches!(outcome, P2Outcome::Undecided { .. }));
-    }
-
-    #[test]
-    fn privacy_ledger_counts_only_answer_bits() {
-        let game = matching_pennies();
-        let profile = MixedProfile {
-            row: MixedStrategy::uniform(2),
-            col: MixedStrategy::uniform(2),
-        };
-        let advice = honest_row_advice(&game, &profile);
-        let mut oracle = HonestOracle::new(profile.col.support());
-        let outcome = run(&game, &advice, &mut oracle, 11);
-        let transcript = outcome.transcript();
-        // Opponent information = one bit per oracle answer, nothing else.
-        assert_eq!(
-            transcript.opponent_bits_disclosed(),
-            transcript.num_queries()
-        );
-        // Compare against P1 on the same game: P1 ships the whole opposing
-        // support mask (m bits) — for larger games P2's disclosure stays at
-        // the answers only. (Both = 2 queries here; the point is the
-        // *composition*, asserted above.)
-    }
-
-    #[test]
-    fn column_agent_verifies_via_swapped_roles() {
-        let game = battle_of_the_sexes();
-        let profile = MixedProfile {
-            row: MixedStrategy::try_new(vec![rat(2, 3), rat(1, 3)]).unwrap(),
-            col: MixedStrategy::try_new(vec![rat(1, 3), rat(2, 3)]).unwrap(),
-        };
-        let swapped = game.swap_roles();
-        let col_view = MixedProfile {
-            row: profile.col.clone(),
-            col: profile.row.clone(),
-        };
-        let advice = honest_row_advice(&swapped, &col_view);
-        let mut oracle = HonestOracle::new(col_view.col.support());
-        assert!(run(&swapped, &advice, &mut oracle, 5).is_accepted());
-    }
-
-    #[test]
-    fn random_games_honest_end_to_end() {
-        let mut accepted = 0;
-        for seed in 0..30 {
-            let game = GameGenerator::seeded(seed).bimatrix(4, 4, -9..=9);
-            let Some(eq) = find_one_equilibrium(&game) else {
-                continue;
+        for lambda_own in [rat(-1, 1), rat(1, 1)] {
+            let advice = P2Advice {
+                own_strategy: MixedStrategy::uniform(2),
+                lambda_own,
+                lambda_opp: rat(0, 1),
             };
-            let advice = honest_row_advice(&game, &eq.profile);
-            let mut oracle = HonestOracle::new(eq.col_support.clone());
-            if run(&game, &advice, &mut oracle, seed).is_accepted() {
-                accepted += 1;
+            for seed in 0..32 {
+                let mut oracle = |j: usize| Some(j < 2);
+                assert!(
+                    run(&game, &advice, &mut oracle, seed).is_accepted(),
+                    "seed {seed}"
+                );
             }
         }
-        assert!(accepted >= 25, "honest P2 accepted on {accepted}/~30 games");
     }
 }

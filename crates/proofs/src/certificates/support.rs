@@ -319,7 +319,6 @@ mod tests {
     use ra_exact::rat;
     use ra_games::named::{battle_of_the_sexes, matching_pennies, prisoners_dilemma};
     use ra_games::GameGenerator;
-    use ra_solvers::{enumerate_equilibria, EnumerationOptions};
 
     #[test]
     fn verifies_matching_pennies() {
@@ -390,50 +389,6 @@ mod tests {
             err,
             P1Error::IndifferenceInconsistent | P1Error::InvalidProbability { .. }
         ));
-    }
-
-    #[test]
-    fn transcript_matches_lemma1_bits() {
-        let game = GameGenerator::seeded(5).bimatrix(4, 6, -9..=9);
-        let (eqs, _) = enumerate_equilibria(&game, &EnumerationOptions::default());
-        let eq = &eqs[0];
-        let cert = SupportCertificate {
-            row_support: eq.row_support.clone(),
-            col_support: eq.col_support.clone(),
-        };
-        let v = verify_support_certificate(&game, &cert).unwrap();
-        // Prover messages: n + m bits exactly (two masks); no queries in P1.
-        assert_eq!(v.transcript.total_bits(), 10);
-        assert_eq!(v.transcript.num_queries(), 0);
-        // P1 reveals the opponent's support to the row agent.
-        assert_eq!(v.transcript.opponent_bits_disclosed(), 6);
-    }
-
-    #[test]
-    fn round_trip_with_solvers_on_random_games() {
-        let mut accepted = 0;
-        for seed in 0..60 {
-            let game = GameGenerator::seeded(seed).bimatrix(3, 3, -12..=12);
-            let (eqs, _) = enumerate_equilibria(&game, &EnumerationOptions::default());
-            for eq in &eqs {
-                let cert = SupportCertificate {
-                    row_support: eq.row_support.clone(),
-                    col_support: eq.col_support.clone(),
-                };
-                match verify_support_certificate(&game, &cert) {
-                    Ok(v) => {
-                        accepted += 1;
-                        assert_eq!(v.profile, eq.profile, "seed {seed}");
-                        assert_eq!(v.lambda1, eq.lambda1, "seed {seed}");
-                        assert_eq!(v.lambda2, eq.lambda2, "seed {seed}");
-                    }
-                    // Degenerate supports are allowed to be rejected as such.
-                    Err(P1Error::Degenerate) => {}
-                    Err(other) => panic!("seed {seed}: unexpected rejection {other}"),
-                }
-            }
-        }
-        assert!(accepted > 50, "most enumerated equilibria verify via P1");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! This crate is the heart of the rationality authority: everything an agent
 //! needs to *verify* advice without trusting the (possibly biased) game
-//! inventor who produced it.
+//! inventor who produced it, and nothing else. The provers that build the
+//! advice live in `ra-solvers`, which depends on this crate; this crate
+//! never links them, not even in its tests.
 //!
 //! Three layers:
 //!
@@ -10,10 +12,10 @@
 //!    Fig. 2 vocabulary (`isStrat`, `isNash`, `isMaxNash`, `≤u`, …). The
 //!    checker is the stand-in for the paper's use of Coq;
 //!    [`kernel::CheckedProp`] values can only be minted by [`kernel::check`].
-//! 2. **Certificates** — one verifiable advice format per case study: §3
-//!    enumeration proofs, §4's P1 support certificates and P2 private
-//!    interactive proofs, §5 participation-probability certificates, §6
-//!    online congestion advice, and dominant-strategy claims for auctions.
+//! 2. **Certificates** — one verifiable advice format and its checker per
+//!    case study: §4's P1 support certificates and P2 private interactive
+//!    proofs, §5 participation-probability certificates and §6 online
+//!    congestion advice (§3's proofs are the kernel's own).
 //! 3. **Transcripts** ([`Transcript`]) — bit-level communication and
 //!    disclosure accounting, so Lemma 1's `O(n + m)` bits and Remark 2/3's
 //!    privacy claims are *measured*, not asserted.
@@ -22,12 +24,12 @@
 //!
 //! ```
 //! use ra_games::named::prisoners_dilemma;
-//! use ra_proofs::{kernel::check, prove_is_nash};
+//! use ra_proofs::kernel::{check, Proof};
 //!
 //! let game = prisoners_dilemma().to_strategic();
 //! // Inventor side (untrusted): claims (defect, defect) is an equilibrium.
 //! // The proof is the whole §3 advice: its root names the profile.
-//! let proof = prove_is_nash(vec![1, 1].into());
+//! let proof = Proof::NashIntro { profile: vec![1, 1].into() };
 //! assert_eq!(proof.equilibrium_profile(), Some(&vec![1, 1].into()));
 //! // Agent side (trusted kernel): re-check the claim.
 //! let theorem = check(&game, &proof).expect("honest proof");
@@ -49,22 +51,17 @@ mod certificates;
 pub mod kernel;
 mod transcript;
 
-pub use certificates::dominant::{
-    verify_dominance_certificate, DominanceCertificate, DominanceError,
-};
 pub use certificates::online_advice::{
-    honest_online_advice, verify_online_advice, OnlineAdviceCertificate, OnlineAdviceError,
-    OnlineAdviceVerified, OnlineInstance,
+    verify_online_advice, OnlineAdviceCertificate, OnlineAdviceError, OnlineAdviceVerified,
+    OnlineInstance,
 };
 pub use certificates::participation::{
-    cross_check_advice, verify_participation_certificate, ParticipationCertificate,
-    ParticipationError, ParticipationVerified,
+    verify_participation_certificate, ParticipationCertificate, ParticipationError,
+    ParticipationVerified,
 };
 pub use certificates::private::{
-    honest_row_advice, verify_private_advice, HonestOracle, LyingOracle, P2Advice, P2Config,
-    P2Outcome, P2Rejection, SupportOracle,
+    verify_private_advice, P2Advice, P2Config, P2Outcome, P2Rejection, SupportOracle,
 };
-pub use certificates::pure_nash::{prove_is_nash, prove_max_nash, prove_min_nash, prove_not_nash};
 pub use certificates::support::{
     verify_support_certificate, P1Error, P1Verified, SupportCertificate, SupportDefect,
 };

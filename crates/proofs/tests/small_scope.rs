@@ -27,10 +27,10 @@
 
 use ra_exact::Rational;
 use ra_games::{BimatrixGame, StrategicGame, StrategyProfile};
-use ra_proofs::kernel::{verdict, Prop};
+use ra_proofs::kernel::{verdict, Proof, Prop};
 use ra_proofs::{
-    prove_is_nash, verify_online_advice, verify_support_certificate, OnlineAdviceCertificate,
-    OnlineInstance, SupportCertificate,
+    verify_online_advice, verify_support_certificate, OnlineAdviceCertificate, OnlineInstance,
+    SupportCertificate,
 };
 
 /// Calls `check(a, b)` once for every pair of `rows × cols` payoff tables
@@ -180,7 +180,7 @@ fn is_pure_equilibrium(a: &[Vec<i64>], b: &[Vec<i64>], profile: &[usize]) -> boo
         && b[i].iter().all(|&v| v <= b[i][j])
 }
 
-/// Every proof `prove_is_nash` could have shipped instead of `profile`'s
+/// Every `IsNash` proof an inventor could have shipped instead of `profile`'s
 /// with one field changed: each coordinate set to each other strategy or
 /// to one past the last, and the profile cut short or extended.
 fn mutations(profile: &[usize], counts: &[usize]) -> Vec<Vec<usize>> {
@@ -209,7 +209,9 @@ fn enumerate_pure_nash(rows: usize, cols: usize) -> (u64, u64) {
             for j in 0..cols {
                 checks += 1;
                 let profile: StrategyProfile = vec![i, j].into();
-                let proof = prove_is_nash(profile.clone());
+                let proof = Proof::NashIntro {
+                    profile: profile.clone(),
+                };
                 let proved = verdict(&game, &proof).ok().map(|()| proof.claims());
                 let nash = is_pure_equilibrium(a, b, &[i, j]);
                 let claim = Prop::IsNash(profile);
@@ -225,7 +227,9 @@ fn enumerate_pure_nash(rows: usize, cols: usize) -> (u64, u64) {
                 // mutation must prove exactly that claim, and it must hold.
                 for mutated in mutations(&[i, j], &[rows, cols]) {
                     checks += 1;
-                    let proof = prove_is_nash(mutated.clone().into());
+                    let proof = Proof::NashIntro {
+                        profile: mutated.clone().into(),
+                    };
                     if verdict(&game, &proof).is_ok() {
                         assert_eq!(proof.claims(), Prop::IsNash(mutated.clone().into()));
                         assert!(

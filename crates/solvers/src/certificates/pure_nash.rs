@@ -1,12 +1,11 @@
 //! §3 certificates: inventor-side proof generation for pure equilibria.
 //!
-//! The inventor runs the expensive exhaustive analysis (`ra-solvers`) and
-//! packages the result as a kernel-checkable [`Proof`]. Agents re-check with
-//! [`crate::kernel::verdict`] — they never rerun the search.
+//! The inventor runs the expensive exhaustive analysis and packages the
+//! result as a kernel-checkable [`Proof`]. Agents re-check with
+//! [`ra_proofs::kernel::verdict`] — they never rerun the search.
 
 use ra_games::{StrategicGame, StrategyProfile};
-
-use crate::kernel::{NotAboveWitness, ProfileVerdict, Proof};
+use ra_proofs::kernel::{NotAboveWitness, ProfileVerdict, Proof};
 
 /// Builds an `IsNash` proof for a profile the inventor believes to be an
 /// equilibrium. (The kernel will catch it if the belief is wrong.)
@@ -103,15 +102,15 @@ fn prove_extremal(game: &StrategicGame, candidate: &StrategyProfile, max: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ProofError, Prop};
     use ra_games::named::{coordination_game, prisoners_dilemma, stag_hunt};
     use ra_games::GameGenerator;
+    use ra_proofs::kernel::{check, ProofError, Prop};
 
     #[test]
     fn honest_nash_certificate_verifies() {
         let game = prisoners_dilemma().to_strategic();
         let proof = prove_is_nash(vec![1, 1].into());
-        let theorem = crate::kernel::check(&game, &proof).unwrap();
+        let theorem = check(&game, &proof).unwrap();
         assert_eq!(theorem.prop(), &Prop::IsNash(vec![1, 1].into()));
         assert_eq!(proof.equilibrium_profile(), Some(&vec![1, 1].into()));
     }
@@ -141,7 +140,7 @@ mod tests {
             classification,
         };
         assert!(matches!(
-            crate::kernel::check(&game, &spliced),
+            check(&game, &spliced),
             Err(ProofError::SubProofMismatch { .. })
         ));
     }
@@ -155,7 +154,7 @@ mod tests {
     }
 
     fn check_ok(game: &ra_games::StrategicGame, proof: &Proof) -> bool {
-        crate::kernel::check(game, proof).is_ok()
+        check(game, proof).is_ok()
     }
 
     #[test]
@@ -173,7 +172,7 @@ mod tests {
     fn stag_hunt_maximal() {
         let game = stag_hunt(3);
         let proof = prove_max_nash(&game, &vec![1, 1, 1].into()).unwrap();
-        let theorem = crate::kernel::check(&game, &proof).unwrap();
+        let theorem = check(&game, &proof).unwrap();
         assert_eq!(theorem.prop(), &Prop::IsMaxNash(vec![1, 1, 1].into()));
         // Proof classification covers all 8 profiles.
         assert_eq!(proof.size(), 1 + 1 + 8);

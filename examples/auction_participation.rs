@@ -9,7 +9,7 @@ use rationality_authority::auctions::{
 };
 use rationality_authority::exact::rat;
 use rationality_authority::proofs::{
-    cross_check_advice, verify_participation_certificate, ParticipationCertificate,
+    verify_participation_certificate, ParticipationCertificate, ParticipationVerified,
 };
 use rationality_authority::solvers::EquilibriumRoot;
 
@@ -27,8 +27,9 @@ fn main() {
     let cert = game
         .inventor_advice(&rat(1, 1 << 30))
         .expect("equilibrium exists");
-    let verified = verify_participation_certificate(&params, &cert, &rat(1, 1 << 20))
+    let p = verify_participation_certificate(&params, &cert, &rat(1, 1 << 20))
         .expect("honest certificate verifies");
+    let verified = ParticipationVerified::at(&params, p);
     println!(
         "\n[offline] advised participation probability p = {}",
         verified.p
@@ -49,11 +50,14 @@ fn main() {
 
     // The cross-check: both symmetric equilibria verify individually, so a
     // dishonest prover could split the firms across them — unless they
-    // compare notes.
+    // compare notes, which passes iff all advised roots are identical.
+    let cross_check_advice =
+        |certs: &[ParticipationCertificate]| certs.windows(2).all(|w| w[0].root == w[1].root);
     let other = ParticipationCertificate {
         root: EquilibriumRoot::Exact(rat(3, 4)),
     };
     assert!(verify_participation_certificate(&params, &other, &rat(1, 1024)).is_ok());
+    assert!(cross_check_advice(&[cert.clone(), cert.clone()]));
     assert!(!cross_check_advice(&[cert.clone(), other]));
     println!("  (split advice p = 1/4 vs p = 3/4 caught by the firms' cross-check)");
 

@@ -14,7 +14,8 @@ use rationality_authority::congestion::{
     fig6_outcome, greedy_assign, inventor_assign, run_fig7, Fig7Config,
 };
 use rationality_authority::exact::Rational;
-use rationality_authority::proofs::{honest_online_advice, verify_online_advice, OnlineInstance};
+use rationality_authority::proofs::{verify_online_advice, OnlineInstance};
+use rationality_authority::solvers::honest_online_advice;
 
 fn main() {
     // ---- Fig. 6 ----------------------------------------------------------

@@ -14,10 +14,9 @@ use rand::SeedableRng;
 
 use rationality_authority::games::GameGenerator;
 use rationality_authority::proofs::{
-    honest_row_advice, verify_private_advice, verify_support_certificate, HonestOracle, P2Config,
-    P2Outcome, SupportCertificate,
+    verify_private_advice, verify_support_certificate, P2Config, P2Outcome, SupportCertificate,
 };
-use rationality_authority::solvers::find_one_equilibrium;
+use rationality_authority::solvers::{find_one_equilibrium, honest_row_advice};
 
 fn main() {
     // A random 6×6 bimatrix game — large enough that nobody wants to solve
@@ -48,7 +47,8 @@ fn main() {
 
     // ---- P2: private interactive proof -----------------------------------
     let advice = honest_row_advice(&game, &eq.profile);
-    let mut oracle = HonestOracle::new(eq.col_support.clone());
+    // The inventor answers each membership query from its true support.
+    let mut oracle = |j| Some(eq.col_support.contains(&j));
     let mut rng = StdRng::seed_from_u64(7);
     let outcome = verify_private_advice(
         &game,
@@ -87,7 +87,7 @@ fn main() {
     // A dishonest λ is caught by P2's random probing:
     let mut dishonest = advice;
     dishonest.lambda_opp = &dishonest.lambda_opp + &rationality_authority::exact::rat(1, 3);
-    let mut oracle = HonestOracle::new(eq.col_support);
+    let mut oracle = |j| Some(eq.col_support.contains(&j));
     let mut rng = StdRng::seed_from_u64(8);
     let outcome = verify_private_advice(
         &game,

@@ -9,11 +9,13 @@ use rationality_authority::exact::{rat, Rational};
 use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
 use rationality_authority::proofs::kernel::{check, NotAboveWitness, ProfileVerdict, Proof};
 use rationality_authority::proofs::{
-    honest_online_advice, honest_row_advice, prove_max_nash, verify_online_advice,
-    verify_private_advice, verify_support_certificate, HonestOracle, OnlineInstance, P2Advice,
-    P2Config, P2Outcome, P2Rejection, SupportCertificate, TranscriptEvent,
+    verify_online_advice, verify_private_advice, verify_support_certificate, OnlineInstance,
+    P2Advice, P2Config, P2Outcome, P2Rejection, SupportCertificate, TranscriptEvent,
 };
-use rationality_authority::solvers::{enumerate_equilibria, EnumerationOptions};
+use rationality_authority::solvers::{
+    enumerate_equilibria, honest_online_advice, honest_row_advice, prove_max_nash,
+    EnumerationOptions,
+};
 
 /// Exhaustively corrupt a maximality proof's classification entries; every
 /// single-field mutation must be rejected (or, if it accidentally forms
@@ -172,13 +174,14 @@ fn p2_session_catches_lambda_corruption() {
     assert!(game.is_nash(&eq));
     let honest = honest_row_advice(&game, &eq);
     assert_eq!(honest.lambda_opp, rat(2, 3));
+    let support = eq.col.support();
     for lambda_opp in [rat(1, 2), rat(1, 1)] {
         let advice = P2Advice {
             lambda_opp,
             ..honest.clone()
         };
         for seed in 0..20 {
-            let mut oracle = HonestOracle::new(eq.col.support());
+            let mut oracle = |j| Some(support.contains(&j));
             let mut rng = StdRng::seed_from_u64(seed);
             let outcome =
                 verify_private_advice(&game, &advice, &mut oracle, &mut rng, &P2Config::default());

@@ -9,8 +9,7 @@ use rationality_authority::exact::rat;
 use rationality_authority::games::named::{battle_of_the_sexes, prisoners_dilemma, stag_hunt};
 use rationality_authority::games::GameGenerator;
 use rationality_authority::proofs::kernel::check;
-use rationality_authority::proofs::prove_max_nash;
-use rationality_authority::solvers::ParticipationParams;
+use rationality_authority::solvers::{prove_max_nash, ParticipationParams};
 
 fn all_specs() -> Vec<GameSpec> {
     vec![
@@ -209,7 +208,7 @@ fn kernel_and_definition_agree_everywhere() {
     for seed in 0..60u64 {
         let game = GameGenerator::seeded(seed).strategic(vec![3, 2, 2], -7..=7);
         for profile in game.profiles() {
-            let claim = rationality_authority::proofs::prove_is_nash(profile.clone());
+            let claim = rationality_authority::solvers::prove_is_nash(profile.clone());
             assert_eq!(
                 check(&game, &claim).is_ok(),
                 game.is_pure_nash(&profile),

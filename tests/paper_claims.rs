@@ -13,11 +13,10 @@ use rationality_authority::exact::{rat, Rational};
 use rationality_authority::games::named::fig5_game;
 use rationality_authority::games::{MixedProfile, MixedStrategy};
 use rationality_authority::proofs::{
-    honest_row_advice, verify_participation_certificate, verify_support_certificate,
-    SupportCertificate,
+    verify_participation_certificate, verify_support_certificate, SupportCertificate,
 };
 use rationality_authority::solvers::{
-    solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
+    honest_row_advice, solve_participation_equilibrium, EquilibriumRoot, ParticipationParams,
 };
 
 /// §5: "For c/v = 3/8, n = 3, and p = 1/4, the firm's expected gain is

@@ -1144,10 +1144,9 @@ mod p2 {
     };
     use rationality_authority::games::{BimatrixGame, GameGenerator};
     use rationality_authority::proofs::{
-        honest_row_advice, verify_private_advice, HonestOracle, LyingOracle, P2Config, P2Outcome,
-        SupportOracle, TranscriptEvent,
+        verify_private_advice, P2Config, P2Outcome, SupportOracle, TranscriptEvent,
     };
-    use rationality_authority::solvers::find_one_equilibrium;
+    use rationality_authority::solvers::{find_one_equilibrium, honest_row_advice};
 
     const INVENTOR: Party = Party::Inventor(0);
     const AGENT: Party = Party::Agent(0);
@@ -1257,7 +1256,7 @@ mod p2 {
     fn honest_p2_session_accepts() {
         let game = battle_of_the_sexes();
         let support = find_one_equilibrium(&game).unwrap().col_support;
-        let mut oracle = HonestOracle::new(support);
+        let mut oracle = |j| Some(support.contains(&j));
         let (authority, outcome) = assert_matches_local(
             InventorBehavior::Honest,
             &game,
@@ -1281,9 +1280,9 @@ mod p2 {
         let support = find_one_equilibrium(&game).unwrap().col_support;
         let mut rejections = 0;
         for seed in 0..20 {
-            // The local lying oracle over all columns, under the same seed,
-            // must agree.
-            let mut oracle = LyingOracle::new(support.clone(), 0..game.cols());
+            // The local oracle lying about every column, under the same
+            // seed, must agree.
+            let mut oracle = |j| Some(!support.contains(&j));
             let (_, outcome) = assert_matches_local(
                 InventorBehavior::Corrupt,
                 &game,
@@ -1315,7 +1314,7 @@ mod p2 {
         };
         assert_eq!(run(9), run(9));
         let support = find_one_equilibrium(&game).unwrap().col_support;
-        let mut oracle = HonestOracle::new(support);
+        let mut oracle = |j| Some(support.contains(&j));
         let config = p2_config(3, 100);
         let (_, o) = assert_matches_local(InventorBehavior::Honest, &game, &mut oracle, 9, config);
         assert_eq!((o.verdict, o.session_bytes), run(9));
@@ -1377,14 +1376,15 @@ mod p2 {
             for (k, q) in [(3, 100), (50, 4)] {
                 for run in 0..4 {
                     let seed = seed.wrapping_add(run);
+                    let (truth, lies) = (support.clone(), support.clone());
                     let oracles: [(InventorBehavior, Box<dyn SupportOracle>); 2] = [
                         (
                             InventorBehavior::Honest,
-                            Box::new(HonestOracle::new(support.clone())),
+                            Box::new(move |j| Some(truth.contains(&j))),
                         ),
                         (
                             InventorBehavior::Corrupt,
-                            Box::new(LyingOracle::new(support.clone(), 0..game.cols())),
+                            Box::new(move |j| Some(!lies.contains(&j))),
                         ),
                     ];
                     for (inventor, mut oracle) in oracles {
@@ -1501,8 +1501,7 @@ mod exhaustive {
     };
     use rationality_authority::games::BimatrixGame;
     use rationality_authority::proofs::{
-        verify_private_advice, HonestOracle, LyingOracle, P2Advice, P2Config, P2Outcome,
-        SupportOracle, TranscriptEvent,
+        verify_private_advice, P2Advice, P2Config, P2Outcome, SupportOracle, TranscriptEvent,
     };
     use rationality_authority::solvers::find_one_equilibrium;
 
@@ -2123,8 +2122,9 @@ mod exhaustive {
             }
             let support = find_one_equilibrium(&self.game).unwrap().col_support;
             let mut oracle: Box<dyn SupportOracle> = match self.inventor {
-                InventorBehavior::Honest => Box::new(HonestOracle::new(support)),
-                _ => Box::new(LyingOracle::new(support, 0..self.game.cols())),
+                InventorBehavior::Honest => Box::new(move |j| Some(support.contains(&j))),
+                // A corrupt prover inverts every answer.
+                _ => Box::new(move |j| Some(!support.contains(&j))),
             };
             let (_, local) = assert_matches_local(
                 self.inventor,

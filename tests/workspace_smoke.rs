@@ -8,8 +8,8 @@
 use rationality_authority::authority::{Bus, Message, Party, Transport, Wire};
 use rationality_authority::exact::rat;
 use rationality_authority::games::named::prisoners_dilemma;
-use rationality_authority::proofs::{kernel::check, prove_is_nash};
-use rationality_authority::solvers::analyze_pure_nash;
+use rationality_authority::proofs::kernel::check;
+use rationality_authority::solvers::{analyze_pure_nash, prove_is_nash};
 use rationality_authority::{auctions, congestion};
 
 #[test]
