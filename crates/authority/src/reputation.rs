@@ -1098,16 +1098,6 @@ impl GossipReputation {
         publish(&self.snapshot, scores);
     }
 
-    /// The shard (replica id) this backend writes observations under.
-    pub fn shard(&self) -> u64 {
-        self.shard
-    }
-
-    /// The decay policy applied when reading scores.
-    pub fn decay(&self) -> ReputationDecay {
-        self.decay
-    }
-
     /// Publishes this shard's own slice to the plane (first half of an
     /// epoch merge). The full slice is re-published every time — pushes
     /// are fire-and-forget, so the redundancy is what lets a push dropped

@@ -55,7 +55,7 @@
 use std::sync::Arc;
 
 use ra_games::BimatrixGame;
-use ra_proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome, TranscriptEvent};
+use ra_proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome};
 
 use crate::bus::Bus;
 use crate::cache::{spec_digest, CachedConsultation, CertCache};
@@ -264,8 +264,13 @@ pub struct SessionOutcome {
 pub struct PrivateOutcome {
     /// The advice received (if the inventor answered).
     pub advice: Option<P2Advice>,
-    /// The agent's Fig. 4 verdict and transcript, if advice arrived.
+    /// The agent's Fig. 4 verdict, if advice arrived.
     pub verdict: Option<P2Outcome>,
+    /// Membership queries the agent asked: one Query stage each, whether
+    /// or not its answer arrived. Each answered one disclosed one bit of
+    /// the opponent's support (Remark 2), and a run stops at its first
+    /// unanswered query.
+    pub queries: u64,
     /// Whether the agent adopts the advice (its Fig. 4 check accepted).
     pub adopted: bool,
     /// Wire bytes of the advice message itself.
@@ -727,10 +732,15 @@ impl RationalityAuthority {
             Some(Advice::Private(advice)) => Some(advice.clone()),
             _ => None,
         };
+        // Whether the last query went unanswered: the run stopped on it,
+        // undecided, rather than on its query budget.
+        let (mut queries, mut unanswered) = (0, false);
         let verdict = advice.as_ref().map(|advice| {
             let mut ask = |index| {
+                queries += 1;
                 self.agent.query = (index, None);
                 self.run_stage(ConsultStage::Query, inbox, session);
+                unanswered = self.agent.query.1.is_none();
                 self.agent.query.1
             };
             verify_private_advice(game, advice, &mut ask, rng, config)
@@ -739,13 +749,14 @@ impl RationalityAuthority {
             adopted: verdict.as_ref().is_some_and(P2Outcome::is_accepted),
             advice,
             verdict,
+            queries,
             advice_bytes: self.inventor.memo.advice_bytes,
             session_bytes: self.bus.total_bytes() - bytes_before,
             attempts: self.agent.retransmits,
         };
         let stage = match &outcome.verdict {
             None => ConsultStage::Advice,
-            Some(verdict) if unanswered(verdict) => ConsultStage::Query,
+            Some(_) if unanswered => ConsultStage::Query,
             Some(_) => return Ok(outcome),
         };
         self.close_undecided(stage, 0, 1, vec![session.inventor])?;
@@ -842,12 +853,6 @@ struct Session<'a> {
 enum Subject<'a> {
     Spec(&'a GameSpec),
     Private(&'a BimatrixGame),
-}
-
-/// Whether a P2 run stopped on a query whose answer never arrived.
-fn unanswered(verdict: &P2Outcome) -> bool {
-    let last = verdict.transcript().events().last();
-    matches!(last, Some(TranscriptEvent::Answer { in_support: None }))
 }
 
 /// Each registered verifier, in panel order, that `view` trusts. A

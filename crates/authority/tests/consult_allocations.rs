@@ -88,7 +88,7 @@ fn pinned_specs() -> Vec<(&'static str, GameSpec, u64)> {
         (
             "battle_of_the_sexes",
             GameSpec::Bimatrix(battle_of_the_sexes()),
-            82,
+            73,
         ),
         (
             "participation",

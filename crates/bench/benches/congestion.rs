@@ -40,7 +40,7 @@ fn bench_strategies(c: &mut Criterion) {
                 let n = ws.len();
                 let mut link_loads = vec![0u64; m];
                 for (i, &w) in ws.iter().enumerate() {
-                    let link = inventor_suggested_link(&link_loads, w, 500.0, n - i - 1);
+                    let link = inventor_suggested_link(&link_loads, w, 500, 1, n - i - 1);
                     link_loads[link] += w;
                 }
                 link_loads

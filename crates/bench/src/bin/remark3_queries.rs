@@ -51,11 +51,15 @@ fn main() {
         let mut total_queries = 0u64;
         let mut max_queries = 0u64;
         for t in 0..trials {
-            let mut oracle = |j| Some(support.contains(&j));
+            // The oracle is answered here, so it counts the queries.
+            let mut q = 0u64;
+            let mut oracle = |j| {
+                q += 1;
+                Some(support.contains(&j))
+            };
             let mut rng = StdRng::seed_from_u64(t * 7919 + s as u64);
             match verify_private_advice(&game, &advice, &mut oracle, &mut rng, &config) {
-                P2Outcome::Accepted { transcript, .. } => {
-                    let q = transcript.num_queries();
+                P2Outcome::Accepted { .. } => {
                     total_queries += q;
                     max_queries = max_queries.max(q);
                 }

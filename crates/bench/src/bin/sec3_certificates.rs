@@ -7,6 +7,11 @@
 //! times that. Maximality proofs necessarily touch every profile but with
 //! O(1) witness checks each, still ~`Σ|A_i|`-times cheaper than the search.
 //!
+//! `nash lkps` is `Σ_i |A_i|`, the payoffs an `isNash` check reads (each
+//! agent's own and its `|A_i| − 1` deviations), and `proof size` counts
+//! the maximality proof's rule applications; both are computed here from
+//! the game and the proof, since the kernel only returns a verdict.
+//!
 //! Every cell is the [`Spread`] of [`SAMPLES`] timed runs, so no figure
 //! rests on one call's warm-up. The search and the kernel's unbound
 //! [`verdict`] entry (the one a verifier runs) repeat on one game. `nash
@@ -19,7 +24,7 @@
 
 use ra_bench::{fmt_secs, timed, write_csv, Spread};
 use ra_games::{GameGenerator, StrategicGame};
-use ra_proofs::kernel::{check, verdict};
+use ra_proofs::kernel::{check, verdict, Proof};
 use ra_solvers::{analyze_pure_nash, prove_is_nash, prove_max_nash};
 
 /// Timed runs behind every cell.
@@ -84,12 +89,12 @@ fn main() {
             || game_of(seed, s),
             |fresh| check(&fresh, &nash_proof).unwrap(),
         );
-        let lookups = check(&game, &nash_proof).unwrap().cost().utility_lookups;
+        let lookups: usize = game.strategy_counts().iter().sum();
         let (max_check, proof_size) = match analysis.maximal.first() {
             Some(candidate) => {
                 let proof = prove_max_nash(&game, candidate).unwrap();
                 let spread = sampled(|| game_of(seed, s), |fresh| check(&fresh, &proof).unwrap());
-                (spread, proof.size())
+                (spread, rules(&proof))
             }
             None => (Spread::of([0.0]), 0),
         };
@@ -128,6 +133,26 @@ fn main() {
          Maximality certificates cost Θ(s²) (one witness per profile) — still a factor\n\
          Θ(s) below the search, and the checker never trusts the inventor's labels."
     );
+}
+
+/// The rule applications in `proof`: one per node, plus one per
+/// classification verdict of a maximality or minimality proof.
+fn rules(proof: &Proof) -> usize {
+    match proof {
+        Proof::EvalAtom(_) | Proof::NashIntro { .. } | Proof::NashRefute { .. } => 1,
+        Proof::AndIntro(parts) => 1 + parts.iter().map(rules).sum::<usize>(),
+        Proof::OrIntro { witness, .. } => 1 + rules(witness),
+        Proof::MaxNashIntro {
+            nash,
+            classification,
+            ..
+        }
+        | Proof::MinNashIntro {
+            nash,
+            classification,
+            ..
+        } => 1 + rules(nash) + classification.len(),
+    }
 }
 
 /// `spread`'s median, min and max seconds as three CSV fields.

@@ -89,48 +89,48 @@ pub fn lpt_assign(loads: &[u64], m: usize) -> Assignment {
 /// own load plus `future_agents` copies of the expected future load onto the
 /// current link loads, and return the link the agent's own load received.
 ///
-/// Expected loads are fractional (a running average), so the internal
-/// computation uses `f64`; the *decision* it produces is a link index, and
-/// the final makespan comparison stays exact integer arithmetic.
+/// The expected future load is the running average `observed_sum /
+/// observations`. Every load is scaled by `observations` (in `u128`, where
+/// no `u64` product overflows), so the computation is exact and gives the
+/// advice of `ra_solvers::honest_online_advice` on the same instance, ties
+/// included: loads go greatest first, the agent's own before equal future
+/// loads, each onto the least-loaded link (the lowest index on ties). The
+/// own load's link is the answer, so only the future loads above it are
+/// placed at all.
 ///
 /// # Panics
 ///
-/// Panics if `current_loads` is empty.
+/// Panics if `current_loads` is empty or `observations` is zero, or if a
+/// scaled link load passes `u128::MAX` (which takes loads and observation
+/// counts near `u64::MAX`).
 pub fn inventor_suggested_link(
     current_loads: &[u64],
     own_load: u64,
-    expected_future_load: f64,
+    observed_sum: u64,
+    observations: u64,
     future_agents: usize,
 ) -> usize {
     assert!(!current_loads.is_empty(), "need at least one link");
-    // LPT order: all loads ≥ expected go before the copies; the agent's own
-    // load is placed at its sorted position. Equal values: own load first
-    // (deterministic, matches `honest_online_advice` in ra-solvers).
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = current_loads
+    assert!(observations > 0, "an average needs an observation");
+    let scale = u128::from(observations);
+    let mut heap: BinaryHeap<Reverse<(u128, usize)>> = current_loads
         .iter()
         .enumerate()
-        .map(|(j, &l)| Reverse((l.saturating_mul(1 << 20), j)))
+        .map(|(j, &l)| Reverse((u128::from(l) * scale, j)))
         .collect();
-    // Scale to integer micro-units to keep the heap keys orderable without
-    // float keys: 2^20 units per load unit.
-    let scale = |v: f64| -> u64 { (v * (1u64 << 20) as f64).round() as u64 };
-    let own_scaled = own_load << 20;
-    let future_scaled = scale(expected_future_load);
-    let mut items: Vec<(bool, u64)> = Vec::with_capacity(1 + future_agents);
-    items.push((true, own_scaled));
-    for _ in 0..future_agents {
-        items.push((false, future_scaled));
-    }
-    // Greatest first; own load wins ties so its placement is deterministic.
-    items.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
-    for (is_own, w) in items {
-        let Reverse((load, j)) = heap.pop().expect("heap never empties");
-        if is_own {
-            return j;
+    let future = u128::from(observed_sum);
+    if future > u128::from(own_load) * scale {
+        for _ in 0..future_agents {
+            let mut least = heap.peek_mut().expect("at least one link");
+            least.0 .0 = least
+                .0
+                 .0
+                .checked_add(future)
+                .expect("scaled load fits u128");
         }
-        heap.push(Reverse((load + w, j)));
     }
-    unreachable!("own load is always placed");
+    let Reverse((_, link)) = heap.peek().expect("at least one link");
+    *link
 }
 
 /// Runs the full §6 online process with every agent obeying the inventor
@@ -148,10 +148,9 @@ pub fn inventor_assign(loads: &[u64], m: usize) -> Assignment {
     let mut observed_sum: u64 = 0;
     for (i, &w) in loads.iter().enumerate() {
         observed_sum += w;
-        // Average of loads seen so far (w_1..w_i, including the arrival).
-        let average = observed_sum as f64 / (i + 1) as f64;
-        let remaining = n - i - 1;
-        let link = inventor_suggested_link(&link_loads, w, average, remaining);
+        // The expected future load is the average of the loads seen so far
+        // (w_1..w_i, including the arrival).
+        let link = inventor_suggested_link(&link_loads, w, observed_sum, (i + 1) as u64, n - i - 1);
         link_of.push(link);
         link_loads[link] += w;
     }
@@ -183,8 +182,7 @@ pub fn mixed_obedience_assign(
     for (i, &w) in loads.iter().enumerate() {
         observed_sum += w;
         let link = if rng.random_bool(p) {
-            let average = observed_sum as f64 / (i + 1) as f64;
-            inventor_suggested_link(&link_loads, w, average, n - i - 1)
+            inventor_suggested_link(&link_loads, w, observed_sum, (i + 1) as u64, n - i - 1)
         } else {
             (0..m).min_by_key(|&j| (link_loads[j], j)).expect("m > 0")
         };
@@ -334,7 +332,7 @@ mod tests {
         // LPT: 10s go to links 1 and 2 (→ 10,10,10), then own 1 goes to
         // link 0 (tie at 10, lowest index... all equal → link 0).
         // Greedy would put the 1 on link 1 (least loaded).
-        let advised = inventor_suggested_link(&[10, 0, 0], 1, 10.0, 2);
+        let advised = inventor_suggested_link(&[10, 0, 0], 1, 10, 1, 2);
         assert_eq!(advised, 0);
         // Greedy choice:
         let greedy = (0..3).min_by_key(|&j| ([10u64, 0, 0][j], j)).unwrap();

@@ -12,9 +12,10 @@
 //! * both out ⇒ inconclusive (but a violation `λ(j) > λ_opp` still rejects).
 //!
 //! Each oracle answer leaks exactly one bit about the opponent — the
-//! zero-knowledge-flavoured privacy guarantee of Remark 2, measured by the
-//! [`Transcript`]. Expected `O(n)` query pairs reach a conclusive test;
-//! constant for supports of size `θ(n)` (Remark 3).
+//! zero-knowledge-flavoured privacy guarantee of Remark 2. Expected `O(n)`
+//! query pairs reach a conclusive test; constant for supports of size
+//! `θ(n)` (Remark 3). The caller answers every query, so it counts them
+//! (and the answer bits) in its own oracle.
 
 use std::fmt;
 
@@ -22,8 +23,6 @@ use rand::Rng;
 
 use ra_exact::Rational;
 use ra_games::{BimatrixGame, MixedStrategy};
-
-use crate::transcript::{Disclosure, Transcript};
 
 /// What the P2 prover sends to one agent: its own equilibrium data and the
 /// equilibrium values, nothing about the opponent.
@@ -37,23 +36,6 @@ pub struct P2Advice {
     pub lambda_own: Rational,
     /// The opponent's equilibrium payoff (λ₂ for the row agent).
     pub lambda_opp: Rational,
-}
-
-/// The membership oracle the prover answers queries through.
-///
-/// Honest provers answer from the true equilibrium support; dishonest ones
-/// can answer anything — the verifier's job is to catch them. Any
-/// `FnMut(usize) -> Option<bool>` closure is an oracle.
-pub trait SupportOracle {
-    /// Is pure strategy `index` in the opponent's support? `None` when
-    /// the answer is unknown (it never arrived).
-    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool>;
-}
-
-impl<F: FnMut(usize) -> Option<bool>> SupportOracle for F {
-    fn is_in_opponent_support(&mut self, index: usize) -> Option<bool> {
-        self(index)
-    }
 }
 
 /// Verifier configuration.
@@ -129,25 +111,19 @@ pub enum P2Outcome {
     Accepted {
         /// Number of conclusive pair tests performed.
         conclusive_tests: u64,
-        /// Full communication record.
-        transcript: Transcript,
     },
     /// A test failed; the advice (or the oracle) is dishonest.
     Rejected {
         /// Why.
         reason: P2Rejection,
-        /// Full communication record.
-        transcript: Transcript,
     },
     /// The query budget ran out before enough conclusive tests (can only
     /// happen with tiny budgets or tiny supports), or an oracle answer
-    /// never arrived: unknown is neither in nor out, so the transcript
-    /// ends with that query and no verdict rests on it.
+    /// never arrived: unknown is neither in nor out, so the run stops at
+    /// that query and no verdict rests on it.
     Undecided {
-        /// Conclusive tests completed before the budget ran out.
+        /// Conclusive tests completed before the run stopped.
         conclusive_tests: u64,
-        /// Full communication record.
-        transcript: Transcript,
     },
 }
 
@@ -156,21 +132,19 @@ impl P2Outcome {
     pub fn is_accepted(&self) -> bool {
         matches!(self, P2Outcome::Accepted { .. })
     }
-
-    /// The transcript, whatever the outcome.
-    pub fn transcript(&self) -> &Transcript {
-        match self {
-            P2Outcome::Accepted { transcript, .. }
-            | P2Outcome::Rejected { transcript, .. }
-            | P2Outcome::Undecided { transcript, .. } => transcript,
-        }
-    }
 }
 
 /// Runs the P2 verifier for the **row agent** of `game`.
 ///
 /// To verify as the column agent, call with
 /// [`BimatrixGame::swap_roles`]`()` and the column agent's advice.
+///
+/// `oracle` is the prover's membership oracle: is the opponent's pure
+/// strategy `j` in its support? Honest provers answer from the true
+/// equilibrium support; dishonest ones can answer anything, and the
+/// verifier's job is to catch them. `None` means the answer never
+/// arrived: the run stops [`P2Outcome::Undecided`] at that query. The
+/// queries are drawn in pairs, at most `config.max_queries` of them.
 ///
 /// An accepted run certifies two things only, each up to Fig. 4's
 /// sampling: the opponent's announced support (the oracle's "in"
@@ -203,18 +177,12 @@ impl P2Outcome {
 pub fn verify_private_advice(
     game: &BimatrixGame,
     advice: &P2Advice,
-    oracle: &mut dyn SupportOracle,
+    oracle: &mut dyn FnMut(usize) -> Option<bool>,
     rng: &mut dyn rand::RngCore,
     config: &P2Config,
 ) -> P2Outcome {
-    let mut transcript = Transcript::new();
     let n = game.rows();
     let m = game.cols();
-    // Prover → agent: own support/probabilities and the two λ values.
-    transcript.prover_message(n as u64, Disclosure::OwnData, "own support mask (S1)");
-    transcript.prover_message(64, Disclosure::OwnData, "own probabilities");
-    transcript.prover_message(64, Disclosure::EquilibriumValue, "λ1, λ2");
-
     // Local well-formedness of the shipped own data.
     if advice.own_strategy.len() != n {
         return P2Outcome::Rejected {
@@ -222,7 +190,6 @@ pub fn verify_private_advice(
                 entries: advice.own_strategy.len(),
                 rows: n,
             },
-            transcript,
         };
     }
 
@@ -234,10 +201,7 @@ pub fn verify_private_advice(
         let pair = [rng.random_range(0..m), rng.random_range(0..m)];
         let mut inside = [false; 2];
         for (&j, inside) in pair.iter().zip(&mut inside) {
-            transcript.query(j, m);
-            let answer = oracle.is_in_opponent_support(j);
-            transcript.answer(answer);
-            let Some(answer) = answer else {
+            let Some(answer) = oracle(j) else {
                 break 'pairs;
             };
             *inside = answer;
@@ -251,13 +215,11 @@ pub fn verify_private_advice(
             if inside && &actual != lambda_opp {
                 return P2Outcome::Rejected {
                     reason: P2Rejection::InSupportPayoffMismatch { index: j, actual },
-                    transcript,
                 };
             }
             if !inside && &actual > lambda_opp {
                 return P2Outcome::Rejected {
                     reason: P2Rejection::OutsideSupportExceeds { index: j, actual },
-                    transcript,
                 };
             }
         }
@@ -269,12 +231,10 @@ pub fn verify_private_advice(
     if conclusive < config.required_conclusive {
         return P2Outcome::Undecided {
             conclusive_tests: conclusive,
-            transcript,
         };
     }
     P2Outcome::Accepted {
         conclusive_tests: conclusive,
-        transcript,
     }
 }
 
@@ -290,7 +250,7 @@ mod tests {
     fn run(
         game: &BimatrixGame,
         advice: &P2Advice,
-        oracle: &mut dyn SupportOracle,
+        oracle: &mut dyn FnMut(usize) -> Option<bool>,
         seed: u64,
     ) -> P2Outcome {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -15,8 +15,6 @@ use std::fmt;
 use ra_exact::{solve_linear_system, LinearSolution, Matrix, Rational};
 use ra_games::{BimatrixGame, MixedProfile, MixedStrategy};
 
-use crate::transcript::{Disclosure, Transcript};
-
 /// The P1 certificate: just the two supports (Fig. 3's prover message).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SupportCertificate {
@@ -34,8 +32,8 @@ impl SupportCertificate {
     }
 }
 
-/// Successful P1 verification: the reconstructed equilibrium and the
-/// evidence trail.
+/// Successful P1 verification: the reconstructed equilibrium and its
+/// values.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct P1Verified {
     /// The reconstructed mixed equilibrium.
@@ -44,8 +42,6 @@ pub struct P1Verified {
     pub lambda1: Rational,
     /// Column agent's equilibrium payoff λ₂.
     pub lambda2: Rational,
-    /// Communication transcript (for the Lemma 1 measurements).
-    pub transcript: Transcript,
 }
 
 /// Reasons P1 verification rejects a certificate.
@@ -169,17 +165,6 @@ pub fn verify_support_certificate(
     let (s1, s2) = (&certificate.row_support, &certificate.col_support);
     validate_support(s1, game.rows(), 0)?;
     validate_support(s2, game.cols(), 1)?;
-    let mut transcript = Transcript::new();
-    transcript.prover_message(
-        game.rows() as u64,
-        Disclosure::OwnData,
-        "row support mask (S1)",
-    );
-    transcript.prover_message(
-        game.cols() as u64,
-        Disclosure::OpponentData,
-        "column support mask (S2)",
-    );
 
     // Row agent's verifier: reconstruct the column agent's probabilities y
     // and λ1 from the indifference of rows in S1 (Fig. 3, system (1)), then
@@ -196,7 +181,6 @@ pub fn verify_support_certificate(
         profile,
         lambda1,
         lambda2,
-        transcript,
     })
 }
 

@@ -22,17 +22,7 @@ use ra_games::{StrategicGame, StrategyProfile};
 
 use super::proof::{NotAboveWitness, ProfileVerdict, Proof};
 use super::prop::Prop;
-use super::term::{Term, TermError};
-
-/// Cost accounting for a verification run — the basis of the §3
-/// verify-vs-compute experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckCost {
-    /// Exact utility-table lookups performed.
-    pub utility_lookups: u64,
-    /// Proof rules applied.
-    pub rules_applied: u64,
-}
+use super::term::TermError;
 
 /// A proposition that has been *verified* against a specific game.
 ///
@@ -44,7 +34,6 @@ pub struct CheckCost {
 pub struct CheckedProp {
     prop: Prop,
     digest: [u8; 32],
-    cost: CheckCost,
 }
 
 impl CheckedProp {
@@ -56,11 +45,6 @@ impl CheckedProp {
     /// Spec digest of the game the proposition was checked against.
     pub fn game_digest(&self) -> [u8; 32] {
         self.digest
-    }
-
-    /// What the verification cost.
-    pub fn cost(&self) -> CheckCost {
-        self.cost
     }
 
     /// Returns `true` if this theorem talks about the given game.
@@ -178,7 +162,7 @@ impl From<TermError> for ProofError {
 ///
 /// Returns a [`ProofError`] describing the first invalid step found.
 pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<(), ProofError> {
-    check_inner(game, proof, &mut CheckCost::default())
+    check_inner(game, proof)
 }
 
 /// Checks `proof` against `game` and mints the theorem: [`verdict`] plus
@@ -205,35 +189,26 @@ pub fn verdict(game: &StrategicGame, proof: &Proof) -> Result<(), ProofError> {
 /// assert!(check(&game, &bogus).is_err());
 /// ```
 pub fn check(game: &StrategicGame, proof: &Proof) -> Result<CheckedProp, ProofError> {
-    let mut cost = CheckCost::default();
-    check_inner(game, proof, &mut cost)?;
+    check_inner(game, proof)?;
     Ok(CheckedProp {
         prop: proof.claims(),
         digest: game.spec_digest(),
-        cost,
     })
 }
 
-fn check_inner(
-    game: &StrategicGame,
-    proof: &Proof,
-    cost: &mut CheckCost,
-) -> Result<(), ProofError> {
-    cost.rules_applied += 1;
+fn check_inner(game: &StrategicGame, proof: &Proof) -> Result<(), ProofError> {
     match proof {
         Proof::EvalAtom(prop) => {
             if !prop.is_atomic() {
                 return Err(ProofError::NotAtomic(prop.clone()));
             }
-            if eval_atom(game, prop, cost)? {
+            if eval_atom(game, prop)? {
                 Ok(())
             } else {
                 Err(ProofError::AtomFalse(prop.clone()))
             }
         }
-        Proof::AndIntro(parts) => parts
-            .iter()
-            .try_for_each(|part| check_inner(game, part, cost)),
+        Proof::AndIntro(parts) => parts.iter().try_for_each(|part| check_inner(game, part)),
         Proof::OrIntro {
             disjuncts,
             index,
@@ -243,7 +218,7 @@ fn check_inner(
                 index: *index,
                 len: disjuncts.len(),
             })?;
-            check_inner(game, witness, cost)?;
+            check_inner(game, witness)?;
             let actual = witness.claims();
             if &actual != expected {
                 return Err(ProofError::OrWitnessMismatch {
@@ -253,51 +228,40 @@ fn check_inner(
             }
             Ok(())
         }
-        Proof::NashIntro { profile } => check_is_nash(game, profile, cost),
+        Proof::NashIntro { profile } => check_is_nash(game, profile),
         Proof::NashRefute {
             profile,
             agent,
             strategy,
-        } => check_refutation(game, profile, *agent, *strategy, cost),
+        } => check_refutation(game, profile, *agent, *strategy),
         Proof::MaxNashIntro {
             profile,
             nash,
             classification,
-        } => check_extremal(game, profile, nash, classification, cost, Extremum::Max),
+        } => check_extremal(game, profile, nash, classification, Extremum::Max),
         Proof::MinNashIntro {
             profile,
             nash,
             classification,
-        } => check_extremal(game, profile, nash, classification, cost, Extremum::Min),
+        } => check_extremal(game, profile, nash, classification, Extremum::Min),
     }
 }
 
-fn eval_term(
-    game: &StrategicGame,
-    t: &Term,
-    cost: &mut CheckCost,
-) -> Result<ra_exact::Rational, ProofError> {
-    cost.utility_lookups += t.lookup_count();
-    Ok(t.eval(game)?)
-}
-
-fn eval_atom(game: &StrategicGame, prop: &Prop, cost: &mut CheckCost) -> Result<bool, ProofError> {
+fn eval_atom(game: &StrategicGame, prop: &Prop) -> Result<bool, ProofError> {
     Ok(match prop {
-        Prop::Le(a, b) => eval_term(game, a, cost)? <= eval_term(game, b, cost)?,
-        Prop::Lt(a, b) => eval_term(game, a, cost)? < eval_term(game, b, cost)?,
-        Prop::Eq(a, b) => eval_term(game, a, cost)? == eval_term(game, b, cost)?,
+        Prop::Le(a, b) => a.eval(game)? <= b.eval(game)?,
+        Prop::Lt(a, b) => a.eval(game)? < b.eval(game)?,
+        Prop::Eq(a, b) => a.eval(game)? == b.eval(game)?,
         Prop::IsStrat(s) => s.is_valid_for(game.strategy_counts()),
         Prop::EqStrat(a, b) => a == b,
         Prop::LeStrat(a, b) => {
             require_valid(game, a)?;
             require_valid(game, b)?;
-            cost.utility_lookups += 2 * game.num_agents() as u64;
             game.profile_le(a, b)
         }
         Prop::NoComp(a, b) => {
             require_valid(game, a)?;
             require_valid(game, b)?;
-            cost.utility_lookups += 4 * game.num_agents() as u64;
             game.profiles_incomparable(a, b)
         }
         _ => unreachable!("is_atomic filtered non-atoms"),
@@ -315,22 +279,16 @@ fn require_valid(game: &StrategicGame, s: &StrategyProfile) -> Result<(), ProofE
 /// Soundness of `NashIntro`: we *re-derive* the equilibrium property by
 /// checking all `Σ_i (|A_i| − 1)` unilateral deviations; nothing from the
 /// untrusted proof is consumed beyond the profile itself.
-fn check_is_nash(
-    game: &StrategicGame,
-    profile: &StrategyProfile,
-    cost: &mut CheckCost,
-) -> Result<(), ProofError> {
+fn check_is_nash(game: &StrategicGame, profile: &StrategyProfile) -> Result<(), ProofError> {
     require_valid(game, profile)?;
-    if let Some((agent, strategy)) = game.improving_deviation(profile) {
-        return Err(ProofError::DeviationFound {
+    match game.improving_deviation(profile) {
+        Some((agent, strategy)) => Err(ProofError::DeviationFound {
             profile: profile.clone(),
             agent,
             strategy,
-        });
+        }),
+        None => Ok(()),
     }
-    // Each agent's own payoff plus its |A_i| − 1 deviations.
-    cost.utility_lookups += game.strategy_counts().iter().sum::<usize>() as u64;
-    Ok(())
 }
 
 /// Soundness of `NashRefute`: the single claimed deviation is re-evaluated;
@@ -340,7 +298,6 @@ fn check_refutation(
     profile: &StrategyProfile,
     agent: usize,
     strategy: usize,
-    cost: &mut CheckCost,
 ) -> Result<(), ProofError> {
     require_valid(game, profile)?;
     if agent >= game.num_agents() {
@@ -358,7 +315,6 @@ fn check_refutation(
             reason: "witness strategy equals the profile's strategy".to_owned(),
         });
     }
-    cost.utility_lookups += 2;
     let improved = game.payoff(agent, &profile.with_strategy(agent, strategy));
     if improved > game.payoff(agent, profile) {
         Ok(())
@@ -397,10 +353,9 @@ fn check_extremal(
     candidate: &StrategyProfile,
     nash: &Proof,
     classification: &[ProfileVerdict],
-    cost: &mut CheckCost,
     direction: Extremum,
 ) -> Result<(), ProofError> {
-    check_inner(game, nash, cost)?;
+    check_inner(game, nash)?;
     let expected_prop = Prop::IsNash(candidate.clone());
     let actual = nash.claims();
     if actual != expected_prop {
@@ -419,7 +374,7 @@ fn check_extremal(
     for (idx, (other, verdict)) in game.profiles().zip(classification).enumerate() {
         match verdict {
             ProfileVerdict::NotNash { agent, strategy } => {
-                check_refutation(game, &other, *agent, *strategy, cost).map_err(|e| {
+                check_refutation(game, &other, *agent, *strategy).map_err(|e| {
                     ProofError::VerdictInvalid {
                         profile_index: idx,
                         reason: e.to_string(),
@@ -434,7 +389,6 @@ fn check_extremal(
                             reason: format!("agent {agent} out of range"),
                         });
                     }
-                    cost.utility_lookups += 2;
                     let (good, bad) = match direction {
                         Extremum::Max => (candidate, &other),
                         Extremum::Min => (&other, candidate),
@@ -451,7 +405,6 @@ fn check_extremal(
                     }
                 }
                 NotAboveWitness::LeCandidate => {
-                    cost.utility_lookups += 2 * game.num_agents() as u64;
                     let holds = match direction {
                         Extremum::Max => game.profile_le(&other, candidate),
                         Extremum::Min => game.profile_le(candidate, &other),
@@ -472,6 +425,7 @@ fn check_extremal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::Term;
     use ra_exact::rat;
     use ra_games::named::{coordination_game, prisoners_dilemma};
 
@@ -485,7 +439,6 @@ mod tests {
         let t1 = Term::utility(0, vec![1, 1].into());
         let t2 = Term::constant(rat(-1, 1));
         let ok = check(&game, &Proof::EvalAtom(Prop::Le(t1.clone(), t2.clone()))).unwrap();
-        assert_eq!(ok.cost().utility_lookups, 1);
         assert!(ok.applies_to(&game));
         let bad = check(&game, &Proof::EvalAtom(Prop::Lt(t2, t1)));
         assert!(matches!(bad, Err(ProofError::AtomFalse(_))));
@@ -759,21 +712,18 @@ mod tests {
 
     /// The `NashIntro` rule as it was before it delegated to
     /// `StrategicGame::improving_deviation`: one cloned profile per
-    /// deviation, one lookup counted per payoff read.
+    /// deviation.
     fn cloning_nash_check(
         game: &StrategicGame,
         profile: &StrategyProfile,
-    ) -> Result<u64, ProofError> {
+    ) -> Result<(), ProofError> {
         require_valid(game, profile)?;
-        let mut lookups = 0;
         for agent in 0..game.num_agents() {
             let current = game.payoff(agent, profile);
-            lookups += 1;
             for s in 0..game.strategy_counts()[agent] {
                 if s == profile.strategy_of(agent) {
                     continue;
                 }
-                lookups += 1;
                 if game.payoff(agent, &profile.with_strategy(agent, s)) > current {
                     return Err(ProofError::DeviationFound {
                         profile: profile.clone(),
@@ -783,7 +733,7 @@ mod tests {
                 }
             }
         }
-        Ok(lookups)
+        Ok(())
     }
 
     #[test]
@@ -797,31 +747,12 @@ mod tests {
                 let proof = Proof::NashIntro {
                     profile: profile.clone(),
                 };
-                let kernel = check(&game, &proof).map(|t| t.cost().utility_lookups);
                 assert_eq!(
-                    kernel,
+                    verdict(&game, &proof),
                     cloning_nash_check(&game, &profile),
                     "seed {seed}, {profile}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn cost_is_linear_not_exponential_for_nash_intro() {
-        // 3 agents × 4 strategies: profile space 64, but a Nash check costs
-        // only Σ(|A_i|−1) + n = 3·3 + 3 = 12 lookups.
-        let game = ra_games::GameGenerator::seeded(3).strategic(vec![4, 4, 4], -5..=5);
-        let eqs = game.pure_nash_equilibria();
-        if let Some(eq) = eqs.first() {
-            let theorem = check(
-                &game,
-                &Proof::NashIntro {
-                    profile: eq.clone(),
-                },
-            )
-            .unwrap();
-            assert_eq!(theorem.cost().utility_lookups, 12);
         }
     }
 }

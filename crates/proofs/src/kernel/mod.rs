@@ -12,7 +12,7 @@ mod proof;
 mod prop;
 mod term;
 
-pub use checker::{check, verdict, CheckCost, CheckedProp, ProofError};
+pub use checker::{check, verdict, CheckedProp, ProofError};
 pub use proof::{NotAboveWitness, ProfileVerdict, Proof};
 pub use prop::Prop;
 pub use term::{Term, TermError};

@@ -131,26 +131,6 @@ impl Proof {
             _ => None,
         }
     }
-
-    /// Size of the proof tree in rule applications (a rough "proof length"
-    /// measure for the experiments).
-    pub fn size(&self) -> u64 {
-        match self {
-            Proof::EvalAtom(_) | Proof::NashIntro { .. } | Proof::NashRefute { .. } => 1,
-            Proof::AndIntro(ps) => 1 + ps.iter().map(Proof::size).sum::<u64>(),
-            Proof::OrIntro { witness, .. } => 1 + witness.size(),
-            Proof::MaxNashIntro {
-                nash,
-                classification,
-                ..
-            }
-            | Proof::MinNashIntro {
-                nash,
-                classification,
-                ..
-            } => 1 + nash.size() + classification.len() as u64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,20 +153,5 @@ mod tests {
             and.claims(),
             Prop::And(vec![Prop::IsNash(s.clone()), Prop::NotNash(s)])
         );
-    }
-
-    #[test]
-    fn size_counts_rules() {
-        let s: StrategyProfile = vec![0, 0].into();
-        let nash = Proof::NashIntro { profile: s.clone() };
-        let max = Proof::MaxNashIntro {
-            profile: s,
-            nash: Box::new(nash),
-            classification: vec![
-                ProfileVerdict::NotStrictlyBetter(NotAboveWitness::LeCandidate);
-                4
-            ],
-        };
-        assert_eq!(max.size(), 1 + 1 + 4);
     }
 }

@@ -83,18 +83,6 @@ impl Term {
             Term::Mul(a, b) => Ok(a.eval(game)? * b.eval(game)?),
         }
     }
-
-    /// Number of utility lookups the term performs — the kernel's unit of
-    /// verification cost.
-    pub fn lookup_count(&self) -> u64 {
-        match self {
-            Term::Const(_) => 0,
-            Term::Utility { .. } => 1,
-            Term::Add(a, b) | Term::Sub(a, b) | Term::Mul(a, b) => {
-                a.lookup_count() + b.lookup_count()
-            }
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -146,18 +134,6 @@ mod tests {
         assert!(Term::utility(5, vec![0, 0].into()).eval(&game).is_err());
         assert!(Term::utility(0, vec![0, 7].into()).eval(&game).is_err());
         assert!(Term::utility(0, vec![0].into()).eval(&game).is_err());
-    }
-
-    #[test]
-    fn lookup_counting() {
-        let t = Term::Add(
-            Box::new(Term::utility(0, vec![0, 0].into())),
-            Box::new(Term::Mul(
-                Box::new(Term::utility(1, vec![0, 0].into())),
-                Box::new(Term::Const(rat(1, 1))),
-            )),
-        );
-        assert_eq!(t.lookup_count(), 2);
     }
 
     #[test]

@@ -175,7 +175,10 @@ mod tests {
         let theorem = check(&game, &proof).unwrap();
         assert_eq!(theorem.prop(), &Prop::IsMaxNash(vec![1, 1, 1].into()));
         // Proof classification covers all 8 profiles.
-        assert_eq!(proof.size(), 1 + 1 + 8);
+        let Proof::MaxNashIntro { classification, .. } = &proof else {
+            panic!("a maximality proof is a MaxNashIntro");
+        };
+        assert_eq!(classification.len(), 8);
     }
 
     #[test]

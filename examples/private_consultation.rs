@@ -4,8 +4,9 @@
 //! verify given the right certificate. P1 reveals both supports; P2 reveals
 //! only the agent's own data plus the equilibrium values, probing the
 //! opponent's support through one-bit oracle answers. This example runs
-//! both on the same game and prints the measured disclosure, reproducing
-//! the Remark 2 privacy comparison.
+//! both on the same game and prints the disclosure, reproducing the
+//! Remark 2 privacy comparison: P1's is the column mask the certificate
+//! ships, P2's is counted at the oracle this example answers.
 //!
 //! Run with: `cargo run --example private_consultation`
 
@@ -37,18 +38,23 @@ fn main() {
         col_support: eq.col_support.clone(),
     };
     let p1 = verify_support_certificate(&game, &cert).expect("honest P1 verifies");
+    // The certificate is two masks, one bit per pure strategy; the column
+    // mask is the opponent's whole support.
+    let p1_opponent_bits = game.cols();
     println!("\n[P1] verification accepted");
     println!("  λ1 = {}, λ2 = {}", p1.lambda1, p1.lambda2);
-    println!("  bits communicated:        {}", p1.transcript.total_bits());
-    println!(
-        "  opponent bits disclosed:  {}  (the whole column support!)",
-        p1.transcript.opponent_bits_disclosed()
-    );
+    println!("  bits communicated:        {}", cert.encoded_bits(&game));
+    println!("  opponent bits disclosed:  {p1_opponent_bits}  (the whole column support!)");
 
     // ---- P2: private interactive proof -----------------------------------
     let advice = honest_row_advice(&game, &eq.profile);
-    // The inventor answers each membership query from its true support.
-    let mut oracle = |j| Some(eq.col_support.contains(&j));
+    // The inventor answers each membership query from its true support,
+    // and each answer discloses one bit.
+    let mut p2_opponent_bits = 0;
+    let mut oracle = |j| {
+        p2_opponent_bits += 1;
+        Some(eq.col_support.contains(&j))
+    };
     let mut rng = StdRng::seed_from_u64(7);
     let outcome = verify_private_advice(
         &game,
@@ -61,27 +67,19 @@ fn main() {
         },
     );
     match &outcome {
-        P2Outcome::Accepted {
-            conclusive_tests,
-            transcript,
-        } => {
+        P2Outcome::Accepted { conclusive_tests } => {
             println!("\n[P2] verification accepted");
             println!("  conclusive pair tests:    {conclusive_tests}");
-            println!("  oracle queries:           {}", transcript.num_queries());
-            println!(
-                "  opponent bits disclosed:  {}  (one bit per oracle answer)",
-                transcript.opponent_bits_disclosed()
-            );
+            println!("  oracle queries:           {p2_opponent_bits}");
+            println!("  opponent bits disclosed:  {p2_opponent_bits}  (one bit per oracle answer)");
         }
         other => panic!("honest P2 run must accept, got {other:?}"),
     }
 
     // ---- The punchline ---------------------------------------------------
     println!(
-        "\nP1 disclosed the opponent's entire support ({} bits); \
-         P2 disclosed {} bits and never shipped the support at all.",
-        p1.transcript.opponent_bits_disclosed(),
-        outcome.transcript().opponent_bits_disclosed(),
+        "\nP1 disclosed the opponent's entire support ({p1_opponent_bits} bits); \
+         P2 disclosed {p2_opponent_bits} bits and never shipped the support at all."
     );
 
     // A dishonest λ is caught by P2's random probing:

@@ -50,10 +50,7 @@ fn main() {
     let outcome = honest
         .try_consult_private(/*agent*/ 0, &game, &config, &mut rng)
         .expect("the default budget reports, never errs");
-    let queries = outcome
-        .verdict
-        .as_ref()
-        .map_or(0, |v| v.transcript().num_queries());
+    let queries = outcome.queries;
     // Everything the prover sent the agent but the advice frame is a
     // framed one-bit answer.
     let answer_bytes = honest

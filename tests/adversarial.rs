@@ -10,7 +10,7 @@ use rationality_authority::games::{GameGenerator, MixedProfile, MixedStrategy};
 use rationality_authority::proofs::kernel::{check, NotAboveWitness, ProfileVerdict, Proof};
 use rationality_authority::proofs::{
     verify_online_advice, verify_private_advice, verify_support_certificate, OnlineInstance,
-    P2Advice, P2Config, P2Outcome, P2Rejection, SupportCertificate, TranscriptEvent,
+    P2Advice, P2Config, P2Outcome, P2Rejection, SupportCertificate,
 };
 use rationality_authority::solvers::{
     enumerate_equilibria, honest_online_advice, honest_row_advice, prove_max_nash,
@@ -181,28 +181,25 @@ fn p2_session_catches_lambda_corruption() {
             ..honest.clone()
         };
         for seed in 0..20 {
-            let mut oracle = |j| Some(support.contains(&j));
+            let mut queried = Vec::new();
+            let mut oracle = |j| {
+                queried.push(j);
+                Some(support.contains(&j))
+            };
             let mut rng = StdRng::seed_from_u64(seed);
             let outcome =
                 verify_private_advice(&game, &advice, &mut oracle, &mut rng, &P2Config::default());
-            let P2Outcome::Rejected { reason, transcript } = outcome else {
+            let P2Outcome::Rejected { reason } = outcome else {
                 panic!("λ-corrupted advice not rejected (seed {seed}): {outcome:?}");
             };
-            let Some(TranscriptEvent::Query { index, .. }) = transcript.events().get(3) else {
-                panic!("the first query follows the three advice messages");
-            };
+            assert_eq!(queried.len(), 2, "one pair decides (seed {seed})");
             assert_eq!(
                 reason,
                 P2Rejection::InSupportPayoffMismatch {
-                    index: *index,
+                    index: queried[0],
                     actual: rat(2, 3)
                 },
                 "seed {seed}"
-            );
-            assert_eq!(
-                transcript.num_queries(),
-                2,
-                "one pair decides (seed {seed})"
             );
         }
     }

@@ -1143,13 +1143,15 @@ mod p2 {
         PrivateOutcome, RationalityAuthority, ResilienceConfig, SimNetConfig, Wire,
     };
     use rationality_authority::games::{BimatrixGame, GameGenerator};
-    use rationality_authority::proofs::{
-        verify_private_advice, P2Config, P2Outcome, SupportOracle, TranscriptEvent,
-    };
+    use rationality_authority::proofs::{verify_private_advice, P2Config, P2Outcome};
     use rationality_authority::solvers::{find_one_equilibrium, honest_row_advice};
 
     const INVENTOR: Party = Party::Inventor(0);
     const AGENT: Party = Party::Agent(0);
+
+    /// A prover's membership oracle: is the opponent's strategy `j` in its
+    /// support? `None` if the answer never arrives.
+    pub(super) type Oracle<'a> = dyn FnMut(usize) -> Option<bool> + 'a;
 
     /// An authority with no verifier panel whose inventor proves P2
     /// claims over `transport`.
@@ -1193,13 +1195,14 @@ mod p2 {
     /// authority over a logged lossless [`Bus`], runs the local Fig. 4
     /// verifier on the honest row advice for `game` with `oracle` under the
     /// same seed, and asserts the consult reached the same verdict by the
-    /// same transcript. Its frames must be the transcript's exactly: one
+    /// same queries. Its frames must be the local run's exactly: one
     /// advice request and one advice frame, then one query frame out and
-    /// one answer frame back per query, each first attempt travelling bare.
+    /// one answer frame back per `(index, answer)` the local oracle
+    /// recorded, each first attempt travelling bare.
     pub(super) fn assert_matches_local(
         inventor: InventorBehavior,
         game: &BimatrixGame,
-        oracle: &mut dyn SupportOracle,
+        oracle: &mut Oracle<'_>,
         seed: u64,
         config: P2Config,
     ) -> (RationalityAuthority, PrivateOutcome) {
@@ -1210,29 +1213,30 @@ mod p2 {
             .expect("a lossless bus answers every query");
         let advice = honest_row_advice(game, &find_one_equilibrium(game).unwrap().profile);
         let mut rng = StdRng::seed_from_u64(seed);
-        let local = verify_private_advice(game, &advice, oracle, &mut rng, &config);
+        let mut log = Vec::new();
+        let mut recorded = |index| {
+            let answer = oracle(index);
+            log.push((index, answer));
+            answer
+        };
+        let local = verify_private_advice(game, &advice, &mut recorded, &mut rng, &config);
         assert_eq!(outcome.verdict.as_ref(), Some(&local), "seed {seed}");
         assert_eq!(outcome.advice.as_ref(), Some(&advice), "seed {seed}");
         assert_eq!(outcome.adopted, local.is_accepted(), "seed {seed}");
         assert_eq!(outcome.attempts, 0, "seed {seed}");
+        assert_eq!(outcome.queries, log.len() as u64, "seed {seed}");
         let (mut asked, mut answered) = (Message::AdviceRequest { game_id: 1 }.encoded_len(), 0);
-        let mut events = local.transcript().events().iter();
-        while let Some(event) = events.next() {
-            if let TranscriptEvent::Query { index, .. } = *event {
-                let Some(TranscriptEvent::Answer {
-                    in_support: Some(in_support),
-                }) = events.next()
-                else {
-                    panic!("every query is answered on a lossless bus (seed {seed})");
-                };
-                asked += Message::SupportQuery { game_id: 1, index }.encoded_len();
-                answered += Message::SupportAnswer {
-                    game_id: 1,
-                    index,
-                    in_support: *in_support,
-                }
-                .encoded_len();
+        for (index, in_support) in log {
+            let Some(in_support) = in_support else {
+                panic!("every query is answered on a lossless bus (seed {seed})");
+            };
+            asked += Message::SupportQuery { game_id: 1, index }.encoded_len();
+            answered += Message::SupportAnswer {
+                game_id: 1,
+                index,
+                in_support,
             }
+            .encoded_len();
         }
         let bus = authority.bus();
         assert_eq!(bus.bytes_between(AGENT, INVENTOR), asked, "seed {seed}");
@@ -1243,13 +1247,6 @@ mod p2 {
         );
         assert_eq!(bus.total_bytes(), outcome.session_bytes, "seed {seed}");
         (authority, outcome)
-    }
-
-    fn queries(outcome: &PrivateOutcome) -> u64 {
-        outcome
-            .verdict
-            .as_ref()
-            .map_or(0, |v| v.transcript().num_queries())
     }
 
     #[test]
@@ -1265,7 +1262,7 @@ mod p2 {
             p2_config(3, 100),
         );
         assert!(outcome.adopted, "{:?}", outcome.verdict);
-        assert!(queries(&outcome) >= 6);
+        assert!(outcome.queries >= 6);
         // Opponent-revealing traffic is a small fraction of the session,
         // and every one of those bytes frames exactly one membership bit.
         assert!(opponent_answer_bytes(&authority, &outcome) < outcome.session_bytes);
@@ -1359,7 +1356,43 @@ mod p2 {
             .expect("every query was answered");
         assert!(!outcome.adopted);
         assert!(matches!(outcome.verdict, Some(P2Outcome::Undecided { .. })));
-        assert!(queries(&outcome) <= 4);
+        assert!(outcome.queries <= 4);
+    }
+
+    /// A budget too small for one pair (Fig. 4 asks in pairs) runs no
+    /// Query stage: the consult closes on the advice alone, undecided, and
+    /// that is no unanswered query, so even a caller-set budget reports it
+    /// as an outcome, not a deadline.
+    #[test]
+    fn p2_consult_that_asks_nothing_is_undecided_not_a_deadline() {
+        let game = battle_of_the_sexes();
+        let mut authority = p2_authority(
+            InventorBehavior::Honest,
+            Arc::new(Bus::new().with_delivery_log()),
+        );
+        authority.set_resilience(Some(ResilienceConfig::default()));
+        let mut rng = StdRng::seed_from_u64(3);
+        let outcome = authority
+            .try_consult_private(0, &game, &p2_config(3, 1), &mut rng)
+            .expect("no query went unanswered");
+        assert!(outcome.advice.is_some());
+        assert_eq!(
+            outcome.verdict,
+            Some(P2Outcome::Undecided {
+                conclusive_tests: 0
+            })
+        );
+        assert!(!outcome.adopted);
+        assert_eq!(outcome.queries, 0);
+        let bus = authority.bus();
+        let request = Message::AdviceRequest { game_id: 1 }.encoded_len();
+        assert_eq!(
+            bus.bytes_between(AGENT, INVENTOR),
+            request,
+            "no SupportQuery"
+        );
+        assert_eq!(opponent_answer_bytes(&authority, &outcome), 0);
+        assert_eq!(outcome.session_bytes, request + outcome.advice_bytes);
     }
 
     /// The lossless differential at the campaign seed: three games, an
@@ -1377,7 +1410,7 @@ mod p2 {
                 for run in 0..4 {
                     let seed = seed.wrapping_add(run);
                     let (truth, lies) = (support.clone(), support.clone());
-                    let oracles: [(InventorBehavior, Box<dyn SupportOracle>); 2] = [
+                    let oracles: [(InventorBehavior, Box<Oracle<'_>>); 2] = [
                         (
                             InventorBehavior::Honest,
                             Box::new(move |j| Some(truth.contains(&j))),
@@ -1434,9 +1467,8 @@ mod p2 {
 
     /// A network adversary that drops every answer to the first query
     /// steers nothing: that query stays unknown, so no consult accepts or
-    /// rejects, the transcript ends with the unanswered query and counts
-    /// no opponent bit, and a caller-set budget reports a Query-stage
-    /// deadline.
+    /// rejects, the run stops at that one query and no answer byte reaches
+    /// the agent, and a caller-set budget reports a Query-stage deadline.
     #[test]
     fn dropped_answers_never_decide_a_p2_consult() {
         let seed = scenario_seed();
@@ -1455,15 +1487,10 @@ mod p2 {
                     .try_consult_private(0, &game, &config, &mut rng)
                     .expect("the default budget reports, not errs");
                 assert!(!outcome.adopted, "seed {seed}");
-                let Some(P2Outcome::Undecided { transcript, .. }) = &outcome.verdict else {
+                let Some(P2Outcome::Undecided { .. }) = &outcome.verdict else {
                     panic!("{:?} decided on no answers (seed {seed})", outcome.verdict);
                 };
-                assert_eq!(transcript.num_queries(), 1, "seed {seed}");
-                assert_eq!(transcript.opponent_bits_disclosed(), 0);
-                assert_eq!(
-                    transcript.events().last(),
-                    Some(&TranscriptEvent::Answer { in_support: None })
-                );
+                assert_eq!(outcome.queries, 1, "seed {seed}");
                 assert_eq!(outcome.attempts, 7, "eight tries of the one query");
                 assert_eq!(opponent_answer_bytes(&authority, &outcome), 0);
 
@@ -1500,13 +1527,11 @@ mod exhaustive {
         RationalityAuthority, ResilienceConfig, SessionOutcome, VerdictReason, Wire, INITIAL_SCORE,
     };
     use rationality_authority::games::BimatrixGame;
-    use rationality_authority::proofs::{
-        verify_private_advice, P2Advice, P2Config, P2Outcome, SupportOracle, TranscriptEvent,
-    };
+    use rationality_authority::proofs::{verify_private_advice, P2Advice, P2Config, P2Outcome};
     use rationality_authority::solvers::find_one_equilibrium;
 
     use super::p2::{
-        assert_matches_local, dominated_column_game, five_by_five, p2_authority, p2_config,
+        assert_matches_local, dominated_column_game, five_by_five, p2_authority, p2_config, Oracle,
     };
 
     /// One frame handed to a [`LossScript`], with its fate.
@@ -2057,10 +2082,12 @@ mod exhaustive {
             let at = || self.label(mask);
             let (result, trace) = self.consult(mask);
             let (advice, answers) = delivered(&trace.frames);
-            let mut stage = 0;
+            // What the local oracle answered, query by query.
+            let mut given = Vec::new();
             let mut oracle = |_| {
-                stage += 1;
-                answers.get(stage - 1).copied().flatten()
+                let answer = answers.get(given.len()).copied().flatten();
+                given.push(answer);
+                answer
             };
             let local = advice.as_ref().map(|advice| {
                 let mut rng = StdRng::seed_from_u64(self.seed);
@@ -2070,18 +2097,17 @@ mod exhaustive {
                 Ok(outcome) => {
                     assert_eq!(outcome.advice, advice, "{}", at());
                     assert_eq!(outcome.verdict, local, "{}", at());
+                    assert_eq!(outcome.queries, given.len() as u64, "{}", at());
                     outcome.verdict.as_ref()
                 }
                 Err(ConsultError::Deadline { stage, .. }) => {
-                    let unanswered = local.as_ref().map(|v| v.transcript().events().last());
+                    // A starved advice stage left nothing to verify; a
+                    // starved query stage is the local run's last query,
+                    // and its answer is unknown.
+                    let unanswered = local.is_some() && given.last() == Some(&None);
                     match stage {
-                        ConsultStage::Advice => assert_eq!(unanswered, None, "{}", at()),
-                        _ => assert_eq!(
-                            unanswered,
-                            Some(Some(&TranscriptEvent::Answer { in_support: None })),
-                            "{}",
-                            at()
-                        ),
+                        ConsultStage::Advice => assert!(local.is_none(), "{}", at()),
+                        _ => assert!(unanswered, "{}", at()),
                     }
                     None
                 }
@@ -2121,7 +2147,7 @@ mod exhaustive {
                 return;
             }
             let support = find_one_equilibrium(&self.game).unwrap().col_support;
-            let mut oracle: Box<dyn SupportOracle> = match self.inventor {
+            let mut oracle: Box<Oracle<'_>> = match self.inventor {
                 InventorBehavior::Honest => Box::new(move |j| Some(support.contains(&j))),
                 // A corrupt prover inverts every answer.
                 _ => Box::new(move |j| Some(!support.contains(&j))),
